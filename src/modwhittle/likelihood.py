@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import ParameterVector, Series, fourier_grid
-from .models import LatentModel, autocov_sequence, sdf_sampled
+from .models import LatentModel, autocov_sequence, geometric_acv, sdf_sampled
 from .modulation import (
     CgSequence,
     Modulator,
@@ -313,7 +313,10 @@ class Objective:
         return self.model.params
 
     def __call__(self, theta) -> float:
-        model = self.model.with_values(theta)
+        try:
+            model = self.model.with_values(theta)
+        except ValueError:  # theta outside the model class, e.g. a
+            return np.inf   # non-stationary AR: the optimizer steps back
         n = len(self.data)
         if self.kind == "exact":
             return exact_gaussian_nll(self.data, self.modulator, model,
@@ -329,19 +332,11 @@ class Objective:
         return spectral_nll(self._shat, sbar, self._mask)
 
 
-def _car1_acv(r: float, sigma: float, n: int) -> np.ndarray:
-    return sigma * sigma / (1.0 - r * r) * np.power(r, np.arange(n, dtype=float))
-
-
-def _ar1_acv(a: float, sigma: float, n: int) -> np.ndarray:
-    return sigma * sigma / (1.0 - a * a) * np.power(a, np.arange(n, dtype=float))
-
-
 class Car1ModulatedObjective:
     """Modulated-Whittle objective for a complex AR(1) latent with known g.
 
     theta = (r, sigma).  The closed-form latent acv keeps each evaluation at
-    one O(N) product plus one length-2N FFT.
+    one O(N) product plus one length-N FFT.
     """
 
     names = ("r", "sigma")
@@ -360,7 +355,7 @@ class Car1ModulatedObjective:
         r, sigma = theta
         if not (0.0 <= r < 1.0) or sigma <= 0:
             return np.inf
-        sbar = expected_periodogram_values(self.cg * _car1_acv(r, sigma, self.n))
+        sbar = expected_periodogram_values(self.cg * geometric_acv(r, sigma, self.n))
         return spectral_nll(self.shat, sbar, self.mask)
 
 
@@ -383,7 +378,7 @@ class Ar1ModulatedObjective:
         a, sigma = theta
         if not (-1.0 < a < 1.0) or sigma <= 0:
             return np.inf
-        sbar = expected_periodogram_values(self.cg * _ar1_acv(a, sigma, self.n))
+        sbar = expected_periodogram_values(self.cg * geometric_acv(a, sigma, self.n))
         return spectral_nll(self.shat, sbar, self.mask)
 
 
@@ -446,7 +441,7 @@ class LinearBetaCar1Objective:
         if not (0.0 <= r < 1.0) or sigma <= 0 or not (0.0 < span < np.pi):
             return np.inf
         cg = cg_linear_closed_form(gamma, span, self.n, self.taus)
-        sbar = expected_periodogram_values(cg * _car1_acv(r, sigma, self.n))
+        sbar = expected_periodogram_values(cg * geometric_acv(r, sigma, self.n))
         return spectral_nll(self.shat, sbar, self.mask)
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import gammaln, kv
 
 from .core import ParameterVector
 
@@ -46,6 +45,7 @@ __all__ = [
     "ou_model",
     "matern_model",
     "autocov",
+    "geometric_acv",
     "sdf",
     "sdf_sampled",
     "ou_to_ar",
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 _FAMILIES = ("ar", "ma", "car1", "ou", "matern")
+
+# working precision of the latent acv tables: geometric_acv and matern_acv
+# leave at zero every lag whose value is at most ACV_EPS * c(0)
+ACV_EPS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -222,31 +226,125 @@ def _ma_autocov(theta: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=64)
-def _matern_acv_cached(b: float, h: float, alpha: float, delta: float,
-                       nlags: int) -> np.ndarray:
+def _geometric_lag_cap(r: float, nlags: int) -> int:
+    """Lags kept by :func:`geometric_acv`: |r|^tau <= ACV_EPS for tau >= cap."""
+    ar = abs(r)
+    if ar == 0.0:
+        return min(nlags, 1)
+    if not ar < 1.0:
+        return nlags
+    cap = math.floor(math.log(ACV_EPS) / math.log(ar)) + 1
+    return int(min(nlags, cap))
+
+
+def geometric_acv(r: float, sigma: float, nlags: int,
+                  rotation: float = 0.0) -> np.ndarray:
+    """sigma^2/(1-r^2) r^tau e^{i rotation tau} at lags 0..nlags-1.
+
+    The autocovariance of an AR(1) with coefficient r (|r| < 1, real or the
+    modulus of a complex AR(1)) and innovation variance sigma^2.  Truncated at
+    working precision: lags from tau = floor(log eps / log|r|) + 1 on, where
+    |r|^tau <= eps = ACV_EPS, are left at zero, so the dropped tail sums to
+    at most eps c(0) / (1 - |r|).  r = 0 keeps lag 0 only.
+    """
+    keep = _geometric_lag_cap(r, nlags)
+    tau = np.arange(keep, dtype=float)
+    head = sigma * sigma / (1.0 - r * r) * np.power(r, tau)
+    if rotation:
+        head = head * np.exp(1j * rotation * tau)
+    out = np.zeros(nlags, dtype=head.dtype)
+    out[:keep] = head
+    return out
+
+
+def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
+    """Lags kept by :func:`matern_acv`: c(tau) <= ACV_EPS c(0) for tau >= cap.
+
+    With nu = alpha - 1/2 and x = h delta tau the Matern correlation is
+    c(tau)/c(0) = 2^{1-nu}/Gamma(nu) x^nu K_nu(x), decreasing in x.  Bounding
+    (1 + u/2x)^{nu-1/2} inside the integral form of K_nu gives the envelope
+
+        K_nu(x) <= sqrt(pi/(2x)) e^{-x} (1 - m/(2x))^{-(nu+1/2)},
+        m = max(nu - 1/2, 0),  2x > m,
+
+    so the correlation is at most C x^{nu-1/2} e^{-x} (1 - m/(2x))^{-(nu+1/2)}
+    with C = 2^{1/2-nu} sqrt(pi)/Gamma(nu).  The cap is the first lag past the
+    x where that envelope reaches ACV_EPS: x = 36.8 at alpha = 1 (where the
+    correlation is exactly e^{-x}), growing with nu to 45.7 at alpha = 4.
+    """
+    nu = alpha - 0.5
+    m = max(nu - 0.5, 0.0)
+    log_c = ((0.5 - nu) * math.log(2.0) + 0.5 * math.log(math.pi)
+             - float(gammaln(nu)) - math.log(ACV_EPS))
+
+    def log_excess(x):  # log(envelope / ACV_EPS)
+        return log_c + (nu - 0.5) * math.log(x) - x \
+            - (nu + 0.5) * math.log1p(-m / (2.0 * x))
+
+    # on x >= 2m + 1 the slope of log_excess lies in (-7/6, -1/2), so the
+    # steps x += log_excess(x) contract onto the root by a factor of at
+    # least 2 each; a last 0.01 step covers the residual
+    lo = 2.0 * m + 1.0
+    x = max(log_c, lo)
+    step = log_excess(x)
+    while abs(step) > 1e-3 and x > lo:
+        x = max(x + step, lo)
+        step = log_excess(x)
+    while step > 0.0:
+        x += 0.01
+        step = log_excess(x)
+    lags = x / (h * delta)
+    if not lags < nlags:  # also NaN parameters, which give a NaN table
+        return nlags
+    return min(nlags, math.ceil(lags) + 1)
+
+
+def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np.ndarray:
     """Exact sampled Matern autocovariance at lags 0..nlags-1.
 
     c(t) = B^2 * 2^{3/2-alpha} / (2 sqrt(pi) Gamma(alpha) h^{2alpha-1})
                * (h|t|)^{alpha-1/2} K_{alpha-1/2}(h|t|),  t = tau*delta,
     with the tau=0 limit B^2 Gamma(alpha-1/2) / (2 sqrt(pi) Gamma(alpha)
-    h^{2alpha-1}).  Matches B^2/(2h) exp(-h|t|) at alpha=1.
+    h^{2alpha-1}).  Matches B^2/(2h) exp(-h|t|) at alpha=1.  Truncated at
+    working precision: lags from :func:`_matern_lag_cap` on, all at most
+    ACV_EPS c(0), are left at zero instead of paying for K_nu there.
     """
     nu = alpha - 0.5
-    t = np.arange(nlags) * delta
+    keep = _matern_lag_cap(h, alpha, delta, nlags)
+    t = np.arange(keep) * delta
     scale = b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha) * h ** (2.0 * alpha - 1.0))
-    c = np.empty(nlags)
+    c = np.zeros(nlags)
     c[0] = scale * gamma_fn(nu)
-    if nlags > 1:
+    if keep > 1:
         x = h * t[1:]
-        c[1:] = scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
-    c.setflags(write=False)
+        c[1:keep] = scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
     return c
 
 
-def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np.ndarray:
-    return np.array(_matern_acv_cached(float(b), float(h), float(alpha),
-                                       float(delta), int(nlags)))
+def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
+    """c_X(0..nlags-1) as one array (the hot path for expected periodograms).
+
+    Geometric (car1, ou) and Matern tables are zero past the lag where they
+    have decayed below working precision; see :func:`geometric_acv` and
+    :func:`matern_acv`.
+    """
+    f = model.family
+    if f in ("ar", "ma"):
+        coefs, sigma = _ar_coeffs(model)
+        if f == "ar":
+            return _ar_autocov(coefs, sigma, nlags)
+        return _ma_autocov(coefs, sigma, nlags)
+    if f == "car1":
+        return geometric_acv(model.value("r"), model.value("sigma"),
+                             nlags, model.rotation)
+    if f == "ou":
+        r, sig = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
+        return geometric_acv(r, sig, nlags,
+                             2.0 * np.pi * model.delta * model.rotation)
+    if f == "matern":
+        return matern_acv(model.value("B"), model.value("h"),
+                          model.value("alpha"), model.delta, nlags)
+    raise ValueError(f"unknown family {f!r}")  # pragma: no cover
 
 
 def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
@@ -262,37 +360,10 @@ def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
         tau_arr = tau_arr.astype(int)
     if np.any(tau_arr < 0):
         raise ValueError("lags must be non-negative integers")
-    f = model.family
-    if f in ("ar", "ma"):
-        coefs, sigma = _ar_coeffs(model)
-        nlags = int(tau_arr.max()) + 1
-        table = _ar_autocov(coefs, sigma, nlags) if f == "ar" else \
-            _ma_autocov(coefs, sigma, nlags)
-        out = table[tau_arr]
-    elif f == "car1":
-        r, sigma = model.value("r"), model.value("sigma")
-        base = sigma * sigma / (1.0 - r * r) * np.power(float(r), tau_arr.astype(float))
-        out = base * np.exp(1j * model.rotation * tau_arr) if model.rotation else base
-    elif f == "ou":
-        r, sig = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
-        base = sig * sig / (1.0 - r * r) * np.power(r, tau_arr.astype(float))
-        rot = 2.0 * np.pi * model.delta * model.rotation
-        out = base * np.exp(1j * rot * tau_arr) if model.rotation else base
-    elif f == "matern":
-        nlags = int(tau_arr.max()) + 1
-        table = matern_acv(model.value("B"), model.value("h"),
-                           model.value("alpha"), model.delta, nlags)
-        out = table[tau_arr]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {f!r}")
+    out = autocov_sequence(model, int(tau_arr.max()) + 1)[tau_arr]
     if np.isscalar(tau) or np.ndim(tau) == 0:
         return out[0]
     return out
-
-
-def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
-    """c_X(0..nlags-1) as one array (the hot path for expected periodograms)."""
-    return np.asarray(autocov(model, np.arange(nlags)))
 
 
 # ----------------------------------------------------------------------
@@ -334,12 +405,6 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     return out if np.ndim(omega) else float(out)
 
 
-def _matern_sdf_lag_cap(h: float, delta: float) -> int:
-    # exponential envelope e^{-h delta tau}: run until the tail is negligible
-    cap = int(min(math.ceil(40.0 / (h * delta)) + 1, 1 << 18))
-    return max(cap, 8)
-
-
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
     """Discrete-time sdf f_X(w) = sum_tau c(tau) e^{-i w tau}, w rad/sample.
 
@@ -355,7 +420,8 @@ def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
         rot = 2.0 * np.pi * model.delta * model.rotation
         out = sig * sig / (1.0 + r * r - 2.0 * r * np.cos(w - rot))
     elif f == "matern":
-        nlags = _matern_sdf_lag_cap(model.value("h"), model.delta)
+        nlags = max(8, _matern_lag_cap(model.value("h"), model.value("alpha"),
+                                       model.delta, 1 << 18))
         c = matern_acv(model.value("B"), model.value("h"), model.value("alpha"),
                        model.delta, nlags)
         taus = np.arange(1, nlags)

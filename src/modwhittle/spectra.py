@@ -6,9 +6,12 @@ modulated sample,
     Sbar(w) = 2 Re{ sum_{tau=0}^{N-1} cbar(tau) e^{-i w tau} } - cbar(0),
     cbar(tau) = c_g(tau) * c_X(tau),
 
-evaluated on the Fourier grid via one length-2N FFT.  A dense-covariance
-quadratic form oracle is kept for ground truth on small
-N, together with the Fejer kernel and the classical smoothed-spectrum
+evaluated on the Fourier grid w_k = 2 pi k / N by one length-N FFT.  On
+that grid the lag sum is fft(cbar)[k] itself: bin 2k of the zero-padded
+length-2N transform is sum_tau cbar(tau) e^{-2 pi i (2k) tau / 2N}, which is
+bin k of the unpadded one, so padding only computes the odd bins nobody
+reads.  A dense-covariance quadratic form oracle is kept for ground truth on
+small N, together with the Fejer kernel and the classical smoothed-spectrum
 approximation used only in comparison experiments.
 """
 
@@ -91,7 +94,8 @@ def expected_acv(cg: CgSequence | np.ndarray, model: LatentModel) -> np.ndarray:
 def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
     """Lag-to-frequency transform of an expected autocovariance sequence.
 
-    One zero-padded length-2N FFT; grid values are the even-indexed bins.
+    Sbar(w_k) = 2 Re{fft(cbar)[k]} - cbar(0) with one length-N FFT (see the
+    module docstring); a real cbar uses rfft and mirrors Re F[N-k] = Re F[k].
     Raises when a value drops below -1e-8 (an invalid cbar, e.g. a non-PSD
     covariance snuck in); round-off negatives above that are clamped to a
     tiny positive number so downstream logs stay finite.
@@ -105,8 +109,11 @@ def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
         if abs(c0.imag) > 1e-10 * max(1.0, abs(c0.real)):
             raise ValueError("cbar(0) must be real")
         c0 = c0.real
-    big = np.fft.fft(cbar, 2 * n)
-    vals = 2.0 * big[::2].real - c0
+        re = np.fft.fft(cbar).real
+    else:
+        half = np.fft.rfft(cbar).real
+        re = np.concatenate((half, half[n - half.size:0:-1]))
+    vals = 2.0 * re - c0
     vals = _to_grid_order(vals)
     if np.min(vals) < -_NEG_CLAMP * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError("expected periodogram is significantly negative; "

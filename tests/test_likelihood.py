@@ -153,6 +153,27 @@ def test_objective_finite_on_inbounds(rng):
         assert np.isfinite(obj(theta))
 
 
+def test_objective_scores_non_stationary_theta_as_inf(rng):
+    x = simulate_ar(ar_model([0.5], 1.0), 32, rng)
+    obj = Objective("whittle", x, ar_model([0.5], 1.0))
+    assert obj([1.2, 1.0]) == np.inf
+    assert np.isfinite(obj([0.5, 1.0]))
+
+
+def test_ar2_modulated_fit_from_poor_init_does_not_raise():
+    from modwhittle import bernoulli_mask
+    from modwhittle.optimize import fit
+    truth = ar_model([1.2, -0.5], 1.0)
+    for seed in range(10):
+        x = simulate_ar(truth, 256, seed)
+        mod = bernoulli_mask(0.7, seed=seed, n=256)
+        data = Series(mod.g * x.values)
+        obj = Objective("modulated-whittle", data, ar_model([0.1, 0.1], 1.0),
+                        modulator=mod, check_significance=False)
+        res = fit(obj, obj.init_params)
+        assert np.isfinite(res.objective_value)
+
+
 def test_exact_objective_callable(rng):
     model = ar_model([0.6], 1.0)
     x = simulate_ar(model, 48, rng)

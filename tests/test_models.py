@@ -16,7 +16,10 @@ from modwhittle import (
     sdf_sampled,
 )
 from modwhittle.models import (
+    _geometric_lag_cap,
+    _matern_lag_cap,
     autocov_sequence,
+    geometric_acv,
     matern_acv,
     model_from_json,
     model_to_json,
@@ -170,6 +173,57 @@ def test_matern_vs_quadrature():
             ref = float(matern_acv(b, h, alpha, tau_days, 2)[1])
         val /= np.pi
         assert abs(ref - val) < 1e-6 * abs(val) + 1e-12
+
+
+def _matern_acv_full(b, h, alpha, delta, nlags):
+    # the untruncated Bessel form at every lag
+    from math import pi, sqrt
+    from scipy.special import gamma, kv
+    nu = alpha - 0.5
+    scale = b * b / (2.0 * sqrt(pi) * gamma(alpha) * h ** (2.0 * alpha - 1.0))
+    x = h * (np.arange(1, nlags) * delta)
+    return np.concatenate(([scale * gamma(nu)],
+                           scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)))
+
+
+@pytest.mark.parametrize("alpha", np.linspace(0.51, 4.0, 12))
+def test_matern_truncation_drops_only_negligible_lags(alpha):
+    delta, n = 1.0 / 12.0, 4096
+    for h in np.concatenate((np.geomspace(0.05, 30.0, 25), [0.134])):
+        full = _matern_acv_full(1.3, h, alpha, delta, n)
+        c = matern_acv(1.3, h, alpha, delta, n)
+        keep = _matern_lag_cap(h, alpha, delta, n)
+        assert np.array_equal(c[:keep], full[:keep])
+        assert np.all(c[keep:] == 0.0)
+        assert np.all(np.abs(full[keep:]) <= 1e-16 * full[0])
+    # the cap bites at drifter-like scales, and grows with the smoothness
+    assert _matern_lag_cap(0.7, alpha, delta, n) < n
+    assert _matern_lag_cap(0.7, alpha, delta, n) <= _matern_lag_cap(0.7, alpha + 0.5, delta, n)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, -0.3, 0.8, -0.8, 0.99, 1.0 - 1e-12])
+def test_geometric_truncation_drops_only_negligible_lags(r):
+    n = 4096
+    full = 1.7 ** 2 / (1.0 - r * r) * np.power(r, np.arange(n, dtype=float))
+    c = geometric_acv(r, 1.7, n)
+    keep = _geometric_lag_cap(r, n)
+    assert np.array_equal(c[:keep], full[:keep])
+    assert np.all(c[keep:] == 0.0)
+    assert np.all(np.abs(full[keep:]) <= 1e-16 * full[0])
+    if r == 0.0 or r == 1.0 - 1e-12:  # white noise; no decay within n
+        assert keep == (1 if r == 0.0 else n)
+    rot = geometric_acv(r, 1.7, n, rotation=0.4)
+    assert np.allclose(rot, c * np.exp(0.4j * np.arange(n)), rtol=0, atol=1e-15 * c[0])
+
+
+def test_geometric_acv_backs_car1_and_ou():
+    assert np.array_equal(autocov_sequence(car1_model(0.8, 1.2), 300),
+                          geometric_acv(0.8, 1.2, 300))
+    m = ou_model(1.5, 0.4, delta=1.0 / 12.0, rotation_cpd=-1.0)
+    r, sig = ou_to_ar(1.5, 0.4, 1.0 / 12.0)
+    assert np.array_equal(autocov_sequence(m, 300),
+                          geometric_acv(r, sig, 300, -2.0 * np.pi / 12.0))
+    assert np.count_nonzero(geometric_acv(0.8, 1.0, 16384)) == 166
 
 
 def test_ou_discrete_acv_matches_transform():

@@ -90,6 +90,31 @@ def test_oracle_trivial_cases():
         brute_force_expected_periodogram(constant_modulator(512), wn)
 
 
+def _padded_expected_periodogram(cbar):
+    # the zero-padded length-2N form: grid values are the even bins
+    from modwhittle.core import _to_grid_order
+    cbar = np.asarray(cbar)
+    big = np.fft.fft(cbar, 2 * cbar.size)
+    return _to_grid_order(2.0 * big[::2].real - cbar[0].real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 4096])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_length_n_fft_matches_padded_transform(rng, n, kind):
+    for _ in range(5):
+        model = random_model(rng) if kind == "complex" else \
+            ar_model([rng.uniform(-0.9, 0.9)], rng.uniform(0.5, 2.0))
+        mod = random_modulator(rng, n, kinds=("constant", "periodic", "bernoulli")) \
+            if n > 1 else constant_modulator(1, rng.uniform(0.5, 2.0))
+        cbar = expected_acv(cg_sequence(mod), model)
+        if kind == "complex" and not np.iscomplexobj(cbar):
+            cbar = cbar * np.exp(0.3j * np.arange(n))
+        assert np.iscomplexobj(cbar) == (kind == "complex")
+        ref = _padded_expected_periodogram(cbar)
+        vals = expected_periodogram_values(cbar)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_expected_periodogram_negative_input_rejected():
     # a non-PSD "expected acv" must be caught
     bad = np.array([1.0, 0.0, 5.0, 0.0])
