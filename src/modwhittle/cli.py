@@ -189,14 +189,7 @@ def _cmd_fit(cfg: dict, out: str, seed, threads: int) -> dict:
                              freq_range=tuple(cfg.get("freq_range", (0.0, 0.8))),
                              include_background=cfg.get("include_background", True),
                              fit_options=opts)
-        payload = {
-            "theta_hat": result.params,
-            "objective": result.nll,
-            "iterations": result.fit_result.iterations,
-            "converged": result.fit_result.converged,
-            "damping_time_days": result.damping_time,
-        }
-        return {f"{out}.json": json.dumps(payload, indent=2)}
+        return {f"{out}.json": json.dumps(_drifter_report(result), indent=2)}
     model = model_from_json(cfg["model"])
     modulator = modulator_from_json(cfg["modulator"]) if cfg.get("modulator") else None
     objective = Objective(kind, data, model, modulator=modulator)
@@ -209,7 +202,8 @@ def _cmd_mc(cfg: dict, out: str, seed, threads: int) -> dict:
     if seed is not None:
         study.seed = int(seed)
     report = run_study(study, threads=threads)
-    return {f"{out}.csv": _csv_text(report.as_csv_rows())}
+    return {f"{out}.csv": _csv_text(report.as_csv_rows()),
+            f"{out}.failures.json": json.dumps(report.failures, indent=2)}
 
 
 def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:
@@ -222,13 +216,7 @@ def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:
     for m in (("stationary", "modulated") if mode == "both" else (mode,)):
         fits[m] = fit_drifter(data, wf, mode=m, freq_range=freq_range,
                               include_background=include_b, fit_options=opts)
-    report = {m: {
-        "theta_hat": f.params,
-        "objective": f.nll,
-        "iterations": f.fit_result.iterations,
-        "converged": f.fit_result.converged,
-        "damping_time_days": f.damping_time,
-    } for m, f in fits.items()}
+    report = {m: _drifter_report(f) for m, f in fits.items()}
     if len(fits) == 2:
         report["difference"] = fits["stationary"].nll - fits["modulated"].nll
     any_fit = next(iter(fits.values()))
@@ -241,6 +229,19 @@ def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:
                      int(any_fit.mask[i])])
     return {f"{out}.json": json.dumps(report, indent=2),
             f"{out}.spectrum.csv": _csv_text(rows)}
+
+
+def _drifter_report(f) -> dict:
+    return {
+        "theta_hat": f.params,
+        "objective": f.nll,
+        "iterations": f.fit_result.iterations,
+        "n_evals": f.fit_result.n_evals,
+        "n_grad_evals": f.fit_result.n_grad_evals,
+        "converged": f.fit_result.converged,
+        "at_bound": f.at_bound,
+        "damping_time_days": f.damping_time,
+    }
 
 
 def _drifter_series(cfg: dict, seed):

@@ -27,7 +27,7 @@ from .core import ParameterVector, Series, fourier_grid
 from .likelihood import AggregateModel, Objective
 from .models import ar_to_ou, matern_model, ou_model, ou_to_ar
 from .modulation import Modulator, frequency_modulator
-from .optimize import FitResult, fit
+from .optimize import FitFailure, FitResult, fit
 from .simulate import complex_normal, simulate_from_acv
 from .spectra import periodogram
 from .models import matern_acv
@@ -186,6 +186,11 @@ class DrifterFit:
     def damping_time(self) -> float:
         return 1.0 / self.params["lam"]
 
+    @property
+    def at_bound(self) -> list:
+        """Names, as in ``params``, of the estimates that ended at a bound."""
+        return [name.split(".", 1)[1] for name in self.fit_result.at_bound]
+
 
 def _drifter_aggregate(n: int, delta: float, omega_f, mode: str,
                        include_background: bool,
@@ -307,8 +312,9 @@ def batch_compare(cases, freq_range=(0.0, 0.8), include_background: bool = True,
 
     Returns one dict per case with the damping timescales 1/lambda of both
     fits and the objective difference nll_stationary - nll_modulated
-    (positive favors the modulated model).  Per-case failures are recorded,
-    not fatal.
+    (positive favors the modulated model).  Numerical per-case failures
+    (FitFailure, ValueError, LinAlgError) are recorded, not fatal; any other
+    exception propagates.
     """
     rows = []
     for i, (data, wf) in enumerate(cases):
@@ -327,7 +333,7 @@ def batch_compare(cases, freq_range=(0.0, 0.8), include_background: bool = True,
                 "nll_modulated": fm.nll,
                 "difference": fs.nll - fm.nll,
             })
-        except Exception as exc:  # noqa: BLE001 - per-case isolation
+        except (FitFailure, ValueError, np.linalg.LinAlgError) as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows

@@ -22,8 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import ParameterVector, Series, fourier_grid
-from .models import LatentModel, autocov_sequence, geometric_acv, sdf_sampled
+from .core import ParameterVector, Series, _from_grid_order, fourier_grid
+from .models import (
+    GRADIENT_FAMILIES,
+    LatentModel,
+    autocov_grad,
+    autocov_sequence,
+    geometric_acv,
+    sdf_sampled,
+)
 from .modulation import (
     CgSequence,
     Modulator,
@@ -31,7 +38,12 @@ from .modulation import (
     cg_sequence,
     significant_correlation_diagnostic,
 )
-from .spectra import expected_acv, expected_periodogram_values, periodogram
+from .spectra import (
+    expected_acv,
+    expected_periodogram_fft_order,
+    expected_periodogram_values,
+    periodogram,
+)
 
 __all__ = [
     "EXACT_CAP",
@@ -227,6 +239,23 @@ class AggregateModel:
         return AggregateModel(components=tuple(comps), n=self.n)
 
 
+def _latents(model: LatentModel | AggregateModel) -> list:
+    """The latent models of a plain or aggregate model, in parameter order."""
+    if isinstance(model, AggregateModel):
+        return [m for m, _ in model.components]
+    return [model]
+
+
+def _summed_acv(cgs, acvs) -> np.ndarray:
+    """sum_c c_g,c * c_X,c, kept real when every term is."""
+    total = np.zeros(len(cgs[0]), dtype=complex)
+    for cg, acv in zip(cgs, acvs):
+        total = total + cg * acv
+    if not np.any(total.imag):
+        total = total.real
+    return total
+
+
 def aggregate_expected_acv(agg: AggregateModel,
                            cgs: list[np.ndarray] | None = None) -> np.ndarray:
     """Sum of per-component expected autocovariances c_g * c_X at lags 0..N-1."""
@@ -237,12 +266,7 @@ def aggregate_expected_acv(agg: AggregateModel,
              else 1.0 - np.arange(n) / n)
             for _, mod in agg.components
         ]
-    total = np.zeros(n, dtype=complex)
-    for (model, _), cg in zip(agg.components, cgs):
-        total = total + cg * np.asarray(autocov_sequence(model, n))
-    if not np.any(total.imag):
-        total = total.real
-    return total
+    return _summed_acv(cgs, [np.asarray(autocov_sequence(m, n)) for m in _latents(agg)])
 
 
 def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarray:
@@ -261,7 +285,12 @@ class Objective:
     """A configured objective: kind exact | whittle | modulated-whittle.
 
     Instances are callables theta -> scalar nll; construction precomputes the
-    periodogram and c_g so repeated evaluations stay O(N log N).
+    periodogram and c_g so repeated evaluations stay O(N log N).  The
+    modulated-whittle kind keeps the periodogram and the frequency mask in
+    numpy FFT order (k = 0..N-1), the order its expected periodogram comes
+    out of the transform in.  When every latent family is in
+    GRADIENT_FAMILIES it also has a gradient (``has_gradient``, see
+    :meth:`value_and_grad`).
     """
 
     kind: str
@@ -275,6 +304,7 @@ class Objective:
     _mask: np.ndarray = field(init=False, repr=False)
     _shat: np.ndarray = field(init=False, repr=False, default=None)
     _cgs: list = field(init=False, repr=False, default=None)
+    has_gradient: bool = field(init=False, default=False)
 
     def __post_init__(self):
         n = len(self.data)
@@ -291,6 +321,10 @@ class Objective:
         if self.kind != "exact":
             self._shat = periodogram(self.data).values
         if self.kind == "modulated-whittle":
+            self._shat = _from_grid_order(self._shat)
+            self._mask = _from_grid_order(self._mask)
+            self.has_gradient = all(m.family in GRADIENT_FAMILIES
+                                    for m in _latents(self.model))
             if isinstance(self.model, AggregateModel):
                 self._cgs = [
                     (cg_sequence(m).values if m is not None else 1.0 - np.arange(n) / n)
@@ -324,12 +358,53 @@ class Objective:
         if self.kind == "whittle":
             f = np.asarray(sdf_sampled(model, fourier_grid(n).frequencies))
             return spectral_nll(self._shat, f, self._mask)
-        if isinstance(model, AggregateModel):
-            sbar = expected_periodogram_values(aggregate_expected_acv(model, self._cgs))
-        else:
-            sbar = expected_periodogram_values(
-                self._cgs[0] * np.asarray(autocov_sequence(model, n)))
+        acvs = [np.asarray(autocov_sequence(m, n)) for m in _latents(model)]
+        sbar = expected_periodogram_fft_order(self._cbar(acvs))
         return spectral_nll(self._shat, sbar, self._mask)
+
+    def _cbar(self, acvs) -> np.ndarray:
+        if isinstance(self.model, AggregateModel):
+            return _summed_acv(self._cgs, acvs)
+        return self._cgs[0] * acvs[0]
+
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        """The modulated Whittle nll and its gradient in theta.
+
+        With S = Sbar and w_k = (1/N)(1/S_k - Shat_k/S_k^2) on the mask, 0
+        elsewhere, and W = fft(w), the adjoint of S = 2 Re fft(cbar) - cbar(0)
+        gives, for a component with kernel c_g,
+
+            dl/dtheta_j = 2 Re sum_tau c_g(tau) dc_X(tau)/dtheta_j W(tau)
+                          - Re[c_g(0) dc_X(0)/dtheta_j] sum_k w_k,
+
+        summed over the lags where c_X is not truncated: one extra FFT per
+        evaluation whatever the number of parameters.  The value equals
+        ``self(theta)``; theta outside the model class scores +inf.
+        """
+        if not self.has_gradient:
+            raise ValueError("objective has no analytic gradient")
+        theta = np.asarray(theta, dtype=float)
+        try:
+            model = self.model.with_values(theta)
+        except ValueError:
+            return np.inf, np.zeros(theta.size)
+        n = len(self.data)
+        tables = [autocov_grad(m, n) for m in _latents(model)]
+        sbar = expected_periodogram_fft_order(self._cbar([c for c, _ in tables]))
+        value = spectral_nll(self._shat, sbar, self._mask)
+        s = sbar[self._mask]
+        w = np.zeros(n)
+        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
+        big_w = np.fft.fft(w)
+        w_sum = float(np.sum(w))
+        grad = []
+        for cg, (_, jac) in zip(self._cgs, tables):
+            keep = jac.shape[1]
+            # an elementwise sum, not jac @ ...: a threaded BLAS call costs
+            # more than the product on these short rows
+            terms = np.real(jac * (cg[:keep] * big_w[:keep]))
+            grad.append(2.0 * terms.sum(axis=1) - np.real(cg[0] * jac[:, 0]) * w_sum)
+        return value, np.concatenate(grad)
 
 
 class Car1ModulatedObjective:

@@ -45,6 +45,7 @@ __all__ = [
     "ou_model",
     "matern_model",
     "autocov",
+    "autocov_grad",
     "geometric_acv",
     "sdf",
     "sdf_sampled",
@@ -59,6 +60,14 @@ _FAMILIES = ("ar", "ma", "car1", "ou", "matern")
 # working precision of the latent acv tables: geometric_acv and matern_acv
 # leave at zero every lag whose value is at most ACV_EPS * c(0)
 ACV_EPS = 1e-16
+
+# families whose autocovariance has an analytic parameter gradient
+GRADIENT_FAMILIES = ("car1", "ou", "matern")
+# relative step of the central difference that gives the Matern d/dalpha:
+# its O(step^2) error and K_nu's rounding over 2 step both stay below about
+# 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
+# spans many decades
+MATERN_ALPHA_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -299,6 +308,24 @@ def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
     return min(nlags, math.ceil(lags) + 1)
 
 
+def _matern_scale(b: float, h: float, alpha: float) -> float:
+    return b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha) * h ** (2.0 * alpha - 1.0))
+
+
+def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
+                  nlags: int) -> np.ndarray:
+    """The Matern autocovariance at lags 0..keep-1, zero-padded to nlags."""
+    nu = alpha - 0.5
+    t = np.arange(keep) * delta
+    scale = _matern_scale(b, h, alpha)
+    c = np.zeros(nlags)
+    c[0] = scale * gamma_fn(nu)
+    if keep > 1:
+        x = h * t[1:]
+        c[1:keep] = scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
+    return c
+
+
 def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np.ndarray:
     """Exact sampled Matern autocovariance at lags 0..nlags-1.
 
@@ -309,16 +336,8 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
     working precision: lags from :func:`_matern_lag_cap` on, all at most
     ACV_EPS c(0), are left at zero instead of paying for K_nu there.
     """
-    nu = alpha - 0.5
     keep = _matern_lag_cap(h, alpha, delta, nlags)
-    t = np.arange(keep) * delta
-    scale = b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha) * h ** (2.0 * alpha - 1.0))
-    c = np.zeros(nlags)
-    c[0] = scale * gamma_fn(nu)
-    if keep > 1:
-        x = h * t[1:]
-        c[1:keep] = scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
-    return c
+    return _matern_table(b, h, alpha, delta, keep, nlags)
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
@@ -345,6 +364,70 @@ def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
         return matern_acv(model.value("B"), model.value("h"),
                           model.value("alpha"), model.delta, nlags)
     raise ValueError(f"unknown family {f!r}")  # pragma: no cover
+
+
+def _matern_acv_grad(b: float, h: float, alpha: float, delta: float,
+                     nlags: int) -> tuple[np.ndarray, np.ndarray]:
+    """matern_acv and its (B, h, alpha) derivatives on the kept lags.
+
+    B and h are closed form: c is proportional to B^2 h^{1-2alpha} x^nu
+    K_nu(x) with x = h delta tau, and d/dx[x^nu K_nu(x)] = -x^nu K_{|nu-1|}(x).
+    alpha is a central difference of the table alone, step
+    MATERN_ALPHA_STEP max(1, alpha), on the lags kept at alpha (a forward
+    difference where the backward point would leave alpha > 1/2).
+    """
+    keep = _matern_lag_cap(h, alpha, delta, nlags)
+    c = _matern_table(b, h, alpha, delta, keep, nlags)
+    head = c[:keep]
+    jac = np.empty((3, keep))
+    jac[0] = 2.0 * head / b if b > 0 else 0.0
+    nu = alpha - 0.5
+    jac[1] = head * (1.0 - 2.0 * alpha) / h
+    if keep > 1:
+        x = h * (np.arange(1, keep) * delta)
+        jac[1, 1:] -= (_matern_scale(b, h, alpha) * 2.0 ** (1.0 - nu)
+                       * x ** (nu + 1.0) * kv(abs(nu - 1.0), x) / h)
+    step = MATERN_ALPHA_STEP * max(1.0, alpha)
+    up = _matern_table(b, h, alpha + step, delta, keep, keep)
+    if alpha - step > 0.5:
+        down = _matern_table(b, h, alpha - step, delta, keep, keep)
+        jac[2] = (up - down) / (2.0 * step)
+    else:
+        jac[2] = (up - head) / step
+    return c, jac
+
+
+def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray]:
+    """c_X(0..nlags-1) with its derivatives in the free parameters.
+
+    Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
+    row per parameter over the lags 0..L-1 where acv is not truncated to
+    zero, so callers sum derivatives over that support only.  Families in
+    GRADIENT_FAMILIES only: car1 and ou in closed form from the geometric
+    table, matern from :func:`_matern_acv_grad`.
+    """
+    f = model.family
+    if f == "matern":
+        return _matern_acv_grad(model.value("B"), model.value("h"),
+                                model.value("alpha"), model.delta, nlags)
+    if f not in GRADIENT_FAMILIES:
+        raise ValueError(f"no autocovariance gradient for family {f!r}")
+    c = autocov_sequence(model, nlags)
+    if f == "car1":
+        r, sigma = model.value("r"), model.value("sigma")
+    else:
+        r, _ = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
+    head = c[:_geometric_lag_cap(r, nlags)]
+    tau = np.arange(head.size)
+    if f == "car1":
+        # c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}
+        d_r = head * (2.0 * r / (1.0 - r * r) + (tau / r if r > 0 else 0.0))
+        return c, np.stack((d_r, 2.0 * head / sigma))
+    # c = A^2 q(lam) e^{-lam delta tau} e^{i rho tau},
+    # q = 1 / (2 lam delta (1 + e^{-lam delta})), and r = e^{-lam delta}
+    amp, lam, delta = model.value("A"), model.value("lam"), model.delta
+    d_lam = head * (-1.0 / lam + delta * r / (1.0 + r) - delta * tau)
+    return c, np.stack((2.0 * head / amp, d_lam))
 
 
 def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:

@@ -32,6 +32,7 @@ __all__ = [
     "expected_acv",
     "expected_periodogram",
     "expected_periodogram_values",
+    "expected_periodogram_fft_order",
     "brute_force_expected_periodogram",
     "fejer_kernel",
     "dunsmuir_spectrum",
@@ -94,6 +95,14 @@ def expected_acv(cg: CgSequence | np.ndarray, model: LatentModel) -> np.ndarray:
 def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
     """Lag-to-frequency transform of an expected autocovariance sequence.
 
+    :func:`expected_periodogram_fft_order` reordered onto the Fourier grid.
+    """
+    return _to_grid_order(expected_periodogram_fft_order(cbar))
+
+
+def expected_periodogram_fft_order(cbar: np.ndarray) -> np.ndarray:
+    """Sbar at w_k = 2 pi k / N for k = 0..N-1, numpy FFT order.
+
     Sbar(w_k) = 2 Re{fft(cbar)[k]} - cbar(0) with one length-N FFT (see the
     module docstring); a real cbar uses rfft and mirrors Re F[N-k] = Re F[k].
     Raises when a value drops below -1e-8 (an invalid cbar, e.g. a non-PSD
@@ -114,7 +123,6 @@ def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
         half = np.fft.rfft(cbar).real
         re = np.concatenate((half, half[n - half.size:0:-1]))
     vals = 2.0 * re - c0
-    vals = _to_grid_order(vals)
     if np.min(vals) < -_NEG_CLAMP * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError("expected periodogram is significantly negative; "
                          "the expected autocovariance input is invalid")

@@ -87,6 +87,10 @@ def test_mc_deterministic_modulo_timing(tmp_path):
     assert rows1[0] == ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
     strip = lambda rows: [r[:-1] for r in rows]
     assert strip(rows1) == strip(rows2)
+    for out in (out1, out2):
+        assert json.loads(open(out + ".failures.json").read()) == {"modulated@128": 0}
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert out + ".failures.json" in manifest["outputs"]
 
 
 def test_fit_whittle_json(tmp_path, rng):
@@ -109,6 +113,8 @@ def test_fit_whittle_json(tmp_path, rng):
     report = json.loads(open(fout + ".json").read())
     assert report["converged"] is True
     assert abs(report["theta_hat"]["phi1"] - 0.7) < 0.15
+    assert report["n_evals"] > 0 and report["n_grad_evals"] == 0
+    assert report["at_bound"] == []
 
 
 def test_fit_drifter_fixture_five_params(tmp_path):
@@ -117,6 +123,23 @@ def test_fit_drifter_fixture_five_params(tmp_path):
     report = json.loads(open(out + ".json").read())
     assert set(report["theta_hat"]) == {"A", "lam", "B", "h", "alpha"}
     assert report["damping_time_days"] > 0
+    assert report["n_evals"] > report["n_grad_evals"] > 0
+    assert set(report["at_bound"]) <= set(report["theta_hat"])
+
+
+def test_drifter_fit_reports_alpha_at_bound(tmp_path):
+    # the stationary fit cannot place the background in the (0, 2) cpd band
+    # and pins the Matern slope at its upper bound alpha = 4
+    with open(cfg_path("drifter_seg.json")) as fh:
+        cfg = json.load(fh)
+    cfg["mode"] = "stationary"
+    cfg["data"]["synthetic"]["n"] = 1024
+    out = str(tmp_path / "pinned")
+    assert main(["drifter-fit", "--config", write_cfg(tmp_path, cfg), "-o", out]) == 0
+    report = json.loads(open(out + ".json").read())["stationary"]
+    assert report["at_bound"] == ["alpha"]
+    assert abs(report["theta_hat"]["alpha"] - 4.0) <= 4e-6
+    assert report["n_evals"] > report["n_grad_evals"] > 0
 
 
 def test_drifter_fit_spectrum_csv(tmp_path):

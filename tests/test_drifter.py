@@ -199,3 +199,61 @@ def test_trajectory_csv(tmp_path):
     bad.write_text("time,latx,lon\n0,1,2\n")
     with pytest.raises(ValueError):
         trajectory_from_csv(bad)
+
+
+def _synthetic_segment(rng, n=1024):
+    """Velocities along a random 3-6 -> 17-20 degree latitude ramp."""
+    lats = rng.choice([-1.0, 1.0]) * np.linspace(rng.uniform(3, 6), rng.uniform(17, 20), n)
+    if rng.random() < 0.5:
+        lats = lats[::-1].copy()
+    wf = np.asarray(inertial_frequency(lats))
+    return simulate_drifter_velocities(1.2, 1 / 3, 1.2, 0.7, 1.1, wf, 1 / 12, rng), wf
+
+
+def test_two_phase_fit_never_worse_than_simplex_alone(rng, monkeypatch):
+    import modwhittle.likelihood as likelihood
+    segments = [_synthetic_segment(rng) for _ in range(6)]
+    for mode in ("modulated", "stationary"):
+        two_phase = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
+                     for d, wf in segments]
+        assert all(f.fit_result.n_grad_evals > 0 for f in two_phase)
+        with monkeypatch.context() as m:
+            m.setattr(likelihood, "GRADIENT_FAMILIES", ())
+            simplex = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
+                       for d, wf in segments]
+        assert all(f.fit_result.n_grad_evals == 0 for f in simplex)
+        for f2, f1 in zip(two_phase, simplex):
+            assert f2.nll <= f1.nll + 1e-9 * max(1.0, abs(f1.nll)), (mode, f2.nll, f1.nll)
+
+
+def test_gradient_path_fit_is_deterministic(rng):
+    data, wf = _synthetic_segment(rng)
+    fits = [fit_drifter(data, wf, mode="modulated", freq_range=(0.0, 2.0))
+            for _ in range(2)]
+    assert fits[0].fit_result.n_grad_evals > 0
+    assert np.array_equal(fits[0].fit_result.theta_hat.values,
+                          fits[1].fit_result.theta_hat.values)
+    assert fits[0].nll == fits[1].nll
+
+
+def test_batch_compare_isolates_only_numerical_failures(rng, monkeypatch):
+    import modwhittle.drifter as drifter
+    from modwhittle.optimize import FitFailure
+    n = 64
+    wf = np.full(n, -0.7)
+    cases = [(simulate_drifter_velocities(1.0, 0.5, 0.0, 0.5, 1.0, wf, 1 / 12, rng), wf)]
+
+    def failing(exc):
+        def fit(*args, **kwargs):
+            raise exc
+        return fit
+
+    for exc in (FitFailure("no finite start"), ValueError("bad band"),
+                np.linalg.LinAlgError("singular")):
+        monkeypatch.setattr(drifter, "fit_drifter", failing(exc))
+        rows = batch_compare(cases)
+        assert rows[0]["error"].startswith(type(exc).__name__)
+    for exc in (KeyError("omega"), RuntimeError("bug"), ZeroDivisionError()):
+        monkeypatch.setattr(drifter, "fit_drifter", failing(exc))
+        with pytest.raises(type(exc)):
+            batch_compare(cases)

@@ -35,6 +35,8 @@ from modwhittle.modulation import linear_beta
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
+from conftest import random_modulator
+
 
 def test_exact_scalar_and_white_noise(rng):
     v = exact_gaussian_nll(Series([1.7]), None, ar_model([], 1.3))
@@ -342,3 +344,119 @@ def test_car1_whittle_objective_matches_model(rng):
     assert abs(obj((0.7, 1.0)) - ref) < 1e-12
     free = Car1WhittleObjective(z, rotation=None)
     assert abs(free((0.7, 1.0, 0.4)) - ref) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# analytic gradient of the modulated Whittle objective
+# ----------------------------------------------------------------------
+
+def _central_difference(f, theta, j):
+    """Richardson-extrapolated central difference of f along theta_j."""
+    def cd(e):
+        up = np.array(theta, dtype=float)
+        dn = np.array(theta, dtype=float)
+        up[j] += e
+        dn[j] -= e
+        return (f(up) - f(dn)) / (2.0 * e)
+
+    e = 1e-4 * max(1.0, abs(theta[j]))
+    return (4.0 * cd(e / 2.0) - cd(e)) / 3.0
+
+
+def assert_gradient_matches(obj, theta, rtol=1e-6):
+    value, grad = obj.value_and_grad(theta)
+    assert value == obj(theta)
+    fd = np.array([_central_difference(obj, theta, j) for j in range(len(theta))])
+    assert np.all(np.abs(grad - fd) <= rtol * np.abs(fd)), (grad, fd)
+
+
+def _random_gradient_model(rng, family):
+    if family == "car1":
+        return car1_model(rng.uniform(0.0, 0.95), rng.uniform(0.5, 2.0),
+                          rotation=rng.uniform(-1.0, 1.0))
+    if family == "ou":
+        return ou_model(rng.uniform(0.5, 2.0), rng.uniform(0.1, 3.0),
+                        rotation_cpd=rng.uniform(-2.0, 2.0))
+    return matern_model(rng.uniform(0.5, 2.0), rng.uniform(0.3, 3.0),
+                        rng.uniform(0.6, 3.5), delta=1.0)
+
+
+@pytest.mark.parametrize("family", ["car1", "ou", "matern"])
+def test_gradient_matches_central_differences(rng, family):
+    for _ in range(25):
+        n = int(rng.integers(16, 300))
+        mod = random_modulator(rng, n)
+        model = _random_gradient_model(rng, family)
+        data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                      kind="complex")
+        obj = Objective("modulated-whittle", data, model, modulator=mod,
+                        check_significance=False)
+        assert obj.has_gradient
+        assert_gradient_matches(obj, model.params.values)
+
+
+@pytest.mark.parametrize("mode", ["modulated", "stationary"])
+def test_gradient_matches_central_differences_drifter(rng, mode):
+    from modwhittle.drifter import (
+        _drifter_aggregate,
+        _fit_bounds,
+        band_mask,
+        inertial_frequency,
+        simulate_drifter_velocities,
+    )
+    n = 1024
+    wf = np.asarray(inertial_frequency(np.linspace(5.0, 19.0, n)))
+    data = simulate_drifter_velocities(1.2, 1 / 3, 1.2, 0.7, 1.1, wf, 1 / 12, rng)
+    agg = _drifter_aggregate(n, 1 / 12, wf, mode, True)
+    obj = Objective("modulated-whittle", data, agg,
+                    mask=band_mask(n, 1 / 12, 0.0, 2.0, side=-1))
+    bounds = _fit_bounds(agg)
+    lo = np.where(np.isfinite(bounds.lower), bounds.lower, 0.0)
+    hi = np.where(np.isfinite(bounds.upper), bounds.upper, 3.0)
+    for _ in range(5):
+        theta = rng.uniform(lo + 0.05 * (hi - lo), lo + 0.5 * (hi - lo))
+        assert_gradient_matches(obj, theta)
+
+
+def test_gradient_only_where_every_family_has_one(rng):
+    n = 64
+    data = Series(rng.normal(size=n))
+    mod = periodic_missing_mask(3, 1, n)
+    assert not Objective("modulated-whittle", data, ar_model([0.5], 1.0),
+                         modulator=mod).has_gradient
+    assert not Objective("whittle", data, car1_model(0.5, 1.0)).has_gradient
+    mixed = AggregateModel(((car1_model(0.5, 1.0), mod),
+                            (ar_model([0.3], 1.0), None)), n)
+    obj = Objective("modulated-whittle", data, mixed)
+    assert not obj.has_gradient
+    with pytest.raises(ValueError):
+        obj.value_and_grad(mixed.params.values)
+
+
+def test_gradient_outside_model_class_scores_inf(rng):
+    n = 64
+    mod = periodic_missing_mask(3, 1, n)
+    data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                  kind="complex")
+    obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0), modulator=mod)
+    value, grad = obj.value_and_grad([1.0, 1.0])
+    assert value == np.inf and np.array_equal(grad, np.zeros(2))
+
+
+def test_modulated_objective_evaluates_in_fft_order(rng, monkeypatch):
+    import modwhittle.spectra as spectra
+    n = 96
+    beta = rng.uniform(-0.5, 0.5, n - 1)
+    mod = frequency_modulator(beta)
+    z = simulate_complex_ar1(0.7, 1.0, beta, n, rng)
+    mask = np.abs(fourier_grid(n).frequencies) < 2.0
+    model = car1_model(0.6, 1.2)
+    obj = Objective("modulated-whittle", z, model, modulator=mod, mask=mask)
+    ref = modulated_whittle_nll(z, mod, model, mask=mask)
+
+    def no_reorder(values):
+        raise AssertionError("an evaluation reordered onto the Fourier grid")
+
+    monkeypatch.setattr(spectra, "_to_grid_order", no_reorder)
+    assert abs(obj(model.params.values) - ref) <= 1e-13 * abs(ref)
+    assert obj.value_and_grad(model.params.values)[0] == obj(model.params.values)

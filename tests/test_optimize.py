@@ -7,6 +7,7 @@ from modwhittle.optimize import (
     FitFailure,
     fit,
     inverse_transform,
+    inverse_transform_jacobian,
     mom_ar1,
     mom_car1,
     transform,
@@ -107,3 +108,52 @@ def test_mom_inits(rng):
     z = simulate_complex_ar1(0.9, 1.0, beta, 4096, rng)
     r, s = mom_car1(z, frequency_modulator(beta))
     assert abs(r - 0.9) < 0.05 and abs(s - 1.0) < 0.2
+
+
+def test_inverse_transform_jacobian(rng):
+    lo = np.array([0.0, 0.0, -np.inf, -np.pi, -np.inf])
+    hi = np.array([1.0, np.inf, np.inf, np.pi, 3.0])
+    for _ in range(20):
+        x = rng.normal(scale=3.0, size=5)
+        e = 1e-6
+        fd = (inverse_transform(x + e, lo, hi) - inverse_transform(x - e, lo, hi)) / (2 * e)
+        assert np.allclose(inverse_transform_jacobian(x, lo, hi), fd, rtol=1e-6, atol=0)
+
+
+class _Quadratic:
+    """A bounded quadratic that supplies its gradient."""
+
+    has_gradient = True
+
+    def __init__(self, a, tstar):
+        self.a, self.tstar = a, tstar
+        self.grad_calls = 0
+
+    def __call__(self, theta):
+        d = np.asarray(theta) - self.tstar
+        return float(d @ self.a @ d)
+
+    def value_and_grad(self, theta):
+        self.grad_calls += 1
+        d = np.asarray(theta) - self.tstar
+        return float(d @ self.a @ d), 2.0 * self.a @ d
+
+
+def test_gradient_path_polishes_the_simplex_result():
+    obj = _Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.4, 1.7]))
+    res = fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
+              n_starts=2)
+    assert np.max(np.abs(res.theta_hat.values - obj.tstar)) < 1e-9
+    assert res.n_grad_evals == obj.grad_calls > 0
+    assert res.n_evals > res.n_grad_evals
+    assert res.converged and res.at_bound == []
+    assert res.asdict()["n_grad_evals"] == res.n_grad_evals
+
+
+def test_at_bound_flags_pinned_estimates():
+    res = fit(lambda th: float((th[0] - 2.0) ** 2 + (th[1] - 0.5) ** 2),
+              np.array([0.5, 0.2]), lower=[0.0, -np.inf], upper=[1.0, np.inf],
+              n_starts=1)
+    assert res.at_bound == ["theta0"]
+    assert res.asdict()["at_bound"] == ["theta0"]
+    assert res.n_grad_evals == 0
