@@ -189,7 +189,12 @@ class DrifterFit:
     @property
     def at_bound(self) -> list:
         """Names, as in ``params``, of the estimates that ended at a bound."""
-        return [name.split(".", 1)[1] for name in self.fit_result.at_bound]
+        return [_param_name(name) for name in self.fit_result.at_bound]
+
+
+def _param_name(aggregate_name: str) -> str:
+    """``params`` key of an aggregate parameter name (component prefix dropped)."""
+    return aggregate_name.split(".", 1)[1]
 
 
 def _drifter_aggregate(n: int, delta: float, omega_f, mode: str,
@@ -274,6 +279,9 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     freq_range : fitted band in cycles/day, one-sided; the side is chosen by
                hemisphere (falling back to the observed peak side near the
                equator) unless given explicitly.
+    fit_options : keyword arguments of :func:`optimize.fit`; these fits take
+               its gradient path, so ``tol_f``/``tol_x`` have no effect (and
+               warn).
     """
     if data.kind != "complex":
         data = Series(np.asarray(data.values, dtype=complex), delta=data.delta,
@@ -296,9 +304,8 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     fitted_agg = agg.with_values(result.theta_hat.values)
     from .likelihood import aggregate_expected_periodogram
     fitted_curve = aggregate_expected_periodogram(fitted_agg)
-    params = {}
-    for name, val in zip(result.theta_hat.names, result.theta_hat.values):
-        params[name.split(".", 1)[1]] = float(val)
+    params = {_param_name(name): float(val)
+              for name, val in zip(result.theta_hat.names, result.theta_hat.values)}
     return DrifterFit(mode=mode, params=params, nll=result.objective_value,
                       fit_result=result,
                       freq_cpd=fourier_grid(n).cycles_per_unit(delta),

@@ -15,6 +15,7 @@ perturbed, and any caller-supplied (method-of-moments) initialization.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 
+# Nelder-Mead-only convergence tolerances (objective and parameter spread)
+NM_TOL_F = 1e-10
+NM_TOL_X = 1e-7
 # phase 1 of a gradient fit stops once the simplex's objective spread is this
 BASIN_FATOL = 1e-4
 # phase 2 (L-BFGS-B) stops at this projected gradient or relative reduction
@@ -119,11 +123,11 @@ def inverse_transform_jacobian(x, lower, upper) -> np.ndarray:
     return out
 
 
-def at_bound(pv: ParameterVector, eps: float = AT_BOUND_EPS) -> list:
-    """Names of the values within eps * max(1, |b|) of a finite bound b."""
+def at_bound(pv: ParameterVector) -> list:
+    """Names of the values within AT_BOUND_EPS * max(1, |b|) of a finite bound b."""
     out = []
     for name, v, lo, hi in zip(pv.names, pv.values, pv.lower, pv.upper):
-        if any(np.isfinite(b) and abs(v - b) <= eps * max(1.0, abs(b))
+        if any(np.isfinite(b) and abs(v - b) <= AT_BOUND_EPS * max(1.0, abs(b))
                for b in (lo, hi)):
             out.append(name)
     return out
@@ -170,8 +174,8 @@ def _bounds_of(objective, init, lower, upper):
 
 
 def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
-        extra_inits=(), max_iter: int | None = None, tol_f: float = 1e-10,
-        tol_x: float = 1e-7, seed: int = 0) -> FitResult:
+        extra_inits=(), max_iter: int | None = None, tol_f: float = NM_TOL_F,
+        tol_x: float = NM_TOL_X, seed: int = 0) -> FitResult:
     """Minimize a bounded objective (see the module docstring for the method).
 
     objective : callable theta -> scalar (finite at init); with a true
@@ -186,8 +190,8 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
     Nelder-Mead alone converges on transformed-scale tolerances (objective
     spread tol_f, parameter spread tol_x); the defaults keep optimizer error
     below 1e-6, well under the statistical error at any tested sample size.
-    The gradient path ignores both: its simplex stops at BASIN_FATOL and
-    L-BFGS-B at GRAD_GTOL / GRAD_FTOL.  max_iter (default 2000*d) caps the
+    The gradient path does not use them (passing other values warns): its
+    simplex stops at BASIN_FATOL and L-BFGS-B at GRAD_GTOL / GRAD_FTOL.  max_iter (default 2000*d) caps the
     iterations of every phase.  Estimates within AT_BOUND_EPS of a finite
     bound are listed in ``at_bound``.
     """
@@ -218,6 +222,10 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
 
     gradient = bool(getattr(objective, "has_gradient", False))
     if gradient:
+        if tol_f != NM_TOL_F or tol_x != NM_TOL_X:
+            warnings.warn("tol_f/tol_x apply only to the Nelder-Mead-only path; "
+                          "this objective has a gradient and stops at "
+                          "BASIN_FATOL and GRAD_GTOL/GRAD_FTOL", stacklevel=2)
         simplex_tol = {"xatol": np.inf, "fatol": BASIN_FATOL}
     else:
         simplex_tol = {"xatol": tol_x, "fatol": tol_f}

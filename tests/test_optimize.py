@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,19 @@ def test_gradient_path_polishes_the_simplex_result():
     assert res.n_evals > res.n_grad_evals
     assert res.converged and res.at_bound == []
     assert res.asdict()["n_grad_evals"] == res.n_grad_evals
+
+
+def test_gradient_path_warns_on_nelder_mead_tolerances():
+    obj = _Quadratic(np.eye(2), np.array([0.4, 1.7]))
+    with pytest.warns(UserWarning, match="tol_f/tol_x"):
+        fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
+            n_starts=1, tol_f=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
+            n_starts=1)
+        fit(lambda th: float(np.sum((th - 0.3) ** 2)), np.array([0.0, 1.0]),
+            lower=[-10, 0], upper=[10, np.inf], n_starts=1, tol_f=1e-6)
 
 
 def test_at_bound_flags_pinned_estimates():
