@@ -58,9 +58,8 @@ __all__ = [
     "spectral_nll",
     "resolve_mask",
     "Car1WhittleObjective",
-    "Car1ModulatedObjective",
     "LinearBetaCar1Objective",
-    "Ar1ModulatedObjective",
+    "LinearBetaCar1ExactObjective",
 ]
 
 EXACT_CAP = 2048
@@ -246,6 +245,12 @@ def _latents(model: LatentModel | AggregateModel) -> list:
     return [model]
 
 
+def _has_acv_grad(m: LatentModel) -> bool:
+    """Whether :func:`autocov_grad` serves m: a GRADIENT_FAMILIES family,
+    AR of order 1 only."""
+    return m.family in GRADIENT_FAMILIES and (m.family != "ar" or len(m.params) == 2)
+
+
 def _summed_acv(cgs, acvs) -> np.ndarray:
     """sum_c c_g,c * c_X,c, kept real when every term is."""
     total = np.zeros(len(cgs[0]), dtype=complex)
@@ -288,9 +293,10 @@ class Objective:
     periodogram and c_g so repeated evaluations stay O(N log N).  The
     modulated-whittle kind keeps the periodogram and the frequency mask in
     numpy FFT order (k = 0..N-1), the order its expected periodogram comes
-    out of the transform in.  When every latent family is in
-    GRADIENT_FAMILIES it also has a gradient (``has_gradient``, see
-    :meth:`value_and_grad`).
+    out of the transform in, and ``cgs`` holds the c_g table (lags 0..N-1)
+    of each component, computed once.  When every latent model has an
+    autocovariance gradient (a GRADIENT_FAMILIES family, AR of order 1 only)
+    it also has a gradient (``has_gradient``, see :meth:`value_and_grad`).
     """
 
     kind: str
@@ -303,7 +309,7 @@ class Objective:
     check_significance: bool = True
     _mask: np.ndarray = field(init=False, repr=False)
     _shat: np.ndarray = field(init=False, repr=False, default=None)
-    _cgs: list = field(init=False, repr=False, default=None)
+    cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -323,15 +329,14 @@ class Objective:
         if self.kind == "modulated-whittle":
             self._shat = _from_grid_order(self._shat)
             self._mask = _from_grid_order(self._mask)
-            self.has_gradient = all(m.family in GRADIENT_FAMILIES
-                                    for m in _latents(self.model))
+            self.has_gradient = all(_has_acv_grad(m) for m in _latents(self.model))
             if isinstance(self.model, AggregateModel):
-                self._cgs = [
+                self.cgs = [
                     (cg_sequence(m).values if m is not None else 1.0 - np.arange(n) / n)
                     for _, m in self.model.components
                 ]
             else:
-                self._cgs = [cg_sequence(self.modulator).values]
+                self.cgs = [cg_sequence(self.modulator).values]
                 if self.check_significance:
                     diag = significant_correlation_diagnostic(
                         self.modulator, lags=[0, 1],
@@ -364,8 +369,8 @@ class Objective:
 
     def _cbar(self, acvs) -> np.ndarray:
         if isinstance(self.model, AggregateModel):
-            return _summed_acv(self._cgs, acvs)
-        return self._cgs[0] * acvs[0]
+            return _summed_acv(self.cgs, acvs)
+        return self.cgs[0] * acvs[0]
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         """The modulated Whittle nll and its gradient in theta.
@@ -395,66 +400,21 @@ class Objective:
         s = sbar[self._mask]
         w = np.zeros(n)
         w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
-        big_w = np.fft.fft(w)
+        # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to N/2
+        # come from rfft, and the rest are mirrored only when some acv
+        # support reaches past them
+        big_w = np.fft.rfft(w)
+        if max(jac.shape[1] for _, jac in tables) > big_w.size:
+            big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
         w_sum = float(np.sum(w))
         grad = []
-        for cg, (_, jac) in zip(self._cgs, tables):
+        for cg, (_, jac) in zip(self.cgs, tables):
             keep = jac.shape[1]
             # an elementwise sum, not jac @ ...: a threaded BLAS call costs
             # more than the product on these short rows
             terms = np.real(jac * (cg[:keep] * big_w[:keep]))
             grad.append(2.0 * terms.sum(axis=1) - np.real(cg[0] * jac[:, 0]) * w_sum)
         return value, np.concatenate(grad)
-
-
-class Car1ModulatedObjective:
-    """Modulated-Whittle objective for a complex AR(1) latent with known g.
-
-    theta = (r, sigma).  The closed-form latent acv keeps each evaluation at
-    one O(N) product plus one length-N FFT.
-    """
-
-    names = ("r", "sigma")
-    lower = np.array([0.0, 0.0])
-    upper = np.array([1.0, np.inf])
-
-    def __init__(self, data: Series, mod: Modulator, mask=None):
-        if mod.n != len(data):
-            raise ValueError("modulator and data lengths differ")
-        self.n = len(data)
-        self.shat = periodogram(data).values
-        self.cg = cg_sequence(mod).values
-        self.mask = resolve_mask(self.n, mask)
-
-    def __call__(self, theta) -> float:
-        r, sigma = theta
-        if not (0.0 <= r < 1.0) or sigma <= 0:
-            return np.inf
-        sbar = expected_periodogram_values(self.cg * geometric_acv(r, sigma, self.n))
-        return spectral_nll(self.shat, sbar, self.mask)
-
-
-class Ar1ModulatedObjective:
-    """Modulated-Whittle objective for a real AR(1) latent with known mask g."""
-
-    names = ("a", "sigma")
-    lower = np.array([-1.0, 0.0])
-    upper = np.array([1.0, np.inf])
-
-    def __init__(self, data: Series, mod: Modulator, mask=None):
-        if mod.n != len(data):
-            raise ValueError("modulator and data lengths differ")
-        self.n = len(data)
-        self.shat = periodogram(data).values
-        self.cg = np.real(cg_sequence(mod).values)
-        self.mask = resolve_mask(self.n, mask)
-
-    def __call__(self, theta) -> float:
-        a, sigma = theta
-        if not (-1.0 < a < 1.0) or sigma <= 0:
-            return np.inf
-        sbar = expected_periodogram_values(self.cg * geometric_acv(a, sigma, self.n))
-        return spectral_nll(self.shat, sbar, self.mask)
 
 
 class Car1WhittleObjective:

@@ -61,8 +61,9 @@ _FAMILIES = ("ar", "ma", "car1", "ou", "matern")
 # leave at zero every lag whose value is at most ACV_EPS * c(0)
 ACV_EPS = 1e-16
 
-# families whose autocovariance has an analytic parameter gradient
-GRADIENT_FAMILIES = ("car1", "ou", "matern")
+# families whose autocovariance has an analytic parameter gradient; for "ar"
+# only order 1, whose table is geometric
+GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
 # relative step of the central difference that gives the Matern d/dalpha:
 # its O(step^2) error and K_nu's rounding over 2 step both stay below about
 # 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
@@ -111,7 +112,10 @@ def validate_stationary(model: LatentModel):
         phi, sigma = _ar_coeffs(model)
         if sigma < 0:
             raise ValueError("innovation scale sigma must be non-negative")
-        if phi.size:
+        if phi.size == 1:
+            if not abs(phi[0]) < 1.0 - 1e-12:
+                raise ValueError("AR parameters are not stationary")
+        elif phi.size:
             # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside |z|=1
             roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
             if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-12:
@@ -343,14 +347,16 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
     """c_X(0..nlags-1) as one array (the hot path for expected periodograms).
 
-    Geometric (car1, ou) and Matern tables are zero past the lag where they
-    have decayed below working precision; see :func:`geometric_acv` and
+    Geometric (AR(1), car1, ou) and Matern tables are zero past the lag where
+    they have decayed below working precision; see :func:`geometric_acv` and
     :func:`matern_acv`.
     """
     f = model.family
     if f in ("ar", "ma"):
         coefs, sigma = _ar_coeffs(model)
         if f == "ar":
+            if coefs.size == 1:
+                return geometric_acv(float(coefs[0]), sigma, nlags)
             return _ar_autocov(coefs, sigma, nlags)
         return _ma_autocov(coefs, sigma, nlags)
     if f == "car1":
@@ -403,25 +409,34 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
     Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
     row per parameter over the lags 0..L-1 where acv is not truncated to
     zero, so callers sum derivatives over that support only.  Families in
-    GRADIENT_FAMILIES only: car1 and ou in closed form from the geometric
-    table, matern from :func:`_matern_acv_grad`.
+    GRADIENT_FAMILIES only, and AR of order 1 only: AR(1), car1 and ou in
+    closed form from the geometric table, matern from
+    :func:`_matern_acv_grad`.
     """
     f = model.family
     if f == "matern":
         return _matern_acv_grad(model.value("B"), model.value("h"),
                                 model.value("alpha"), model.delta, nlags)
-    if f not in GRADIENT_FAMILIES:
-        raise ValueError(f"no autocovariance gradient for family {f!r}")
+    if f not in GRADIENT_FAMILIES or (f == "ar" and len(model.params) != 2):
+        raise ValueError(f"no autocovariance gradient for family {f!r} "
+                         f"with {len(model.params)} parameters")
     c = autocov_sequence(model, nlags)
-    if f == "car1":
-        r, sigma = model.value("r"), model.value("sigma")
-    else:
+    if f == "ou":
         r, _ = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
+    else:
+        r, sigma = (float(v) for v in model.params.values)
     head = c[:_geometric_lag_cap(r, nlags)]
     tau = np.arange(head.size)
-    if f == "car1":
-        # c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}
-        d_r = head * (2.0 * r / (1.0 - r * r) + (tau / r if r > 0 else 0.0))
+    if f != "ou":
+        # c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}, r in (-1, 1) for AR(1)
+        if r == 0.0:
+            # the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}
+            head = c[:min(nlags, 2)]
+            d_r = np.zeros_like(head)
+            d_r[1:] = sigma * sigma * (np.exp(1j * model.rotation)
+                                       if model.rotation else 1.0)
+        else:
+            d_r = head * (2.0 * r / (1.0 - r * r) + tau / r)
         return c, np.stack((d_r, 2.0 * head / sigma))
     # c = A^2 q(lam) e^{-lam delta tau} e^{i rho tau},
     # q = 1 / (2 lam delta (1 + e^{-lam delta})), and r = e^{-lam delta}

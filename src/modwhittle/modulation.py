@@ -105,14 +105,16 @@ def cg_direct(g: np.ndarray) -> np.ndarray:
 
 
 def cg_sequence(mod: Modulator) -> CgSequence:
-    """c_g(tau) for tau = 0..N-1 via zero-padded FFT autocorrelation."""
-    g = np.asarray(mod.g, dtype=complex)
-    n = g.size
+    """c_g(tau) for tau = 0..N-1 via zero-padded FFT autocorrelation.
+
+    A real g takes the real-input transforms rfft/irfft, at half the cost.
+    """
+    n = mod.n
     m = 1 << int(np.ceil(np.log2(2 * n))) if n > 1 else 2
-    fg = np.fft.fft(g, m)
-    acorr = np.fft.ifft(np.abs(fg) ** 2)[:n] / n
-    if not mod.is_complex:
-        acorr = acorr.real
+    if mod.is_complex:
+        acorr = np.fft.ifft(np.abs(np.fft.fft(mod.g, m)) ** 2)[:n] / n
+    else:
+        acorr = np.fft.irfft(np.abs(np.fft.rfft(mod.g, m)) ** 2, m)[:n] / n
     return CgSequence(values=acorr)
 
 

@@ -4,9 +4,9 @@ Parameters are mapped to an unconstrained space (logit for two-sided bounds,
 log for one-sided), so every evaluated point respects its open bounds by
 construction.  Objectives without a gradient are minimized with a
 Nelder-Mead simplex.  Objectives that offer one (``has_gradient`` and
-``value_and_grad``, e.g. a modulated-Whittle :class:`Objective` over car1,
-ou and matern components) take two phases per start: Nelder-Mead until the
-simplex's objective spread is at most BASIN_FATOL, which chooses the basin,
+``value_and_grad``, e.g. a modulated-Whittle :class:`Objective` over AR(1),
+car1, ou and matern components) take two phases per start: Nelder-Mead until
+the simplex's objective spread is at most BASIN_FATOL, which chooses the basin,
 then L-BFGS-B from its best vertex with the gradient carried through the
 Jacobian of the transform.  Multi-start keeps the best of the default, a
 perturbed, and any caller-supplied (method-of-moments) initialization.
@@ -277,12 +277,14 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
 # method-of-moments initializations (demodulated sample autocovariances)
 # ----------------------------------------------------------------------
 
-def _mom_latent_acv(data: Series, mod: Modulator | None, lags=(0, 1)):
+def _mom_latent_acv(data: Series, cg, lags=(0, 1)):
     """chat_X(tau) = chat_Y(tau) / c_g(tau), the naive latent-acv estimate."""
     y = np.asarray(data.values)
     n = y.size
-    cg = (cg_sequence(mod).values if mod is not None
-          else 1.0 - np.arange(n) / n)
+    if cg is None:
+        cg = 1.0 - np.arange(n) / n
+    elif isinstance(cg, Modulator):
+        cg = cg_sequence(cg).values
     out = []
     for tau in lags:
         cy = np.sum(np.conj(y[: n - tau]) * y[tau:]) / n
@@ -291,10 +293,14 @@ def _mom_latent_acv(data: Series, mod: Modulator | None, lags=(0, 1)):
     return out
 
 
-def mom_ar1(data: Series, mod: Modulator | None = None,
-            bounds=(-0.985, 0.985)) -> np.ndarray:
-    """(a, sigma) start values for a real AR(1) latent, clipped into bounds."""
-    c0, c1 = _mom_latent_acv(data, mod, (0, 1))
+def mom_ar1(data: Series, cg=None, bounds=(-0.985, 0.985)) -> np.ndarray:
+    """(a, sigma) start values for a real AR(1) latent, clipped into bounds.
+
+    cg is the modulator's c_g at lags 0..N-1 (e.g. an :class:`Objective`'s
+    ``cgs[0]``), the :class:`Modulator` itself, or None for an unmodulated
+    series, whose c_g is 1 - tau/N.
+    """
+    c0, c1 = _mom_latent_acv(data, cg, (0, 1))
     c0 = float(np.real(c0))
     if not np.isfinite(c0) or c0 <= 0:
         return np.array([0.0, 1.0])
@@ -304,10 +310,9 @@ def mom_ar1(data: Series, mod: Modulator | None = None,
     return np.array([a, np.sqrt(sigma2)])
 
 
-def mom_car1(data: Series, mod: Modulator | None = None,
-             rmax: float = 0.995) -> np.ndarray:
-    """(r, sigma) start values for a complex AR(1) latent."""
-    c0, c1 = _mom_latent_acv(data, mod, (0, 1))
+def mom_car1(data: Series, cg=None, rmax: float = 0.995) -> np.ndarray:
+    """(r, sigma) start values for a complex AR(1) latent; cg as in :func:`mom_ar1`."""
+    c0, c1 = _mom_latent_acv(data, cg, (0, 1))
     c0 = float(np.real(c0))
     if not np.isfinite(c0) or c0 <= 0:
         return np.array([0.5, 1.0])

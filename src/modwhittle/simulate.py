@@ -16,29 +16,30 @@ Simulation notes
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.signal import lfilter, lfiltic
 
-from .core import Series
+from .core import ParameterVector, Series
 from .likelihood import (
-    Ar1ModulatedObjective,
-    Car1ModulatedObjective,
     Car1WhittleObjective,
     LinearBetaCar1ExactObjective,
     LinearBetaCar1Objective,
     Objective,
 )
-from .models import LatentModel, ar_model, autocov_sequence
+from .models import LatentModel, ar_model, autocov_sequence, car1_model
 from .modulation import (
     cosine_bernoulli_mask,
     frequency_modulator,
     linear_beta,
 )
-from .optimize import FitFailure, fit, mom_ar1, mom_car1
+from .optimize import FitFailure, FitResult, fit, mom_ar1, mom_car1
 
 __all__ = [
     "SimulationError",
@@ -49,7 +50,11 @@ __all__ = [
     "McStudy",
     "McReport",
     "run_study",
+    "worker_pool",
 ]
+
+# thread-count variables of OpenMP, OpenBLAS and MKL, set to 1 in pool workers
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class SimulationError(RuntimeError):
@@ -225,11 +230,16 @@ class McStudy:
 
 @dataclass
 class McReport:
-    """Aggregated study output: one row per (estimator, N, parameter)."""
+    """Aggregated study output: one row per (estimator, N, parameter).
+
+    failures and nonconverged count, per 'estimator@N', the fits that raised
+    and the fits that ended without the optimizer reporting convergence.
+    """
 
     rows: list
     failures: dict
     replicates: int
+    nonconverged: dict
 
     def as_csv_rows(self) -> list:
         head = ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
@@ -280,36 +290,33 @@ def _simulate_case(study: McStudy, n: int, rep: int):
     raise ValueError(f"unknown study kind {study.kind!r}")
 
 
-def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict):
-    """Returns (names, values, wall_time) for one estimator on one replicate."""
+def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict) -> FitResult:
+    """Fit one estimator to one replicate."""
     opts = dict(study.fit_options)
     kind = study.kind
     if kind == "ar1-bernoulli-mask":
         if estimator == "modulated":
-            obj = Ar1ModulatedObjective(data, aux["modulator"])
-            init = mom_ar1(data, aux["modulator"])
+            obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
+                            modulator=aux["modulator"], check_significance=False)
+            init = ParameterVector(["a", "sigma"], mom_ar1(data, obj.cgs[0]),
+                                   lower=[-1.0, 0.0], upper=[1.0, np.inf])
         elif estimator == "stationary":
-            stat_obj = Objective("whittle", data, ar_model([0.5], 1.0))
-            init = mom_ar1(data, None)
-            res = fit(stat_obj, stat_obj.init_params.replace(init), **opts)
-            return res.theta_hat.names, res.theta_hat.values, res.wall_time
+            obj = Objective("whittle", data, ar_model([0.5], 1.0))
+            init = obj.init_params.replace(mom_ar1(data))
         else:
             raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-        res = fit(obj, init, **opts)
-        return ["a", "sigma"], res.theta_hat.values, res.wall_time
+        return fit(obj, init, **opts)
     if kind == "car1-bounded-walk":
         beta = aux["beta"]
         if estimator == "modulated":
-            mod = frequency_modulator(beta)
-            obj = Car1ModulatedObjective(data, mod)
-            init = mom_car1(data, mod)
-        elif estimator == "stationary":
+            obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0),
+                            modulator=frequency_modulator(beta),
+                            check_significance=False)
+            return fit(obj, obj.init_params.replace(mom_car1(data, obj.cgs[0])), **opts)
+        if estimator == "stationary":
             obj = Car1WhittleObjective(data, rotation=float(np.mean(beta)))
-            init = mom_car1(data, None)
-        else:
-            raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-        res = fit(obj, init, lower=obj.lower, upper=obj.upper, **opts)
-        return list(obj.names), res.theta_hat.values, res.wall_time
+            return fit(obj, mom_car1(data), **opts)
+        raise ValueError(f"unknown estimator {estimator!r} for {kind}")
     if kind == "car1-linear-beta":
         y = np.asarray(data.values)
         n = y.size
@@ -329,8 +336,7 @@ def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict):
             init = np.array([r0, sigma0, gamma0])
         else:
             raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-        res = fit(obj, init, lower=obj.lower, upper=obj.upper, **opts)
-        return list(obj.names), res.theta_hat.values, res.wall_time
+        return fit(obj, init, **opts)
     raise ValueError(f"unknown study kind {kind!r}")
 
 
@@ -344,10 +350,11 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
         for est in study.estimators:
             t0 = time.perf_counter()
             try:
-                names, values, wall = _fit_estimator(study, est, data, aux)
-                rec[est] = {"names": list(names),
-                            "values": [float(v) for v in values],
-                            "cpu": wall}
+                res = _fit_estimator(study, est, data, aux)
+                rec[est] = {"names": list(res.theta_hat.names),
+                            "values": [float(v) for v in res.theta_hat.values],
+                            "cpu": res.wall_time,
+                            "converged": res.converged}
             except (FitFailure, ValueError, np.linalg.LinAlgError) as exc:
                 rec[est] = {"error": f"{type(exc).__name__}: {exc}",
                             "cpu": time.perf_counter() - t0}
@@ -355,38 +362,66 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
     return out
 
 
+@contextmanager
+def worker_pool(workers: int):
+    """A process pool whose workers run BLAS and OpenMP on one thread each.
+
+    Workers are started with ``spawn`` while the BLAS_THREAD_VARS are set to
+    1, so their BLAS pools start single-threaded: L-BFGS-B makes a BLAS call
+    on every iteration, and with several fitting processes on the cores an
+    unpinned BLAS spends more time handing work between its threads than
+    fitting.  The caller's environment is restored when the pool closes.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_study(study: McStudy, threads: int = 1) -> McReport:
     """Run all replicates of a study and aggregate bias/variance/MSE/CPU.
 
     Deterministic for a fixed master seed regardless of `threads`; individual
     fit failures are excluded and counted, and more than 1% of failures for
-    any estimator fails the study.
+    any estimator fails the study.  Fits that end without convergence are
+    kept and counted in ``McReport.nonconverged``.
     """
     if study.replicates < 1:
         raise ValueError("need at least one replicate")
     study_dict = study.to_json_dict()
+    reps = list(range(study.replicates))
     records = {}
-    for n in study.n_grid:
-        reps = list(range(study.replicates))
-        if threads > 1:
-            chunks = [reps[i::threads] for i in range(threads)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+    if threads > 1:
+        chunks = [c for c in (reps[i::threads] for i in range(threads)) if c]
+        with worker_pool(len(chunks)) as pool:
+            for n in study.n_grid:
                 parts = pool.map(_run_chunk, [study_dict] * len(chunks),
                                  [n] * len(chunks), chunks)
-            merged = [item for part in parts for item in part]
-        else:
-            merged = _run_chunk(study_dict, n, reps)
+                records[n] = [item for part in parts for item in part]
+    else:
+        for n in study.n_grid:
+            records[n] = _run_chunk(study_dict, n, reps)
+    for merged in records.values():
         merged.sort(key=lambda item: item[0])
-        records[n] = [rec for _, rec in merged]
 
     rows = []
     failures = {}
+    nonconverged = {}
     for n in study.n_grid:
         for est in study.estimators:
-            good = [rec[est] for rec in records[n] if "error" not in rec[est]]
-            bad = [rec[est] for rec in records[n] if "error" in rec[est]]
-            failures[(est, n)] = len(bad)
+            fits = [rec[est] for _, rec in records[n]]
+            good = [f for f in fits if "error" not in f]
+            bad = [f for f in fits if "error" in f]
+            failures[f"{est}@{n}"] = len(bad)
+            nonconverged[f"{est}@{n}"] = sum(not f["converged"] for f in good)
             if len(bad) / study.replicates >= 0.01 and len(bad) > 0:
                 raise RuntimeError(
                     f"estimator {est!r} failed on {len(bad)}/{study.replicates} "
@@ -406,6 +441,5 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
                 mse = float(np.mean((est_vals - truth) ** 2))
                 rows.append({"estimator": est, "N": n, "param": name,
                              "bias": bias, "var": var, "mse": mse, "cpu": cpu})
-    return McReport(rows=rows, failures={f"{k[0]}@{k[1]}": v
-                                         for k, v in failures.items()},
-                    replicates=study.replicates)
+    return McReport(rows=rows, failures=failures, replicates=study.replicates,
+                    nonconverged=nonconverged)

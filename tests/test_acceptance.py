@@ -8,7 +8,6 @@ their specifications overlap and respect the stated runtime caps.
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,9 +23,15 @@ from modwhittle import (
     stationarity_check,
 )
 from modwhittle.drifter import fit_drifter, inertial_frequency, simulate_drifter_velocities
-from modwhittle.likelihood import Car1ModulatedObjective
+from modwhittle.likelihood import Objective
 from modwhittle.modulation import Modulator, cg_direct
-from modwhittle.simulate import McStudy, run_study, simulate_complex_ar1, bounded_random_walk_beta
+from modwhittle.simulate import (
+    McStudy,
+    bounded_random_walk_beta,
+    run_study,
+    simulate_complex_ar1,
+    worker_pool,
+)
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 from conftest import random_model, random_modulator
 
@@ -296,7 +301,8 @@ def test_criterion_7_property_suites():
     for i in range(300):
         beta = bounded_random_walk_beta(np.pi / 2, 1.0, 0.05, 1024, rng)[1:]
         z = simulate_complex_ar1(0.8, 1.0, beta, 1024, rng)
-        obj = Car1ModulatedObjective(z, frequency_modulator(beta))
+        obj = Objective("modulated-whittle", z, car1_model(0.8, 1.0),
+                        modulator=frequency_modulator(beta), check_significance=False)
         for j in range(2):
             dv = np.zeros(2)
             dv[j] = 1e-4
@@ -344,7 +350,7 @@ def test_criterion_8_drifter_synthetic():
     t0 = time.time()
     n_cases = 100
     if THREADS > 1:
-        with ProcessPoolExecutor(max_workers=THREADS) as pool:
+        with worker_pool(THREADS) as pool:
             results = list(pool.map(_c8_case, range(n_cases)))
     else:
         results = [_c8_case(i) for i in range(n_cases)]

@@ -87,10 +87,16 @@ def test_mc_deterministic_modulo_timing(tmp_path):
     assert rows1[0] == ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
     strip = lambda rows: [r[:-1] for r in rows]
     assert strip(rows1) == strip(rows2)
+    nonconverged = []
     for out in (out1, out2):
         assert json.loads(open(out + ".failures.json").read()) == {"modulated@128": 0}
+        nonconverged.append(json.loads(open(out + ".nonconverged.json").read()))
         manifest = json.loads(open(out + ".manifest.json").read())
         assert out + ".failures.json" in manifest["outputs"]
+        assert out + ".nonconverged.json" in manifest["outputs"]
+    assert nonconverged[0] == nonconverged[1]
+    assert list(nonconverged[0]) == ["modulated@128"]
+    assert 0 <= nonconverged[0]["modulated@128"] <= 6
 
 
 def test_fit_whittle_json(tmp_path, rng):

@@ -18,7 +18,6 @@ from modwhittle import (
 )
 from modwhittle.likelihood import (
     AggregateModel,
-    Car1ModulatedObjective,
     Car1WhittleObjective,
     LinearBetaCar1ExactObjective,
     LinearBetaCar1Objective,
@@ -233,7 +232,8 @@ def test_score_at_truth(rng):
     for i in range(reps):
         beta = bounded_random_walk_beta(np.pi / 2, 1.0, 0.05, n, rng)[1:]
         z = simulate_complex_ar1(r_true, sigma_true, beta, n, rng)
-        obj = Car1ModulatedObjective(z, frequency_modulator(beta))
+        obj = Objective("modulated-whittle", z, car1_model(r_true, sigma_true),
+                        modulator=frequency_modulator(beta), check_significance=False)
         for j, dv in enumerate(np.eye(2)):
             tp = np.array([r_true, sigma_true]) + h * dv
             tm = np.array([r_true, sigma_true]) - h * dv
@@ -371,6 +371,8 @@ def assert_gradient_matches(obj, theta, rtol=1e-6):
 
 
 def _random_gradient_model(rng, family):
+    if family == "ar":
+        return ar_model([rng.uniform(-0.9, 0.9)], rng.uniform(0.5, 2.0))
     if family == "car1":
         return car1_model(rng.uniform(0.0, 0.95), rng.uniform(0.5, 2.0),
                           rotation=rng.uniform(-1.0, 1.0))
@@ -381,14 +383,18 @@ def _random_gradient_model(rng, family):
                         rng.uniform(0.6, 3.5), delta=1.0)
 
 
-@pytest.mark.parametrize("family", ["car1", "ou", "matern"])
+@pytest.mark.parametrize("family", ["ar", "car1", "ou", "matern"])
 def test_gradient_matches_central_differences(rng, family):
     for _ in range(25):
         n = int(rng.integers(16, 300))
-        mod = random_modulator(rng, n)
+        if family == "ar":  # a real latent under the real modulators
+            mod = random_modulator(rng, n, kinds=("constant", "periodic", "bernoulli"))
+            data = Series(mod.g * rng.normal(size=n))
+        else:
+            mod = random_modulator(rng, n)
+            data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                          kind="complex")
         model = _random_gradient_model(rng, family)
-        data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
-                      kind="complex")
         obj = Objective("modulated-whittle", data, model, modulator=mod,
                         check_significance=False)
         assert obj.has_gradient
@@ -422,11 +428,11 @@ def test_gradient_only_where_every_family_has_one(rng):
     n = 64
     data = Series(rng.normal(size=n))
     mod = periodic_missing_mask(3, 1, n)
-    assert not Objective("modulated-whittle", data, ar_model([0.5], 1.0),
+    assert not Objective("modulated-whittle", data, ar_model([0.5, -0.2], 1.0),
                          modulator=mod).has_gradient
     assert not Objective("whittle", data, car1_model(0.5, 1.0)).has_gradient
     mixed = AggregateModel(((car1_model(0.5, 1.0), mod),
-                            (ar_model([0.3], 1.0), None)), n)
+                            (ar_model([0.3, 0.2], 1.0), None)), n)
     obj = Objective("modulated-whittle", data, mixed)
     assert not obj.has_gradient
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from modwhittle import (
 from modwhittle.models import (
     _geometric_lag_cap,
     _matern_lag_cap,
+    autocov_grad,
     autocov_sequence,
     geometric_acv,
     matern_acv,
@@ -224,6 +225,22 @@ def test_geometric_acv_backs_car1_and_ou():
     assert np.array_equal(autocov_sequence(m, 300),
                           geometric_acv(r, sig, 300, -2.0 * np.pi / 12.0))
     assert np.count_nonzero(geometric_acv(0.8, 1.0, 16384)) == 166
+    assert np.array_equal(autocov_sequence(ar_model([-0.6], 1.2), 300),
+                          geometric_acv(-0.6, 1.2, 300))
+
+
+def test_geometric_grad_at_zero_coefficient():
+    # at r = 0 the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}
+    e = 1e-8
+    for model in (ar_model([0.0], 1.3), car1_model(0.0, 1.3, rotation=0.4)):
+        c, jac = autocov_grad(model, 8)
+        assert np.array_equal(c, autocov_sequence(model, 8))
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = e
+            fd = (autocov_sequence(model.with_values(model.params.values + step), 8) - c) / e
+            assert np.allclose(jac[j], fd[:jac.shape[1]], rtol=0, atol=1e-6)
+            assert np.allclose(fd[jac.shape[1]:], 0.0, rtol=0, atol=1e-6)
 
 
 def test_ou_discrete_acv_matches_transform():

@@ -8,6 +8,8 @@ from modwhittle.modulation import frequency_modulator
 from modwhittle.simulate import (
     McStudy,
     SimulationError,
+    _fit_estimator,
+    _simulate_case,
     bounded_random_walk_beta,
     run_study,
     simulate_ar,
@@ -205,3 +207,26 @@ def test_study_json_round_trip():
                     n_grid=[512], replicates=10, seed=3)
     back = McStudy.from_json_dict(study.to_json_dict())
     assert back == study
+
+
+@pytest.mark.parametrize("kind", ["ar1-bernoulli-mask", "car1-bounded-walk"])
+def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, monkeypatch):
+    import modwhittle.likelihood as likelihood
+    if kind == "ar1-bernoulli-mask":
+        truth = {"a": 0.8, "sigma": 1.0}
+        process = {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 2 * np.pi / 10}
+    else:
+        truth = {"r": 0.8, "sigma": 1.0}
+        process = {"gamma": np.pi / 2, "span": 1.0, "amp": 0.05}
+    study = McStudy(kind=kind, true_params=truth, process=process,
+                    estimators=["modulated"], n_grid=[1024], replicates=1,
+                    seed=11, fit_options={"n_starts": 1})
+    data, aux = _simulate_case(study, 1024, 0)
+    two_phase = _fit_estimator(study, "modulated", data, aux)
+    assert two_phase.n_grad_evals > 0
+    assert two_phase.theta_hat.names == list(truth)
+    monkeypatch.setattr(likelihood, "GRADIENT_FAMILIES", ())
+    simplex = _fit_estimator(study, "modulated", data, aux)
+    assert simplex.n_grad_evals == 0
+    f1 = simplex.objective_value
+    assert two_phase.objective_value <= f1 + 1e-9 * max(1.0, abs(f1))
