@@ -352,6 +352,8 @@ class Objective:
         return self.model.params
 
     def __call__(self, theta) -> float:
+        if not np.all(np.isfinite(theta)):
+            return np.inf
         try:
             model = self.model.with_values(theta)
         except ValueError:  # theta outside the model class, e.g. a
@@ -384,11 +386,14 @@ class Objective:
 
         summed over the lags where c_X is not truncated: one extra FFT per
         evaluation whatever the number of parameters.  The value equals
-        ``self(theta)``; theta outside the model class scores +inf.
+        ``self(theta)``.  Theta outside the model class, non-finite theta,
+        and a non-finite value or gradient score +inf with a zero gradient.
         """
         if not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
         theta = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(theta)):
+            return np.inf, np.zeros(theta.size)
         try:
             model = self.model.with_values(theta)
         except ValueError:
@@ -414,7 +419,10 @@ class Objective:
             # more than the product on these short rows
             terms = np.real(jac * (cg[:keep] * big_w[:keep]))
             grad.append(2.0 * terms.sum(axis=1) - np.real(cg[0] * jac[:, 0]) * w_sum)
-        return value, np.concatenate(grad)
+        grad = np.concatenate(grad)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return np.inf, np.zeros(theta.size)
+        return value, grad
 
 
 class Car1WhittleObjective:

@@ -3,13 +3,21 @@
 Parameters are mapped to an unconstrained space (logit for two-sided bounds,
 log for one-sided), so every evaluated point respects its open bounds by
 construction.  Objectives without a gradient are minimized with a
-Nelder-Mead simplex.  Objectives that offer one (``has_gradient`` and
-``value_and_grad``, e.g. a modulated-Whittle :class:`Objective` over AR(1),
-car1, ou and matern components) take two phases per start: Nelder-Mead until
-the simplex's objective spread is at most BASIN_FATOL, which chooses the basin,
-then L-BFGS-B from its best vertex with the gradient carried through the
-Jacobian of the transform.  Multi-start keeps the best of the default, a
-perturbed, and any caller-supplied (method-of-moments) initialization.
+Nelder-Mead simplex in that space.  Objectives that offer one
+(``has_gradient`` and ``value_and_grad``, e.g. a modulated-Whittle
+:class:`Objective` over AR(1), car1, ou and matern components) take two
+phases per start: Nelder-Mead until the simplex's objective spread is at most
+BASIN_FATOL, which chooses the basin, then L-BFGS-B from its best vertex in
+bounded polish coordinates (see :func:`_polish_coordinates`): log theta for a
+parameter with a finite lower bound >= 0, theta itself otherwise, boxed by
+L-BFGS-B's own bounds moved POLISH_EDGE inside the fit bounds.  In the logit
+space a coordinate pinned at a bound has a gradient that decays like
+e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
+stops at the edge.  A polish that ends on L-BFGS-B's abnormal line-search
+stop counts as converged when its projected gradient (in the polish
+coordinates) is at most ABNORMAL_PGTOL * max(1, |f|).  Multi-start keeps the
+best of the default, a perturbed, and any caller-supplied (method-of-moments)
+initialization.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ __all__ = [
     "FitFailure",
     "transform",
     "inverse_transform",
-    "inverse_transform_jacobian",
     "fit",
     "mom_ar1",
     "mom_car1",
@@ -44,6 +51,11 @@ BASIN_FATOL = 1e-4
 # phase 2 (L-BFGS-B) stops at this projected gradient or relative reduction
 GRAD_GTOL = 1e-10
 GRAD_FTOL = np.finfo(float).eps
+# L-BFGS-B's box edges sit this far inside finite fit bounds: relative,
+# POLISH_EDGE * max(1, |b|), for plain coordinates, absolute for log ones
+POLISH_EDGE = 1e-10
+# an abnormal L-BFGS-B stop still converged at this projected gradient * max(1, |f|)
+ABNORMAL_PGTOL = 1e-6
 # an estimate within AT_BOUND_EPS * max(1, |b|) of a finite bound b is flagged
 AT_BOUND_EPS = 1e-6
 
@@ -106,21 +118,48 @@ def inverse_transform(x, lower, upper) -> np.ndarray:
     return out
 
 
-def inverse_transform_jacobian(x, lower, upper) -> np.ndarray:
-    """Diagonal of the Jacobian of :func:`inverse_transform` at x."""
-    x = np.asarray(x, dtype=float)
+def _polish_coordinates(lower, upper):
+    """The bounded coordinates y of the L-BFGS-B phase.
+
+    Returns ``(log_mask, box_lo, box_hi)``: y = log theta where log_mask is
+    true (a finite lower bound >= 0), y = theta elsewhere, and the L-BFGS-B
+    bounds on y.  Each finite edge sits POLISH_EDGE inside the fit bound
+    (relative for plain coordinates, absolute in log ones), so every
+    evaluated theta stays strictly inside the open bounds; an infinite side,
+    and a lower bound of 0 in log coordinates, stays open (+-inf).
+    """
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    out = np.ones_like(x)
-    for i in range(x.size):
-        if np.isfinite(lo[i]) and np.isfinite(hi[i]):
-            e = np.exp(-abs(x[i]))  # p (1 - p) = e / (1 + e)^2
-            out[i] = (hi[i] - lo[i]) * e / (1.0 + e) ** 2
-        elif np.isfinite(lo[i]):
-            out[i] = np.exp(x[i])
-        elif np.isfinite(hi[i]):
-            out[i] = np.exp(-x[i])
-    return out
+    log_mask = np.isfinite(lo) & (lo >= 0)
+    box_lo = np.full(lo.size, -np.inf)
+    box_hi = np.full(lo.size, np.inf)
+    for i in range(lo.size):
+        if log_mask[i]:
+            if lo[i] > 0:
+                box_lo[i] = np.log(lo[i]) + POLISH_EDGE
+            if np.isfinite(hi[i]):
+                box_hi[i] = np.log(hi[i]) - POLISH_EDGE
+            continue
+        if np.isfinite(lo[i]):
+            box_lo[i] = lo[i] + POLISH_EDGE * max(1.0, abs(lo[i]))
+        if np.isfinite(hi[i]):
+            box_hi[i] = hi[i] - POLISH_EDGE * max(1.0, abs(hi[i]))
+    return log_mask, box_lo, box_hi
+
+
+def _polish_theta(y, log_mask) -> np.ndarray:
+    """theta from the polish coordinates y (see :func:`_polish_coordinates`)."""
+    with np.errstate(over="ignore"):  # an overflow to inf scores +inf
+        return np.where(log_mask, np.exp(y), y)
+
+
+def _polish_value_and_grad(y, objective, log_mask):
+    """The objective and its gradient in the polish coordinates y."""
+    theta = _polish_theta(y, log_mask)
+    val, grad = objective.value_and_grad(theta)
+    if not np.isfinite(val):
+        return np.inf, np.zeros_like(y)
+    return float(val), grad * np.where(log_mask, theta, 1.0)  # dtheta/dy
 
 
 def at_bound(pv: ParameterVector) -> list:
@@ -191,7 +230,11 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
     spread tol_f, parameter spread tol_x); the defaults keep optimizer error
     below 1e-6, well under the statistical error at any tested sample size.
     The gradient path does not use them (passing other values warns): its
-    simplex stops at BASIN_FATOL and L-BFGS-B at GRAD_GTOL / GRAD_FTOL.  max_iter (default 2000*d) caps the
+    simplex stops at BASIN_FATOL, and L-BFGS-B, run in the bounded
+    coordinates of :func:`_polish_coordinates` from the best vertex clipped
+    into the box, stops at GRAD_GTOL / GRAD_FTOL; an abnormal line-search
+    stop counts as converged when the projected gradient there is at most
+    ABNORMAL_PGTOL * max(1, |f|).  max_iter (default 2000*d) caps the
     iterations of every phase.  Estimates within AT_BOUND_EPS of a finite
     bound are listed in ``at_bound``.
     """
@@ -214,12 +257,6 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
         val = objective(inverse_transform(x, lo, hi))
         return float(val) if np.isfinite(val) else np.inf
 
-    def wrapped_grad(x):
-        val, grad = objective.value_and_grad(inverse_transform(x, lo, hi))
-        if not np.isfinite(val):
-            return np.inf, np.zeros_like(x)
-        return float(val), grad * inverse_transform_jacobian(x, lo, hi)
-
     gradient = bool(getattr(objective, "has_gradient", False))
     if gradient:
         if tol_f != NM_TOL_F or tol_x != NM_TOL_X:
@@ -227,8 +264,10 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
                           "this objective has a gradient and stops at "
                           "BASIN_FATOL and GRAD_GTOL/GRAD_FTOL", stacklevel=2)
         simplex_tol = {"xatol": np.inf, "fatol": BASIN_FATOL}
+        log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
     else:
         simplex_tol = {"xatol": tol_x, "fatol": tol_f}
+
     best = None
     attempts = 0
     total_evals = 0
@@ -249,23 +288,36 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 3,
         total_iters += int(res.nit)
         if not np.isfinite(res.fun):
             continue
+        fun, theta = float(res.fun), inverse_transform(res.x, lo, hi)
+        success, message = bool(res.success), str(res.message)
         if gradient:
-            polished = minimize(wrapped_grad, res.x, jac=True, method="L-BFGS-B",
+            with np.errstate(invalid="ignore"):  # log of the plain coordinates
+                y0 = np.where(log_mask, np.log(theta), theta)
+            y0 = np.clip(y0, box_lo, box_hi)
+            polished = minimize(_polish_value_and_grad, y0,
+                                args=(objective, log_mask), jac=True,
+                                method="L-BFGS-B", bounds=list(zip(box_lo, box_hi)),
                                 options={"gtol": GRAD_GTOL, "ftol": GRAD_FTOL,
                                          "maxiter": max_iter,
                                          "maxfun": 4 * max_iter})
             total_evals += int(polished.nfev)
             grad_evals += int(polished.nfev)
             total_iters += int(polished.nit)
-            if polished.fun <= res.fun:
-                res = polished
-        if best is None or res.fun < best[0]:
-            best = (float(res.fun), res.x, bool(res.success), str(res.message))
+            if polished.fun <= fun:
+                fun = float(polished.fun)
+                theta = _polish_theta(polished.x, log_mask)
+                success, message = bool(polished.success), str(polished.message)
+                if not success and message.startswith("ABNORMAL"):
+                    y = polished.x
+                    pg = np.clip(y - polished.jac, box_lo, box_hi) - y
+                    success = bool(np.max(np.abs(pg))
+                                   <= ABNORMAL_PGTOL * max(1.0, abs(fun)))
+        if best is None or fun < best[0]:
+            best = (fun, theta, success, message)
     if best is None:
         raise FitFailure(
             f"no finite objective from {len(starts)} start(s); last init {values}")
-    fun, x_hat, success, message = best
-    theta = inverse_transform(x_hat, lo, hi)
+    fun, theta, success, message = best
     pv = ParameterVector(names, theta, lower=lo, upper=hi)
     return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,

@@ -295,16 +295,17 @@ def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict) -> F
     opts = dict(study.fit_options)
     kind = study.kind
     if kind == "ar1-bernoulli-mask":
+        # both estimators report the study's (a, sigma) with a in (-1, 1)
         if estimator == "modulated":
             obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
                             modulator=aux["modulator"], check_significance=False)
-            init = ParameterVector(["a", "sigma"], mom_ar1(data, obj.cgs[0]),
-                                   lower=[-1.0, 0.0], upper=[1.0, np.inf])
+            cg = obj.cgs[0]
         elif estimator == "stationary":
-            obj = Objective("whittle", data, ar_model([0.5], 1.0))
-            init = obj.init_params.replace(mom_ar1(data))
+            obj, cg = Objective("whittle", data, ar_model([0.5], 1.0)), None
         else:
             raise ValueError(f"unknown estimator {estimator!r} for {kind}")
+        init = ParameterVector(["a", "sigma"], mom_ar1(data, cg),
+                               lower=[-1.0, 0.0], upper=[1.0, np.inf])
         return fit(obj, init, **opts)
     if kind == "car1-bounded-walk":
         beta = aux["beta"]

@@ -449,6 +449,49 @@ def test_gradient_outside_model_class_scores_inf(rng):
     assert value == np.inf and np.array_equal(grad, np.zeros(2))
 
 
+def test_non_finite_theta_scores_inf_without_warnings(rng):
+    import warnings
+    n = 128
+    mod = periodic_missing_mask(3, 1, n)
+    data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                  kind="complex")
+    obj = Objective("modulated-whittle", data, matern_model(1.0, 0.7, 1.5, delta=1.0),
+                    modulator=mod, check_significance=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in ([np.inf, 0.7, 1.5], [1.0, 0.7, np.inf], [1.0, np.nan, 1.5]):
+            assert obj(theta) == np.inf
+            value, grad = obj.value_and_grad(theta)
+            assert value == np.inf and np.array_equal(grad, np.zeros(3))
+
+
+def test_non_finite_gradient_scores_inf_without_warnings(rng, monkeypatch):
+    import warnings
+
+    import modwhittle.likelihood as likelihood
+    n = 64
+    mod = periodic_missing_mask(3, 1, n)
+    data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                  kind="complex")
+    obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0), modulator=mod,
+                    check_significance=False)
+    value, _ = obj.value_and_grad([0.5, 1.0])
+    assert np.isfinite(value)
+    autocov_grad = likelihood.autocov_grad
+
+    def nan_jacobian(model, n):
+        acv, jac = autocov_grad(model, n)
+        jac = jac.copy()
+        jac[0, 1] = np.nan
+        return acv, jac
+
+    monkeypatch.setattr(likelihood, "autocov_grad", nan_jacobian)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = obj.value_and_grad([0.5, 1.0])
+    assert value == np.inf and np.array_equal(grad, np.zeros(2))
+
+
 def test_modulated_objective_evaluates_in_fft_order(rng, monkeypatch):
     import modwhittle.spectra as spectra
     n = 96

@@ -7,9 +7,10 @@ from modwhittle import Series
 from modwhittle.core import ParameterVector
 from modwhittle.optimize import (
     FitFailure,
+    _polish_coordinates,
+    _polish_value_and_grad,
     fit,
     inverse_transform,
-    inverse_transform_jacobian,
     mom_ar1,
     mom_car1,
     transform,
@@ -112,16 +113,6 @@ def test_mom_inits(rng):
     assert abs(r - 0.9) < 0.05 and abs(s - 1.0) < 0.2
 
 
-def test_inverse_transform_jacobian(rng):
-    lo = np.array([0.0, 0.0, -np.inf, -np.pi, -np.inf])
-    hi = np.array([1.0, np.inf, np.inf, np.pi, 3.0])
-    for _ in range(20):
-        x = rng.normal(scale=3.0, size=5)
-        e = 1e-6
-        fd = (inverse_transform(x + e, lo, hi) - inverse_transform(x - e, lo, hi)) / (2 * e)
-        assert np.allclose(inverse_transform_jacobian(x, lo, hi), fd, rtol=1e-6, atol=0)
-
-
 class _Quadratic:
     """A bounded quadratic that supplies its gradient."""
 
@@ -172,3 +163,67 @@ def test_at_bound_flags_pinned_estimates():
     assert res.at_bound == ["theta0"]
     assert res.asdict()["at_bound"] == ["theta0"]
     assert res.n_grad_evals == 0
+
+
+def test_gradient_path_stops_at_a_binding_bound():
+    obj = _Quadratic(np.eye(2), np.array([2.0, 0.5]))
+    res = fit(obj, np.array([0.5, 0.2]), lower=[0.0, 0.0], upper=[1.0, 1.0],
+              n_starts=1)
+    assert 0 < res.n_grad_evals <= 10
+    assert res.at_bound == ["theta0"]
+    assert res.converged
+    assert np.all(res.theta_hat.values < 1.0)
+    assert abs(res.objective_value - 1.0) < 1e-9
+    assert abs(res.theta_hat.values[1] - 0.5) < 1e-6
+
+
+def test_polish_coordinates_box():
+    lower = [0.0, 0.5, -1.0, -np.inf, 0.0, -np.inf]
+    upper = [1.0, 3.0, 2.0, 5.0, np.inf, np.inf]
+    log_mask, box_lo, box_hi = _polish_coordinates(lower, upper)
+    assert log_mask.tolist() == [True, True, False, False, True, False]
+    assert box_lo[0] == -np.inf and box_hi[0] == -1e-10
+    assert np.isclose(box_lo[1], np.log(0.5) + 1e-10, rtol=0, atol=1e-15)
+    assert np.isclose(box_hi[1], np.log(3.0) - 1e-10, rtol=0, atol=1e-15)
+    assert box_lo[2] == -1.0 + 1e-10 and box_hi[2] == 2.0 - 1e-10 * 2.0
+    assert box_lo[3] == -np.inf and box_hi[3] == 5.0 - 1e-10 * 5.0
+    assert box_lo[4] == -np.inf and box_hi[4] == np.inf
+    assert box_lo[5] == -np.inf and box_hi[5] == np.inf
+
+
+class _Smooth:
+    """A smooth non-quadratic objective with its gradient."""
+
+    has_gradient = True
+    c = np.array([0.7, 1.3, -0.4, 2.1])
+
+    def __call__(self, theta):
+        return self.value_and_grad(theta)[0]
+
+    def value_and_grad(self, theta):
+        t = np.asarray(theta, dtype=float)
+        val = float(np.sum(self.c * np.sin(t) + t ** 2) + t[0] * t[2] ** 3)
+        grad = self.c * np.cos(t) + 2.0 * t
+        grad[0] += t[2] ** 3
+        grad[2] += 3.0 * t[0] * t[2] ** 2
+        return val, grad
+
+
+def test_polish_gradient_matches_central_differences(rng):
+    # log-boxed, plain-boxed, log half-open and plain half-open parameters
+    lower = np.array([0.5, -1.0, 0.0, -np.inf])
+    upper = np.array([3.0, 2.0, np.inf, 5.0])
+    log_mask, box_lo, box_hi = _polish_coordinates(lower, upper)
+    assert log_mask.tolist() == [True, False, True, False]
+    obj = _Smooth()
+    for _ in range(10):
+        theta = np.array([rng.uniform(0.6, 2.9), rng.uniform(-0.9, 1.9),
+                          rng.lognormal(), 5.0 - rng.lognormal()])
+        y = np.where(log_mask, np.log(np.abs(theta)), theta)
+        _, grad = _polish_value_and_grad(y, obj, log_mask)
+        e = 1e-6
+        fd = np.array([
+            (_polish_value_and_grad(y + e * u, obj, log_mask)[0]
+             - _polish_value_and_grad(y - e * u, obj, log_mask)[0]) / (2 * e)
+            for u in np.eye(4)])
+        assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)

@@ -200,6 +200,19 @@ def test_run_study_single_replicate():
         assert abs(row["mse"] - row["bias"] ** 2) < 1e-15
 
 
+def test_ar1_mask_study_reports_a_for_every_estimator():
+    study = McStudy(kind="ar1-bernoulli-mask",
+                    true_params={"a": 0.8, "sigma": 1.0},
+                    process={"mean_p": 0.5, "amp_p": 0.25, "omega_p": 2 * np.pi / 10},
+                    estimators=["modulated", "stationary"],
+                    n_grid=[128], replicates=3, seed=2,
+                    fit_options={"n_starts": 1})
+    rep = run_study(study)
+    keys = {(row["estimator"], row["param"]) for row in rep.rows}
+    assert keys == {(est, p) for est in ("modulated", "stationary")
+                    for p in ("a", "sigma")}
+
+
 def test_study_json_round_trip():
     study = McStudy(kind="car1-linear-beta",
                     true_params={"r": 0.9, "sigma": 10.0, "gamma": 0.8, "span": 2.0},
