@@ -18,6 +18,7 @@ from .models import (
     matern_model,
     autocov,
     sdf,
+    sdf_grad,
     sdf_sampled,
     ou_to_ar,
     ar_to_ou,
@@ -34,6 +35,7 @@ from .modulation import (
     linear_frequency_modulator,
     linear_beta,
     cg_linear_closed_form,
+    LinearRampKernel,
     significant_correlation_diagnostic,
     stationarity_check,
 )
@@ -43,8 +45,6 @@ from .likelihood import (
     aggregate_expected_periodogram,
     compare_likelihoods,
     exact_gaussian_nll,
-    modulated_whittle_nll,
-    whittle_nll,
 )
 from .optimize import FitResult, fit, inverse_transform, transform
 from .simulate import (

@@ -204,7 +204,8 @@ def _cmd_mc(cfg: dict, out: str, seed, threads: int) -> dict:
     report = run_study(study, threads=threads)
     return {f"{out}.csv": _csv_text(report.as_csv_rows()),
             f"{out}.failures.json": json.dumps(report.failures, indent=2),
-            f"{out}.nonconverged.json": json.dumps(report.nonconverged, indent=2)}
+            f"{out}.nonconverged.json": json.dumps(report.nonconverged, indent=2),
+            f"{out}.abnormal.json": json.dumps(report.abnormal, indent=2)}
 
 
 def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:

@@ -11,7 +11,15 @@ a frequency mask, so masked and unmasked values stay on one scale.
 
 Everything here is pure given immutable inputs; the objective classes only
 precompute quantities that do not depend on theta (periodogram, c_g, grid
-trigonometry), which is what makes each evaluation O(N log N).
+frequencies), which is what makes each evaluation O(N log N).  A
+modulated-Whittle :class:`Objective` may also take a parametric modulation
+kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`) whose free
+parameters follow the latent ones.  The Whittle and modulated-Whittle kinds
+have an analytic score for the latent families of GRADIENT_FAMILIES (the
+Whittle kind for AR(1) and car1 only), and so does the O(N) Markov
+likelihood :class:`LinearBetaCar1ExactObjective`; the exact kind, AR(p >= 2)
+and MA latents, and :class:`Car1WhittleObjective` are fitted by Nelder-Mead
+alone.
 """
 
 from __future__ import annotations
@@ -25,21 +33,21 @@ import scipy.linalg
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
     GRADIENT_FAMILIES,
+    SDF_GRADIENT_FAMILIES,
     LatentModel,
     autocov_grad,
     autocov_sequence,
-    geometric_acv,
+    sdf_grad,
     sdf_sampled,
 )
 from .modulation import (
-    CgSequence,
+    LinearRampKernel,
     Modulator,
-    cg_linear_closed_form,
+    cg_linear_closed_form,  # noqa: F401  (the benchmark tracer wraps this name)
     cg_sequence,
     significant_correlation_diagnostic,
 )
 from .spectra import (
-    expected_acv,
     expected_periodogram_fft_order,
     expected_periodogram_values,
     periodogram,
@@ -51,14 +59,11 @@ __all__ = [
     "Objective",
     "exact_gaussian_nll",
     "exact_car1_nll",
-    "whittle_nll",
-    "modulated_whittle_nll",
     "aggregate_expected_periodogram",
     "compare_likelihoods",
     "spectral_nll",
     "resolve_mask",
     "Car1WhittleObjective",
-    "LinearBetaCar1Objective",
     "LinearBetaCar1ExactObjective",
 ]
 
@@ -147,6 +152,22 @@ def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> f
     :func:`exact_gaussian_nll` of the equivalent modulated representation and
     evaluated in O(N).
     """
+    return _exact_car1(z, beta, r, sigma, score=False)
+
+
+def _exact_car1(z, beta, r, sigma, score: bool):
+    """:func:`exact_car1_nll`, with score=True also its derivatives.
+
+    With u_t = e^{i beta_t} z_{t-1}, e_t = z_t - r u_t, p_t = conj(e_t) u_t,
+    Q = sum |e_t|^2, s2 = sigma^2 and
+    N l = log(s2 / (1 - r^2)) + |z_0|^2 (1 - r^2) / s2 + (N-1) log s2 + Q / s2,
+
+        N dl/dr      = 2r / (1 - r^2) - 2r |z_0|^2 / s2 - 2 sum Re p_t / s2,
+        N dl/dsigma  = (2 / sigma) [N - (|z_0|^2 (1 - r^2) + Q) / s2],
+        N dl/dbeta_t = 2r Im p_t / s2,
+
+    returned as (l, dl/dr, dl/dsigma, dl/dbeta).
+    """
     z = np.asarray(z, dtype=complex)
     n = z.size
     if beta.size != n - 1:
@@ -154,40 +175,19 @@ def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> f
     if not (0.0 <= r < 1.0) or sigma <= 0:
         raise ValueError("requires 0 <= r < 1 and sigma > 0")
     s2 = sigma * sigma
-    resid = z[1:] - r * np.exp(1j * beta) * z[:-1]
-    nll = np.log(s2 / (1.0 - r * r)) + np.abs(z[0]) ** 2 * (1.0 - r * r) / s2
-    nll += (n - 1) * np.log(s2) + float(np.sum(np.abs(resid) ** 2)) / s2
-    return float(nll) / n
-
-
-# ----------------------------------------------------------------------
-# Whittle objectives
-# ----------------------------------------------------------------------
-
-def whittle_nll(data: Series, model: LatentModel, theta=None, mask=None) -> float:
-    """Stationary Whittle objective with the model sdf f_X on the grid."""
-    if theta is not None:
-        model = model.with_values(theta)
-    n = len(data)
-    shat = periodogram(data).values
-    f = np.asarray(sdf_sampled(model, fourier_grid(n).frequencies))
-    return spectral_nll(shat, f, resolve_mask(n, mask))
-
-
-def modulated_whittle_nll(data: Series, mod: Modulator, model: LatentModel,
-                          theta=None, mask=None,
-                          cg: CgSequence | None = None) -> float:
-    """Modulated Whittle objective with the exact expected periodogram."""
-    if mod.n != len(data):
-        raise ValueError("modulator and data lengths differ")
-    if theta is not None:
-        model = model.with_values(theta)
-    n = len(data)
-    shat = periodogram(data).values
-    if cg is None:
-        cg = cg_sequence(mod)
-    sbar = expected_periodogram_values(expected_acv(cg, model))
-    return spectral_nll(shat, sbar, resolve_mask(n, mask))
+    u = np.exp(1j * beta) * z[:-1]
+    resid = z[1:] - r * u
+    z0sq = abs(z[0]) ** 2
+    quad = float(np.sum(np.abs(resid) ** 2))
+    nll = (np.log(s2 / (1.0 - r * r)) + z0sq * (1.0 - r * r) / s2
+           + (n - 1) * np.log(s2) + quad / s2) / n
+    if not score:
+        return float(nll)
+    p = np.conj(resid) * u
+    d_r = (2.0 * r / (1.0 - r * r) - 2.0 * r * z0sq / s2
+           - 2.0 * float(np.sum(p.real)) / s2) / n
+    d_sigma = 2.0 / sigma * (n - (z0sq * (1.0 - r * r) + quad) / s2) / n
+    return float(nll), d_r, d_sigma, 2.0 * r * p.imag / (s2 * n)
 
 
 # ----------------------------------------------------------------------
@@ -285,30 +285,43 @@ def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarra
 # reusable objective wrappers (precompute everything theta-independent)
 # ----------------------------------------------------------------------
 
+def _has_sdf_grad(m: LatentModel) -> bool:
+    """Whether :func:`sdf_grad` serves m (and m has an acv gradient too)."""
+    return _has_acv_grad(m) and m.family in SDF_GRADIENT_FAMILIES
+
+
 @dataclass
 class Objective:
     """A configured objective: kind exact | whittle | modulated-whittle.
 
     Instances are callables theta -> scalar nll; construction precomputes the
-    periodogram and c_g so repeated evaluations stay O(N log N).  The
-    modulated-whittle kind keeps the periodogram and the frequency mask in
-    numpy FFT order (k = 0..N-1), the order its expected periodogram comes
-    out of the transform in, and ``cgs`` holds the c_g table (lags 0..N-1)
-    of each component, computed once.  When every latent model has an
-    autocovariance gradient (a GRADIENT_FAMILIES family, AR of order 1 only)
-    it also has a gradient (``has_gradient``, see :meth:`value_and_grad`).
+    periodogram, the grid frequencies (whittle) and c_g (modulated-whittle)
+    so repeated evaluations stay O(N log N).  The modulated-whittle kind
+    keeps the periodogram and the frequency mask in numpy FFT order (k =
+    0..N-1), the order its expected periodogram comes out of the transform
+    in, and ``cgs`` holds the c_g table (lags 0..N-1) of each component,
+    computed once.  Its ``modulator`` may instead be a parametric kernel
+    (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
+    :class:`~modwhittle.modulation.LinearRampKernel`) of a plain latent
+    model: theta is then the latent parameters followed by phi, and c_g is
+    evaluated per theta.  When every latent model has an autocovariance
+    gradient (a GRADIENT_FAMILIES family, AR of order 1 only), and for the
+    whittle kind an sdf gradient as well (AR(1), car1), the objective has a
+    gradient (``has_gradient``, see :meth:`value_and_grad`).
     """
 
     kind: str
     data: Series
     model: LatentModel | AggregateModel
-    modulator: Modulator | None = None
+    modulator: Modulator | LinearRampKernel | None = None
     mask: np.ndarray | None = None
     drop_zero: bool = False
     exact_cap: int = EXACT_CAP
     check_significance: bool = True
     _mask: np.ndarray = field(init=False, repr=False)
     _shat: np.ndarray = field(init=False, repr=False, default=None)
+    _freqs: np.ndarray = field(init=False, repr=False, default=None)
+    _kernel: LinearRampKernel | None = field(init=False, repr=False, default=None)
     cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
 
@@ -316,26 +329,34 @@ class Objective:
         n = len(self.data)
         if self.kind not in ("exact", "whittle", "modulated-whittle"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.kind == "modulated-whittle" and self.modulator is None and \
-                not isinstance(self.model, AggregateModel):
+        aggregate = isinstance(self.model, AggregateModel)
+        if self.kind == "modulated-whittle" and self.modulator is None and not aggregate:
             raise ValueError("modulated-whittle requires a modulator")
         if self.kind == "exact" and n > self.exact_cap:
             raise ValueError(f"exact objective capped at N <= {self.exact_cap}")
         if self.modulator is not None and self.modulator.n != n:
             raise ValueError("modulator and data lengths differ")
+        if self.modulator is not None and not isinstance(self.modulator, Modulator):
+            if self.kind != "modulated-whittle" or aggregate:
+                raise ValueError("a parametric kernel needs the modulated-whittle "
+                                 "kind and a plain latent model")
+            self._kernel = self.modulator
         self._mask = resolve_mask(n, self.mask, self.drop_zero)
         if self.kind != "exact":
             self._shat = periodogram(self.data).values
+        if self.kind == "whittle":
+            self._freqs = fourier_grid(n).frequencies
+            self.has_gradient = not aggregate and _has_sdf_grad(self.model)
         if self.kind == "modulated-whittle":
             self._shat = _from_grid_order(self._shat)
             self._mask = _from_grid_order(self._mask)
             self.has_gradient = all(_has_acv_grad(m) for m in _latents(self.model))
-            if isinstance(self.model, AggregateModel):
+            if aggregate:
                 self.cgs = [
                     (cg_sequence(m).values if m is not None else 1.0 - np.arange(n) / n)
                     for _, m in self.model.components
                 ]
-            else:
+            elif self._kernel is None:
                 self.cgs = [cg_sequence(self.modulator).values]
                 if self.check_significance:
                     diag = significant_correlation_diagnostic(
@@ -349,13 +370,28 @@ class Objective:
 
     @property
     def init_params(self) -> ParameterVector:
-        return self.model.params
+        if self._kernel is None:
+            return self.model.params
+        lat, ker = self.model.params, self._kernel.params
+        return ParameterVector(list(lat.names) + list(ker.names),
+                               np.concatenate((lat.values, ker.values)),
+                               np.concatenate((lat.lower, ker.lower)),
+                               np.concatenate((lat.upper, ker.upper)))
+
+    def _split(self, theta):
+        """(latent model, kernel parameters phi) of theta; raises ValueError
+        outside the model class."""
+        if self._kernel is None:
+            return self.model.with_values(theta), None
+        d = len(self.model.params)
+        return self.model.with_values(theta[:d]), theta[d:]
 
     def __call__(self, theta) -> float:
         if not np.all(np.isfinite(theta)):
             return np.inf
         try:
-            model = self.model.with_values(theta)
+            model, phi = self._split(theta)
+            cgs = self.cgs if phi is None else [self._kernel.cg(phi)]
         except ValueError:  # theta outside the model class, e.g. a
             return np.inf   # non-stationary AR: the optimizer steps back
         n = len(self.data)
@@ -363,48 +399,75 @@ class Objective:
             return exact_gaussian_nll(self.data, self.modulator, model,
                                       cap=self.exact_cap)
         if self.kind == "whittle":
-            f = np.asarray(sdf_sampled(model, fourier_grid(n).frequencies))
+            f = np.asarray(sdf_sampled(model, self._freqs))
             return spectral_nll(self._shat, f, self._mask)
         acvs = [np.asarray(autocov_sequence(m, n)) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(self._cbar(acvs))
+        sbar = expected_periodogram_fft_order(self._cbar(cgs, acvs))
         return spectral_nll(self._shat, sbar, self._mask)
 
-    def _cbar(self, acvs) -> np.ndarray:
+    def _cbar(self, cgs, acvs) -> np.ndarray:
         if isinstance(self.model, AggregateModel):
-            return _summed_acv(self.cgs, acvs)
-        return self.cgs[0] * acvs[0]
+            return _summed_acv(cgs, acvs)
+        return cgs[0] * acvs[0]
+
+    def _weights(self, svals) -> np.ndarray:
+        """w = (1/N)(1/s - Shat/s^2) on the mask, 0 elsewhere: dl/ds."""
+        n = svals.size
+        s = svals[self._mask]
+        w = np.zeros(n)
+        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
+        return w
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
-        """The modulated Whittle nll and its gradient in theta.
+        """The nll and its gradient in theta.
 
-        With S = Sbar and w_k = (1/N)(1/S_k - Shat_k/S_k^2) on the mask, 0
-        elsewhere, and W = fft(w), the adjoint of S = 2 Re fft(cbar) - cbar(0)
-        gives, for a component with kernel c_g,
+        whittle: with f the sdf on the grid and w as in :meth:`_weights`,
+        dl/dtheta_j = sum_k w_k df_k/dtheta_j (see :func:`sdf_grad`).
+
+        modulated-whittle: with S = Sbar, w as above and W = fft(w), the
+        adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a component with
+        kernel c_g,
 
             dl/dtheta_j = 2 Re sum_tau c_g(tau) dc_X(tau)/dtheta_j W(tau)
                           - Re[c_g(0) dc_X(0)/dtheta_j] sum_k w_k,
 
         summed over the lags where c_X is not truncated: one extra FFT per
-        evaluation whatever the number of parameters.  The value equals
-        ``self(theta)``.  Theta outside the model class, non-finite theta,
-        and a non-finite value or gradient score +inf with a zero gradient.
+        evaluation whatever the number of parameters.  The parameters phi of
+        a parametric kernel take the same form with the roles swapped,
+        dc_g/dphi_j times c_X, and need no further FFT.
+
+        The value equals ``self(theta)``.  Theta outside the model class,
+        non-finite theta, and a non-finite value or gradient score +inf with
+        a zero gradient.
         """
         if not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
         theta = np.asarray(theta, dtype=float)
+        fail = np.inf, np.zeros(theta.size)
         if not np.all(np.isfinite(theta)):
-            return np.inf, np.zeros(theta.size)
+            return fail
         try:
-            model = self.model.with_values(theta)
+            model, phi = self._split(theta)
+            kernel = None if phi is None else self._kernel.cg_grad(phi)
         except ValueError:
-            return np.inf, np.zeros(theta.size)
+            return fail
+        if self.kind == "whittle":
+            f, jac = sdf_grad(model, self._freqs)
+            value = spectral_nll(self._shat, f, self._mask)
+            grad = (jac * self._weights(f)).sum(axis=1)
+        else:
+            value, grad = self._modulated_value_and_grad(model, kernel)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return fail
+        return value, grad
+
+    def _modulated_value_and_grad(self, model, kernel):
         n = len(self.data)
+        cgs = self.cgs if kernel is None else [kernel[0]]
         tables = [autocov_grad(m, n) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(self._cbar([c for c, _ in tables]))
+        sbar = expected_periodogram_fft_order(self._cbar(cgs, [c for c, _ in tables]))
         value = spectral_nll(self._shat, sbar, self._mask)
-        s = sbar[self._mask]
-        w = np.zeros(n)
-        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
+        w = self._weights(sbar)
         # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to N/2
         # come from rfft, and the rest are mirrored only when some acv
         # support reaches past them
@@ -412,24 +475,31 @@ class Objective:
         if max(jac.shape[1] for _, jac in tables) > big_w.size:
             big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
         w_sum = float(np.sum(w))
-        grad = []
-        for cg, (_, jac) in zip(self.cgs, tables):
+
+        def adjoint(jac, other):
+            # jac: derivative rows of one factor of cbar, other: the other
+            # factor; an elementwise sum, not jac @ ...: a threaded BLAS
+            # call costs more than the product on these short rows
             keep = jac.shape[1]
-            # an elementwise sum, not jac @ ...: a threaded BLAS call costs
-            # more than the product on these short rows
-            terms = np.real(jac * (cg[:keep] * big_w[:keep]))
-            grad.append(2.0 * terms.sum(axis=1) - np.real(cg[0] * jac[:, 0]) * w_sum)
-        grad = np.concatenate(grad)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return np.inf, np.zeros(theta.size)
-        return value, grad
+            terms = np.real(jac * (other[:keep] * big_w[:keep]))
+            return 2.0 * terms.sum(axis=1) - np.real(other[0] * jac[:, 0]) * w_sum
+
+        grad = [adjoint(jac, cg) for cg, (_, jac) in zip(cgs, tables)]
+        if kernel is not None:
+            acv, jac = tables[0]
+            grad.append(adjoint(kernel[1][:, :jac.shape[1]], acv))
+        return value, np.concatenate(grad)
 
 
 class Car1WhittleObjective:
     """Stationary Whittle objective for a rotating complex AR(1).
 
     theta = (r, sigma) when the rotation is fixed, or (r, sigma, gamma) when
-    it is free; f(w) = sigma^2 / (1 + r^2 - 2 r cos(w - gamma)).
+    it is free; f(w) = sigma^2 / (1 + r^2 - 2 r cos(w - gamma)).  The Monte
+    Carlo studies fit the same objective as ``Objective("whittle", data,
+    car1_model(...))``, which has a score; this class stays as a fixture of
+    the benchmark tracer's tests, which need an objective that
+    :func:`~modwhittle.optimize.fit` minimizes by Nelder-Mead alone.
     """
 
     def __init__(self, data: Series, rotation: float | None = 0.0, mask=None):
@@ -461,35 +531,15 @@ class Car1WhittleObjective:
         return spectral_nll(self.shat, f, self.mask)
 
 
-class LinearBetaCar1Objective:
-    """Modulated Whittle for a complex AR(1) whose rotation ramps linearly.
-
-    theta = (r, sigma, gamma, span); the modulator autocovariance comes from
-    the closed form, so the kernel costs O(N) per evaluation instead of a
-    fresh O(N^2) pass.
-    """
-
-    names = ("r", "sigma", "gamma", "span")
-
-    def __init__(self, data: Series, mask=None):
-        self.n = len(data)
-        self.shat = periodogram(data).values
-        self.taus = np.arange(self.n)
-        self.mask = resolve_mask(self.n, mask)
-        self.lower = np.array([0.0, 0.0, -np.pi, 0.0])
-        self.upper = np.array([1.0, np.inf, np.pi, np.pi])
-
-    def __call__(self, theta) -> float:
-        r, sigma, gamma, span = theta
-        if not (0.0 <= r < 1.0) or sigma <= 0 or not (0.0 < span < np.pi):
-            return np.inf
-        cg = cg_linear_closed_form(gamma, span, self.n, self.taus)
-        sbar = expected_periodogram_values(cg * geometric_acv(r, sigma, self.n))
-        return spectral_nll(self.shat, sbar, self.mask)
-
-
 class LinearBetaCar1ExactObjective:
-    """Markov exact likelihood mate of :class:`LinearBetaCar1Objective`."""
+    """Exact Markov likelihood of a complex AR(1) under a linear rotation ramp.
+
+    theta = (r, sigma, gamma, span): step t rotates by gamma + span ramp_t,
+    ramp_t = (2t - (N-1)) / (2(N-1)), as in
+    :func:`~modwhittle.modulation.linear_beta`.  The O(N) oracle of the
+    ramp-kernel modulated Whittle fit, with a closed-form score (see
+    :func:`_exact_car1`) while car1 is one of GRADIENT_FAMILIES.
+    """
 
     names = ("r", "sigma", "gamma", "span")
 
@@ -500,13 +550,34 @@ class LinearBetaCar1ExactObjective:
         self.ramp = (2.0 * t - (self.n - 1)) / (2.0 * (self.n - 1))
         self.lower = np.array([0.0, 0.0, -np.pi, 0.0])
         self.upper = np.array([1.0, np.inf, np.pi, np.pi])
+        self.has_gradient = "car1" in GRADIENT_FAMILIES
 
-    def __call__(self, theta) -> float:
+    def _beta(self, theta):
         r, sigma, gamma, span = theta
         if not (0.0 <= r < 1.0) or sigma <= 0 or not (0.0 < span < np.pi):
+            return None
+        return gamma + span * self.ramp
+
+    def __call__(self, theta) -> float:
+        beta = self._beta(theta)
+        if beta is None:
             return np.inf
-        beta = gamma + span * self.ramp
-        return exact_car1_nll(self.z, beta, r, sigma)
+        return exact_car1_nll(self.z, beta, theta[0], theta[1])
+
+    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
+        """The nll and its gradient; +inf and a zero gradient outside the
+        parameter space or where either is not finite."""
+        theta = np.asarray(theta, dtype=float)
+        fail = np.inf, np.zeros(4)
+        beta = self._beta(theta) if np.all(np.isfinite(theta)) else None
+        if beta is None:
+            return fail
+        value, d_r, d_sigma, d_beta = _exact_car1(self.z, beta, theta[0], theta[1],
+                                                  score=True)
+        grad = np.array([d_r, d_sigma, d_beta.sum(), d_beta @ self.ramp])
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return fail
+        return value, grad
 
 
 # ----------------------------------------------------------------------

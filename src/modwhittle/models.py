@@ -6,8 +6,8 @@ ar      : real AR(p), params (phi_1..phi_p, sigma), unit sampling
 ma      : real MA(q), X_t = sigma*(e_t + theta_1 e_{t-1} + ... ), params
           (theta_1..theta_q, sigma)
 car1    : complex AR(1), Z_t = r e^{i gamma} Z_{t-1} + e_t with proper
-          complex innovations of variance sigma^2; params (r, sigma) and an
-          optional rotation gamma (radians/sample, fixed or free)
+          complex innovations of variance sigma^2; params (r, sigma), and
+          gamma (radians/sample) when the rotation is free rather than fixed
 ou      : complex Ornstein-Uhlenbeck sampled at interval delta (days);
           params (A, lam); optional fixed rotation in cycles/day
 matern  : proper Matern background, spectral shape B^2/(w^2+h^2)^alpha;
@@ -48,6 +48,7 @@ __all__ = [
     "autocov_grad",
     "geometric_acv",
     "sdf",
+    "sdf_grad",
     "sdf_sampled",
     "ou_to_ar",
     "ar_to_ou",
@@ -64,6 +65,8 @@ ACV_EPS = 1e-16
 # families whose autocovariance has an analytic parameter gradient; for "ar"
 # only order 1, whose table is geometric
 GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
+# the subset whose sdf_sampled has one too (see sdf_grad)
+SDF_GRADIENT_FAMILIES = ("ar", "car1")
 # relative step of the central difference that gives the Matern d/dalpha:
 # its O(step^2) error and K_nu's rounding over 2 step both stay below about
 # 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
@@ -160,9 +163,25 @@ def ma_model(theta, sigma: float) -> LatentModel:
     return LatentModel("ma", pv)
 
 
-def car1_model(r: float, sigma: float, rotation: float = 0.0) -> LatentModel:
-    pv = ParameterVector(["r", "sigma"], [r, sigma], lower=[0.0, 0.0], upper=[1.0, np.inf])
-    return LatentModel("car1", pv, rotation=rotation)
+def car1_model(r: float, sigma: float, rotation: float = 0.0,
+               gamma: float | None = None) -> LatentModel:
+    """Complex AR(1) with a fixed rotation, or a free one when gamma is given.
+
+    A given gamma is the start value of a third parameter "gamma" in
+    (-pi, pi), which then replaces the fixed rotation.
+    """
+    if gamma is None:
+        pv = ParameterVector(["r", "sigma"], [r, sigma], lower=[0.0, 0.0],
+                             upper=[1.0, np.inf])
+        return LatentModel("car1", pv, rotation=rotation)
+    pv = ParameterVector(["r", "sigma", "gamma"], [r, sigma, gamma],
+                         lower=[0.0, 0.0, -np.pi], upper=[1.0, np.inf, np.pi])
+    return LatentModel("car1", pv)
+
+
+def _car1_rotation(model: LatentModel) -> float:
+    """The rotation of a car1 model: its free gamma, else the fixed one."""
+    return model.value("gamma") if len(model.params) == 3 else model.rotation
 
 
 def ou_model(amp: float, lam: float, delta: float = 1.0 / 12.0,
@@ -361,7 +380,7 @@ def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
         return _ma_autocov(coefs, sigma, nlags)
     if f == "car1":
         return geometric_acv(model.value("r"), model.value("sigma"),
-                             nlags, model.rotation)
+                             nlags, _car1_rotation(model))
     if f == "ou":
         r, sig = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
         return geometric_acv(r, sig, nlags,
@@ -409,9 +428,9 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
     Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
     row per parameter over the lags 0..L-1 where acv is not truncated to
     zero, so callers sum derivatives over that support only.  Families in
-    GRADIENT_FAMILIES only, and AR of order 1 only: AR(1), car1 and ou in
-    closed form from the geometric table, matern from
-    :func:`_matern_acv_grad`.
+    GRADIENT_FAMILIES only, and AR of order 1 only: AR(1), car1 (with a
+    fixed or a free rotation) and ou in closed form from the geometric table,
+    matern from :func:`_matern_acv_grad`.
     """
     f = model.family
     if f == "matern":
@@ -424,7 +443,7 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
     if f == "ou":
         r, _ = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
     else:
-        r, sigma = (float(v) for v in model.params.values)
+        r, sigma = (float(v) for v in model.params.values[:2])
     head = c[:_geometric_lag_cap(r, nlags)]
     tau = np.arange(head.size)
     if f != "ou":
@@ -432,12 +451,16 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
         if r == 0.0:
             # the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}
             head = c[:min(nlags, 2)]
+            tau = np.arange(head.size)
+            rot = _car1_rotation(model) if f == "car1" else 0.0
             d_r = np.zeros_like(head)
-            d_r[1:] = sigma * sigma * (np.exp(1j * model.rotation)
-                                       if model.rotation else 1.0)
+            d_r[1:] = sigma * sigma * (np.exp(1j * rot) if rot else 1.0)
         else:
             d_r = head * (2.0 * r / (1.0 - r * r) + tau / r)
-        return c, np.stack((d_r, 2.0 * head / sigma))
+        rows = [d_r, 2.0 * head / sigma]
+        if len(model.params) == 3:  # car1 with a free gamma
+            rows.append(1j * tau * head)
+        return c, np.stack(rows)
     # c = A^2 q(lam) e^{-lam delta tau} e^{i rho tau},
     # q = 1 / (2 lam delta (1 + e^{-lam delta})), and r = e^{-lam delta}
     amp, lam, delta = model.value("A"), model.value("lam"), model.delta
@@ -480,7 +503,9 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     """
     w = np.asarray(omega, dtype=float)
     f = model.family
-    if f == "ar":
+    if (f == "ar" and len(model.params) == 2) or f == "car1":
+        out = _geometric_sdf(model, w)[0]
+    elif f == "ar":
         phi, sigma = _ar_coeffs(model)
         z = np.exp(-1j * np.multiply.outer(w, np.arange(1, phi.size + 1)))
         denom = np.abs(1.0 - z @ phi) ** 2 if phi.size else np.ones_like(w)
@@ -489,9 +514,6 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
         theta, sigma = _ar_coeffs(model)
         z = np.exp(-1j * np.multiply.outer(w, np.arange(1, theta.size + 1)))
         out = sigma * sigma * np.abs(1.0 + (z @ theta if theta.size else 0.0)) ** 2
-    elif f == "car1":
-        r, sigma = model.value("r"), model.value("sigma")
-        out = sigma * sigma / (1.0 + r * r - 2.0 * r * np.cos(w - model.rotation))
     elif f == "ou":
         amp, lam = model.value("A"), model.value("lam")
         out = amp * amp / ((w - model.rotation) ** 2 + lam * lam)
@@ -501,6 +523,41 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     else:  # pragma: no cover
         raise ValueError(f"unknown family {f!r}")
     return out if np.ndim(omega) else float(out)
+
+
+def _geometric_sdf(model: LatentModel, w: np.ndarray):
+    """AR(1) or car1 sdf sigma^2 / D, D = 1 + r^2 - 2 r cos(w - gamma).
+
+    Returns (f, D, w - gamma); an AR(1) has r = phi1 and gamma = 0.
+    """
+    r, sigma = (float(v) for v in model.params.values[:2])
+    shifted = w - _car1_rotation(model) if model.family == "car1" else w
+    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
+    return sigma * sigma / denom, denom, shifted
+
+
+def sdf_grad(model: LatentModel, omega) -> tuple[np.ndarray, np.ndarray]:
+    """sdf_sampled at the frequencies omega with its parameter derivatives.
+
+    Returns (f, jac) with jac[j] = df/dtheta_j at every omega.  Families in
+    SDF_GRADIENT_FAMILIES only, AR of order 1 only: with f = sigma^2 / D and
+    D = 1 + r^2 - 2 r cos(w - gamma),
+
+        df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
+        df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
+    """
+    f = model.family
+    if f not in SDF_GRADIENT_FAMILIES or (f == "ar" and len(model.params) != 2):
+        raise ValueError(f"no sdf gradient for family {f!r} "
+                         f"with {len(model.params)} parameters")
+    w = np.asarray(omega, dtype=float)
+    r, sigma = (float(v) for v in model.params.values[:2])
+    out, denom, shifted = _geometric_sdf(model, w)
+    f_over_d = out / denom
+    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * out / sigma]
+    if len(model.params) == 3:
+        rows.append(2.0 * r * f_over_d * np.sin(shifted))
+    return out, np.stack(rows)
 
 
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:

@@ -8,7 +8,9 @@ user sequence.  The sample autocovariance
 
 is the kernel that multiplies the latent autocovariance in the expected
 periodogram.  It is computed here by zero-padded FFT autocorrelation in
-O(N log N); the direct O(N^2) sum is kept as a test oracle.
+O(N log N); the direct O(N^2) sum is kept as a test oracle.  A parametric
+kernel (:class:`LinearRampKernel`) gives c_g in closed form as a function of
+free modulation parameters, with its derivatives in them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import ParameterVector
 
 __all__ = [
     "Modulator",
@@ -33,6 +37,7 @@ __all__ = [
     "linear_frequency_modulator",
     "linear_beta",
     "cg_linear_closed_form",
+    "LinearRampKernel",
     "significant_correlation_diagnostic",
     "stationarity_check",
     "modulator_to_json",
@@ -242,6 +247,14 @@ def linear_frequency_modulator(gamma: float, span: float, n: int) -> Modulator:
                      params={"gamma": gamma, "span": span, "N": n})
 
 
+def _linear_ramp_terms(span: float, n: int, tau: np.ndarray):
+    """a = span tau / (2(N-1)) and |c_g| = sin(a (N - tau)) / (N sin a) of the
+    linear ramp, |c_g| = 1 at tau = 0 (sin a > 0 at every other lag)."""
+    a = span * tau / (2.0 * (n - 1))
+    return a, np.divide(np.sin(a * (n - tau)), n * np.sin(a), out=np.ones_like(a),
+                        where=tau > 0)
+
+
 def cg_linear_closed_form(gamma: float, span: float, n: int, tau) -> np.ndarray | complex:
     """Closed-form c_g(tau) for the linear-ramp frequency modulator.
 
@@ -254,14 +267,57 @@ def cg_linear_closed_form(gamma: float, span: float, n: int, tau) -> np.ndarray 
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(tau_arr < 0) or np.any(tau_arr > n - 1):
         raise ValueError("lags must lie in [0, N-1]")
-    a = span * tau_arr / (2.0 * (n - 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mag = np.sin(a * (n - tau_arr)) / (n * np.sin(a))
-    mag = np.where(tau_arr == 0, 1.0, mag)
+    a, mag = _linear_ramp_terms(span, n, tau_arr)
     out = mag * np.exp(1j * (gamma * tau_arr + a))
     if np.ndim(tau) == 0:
         return complex(out[0])
     return out
+
+
+class LinearRampKernel:
+    """c_g of the linear-ramp frequency modulator with (gamma, span) free.
+
+    A parametric modulation kernel: ``params`` holds the free parameters phi
+    = (gamma, span) with their open bounds (-pi, pi) x (0, pi) and start
+    values, ``cg(phi)`` is :func:`cg_linear_closed_form` at lags 0..N-1, and
+    ``cg_grad(phi)`` adds dc_g/dphi, one row per parameter.  With
+    a = span u, u = tau / (2(N-1)), and m = sin(a (N - tau)) / (N sin a),
+
+        dc_g/dgamma = i tau c_g,
+        dc_g/dspan  = [dm/dspan + i u m] e^{i (gamma tau + a)},
+        dm/dspan    = u [(N - tau) cos(a (N - tau)) / (N sin a) - m cot a],
+
+    and both vanish at tau = 0.  A span outside (0, pi) raises ValueError.
+    """
+
+    def __init__(self, n: int, gamma: float = 0.0, span: float = 1.0):
+        if n < 2:
+            raise ValueError("need at least two samples for a linear ramp")
+        self.n = n
+        self.params = ParameterVector(["gamma", "span"], [gamma, span],
+                                      lower=[-np.pi, 0.0], upper=[np.pi, np.pi])
+        self._tau = np.arange(n, dtype=float)
+
+    def _terms(self, phi):
+        gamma, span = phi
+        if not (0.0 < span < np.pi):
+            raise ValueError("span must lie in (0, pi)")
+        a, mag = _linear_ramp_terms(span, self.n, self._tau)
+        return a, mag, np.exp(1j * (gamma * self._tau + a))
+
+    def cg(self, phi) -> np.ndarray:
+        _, mag, phase = self._terms(phi)
+        return mag * phase
+
+    def cg_grad(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        a, mag, phase = self._terms(phi)
+        cg = mag * phase
+        n, tau = self.n, self._tau
+        u = tau / (2.0 * (n - 1))
+        d_mag = np.zeros(n)
+        d_mag[1:] = u[1:] * ((n - tau[1:]) * np.cos(a[1:] * (n - tau[1:]))
+                             / (n * np.sin(a[1:])) - mag[1:] / np.tan(a[1:]))
+        return cg, np.stack((1j * tau * cg, (d_mag + 1j * u * mag) * phase))
 
 
 # ----------------------------------------------------------------------

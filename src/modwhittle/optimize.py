@@ -4,11 +4,13 @@ Parameters are mapped to an unconstrained space (logit for two-sided bounds,
 log for one-sided), so every evaluated point respects its open bounds by
 construction.  Objectives without a gradient are minimized with a
 Nelder-Mead simplex in that space.  Objectives that offer one
-(``has_gradient`` and ``value_and_grad``, e.g. a modulated-Whittle
-:class:`Objective` over AR(1), car1, ou and matern components) take two
-phases per start: Nelder-Mead until the simplex's objective spread is at most
-BASIN_FATOL, which chooses the basin, then L-BFGS-B from its best vertex in
-bounded polish coordinates (see :func:`_polish_coordinates`): log theta for a
+(``has_gradient`` and ``value_and_grad``: a modulated-Whittle
+:class:`Objective` over AR(1), car1, ou and matern components, a Whittle one
+over an AR(1) or car1 latent, and the Markov
+:class:`LinearBetaCar1ExactObjective`) take two phases per start:
+Nelder-Mead until the simplex's objective spread is at most BASIN_FATOL,
+which chooses the basin, then L-BFGS-B from its best vertex in bounded
+polish coordinates (see :func:`_polish_coordinates`): log theta for a
 parameter with a finite lower bound >= 0, theta itself otherwise, boxed by
 L-BFGS-B's own bounds moved POLISH_EDGE inside the fit bounds.  In the logit
 space a coordinate pinned at a bound has a gradient that decays like

@@ -24,17 +24,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 from .core import ParameterVector, Series
-from .likelihood import (
-    Car1WhittleObjective,
-    LinearBetaCar1ExactObjective,
-    LinearBetaCar1Objective,
-    Objective,
-)
+from .likelihood import LinearBetaCar1ExactObjective, Objective
 from .models import LatentModel, ar_model, autocov_sequence, car1_model
 from .modulation import (
+    LinearRampKernel,
     cosine_bernoulli_mask,
     frequency_modulator,
     linear_beta,
@@ -75,6 +70,8 @@ def complex_normal(rng: np.random.Generator, size, variance: float = 1.0) -> np.
 
 def simulate_ar(model: LatentModel, n: int, seed) -> Series:
     """Exact draw of a real AR(p) or MA(q) sample with stationary start."""
+    from scipy.signal import lfilter, lfiltic  # a slow import, needed only here
+
     if model.family not in ("ar", "ma"):
         raise ValueError("simulate_ar handles the real ar/ma families")
     rng = _rng_of(seed)
@@ -112,6 +109,8 @@ def simulate_complex_ar1(r: float, sigma: float, beta, n: int, seed) -> Series:
     length n in which case beta[0] is ignored); eps_t is proper complex with
     variance sigma^2 and z_0 ~ N_C(0, sigma^2/(1-r^2)).
     """
+    from scipy.signal import lfilter
+
     if not (0.0 <= r < 1.0):
         raise ValueError("requires 0 <= r < 1")
     if sigma <= 0:
@@ -232,14 +231,18 @@ class McStudy:
 class McReport:
     """Aggregated study output: one row per (estimator, N, parameter).
 
-    failures and nonconverged count, per 'estimator@N', the fits that raised
-    and the fits that ended without the optimizer reporting convergence.
+    failures, nonconverged and abnormal count, per 'estimator@N', the fits
+    that raised, the fits that ended without the optimizer reporting
+    convergence, and the fits whose final message is L-BFGS-B's abnormal
+    line-search stop ("ABNORMAL...", which may still count as converged;
+    see :func:`~modwhittle.optimize.fit`).
     """
 
     rows: list
     failures: dict
     replicates: int
     nonconverged: dict
+    abnormal: dict
 
     def as_csv_rows(self) -> list:
         head = ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
@@ -290,55 +293,112 @@ def _simulate_case(study: McStudy, n: int, rep: int):
     raise ValueError(f"unknown study kind {study.kind!r}")
 
 
+# Table 2's (gamma, span) start scans span over this many points in (0, pi)
+SPAN_GRID = 128
+
+
+def _ar1_init(data: Series, cg) -> ParameterVector:
+    # both ar1-bernoulli-mask estimators report the study's (a, sigma), a in (-1, 1)
+    return ParameterVector(["a", "sigma"], mom_ar1(data, cg),
+                           lower=[-1.0, 0.0], upper=[1.0, np.inf])
+
+
+def _mask_modulated(data: Series, aux: dict):
+    obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
+                    modulator=aux["modulator"], check_significance=False)
+    return obj, _ar1_init(data, obj.cgs[0])
+
+
+def _mask_stationary(data: Series, aux: dict):
+    return Objective("whittle", data, ar_model([0.5], 1.0)), _ar1_init(data, None)
+
+
+def _walk_modulated(data: Series, aux: dict):
+    obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0),
+                    modulator=frequency_modulator(aux["beta"]),
+                    check_significance=False)
+    return obj, obj.init_params.replace(mom_car1(data, obj.cgs[0]))
+
+
+def _walk_stationary(data: Series, aux: dict):
+    obj = Objective("whittle", data,
+                    car1_model(0.5, 1.0, rotation=float(np.mean(aux["beta"]))))
+    return obj, obj.init_params.replace(mom_car1(data))
+
+
+def _car1_start(y: np.ndarray, lag1: complex, shrink: float) -> tuple[float, float]:
+    """(r, sigma) starts from the lag-0 moment and a lag-1 one, |lag1| / shrink."""
+    c0 = float(np.mean(np.abs(y) ** 2))
+    r0 = float(np.clip(np.abs(lag1) / (shrink * c0), 0.05, 0.99))
+    return r0, float(np.sqrt(max(c0 * (1.0 - r0 * r0), 1e-10)))
+
+
+def _ramp_start(data: Series) -> np.ndarray:
+    """(r, sigma, gamma, span) start of a car1 under a linear rotation ramp.
+
+    z_t conj(z_{t-1}) turns by about gamma + span ramp_t, ramp_t = (2t -
+    (N-1)) / (2(N-1)); so the lag-1 moment (1/N) sum_t conj(z_{t-1}) z_t
+    e^{-i s ramp_t} peaks in modulus near s = span, at about r c(0) e^{i
+    gamma}.  s is scanned over SPAN_GRID midpoints of (0, pi); gamma is the
+    phase of the moment at the best s, and r its modulus over c(0).
+    """
+    y = np.asarray(data.values)
+    n = y.size
+    t = np.arange(1, n)
+    ramp = (2.0 * t - (n - 1)) / (2.0 * (n - 1))
+    spans = (np.arange(SPAN_GRID) + 0.5) * np.pi / SPAN_GRID
+    # the terms at span s_k, by one rotation per grid step from s_0
+    term = np.exp(-1j * spans[0] * ramp) * np.conj(y[:-1]) * y[1:]
+    step = np.exp(-1j * (spans[1] - spans[0]) * ramp)
+    sums = np.empty(SPAN_GRID, dtype=complex)
+    for k in range(SPAN_GRID):
+        sums[k] = term.sum()
+        term *= step
+    best = int(np.argmax(np.abs(sums)))
+    return np.array([*_car1_start(y, sums[best] / n, 1.0),
+                     np.angle(sums[best]), spans[best]])
+
+
+def _ramp_modulated(data: Series, aux: dict):
+    r0, sigma0, gamma0, span0 = _ramp_start(data)
+    obj = Objective("modulated-whittle", data, car1_model(r0, sigma0),
+                    modulator=LinearRampKernel(len(data), gamma0, span0))
+    return obj, obj.init_params
+
+
+def _ramp_exact(data: Series, aux: dict):
+    return LinearBetaCar1ExactObjective(data), _ramp_start(data)
+
+
+def _ramp_stationary(data: Series, aux: dict):
+    y = np.asarray(data.values)
+    lag1 = np.sum(np.conj(y[:-1]) * y[1:]) / y.size
+    obj = Objective("whittle", data,
+                    car1_model(*_car1_start(y, lag1, 0.95), gamma=float(np.angle(lag1))))
+    return obj, obj.init_params
+
+
+# (study kind, estimator) -> factory (data, aux) -> (objective, init)
+ESTIMATORS = {
+    ("ar1-bernoulli-mask", "modulated"): _mask_modulated,
+    ("ar1-bernoulli-mask", "stationary"): _mask_stationary,
+    ("car1-bounded-walk", "modulated"): _walk_modulated,
+    ("car1-bounded-walk", "stationary"): _walk_stationary,
+    ("car1-linear-beta", "modulated"): _ramp_modulated,
+    ("car1-linear-beta", "exact"): _ramp_exact,
+    ("car1-linear-beta", "stationary"): _ramp_stationary,
+}
+
+
 def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict) -> FitResult:
     """Fit one estimator to one replicate."""
-    opts = dict(study.fit_options)
-    kind = study.kind
-    if kind == "ar1-bernoulli-mask":
-        # both estimators report the study's (a, sigma) with a in (-1, 1)
-        if estimator == "modulated":
-            obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
-                            modulator=aux["modulator"], check_significance=False)
-            cg = obj.cgs[0]
-        elif estimator == "stationary":
-            obj, cg = Objective("whittle", data, ar_model([0.5], 1.0)), None
-        else:
-            raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-        init = ParameterVector(["a", "sigma"], mom_ar1(data, cg),
-                               lower=[-1.0, 0.0], upper=[1.0, np.inf])
-        return fit(obj, init, **opts)
-    if kind == "car1-bounded-walk":
-        beta = aux["beta"]
-        if estimator == "modulated":
-            obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0),
-                            modulator=frequency_modulator(beta),
-                            check_significance=False)
-            return fit(obj, obj.init_params.replace(mom_car1(data, obj.cgs[0])), **opts)
-        if estimator == "stationary":
-            obj = Car1WhittleObjective(data, rotation=float(np.mean(beta)))
-            return fit(obj, mom_car1(data), **opts)
-        raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-    if kind == "car1-linear-beta":
-        y = np.asarray(data.values)
-        n = y.size
-        c0 = float(np.mean(np.abs(y) ** 2))
-        c1 = np.sum(np.conj(y[:-1]) * y[1:]) / n
-        r0 = float(np.clip(np.abs(c1) / (0.95 * c0), 0.05, 0.99))
-        gamma0 = float(np.angle(c1))
-        sigma0 = float(np.sqrt(max(c0 * (1.0 - r0 * r0), 1e-10)))
-        if estimator == "modulated":
-            obj = LinearBetaCar1Objective(data)
-            init = np.array([r0, sigma0, gamma0, np.pi / 3.0])
-        elif estimator == "exact":
-            obj = LinearBetaCar1ExactObjective(data)
-            init = np.array([r0, sigma0, gamma0, np.pi / 3.0])
-        elif estimator == "stationary":
-            obj = Car1WhittleObjective(data, rotation=None)
-            init = np.array([r0, sigma0, gamma0])
-        else:
-            raise ValueError(f"unknown estimator {estimator!r} for {kind}")
-        return fit(obj, init, **opts)
-    raise ValueError(f"unknown study kind {kind!r}")
+    make = ESTIMATORS.get((study.kind, estimator))
+    if make is None:
+        if study.kind not in {kind for kind, _ in ESTIMATORS}:
+            raise ValueError(f"unknown study kind {study.kind!r}")
+        raise ValueError(f"unknown estimator {estimator!r} for {study.kind}")
+    objective, init = make(data, aux)
+    return fit(objective, init, **study.fit_options)
 
 
 def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
@@ -355,7 +415,8 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
                 rec[est] = {"names": list(res.theta_hat.names),
                             "values": [float(v) for v in res.theta_hat.values],
                             "cpu": res.wall_time,
-                            "converged": res.converged}
+                            "converged": res.converged,
+                            "abnormal": res.message.startswith("ABNORMAL")}
             except (FitFailure, ValueError, np.linalg.LinAlgError) as exc:
                 rec[est] = {"error": f"{type(exc).__name__}: {exc}",
                             "cpu": time.perf_counter() - t0}
@@ -416,6 +477,7 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
     rows = []
     failures = {}
     nonconverged = {}
+    abnormal = {}
     for n in study.n_grid:
         for est in study.estimators:
             fits = [rec[est] for _, rec in records[n]]
@@ -423,6 +485,7 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
             bad = [f for f in fits if "error" in f]
             failures[f"{est}@{n}"] = len(bad)
             nonconverged[f"{est}@{n}"] = sum(not f["converged"] for f in good)
+            abnormal[f"{est}@{n}"] = sum(f["abnormal"] for f in good)
             if len(bad) / study.replicates >= 0.01 and len(bad) > 0:
                 raise RuntimeError(
                     f"estimator {est!r} failed on {len(bad)}/{study.replicates} "
@@ -443,4 +506,4 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
                 rows.append({"estimator": est, "N": n, "param": name,
                              "bias": bias, "var": var, "mse": mse, "cpu": cpu})
     return McReport(rows=rows, failures=failures, replicates=study.replicates,
-                    nonconverged=nonconverged)
+                    nonconverged=nonconverged, abnormal=abnormal)

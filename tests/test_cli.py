@@ -87,16 +87,21 @@ def test_mc_deterministic_modulo_timing(tmp_path):
     assert rows1[0] == ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
     strip = lambda rows: [r[:-1] for r in rows]
     assert strip(rows1) == strip(rows2)
-    nonconverged = []
+    nonconverged, abnormal = [], []
     for out in (out1, out2):
         assert json.loads(open(out + ".failures.json").read()) == {"modulated@128": 0}
         nonconverged.append(json.loads(open(out + ".nonconverged.json").read()))
+        abnormal.append(json.loads(open(out + ".abnormal.json").read()))
         manifest = json.loads(open(out + ".manifest.json").read())
         assert out + ".failures.json" in manifest["outputs"]
         assert out + ".nonconverged.json" in manifest["outputs"]
+        assert out + ".abnormal.json" in manifest["outputs"]
     assert nonconverged[0] == nonconverged[1]
     assert list(nonconverged[0]) == ["modulated@128"]
     assert 0 <= nonconverged[0]["modulated@128"] <= 6
+    assert abnormal[0] == abnormal[1]
+    assert list(abnormal[0]) == ["modulated@128"]
+    assert 0 <= abnormal[0]["modulated@128"] <= 6
 
 
 def test_fit_whittle_json(tmp_path, rng):
@@ -119,7 +124,7 @@ def test_fit_whittle_json(tmp_path, rng):
     report = json.loads(open(fout + ".json").read())
     assert report["converged"] is True
     assert abs(report["theta_hat"]["phi1"] - 0.7) < 0.15
-    assert report["n_evals"] > 0 and report["n_grad_evals"] == 0
+    assert report["n_evals"] > report["n_grad_evals"] > 0
     assert report["at_bound"] == []
 
 

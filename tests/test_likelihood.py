@@ -20,21 +20,29 @@ from modwhittle.likelihood import (
     AggregateModel,
     Car1WhittleObjective,
     LinearBetaCar1ExactObjective,
-    LinearBetaCar1Objective,
     Objective,
     aggregate_expected_periodogram,
     compare_likelihoods,
     exact_car1_nll,
     exact_gaussian_nll,
-    modulated_whittle_nll,
     resolve_mask,
-    whittle_nll,
+    spectral_nll,
 )
-from modwhittle.modulation import linear_beta
+from modwhittle.models import ma_model
+from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequency_modulator
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
 from conftest import random_modulator
+
+
+def whittle_value(data, model, mask=None):
+    return Objective("whittle", data, model, mask=mask)(model.params.values)
+
+
+def modulated_value(data, mod, model, mask=None):
+    return Objective("modulated-whittle", data, model, modulator=mod, mask=mask,
+                     check_significance=False)(model.params.values)
 
 
 def test_exact_scalar_and_white_noise(rng):
@@ -93,7 +101,7 @@ def test_whittle_direct_summation(rng):
     f = np.array([1.0 / abs(1 - 0.8 * np.exp(-1j * w)) ** 2
                   for w in fourier_grid(256).frequencies])
     ref = np.sum(np.log(f) + shat / f) / 256
-    assert abs(whittle_nll(x, model) - ref) < 1e-10
+    assert abs(whittle_value(x, model) - ref) < 1e-10
 
 
 def test_whittle_pointwise_inequality(rng):
@@ -102,7 +110,7 @@ def test_whittle_pointwise_inequality(rng):
     x = simulate_ar(model, 128, rng)
     f = np.maximum(periodogram(x).values, 1e-12)
     floor = np.sum(np.log(f) + 1.0) / 128
-    assert whittle_nll(x, model) >= floor - 1e-12
+    assert whittle_value(x, model) >= floor - 1e-12
 
 
 def test_modulated_whittle_direct_summation(rng):
@@ -111,7 +119,7 @@ def test_modulated_whittle_direct_summation(rng):
     z = simulate_complex_ar1(0.8, 1.0, beta, n, rng)
     mod = frequency_modulator(beta)
     model = car1_model(0.8, 1.0)
-    got = modulated_whittle_nll(z, mod, model)
+    got = modulated_value(z, mod, model)
 
     g = mod.g
     t = np.arange(n)
@@ -129,7 +137,7 @@ def test_modulated_whittle_reduces_to_whittle_for_white_noise(rng):
     x = Series(rng.normal(size=128))
     mod = constant_modulator(128)
     model = ar_model([], 1.2)
-    assert abs(modulated_whittle_nll(x, mod, model) - whittle_nll(x, model)) < 1e-12
+    assert abs(modulated_value(x, mod, model) - whittle_value(x, model)) < 1e-12
 
 
 def test_global_phase_invariance(rng):
@@ -138,8 +146,8 @@ def test_global_phase_invariance(rng):
     z = simulate_complex_ar1(0.7, 1.0, beta, n, rng)
     mod = frequency_modulator(beta)
     model = car1_model(0.7, 1.0)
-    v1 = modulated_whittle_nll(z, mod, model)
-    v2 = modulated_whittle_nll(z, Modulator(np.exp(1j * 0.9) * mod.g), model)
+    v1 = modulated_value(z, mod, model)
+    v2 = modulated_value(z, Modulator(np.exp(1j * 0.9) * mod.g), model)
     assert abs(v1 - v2) < 1e-12
 
 
@@ -212,8 +220,8 @@ def test_mask_handling(rng):
     model = ar_model([0.3], 1.0)
     m = resolve_mask(n, np.arange(10, 20))
     assert m.sum() == 10
-    full = whittle_nll(x, model)
-    part = whittle_nll(x, model, mask=m)
+    full = whittle_value(x, model)
+    part = whittle_value(x, model, mask=m)
     # 1/N normalization is kept over the full grid: masked sum is smaller
     assert part < full
     with pytest.raises(ValueError):
@@ -326,10 +334,13 @@ def test_linear_beta_objectives_agree_with_generic(rng):
     n = 128
     beta = linear_beta(0.8, 1.0, n)
     z = simulate_complex_ar1(0.9, 2.0, beta, n, rng)
-    mod = frequency_modulator(beta)
+    mod = linear_frequency_modulator(0.8, 1.0, n)
     theta = (0.85, 1.9, 0.8, 1.0)
-    got = LinearBetaCar1Objective(z)(theta)
-    ref = modulated_whittle_nll(z, mod, car1_model(0.85, 1.9))
+    ramp = Objective("modulated-whittle", z, car1_model(0.5, 1.0),
+                     modulator=LinearRampKernel(n))
+    assert ramp.init_params.names == ["r", "sigma", "gamma", "span"]
+    got = ramp(theta)
+    ref = modulated_value(z, mod, car1_model(0.85, 1.9))
     assert abs(got - ref) < 1e-10
     got_exact = LinearBetaCar1ExactObjective(z)((0.85, 1.9, 0.8, 1.0))
     ref_exact = exact_car1_nll(z.values, beta, 0.85, 1.9)
@@ -340,10 +351,11 @@ def test_car1_whittle_objective_matches_model(rng):
     n = 64
     z = simulate_complex_ar1(0.7, 1.0, np.full(n - 1, 0.4), n, rng)
     obj = Car1WhittleObjective(z, rotation=0.4)
-    ref = whittle_nll(z, car1_model(0.7, 1.0, rotation=0.4))
+    ref = whittle_value(z, car1_model(0.7, 1.0, rotation=0.4))
     assert abs(obj((0.7, 1.0)) - ref) < 1e-12
     free = Car1WhittleObjective(z, rotation=None)
     assert abs(free((0.7, 1.0, 0.4)) - ref) < 1e-12
+    assert abs(whittle_value(z, car1_model(0.7, 1.0, gamma=0.4)) - ref) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +442,8 @@ def test_gradient_only_where_every_family_has_one(rng):
     mod = periodic_missing_mask(3, 1, n)
     assert not Objective("modulated-whittle", data, ar_model([0.5, -0.2], 1.0),
                          modulator=mod).has_gradient
-    assert not Objective("whittle", data, car1_model(0.5, 1.0)).has_gradient
+    assert not Objective("whittle", data, ar_model([0.5, -0.2], 1.0)).has_gradient
+    assert not Objective("whittle", data, ma_model([0.5], 1.0)).has_gradient
     mixed = AggregateModel(((car1_model(0.5, 1.0), mod),
                             (ar_model([0.3, 0.2], 1.0), None)), n)
     obj = Objective("modulated-whittle", data, mixed)
@@ -501,7 +514,10 @@ def test_modulated_objective_evaluates_in_fft_order(rng, monkeypatch):
     mask = np.abs(fourier_grid(n).frequencies) < 2.0
     model = car1_model(0.6, 1.2)
     obj = Objective("modulated-whittle", z, model, modulator=mod, mask=mask)
-    ref = modulated_whittle_nll(z, mod, model, mask=mask)
+    # the grid-order transform, reordered onto the grid before the patch
+    ref = spectral_nll(periodogram(z).values,
+                       expected_periodogram(cg_sequence(mod), model).values,
+                       resolve_mask(n, mask))
 
     def no_reorder(values):
         raise AssertionError("an evaluation reordered onto the Fourier grid")
@@ -509,3 +525,88 @@ def test_modulated_objective_evaluates_in_fft_order(rng, monkeypatch):
     monkeypatch.setattr(spectra, "_to_grid_order", no_reorder)
     assert abs(obj(model.params.values) - ref) <= 1e-13 * abs(ref)
     assert obj.value_and_grad(model.params.values)[0] == obj(model.params.values)
+
+
+# ----------------------------------------------------------------------
+# Whittle, ramp-kernel and exact Markov scores
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("family", ["car1-fixed", "car1-free", "ar1"])
+def test_whittle_gradient_matches_central_differences(rng, family, masked):
+    for _ in range(10):
+        n = int(rng.integers(16, 300))
+        mask = (np.abs(fourier_grid(n).frequencies) < rng.uniform(0.5, 3.0)
+                if masked else None)
+        if family == "ar1":
+            data = Series(rng.normal(size=n))
+            model = ar_model([rng.uniform(-0.9, 0.9)], rng.uniform(0.5, 2.0))
+        else:
+            data = Series(rng.normal(size=n) + 1j * rng.normal(size=n), kind="complex")
+            r, sigma, rot = rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0), rng.uniform(-3, 3)
+            model = (car1_model(r, sigma, rotation=rot) if family == "car1-fixed"
+                     else car1_model(r, sigma, gamma=rot))
+        obj = Objective("whittle", data, model, mask=mask)
+        assert obj.has_gradient
+        assert_gradient_matches(obj, model.params.values)
+
+
+def test_free_rotation_modulated_gradient_matches_central_differences(rng):
+    for _ in range(10):
+        n = int(rng.integers(16, 300))
+        mod = random_modulator(rng, n)
+        data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                      kind="complex")
+        model = car1_model(rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0),
+                           gamma=rng.uniform(-3.0, 3.0))
+        obj = Objective("modulated-whittle", data, model, modulator=mod,
+                        check_significance=False)
+        assert obj.has_gradient
+        assert_gradient_matches(obj, model.params.values)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_ramp_kernel_gradient_matches_central_differences(rng, masked):
+    for _ in range(10):
+        n = int(rng.integers(16, 600))
+        beta = linear_beta(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0), n)
+        z = simulate_complex_ar1(rng.uniform(0.1, 0.95), 2.0, beta, n, rng)
+        mask = np.abs(fourier_grid(n).frequencies) < 2.0 if masked else None
+        obj = Objective("modulated-whittle", z, car1_model(0.5, 1.0),
+                        modulator=LinearRampKernel(n), mask=mask)
+        assert obj.has_gradient
+        theta = [rng.uniform(0.05, 0.95), rng.uniform(0.5, 3.0),
+                 rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)]
+        assert_gradient_matches(obj, theta)
+
+
+def test_ramp_kernel_objective_outside_bounds_scores_inf(rng):
+    n = 64
+    z = simulate_complex_ar1(0.7, 1.0, linear_beta(0.5, 1.0, n), n, rng)
+    obj = Objective("modulated-whittle", z, car1_model(0.5, 1.0),
+                    modulator=LinearRampKernel(n))
+    for theta in ([0.7, 1.0, 0.5, 0.0], [0.7, 1.0, 0.5, np.pi], [1.0, 1.0, 0.5, 1.0]):
+        assert obj(theta) == np.inf
+        value, grad = obj.value_and_grad(theta)
+        assert value == np.inf and np.array_equal(grad, np.zeros(4))
+    with pytest.raises(ValueError):
+        Objective("whittle", z, car1_model(0.5, 1.0), modulator=LinearRampKernel(n))
+    with pytest.raises(ValueError):
+        Objective("modulated-whittle", z, car1_model(0.5, 1.0),
+                  modulator=LinearRampKernel(n + 1))
+
+
+def test_exact_markov_gradient_matches_central_differences(rng):
+    for _ in range(10):
+        n = int(rng.integers(8, 600))
+        beta = linear_beta(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0), n)
+        z = simulate_complex_ar1(rng.uniform(0.1, 0.95), rng.uniform(0.5, 5.0),
+                                 beta, n, rng)
+        obj = LinearBetaCar1ExactObjective(z)
+        assert obj.has_gradient
+        theta = [rng.uniform(0.05, 0.95), rng.uniform(0.5, 5.0),
+                 rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)]
+        assert_gradient_matches(obj, theta)
+    for theta in ([1.0, 1.0, 0.5, 1.0], [0.5, 1.0, 0.5, 0.0], [0.5, np.nan, 0.5, 1.0]):
+        value, grad = obj.value_and_grad(theta)
+        assert value == np.inf and np.array_equal(grad, np.zeros(4))

@@ -13,6 +13,7 @@ from modwhittle import (
     ou_model,
     ou_to_ar,
     sdf,
+    sdf_grad,
     sdf_sampled,
 )
 from modwhittle.models import (
@@ -282,3 +283,47 @@ def test_json_round_trip():
     assert np.allclose(m2.params.values, m.params.values)
     obj = json.loads(model_to_json(car1_model(0.5, 1.0, rotation=0.3)))
     assert obj["family"] == "car1" and obj["rotation"] == 0.3
+
+
+def test_car1_free_rotation_matches_fixed(rng):
+    w = rng.uniform(-np.pi, np.pi, size=50)
+    for _ in range(10):
+        r, sigma, gamma = rng.uniform(0.0, 0.95), rng.uniform(0.5, 2.0), rng.uniform(-3, 3)
+        fixed = car1_model(r, sigma, rotation=gamma)
+        free = car1_model(r, sigma, gamma=gamma)
+        assert free.params.names == ["r", "sigma", "gamma"]
+        assert np.array_equal(autocov_sequence(free, 40), autocov_sequence(fixed, 40))
+        assert np.array_equal(sdf(free, w), sdf(fixed, w))
+        acv, jac = autocov_grad(free, 40)
+        _, jac_fixed = autocov_grad(fixed, 40)
+        assert np.array_equal(jac[:2], jac_fixed)
+        assert np.allclose(jac[2], 1j * np.arange(jac.shape[1]) * acv[:jac.shape[1]])
+    back = model_from_json(model_to_json(free))
+    assert back.params.names == free.params.names
+    assert np.array_equal(back.params.upper, free.params.upper)
+    assert np.array_equal(autocov_sequence(back, 8), autocov_sequence(free, 8))
+
+
+@pytest.mark.parametrize("model", [
+    ar_model([-0.7], 1.3), ar_model([0.4], 0.8), car1_model(0.6, 1.1, rotation=0.9),
+    car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5)])
+def test_sdf_grad_matches_central_differences(model):
+    w = np.linspace(-np.pi, np.pi, 41)
+    f, jac = sdf_grad(model, w)
+    assert np.array_equal(f, sdf_sampled(model, w))
+    for j in range(len(model.params)):
+        def diff(e):
+            up = model.params.values.copy()
+            dn = model.params.values.copy()
+            up[j] += e
+            dn[j] -= e
+            return (sdf(model.with_values(up), w) - sdf(model.with_values(dn), w)) / (2 * e)
+
+        fd = (4.0 * diff(5e-5) - diff(1e-4)) / 3.0
+        assert np.max(np.abs(jac[j] - fd)) <= 1e-7 * np.max(np.abs(fd)) + 1e-12
+
+
+def test_sdf_grad_only_for_ar1_and_car1():
+    for model in (ar_model([0.5, -0.2], 1.0), ma_model([0.5], 1.0), ou_model(1.0, 0.5)):
+        with pytest.raises(ValueError):
+            sdf_grad(model, np.zeros(3))

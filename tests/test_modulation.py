@@ -18,6 +18,7 @@ from modwhittle import (
     stationarity_check,
 )
 from modwhittle.modulation import (
+    LinearRampKernel,
     cg_direct,
     cosine_probabilities,
     modulator_from_json,
@@ -134,6 +135,46 @@ def test_cg_linear_closed_form_matches_path(rng):
             direct = cg_direct(mod.g)
             closed = cg_linear_closed_form(gamma, span, n, np.arange(n))
             assert np.max(np.abs(direct - closed)) < 1e-10
+
+
+def test_ramp_kernel_matches_closed_form_and_path(rng):
+    for n in (2, 3, 64, 513):
+        gamma, span = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.1)
+        kernel = LinearRampKernel(n, gamma, span)
+        assert kernel.params.names == ["gamma", "span"]
+        cg = kernel.cg(kernel.params.values)
+        ref = cg_linear_closed_form(gamma, span, n, np.arange(n))
+        assert np.array_equal(cg, ref)
+        path = cg_sequence(linear_frequency_modulator(gamma, span, n)).values
+        assert np.max(np.abs(cg - path)) < 1e-10
+        grad_cg, _ = kernel.cg_grad([gamma, span])
+        assert np.array_equal(grad_cg, cg)
+    with pytest.raises(ValueError):
+        kernel.cg([0.0, np.pi])
+    with pytest.raises(ValueError):
+        LinearRampKernel(1)
+
+
+def test_ramp_kernel_derivatives_match_central_differences(rng):
+    for n in (2, 16, 200, 2048):
+        kernel = LinearRampKernel(n)
+        for _ in range(5):
+            phi = np.array([rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0)])
+            _, dcg = kernel.cg_grad(phi)
+            assert dcg.shape == (2, n)
+            for j in range(2):
+                def diff(e):
+                    up, dn = phi.copy(), phi.copy()
+                    up[j] += e
+                    dn[j] -= e
+                    return (kernel.cg(up) - kernel.cg(dn)) / (2.0 * e)
+
+                # c_g turns by about tau * step: keep that small at every lag
+                e = 1e-4 * min(1.0, 64.0 / n)
+                fd = (4.0 * diff(e / 2.0) - diff(e)) / 3.0
+                scale = np.max(np.abs(fd))
+                assert np.max(np.abs(dcg[j] - fd)) <= 1e-6 * scale, (n, j)
+                assert dcg[j, 0] == 0.0
 
 
 def test_bounded_increment_cg_floor(rng):

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import modwhittle
 from modwhittle import ar_model, ma_model
 from modwhittle.models import autocov_sequence, matern_acv, ou_to_ar
 from modwhittle.modulation import frequency_modulator
 from modwhittle.simulate import (
+    ESTIMATORS,
     McStudy,
     SimulationError,
     _fit_estimator,
@@ -222,24 +228,42 @@ def test_study_json_round_trip():
     assert back == study
 
 
-@pytest.mark.parametrize("kind", ["ar1-bernoulli-mask", "car1-bounded-walk"])
-def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, monkeypatch):
+MC_CASES = {
+    "ar1-bernoulli-mask": ({"a": 0.8, "sigma": 1.0},
+                           {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 2 * np.pi / 10}),
+    "car1-bounded-walk": ({"r": 0.8, "sigma": 1.0},
+                          {"gamma": np.pi / 2, "span": 1.0, "amp": 0.05}),
+    "car1-linear-beta": ({"r": 0.9, "sigma": 10.0, "gamma": 0.8, "span": 2.0}, {}),
+}
+
+
+# every estimator of every study kind; a modulated case keeps the bare kind as its id
+@pytest.mark.parametrize("kind, estimator", list(ESTIMATORS),
+                         ids=[k if e == "modulated" else f"{k}-{e}" for k, e in ESTIMATORS])
+def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, estimator, monkeypatch):
+    # fits on the gradient path, and ends no higher than Nelder-Mead alone
+    # on the same objective
     import modwhittle.likelihood as likelihood
-    if kind == "ar1-bernoulli-mask":
-        truth = {"a": 0.8, "sigma": 1.0}
-        process = {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 2 * np.pi / 10}
-    else:
-        truth = {"r": 0.8, "sigma": 1.0}
-        process = {"gamma": np.pi / 2, "span": 1.0, "amp": 0.05}
+    truth, process = MC_CASES[kind]
     study = McStudy(kind=kind, true_params=truth, process=process,
-                    estimators=["modulated"], n_grid=[1024], replicates=1,
+                    estimators=[estimator], n_grid=[1024], replicates=1,
                     seed=11, fit_options={"n_starts": 1})
     data, aux = _simulate_case(study, 1024, 0)
-    two_phase = _fit_estimator(study, "modulated", data, aux)
+    two_phase = _fit_estimator(study, estimator, data, aux)
     assert two_phase.n_grad_evals > 0
-    assert two_phase.theta_hat.names == list(truth)
+    names = two_phase.theta_hat.names
+    assert names == list(truth)[:len(names)]
     monkeypatch.setattr(likelihood, "GRADIENT_FAMILIES", ())
-    simplex = _fit_estimator(study, "modulated", data, aux)
+    simplex = _fit_estimator(study, estimator, data, aux)
     assert simplex.n_grad_evals == 0
     f1 = simplex.objective_value
     assert two_phase.objective_value <= f1 + 1e-9 * max(1.0, abs(f1))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is a slow import, made only by the simulators that filter
+    src = os.path.dirname(os.path.dirname(modwhittle.__file__))
+    code = "import sys, modwhittle; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
