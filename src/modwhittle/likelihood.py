@@ -33,10 +33,10 @@ import scipy.linalg
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
     GRADIENT_FAMILIES,
-    SDF_GRADIENT_FAMILIES,
     LatentModel,
     autocov_grad,
     autocov_sequence,
+    has_sdf_grad,
     sdf_grad,
     sdf_sampled,
 )
@@ -285,11 +285,6 @@ def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarra
 # reusable objective wrappers (precompute everything theta-independent)
 # ----------------------------------------------------------------------
 
-def _has_sdf_grad(m: LatentModel) -> bool:
-    """Whether :func:`sdf_grad` serves m (and m has an acv gradient too)."""
-    return _has_acv_grad(m) and m.family in SDF_GRADIENT_FAMILIES
-
-
 @dataclass
 class Objective:
     """A configured objective: kind exact | whittle | modulated-whittle.
@@ -304,10 +299,11 @@ class Objective:
     (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
     :class:`~modwhittle.modulation.LinearRampKernel`) of a plain latent
     model: theta is then the latent parameters followed by phi, and c_g is
-    evaluated per theta.  When every latent model has an autocovariance
-    gradient (a GRADIENT_FAMILIES family, AR of order 1 only), and for the
-    whittle kind an sdf gradient as well (AR(1), car1), the objective has a
-    gradient (``has_gradient``, see :meth:`value_and_grad`).
+    evaluated per theta.  The objective has a gradient (``has_gradient``,
+    see :meth:`value_and_grad`) when every latent family is one of
+    GRADIENT_FAMILIES and, for the modulated-whittle kind, every latent model
+    has an autocovariance gradient (AR of order 1 only), for the whittle
+    kind an sdf gradient (AR(1), car1; see :func:`has_sdf_grad`).
     """
 
     kind: str
@@ -346,7 +342,8 @@ class Objective:
             self._shat = periodogram(self.data).values
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
-            self.has_gradient = not aggregate and _has_sdf_grad(self.model)
+            self.has_gradient = (not aggregate and self.model.family in GRADIENT_FAMILIES
+                                 and has_sdf_grad(self.model))
         if self.kind == "modulated-whittle":
             self._shat = _from_grid_order(self._shat)
             self._mask = _from_grid_order(self._mask)
@@ -452,9 +449,9 @@ class Objective:
         except ValueError:
             return fail
         if self.kind == "whittle":
-            f, jac = sdf_grad(model, self._freqs)
+            f = np.asarray(sdf_sampled(model, self._freqs))
             value = spectral_nll(self._shat, f, self._mask)
-            grad = (jac * self._weights(f)).sum(axis=1)
+            grad = (sdf_grad(model, self._freqs) * self._weights(f)).sum(axis=1)
         else:
             value, grad = self._modulated_value_and_grad(model, kernel)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -538,10 +535,11 @@ class LinearBetaCar1ExactObjective:
     ramp_t = (2t - (N-1)) / (2(N-1)), as in
     :func:`~modwhittle.modulation.linear_beta`.  The O(N) oracle of the
     ramp-kernel modulated Whittle fit, with a closed-form score (see
-    :func:`_exact_car1`) while car1 is one of GRADIENT_FAMILIES.
+    :func:`_exact_car1`).
     """
 
     names = ("r", "sigma", "gamma", "span")
+    has_gradient = True
 
     def __init__(self, data: Series):
         self.z = np.asarray(data.values, dtype=complex)
@@ -550,7 +548,6 @@ class LinearBetaCar1ExactObjective:
         self.ramp = (2.0 * t - (self.n - 1)) / (2.0 * (self.n - 1))
         self.lower = np.array([0.0, 0.0, -np.pi, 0.0])
         self.upper = np.array([1.0, np.inf, np.pi, np.pi])
-        self.has_gradient = "car1" in GRADIENT_FAMILIES
 
     def _beta(self, theta):
         r, sigma, gamma, span = theta

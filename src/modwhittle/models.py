@@ -65,8 +65,6 @@ ACV_EPS = 1e-16
 # families whose autocovariance has an analytic parameter gradient; for "ar"
 # only order 1, whose table is geometric
 GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
-# the subset whose sdf_sampled has one too (see sdf_grad)
-SDF_GRADIENT_FAMILIES = ("ar", "car1")
 # relative step of the central difference that gives the Matern d/dalpha:
 # its O(step^2) error and K_nu's rounding over 2 step both stay below about
 # 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
@@ -503,9 +501,7 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     """
     w = np.asarray(omega, dtype=float)
     f = model.family
-    if (f == "ar" and len(model.params) == 2) or f == "car1":
-        out = _geometric_sdf(model, w)[0]
-    elif f == "ar":
+    if f == "ar":
         phi, sigma = _ar_coeffs(model)
         z = np.exp(-1j * np.multiply.outer(w, np.arange(1, phi.size + 1)))
         denom = np.abs(1.0 - z @ phi) ** 2 if phi.size else np.ones_like(w)
@@ -514,6 +510,9 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
         theta, sigma = _ar_coeffs(model)
         z = np.exp(-1j * np.multiply.outer(w, np.arange(1, theta.size + 1)))
         out = sigma * sigma * np.abs(1.0 + (z @ theta if theta.size else 0.0)) ** 2
+    elif f == "car1":
+        r, sigma = model.value("r"), model.value("sigma")
+        out = sigma * sigma / (1.0 + r * r - 2.0 * r * np.cos(w - _car1_rotation(model)))
     elif f == "ou":
         amp, lam = model.value("A"), model.value("lam")
         out = amp * amp / ((w - model.rotation) ** 2 + lam * lam)
@@ -525,39 +524,35 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     return out if np.ndim(omega) else float(out)
 
 
-def _geometric_sdf(model: LatentModel, w: np.ndarray):
-    """AR(1) or car1 sdf sigma^2 / D, D = 1 + r^2 - 2 r cos(w - gamma).
-
-    Returns (f, D, w - gamma); an AR(1) has r = phi1 and gamma = 0.
-    """
-    r, sigma = (float(v) for v in model.params.values[:2])
-    shifted = w - _car1_rotation(model) if model.family == "car1" else w
-    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
-    return sigma * sigma / denom, denom, shifted
+def has_sdf_grad(model: LatentModel) -> bool:
+    """Whether :func:`sdf_grad` serves model: AR(1), or car1 with a fixed or
+    a free rotation."""
+    return model.family == "car1" or (model.family == "ar" and len(model.params) == 2)
 
 
-def sdf_grad(model: LatentModel, omega) -> tuple[np.ndarray, np.ndarray]:
-    """sdf_sampled at the frequencies omega with its parameter derivatives.
+def sdf_grad(model: LatentModel, omega) -> np.ndarray:
+    """Derivatives of sdf_sampled at the frequencies omega in the free parameters.
 
-    Returns (f, jac) with jac[j] = df/dtheta_j at every omega.  Families in
-    SDF_GRADIENT_FAMILIES only, AR of order 1 only: with f = sigma^2 / D and
-    D = 1 + r^2 - 2 r cos(w - gamma),
+    Returns jac with jac[j] = df/dtheta_j at every omega, for the models of
+    :func:`has_sdf_grad`: with f = sigma^2 / D and
+    D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 for an AR(1), r = phi_1),
 
         df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
         df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
     """
-    f = model.family
-    if f not in SDF_GRADIENT_FAMILIES or (f == "ar" and len(model.params) != 2):
-        raise ValueError(f"no sdf gradient for family {f!r} "
+    if not has_sdf_grad(model):
+        raise ValueError(f"no sdf gradient for family {model.family!r} "
                          f"with {len(model.params)} parameters")
     w = np.asarray(omega, dtype=float)
     r, sigma = (float(v) for v in model.params.values[:2])
-    out, denom, shifted = _geometric_sdf(model, w)
-    f_over_d = out / denom
-    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * out / sigma]
+    shifted = w - _car1_rotation(model) if model.family == "car1" else w
+    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
+    f = sigma * sigma / denom
+    f_over_d = f / denom
+    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * f / sigma]
     if len(model.params) == 3:
         rows.append(2.0 * r * f_over_d * np.sin(shifted))
-    return out, np.stack(rows)
+    return np.stack(rows)
 
 
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:

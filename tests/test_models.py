@@ -309,8 +309,8 @@ def test_car1_free_rotation_matches_fixed(rng):
     car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5)])
 def test_sdf_grad_matches_central_differences(model):
     w = np.linspace(-np.pi, np.pi, 41)
-    f, jac = sdf_grad(model, w)
-    assert np.array_equal(f, sdf_sampled(model, w))
+    jac = sdf_grad(model, w)
+    assert jac.shape == (len(model.params), w.size)
     for j in range(len(model.params)):
         def diff(e):
             up = model.params.values.copy()
