@@ -25,8 +25,8 @@ from .models import (
 )
 from .modulation import (
     Modulator,
-    CgSequence,
     cg_sequence,
+    component_cg,
     constant_modulator,
     periodic_missing_mask,
     bernoulli_mask,
@@ -65,8 +65,6 @@ from .drifter import (
     velocities_from_positions,
 )
 from .spectra import (
-    Periodogram,
-    ExpectedPeriodogram,
     periodogram,
     expected_acv,
     expected_periodogram,

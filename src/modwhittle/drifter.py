@@ -28,7 +28,7 @@ from .likelihood import AggregateModel, Objective
 from .models import ar_to_ou, matern_model, ou_model, ou_to_ar
 from .modulation import Modulator, frequency_modulator
 from .optimize import FitFailure, FitResult, fit
-from .simulate import complex_normal, simulate_from_acv
+from .simulate import simulate_complex_ar1, simulate_from_acv
 from .spectra import periodogram
 from .models import matern_acv
 
@@ -258,7 +258,7 @@ def _peak_side(data: Series, omega_f, delta: float, hi_cpd: float) -> int:
     mean_wf = float(np.mean(np.asarray(omega_f)))
     if abs(mean_wf) > 1e-3:
         return 1 if mean_wf > 0 else -1
-    shat = periodogram(data).values
+    shat = periodogram(data)
     freq = fourier_grid(len(data)).cycles_per_unit(delta)
     inband = np.abs(freq) <= hi_cpd
     pos = float(np.sum(shat[inband & (freq > 0)]))
@@ -279,9 +279,8 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     freq_range : fitted band in cycles/day, one-sided; the side is chosen by
                hemisphere (falling back to the observed peak side near the
                equator) unless given explicitly.
-    fit_options : keyword arguments of :func:`optimize.fit`; these fits take
-               its gradient path, so ``tol_f``/``tol_x`` have no effect (and
-               warn).
+    fit_options : keyword arguments of :func:`optimize.fit` (these fits take
+               its gradient path).
     """
     if data.kind != "complex":
         data = Series(np.asarray(data.values, dtype=complex), delta=data.delta,
@@ -309,7 +308,7 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     return DrifterFit(mode=mode, params=params, nll=result.objective_value,
                       fit_result=result,
                       freq_cpd=fourier_grid(n).cycles_per_unit(delta),
-                      observed=periodogram(data).values,
+                      observed=periodogram(data),
                       fitted=fitted_curve, mask=mask)
 
 
@@ -396,11 +395,9 @@ def simulate_drifter_velocities(amp: float, lam: float, b: float, h: float,
     n = wf.size
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     r, sigma = ou_to_ar(amp, lam, delta)
-    from scipy.signal import lfilter
-    z0 = complex_normal(rng, (), sigma * sigma / (1.0 - r * r))
-    eps = complex_normal(rng, n - 1, sigma * sigma)
-    latent = lfilter([1.0], [1.0, -r], np.concatenate(([z0], eps)))
-    ou_part = drifter_modulator(wf, delta).g * latent
+    # the OU part is a complex AR(1) rotated by the drifter modulator's increments
+    beta = 2.0 * np.pi * delta * wf[1:]
+    ou_part = simulate_complex_ar1(r, sigma, beta, n, rng).values
     if b > 0:
         acv = matern_acv(b, h, alpha, delta, n)
         backg = simulate_from_acv(acv, n, rng, kind="complex").values

@@ -11,7 +11,10 @@ a frequency mask, so masked and unmasked values stay on one scale.
 
 Everything here is pure given immutable inputs; the objective classes only
 precompute quantities that do not depend on theta (periodogram, c_g, grid
-frequencies), which is what makes each evaluation O(N log N).  A
+frequencies), which is what makes each evaluation O(N log N).  The c_g of
+every component comes from :func:`~modwhittle.modulation.component_cg`, and
+every expected autocovariance, of a plain or an aggregate model, is the one
+component sum cbar = sum c_g c_X of :func:`_cbar`.  A
 modulated-Whittle :class:`Objective` may also take a parametric modulation
 kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`) whose free
 parameters follow the latent ones.  The Whittle and modulated-Whittle kinds
@@ -36,6 +39,7 @@ from .models import (
     LatentModel,
     autocov_grad,
     autocov_sequence,
+    car1_model,
     has_sdf_grad,
     sdf_grad,
     sdf_sampled,
@@ -44,7 +48,8 @@ from .modulation import (
     LinearRampKernel,
     Modulator,
     cg_linear_closed_form,  # noqa: F401  (the benchmark tracer wraps this name)
-    cg_sequence,
+    cg_sequence,  # noqa: F401  (and this one)
+    component_cg,
     significant_correlation_diagnostic,
 )
 from .spectra import (
@@ -251,34 +256,21 @@ def _has_acv_grad(m: LatentModel) -> bool:
     return m.family in GRADIENT_FAMILIES and (m.family != "ar" or len(m.params) == 2)
 
 
-def _summed_acv(cgs, acvs) -> np.ndarray:
-    """sum_c c_g,c * c_X,c, kept real when every term is."""
-    total = np.zeros(len(cgs[0]), dtype=complex)
-    for cg, acv in zip(cgs, acvs):
+def _cbar(cgs, acvs) -> np.ndarray:
+    """cbar = sum over components of c_g * c_X, at lags 0..N-1."""
+    total = cgs[0] * acvs[0]
+    for cg, acv in zip(cgs[1:], acvs[1:]):
         total = total + cg * acv
-    if not np.any(total.imag):
-        total = total.real
     return total
-
-
-def aggregate_expected_acv(agg: AggregateModel,
-                           cgs: list[np.ndarray] | None = None) -> np.ndarray:
-    """Sum of per-component expected autocovariances c_g * c_X at lags 0..N-1."""
-    n = agg.n
-    if cgs is None:
-        cgs = [
-            (cg_sequence(mod).values if mod is not None
-             else 1.0 - np.arange(n) / n)
-            for _, mod in agg.components
-        ]
-    return _summed_acv(cgs, [np.asarray(autocov_sequence(m, n)) for m in _latents(agg)])
 
 
 def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarray:
     """Expected periodogram of the aggregate: one transform of the summed acv."""
     if theta is not None:
         agg = agg.with_values(theta)
-    return expected_periodogram_values(aggregate_expected_acv(agg))
+    cgs = [component_cg(mod, agg.n) for _, mod in agg.components]
+    acvs = [autocov_sequence(m, agg.n) for m in _latents(agg)]
+    return expected_periodogram_values(_cbar(cgs, acvs))
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +331,7 @@ class Objective:
             self._kernel = self.modulator
         self._mask = resolve_mask(n, self.mask, self.drop_zero)
         if self.kind != "exact":
-            self._shat = periodogram(self.data).values
+            self._shat = periodogram(self.data)
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
             self.has_gradient = (not aggregate and self.model.family in GRADIENT_FAMILIES
@@ -349,12 +341,9 @@ class Objective:
             self._mask = _from_grid_order(self._mask)
             self.has_gradient = all(_has_acv_grad(m) for m in _latents(self.model))
             if aggregate:
-                self.cgs = [
-                    (cg_sequence(m).values if m is not None else 1.0 - np.arange(n) / n)
-                    for _, m in self.model.components
-                ]
+                self.cgs = [component_cg(mod, n) for _, mod in self.model.components]
             elif self._kernel is None:
-                self.cgs = [cg_sequence(self.modulator).values]
+                self.cgs = [component_cg(self.modulator, n)]
                 if self.check_significance:
                     diag = significant_correlation_diagnostic(
                         self.modulator, lags=[0, 1],
@@ -398,14 +387,9 @@ class Objective:
         if self.kind == "whittle":
             f = np.asarray(sdf_sampled(model, self._freqs))
             return spectral_nll(self._shat, f, self._mask)
-        acvs = [np.asarray(autocov_sequence(m, n)) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(self._cbar(cgs, acvs))
+        acvs = [autocov_sequence(m, n) for m in _latents(model)]
+        sbar = expected_periodogram_fft_order(_cbar(cgs, acvs))
         return spectral_nll(self._shat, sbar, self._mask)
-
-    def _cbar(self, cgs, acvs) -> np.ndarray:
-        if isinstance(self.model, AggregateModel):
-            return _summed_acv(cgs, acvs)
-        return cgs[0] * acvs[0]
 
     def _weights(self, svals) -> np.ndarray:
         """w = (1/N)(1/s - Shat/s^2) on the mask, 0 elsewhere: dl/ds."""
@@ -462,7 +446,7 @@ class Objective:
         n = len(self.data)
         cgs = self.cgs if kernel is None else [kernel[0]]
         tables = [autocov_grad(m, n) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(self._cbar(cgs, [c for c, _ in tables]))
+        sbar = expected_periodogram_fft_order(_cbar(cgs, [c for c, _ in tables]))
         value = spectral_nll(self._shat, sbar, self._mask)
         w = self._weights(sbar)
         # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to N/2
@@ -492,40 +476,22 @@ class Car1WhittleObjective:
     """Stationary Whittle objective for a rotating complex AR(1).
 
     theta = (r, sigma) when the rotation is fixed, or (r, sigma, gamma) when
-    it is free; f(w) = sigma^2 / (1 + r^2 - 2 r cos(w - gamma)).  The Monte
-    Carlo studies fit the same objective as ``Objective("whittle", data,
-    car1_model(...))``, which has a score; this class stays as a fixture of
-    the benchmark tracer's tests, which need an objective that
-    :func:`~modwhittle.optimize.fit` minimizes by Nelder-Mead alone.
+    it is free: ``Objective("whittle", data, car1_model(...))`` with only
+    ``names``, ``lower`` and ``upper`` exposed.  It has no ``has_gradient``,
+    so :func:`~modwhittle.optimize.fit` minimizes it by Nelder-Mead alone;
+    the benchmark tracer's tests use it as that path's fixture.
     """
 
     def __init__(self, data: Series, rotation: float | None = 0.0, mask=None):
-        self.n = len(data)
-        self.shat = periodogram(data).values
-        self.rotation = rotation  # None -> gamma is the third free parameter
-        w = fourier_grid(self.n).frequencies
-        self.cosw = np.cos(w)
-        self.sinw = np.sin(w)
-        self.mask = resolve_mask(self.n, mask)
-        if rotation is None:
-            self.names = ("r", "sigma", "gamma")
-            self.lower = np.array([0.0, 0.0, -np.pi])
-            self.upper = np.array([1.0, np.inf, np.pi])
-        else:
-            self.names = ("r", "sigma")
-            self.lower = np.array([0.0, 0.0])
-            self.upper = np.array([1.0, np.inf])
+        # rotation None -> gamma is the third free parameter
+        model = (car1_model(0.5, 1.0, gamma=0.0) if rotation is None
+                 else car1_model(0.5, 1.0, rotation=rotation))
+        self._objective = Objective("whittle", data, model, mask=mask)
+        self.names = tuple(model.params.names)
+        self.lower, self.upper = model.params.lower, model.params.upper
 
     def __call__(self, theta) -> float:
-        if self.rotation is None:
-            r, sigma, gamma = theta
-        else:
-            (r, sigma), gamma = theta, self.rotation
-        if not (0.0 <= r < 1.0) or sigma <= 0:
-            return np.inf
-        cosdiff = self.cosw * np.cos(gamma) + self.sinw * np.sin(gamma)
-        f = sigma * sigma / (1.0 + r * r - 2.0 * r * cosdiff)
-        return spectral_nll(self.shat, f, self.mask)
+        return self._objective(theta)
 
 
 class LinearBetaCar1ExactObjective:

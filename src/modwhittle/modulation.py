@@ -8,7 +8,9 @@ user sequence.  The sample autocovariance
 
 is the kernel that multiplies the latent autocovariance in the expected
 periodogram.  It is computed here by zero-padded FFT autocorrelation in
-O(N log N); the direct O(N^2) sum is kept as a test oracle.  A parametric
+O(N log N) and returned as a plain read-only array; the direct O(N^2) sum is
+kept as a test oracle.  :func:`component_cg` gives the c_g of one model
+component, 1 - tau/N (that of g = 1) when the component has no modulator.  A parametric
 kernel (:class:`LinearRampKernel`) gives c_g in closed form as a function of
 free modulation parameters, with its derivatives in them.
 """
@@ -24,8 +26,8 @@ from .core import ParameterVector
 
 __all__ = [
     "Modulator",
-    "CgSequence",
     "cg_sequence",
+    "component_cg",
     "cg_direct",
     "constant_modulator",
     "custom_modulator",
@@ -80,25 +82,6 @@ class Modulator:
         return np.iscomplexobj(self.g)
 
 
-@dataclass(frozen=True)
-class CgSequence:
-    """Sample autocovariance of a modulating sequence at lags 0..N-1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
 def cg_direct(g: np.ndarray) -> np.ndarray:
     """O(N^2) direct-sum c_g, the oracle for the FFT path."""
     g = np.asarray(g)
@@ -109,8 +92,8 @@ def cg_direct(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def cg_sequence(mod: Modulator) -> CgSequence:
-    """c_g(tau) for tau = 0..N-1 via zero-padded FFT autocorrelation.
+def cg_sequence(mod: Modulator) -> np.ndarray:
+    """c_g(tau) for tau = 0..N-1 via zero-padded FFT autocorrelation, read-only.
 
     A real g takes the real-input transforms rfft/irfft, at half the cost.
     """
@@ -120,7 +103,18 @@ def cg_sequence(mod: Modulator) -> CgSequence:
         acorr = np.fft.ifft(np.abs(np.fft.fft(mod.g, m)) ** 2)[:n] / n
     else:
         acorr = np.fft.irfft(np.abs(np.fft.rfft(mod.g, m)) ** 2, m)[:n] / n
-    return CgSequence(values=acorr)
+    acorr.setflags(write=False)
+    return acorr
+
+
+def component_cg(mod: Modulator | None, n: int) -> np.ndarray:
+    """c_g of one component of length n, read-only: :func:`cg_sequence` of
+    its modulator, or 1 - tau/N, the c_g of g = 1, when it has none."""
+    if mod is not None:
+        return cg_sequence(mod)
+    cg = 1.0 - np.arange(n) / n
+    cg.setflags(write=False)
+    return cg
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +335,7 @@ def significant_correlation_diagnostic(mod: Modulator, lags, n_grid,
         raise ValueError("all lags must be smaller than the smallest grid length")
     mins = {tau: np.inf for tau in lags}
     for m in n_grid:
-        cg = cg_sequence(Modulator(mod.g[:m])).values
+        cg = cg_sequence(Modulator(mod.g[:m]))
         for tau in lags:
             mins[tau] = min(mins[tau], float(np.abs(cg[tau])))
     return {

@@ -12,22 +12,20 @@ length-2N transform is sum_tau cbar(tau) e^{-2 pi i (2k) tau / 2N}, which is
 bin k of the unpadded one, so padding only computes the odd bins nobody
 reads.  A dense-covariance quadratic form oracle is kept for ground truth on
 small N, together with the Fejer kernel and the classical smoothed-spectrum
-approximation used only in comparison experiments.
+approximation used only in comparison experiments.  Spectra pass between
+these functions as plain numpy arrays on the Fourier grid; the periodogram and
+the expected periodograms come back read-only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Series, fourier_grid, _to_grid_order
 from .models import LatentModel, autocov_sequence, sdf_sampled
-from .modulation import CgSequence, Modulator
+from .modulation import Modulator
 
 __all__ = [
-    "Periodogram",
-    "ExpectedPeriodogram",
     "periodogram",
     "expected_acv",
     "expected_periodogram",
@@ -44,52 +42,21 @@ _NEG_CLAMP = 1e-8
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class Periodogram:
-    """|J(w)|^2 on the Fourier grid (grid order, radians per sample)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
-class ExpectedPeriodogram:
-    """Exact mean of the periodogram on the Fourier grid for one theta."""
-
-    values: np.ndarray
-    theta: np.ndarray | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def periodogram(series: Series) -> Periodogram:
-    """Shat(w) = (1/N) |sum_t x_t e^{-iwt}|^2 on the Fourier grid."""
+def periodogram(series: Series) -> np.ndarray:
+    """Shat(w) = (1/N) |sum_t x_t e^{-iwt}|^2 on the Fourier grid, read-only."""
     x = np.asarray(series.values)
-    n = x.size
-    vals = np.abs(_to_grid_order(np.fft.fft(x))) ** 2 / n
-    return Periodogram(values=vals)
+    return _readonly(np.abs(_to_grid_order(np.fft.fft(x))) ** 2 / x.size)
 
 
-def expected_acv(cg: CgSequence | np.ndarray, model: LatentModel) -> np.ndarray:
+def expected_acv(cg: np.ndarray, model: LatentModel) -> np.ndarray:
     """cbar(tau) = c_g(tau) * c_X(tau) at lags 0..N-1."""
-    cg_vals = cg.values if isinstance(cg, CgSequence) else np.asarray(cg)
-    cx = autocov_sequence(model, cg_vals.size)
-    return cg_vals * cx
+    cg = np.asarray(cg)
+    return cg * autocov_sequence(model, cg.size)
 
 
 def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
@@ -129,14 +96,14 @@ def expected_periodogram_fft_order(cbar: np.ndarray) -> np.ndarray:
     return np.maximum(vals, _TINY)
 
 
-def expected_periodogram(cg: CgSequence | np.ndarray, model: LatentModel) -> ExpectedPeriodogram:
-    """Exact expected periodogram for a latent model and precomputed c_g."""
-    vals = expected_periodogram_values(expected_acv(cg, model))
-    return ExpectedPeriodogram(values=vals, theta=np.array(model.params.values))
+def expected_periodogram(cg: np.ndarray, model: LatentModel) -> np.ndarray:
+    """Exact expected periodogram for a latent model and precomputed c_g,
+    on the Fourier grid, read-only."""
+    return _readonly(expected_periodogram_values(expected_acv(cg, model)))
 
 
 def brute_force_expected_periodogram(mod: Modulator, model: LatentModel,
-                                     cap: int = ORACLE_CAP) -> ExpectedPeriodogram:
+                                     cap: int = ORACLE_CAP) -> np.ndarray:
     """Ground-truth expected periodogram from the dense covariance matrix.
 
     Sbar(w) = (1/N) e_w^H C_Y e_w with C_Y[t,s] = g_t conj(g_s) c_X(t-s) and
@@ -153,8 +120,7 @@ def brute_force_expected_periodogram(mod: Modulator, model: LatentModel,
     cy = np.outer(g, np.conj(g)) * cmat
     grid = fourier_grid(n)
     e = np.exp(1j * np.outer(np.arange(n), grid.frequencies))
-    vals = np.real(np.sum(np.conj(e) * (cy @ e), axis=0)) / n
-    return ExpectedPeriodogram(values=vals, theta=np.array(model.params.values))
+    return _readonly(np.real(np.sum(np.conj(e) * (cy @ e), axis=0)) / n)
 
 
 def fejer_kernel(n: int, lam) -> np.ndarray | float:
@@ -190,19 +156,21 @@ def dunsmuir_spectrum(model: LatentModel, mod: Modulator) -> np.ndarray:
     return _to_grid_order(out_std) / (n * n)
 
 
-def exponential_qq(pgram: Periodogram, sbar: ExpectedPeriodogram) -> np.ndarray:
+def exponential_qq(pgram: np.ndarray, sbar: np.ndarray) -> np.ndarray:
     """QQ pairs of sorted Shat/Sbar ratios against Exp(1) order statistics.
 
+    pgram and sbar are a periodogram and an expected periodogram on one grid.
     Returns an (n, 2) array with theoretical quantiles
     E[X_(k)] = sum_{j<=k} 1/(n-j+1) in column 0 and sorted ratios in column 1.
     """
-    if pgram.n != sbar.n:
+    pgram, sbar = np.asarray(pgram), np.asarray(sbar)
+    if pgram.size != sbar.size:
         raise ValueError("periodogram and expected periodogram grids differ")
-    if pgram.n == 0:
+    if pgram.size == 0:
         raise ValueError("empty grid")
-    if np.any(sbar.values <= 0):
+    if np.any(sbar <= 0):
         raise ValueError("expected periodogram must be positive for the QQ ratio")
-    ratios = np.sort(pgram.values / sbar.values)
+    ratios = np.sort(pgram / sbar)
     n = ratios.size
     theo = np.cumsum(1.0 / (n - np.arange(n)))
     return np.column_stack((theo, ratios))

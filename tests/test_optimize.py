@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -143,19 +141,6 @@ def test_gradient_path_polishes_the_simplex_result():
     assert res.asdict()["n_grad_evals"] == res.n_grad_evals
 
 
-def test_gradient_path_warns_on_nelder_mead_tolerances():
-    obj = _Quadratic(np.eye(2), np.array([0.4, 1.7]))
-    with pytest.warns(UserWarning, match="tol_f/tol_x"):
-        fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
-            n_starts=1, tol_f=1e-6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
-            n_starts=1)
-        fit(lambda th: float(np.sum((th - 0.3) ** 2)), np.array([0.0, 1.0]),
-            lower=[-10, 0], upper=[10, np.inf], n_starts=1, tol_f=1e-6)
-
-
 def test_at_bound_flags_pinned_estimates():
     res = fit(lambda th: float((th[0] - 2.0) ** 2 + (th[1] - 0.5) ** 2),
               np.array([0.5, 0.2]), lower=[0.0, -np.inf], upper=[1.0, np.inf],
@@ -227,3 +212,47 @@ def test_polish_gradient_matches_central_differences(rng):
              - _polish_value_and_grad(y - e * u, obj, log_mask)[0]) / (2 * e)
             for u in np.eye(4)])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+class _Flat:
+    """A constant objective that reports a nonzero gradient."""
+
+    has_gradient = True
+
+    def __call__(self, theta):
+        return 1.0
+
+    def value_and_grad(self, theta):
+        return 1.0, np.ones(len(theta))
+
+
+def _count_polishes(monkeypatch):
+    """Record the status of every L-BFGS-B run that fit starts."""
+    import modwhittle.optimize as optimize
+    statuses = []
+    real = optimize.minimize
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if kwargs.get("method") == "L-BFGS-B":
+            statuses.append(int(res.status))
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", counting)
+    return statuses
+
+
+def test_polish_that_fails_the_gradient_test_is_restarted_once(monkeypatch):
+    statuses = _count_polishes(monkeypatch)
+    res = fit(_Flat(), np.array([0.5, 1.0]), lower=[0.0, 0.0], upper=[1.0, np.inf],
+              n_starts=1)
+    assert len(statuses) == 2 and 1 not in statuses
+    assert not res.converged
+    assert res.n_grad_evals >= 2
+
+
+def test_polish_at_the_iteration_limit_is_not_restarted(monkeypatch):
+    statuses = _count_polishes(monkeypatch)
+    res = fit(_Smooth(), np.array([1.0, 0.5, 1.0, 0.0]), n_starts=1, max_iter=1)
+    assert statuses == [1]
+    assert not res.converged

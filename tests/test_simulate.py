@@ -264,6 +264,22 @@ def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, estimator, monkey
     assert two_phase.objective_value <= f1 + 1e-9 * max(1.0, abs(f1))
 
 
+def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
+    # this replicate's first L-BFGS-B polish reports convergence with a
+    # gradient of about 1, far from the optimum; the restart reaches it
+    import modwhittle.likelihood as likelihood
+    truth, process = MC_CASES["ar1-bernoulli-mask"]
+    study = McStudy(kind="ar1-bernoulli-mask", true_params=truth, process=process,
+                    estimators=["modulated"], n_grid=[128], replicates=1,
+                    seed=77, fit_options={"n_starts": 1})
+    data, aux = _simulate_case(study, 128, 0)
+    two_phase = _fit_estimator(study, "modulated", data, aux)
+    monkeypatch.setattr(likelihood, "GRADIENT_FAMILIES", ())
+    simplex = _fit_estimator(study, "modulated", data, aux)
+    assert two_phase.converged
+    assert abs(two_phase.objective_value - simplex.objective_value) <= 1e-9
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal is a slow import, made only by the simulators that filter
     src = os.path.dirname(os.path.dirname(modwhittle.__file__))
