@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterVector, Series, fourier_grid
-from .likelihood import AggregateModel, Objective
+from .likelihood import AggregateModel, Objective, aggregate_expected_periodogram
 from .models import ar_to_ou, matern_model, ou_model, ou_to_ar
 from .modulation import Modulator, frequency_modulator
 from .optimize import FitFailure, FitResult, fit
@@ -296,12 +296,8 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     inits = _spectral_inits(data, wf, delta, include_background)
     agg = _drifter_aggregate(n, delta, wf, mode, include_background, inits)
     objective = Objective("modulated-whittle", data, agg, mask=mask)
-    opts = {"n_starts": 2}
-    opts.update(fit_options or {})
-    bounded = _fit_bounds(agg)
-    result = fit(objective, bounded, **opts)
+    result = fit(objective, _fit_bounds(agg), **(fit_options or {}))
     fitted_agg = agg.with_values(result.theta_hat.values)
-    from .likelihood import aggregate_expected_periodogram
     fitted_curve = aggregate_expected_periodogram(fitted_agg)
     params = {_param_name(name): float(val)
               for name, val in zip(result.theta_hat.names, result.theta_hat.values)}

@@ -14,19 +14,19 @@ precompute quantities that do not depend on theta (periodogram, c_g, grid
 frequencies), which is what makes each evaluation O(N log N).  The c_g of
 every component comes from :func:`~modwhittle.modulation.component_cg`, and
 every expected autocovariance, of a plain or an aggregate model, is the one
-component sum cbar = sum c_g c_X of :func:`_cbar`.  A
-modulated-Whittle :class:`Objective` may also take a parametric modulation
-kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`) whose free
-parameters follow the latent ones.  The Whittle and modulated-Whittle kinds
-have an analytic score for the latent families of GRADIENT_FAMILIES (the
-Whittle kind for AR(1) and car1 only), and so does the O(N) Markov
-likelihood :class:`LinearBetaCar1ExactObjective`; the exact kind, AR(p >= 2)
-and MA latents, and :class:`Car1WhittleObjective` are fitted by Nelder-Mead
-alone.
+component sum cbar = sum c_g c_X of :func:`_cbar`.  One :class:`Objective`
+evaluates every kind.  It may take a parametric modulation kernel (e.g.
+:class:`~modwhittle.modulation.LinearRampKernel`) whose free parameters
+follow the latent ones; the exact kind of a car1 latent under that kernel is
+the O(N) Markov likelihood :func:`exact_car1_nll`.  That likelihood, and the
+Whittle and modulated-Whittle kinds where every latent has a score, have an
+analytic gradient; the dense exact kind, AR(p >= 2) and MA latents, and
+:class:`Car1WhittleObjective` are fitted by Nelder-Mead alone.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,11 +35,11 @@ import scipy.linalg
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
-    GRADIENT_FAMILIES,
     LatentModel,
     autocov_grad,
     autocov_sequence,
     car1_model,
+    has_acv_grad,
     has_sdf_grad,
     sdf_grad,
     sdf_sampled,
@@ -69,13 +69,12 @@ __all__ = [
     "spectral_nll",
     "resolve_mask",
     "Car1WhittleObjective",
-    "LinearBetaCar1ExactObjective",
 ]
 
 EXACT_CAP = 2048
 
 
-def resolve_mask(n: int, mask=None, drop_zero: bool = False) -> np.ndarray:
+def resolve_mask(n: int, mask=None) -> np.ndarray:
     """Normalize a frequency mask to a boolean array over the length-n grid."""
     if mask is None:
         out = np.ones(n, dtype=bool)
@@ -88,8 +87,6 @@ def resolve_mask(n: int, mask=None, drop_zero: bool = False) -> np.ndarray:
         else:
             out = np.zeros(n, dtype=bool)
             out[mask] = True
-    if drop_zero:
-        out[list(fourier_grid(n).multipliers).index(0)] = False
     if not np.any(out):
         raise ValueError("frequency mask is empty")
     return out
@@ -111,7 +108,7 @@ def spectral_nll(shat: np.ndarray, svals: np.ndarray, mask: np.ndarray | None = 
 # ----------------------------------------------------------------------
 
 def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel,
-                       theta=None, cap: int = EXACT_CAP) -> float:
+                       cap: int = EXACT_CAP) -> float:
     """(1/N') [log|C_Y| + y* C_Y^{-1} y] over the points where g != 0.
 
     C_Y(t1,t2) = g_{t1} conj(g_{t2}) c_X(t1-t2), Cholesky-based; the complex
@@ -120,8 +117,6 @@ def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel,
     """
     if len(data) > cap:
         raise ValueError(f"exact likelihood capped at N <= {cap}")
-    if theta is not None:
-        model = model.with_values(theta)
     y = np.asarray(data.values)
     n = y.size
     g = np.ones(n) if mod is None else np.asarray(mod.g)
@@ -243,19 +238,6 @@ class AggregateModel:
         return AggregateModel(components=tuple(comps), n=self.n)
 
 
-def _latents(model: LatentModel | AggregateModel) -> list:
-    """The latent models of a plain or aggregate model, in parameter order."""
-    if isinstance(model, AggregateModel):
-        return [m for m, _ in model.components]
-    return [model]
-
-
-def _has_acv_grad(m: LatentModel) -> bool:
-    """Whether :func:`autocov_grad` serves m: a GRADIENT_FAMILIES family,
-    AR of order 1 only."""
-    return m.family in GRADIENT_FAMILIES and (m.family != "ar" or len(m.params) == 2)
-
-
 def _cbar(cgs, acvs) -> np.ndarray:
     """cbar = sum over components of c_g * c_X, at lags 0..N-1."""
     total = cgs[0] * acvs[0]
@@ -264,12 +246,10 @@ def _cbar(cgs, acvs) -> np.ndarray:
     return total
 
 
-def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarray:
+def aggregate_expected_periodogram(agg: AggregateModel) -> np.ndarray:
     """Expected periodogram of the aggregate: one transform of the summed acv."""
-    if theta is not None:
-        agg = agg.with_values(theta)
     cgs = [component_cg(mod, agg.n) for _, mod in agg.components]
-    acvs = [autocov_sequence(m, agg.n) for m in _latents(agg)]
+    acvs = [autocov_sequence(m, agg.n) for m, _ in agg.components]
     return expected_periodogram_values(_cbar(cgs, acvs))
 
 
@@ -281,21 +261,24 @@ def aggregate_expected_periodogram(agg: AggregateModel, theta=None) -> np.ndarra
 class Objective:
     """A configured objective: kind exact | whittle | modulated-whittle.
 
-    Instances are callables theta -> scalar nll; construction precomputes the
-    periodogram, the grid frequencies (whittle) and c_g (modulated-whittle)
-    so repeated evaluations stay O(N log N).  The modulated-whittle kind
-    keeps the periodogram and the frequency mask in numpy FFT order (k =
-    0..N-1), the order its expected periodogram comes out of the transform
-    in, and ``cgs`` holds the c_g table (lags 0..N-1) of each component,
-    computed once.  Its ``modulator`` may instead be a parametric kernel
+    Instances are callables theta -> scalar nll.  Construction precomputes
+    what does not depend on theta (periodogram, grid frequencies, c_g), so
+    evaluations stay O(N log N), and normalises the model into one list of
+    latent models, whose parameters lead theta, with either fixed c_g tables
+    (``cgs``, one per latent, lags 0..N-1) or a parametric kernel
     (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
-    :class:`~modwhittle.modulation.LinearRampKernel`) of a plain latent
-    model: theta is then the latent parameters followed by phi, and c_g is
-    evaluated per theta.  The objective has a gradient (``has_gradient``,
-    see :meth:`value_and_grad`) when every latent family is one of
-    GRADIENT_FAMILIES and, for the modulated-whittle kind, every latent model
-    has an autocovariance gradient (AR of order 1 only), for the whittle
-    kind an sdf gradient (AR(1), car1; see :func:`has_sdf_grad`).
+    :class:`~modwhittle.modulation.LinearRampKernel`), whose parameters phi
+    follow.  exact takes a plain latent with a Modulator or none (the dense
+    oracle, N <= EXACT_CAP), or a car1 latent without rotation under a
+    LinearRampKernel (:func:`exact_car1_nll`, beta_t = gamma + span ramp_t);
+    whittle a plain latent and no modulator; modulated-whittle a plain latent
+    with a modulator or a kernel, or an :class:`AggregateModel`.  Any other
+    shape raises ValueError.  The modulated-whittle kind keeps the
+    periodogram and the mask in numpy FFT order (k = 0..N-1), the order its
+    expected periodogram comes out of the transform in.  For
+    ``has_gradient`` see :meth:`value_and_grad`,
+    :func:`~modwhittle.models.has_sdf_grad` (whittle) and
+    :func:`~modwhittle.models.has_acv_grad` (modulated-whittle).
     """
 
     kind: str
@@ -303,13 +286,13 @@ class Objective:
     model: LatentModel | AggregateModel
     modulator: Modulator | LinearRampKernel | None = None
     mask: np.ndarray | None = None
-    drop_zero: bool = False
-    exact_cap: int = EXACT_CAP
     check_significance: bool = True
     _mask: np.ndarray = field(init=False, repr=False)
     _shat: np.ndarray = field(init=False, repr=False, default=None)
     _freqs: np.ndarray = field(init=False, repr=False, default=None)
+    _z: np.ndarray = field(init=False, repr=False, default=None)
     _kernel: LinearRampKernel | None = field(init=False, repr=False, default=None)
+    _latent_models: list = field(init=False, repr=False, default=None)
     cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
 
@@ -318,41 +301,52 @@ class Objective:
         if self.kind not in ("exact", "whittle", "modulated-whittle"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         aggregate = isinstance(self.model, AggregateModel)
+        if aggregate and (self.kind != "modulated-whittle" or self.modulator is not None):
+            raise ValueError("an aggregate model takes the modulated-whittle kind "
+                             "and no modulator (its components carry their own)")
+        if self.kind == "whittle" and self.modulator is not None:
+            raise ValueError("the whittle kind takes no modulator")
         if self.kind == "modulated-whittle" and self.modulator is None and not aggregate:
             raise ValueError("modulated-whittle requires a modulator")
-        if self.kind == "exact" and n > self.exact_cap:
-            raise ValueError(f"exact objective capped at N <= {self.exact_cap}")
-        if self.modulator is not None and self.modulator.n != n:
+        sized = self.model if aggregate else self.modulator
+        if sized is not None and sized.n != n:
             raise ValueError("modulator and data lengths differ")
+        components = (self.model.components if aggregate
+                      else [(self.model, self.modulator)])
+        self._latent_models = [m for m, _ in components]
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
-            if self.kind != "modulated-whittle" or aggregate:
-                raise ValueError("a parametric kernel needs the modulated-whittle "
-                                 "kind and a plain latent model")
             self._kernel = self.modulator
-        self._mask = resolve_mask(n, self.mask, self.drop_zero)
-        if self.kind != "exact":
-            self._shat = periodogram(self.data)
+        self._mask = resolve_mask(n, self.mask)
+        if self.kind == "exact":
+            if self._kernel is None and n > EXACT_CAP:
+                raise ValueError(f"exact objective capped at N <= {EXACT_CAP}")
+            if self._kernel is not None:
+                m = self.model
+                if not (isinstance(self._kernel, LinearRampKernel) and m.family == "car1"
+                        and len(m.params) == 2 and m.rotation == 0.0):
+                    raise ValueError("the exact kind takes a kernel only as a "
+                                     "LinearRampKernel on a car1 latent without rotation")
+                self._z = np.asarray(self.data.values, dtype=complex)
+                self.has_gradient = True
+            return
+        self._shat = periodogram(self.data)
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
-            self.has_gradient = (not aggregate and self.model.family in GRADIENT_FAMILIES
-                                 and has_sdf_grad(self.model))
-        if self.kind == "modulated-whittle":
-            self._shat = _from_grid_order(self._shat)
-            self._mask = _from_grid_order(self._mask)
-            self.has_gradient = all(_has_acv_grad(m) for m in _latents(self.model))
-            if aggregate:
-                self.cgs = [component_cg(mod, n) for _, mod in self.model.components]
-            elif self._kernel is None:
-                self.cgs = [component_cg(self.modulator, n)]
-                if self.check_significance:
-                    diag = significant_correlation_diagnostic(
-                        self.modulator, lags=[0, 1],
-                        n_grid=[max(2, n // 2), n])
-                    if diag["flagged"]:
-                        warnings.warn(
-                            "modulator fails the significant-correlation "
-                            f"diagnostic at lags {diag['flagged']}; estimates "
-                            "may be unreliable", RuntimeWarning)
+            self.has_gradient = has_sdf_grad(self.model)
+            return
+        self._shat = _from_grid_order(self._shat)
+        self._mask = _from_grid_order(self._mask)
+        self.has_gradient = all(has_acv_grad(m) for m in self._latent_models)
+        if self._kernel is None:
+            self.cgs = [component_cg(mod, n) for _, mod in components]
+        if self.check_significance and isinstance(self.modulator, Modulator):
+            diag = significant_correlation_diagnostic(
+                self.modulator, lags=[0, 1], n_grid=[max(2, n // 2), n])
+            if diag["flagged"]:
+                warnings.warn(
+                    "modulator fails the significant-correlation diagnostic at "
+                    f"lags {diag['flagged']}; estimates may be unreliable",
+                    RuntimeWarning)
 
     @property
     def init_params(self) -> ParameterVector:
@@ -364,43 +358,14 @@ class Objective:
                                np.concatenate((lat.lower, ker.lower)),
                                np.concatenate((lat.upper, ker.upper)))
 
-    def _split(self, theta):
-        """(latent model, kernel parameters phi) of theta; raises ValueError
-        outside the model class."""
-        if self._kernel is None:
-            return self.model.with_values(theta), None
-        d = len(self.model.params)
-        return self.model.with_values(theta[:d]), theta[d:]
-
     def __call__(self, theta) -> float:
-        if not np.all(np.isfinite(theta)):
-            return np.inf
-        try:
-            model, phi = self._split(theta)
-            cgs = self.cgs if phi is None else [self._kernel.cg(phi)]
-        except ValueError:  # theta outside the model class, e.g. a
-            return np.inf   # non-stationary AR: the optimizer steps back
-        n = len(self.data)
-        if self.kind == "exact":
-            return exact_gaussian_nll(self.data, self.modulator, model,
-                                      cap=self.exact_cap)
-        if self.kind == "whittle":
-            f = np.asarray(sdf_sampled(model, self._freqs))
-            return spectral_nll(self._shat, f, self._mask)
-        acvs = [autocov_sequence(m, n) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(_cbar(cgs, acvs))
-        return spectral_nll(self._shat, sbar, self._mask)
-
-    def _weights(self, svals) -> np.ndarray:
-        """w = (1/N)(1/s - Shat/s^2) on the mask, 0 elsewhere: dl/ds."""
-        n = svals.size
-        s = svals[self._mask]
-        w = np.zeros(n)
-        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
-        return w
+        return self._evaluate(theta, False)[0]
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         """The nll and its gradient in theta.
+
+        exact (Markov): the score of :func:`_exact_car1`, through beta_t =
+        gamma + span ramp_t.
 
         whittle: with f the sdf on the grid and w as in :meth:`_weights`,
         dl/dtheta_j = sum_k w_k df_k/dtheta_j (see :func:`sdf_grad`).
@@ -417,37 +382,92 @@ class Objective:
         a parametric kernel take the same form with the roles swapped,
         dc_g/dphi_j times c_X, and need no further FFT.
 
-        The value equals ``self(theta)``.  Theta outside the model class,
-        non-finite theta, and a non-finite value or gradient score +inf with
-        a zero gradient.
+        The value equals ``self(theta)``.
         """
         if not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
+        return self._evaluate(theta, True)
+
+    def _evaluate(self, theta, grad: bool):
+        """(value, gradient or None) at theta, the one evaluation routine.
+
+        Non-finite theta, theta outside the model class (a ValueError of the
+        chain, e.g. a non-stationary AR: the optimizer steps back), and a
+        non-finite value or gradient score +inf, with a zero gradient.
+        """
         theta = np.asarray(theta, dtype=float)
-        fail = np.inf, np.zeros(theta.size)
-        if not np.all(np.isfinite(theta)):
+        fail = np.inf, (np.zeros(theta.size) if grad else None)
+        if not np.isfinite(theta).all():
             return fail
         try:
-            model, phi = self._split(theta)
-            kernel = None if phi is None else self._kernel.cg_grad(phi)
+            if self._z is not None:  # the exact kind under a ramp kernel
+                value, gradient = self._exact_markov(theta, grad)
+            else:
+                models, phi = self._split(theta)
+                if self.kind == "exact":
+                    value = exact_gaussian_nll(self.data, self.modulator, models[0])
+                    gradient = None
+                elif self.kind == "whittle":
+                    value, gradient = self._whittle(models[0], grad)
+                else:
+                    value, gradient = self._modulated(models, phi, grad)
         except ValueError:
             return fail
-        if self.kind == "whittle":
-            f = np.asarray(sdf_sampled(model, self._freqs))
-            value = spectral_nll(self._shat, f, self._mask)
-            grad = (sdf_grad(model, self._freqs) * self._weights(f)).sum(axis=1)
-        else:
-            value, grad = self._modulated_value_and_grad(model, kernel)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        if not math.isfinite(value) or (grad and not np.isfinite(gradient).all()):
             return fail
-        return value, grad
+        return value, gradient
 
-    def _modulated_value_and_grad(self, model, kernel):
+    def _split(self, theta):
+        """(latent models, kernel parameters phi) of theta; raises
+        ValueError outside the model class."""
+        models, pos = [], 0
+        for m in self._latent_models:
+            d = len(m.params)
+            models.append(m.with_values(theta[pos:pos + d]))
+            pos += d
+        if self._kernel is None and pos != theta.size:
+            raise ValueError("parameter vector length mismatch")
+        return models, theta[pos:]
+
+    def _exact_markov(self, theta, grad):
+        # theta = (r, sigma, gamma, span) and no LatentModel: _exact_car1
+        # rejects r and sigma outside the model, the kernel the span
+        beta = self._kernel.rotations(theta[2:])
+        if not grad:
+            return exact_car1_nll(self._z, beta, theta[0], theta[1]), None
+        value, d_r, d_sigma, d_beta = _exact_car1(self._z, beta, theta[0], theta[1],
+                                                  score=True)
+        return value, np.array([d_r, d_sigma, d_beta.sum(), d_beta @ self._kernel.ramp])
+
+    def _whittle(self, model, grad):
+        f = np.asarray(sdf_sampled(model, self._freqs))
+        value = spectral_nll(self._shat, f, self._mask)
+        if not grad:
+            return value, None
+        return value, (sdf_grad(model, self._freqs) * self._weights(f)).sum(axis=1)
+
+    def _weights(self, svals) -> np.ndarray:
+        """w = (1/N)(1/s - Shat/s^2) on the mask, 0 elsewhere: dl/ds."""
+        n = svals.size
+        s = svals[self._mask]
+        w = np.zeros(n)
+        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
+        return w
+
+    def _modulated(self, models, phi, grad):
         n = len(self.data)
-        cgs = self.cgs if kernel is None else [kernel[0]]
-        tables = [autocov_grad(m, n) for m in _latents(model)]
-        sbar = expected_periodogram_fft_order(_cbar(cgs, [c for c, _ in tables]))
+        if self._kernel is None:
+            cgs, dcg = self.cgs, None
+        else:
+            cg, dcg = self._kernel.cg_grad(phi) if grad else (self._kernel.cg(phi), None)
+            cgs = [cg]
+        tables = [autocov_grad(m, n) if grad else (autocov_sequence(m, n), None)
+                  for m in models]
+        acvs = [acv for acv, _ in tables]
+        sbar = expected_periodogram_fft_order(_cbar(cgs, acvs))
         value = spectral_nll(self._shat, sbar, self._mask)
+        if not grad:
+            return value, None
         w = self._weights(sbar)
         # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to N/2
         # come from rfft, and the rest are mirrored only when some acv
@@ -466,9 +486,9 @@ class Objective:
             return 2.0 * terms.sum(axis=1) - np.real(other[0] * jac[:, 0]) * w_sum
 
         grad = [adjoint(jac, cg) for cg, (_, jac) in zip(cgs, tables)]
-        if kernel is not None:
+        if dcg is not None:
             acv, jac = tables[0]
-            grad.append(adjoint(kernel[1][:, :jac.shape[1]], acv))
+            grad.append(adjoint(dcg[:, :jac.shape[1]], acv))
         return value, np.concatenate(grad)
 
 
@@ -492,55 +512,6 @@ class Car1WhittleObjective:
 
     def __call__(self, theta) -> float:
         return self._objective(theta)
-
-
-class LinearBetaCar1ExactObjective:
-    """Exact Markov likelihood of a complex AR(1) under a linear rotation ramp.
-
-    theta = (r, sigma, gamma, span): step t rotates by gamma + span ramp_t,
-    ramp_t = (2t - (N-1)) / (2(N-1)), as in
-    :func:`~modwhittle.modulation.linear_beta`.  The O(N) oracle of the
-    ramp-kernel modulated Whittle fit, with a closed-form score (see
-    :func:`_exact_car1`).
-    """
-
-    names = ("r", "sigma", "gamma", "span")
-    has_gradient = True
-
-    def __init__(self, data: Series):
-        self.z = np.asarray(data.values, dtype=complex)
-        self.n = self.z.size
-        t = np.arange(1, self.n)
-        self.ramp = (2.0 * t - (self.n - 1)) / (2.0 * (self.n - 1))
-        self.lower = np.array([0.0, 0.0, -np.pi, 0.0])
-        self.upper = np.array([1.0, np.inf, np.pi, np.pi])
-
-    def _beta(self, theta):
-        r, sigma, gamma, span = theta
-        if not (0.0 <= r < 1.0) or sigma <= 0 or not (0.0 < span < np.pi):
-            return None
-        return gamma + span * self.ramp
-
-    def __call__(self, theta) -> float:
-        beta = self._beta(theta)
-        if beta is None:
-            return np.inf
-        return exact_car1_nll(self.z, beta, theta[0], theta[1])
-
-    def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
-        """The nll and its gradient; +inf and a zero gradient outside the
-        parameter space or where either is not finite."""
-        theta = np.asarray(theta, dtype=float)
-        fail = np.inf, np.zeros(4)
-        beta = self._beta(theta) if np.all(np.isfinite(theta)) else None
-        if beta is None:
-            return fail
-        value, d_r, d_sigma, d_beta = _exact_car1(self.z, beta, theta[0], theta[1],
-                                                  score=True)
-        grad = np.array([d_r, d_sigma, d_beta.sum(), d_beta @ self.ramp])
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return fail
-        return value, grad
 
 
 # ----------------------------------------------------------------------

@@ -420,23 +420,30 @@ def _matern_acv_grad(b: float, h: float, alpha: float, delta: float,
     return c, jac
 
 
+def has_acv_grad(model: LatentModel) -> bool:
+    """Whether :func:`autocov_grad` serves model: a GRADIENT_FAMILIES family,
+    AR of order 1 only."""
+    return model.family in GRADIENT_FAMILIES and (model.family != "ar"
+                                                  or len(model.params) == 2)
+
+
 def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray]:
     """c_X(0..nlags-1) with its derivatives in the free parameters.
 
     Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
     row per parameter over the lags 0..L-1 where acv is not truncated to
-    zero, so callers sum derivatives over that support only.  Families in
-    GRADIENT_FAMILIES only, and AR of order 1 only: AR(1), car1 (with a
-    fixed or a free rotation) and ou in closed form from the geometric table,
-    matern from :func:`_matern_acv_grad`.
+    zero, so callers sum derivatives over that support only.  The models of
+    :func:`has_acv_grad` only: AR(1), car1 (with a fixed or a free rotation)
+    and ou in closed form from the geometric table, matern from
+    :func:`_matern_acv_grad`.
     """
     f = model.family
+    if not has_acv_grad(model):
+        raise ValueError(f"no autocovariance gradient for family {f!r} "
+                         f"with {len(model.params)} parameters")
     if f == "matern":
         return _matern_acv_grad(model.value("B"), model.value("h"),
                                 model.value("alpha"), model.delta, nlags)
-    if f not in GRADIENT_FAMILIES or (f == "ar" and len(model.params) != 2):
-        raise ValueError(f"no autocovariance gradient for family {f!r} "
-                         f"with {len(model.params)} parameters")
     c = autocov_sequence(model, nlags)
     if f == "ou":
         r, _ = ou_to_ar(model.value("A"), model.value("lam"), model.delta)

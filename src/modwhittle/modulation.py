@@ -38,6 +38,7 @@ __all__ = [
     "frequency_modulator",
     "linear_frequency_modulator",
     "linear_beta",
+    "linear_ramp",
     "cg_linear_closed_form",
     "LinearRampKernel",
     "significant_correlation_diagnostic",
@@ -218,7 +219,7 @@ def frequency_modulator(beta) -> Modulator:
 
 
 def linear_beta(gamma: float, span: float, n: int) -> np.ndarray:
-    """beta_t = gamma + span*(2t-(N-1))/(2(N-1)) for t = 1..N-1.
+    """beta_t = gamma + span ramp_t for t = 1..N-1 (see :func:`linear_ramp`).
 
     The increments ramp linearly from gamma - span/2 to gamma + span/2 over
     the sample; span must satisfy 0 < span < pi so the resulting modulated
@@ -226,12 +227,23 @@ def linear_beta(gamma: float, span: float, n: int) -> np.ndarray:
     """
     if not (-np.pi <= gamma < np.pi):
         raise ValueError("gamma must lie in [-pi, pi)")
-    if not (0.0 < span < np.pi):
-        raise ValueError("span must lie in (0, pi)")
     if n < 2:
         raise ValueError("need at least two samples for a linear ramp")
+    return gamma + _checked_span(span) * linear_ramp(n)
+
+
+def linear_ramp(n: int) -> np.ndarray:
+    """ramp_t = (2t - (N-1)) / (2(N-1)) for t = 1..N-1, from -1/2 + 1/(N-1)
+    to 1/2: the shape of the linear rotation ramp of :func:`linear_beta`."""
     t = np.arange(1, n)
-    return gamma + span * (2.0 * t - (n - 1)) / (2.0 * (n - 1))
+    return (2.0 * t - (n - 1)) / (2.0 * (n - 1))
+
+
+def _checked_span(span: float) -> float:
+    """span, which raises ValueError outside (0, pi)."""
+    if not (0.0 < span < np.pi):
+        raise ValueError("span must lie in (0, pi)")
+    return span
 
 
 def linear_frequency_modulator(gamma: float, span: float, n: int) -> Modulator:
@@ -256,12 +268,10 @@ def cg_linear_closed_form(gamma: float, span: float, n: int, tau) -> np.ndarray 
                * exp{i (gamma*tau + span*tau/(2(N-1)))},
     with c_g(0) = 1 by continuity.  O(1) per lag, O(N) for all lags.
     """
-    if not (0.0 < span < np.pi):
-        raise ValueError("span must lie in (0, pi)")
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     if np.any(tau_arr < 0) or np.any(tau_arr > n - 1):
         raise ValueError("lags must lie in [0, N-1]")
-    a, mag = _linear_ramp_terms(span, n, tau_arr)
+    a, mag = _linear_ramp_terms(_checked_span(span), n, tau_arr)
     out = mag * np.exp(1j * (gamma * tau_arr + a))
     if np.ndim(tau) == 0:
         return complex(out[0])
@@ -281,7 +291,9 @@ class LinearRampKernel:
         dc_g/dspan  = [dm/dspan + i u m] e^{i (gamma tau + a)},
         dm/dspan    = u [(N - tau) cos(a (N - tau)) / (N sin a) - m cot a],
 
-    and both vanish at tau = 0.  A span outside (0, pi) raises ValueError.
+    and both vanish at tau = 0.  ``rotations(phi)`` is the per-step rotation
+    gamma + span ramp_t (``ramp``, :func:`linear_ramp`).  A span outside (0,
+    pi) raises ValueError.
     """
 
     def __init__(self, n: int, gamma: float = 0.0, span: float = 1.0):
@@ -290,13 +302,16 @@ class LinearRampKernel:
         self.n = n
         self.params = ParameterVector(["gamma", "span"], [gamma, span],
                                       lower=[-np.pi, 0.0], upper=[np.pi, np.pi])
+        self.ramp = linear_ramp(n)
         self._tau = np.arange(n, dtype=float)
+
+    def rotations(self, phi) -> np.ndarray:
+        gamma, span = phi
+        return gamma + _checked_span(span) * self.ramp
 
     def _terms(self, phi):
         gamma, span = phi
-        if not (0.0 < span < np.pi):
-            raise ValueError("span must lie in (0, pi)")
-        a, mag = _linear_ramp_terms(span, self.n, self._tau)
+        a, mag = _linear_ramp_terms(_checked_span(span), self.n, self._tau)
         return a, mag, np.exp(1j * (gamma * self._tau + a))
 
     def cg(self, phi) -> np.ndarray:

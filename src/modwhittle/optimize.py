@@ -6,8 +6,8 @@ construction.  Objectives without a gradient are minimized with a
 Nelder-Mead simplex in that space.  Objectives that offer one
 (``has_gradient`` and ``value_and_grad``: a modulated-Whittle
 :class:`Objective` over AR(1), car1, ou and matern components, a Whittle one
-over an AR(1) or car1 latent, and the Markov
-:class:`LinearBetaCar1ExactObjective`) take two phases per start:
+over an AR(1) or car1 latent, and the exact one of a car1 latent under a
+linear-ramp kernel, the Markov likelihood) take two phases per start:
 Nelder-Mead until the simplex's objective spread is at most BASIN_FATOL,
 which chooses the basin, then L-BFGS-B from its best vertex in bounded
 polish coordinates (see :func:`_polish_coordinates`): log theta for a
@@ -32,7 +32,6 @@ from scipy.optimize import minimize
 
 from .core import ParameterVector, Series
 from .modulation import (
-    Modulator,
     cg_sequence,  # noqa: F401  (the benchmark tracer wraps this name)
     component_cg,
 )
@@ -161,11 +160,12 @@ def _polish_theta(y, log_mask) -> np.ndarray:
 def _polish_value_and_grad(y, objective, log_mask):
     """The objective and its gradient in the polish coordinates y.
 
-    A line-search step can reach a theta so large that theta itself or the
-    objective's intermediate values overflow; that scores +inf without a
-    warning, like any other non-finite value.
+    A line-search step can reach a theta so large (or small) that theta
+    itself or the objective's intermediate values overflow (or divide by an
+    underflowed 0); that scores +inf without a warning, like any other
+    non-finite value.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta = np.where(log_mask, np.exp(y), y)
         val, grad = objective.value_and_grad(theta)
     if not np.isfinite(val):
@@ -345,44 +345,45 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
 # method-of-moments initializations (demodulated sample autocovariances)
 # ----------------------------------------------------------------------
 
-def _mom_latent_acv(data: Series, cg, lags=(0, 1)):
-    """chat_X(tau) = chat_Y(tau) / c_g(tau), the naive latent-acv estimate."""
+def _mom_latent_acv(data: Series, cg):
+    """chat_X(tau) = chat_Y(tau) / c_g(tau) at lags 0 and 1, the naive
+    latent-acv estimates."""
     y = np.asarray(data.values)
     n = y.size
-    if cg is None or isinstance(cg, Modulator):
-        cg = component_cg(cg, n)
+    if cg is None:
+        cg = component_cg(None, n)
     out = []
-    for tau in lags:
+    for tau in (0, 1):
         cy = np.sum(np.conj(y[: n - tau]) * y[tau:]) / n
         denom = cg[tau]
         out.append(cy / denom if np.abs(denom) > 1e-12 else np.nan)
     return out
 
 
-def mom_ar1(data: Series, cg=None, bounds=(-0.985, 0.985)) -> np.ndarray:
-    """(a, sigma) start values for a real AR(1) latent, clipped into bounds.
+def mom_ar1(data: Series, cg=None) -> np.ndarray:
+    """(a, sigma) start values for a real AR(1) latent, |a| <= 0.985.
 
     cg is the modulator's c_g at lags 0..N-1 (e.g. an :class:`Objective`'s
-    ``cgs[0]``), the :class:`Modulator` itself, or None for an unmodulated
-    series, whose c_g is 1 - tau/N.
+    ``cgs[0]``), or None for an unmodulated series, whose c_g is 1 - tau/N.
     """
-    c0, c1 = _mom_latent_acv(data, cg, (0, 1))
+    c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))
     if not np.isfinite(c0) or c0 <= 0:
         return np.array([0.0, 1.0])
     a = float(np.real(c1)) / c0 if np.isfinite(np.real(c1)) else 0.0
-    a = float(np.clip(a, bounds[0], bounds[1]))
+    a = float(np.clip(a, -0.985, 0.985))
     sigma2 = max(c0 * (1.0 - a * a), 1e-12)
     return np.array([a, np.sqrt(sigma2)])
 
 
-def mom_car1(data: Series, cg=None, rmax: float = 0.995) -> np.ndarray:
-    """(r, sigma) start values for a complex AR(1) latent; cg as in :func:`mom_ar1`."""
-    c0, c1 = _mom_latent_acv(data, cg, (0, 1))
+def mom_car1(data: Series, cg=None) -> np.ndarray:
+    """(r, sigma) start values for a complex AR(1) latent, r in [1e-3, 0.995];
+    cg as in :func:`mom_ar1`."""
+    c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))
     if not np.isfinite(c0) or c0 <= 0:
         return np.array([0.5, 1.0])
     r = np.abs(c1) / c0 if np.isfinite(np.abs(c1)) else 0.5
-    r = float(np.clip(r, 1e-3, rmax))
+    r = float(np.clip(r, 1e-3, 0.995))
     sigma2 = max(c0 * (1.0 - r * r), 1e-12)
     return np.array([r, np.sqrt(sigma2)])

@@ -22,17 +22,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from .core import ParameterVector, Series
-from .likelihood import LinearBetaCar1ExactObjective, Objective
+from .likelihood import Objective
 from .models import LatentModel, ar_model, autocov_sequence, car1_model
 from .modulation import (
     LinearRampKernel,
     cosine_bernoulli_mask,
     frequency_modulator,
     linear_beta,
+    linear_ramp,
 )
 from .optimize import FitFailure, FitResult, fit, mom_ar1, mom_car1
 
@@ -336,16 +338,16 @@ def _car1_start(y: np.ndarray, lag1: complex, shrink: float) -> tuple[float, flo
 def _ramp_start(data: Series) -> np.ndarray:
     """(r, sigma, gamma, span) start of a car1 under a linear rotation ramp.
 
-    z_t conj(z_{t-1}) turns by about gamma + span ramp_t, ramp_t = (2t -
-    (N-1)) / (2(N-1)); so the lag-1 moment (1/N) sum_t conj(z_{t-1}) z_t
-    e^{-i s ramp_t} peaks in modulus near s = span, at about r c(0) e^{i
-    gamma}.  s is scanned over SPAN_GRID midpoints of (0, pi); gamma is the
-    phase of the moment at the best s, and r its modulus over c(0).
+    z_t conj(z_{t-1}) turns by about gamma + span ramp_t (see
+    :func:`~modwhittle.modulation.linear_ramp`); so the lag-1 moment (1/N)
+    sum_t conj(z_{t-1}) z_t e^{-i s ramp_t} peaks in modulus near s = span,
+    at about r c(0) e^{i gamma}.  s is scanned over SPAN_GRID midpoints of
+    (0, pi); gamma is the phase of the moment at the best s, and r its
+    modulus over c(0).
     """
     y = np.asarray(data.values)
     n = y.size
-    t = np.arange(1, n)
-    ramp = (2.0 * t - (n - 1)) / (2.0 * (n - 1))
+    ramp = linear_ramp(n)
     spans = (np.arange(SPAN_GRID) + 0.5) * np.pi / SPAN_GRID
     # the terms at span s_k, by one rotation per grid step from s_0
     term = np.exp(-1j * spans[0] * ramp) * np.conj(y[:-1]) * y[1:]
@@ -359,15 +361,13 @@ def _ramp_start(data: Series) -> np.ndarray:
                      np.angle(sums[best]), spans[best]])
 
 
-def _ramp_modulated(data: Series, aux: dict):
+def _ramp_kernel(kind: str, data: Series, aux: dict):
+    """Table 2's exact or modulated-Whittle estimator: the objective of kind
+    over a car1 latent under a :class:`LinearRampKernel`."""
     r0, sigma0, gamma0, span0 = _ramp_start(data)
-    obj = Objective("modulated-whittle", data, car1_model(r0, sigma0),
+    obj = Objective(kind, data, car1_model(r0, sigma0),
                     modulator=LinearRampKernel(len(data), gamma0, span0))
     return obj, obj.init_params
-
-
-def _ramp_exact(data: Series, aux: dict):
-    return LinearBetaCar1ExactObjective(data), _ramp_start(data)
 
 
 def _ramp_stationary(data: Series, aux: dict):
@@ -384,8 +384,8 @@ ESTIMATORS = {
     ("ar1-bernoulli-mask", "stationary"): _mask_stationary,
     ("car1-bounded-walk", "modulated"): _walk_modulated,
     ("car1-bounded-walk", "stationary"): _walk_stationary,
-    ("car1-linear-beta", "modulated"): _ramp_modulated,
-    ("car1-linear-beta", "exact"): _ramp_exact,
+    ("car1-linear-beta", "modulated"): partial(_ramp_kernel, "modulated-whittle"),
+    ("car1-linear-beta", "exact"): partial(_ramp_kernel, "exact"),
     ("car1-linear-beta", "stationary"): _ramp_stationary,
 }
 

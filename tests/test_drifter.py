@@ -211,14 +211,14 @@ def _synthetic_segment(rng, n=1024):
 
 
 def test_two_phase_fit_never_worse_than_simplex_alone(rng, monkeypatch):
-    import modwhittle.likelihood as likelihood
+    import modwhittle.models as models
     segments = [_synthetic_segment(rng) for _ in range(6)]
     for mode in ("modulated", "stationary"):
         two_phase = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
                      for d, wf in segments]
         assert all(f.fit_result.n_grad_evals > 0 for f in two_phase)
         with monkeypatch.context() as m:
-            m.setattr(likelihood, "GRADIENT_FAMILIES", ())
+            m.setattr(models, "GRADIENT_FAMILIES", ())
             simplex = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
                        for d, wf in segments]
         assert all(f.fit_result.n_grad_evals == 0 for f in simplex)

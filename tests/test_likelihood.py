@@ -19,7 +19,6 @@ from modwhittle import (
 from modwhittle.likelihood import (
     AggregateModel,
     Car1WhittleObjective,
-    LinearBetaCar1ExactObjective,
     Objective,
     aggregate_expected_periodogram,
     compare_likelihoods,
@@ -201,7 +200,7 @@ def test_objective_validation(rng):
     with pytest.raises(ValueError):
         Objective("nope", x, ar_model([0.5], 1.0))
     with pytest.raises(ValueError):
-        Objective("exact", Series(rng.normal(size=64)), ar_model([0.5], 1.0), exact_cap=32)
+        Objective("exact", Series(rng.normal(size=2049)), ar_model([0.5], 1.0))
     with pytest.raises(ValueError):
         Objective("modulated-whittle", x, ar_model([0.5], 1.0),
                   modulator=constant_modulator(8))
@@ -226,8 +225,6 @@ def test_mask_handling(rng):
     assert part < full
     with pytest.raises(ValueError):
         resolve_mask(n, np.zeros(n, dtype=bool))
-    dz = resolve_mask(n, None, drop_zero=True)
-    assert dz.sum() == n - 1
 
 
 def test_score_at_truth(rng):
@@ -342,7 +339,8 @@ def test_linear_beta_objectives_agree_with_generic(rng):
     got = ramp(theta)
     ref = modulated_value(z, mod, car1_model(0.85, 1.9))
     assert abs(got - ref) < 1e-10
-    got_exact = LinearBetaCar1ExactObjective(z)((0.85, 1.9, 0.8, 1.0))
+    got_exact = Objective("exact", z, car1_model(0.5, 1.0),
+                          modulator=LinearRampKernel(n))(theta)
     ref_exact = exact_car1_nll(z.values, beta, 0.85, 1.9)
     assert abs(got_exact - ref_exact) < 1e-12
 
@@ -602,7 +600,7 @@ def test_exact_markov_gradient_matches_central_differences(rng):
         beta = linear_beta(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0), n)
         z = simulate_complex_ar1(rng.uniform(0.1, 0.95), rng.uniform(0.5, 5.0),
                                  beta, n, rng)
-        obj = LinearBetaCar1ExactObjective(z)
+        obj = Objective("exact", z, car1_model(0.5, 1.0), modulator=LinearRampKernel(n))
         assert obj.has_gradient
         theta = [rng.uniform(0.05, 0.95), rng.uniform(0.5, 5.0),
                  rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)]
@@ -610,3 +608,23 @@ def test_exact_markov_gradient_matches_central_differences(rng):
     for theta in ([1.0, 1.0, 0.5, 1.0], [0.5, 1.0, 0.5, 0.0], [0.5, np.nan, 0.5, 1.0]):
         value, grad = obj.value_and_grad(theta)
         assert value == np.inf and np.array_equal(grad, np.zeros(4))
+
+
+def test_objective_rejects_shapes_no_kind_evaluates(rng):
+    n = 32
+    mod = periodic_missing_mask(3, 1, n)
+    data = Series(rng.normal(size=n) + 1j * rng.normal(size=n), kind="complex")
+    agg = AggregateModel(((car1_model(0.5, 1.0), mod), (car1_model(0.3, 1.0), None)), n)
+    for kind in ("whittle", "exact"):
+        with pytest.raises(ValueError):
+            Objective(kind, data, agg)
+    with pytest.raises(ValueError):  # the aggregate's own modulators would be ignored
+        Objective("modulated-whittle", data, agg, modulator=mod)
+    with pytest.raises(ValueError):
+        compare_likelihoods(data, mod, car1_model(0.5, 1.0), agg)
+    with pytest.raises(ValueError):
+        Objective("whittle", data, car1_model(0.5, 1.0), modulator=mod)
+    for latent in (ar_model([0.5], 1.0), car1_model(0.5, 1.0, rotation=0.3),
+                   car1_model(0.5, 1.0, gamma=0.3)):
+        with pytest.raises(ValueError):
+            Objective("exact", data, latent, modulator=LinearRampKernel(n))

@@ -97,17 +97,17 @@ def test_parameter_vector_init():
 
 
 def test_mom_inits(rng):
-    from modwhittle import ar_model, frequency_modulator, periodic_missing_mask
+    from modwhittle import ar_model, cg_sequence, frequency_modulator, periodic_missing_mask
     model = ar_model([0.8], 1.0)
     x = simulate_ar(model, 4096, rng)
     mod = periodic_missing_mask(3, 1, 4096)
     data = Series(mod.g * x.values)
-    a, sigma = mom_ar1(data, mod)
+    a, sigma = mom_ar1(data, cg_sequence(mod))
     assert abs(a - 0.8) < 0.1 and abs(sigma - 1.0) < 0.2
 
     beta = np.full(4095, 0.7)
     z = simulate_complex_ar1(0.9, 1.0, beta, 4096, rng)
-    r, s = mom_car1(z, frequency_modulator(beta))
+    r, s = mom_car1(z, cg_sequence(frequency_modulator(beta)))
     assert abs(r - 0.9) < 0.05 and abs(s - 1.0) < 0.2
 
 

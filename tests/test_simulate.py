@@ -241,13 +241,26 @@ MC_NAMES = {(kind, est): list(MC_CASES[kind][0]) for kind, est in ESTIMATORS}
 MC_NAMES["car1-linear-beta", "stationary"] = ["r", "sigma", "gamma"]
 
 
+def simplex_only(monkeypatch):
+    """Make every ESTIMATORS factory build its objective without a gradient,
+    so its fits take the Nelder-Mead-only path."""
+    def without_gradient(make):
+        def build(data, aux):
+            objective, init = make(data, aux)
+            objective.has_gradient = False
+            return objective, init
+        return build
+
+    for key, make in list(ESTIMATORS.items()):
+        monkeypatch.setitem(ESTIMATORS, key, without_gradient(make))
+
+
 # every estimator of every study kind; a modulated case keeps the bare kind as its id
 @pytest.mark.parametrize("kind, estimator", list(ESTIMATORS),
                          ids=[k if e == "modulated" else f"{k}-{e}" for k, e in ESTIMATORS])
 def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, estimator, monkeypatch):
     # fits on the gradient path, and ends no higher than Nelder-Mead alone
     # on the same objective
-    import modwhittle.likelihood as likelihood
     truth, process = MC_CASES[kind]
     study = McStudy(kind=kind, true_params=truth, process=process,
                     estimators=[estimator], n_grid=[1024], replicates=1,
@@ -256,8 +269,7 @@ def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, estimator, monkey
     two_phase = _fit_estimator(study, estimator, data, aux)
     assert two_phase.n_grad_evals > 0
     assert two_phase.theta_hat.names == MC_NAMES[kind, estimator]
-    monkeypatch.setattr(likelihood, "GRADIENT_FAMILIES", ())
-    monkeypatch.setattr(likelihood.LinearBetaCar1ExactObjective, "has_gradient", False)
+    simplex_only(monkeypatch)
     simplex = _fit_estimator(study, estimator, data, aux)
     assert simplex.n_grad_evals == 0
     f1 = simplex.objective_value
@@ -267,14 +279,13 @@ def test_modulated_mc_fit_never_worse_than_simplex_alone(kind, estimator, monkey
 def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
     # this replicate's first L-BFGS-B polish reports convergence with a
     # gradient of about 1, far from the optimum; the restart reaches it
-    import modwhittle.likelihood as likelihood
     truth, process = MC_CASES["ar1-bernoulli-mask"]
     study = McStudy(kind="ar1-bernoulli-mask", true_params=truth, process=process,
                     estimators=["modulated"], n_grid=[128], replicates=1,
                     seed=77, fit_options={"n_starts": 1})
     data, aux = _simulate_case(study, 128, 0)
     two_phase = _fit_estimator(study, "modulated", data, aux)
-    monkeypatch.setattr(likelihood, "GRADIENT_FAMILIES", ())
+    simplex_only(monkeypatch)
     simplex = _fit_estimator(study, "modulated", data, aux)
     assert two_phase.converged
     assert abs(two_phase.objective_value - simplex.objective_value) <= 1e-9
