@@ -241,6 +241,8 @@ def _drifter_report(f) -> dict:
         "n_evals": f.fit_result.n_evals,
         "n_grad_evals": f.fit_result.n_grad_evals,
         "converged": f.fit_result.converged,
+        "n_rejected": f.fit_result.n_rejected,
+        "profiled": list(f.fit_result.profiled),
         "at_bound": f.at_bound,
         "damping_time_days": f.damping_time,
     }

@@ -22,6 +22,14 @@ the O(N) Markov likelihood :func:`exact_car1_nll`.  That likelihood, and the
 Whittle and modulated-Whittle kinds where every latent has a score, have an
 analytic gradient; the dense exact kind, AR(p >= 2) and MA latents, and
 :class:`Car1WhittleObjective` are fitted by Nelder-Mead alone.
+
+Over one latent model every kind is proportional to its scale^2 (sigma, A
+or B, :data:`~modwhittle.models.SCALE_PARAMS`) in Sbar, the sdf or the
+covariance, so the scale minimising the objective at the other parameters is
+closed form, and :meth:`Objective.profile` evaluates this concentrated
+likelihood (Brockwell & Davis 1991, Time Series: Theory and Methods, 10.8)
+within the chain of one evaluation.  Aggregates have two or more scales and
+no profile.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .models import (
     car1_model,
     has_acv_grad,
     has_sdf_grad,
+    scale_index,
     sdf_grad,
     sdf_sampled,
 )
@@ -107,16 +116,22 @@ def spectral_nll(shat: np.ndarray, svals: np.ndarray, mask: np.ndarray | None = 
 # exact Gaussian likelihood
 # ----------------------------------------------------------------------
 
-def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel,
-                       cap: int = EXACT_CAP) -> float:
-    """(1/N') [log|C_Y| + y* C_Y^{-1} y] over the points where g != 0.
+def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel) -> float:
+    """(1/N') [log|C_Y| + y* C_Y^{-1} y] over the N' points where g != 0.
 
     C_Y(t1,t2) = g_{t1} conj(g_{t2}) c_X(t1-t2), Cholesky-based; the complex
     case uses the proper-Gaussian density (equivalently the 2N-dimensional
-    real Gaussian implied by propriety, up to an affine constant).
+    real Gaussian implied by propriety, up to an affine constant).  Capped at
+    N <= EXACT_CAP.
     """
-    if len(data) > cap:
-        raise ValueError(f"exact likelihood capped at N <= {cap}")
+    if len(data) > EXACT_CAP:
+        raise ValueError(f"exact likelihood capped at N <= {EXACT_CAP}")
+    logdet, quad, kept = _exact_dense(data, mod, model)
+    return (logdet + quad) / kept
+
+
+def _exact_dense(data: Series, mod: Modulator | None, model: LatentModel):
+    """(log|C_Y|, y* C_Y^{-1} y, N') of :func:`exact_gaussian_nll`, uncapped."""
     y = np.asarray(data.values)
     n = y.size
     g = np.ones(n) if mod is None else np.asarray(mod.g)
@@ -142,7 +157,16 @@ def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel,
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     alpha = scipy.linalg.cho_solve((chol, low), yk, check_finite=False)
     quad = float(np.real(np.vdot(yk, alpha)))
-    return (logdet + quad) / keep.size
+    return logdet, quad, keep.size
+
+
+def _concentrated_scale2(s2: float) -> float:
+    """s2, the optimal squared scale, checked to be finite and positive: an
+    all-zero sample (or periodogram on the mask) has none."""
+    if not 0.0 < s2 < math.inf:
+        raise ValueError("no finite positive scale minimises the objective "
+                         "(the data are zero where it looks)")
+    return s2
 
 
 def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> float:
@@ -152,7 +176,7 @@ def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> f
     :func:`exact_gaussian_nll` of the equivalent modulated representation and
     evaluated in O(N).
     """
-    return _exact_car1(z, beta, r, sigma, score=False)
+    return _exact_car1(z, beta, r, sigma, score=False)[0]
 
 
 def _exact_car1(z, beta, r, sigma, score: bool):
@@ -164,30 +188,36 @@ def _exact_car1(z, beta, r, sigma, score: bool):
 
         N dl/dr      = 2r / (1 - r^2) - 2r |z_0|^2 / s2 - 2 sum Re p_t / s2,
         N dl/dsigma  = (2 / sigma) [N - (|z_0|^2 (1 - r^2) + Q) / s2],
-        N dl/dbeta_t = 2r Im p_t / s2,
+        N dl/dbeta_t = 2r Im p_t / s2.
 
-    returned as (l, dl/dr, dl/dsigma, dl/dbeta).
+    sigma None concentrates it out: s2 = (|z_0|^2 (1 - r^2) + Q) / N, where
+    dl/dsigma = 0.  Returns (l, sigma, derivatives), the derivatives
+    (dl/dr, dl/dsigma, dl/dbeta) with score=True and None otherwise.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
     if beta.size != n - 1:
         raise ValueError("need one rotation per transition")
-    if not (0.0 <= r < 1.0) or sigma <= 0:
+    if not (0.0 <= r < 1.0) or (sigma is not None and sigma <= 0):
         raise ValueError("requires 0 <= r < 1 and sigma > 0")
-    s2 = sigma * sigma
     u = np.exp(1j * beta) * z[:-1]
     resid = z[1:] - r * u
     z0sq = abs(z[0]) ** 2
     quad = float(np.sum(np.abs(resid) ** 2))
+    if sigma is None:
+        s2 = _concentrated_scale2((z0sq * (1.0 - r * r) + quad) / n)
+        sigma = math.sqrt(s2)
+    else:
+        s2 = sigma * sigma
     nll = (np.log(s2 / (1.0 - r * r)) + z0sq * (1.0 - r * r) / s2
            + (n - 1) * np.log(s2) + quad / s2) / n
     if not score:
-        return float(nll)
+        return float(nll), sigma, None
     p = np.conj(resid) * u
     d_r = (2.0 * r / (1.0 - r * r) - 2.0 * r * z0sq / s2
            - 2.0 * float(np.sum(p.real)) / s2) / n
     d_sigma = 2.0 / sigma * (n - (z0sq * (1.0 - r * r) + quad) / s2) / n
-    return float(nll), d_r, d_sigma, 2.0 * r * p.imag / (s2 * n)
+    return float(nll), sigma, (d_r, d_sigma, 2.0 * r * p.imag / (s2 * n))
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +309,12 @@ class Objective:
     ``has_gradient`` see :meth:`value_and_grad`,
     :func:`~modwhittle.models.has_sdf_grad` (whittle) and
     :func:`~modwhittle.models.has_acv_grad` (modulated-whittle).
+
+    Over one latent model every kind is a concentrated likelihood in that
+    model's scale (:data:`~modwhittle.models.SCALE_PARAMS`): ``scale_index``
+    is its position in theta, and :meth:`profile` evaluates the objective at
+    the scale's closed-form optimum.  An aggregate has none (None).
+    ``n_rejected`` counts the evaluations that scored +inf.
     """
 
     kind: str
@@ -287,7 +323,7 @@ class Objective:
     modulator: Modulator | LinearRampKernel | None = None
     mask: np.ndarray | None = None
     check_significance: bool = True
-    _mask: np.ndarray = field(init=False, repr=False)
+    _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
     _shat: np.ndarray = field(init=False, repr=False, default=None)
     _freqs: np.ndarray = field(init=False, repr=False, default=None)
     _z: np.ndarray = field(init=False, repr=False, default=None)
@@ -295,6 +331,8 @@ class Objective:
     _latent_models: list = field(init=False, repr=False, default=None)
     cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
+    scale_index: int | None = field(init=False, default=None)
+    n_rejected: int = field(init=False, default=0)
 
     def __post_init__(self):
         n = len(self.data)
@@ -314,6 +352,8 @@ class Objective:
         components = (self.model.components if aggregate
                       else [(self.model, self.modulator)])
         self._latent_models = [m for m, _ in components]
+        if not aggregate:
+            self.scale_index = scale_index(self.model)
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
         self._mask = resolve_mask(n, self.mask)
@@ -330,12 +370,15 @@ class Objective:
                 self.has_gradient = True
             return
         self._shat = periodogram(self.data)
+        if self._mask.all():  # the whole grid: index it by a view, not a copy
+            self._mask = slice(None)
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
             self.has_gradient = has_sdf_grad(self.model)
             return
         self._shat = _from_grid_order(self._shat)
-        self._mask = _from_grid_order(self._mask)
+        if not isinstance(self._mask, slice):
+            self._mask = _from_grid_order(self._mask)
         self.has_gradient = all(has_acv_grad(m) for m in self._latent_models)
         if self._kernel is None:
             self.cgs = [component_cg(mod, n) for _, mod in components]
@@ -359,7 +402,7 @@ class Objective:
                                np.concatenate((lat.upper, ker.upper)))
 
     def __call__(self, theta) -> float:
-        return self._evaluate(theta, False)[0]
+        return self._evaluate(theta, False, False)[0]
 
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         """The nll and its gradient in theta.
@@ -367,10 +410,11 @@ class Objective:
         exact (Markov): the score of :func:`_exact_car1`, through beta_t =
         gamma + span ramp_t.
 
-        whittle: with f the sdf on the grid and w as in :meth:`_weights`,
-        dl/dtheta_j = sum_k w_k df_k/dtheta_j (see :func:`sdf_grad`).
+        whittle: with f the sdf on the grid and w = dl/df (see
+        :meth:`_whittle_sum`), dl/dtheta_j = sum_k w_k df_k/dtheta_j (see
+        :func:`sdf_grad`).
 
-        modulated-whittle: with S = Sbar, w as above and W = fft(w), the
+        modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w), the
         adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a component with
         kernel c_g,
 
@@ -386,36 +430,69 @@ class Objective:
         """
         if not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
-        return self._evaluate(theta, True)
+        return self._evaluate(theta, True, False)[:2]
 
-    def _evaluate(self, theta, grad: bool):
-        """(value, gradient or None) at theta, the one evaluation routine.
+    def profile(self, rest, grad: bool = False):
+        """The nll concentrated in the scale: its minimum over the scale.
+
+        rest is theta without its ``scale_index`` entry.  Sbar, the sdf and
+        the exact covariance all scale as scale^2, so the chain runs once at
+        scale 1 and the optimal s2 = scale^2 is closed form: (1/M)
+        sum_mask Shat / S_1 for the spectral kinds (M the mask size),
+        y* C_1^{-1} y / N' for the dense exact one and (|z_0|^2 (1 - r^2) +
+        Q) / N for the Markov one.  By the envelope theorem the gradient in
+        rest is the joint one at that scale.  Returns (value, gradient in
+        rest or None, scale), with +inf, a zero gradient and None where the
+        objective rejects rest, or where the data are zero on the mask.
+        """
+        if self.scale_index is None:
+            raise ValueError("an aggregate objective has no single scale")
+        if grad and not self.has_gradient:
+            raise ValueError("objective has no analytic gradient")
+        k = self.scale_index
+        rest = np.asarray(rest, dtype=float)
+        theta = np.concatenate((rest[:k], [1.0], rest[k:]))
+        value, gradient, scale = self._evaluate(theta, grad, True)
+        if grad:
+            gradient = np.concatenate((gradient[:k], gradient[k + 1:]))
+        return value, gradient, scale
+
+    def _evaluate(self, theta, grad: bool, profile: bool):
+        """(value, gradient or None, concentrated scale or None) at theta,
+        the one evaluation routine; with profile theta holds scale 1.
 
         Non-finite theta, theta outside the model class (a ValueError of the
         chain, e.g. a non-stationary AR: the optimizer steps back), and a
-        non-finite value or gradient score +inf, with a zero gradient.
+        non-finite value or gradient score +inf, with a zero gradient, and
+        are counted in ``n_rejected``.
         """
         theta = np.asarray(theta, dtype=float)
-        fail = np.inf, (np.zeros(theta.size) if grad else None)
-        if not np.isfinite(theta).all():
-            return fail
-        try:
-            if self._z is not None:  # the exact kind under a ramp kernel
-                value, gradient = self._exact_markov(theta, grad)
+        if np.isfinite(theta).all():
+            try:
+                value, gradient, scale = self._chain(theta, grad, profile)
+            except ValueError:
+                pass
             else:
-                models, phi = self._split(theta)
-                if self.kind == "exact":
-                    value = exact_gaussian_nll(self.data, self.modulator, models[0])
-                    gradient = None
-                elif self.kind == "whittle":
-                    value, gradient = self._whittle(models[0], grad)
-                else:
-                    value, gradient = self._modulated(models, phi, grad)
-        except ValueError:
-            return fail
-        if not math.isfinite(value) or (grad and not np.isfinite(gradient).all()):
-            return fail
-        return value, gradient
+                if math.isfinite(value) and (not grad or np.isfinite(gradient).all()):
+                    return value, gradient, scale
+        self.n_rejected += 1
+        return np.inf, (np.zeros(theta.size) if grad else None), None
+
+    def _chain(self, theta, grad, profile):
+        if self._z is not None:  # the exact kind under a ramp kernel
+            return self._exact_markov(theta, grad, profile)
+        models, phi = self._split(theta)
+        if self.kind == "exact":
+            logdet, quad, kept = _exact_dense(self.data, self.modulator, models[0])
+            s2 = _concentrated_scale2(quad / kept) if profile else 1.0
+            value = (logdet + quad / s2) / kept + math.log(s2)
+            return value, None, (math.sqrt(s2) if profile else None)
+        if self.kind == "whittle":
+            svals, pullback = self._whittle(models[0], grad)
+        else:
+            svals, pullback = self._modulated(models, phi, grad)
+        value, w, scale = self._whittle_sum(svals, grad, profile)
+        return value, (pullback(w) if grad else None), scale
 
     def _split(self, theta):
         """(latent models, kernel parameters phi) of theta; raises
@@ -429,32 +506,62 @@ class Objective:
             raise ValueError("parameter vector length mismatch")
         return models, theta[pos:]
 
-    def _exact_markov(self, theta, grad):
+    def _exact_markov(self, theta, grad, profile):
         # theta = (r, sigma, gamma, span) and no LatentModel: _exact_car1
         # rejects r and sigma outside the model, the kernel the span
         beta = self._kernel.rotations(theta[2:])
+        if not (grad or profile):  # the name the benchmark tracer times
+            return exact_car1_nll(self._z, beta, theta[0], theta[1]), None, None
+        value, sigma, score = _exact_car1(self._z, beta, theta[0],
+                                          None if profile else theta[1], score=grad)
+        scale = sigma if profile else None
         if not grad:
-            return exact_car1_nll(self._z, beta, theta[0], theta[1]), None
-        value, d_r, d_sigma, d_beta = _exact_car1(self._z, beta, theta[0], theta[1],
-                                                  score=True)
-        return value, np.array([d_r, d_sigma, d_beta.sum(), d_beta @ self._kernel.ramp])
+            return value, None, scale
+        d_r, d_sigma, d_beta = score
+        return value, np.array([d_r, d_sigma, d_beta.sum(),
+                                d_beta @ self._kernel.ramp]), scale
 
     def _whittle(self, model, grad):
+        """The sdf on the grid and, with grad, the map from w = dl/df to the
+        gradient."""
         f = np.asarray(sdf_sampled(model, self._freqs))
-        value = spectral_nll(self._shat, f, self._mask)
         if not grad:
-            return value, None
-        return value, (sdf_grad(model, self._freqs) * self._weights(f)).sum(axis=1)
+            return f, None
+        return f, lambda w: (sdf_grad(model, self._freqs) * w).sum(axis=1)
 
-    def _weights(self, svals) -> np.ndarray:
-        """w = (1/N)(1/s - Shat/s^2) on the mask, 0 elsewhere: dl/ds."""
+    def _whittle_sum(self, svals, grad: bool, profile: bool):
+        """(value, w, scale) of the Whittle sum at the spectrum svals.
+
+        w = dl/ds = (1/N)(1/s - Shat/s^2) on the mask and 0 elsewhere (None
+        without grad).  With profile the spectrum is s2 svals at the s2 that
+        minimises the sum, s2 = (1/M) sum_mask Shat/svals over the M masked
+        frequencies, where the sum is (1/N)[sum_mask log svals +
+        M (1 + log s2)] and w is the one at svals with Shat/s2; scale =
+        sqrt(s2), None without profile.
+        """
         n = svals.size
+        if not profile:
+            value = spectral_nll(self._shat, svals, self._mask)
+            if not grad:
+                return value, None, None
         s = svals[self._mask]
-        w = np.zeros(n)
-        w[self._mask] = (1.0 - self._shat[self._mask] / s) / s / n
-        return w
+        if profile and not s.min() > 0:
+            raise ValueError("spectral values must be positive on the mask")
+        ratio = self._shat[self._mask] / s
+        if profile:
+            s2 = _concentrated_scale2(float(np.mean(ratio)))
+            value = (float(np.sum(np.log(s))) + s.size * (1.0 + math.log(s2))) / n
+        w = None
+        if grad:
+            if profile:
+                ratio /= s2
+            w = np.zeros(n)
+            w[self._mask] = (1.0 - ratio) / s / n
+        return value, w, (math.sqrt(s2) if profile else None)
 
     def _modulated(self, models, phi, grad):
+        """Sbar in FFT order and, with grad, the map from w = dl/dSbar to the
+        gradient."""
         n = len(self.data)
         if self._kernel is None:
             cgs, dcg = self.cgs, None
@@ -465,31 +572,33 @@ class Objective:
                   for m in models]
         acvs = [acv for acv, _ in tables]
         sbar = expected_periodogram_fft_order(_cbar(cgs, acvs))
-        value = spectral_nll(self._shat, sbar, self._mask)
         if not grad:
-            return value, None
-        w = self._weights(sbar)
-        # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to N/2
-        # come from rfft, and the rest are mirrored only when some acv
-        # support reaches past them
-        big_w = np.fft.rfft(w)
-        if max(jac.shape[1] for _, jac in tables) > big_w.size:
-            big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
-        w_sum = float(np.sum(w))
+            return sbar, None
 
-        def adjoint(jac, other):
-            # jac: derivative rows of one factor of cbar, other: the other
-            # factor; an elementwise sum, not jac @ ...: a threaded BLAS
-            # call costs more than the product on these short rows
-            keep = jac.shape[1]
-            terms = np.real(jac * (other[:keep] * big_w[:keep]))
-            return 2.0 * terms.sum(axis=1) - np.real(other[0] * jac[:, 0]) * w_sum
+        def pullback(w):
+            # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
+            # N/2 come from rfft, and the rest are mirrored only when some
+            # acv support reaches past them
+            big_w = np.fft.rfft(w)
+            if max(jac.shape[1] for _, jac in tables) > big_w.size:
+                big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
+            w_sum = float(np.sum(w))
 
-        grad = [adjoint(jac, cg) for cg, (_, jac) in zip(cgs, tables)]
-        if dcg is not None:
-            acv, jac = tables[0]
-            grad.append(adjoint(dcg[:, :jac.shape[1]], acv))
-        return value, np.concatenate(grad)
+            def adjoint(jac, other):
+                # jac: derivative rows of one factor of cbar, other: the other
+                # factor; an elementwise sum, not jac @ ...: a threaded BLAS
+                # call costs more than the product on these short rows
+                keep = jac.shape[1]
+                terms = np.real(jac * (other[:keep] * big_w[:keep]))
+                return 2.0 * terms.sum(axis=1) - np.real(other[0] * jac[:, 0]) * w_sum
+
+            grad = [adjoint(jac, cg) for cg, (_, jac) in zip(cgs, tables)]
+            if dcg is not None:
+                acv, jac = tables[0]
+                grad.append(adjoint(dcg[:, :jac.shape[1]], acv))
+            return np.concatenate(grad)
+
+        return sbar, pullback
 
 
 class Car1WhittleObjective:

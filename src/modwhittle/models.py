@@ -50,6 +50,7 @@ __all__ = [
     "sdf",
     "sdf_grad",
     "sdf_sampled",
+    "scale_index",
     "ou_to_ar",
     "ar_to_ou",
     "model_to_json",
@@ -65,6 +66,10 @@ ACV_EPS = 1e-16
 # families whose autocovariance has an analytic parameter gradient; for "ar"
 # only order 1, whose table is geometric
 GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
+# the scale parameter of each family: its acv and sdf are proportional to
+# scale^2, with every other parameter fixed
+SCALE_PARAMS = {"ar": "sigma", "ma": "sigma", "car1": "sigma", "ou": "A",
+                "matern": "B"}
 # relative step of the central difference that gives the Matern d/dalpha:
 # its O(step^2) error and K_nu's rounding over 2 step both stay below about
 # 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
@@ -99,6 +104,11 @@ class LatentModel:
             delta=self.delta,
             rotation=self.rotation,
         )
+
+
+def scale_index(model: LatentModel) -> int:
+    """Position in the parameter vector of the model's SCALE_PARAMS entry."""
+    return list(model.params.names).index(SCALE_PARAMS[model.family])
 
 
 def _ar_coeffs(model: LatentModel):
@@ -146,10 +156,16 @@ def validate_stationary(model: LatentModel):
 # ----------------------------------------------------------------------
 
 def ar_model(phi, sigma: float) -> LatentModel:
+    """Real AR(p).  An AR(1) coefficient is bounded to (-1, 1), its
+    stationary region; for p >= 2 that region is not a box, and the
+    coefficients stay unbounded (the objectives reject the rest)."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     names = [f"phi{j + 1}" for j in range(phi.size)] + ["sigma"]
-    lower = np.concatenate((np.full(phi.size, -np.inf), [0.0]))
-    pv = ParameterVector(names, np.concatenate((phi, [sigma])), lower=lower)
+    edge = 1.0 if phi.size == 1 else np.inf
+    lower = np.concatenate((np.full(phi.size, -edge), [0.0]))
+    upper = np.concatenate((np.full(phi.size, edge), [np.inf]))
+    pv = ParameterVector(names, np.concatenate((phi, [sigma])), lower=lower,
+                         upper=upper)
     return LatentModel("ar", pv)
 
 

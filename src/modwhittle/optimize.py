@@ -20,15 +20,24 @@ the polish coordinates) is at most POLISH_PGTOL * max(1, |f|), whatever
 L-BFGS-B reports; a stop that fails this test, other than at the iteration
 limit, is restarted once from where it ended.  Multi-start keeps the better
 of the given initialization and a seeded perturbation of it.
+
+An objective over one latent model (an :class:`Objective` with a
+``scale_index``) is fitted concentrated: its scale (sigma, A or B) has a
+closed-form optimum at the other parameters, :meth:`Objective.profile`, so
+both phases search the other parameters only and the scale is filled in at
+the end.  An aggregate (the drifter's two amplitudes), a plain callable,
+``Car1WhittleObjective`` and a scale whose fit bounds are tighter than
+(<= 0, inf) keep the joint search.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .core import ParameterVector, Series
 from .modulation import (
@@ -60,6 +69,10 @@ GRAD_FTOL = np.finfo(float).eps
 POLISH_EDGE = 1e-10
 # a polish has converged at this projected gradient * max(1, |f|)
 POLISH_PGTOL = 1e-6
+# the first Nelder-Mead simplex moves a coordinate at 0 by this much (scipy:
+# 0.00025); a logit coordinate at the middle of its bounds, where a model's
+# default start often sits, then spans a basin rather than a point
+SIMPLEX_ZERO_STEP = 0.05
 # an estimate within AT_BOUND_EPS * max(1, |b|) of a finite bound b is flagged
 AT_BOUND_EPS = 1e-6
 
@@ -76,50 +89,81 @@ def transform(values, lower, upper) -> np.ndarray:
     defined on open intervals).
     """
     v = np.asarray(values, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    out = np.empty_like(v)
-    for i in range(v.size):
-        if np.isfinite(lo[i]) and np.isfinite(hi[i]):
-            if not (lo[i] < v[i] < hi[i]):
-                raise ValueError(f"value {v[i]} not strictly inside ({lo[i]}, {hi[i]})")
-            p = (v[i] - lo[i]) / (hi[i] - lo[i])
-            out[i] = np.log(p / (1.0 - p))
-        elif np.isfinite(lo[i]):
-            if v[i] <= lo[i]:
-                raise ValueError(f"value {v[i]} not above lower bound {lo[i]}")
-            out[i] = np.log(v[i] - lo[i])
-        elif np.isfinite(hi[i]):
-            if v[i] >= hi[i]:
-                raise ValueError(f"value {v[i]} not below upper bound {hi[i]}")
-            out[i] = -np.log(hi[i] - v[i])
-        else:
-            out[i] = v[i]
+    both, lo_only, hi_only = _bound_kinds(lower, upper)
+    out = v.copy()
+    if both is not None:
+        i, lo, hi = both
+        vb = v[i]
+        _check(~((lo < vb) & (vb < hi)), vb, lo, hi, "not strictly inside")
+        p = (vb - lo) / (hi - lo)
+        out[i] = np.log(p / (1.0 - p))
+    if lo_only is not None:
+        i, lo, _ = lo_only
+        _check(v[i] <= lo, v[i], lo, None, "not above lower bound")
+        out[i] = np.log(v[i] - lo)
+    if hi_only is not None:
+        i, _, hi = hi_only
+        _check(v[i] >= hi, v[i], None, hi, "not below upper bound")
+        out[i] = -np.log(hi - v[i])
     return out
+
+
+def _check(bad, v, lo, hi, what):
+    """Raise ValueError naming the first value flagged in bad."""
+    if np.count_nonzero(bad):
+        j = int(np.argmax(bad))
+        bounds = [f"{b[j]}" for b in (lo, hi) if b is not None]
+        raise ValueError(f"value {v[j]} {what} ({', '.join(bounds)})")
 
 
 def inverse_transform(x, lower, upper) -> np.ndarray:
     """Inverse of :func:`transform`; maps all of R^d strictly inside bounds."""
     x = np.asarray(x, dtype=float)
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        if np.isfinite(lo[i]) and np.isfinite(hi[i]):
-            # numerically stable sigmoid
-            if x[i] >= 0:
-                p = 1.0 / (1.0 + np.exp(-x[i]))
-            else:
-                e = np.exp(x[i])
-                p = e / (1.0 + e)
-            out[i] = lo[i] + (hi[i] - lo[i]) * p
-        elif np.isfinite(lo[i]):
-            out[i] = lo[i] + np.exp(x[i])
-        elif np.isfinite(hi[i]):
-            out[i] = hi[i] - np.exp(-x[i])
-        else:
-            out[i] = x[i]
+    both, lo_only, hi_only = _bound_kinds(lower, upper)
+    out = x.copy()
+    if both is not None:
+        # numerically stable sigmoid: e = exp(-|x|) never overflows
+        i, lo, hi = both
+        xb = x[i]
+        e = np.exp(-np.abs(xb))
+        out[i] = lo + (hi - lo) * (np.where(xb >= 0, 1.0, e) / (1.0 + e))
+    if lo_only is not None:
+        i, lo, _ = lo_only
+        out[i] = lo + np.exp(x[i])
+    if hi_only is not None:
+        i, _, hi = hi_only
+        out[i] = hi - np.exp(-x[i])
     return out
+
+
+def _bound_kinds(lower, upper):
+    """(two-sided, lower-only, upper-only) coordinates of the bounds.
+
+    Each kind is None when no coordinate has it, else (index, lower, upper):
+    the index of its coordinates (a slice when that is all of them) and
+    their bounds.  Cached per bounds: a fit maps every evaluation through the
+    same ones.
+    """
+    return _bound_kinds_of(np.asarray(lower, dtype=float).tobytes(),
+                           np.asarray(upper, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_kinds_of(lower: bytes, upper: bytes):
+    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    kinds = []
+    for mask in (has_lo & has_hi, has_lo > has_hi, has_hi > has_lo):
+        i = np.flatnonzero(mask)
+        if not i.size:
+            kinds.append(None)
+            continue
+        index = slice(None) if i.size == lo.size else i
+        parts = (i, lo[index], hi[index])
+        for a in parts:  # every caller with these bounds shares them
+            a.setflags(write=False)
+        kinds.append((index, *parts[1:]))
+    return tuple(kinds)
 
 
 def _polish_coordinates(lower, upper):
@@ -195,6 +239,8 @@ class FitResult:
     message: str = ""
     n_grad_evals: int = 0
     at_bound: list = field(default_factory=list)
+    n_rejected: int = 0
+    profiled: list = field(default_factory=list)
 
     def asdict(self) -> dict:
         return {
@@ -207,6 +253,8 @@ class FitResult:
             "n_evals": self.n_evals,
             "n_grad_evals": self.n_grad_evals,
             "at_bound": list(self.at_bound),
+            "n_rejected": self.n_rejected,
+            "profiled": list(self.profiled),
         }
 
 
@@ -245,6 +293,46 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
     return res, converged, n_evals, n_iters
 
 
+def _initial_simplex(x0) -> np.ndarray:
+    """scipy's Nelder-Mead start simplex, x0 and one vertex per coordinate
+    moved by 5%, except that a coordinate at 0 moves by SIMPLEX_ZERO_STEP."""
+    sim = np.tile(x0, (x0.size + 1, 1))
+    sim[1:][np.diag_indices(x0.size)] = np.where(x0 != 0, (1 + 0.05) * x0,
+                                                 SIMPLEX_ZERO_STEP)
+    return sim
+
+
+class _Concentrated:
+    """An objective with one scale parameter (``scale_index`` and
+    ``profile``, see :meth:`~modwhittle.likelihood.Objective.profile`) as a
+    callable over theta without that scale.  It remembers the scale estimate
+    of every theta it evaluates, so the fit fills in the scale of its
+    optimum without evaluating it again."""
+
+    def __init__(self, objective):
+        self._objective = objective
+        self.has_gradient = objective.has_gradient
+        self._scales = {}
+
+    def __call__(self, theta) -> float:
+        return self._profile(theta, False)[0]
+
+    def value_and_grad(self, theta):
+        return self._profile(theta, True)
+
+    def _profile(self, theta, grad):
+        value, gradient, scale = self._objective.profile(theta, grad)
+        if scale is not None:  # None: rejected, maybe only for its gradient
+            self._scales[np.asarray(theta, dtype=float).tobytes()] = scale
+        return value, gradient
+
+    def scale(self, theta) -> float:
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in self._scales:
+            self._profile(theta, False)
+        return self._scales[key]
+
+
 def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         max_iter: int | None = None, seed: int = 0) -> FitResult:
     """Minimize a bounded objective (see the module docstring for the method).
@@ -257,6 +345,15 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     n_starts  : 1 tries the given init alone, 2 (or more) also a seeded
                 log-space perturbation of it; the best final value wins.
 
+    An objective with one scale parameter (``scale_index`` not None and
+    ``profile``: an :class:`~modwhittle.likelihood.Objective` over one
+    latent model) whose fit bounds on the scale are (<= 0, inf) is fitted
+    concentrated: the search runs over the other parameters only, on the
+    objective minimised over the scale in closed form, and the scale at the
+    optimum is filled into ``theta_hat`` and named in ``profiled``.  Every
+    other objective (an aggregate, a plain callable, a bounded scale) is
+    searched jointly.
+
     Nelder-Mead alone converges on transformed-scale tolerances (objective
     spread NM_TOL_F, parameter spread NM_TOL_X), which keep optimizer error
     below 1e-6, well under the statistical error at any tested sample size.
@@ -266,19 +363,29 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     has converged when its projected gradient is at most POLISH_PGTOL *
     max(1, |f|), whatever L-BFGS-B's own verdict; a stop that fails this
     test, except at the iteration or evaluation limit, is restarted once
-    from where it ended.  max_iter (default 2000*d) caps the iterations of
-    every phase.  Estimates within AT_BOUND_EPS of a finite bound are listed
-    in ``at_bound``.
+    from where it ended.  max_iter (default 2000 per searched parameter)
+    caps the iterations of every phase.  Estimates within AT_BOUND_EPS of a
+    finite bound are listed in ``at_bound``; ``n_rejected`` counts the
+    evaluations that scored +inf, for objectives that count them
+    (``n_rejected``, as :class:`~modwhittle.likelihood.Objective` does).
     """
     t0 = time.perf_counter()
-    names, values, lo, hi = _bounds_of(objective, init, lower, upper)
+    names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
+    counted, rejected = objective, getattr(objective, "n_rejected", 0)
+    k = getattr(objective, "scale_index", None)
+    lo, hi = fit_lo, fit_hi
+    if k is not None and lo[k] <= 0.0 and hi[k] == np.inf:
+        objective = _Concentrated(objective)
+        values, lo, hi = (np.delete(a, k) for a in (values, lo, hi))
+    else:
+        k = None
     d = values.size
     if max_iter is None:
         max_iter = 2000 * d
     rng = np.random.default_rng(seed)
 
     starts = [values]
-    if n_starts >= 2:
+    if n_starts >= 2 and d:
         x0 = transform(values, lo, hi)
         starts.append(inverse_transform(x0 + rng.normal(scale=0.5, size=d), lo, hi))
 
@@ -286,7 +393,7 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         val = objective(inverse_transform(x, lo, hi))
         return float(val) if np.isfinite(val) else np.inf
 
-    gradient = bool(getattr(objective, "has_gradient", False))
+    gradient = bool(getattr(objective, "has_gradient", False)) and d > 0
     if gradient:
         simplex_tol = {"xatol": np.inf, "fatol": BASIN_FATOL}
         log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
@@ -303,12 +410,18 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
             x0 = transform(start, lo, hi)
         except ValueError:
             continue
-        if not np.isfinite(wrapped(x0)):
+        f0 = wrapped(x0)
+        if not np.isfinite(f0):
             continue
         attempts += 1
-        res = minimize(wrapped, x0, method="Nelder-Mead",
-                       options={**simplex_tol, "maxiter": max_iter,
-                                "maxfev": 4 * max_iter, "disp": False})
+        if d:
+            res = minimize(wrapped, x0, method="Nelder-Mead",
+                           options={**simplex_tol, "maxiter": max_iter,
+                                    "maxfev": 4 * max_iter, "disp": False,
+                                    "initial_simplex": _initial_simplex(x0)})
+        else:  # only the concentrated scale is free: its closed form is the fit
+            res = OptimizeResult(x=x0, fun=f0, nfev=0, nit=0, success=True,
+                                 message="closed form")
         total_evals += int(res.nfev)
         total_iters += int(res.nit)
         if not np.isfinite(res.fun):
@@ -334,11 +447,15 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         raise FitFailure(
             f"no finite objective from {len(starts)} start(s); last init {values}")
     fun, theta, success, message = best
-    pv = ParameterVector(names, theta, lower=lo, upper=hi)
+    if k is not None:
+        theta = np.insert(theta, k, objective.scale(theta))
+    pv = ParameterVector(names, theta, lower=fit_lo, upper=fit_hi)
     return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,
                      starts=attempts, n_evals=total_evals, message=message,
-                     n_grad_evals=grad_evals, at_bound=at_bound(pv))
+                     n_grad_evals=grad_evals, at_bound=at_bound(pv),
+                     n_rejected=getattr(counted, "n_rejected", 0) - rejected,
+                     profiled=[] if k is None else [names[k]])
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,7 @@ def test_fit_whittle_json(tmp_path, rng):
     assert abs(report["theta_hat"]["phi1"] - 0.7) < 0.15
     assert report["n_evals"] > report["n_grad_evals"] > 0
     assert report["at_bound"] == []
+    assert report["profiled"] == ["sigma"] and report["n_rejected"] >= 0
 
 
 def test_fit_drifter_fixture_five_params(tmp_path):
@@ -136,6 +137,7 @@ def test_fit_drifter_fixture_five_params(tmp_path):
     assert report["damping_time_days"] > 0
     assert report["n_evals"] > report["n_grad_evals"] > 0
     assert set(report["at_bound"]) <= set(report["theta_hat"])
+    assert report["profiled"] == [] and report["n_rejected"] >= 0
 
 
 def test_drifter_fit_reports_alpha_at_bound(tmp_path):
@@ -151,6 +153,7 @@ def test_drifter_fit_reports_alpha_at_bound(tmp_path):
     assert report["at_bound"] == ["alpha"]
     assert abs(report["theta_hat"]["alpha"] - 4.0) <= 4e-6
     assert report["n_evals"] > report["n_grad_evals"] > 0
+    assert report["profiled"] == [] and report["n_rejected"] >= 0
 
 
 def test_drifter_fit_spectrum_csv(tmp_path):

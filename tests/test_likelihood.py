@@ -17,6 +17,7 @@ from modwhittle import (
     periodogram,
 )
 from modwhittle.likelihood import (
+    EXACT_CAP,
     AggregateModel,
     Car1WhittleObjective,
     Objective,
@@ -68,7 +69,8 @@ def test_exact_dense_oracle(rng):
 
 def test_exact_cap_and_domain_errors(rng):
     with pytest.raises(ValueError):
-        exact_gaussian_nll(Series(rng.normal(size=10)), None, ar_model([0.5], 1.0), cap=8)
+        exact_gaussian_nll(Series(rng.normal(size=EXACT_CAP + 1)), None,
+                           ar_model([0.5], 1.0))
     z = Series(np.zeros(4))
     with pytest.raises(ValueError):
         exact_gaussian_nll(z, Modulator(np.zeros(4)), ar_model([0.5], 1.0))

@@ -46,6 +46,66 @@ def test_transform_boundary_rejected():
         transform([0.0], [0.0], [np.inf])
 
 
+def _scalar_transform(v, lo, hi):
+    """transform one coordinate at a time, as the formulas read."""
+    if np.isfinite(lo) and np.isfinite(hi):
+        p = (v - lo) / (hi - lo)
+        return np.log(p / (1.0 - p))
+    if np.isfinite(lo):
+        return np.log(v - lo)
+    if np.isfinite(hi):
+        return -np.log(hi - v)
+    return v
+
+
+def _scalar_inverse(x, lo, hi):
+    if np.isfinite(lo) and np.isfinite(hi):
+        if x >= 0:
+            p = 1.0 / (1.0 + np.exp(-x))
+        else:
+            e = np.exp(x)
+            p = e / (1.0 + e)
+        return lo + (hi - lo) * p
+    if np.isfinite(lo):
+        return lo + np.exp(x)
+    if np.isfinite(hi):
+        return hi - np.exp(-x)
+    return x
+
+
+def test_transforms_equal_the_scalar_formulas_bit_for_bit(rng):
+    lo = np.array([0.0, 0.0, -np.inf, -np.pi, -np.inf, 1e-3, 0.51, -1.0])
+    hi = np.array([1.0, np.inf, np.inf, np.pi, 3.0, 30.0, 4.0, np.inf])
+    for _ in range(200):
+        keep = rng.random(lo.size) < 0.7  # every mix of bound kinds
+        keep[rng.integers(lo.size)] = True
+        lo_k, hi_k = lo[keep], hi[keep]
+        v = np.array([_scalar_inverse(t, a, b) for t, a, b in
+                      zip(rng.normal(0, 5, lo_k.size), lo_k, hi_k)])
+        # up to |x| = 700, short of exp's overflow on a one-sided bound
+        x = np.clip(rng.normal(0, 1, lo_k.size) * rng.choice([1e-3, 1.0, 30.0, 700.0]),
+                    -700.0, 700.0)
+        got = transform(v, lo_k, hi_k)
+        want = [_scalar_transform(*a) for a in zip(v, lo_k, hi_k)]
+        assert np.array_equal(got, want)
+        got = inverse_transform(x, lo_k, hi_k)
+        want = [_scalar_inverse(*a) for a in zip(x, lo_k, hi_k)]
+        assert np.array_equal(got, want)
+
+
+def test_transform_rejects_every_value_on_a_finite_bound():
+    lo = np.array([0.0, 0.0, -np.inf, -np.inf])
+    hi = np.array([1.0, np.inf, 3.0, np.inf])
+    inside = np.array([0.5, 1.0, 2.0, 7.0])
+    np.testing.assert_array_equal(transform(inside, lo, hi),
+                                  [0.0, 0.0, 0.0, 7.0])
+    for i, bound in ((0, 0.0), (0, 1.0), (1, 0.0), (2, 3.0), (0, 1.5), (1, -1.0)):
+        v = inside.copy()
+        v[i] = bound
+        with pytest.raises(ValueError):
+            transform(v, lo, hi)
+
+
 def test_quadratic_recovery():
     a = np.array([[2.0, 0.3], [0.3, 1.0]])
     tstar = np.array([0.4, -1.2])
