@@ -39,6 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
@@ -302,8 +303,9 @@ class Objective:
     oracle, N <= EXACT_CAP), or a car1 latent without rotation under a
     LinearRampKernel (:func:`exact_car1_nll`, beta_t = gamma + span ramp_t);
     whittle a plain latent and no modulator; modulated-whittle a plain latent
-    with a modulator or a kernel, or an :class:`AggregateModel`.  Any other
-    shape raises ValueError.  The modulated-whittle kind keeps the
+    with a modulator or a kernel, or an :class:`AggregateModel`.  Only the
+    spectral kinds take a frequency ``mask``.  Any other shape raises
+    ValueError.  The modulated-whittle kind keeps the
     periodogram and the mask in numpy FFT order (k = 0..N-1), the order its
     expected periodogram comes out of the transform in.  For
     ``has_gradient`` see :meth:`value_and_grad`,
@@ -356,6 +358,8 @@ class Objective:
             self.scale_index = scale_index(self.model)
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
+        if self.kind == "exact" and self.mask is not None:
+            raise ValueError("the exact kind takes no frequency mask")
         self._mask = resolve_mask(n, self.mask)
         if self.kind == "exact":
             if self._kernel is None and n > EXACT_CAP:
@@ -579,7 +583,7 @@ class Objective:
             # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
             # N/2 come from rfft, and the rest are mirrored only when some
             # acv support reaches past them
-            big_w = np.fft.rfft(w)
+            big_w = scipy.fft.rfft(w)
             if max(jac.shape[1] for _, jac in tables) > big_w.size:
                 big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
             w_sum = float(np.sum(w))

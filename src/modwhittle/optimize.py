@@ -18,14 +18,17 @@ e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
 stops at the edge.  A polish has converged when its projected gradient (in
 the polish coordinates) is at most POLISH_PGTOL * max(1, |f|), whatever
 L-BFGS-B reports; a stop that fails this test, other than at the iteration
-limit, is restarted once from where it ended.  Multi-start keeps the better
-of the given initialization and a seeded perturbation of it.
+limit, is restarted once from where it ended.  A gradient objective whose
+search has one coordinate skips both phases: a bracketed derivative search
+(:func:`_search_1d`) runs in the same polish coordinate and box, and has
+converged by the same test.  Multi-start keeps the better of the given
+initialization and a seeded perturbation of it.
 
 An objective over one latent model (an :class:`Objective` with a
 ``scale_index``) is fitted concentrated: its scale (sigma, A or B) has a
 closed-form optimum at the other parameters, :meth:`Objective.profile`, so
-both phases search the other parameters only and the scale is filled in at
-the end.  An aggregate (the drifter's two amplitudes), a plain callable,
+the search runs over the other parameters only and the scale is filled in
+at the end.  An aggregate (the drifter's two amplitudes), a plain callable,
 ``Car1WhittleObjective`` and a scale whose fit bounds are tighter than
 (<= 0, inf) keep the joint search.
 """
@@ -75,6 +78,14 @@ POLISH_PGTOL = 1e-6
 SIMPLEX_ZERO_STEP = 0.05
 # an estimate within AT_BOUND_EPS * max(1, |b|) of a finite bound b is flagged
 AT_BOUND_EPS = 1e-6
+# the 1-D search's first step is FIRST_STEP * max(1, |y|), and a later
+# bracketing step at most STEP_GROWTH times the one before it
+FIRST_STEP = 0.05
+STEP_GROWTH = 4.0
+# it stops once its bracket is narrower than BRACKET_XTOL * max(1, |y|), or
+# once two trials in a row end within FLAT_ULPS ulp of the best value
+BRACKET_XTOL = 1e-10
+FLAT_ULPS = 4
 
 
 class FitFailure(RuntimeError):
@@ -201,6 +212,12 @@ def _polish_theta(y, log_mask) -> np.ndarray:
         return np.where(log_mask, np.exp(y), y)
 
 
+def _polish_start(theta, log_mask, box_lo, box_hi) -> np.ndarray:
+    """The polish coordinates of theta, clipped into the box."""
+    with np.errstate(invalid="ignore", divide="ignore"):  # log of the plain coordinates
+        return np.clip(np.where(log_mask, np.log(theta), theta), box_lo, box_hi)
+
+
 def _polish_value_and_grad(y, objective, log_mask):
     """The objective and its gradient in the polish coordinates y.
 
@@ -293,6 +310,119 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
     return res, converged, n_evals, n_iters
 
 
+def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
+    """Minimize a one-parameter objective from y0 in its polish coordinate,
+    boxed by (box_lo, box_hi), by a bracketed derivative search.
+
+    Bracket: step downhill from y0, first by FIRST_STEP * max(1, |y0|),
+    then by the secant step to the derivative's root, capped at STEP_GROWTH
+    times the step before, until the objective rises or the derivative
+    changes sign; a walk that reaches the box edge still going downhill
+    stops there.  A trial that scores +inf is halved back toward the last
+    finite point, and no later step goes more than halfway to it.  Shrink: the bracket's trial is the minimizer of the
+    Hermite cubic through its ends, else the secant root of the derivative,
+    else the midpoint (:func:`_shrink_trial`); the midpoint also when the
+    bracket shrank by less than half over the last two trials.  Stops at
+    |g| <= GRAD_GTOL, a bracket narrower than BRACKET_XTOL * max(1, |y|),
+    two trials in a row within FLAT_ULPS ulp of the best value, or after
+    max_iter evaluations.  Rounding noise in the gradient (the AR(1) acv
+    table's lag cap makes it jump by about 5e-9) can keep |g| above
+    GRAD_GTOL, which is why the last two rules exist.  Between two values
+    within FLAT_ULPS ulp of each other the smaller |g| is the better point:
+    there the values are rounding noise and the gradient is not.
+
+    Returns an OptimizeResult at the best point (x, fun, jac, nfev, nit,
+    message) with ``converged``, the projected-gradient test of
+    :func:`_polish`; fun is +inf when y0 scores +inf.
+    """
+    nfev = 0
+
+    def evaluate(y):
+        nonlocal nfev
+        nfev += 1
+        f, g = _polish_value_and_grad(np.array([y]), objective, log_mask)
+        return y, f, float(g[0])
+
+    a = evaluate(float(y0[0]))  # the best point, (y, f, g)
+    b = None  # the bracket's other end, once there is a bracket
+    wall = None  # the nearest trial ahead that scored +inf
+    step = FIRST_STEP * max(1.0, abs(a[0]))
+    widths, flat = [], 0
+    message = "start scores +inf"
+    while np.isfinite(a[1]):
+        y, f, g = a
+        if abs(g) <= GRAD_GTOL:
+            message = "gradient at most GRAD_GTOL"
+            break
+        if nfev >= max_iter:
+            message = "evaluation limit"
+            break
+        if flat >= 2:
+            message = f"objective flat to {FLAT_ULPS} ulp"
+            break
+        if b is None:
+            edge = box_hi[0] if g < 0 else box_lo[0]
+            if y == edge:
+                message = "minimum on the box edge"
+                break
+            if wall is not None:  # no further than halfway to it
+                step = min(step, 0.5 * abs(wall - y))
+            trial = min(y + step, edge) if g < 0 else max(y - step, edge)
+        else:
+            widths.append(abs(b[0] - y))
+            if widths[-1] <= BRACKET_XTOL * max(1.0, abs(y)):
+                message = "bracket below BRACKET_XTOL"
+                break
+            trial = (0.5 * (y + b[0]) if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
+                     else _shrink_trial(a, b))
+        t = evaluate(trial)
+        tie = abs(t[1] - f) <= FLAT_ULPS * np.spacing(abs(f))
+        flat = flat + 1 if tie else 0
+        if b is None:
+            taken = abs(t[0] - y)
+            if not np.isfinite(t[1]):
+                wall, step = t[0], 0.5 * taken
+                if step <= BRACKET_XTOL * max(1.0, abs(y)):
+                    message = "+inf beside the best point"
+                    break
+                continue
+            if t[1] <= f and t[2] * g > 0:  # still downhill: step on
+                step = STEP_GROWTH * taken
+                if abs(t[2]) < abs(g):  # the derivative's secant has a root ahead
+                    step = min(step, taken * abs(t[2]) / (abs(g) - abs(t[2])))
+                a = t
+                continue
+        if abs(t[2]) < abs(g) if tie else t[1] < f:
+            if b is None or t[2] * (b[0] - t[0]) >= 0:
+                b = a
+            a = t
+        else:
+            b = t
+    y, f, g = a
+    pg = np.clip(y - g, box_lo[0], box_hi[0]) - y
+    return OptimizeResult(
+        x=np.array([y]), fun=f, jac=np.array([g]), nfev=nfev, nit=nfev - 1,
+        message=message,
+        converged=bool(abs(pg) <= POLISH_PGTOL * max(1.0, abs(f))))
+
+
+def _shrink_trial(a, b) -> float:
+    """The next trial inside the bracket of ends a and b, each (y, f, g):
+    the minimizer of the Hermite cubic through both ends, else the root of
+    the derivative's secant, else the midpoint, whichever first lies
+    strictly inside."""
+    (ya, fa, ga), (yb, fb, gb) = a, b
+    with np.errstate(all="ignore"):  # an end at +inf, or no real minimizer
+        d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
+        d2 = np.sign(yb - ya) * np.sqrt(d1 * d1 - ga * gb)
+        cubic = yb - (yb - ya) * (gb + d2 - d1) / (gb - ga + 2.0 * d2)
+        secant = ya - ga * (yb - ya) / (gb - ga)
+    for y in (cubic, secant):
+        if min(ya, yb) < y < max(ya, yb):
+            return float(y)
+    return 0.5 * (ya + yb)
+
+
 def _initial_simplex(x0) -> np.ndarray:
     """scipy's Nelder-Mead start simplex, x0 and one vertex per coordinate
     moved by 5%, except that a coordinate at 0 moves by SIMPLEX_ZERO_STEP."""
@@ -363,11 +493,15 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     has converged when its projected gradient is at most POLISH_PGTOL *
     max(1, |f|), whatever L-BFGS-B's own verdict; a stop that fails this
     test, except at the iteration or evaluation limit, is restarted once
-    from where it ended.  max_iter (default 2000 per searched parameter)
-    caps the iterations of every phase.  Estimates within AT_BOUND_EPS of a
-    finite bound are listed in ``at_bound``; ``n_rejected`` counts the
-    evaluations that scored +inf, for objectives that count them
-    (``n_rejected``, as :class:`~modwhittle.likelihood.Objective` does).
+    from where it ended.  When the search has one coordinate (counted after
+    the scale is concentrated) the gradient path is :func:`_search_1d`
+    instead, from the start itself, with the same convergence test.
+    max_iter (default 2000 per searched parameter) caps the iterations of
+    every phase and the evaluations of the 1-D search.  Estimates within
+    AT_BOUND_EPS of a finite bound are listed in ``at_bound``;
+    ``n_rejected`` counts the evaluations that scored +inf, for objectives
+    that count them (``n_rejected``, as
+    :class:`~modwhittle.likelihood.Objective` does).
     """
     t0 = time.perf_counter()
     names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
@@ -394,6 +528,7 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         return float(val) if np.isfinite(val) else np.inf
 
     gradient = bool(getattr(objective, "has_gradient", False)) and d > 0
+    search_1d = gradient and d == 1
     if gradient:
         simplex_tol = {"xatol": np.inf, "fatol": BASIN_FATOL}
         log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
@@ -410,37 +545,47 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
             x0 = transform(start, lo, hi)
         except ValueError:
             continue
-        f0 = wrapped(x0)
-        if not np.isfinite(f0):
-            continue
-        attempts += 1
-        if d:
-            res = minimize(wrapped, x0, method="Nelder-Mead",
-                           options={**simplex_tol, "maxiter": max_iter,
-                                    "maxfev": 4 * max_iter, "disp": False,
-                                    "initial_simplex": _initial_simplex(x0)})
-        else:  # only the concentrated scale is free: its closed form is the fit
-            res = OptimizeResult(x=x0, fun=f0, nfev=0, nit=0, success=True,
-                                 message="closed form")
-        total_evals += int(res.nfev)
-        total_iters += int(res.nit)
-        if not np.isfinite(res.fun):
-            continue
-        fun, theta = float(res.fun), inverse_transform(res.x, lo, hi)
-        success, message = bool(res.success), str(res.message)
-        if gradient:
-            with np.errstate(invalid="ignore", divide="ignore"):  # log of the plain coordinates
-                y0 = np.where(log_mask, np.log(theta), theta)
-            y0 = np.clip(y0, box_lo, box_hi)
-            polished, converged, n_evals, n_iters = _polish(
-                objective, y0, log_mask, box_lo, box_hi, max_iter)
-            total_evals += n_evals
-            grad_evals += n_evals
-            total_iters += n_iters
-            if polished.fun <= fun:
-                fun = float(polished.fun)
-                theta = _polish_theta(polished.x, log_mask)
-                success, message = converged, str(polished.message)
+        if search_1d:
+            res = _search_1d(objective, _polish_start(start, log_mask, box_lo, box_hi),
+                             log_mask, box_lo, box_hi, max_iter)
+            total_evals += res.nfev
+            grad_evals += res.nfev
+            total_iters += res.nit
+            if not np.isfinite(res.fun):
+                continue
+            attempts += 1
+            fun, theta = float(res.fun), _polish_theta(res.x, log_mask)
+            success, message = res.converged, res.message
+        else:
+            f0 = wrapped(x0)
+            if not np.isfinite(f0):
+                continue
+            attempts += 1
+            if d:
+                res = minimize(wrapped, x0, method="Nelder-Mead",
+                               options={**simplex_tol, "maxiter": max_iter,
+                                        "maxfev": 4 * max_iter, "disp": False,
+                                        "initial_simplex": _initial_simplex(x0)})
+            else:  # only the concentrated scale is free: its closed form is the fit
+                res = OptimizeResult(x=x0, fun=f0, nfev=0, nit=0, success=True,
+                                     message="closed form")
+            total_evals += int(res.nfev)
+            total_iters += int(res.nit)
+            if not np.isfinite(res.fun):
+                continue
+            fun, theta = float(res.fun), inverse_transform(res.x, lo, hi)
+            success, message = bool(res.success), str(res.message)
+            if gradient:
+                polished, converged, n_evals, n_iters = _polish(
+                    objective, _polish_start(theta, log_mask, box_lo, box_hi),
+                    log_mask, box_lo, box_hi, max_iter)
+                total_evals += n_evals
+                grad_evals += n_evals
+                total_iters += n_iters
+                if polished.fun <= fun:
+                    fun = float(polished.fun)
+                    theta = _polish_theta(polished.x, log_mask)
+                    success, message = converged, str(polished.message)
         if best is None or fun < best[0]:
             best = (fun, theta, success, message)
     if best is None:

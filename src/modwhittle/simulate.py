@@ -52,6 +52,10 @@ __all__ = [
 
 # thread-count variables of OpenMP, OpenBLAS and MKL, set to 1 in pool workers
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# a bounded random walk takes this many scalar steps after each clamp, and
+# sums at most WALK_WINDOW steps per cumsum, so a clamp costs O(WALK_WINDOW)
+WALL_STEPS = 32
+WALK_WINDOW = 512
 
 
 class SimulationError(RuntimeError):
@@ -176,19 +180,37 @@ def bounded_random_walk_beta(gamma: float, span: float, amp: float, n: int, seed
     """Random-walk frequencies clamped to [gamma-span, gamma+span].
 
     beta_0 = clamp(gamma + amp*e_0), beta_t = clamp(beta_{t-1} + amp*e_t)
-    with standard normal e_t.
+    with standard normal e_t.  Between clamps the walk is a sequential
+    cumsum from the last value (over at most WALK_WINDOW steps at a time),
+    which adds in the recursion's order, so the result is bit-identical to
+    the recursion.  Clamps come in clusters at a bound, so after each one
+    the next WALL_STEPS values take the scalar recursion before the cumsum
+    restarts.
     """
     if span <= 0 or amp < 0:
         raise ValueError("requires span > 0 and amp >= 0")
     rng = _rng_of(seed)
-    eps = rng.standard_normal(n)
+    steps = amp * rng.standard_normal(n)
     lo, hi = gamma - span, gamma + span
     out = np.empty(n)
-    prev = min(max(gamma + amp * eps[0], lo), hi)
-    out[0] = prev
-    for t in range(1, n):
-        prev = min(max(prev + amp * eps[t], lo), hi)
-        out[t] = prev
+    t, prev = 0, gamma
+    while t < n:
+        walk = steps[t:t + WALK_WINDOW].copy()
+        walk[0] += prev  # (prev + s_t) + s_{t+1} + ..., the recursion's order
+        walk = np.cumsum(walk)
+        outside = np.flatnonzero((walk < lo) | (walk > hi))
+        stop = outside[0] if outside.size else walk.size
+        out[t:t + stop] = walk[:stop]
+        if stop:
+            prev = walk[stop - 1]
+        t += stop
+        if not outside.size:
+            continue
+        near = steps[t:t + WALL_STEPS].tolist()
+        for i, step in enumerate(near):
+            prev = near[i] = min(max(prev + step, lo), hi)
+        out[t:t + len(near)] = near
+        t += len(near)
     return out
 
 

@@ -124,7 +124,7 @@ def test_fit_whittle_json(tmp_path, rng):
     report = json.loads(open(fout + ".json").read())
     assert report["converged"] is True
     assert abs(report["theta_hat"]["phi1"] - 0.7) < 0.15
-    assert report["n_evals"] > report["n_grad_evals"] > 0
+    assert report["n_evals"] == report["n_grad_evals"] > 0  # phi alone: the 1-D search
     assert report["at_bound"] == []
     assert report["profiled"] == ["sigma"] and report["n_rejected"] >= 0
 

@@ -630,3 +630,8 @@ def test_objective_rejects_shapes_no_kind_evaluates(rng):
                    car1_model(0.5, 1.0, gamma=0.3)):
         with pytest.raises(ValueError):
             Objective("exact", data, latent, modulator=LinearRampKernel(n))
+    keep = np.abs(fourier_grid(n).frequencies) < 0.5  # the exact kind has no frequencies
+    for latent, modulator in ((ar_model([0.5], 1.0), None), (ar_model([0.5], 1.0), mod),
+                              (car1_model(0.5, 1.0), LinearRampKernel(n))):
+        with pytest.raises(ValueError, match="mask"):
+            Objective("exact", data, latent, modulator=modulator, mask=keep)

@@ -316,3 +316,78 @@ def test_polish_at_the_iteration_limit_is_not_restarted(monkeypatch):
     res = fit(_Smooth(), np.array([1.0, 0.5, 1.0, 0.0]), n_starts=1, max_iter=1)
     assert statuses == [1]
     assert not res.converged
+
+
+@pytest.mark.parametrize("start, tstar", [(1.0, 1.3), (1.0, 0.7), (-2.0, -1.8)])
+def test_one_parameter_quadratic_takes_at_most_four_evaluations(start, tstar):
+    obj = _Quadratic(np.eye(1), np.array([tstar]))
+    res = fit(obj, np.array([start]), lower=[-np.inf], upper=[np.inf], n_starts=1)
+    assert res.n_evals == res.n_grad_evals == obj.grad_calls <= 4
+    assert abs(res.theta_hat.values[0] - tstar) < 1e-12
+    assert res.converged and res.at_bound == []
+
+
+def test_one_parameter_search_stops_at_the_box_edge():
+    for lower, start in ((0.0, 0.5), (-1.0, 0.5)):  # log and plain coordinates
+        obj = _Quadratic(np.eye(1), np.array([2.0]))
+        res = fit(obj, np.array([start]), lower=[lower], upper=[1.0], n_starts=1)
+        assert res.at_bound == ["theta0"] and res.converged
+        assert 1.0 - 1e-9 < res.theta_hat.values[0] < 1.0
+        assert obj.grad_calls <= 5
+
+
+class _Wall:
+    """-theta until a steep rise at 0.95 (minimum at 0.9505), +inf at
+    |theta| >= 1: a constant derivative lets the bracket's steps grow past
+    the wall."""
+
+    has_gradient = True
+
+    def __init__(self):
+        self.rejected = 0
+
+    def __call__(self, theta):
+        return self.value_and_grad(theta)[0]
+
+    def value_and_grad(self, theta):
+        t = float(theta[0])
+        if abs(t) >= 1.0:
+            self.rejected += 1
+            return np.inf, np.zeros(1)
+        rise = max(0.0, t - 0.95)
+        return -t + 1e3 * rise ** 2, np.array([-1.0 + 2e3 * rise])
+
+
+def test_one_parameter_search_halves_back_from_inf():
+    obj = _Wall()
+    res = fit(obj, np.array([0.0]), lower=[-np.inf], upper=[np.inf], n_starts=1)
+    assert 0 < obj.rejected <= 3  # no step goes back past a +inf trial
+    assert abs(res.theta_hat.values[0] - 0.9505) < 1e-9
+    assert res.converged and res.n_evals <= 12
+
+
+def test_one_parameter_search_is_deterministic():
+    fits = [fit(_Wall(), np.array([0.2]), lower=[-np.inf], upper=[np.inf], n_starts=2)
+            for _ in range(2)]
+    assert fits[0].starts == 2
+    assert np.array_equal(fits[0].theta_hat.values, fits[1].theta_hat.values)
+    assert fits[0].objective_value == fits[1].objective_value
+    assert fits[0].n_evals == fits[1].n_evals
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 6])
+def test_whittle_ar1_with_phi_unbounded_reaches_the_bounded_fit(seed):
+    # phi without bounds scores +inf at |phi| >= 1; the fit must step back
+    # to the optimum that a fit with phi in (-0.99, 0.99) finds
+    from modwhittle import Objective, ar_model
+    from modwhittle.models import model_from_json
+
+    data = simulate_ar(ar_model([0.7], 1.0), 256, seed)
+    spec = {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}
+    free = Objective("whittle", data, model_from_json(spec))
+    boxed = Objective("whittle", data, model_from_json(
+        {**spec, "bounds": {"phi1": [-0.99, 0.99], "sigma": [0, None]}}))
+    got, want = (fit(o, o.init_params) for o in (free, boxed))
+    assert got.converged and got.profiled == ["sigma"]
+    assert abs(got.theta_hat.values[0] - want.theta_hat.values[0]) < 1e-6
+    assert got.objective_value <= want.objective_value + 1e-12

@@ -298,3 +298,24 @@ def test_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _walk_by_recursion(gamma, span, amp, n, seed):
+    """The bounded random walk as its defining recursion, one step at a time."""
+    eps = np.random.default_rng(seed).standard_normal(n)
+    lo, hi = gamma - span, gamma + span
+    out = np.empty(n)
+    prev = min(max(gamma + amp * eps[0], lo), hi)
+    out[0] = prev
+    for t in range(1, n):
+        prev = min(max(prev + amp * eps[t], lo), hi)
+        out[t] = prev
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 128, 2048])
+@pytest.mark.parametrize("amp", [0.0, 0.05, 0.6, 5.0])
+def test_bounded_random_walk_is_its_recursion_bit_for_bit(n, amp):
+    for seed in range(6):
+        walk = bounded_random_walk_beta(np.pi / 2, 1.0, amp, n, seed)
+        assert np.array_equal(walk, _walk_by_recursion(np.pi / 2, 1.0, amp, n, seed))
