@@ -244,6 +244,8 @@ def _drifter_report(f) -> dict:
         "n_rejected": f.fit_result.n_rejected,
         "profiled": list(f.fit_result.profiled),
         "at_bound": f.at_bound,
+        "start_results": [dict(r) for r in f.fit_result.start_results],
+        "best_start": f.fit_result.best_start,
         "damping_time_days": f.damping_time,
     }
 

@@ -11,7 +11,10 @@ negative in the Northern hemisphere.  The modulated fit absorbs the known
 time variation of omega_f into a unit-modulus modulator of the OU component;
 the background Matern component stays stationary.  Fits are one-sided in
 frequency over a configurable band (default 0 to 0.8 cycles/day on the side
-of the inertial peak).
+of the inertial peak).  Sbar = A^2 Sbar_ou + B^2 Sbar_matern is linear in
+(A^2, B^2), so a fit searches (lam, q, h, alpha) with q = log(B^2 / A^2)
+and profiles the one scale sqrt(A^2 + B^2) out in closed form, as every
+single-latent fit profiles its own.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ class DrifterFit:
 
     @property
     def at_bound(self) -> list:
-        """Names, as in ``params``, of the estimates that ended at a bound."""
+        """Names, as in ``params``, of the estimates that ended at a bound
+        (the tied scale and q have no finite bounds)."""
         return [_param_name(name) for name in self.fit_result.at_bound]
 
 
@@ -244,8 +248,6 @@ def _fit_bounds(agg: AggregateModel) -> ParameterVector:
     for i, name in enumerate(pv.names):
         if name.endswith(".lam"):
             lower[i], upper[i] = 1e-3, 30.0
-        elif name.endswith(".A") or name.endswith(".B"):
-            lower[i] = 1e-8
         elif name.endswith(".h"):
             lower[i], upper[i] = 5e-2, 30.0
         elif name.endswith(".alpha"):
@@ -281,6 +283,11 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
                equator) unless given explicitly.
     fit_options : keyword arguments of :func:`optimize.fit` (these fits take
                its gradient path).
+
+    The fit runs on the aggregate's tied layout (:class:`AggregateModel`):
+    one scale, profiled out in closed form, and q = log(B^2 / A^2), which
+    starts from the spectral split of the sample variance.  ``params``
+    reports A, lam, B, h and alpha.
     """
     if data.kind != "complex":
         data = Series(np.asarray(data.values, dtype=complex), delta=data.delta,
@@ -299,8 +306,8 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     result = fit(objective, _fit_bounds(agg), **(fit_options or {}))
     fitted_agg = agg.with_values(result.theta_hat.values)
     fitted_curve = aggregate_expected_periodogram(fitted_agg)
-    params = {_param_name(name): float(val)
-              for name, val in zip(result.theta_hat.names, result.theta_hat.values)}
+    params = {name: float(val) for m, _ in fitted_agg.components
+              for name, val in zip(m.params.names, m.params.values)}
     return DrifterFit(mode=mode, params=params, nll=result.objective_value,
                       fit_result=result,
                       freq_cpd=fourier_grid(n).cycles_per_unit(delta),

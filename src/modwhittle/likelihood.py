@@ -28,12 +28,14 @@ or B, :data:`~modwhittle.models.SCALE_PARAMS`) in Sbar, the sdf or the
 covariance, so the scale minimising the objective at the other parameters is
 closed form, and :meth:`Objective.profile` evaluates this concentrated
 likelihood (Brockwell & Davis 1991, Time Series: Theory and Methods, 10.8)
-within the chain of one evaluation.  Aggregates have two or more scales and
-no profile.
+within the chain of one evaluation.  An aggregate ties its component scales
+into one scale and log ratios of their squares (:class:`AggregateModel`), so
+its Sbar is proportional to that scale^2 too, and it has the same profile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 import scipy.linalg
+from scipy.special import softmax
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
@@ -232,7 +235,18 @@ class AggregateModel:
     Each component pairs a latent model with its modulator; None means the
     component is stationary and unmodulated, whose c_g is exactly 1 - tau/N.
     The free parameter vector is the concatenation of the component vectors,
-    names prefixed by the component index/family.
+    names prefixed by the component index/family, except that the component
+    scales (:data:`~modwhittle.models.SCALE_PARAMS`: sigma, A or B) are tied.
+    With a_k the scale of component k of K,
+
+        (a_1^2, ..., a_K^2) = scale^2 softmax(0, q_2, ..., q_K),
+
+    so scale^2 = sum_k a_k^2 and q_k = log(a_k^2 / a_1^2).  "scale" takes the
+    first component's scale slot and ``{family}{k}.q`` component k's.  Sbar
+    is linear in the a_k^2, hence proportional to scale^2: the aggregate has
+    one scale (``scale_index``), like a single latent model, and the q_k
+    shape it alongside the other parameters.  ``with_values`` maps tied
+    values back to the component scales.
     """
 
     components: tuple
@@ -245,28 +259,80 @@ class AggregateModel:
             if mod is not None and mod.n != self.n:
                 raise ValueError("component modulator length differs from N")
 
+    @functools.cached_property
+    def _scale_slots(self) -> np.ndarray:
+        """Position of each component's scale in the parameter vector."""
+        slots, pos = [], 0
+        for m, _ in self.components:
+            slots.append(pos + scale_index(m))
+            pos += len(m.params)
+        return np.array(slots)
+
+    @property
+    def scale_index(self) -> int:
+        """Position of the tied scale in the parameter vector."""
+        return int(self._scale_slots[0])
+
     @property
     def params(self) -> ParameterVector:
         names, values, lower, upper = [], [], [], []
         for i, (m, _) in enumerate(self.components):
-            for j, nm in enumerate(m.params.names):
-                names.append(f"{m.family}{i}.{nm}")
-                values.append(m.params.values[j])
-                lower.append(m.params.lower[j])
-                upper.append(m.params.upper[j])
-        return ParameterVector(names, np.array(values), np.array(lower), np.array(upper))
+            names.extend(f"{m.family}{i}.{nm}" for nm in m.params.names)
+            values.extend(m.params.values)
+            lower.extend(m.params.lower)
+            upper.extend(m.params.upper)
+        values, lower, upper = (np.array(a, dtype=float) for a in (values, lower, upper))
+        slots = self._scale_slots
+        a2 = values[slots] ** 2
+        if not a2.min() > 0:
+            raise ValueError("tying the component scales needs each to be positive")
+        values[slots] = np.concatenate(([math.sqrt(a2.sum())], np.log(a2[1:] / a2[0])))
+        lower[slots] = np.concatenate(([0.0], np.full(slots.size - 1, -np.inf)))
+        upper[slots] = np.inf
+        for i, k in enumerate(slots):
+            names[k] = f"{self.components[i][0].family}{i}.q" if i else "scale"
+        return ParameterVector(names, values, lower, upper)
+
+    def _untie(self, values):
+        """(component values, p): the tied values with each scale slot set to
+        a_k = scale sqrt(p_k), and p = softmax(0, q_2, ..., q_K), which
+        neither overflows nor divides by zero at any finite q."""
+        values = np.array(values, dtype=float)
+        slots = self._scale_slots
+        if values.size != sum(len(m.params) for m, _ in self.components):
+            raise ValueError("parameter vector length mismatch")
+        p = softmax(np.concatenate(([0.0], values[slots[1:]])))
+        values[slots] = values[slots[0]] * np.sqrt(p)
+        return values, p
 
     def with_values(self, values) -> "AggregateModel":
-        values = np.asarray(values, dtype=float)
+        """The aggregate at tied values (the layout of ``params``)."""
+        values, _ = self._untie(values)
         comps = []
         pos = 0
         for m, mod in self.components:
             d = len(m.params)
             comps.append((m.with_values(values[pos:pos + d]), mod))
             pos += d
-        if pos != values.size:
-            raise ValueError("parameter vector length mismatch")
         return AggregateModel(components=tuple(comps), n=self.n)
+
+    def tied_gradient(self, values, grad) -> np.ndarray:
+        """The gradient in the tied values, from grad, the one in the
+        component values of ``with_values(values)``.
+
+        With G_k = a_k dl/da_k / 2 = dl/d log a_k^2 and log a_k^2 =
+        2 log scale + log p_k, where d log p_k / dq_j = [k = j] - p_j:
+
+            dl/dscale = sum_k sqrt(p_k) dl/da_k,   dl/dq_j = G_j - p_j sum_k G_k.
+        """
+        untied, p = self._untie(values)
+        slots = self._scale_slots
+        out = np.array(grad, dtype=float)
+        g = out[slots]
+        big_g = 0.5 * untied[slots] * g
+        out[slots[0]] = g @ np.sqrt(p)
+        out[slots[1:]] = big_g[1:] - p[1:] * big_g.sum()
+        return out
 
 
 def _cbar(cgs, acvs) -> np.ndarray:
@@ -312,10 +378,11 @@ class Objective:
     :func:`~modwhittle.models.has_sdf_grad` (whittle) and
     :func:`~modwhittle.models.has_acv_grad` (modulated-whittle).
 
-    Over one latent model every kind is a concentrated likelihood in that
-    model's scale (:data:`~modwhittle.models.SCALE_PARAMS`): ``scale_index``
-    is its position in theta, and :meth:`profile` evaluates the objective at
-    the scale's closed-form optimum.  An aggregate has none (None).
+    Every kind is a concentrated likelihood in one scale: the latent
+    model's (:data:`~modwhittle.models.SCALE_PARAMS`), or an aggregate's
+    tied one (:class:`AggregateModel`).  ``scale_index`` is its position in
+    theta, and :meth:`profile` evaluates the objective at the scale's
+    closed-form optimum.
     ``n_rejected`` counts the evaluations that scored +inf.
     """
 
@@ -333,7 +400,7 @@ class Objective:
     _latent_models: list = field(init=False, repr=False, default=None)
     cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
-    scale_index: int | None = field(init=False, default=None)
+    scale_index: int = field(init=False, default=None)
     n_rejected: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -354,8 +421,8 @@ class Objective:
         components = (self.model.components if aggregate
                       else [(self.model, self.modulator)])
         self._latent_models = [m for m, _ in components]
-        if not aggregate:
-            self.scale_index = scale_index(self.model)
+        self.scale_index = (self.model.scale_index if aggregate
+                            else scale_index(self.model))
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
         if self.kind == "exact" and self.mask is not None:
@@ -449,8 +516,6 @@ class Objective:
         rest or None, scale), with +inf, a zero gradient and None where the
         objective rejects rest, or where the data are zero on the mask.
         """
-        if self.scale_index is None:
-            raise ValueError("an aggregate objective has no single scale")
         if grad and not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
         k = self.scale_index
@@ -496,11 +561,16 @@ class Objective:
         else:
             svals, pullback = self._modulated(models, phi, grad)
         value, w, scale = self._whittle_sum(svals, grad, profile)
-        return value, (pullback(w) if grad else None), scale
+        gradient = pullback(w) if grad else None
+        if grad and isinstance(self.model, AggregateModel):
+            gradient = self.model.tied_gradient(theta, gradient)
+        return value, gradient, scale
 
     def _split(self, theta):
         """(latent models, kernel parameters phi) of theta; raises
         ValueError outside the model class."""
+        if isinstance(self.model, AggregateModel):
+            return [m for m, _ in self.model.with_values(theta).components], theta[:0]
         models, pos = [], 0
         for m in self._latent_models:
             d = len(m.params)

@@ -628,20 +628,36 @@ def _num(x: float):
 
 
 def model_from_json(text: str | dict) -> LatentModel:
+    """The model of a :func:`model_to_json` payload.  A parameter that
+    ``bounds`` does not list takes the bounds its family's constructor gives
+    it (an AR(1) phi1 (-1, 1), a car1 r (0, 1), every scale (0, inf), ...);
+    a listed null side is unbounded."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     family = obj["family"]
     params = obj["params"]
     names = list(params.keys())
     values = np.array([params[n] for n in names], dtype=float)
-    bounds = obj.get("bounds", {})
-    lower = np.array([
-        -np.inf if bounds.get(n, [None, None])[0] is None else bounds[n][0]
-        for n in names
-    ])
-    upper = np.array([
-        np.inf if bounds.get(n, [None, None])[1] is None else bounds[n][1]
-        for n in names
-    ])
+    default = _constructor_bounds(family, names)
+    lower, upper = [], []
+    for n in names:
+        lo, hi = obj.get("bounds", {}).get(n, default.get(n, (-np.inf, np.inf)))
+        lower.append(-np.inf if lo is None else lo)
+        upper.append(np.inf if hi is None else hi)
     pv = ParameterVector(names, values, lower=lower, upper=upper)
     return LatentModel(family, pv, delta=float(obj.get("delta", 1.0)),
                        rotation=float(obj.get("rotation", 0.0)))
+
+
+def _constructor_bounds(family: str, names) -> dict:
+    """name -> (lower, upper) of the family's constructor for a model with
+    these parameter names."""
+    order = len(names) - 1  # AR and MA: every name but sigma is a coefficient
+    model = {"ar": lambda: ar_model(np.zeros(order), 1.0),
+             "ma": lambda: ma_model(np.zeros(order), 1.0),
+             "car1": lambda: car1_model(0.5, 1.0, gamma=0.0 if "gamma" in names else None),
+             "ou": lambda: ou_model(1.0, 1.0),
+             "matern": lambda: matern_model(1.0, 1.0, 1.0)}.get(family)
+    if model is None:
+        raise ValueError(f"unknown model family {family!r}")
+    pv = model().params
+    return {n: (lo, hi) for n, lo, hi in zip(pv.names, pv.lower, pv.upper)}

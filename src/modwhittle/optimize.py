@@ -1,15 +1,13 @@
 """Bounded minimization for the pseudo-likelihood objectives.
 
-Parameters are mapped to an unconstrained space (logit for two-sided bounds,
-log for one-sided), so every evaluated point respects its open bounds by
-construction.  Objectives without a gradient are minimized with a
-Nelder-Mead simplex in that space.  Objectives that offer one
-(``has_gradient`` and ``value_and_grad``: a modulated-Whittle
+Objectives without a gradient are minimized with a Nelder-Mead simplex in an
+unconstrained space (logit for two-sided bounds, log for one-sided), so
+every evaluated point respects its open bounds by construction.  Objectives
+that offer one (``has_gradient`` and ``value_and_grad``: a modulated-Whittle
 :class:`Objective` over AR(1), car1, ou and matern components, a Whittle one
 over an AR(1) or car1 latent, and the exact one of a car1 latent under a
-linear-ramp kernel, the Markov likelihood) take two phases per start:
-Nelder-Mead until the simplex's objective spread is at most BASIN_FATOL,
-which chooses the basin, then L-BFGS-B from its best vertex in bounded
+linear-ramp kernel, the Markov likelihood) take one phase per start: with
+two or more searched coordinates, L-BFGS-B from the start itself in bounded
 polish coordinates (see :func:`_polish_coordinates`): log theta for a
 parameter with a finite lower bound >= 0, theta itself otherwise, boxed by
 L-BFGS-B's own bounds moved POLISH_EDGE inside the fit bounds.  In the logit
@@ -18,17 +16,17 @@ e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
 stops at the edge.  A polish has converged when its projected gradient (in
 the polish coordinates) is at most POLISH_PGTOL * max(1, |f|), whatever
 L-BFGS-B reports; a stop that fails this test, other than at the iteration
-limit, is restarted once from where it ended.  A gradient objective whose
-search has one coordinate skips both phases: a bracketed derivative search
-(:func:`_search_1d`) runs in the same polish coordinate and box, and has
-converged by the same test.  Multi-start keeps the better of the given
-initialization and a seeded perturbation of it.
+limit, is restarted once from where it ended.  With one searched coordinate
+a bracketed derivative search (:func:`_search_1d`) runs in the same polish
+coordinate and box instead, and has converged by the same test.
+Multi-start keeps the better of the given initialization and a seeded
+perturbation of it.
 
-An objective over one latent model (an :class:`Objective` with a
-``scale_index``) is fitted concentrated: its scale (sigma, A or B) has a
-closed-form optimum at the other parameters, :meth:`Objective.profile`, so
-the search runs over the other parameters only and the scale is filled in
-at the end.  An aggregate (the drifter's two amplitudes), a plain callable,
+An :class:`Objective` (it has a ``scale_index``) is fitted concentrated: its
+scale (sigma, A or B of one latent model, or the tied scale of an aggregate
+such as the drifter's OU + Matern) has a closed-form optimum at the other
+parameters, :meth:`Objective.profile`, so the search runs over the other
+parameters only and the scale is filled in at the end.  A plain callable,
 ``Car1WhittleObjective`` and a scale whose fit bounds are tighter than
 (<= 0, inf) keep the joint search.
 """
@@ -59,12 +57,10 @@ __all__ = [
 ]
 
 
-# Nelder-Mead-only convergence tolerances (objective and parameter spread)
+# Nelder-Mead convergence tolerances (objective and parameter spread)
 NM_TOL_F = 1e-10
 NM_TOL_X = 1e-7
-# phase 1 of a gradient fit stops once the simplex's objective spread is this
-BASIN_FATOL = 1e-4
-# phase 2 (L-BFGS-B) stops at this projected gradient or relative reduction
+# L-BFGS-B stops at this projected gradient or relative reduction
 GRAD_GTOL = 1e-10
 GRAD_FTOL = np.finfo(float).eps
 # L-BFGS-B's box edges sit this far inside finite fit bounds: relative,
@@ -258,6 +254,10 @@ class FitResult:
     at_bound: list = field(default_factory=list)
     n_rejected: int = 0
     profiled: list = field(default_factory=list)
+    # per start, in order (the given init first): its final objective (None
+    # when it scored +inf or lay outside the bounds), evaluations, converged
+    start_results: list = field(default_factory=list)
+    best_start: int = 0
 
     def asdict(self) -> dict:
         return {
@@ -272,6 +272,8 @@ class FitResult:
             "at_bound": list(self.at_bound),
             "n_rejected": self.n_rejected,
             "profiled": list(self.profiled),
+            "start_results": [dict(r) for r in self.start_results],
+            "best_start": self.best_start,
         }
 
 
@@ -291,9 +293,9 @@ def _bounds_of(objective, init, lower, upper):
 def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
     """L-BFGS-B from y0 in the polish coordinates, restarted once from its
     stop when that is not converged, unless it stopped at the iteration or
-    evaluation limit.  Converged means a projected gradient of at most
-    POLISH_PGTOL * max(1, |f|).  Returns (result, converged, evaluations,
-    iterations), the counts summed over both runs."""
+    evaluation limit or at +inf.  Converged means a projected gradient of at
+    most POLISH_PGTOL * max(1, |f|).  Returns the last run's OptimizeResult
+    with ``converged``, and nfev and nit summed over both runs."""
     n_evals = n_iters = 0
     for _ in range(2):
         res = minimize(_polish_value_and_grad, y0, args=(objective, log_mask),
@@ -304,10 +306,11 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
         n_iters += int(res.nit)
         pg = np.clip(res.x - res.jac, box_lo, box_hi) - res.x
         converged = bool(np.max(np.abs(pg)) <= POLISH_PGTOL * max(1.0, abs(res.fun)))
-        if converged or res.status == 1:  # status 1: a limit was hit
+        if converged or res.status == 1 or not np.isfinite(res.fun):  # status 1: a limit
             break
         y0 = res.x  # L-BFGS-B never ends above its start
-    return res, converged, n_evals, n_iters
+    res.update(nfev=n_evals, nit=n_iters, converged=converged)
+    return res
 
 
 def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
@@ -476,32 +479,33 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
                 log-space perturbation of it; the best final value wins.
 
     An objective with one scale parameter (``scale_index`` not None and
-    ``profile``: an :class:`~modwhittle.likelihood.Objective` over one
-    latent model) whose fit bounds on the scale are (<= 0, inf) is fitted
-    concentrated: the search runs over the other parameters only, on the
-    objective minimised over the scale in closed form, and the scale at the
-    optimum is filled into ``theta_hat`` and named in ``profiled``.  Every
-    other objective (an aggregate, a plain callable, a bounded scale) is
-    searched jointly.
+    ``profile``: an :class:`~modwhittle.likelihood.Objective`, over one
+    latent model or an aggregate) whose fit bounds on the scale are
+    (<= 0, inf) is fitted concentrated: the search runs over the other
+    parameters only, on the objective minimised over the scale in closed
+    form, and the scale at the optimum is filled into ``theta_hat`` and
+    named in ``profiled``.  Every other objective (a plain callable, a
+    bounded scale) is searched jointly.
 
-    Nelder-Mead alone converges on transformed-scale tolerances (objective
-    spread NM_TOL_F, parameter spread NM_TOL_X), which keep optimizer error
-    below 1e-6, well under the statistical error at any tested sample size.
-    On the gradient path the simplex stops at BASIN_FATOL, and L-BFGS-B, run
-    in the bounded coordinates of :func:`_polish_coordinates` from the best
-    vertex clipped into the box, stops at GRAD_GTOL / GRAD_FTOL.  The polish
-    has converged when its projected gradient is at most POLISH_PGTOL *
+    Nelder-Mead converges on transformed-scale tolerances (objective spread
+    NM_TOL_F, parameter spread NM_TOL_X), which keep optimizer error below
+    1e-6, well under the statistical error at any tested sample size.  A
+    gradient objective is searched from each start by L-BFGS-B alone, in the
+    bounded coordinates of :func:`_polish_coordinates` from the start
+    clipped into the box, to GRAD_GTOL / GRAD_FTOL.  The polish has
+    converged when its projected gradient is at most POLISH_PGTOL *
     max(1, |f|), whatever L-BFGS-B's own verdict; a stop that fails this
     test, except at the iteration or evaluation limit, is restarted once
     from where it ended.  When the search has one coordinate (counted after
-    the scale is concentrated) the gradient path is :func:`_search_1d`
-    instead, from the start itself, with the same convergence test.
-    max_iter (default 2000 per searched parameter) caps the iterations of
-    every phase and the evaluations of the 1-D search.  Estimates within
-    AT_BOUND_EPS of a finite bound are listed in ``at_bound``;
-    ``n_rejected`` counts the evaluations that scored +inf, for objectives
-    that count them (``n_rejected``, as
-    :class:`~modwhittle.likelihood.Objective` does).
+    the scale is concentrated) it is :func:`_search_1d` instead, with the
+    same convergence test.  max_iter (default 2000 per searched parameter)
+    caps the iterations of each run and the evaluations of the 1-D search.
+    Estimates within AT_BOUND_EPS of a finite bound are listed in
+    ``at_bound``; ``n_rejected`` counts the evaluations that scored +inf,
+    for objectives that count them (``n_rejected``, as
+    :class:`~modwhittle.likelihood.Objective` does).  ``start_results``
+    gives each start's final objective, evaluations and convergence, and
+    ``best_start`` the index of the one that won.
     """
     t0 = time.perf_counter()
     names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
@@ -528,79 +532,67 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         return float(val) if np.isfinite(val) else np.inf
 
     gradient = bool(getattr(objective, "has_gradient", False)) and d > 0
-    search_1d = gradient and d == 1
     if gradient:
-        simplex_tol = {"xatol": np.inf, "fatol": BASIN_FATOL}
         log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
-    else:
-        simplex_tol = {"xatol": NM_TOL_X, "fatol": NM_TOL_F}
+        search = _search_1d if d == 1 else _polish
 
     best = None
-    attempts = 0
+    records = []
     total_evals = 0
     total_iters = 0
     grad_evals = 0
     for start in starts:
+        record = {"objective": None, "n_evals": 0, "converged": False}
+        records.append(record)
         try:
             x0 = transform(start, lo, hi)
         except ValueError:
             continue
-        if search_1d:
-            res = _search_1d(objective, _polish_start(start, log_mask, box_lo, box_hi),
-                             log_mask, box_lo, box_hi, max_iter)
-            total_evals += res.nfev
+        if gradient:
+            res = search(objective, _polish_start(start, log_mask, box_lo, box_hi),
+                         log_mask, box_lo, box_hi, max_iter)
             grad_evals += res.nfev
-            total_iters += res.nit
-            if not np.isfinite(res.fun):
-                continue
-            attempts += 1
-            fun, theta = float(res.fun), _polish_theta(res.x, log_mask)
-            success, message = res.converged, res.message
+            theta = _polish_theta(res.x, log_mask)
+            success = res.converged
         else:
             f0 = wrapped(x0)
             if not np.isfinite(f0):
                 continue
-            attempts += 1
             if d:
                 res = minimize(wrapped, x0, method="Nelder-Mead",
-                               options={**simplex_tol, "maxiter": max_iter,
-                                        "maxfev": 4 * max_iter, "disp": False,
+                               options={"xatol": NM_TOL_X, "fatol": NM_TOL_F,
+                                        "maxiter": max_iter, "maxfev": 4 * max_iter,
+                                        "disp": False,
                                         "initial_simplex": _initial_simplex(x0)})
             else:  # only the concentrated scale is free: its closed form is the fit
                 res = OptimizeResult(x=x0, fun=f0, nfev=0, nit=0, success=True,
                                      message="closed form")
-            total_evals += int(res.nfev)
-            total_iters += int(res.nit)
-            if not np.isfinite(res.fun):
-                continue
-            fun, theta = float(res.fun), inverse_transform(res.x, lo, hi)
-            success, message = bool(res.success), str(res.message)
-            if gradient:
-                polished, converged, n_evals, n_iters = _polish(
-                    objective, _polish_start(theta, log_mask, box_lo, box_hi),
-                    log_mask, box_lo, box_hi, max_iter)
-                total_evals += n_evals
-                grad_evals += n_evals
-                total_iters += n_iters
-                if polished.fun <= fun:
-                    fun = float(polished.fun)
-                    theta = _polish_theta(polished.x, log_mask)
-                    success, message = converged, str(polished.message)
+            theta = inverse_transform(res.x, lo, hi)
+            success = bool(res.success)
+        total_evals += int(res.nfev)
+        total_iters += int(res.nit)
+        record["n_evals"] = int(res.nfev)
+        if not np.isfinite(res.fun):
+            continue
+        fun = float(res.fun)
+        record.update(objective=fun, converged=success)
         if best is None or fun < best[0]:
-            best = (fun, theta, success, message)
+            best = (fun, theta, success, str(res.message), len(records) - 1)
     if best is None:
         raise FitFailure(
             f"no finite objective from {len(starts)} start(s); last init {values}")
-    fun, theta, success, message = best
+    fun, theta, success, message, best_start = best
     if k is not None:
         theta = np.insert(theta, k, objective.scale(theta))
     pv = ParameterVector(names, theta, lower=fit_lo, upper=fit_hi)
     return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,
-                     starts=attempts, n_evals=total_evals, message=message,
+                     starts=sum(r["objective"] is not None for r in records),
+                     n_evals=total_evals, message=message,
                      n_grad_evals=grad_evals, at_bound=at_bound(pv),
                      n_rejected=getattr(counted, "n_rejected", 0) - rejected,
-                     profiled=[] if k is None else [names[k]])
+                     profiled=[] if k is None else [names[k]],
+                     start_results=records, best_start=best_start)
 
 
 # ----------------------------------------------------------------------

@@ -135,9 +135,12 @@ def test_fit_drifter_fixture_five_params(tmp_path):
     report = json.loads(open(out + ".json").read())
     assert set(report["theta_hat"]) == {"A", "lam", "B", "h", "alpha"}
     assert report["damping_time_days"] > 0
-    assert report["n_evals"] > report["n_grad_evals"] > 0
+    assert report["n_evals"] == report["n_grad_evals"] > 0
     assert set(report["at_bound"]) <= set(report["theta_hat"])
-    assert report["profiled"] == [] and report["n_rejected"] >= 0
+    assert report["profiled"] == ["scale"] and report["n_rejected"] >= 0
+    starts = report["start_results"]
+    assert len(starts) == 2 and sum(s["n_evals"] for s in starts) == report["n_evals"]
+    assert starts[report["best_start"]]["objective"] == report["objective"]
 
 
 def test_drifter_fit_reports_alpha_at_bound(tmp_path):
@@ -152,8 +155,8 @@ def test_drifter_fit_reports_alpha_at_bound(tmp_path):
     report = json.loads(open(out + ".json").read())["stationary"]
     assert report["at_bound"] == ["alpha"]
     assert abs(report["theta_hat"]["alpha"] - 4.0) <= 4e-6
-    assert report["n_evals"] > report["n_grad_evals"] > 0
-    assert report["profiled"] == [] and report["n_rejected"] >= 0
+    assert report["n_evals"] == report["n_grad_evals"] > 0
+    assert report["profiled"] == ["scale"] and report["n_rejected"] >= 0
 
 
 def test_drifter_fit_spectrum_csv(tmp_path):

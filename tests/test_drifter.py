@@ -226,6 +226,22 @@ def test_two_phase_fit_never_worse_than_simplex_alone(rng, monkeypatch):
             assert f2.nll <= f1.nll + 1e-9 * max(1.0, abs(f1.nll)), (mode, f2.nll, f1.nll)
 
 
+def test_drifter_fit_reports_the_five_drifter_names(rng):
+    data, wf = _synthetic_segment(rng, n=512)
+    f = fit_drifter(data, wf, mode="stationary", freq_range=(0.0, 2.0))
+    assert list(f.params) == ["A", "lam", "B", "h", "alpha"]
+    assert set(f.at_bound) <= {"lam", "h", "alpha"}
+    res = f.fit_result
+    assert res.profiled == ["scale"]
+    assert res.n_evals == res.n_grad_evals > 0
+    theta = res.theta_hat.asdict()
+    a2, b2 = f.params["A"] ** 2, f.params["B"] ** 2
+    assert abs(theta["scale"] ** 2 / (a2 + b2) - 1.0) < 1e-12
+    assert abs(theta["matern1.q"] - np.log(b2 / a2)) < 1e-9
+    assert (theta["ou0.lam"], theta["matern1.h"], theta["matern1.alpha"]) == \
+        (f.params["lam"], f.params["h"], f.params["alpha"])
+
+
 def test_gradient_path_fit_is_deterministic(rng):
     data, wf = _synthetic_segment(rng)
     fits = [fit_drifter(data, wf, mode="modulated", freq_range=(0.0, 2.0))

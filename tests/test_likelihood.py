@@ -287,10 +287,22 @@ def test_aggregate_param_split():
     mat = matern_model(0.8, 0.5, 1.2)
     agg = AggregateModel(components=((ou, None), (mat, None)), n=32)
     pv = agg.params
-    assert pv.names == ["ou0.A", "ou0.lam", "matern1.B", "matern1.h", "matern1.alpha"]
-    agg2 = agg.with_values([2.0, 0.4, 1.0, 0.7, 1.5])
-    assert agg2.components[0][0].value("A") == 2.0
+    assert pv.names == ["scale", "ou0.lam", "matern1.q", "matern1.h", "matern1.alpha"]
+    assert agg.scale_index == 0
+    # scale^2 = A^2 + B^2 and q = log(B^2 / A^2)
+    np.testing.assert_allclose(pv.values, [np.sqrt(1.64), 0.3, np.log(0.64), 0.5, 1.2],
+                               rtol=1e-15)
+    assert pv.lower[[0, 2]].tolist() == [0.0, -np.inf] and np.all(pv.upper[[0, 2]] == np.inf)
+    agg2 = agg.with_values([2.0, 0.4, np.log(3.0), 0.7, 1.5])
+    assert abs(agg2.components[0][0].value("A") - 1.0) < 1e-15
+    assert abs(agg2.components[1][0].value("B") - np.sqrt(3.0)) < 1e-15
     assert agg2.components[1][0].value("alpha") == 1.5
+    np.testing.assert_allclose(agg2.params.values, [2.0, 0.4, np.log(3.0), 0.7, 1.5],
+                               rtol=1e-15)
+    # one component: the tied scale is its own
+    solo = AggregateModel(components=((mat, None),), n=32)
+    assert solo.params.names == ["scale", "matern0.h", "matern0.alpha"]
+    assert solo.with_values([0.8, 0.5, 1.2]).components[0][0].value("B") == 0.8
 
 
 def test_compare_likelihoods_white_noise(rng):
@@ -413,27 +425,88 @@ def test_gradient_matches_central_differences(rng, family):
         assert_gradient_matches(obj, model.params.values)
 
 
-@pytest.mark.parametrize("mode", ["modulated", "stationary"])
-def test_gradient_matches_central_differences_drifter(rng, mode):
+def _drifter_objective(rng, mode, n=1024):
     from modwhittle.drifter import (
         _drifter_aggregate,
-        _fit_bounds,
         band_mask,
         inertial_frequency,
         simulate_drifter_velocities,
     )
-    n = 1024
     wf = np.asarray(inertial_frequency(np.linspace(5.0, 19.0, n)))
     data = simulate_drifter_velocities(1.2, 1 / 3, 1.2, 0.7, 1.1, wf, 1 / 12, rng)
     agg = _drifter_aggregate(n, 1 / 12, wf, mode, True)
-    obj = Objective("modulated-whittle", data, agg,
-                    mask=band_mask(n, 1 / 12, 0.0, 2.0, side=-1))
-    bounds = _fit_bounds(agg)
-    lo = np.where(np.isfinite(bounds.lower), bounds.lower, 0.0)
-    hi = np.where(np.isfinite(bounds.upper), bounds.upper, 3.0)
+    return Objective("modulated-whittle", data, agg,
+                     mask=band_mask(n, 1 / 12, 0.0, 2.0, side=-1))
+
+
+@pytest.mark.parametrize("mode", ["modulated", "stationary"])
+def test_gradient_matches_central_differences_drifter(rng, mode):
+    from modwhittle.drifter import _fit_bounds
+    obj = _drifter_objective(rng, mode)
+    bounds = _fit_bounds(obj.model)
+    # (scale, lam, q, h, alpha), q = log(B^2 / A^2) of either sign
+    assert bounds.names == ["scale", "ou0.lam", "matern1.q", "matern1.h", "matern1.alpha"]
+    lo = np.where(np.isfinite(bounds.lower), bounds.lower, -4.0)
+    hi = np.where(np.isfinite(bounds.upper), bounds.upper, 4.0)
     for _ in range(5):
         theta = rng.uniform(lo + 0.05 * (hi - lo), lo + 0.5 * (hi - lo))
+        theta[2] = rng.uniform(-4.0, 4.0)
         assert_gradient_matches(obj, theta)
+
+
+def test_gradient_matches_central_differences_three_tied_scales(rng):
+    # softmax(0, q_2, q_3) ties three scales: sigma, A and B
+    n = 200
+    mod = random_modulator(rng, n, kinds=("periodic", "frequency"))
+    agg = AggregateModel(((car1_model(0.6, 1.0), mod),
+                          (ou_model(0.8, 0.5, delta=1.0), None),
+                          (matern_model(0.7, 0.6, 1.3, delta=1.0), None)), n)
+    assert agg.params.names == ["car10.r", "scale", "ou1.q", "ou1.lam",
+                                "matern2.q", "matern2.h", "matern2.alpha"]
+    data = Series(rng.normal(size=n) + 1j * rng.normal(size=n), kind="complex")
+    obj = Objective("modulated-whittle", data, agg)
+    assert obj.scale_index == 1
+    for _ in range(5):
+        theta = [rng.uniform(0.1, 0.9), rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0),
+                 rng.uniform(0.2, 2.0), rng.uniform(-3.0, 3.0), rng.uniform(0.3, 2.0),
+                 rng.uniform(0.7, 2.5)]
+        assert_gradient_matches(obj, theta)
+        a2 = [m.params.values[k] ** 2 for (m, _), k in
+              zip(agg.with_values(theta).components, (1, 0, 0))]
+        assert abs(sum(a2) / theta[1] ** 2 - 1.0) < 1e-14
+
+
+def test_drifter_profile_is_the_joint_objective_at_the_profiled_scale(rng):
+    obj = _drifter_objective(rng, "modulated")
+    assert obj.scale_index == 0
+    for rest in ([0.4, 1.5, 0.8, 1.3], [1.2, -2.0, 0.3, 2.5]):  # lam, q, h, alpha
+        value, grad, scale = obj.profile(rest, True)
+        theta = np.insert(rest, 0, scale)
+        joint_value, joint_grad = obj.value_and_grad(theta)
+        assert abs(joint_value - value) <= 1e-12 * max(1.0, abs(value))
+        assert abs(joint_grad[0]) * scale <= 1e-10 * max(1.0, abs(value))
+        np.testing.assert_allclose(grad, joint_grad[1:], rtol=1e-8, atol=1e-12)
+        # scale^2 = (1/M) sum_mask Ihat / Sbar_1, Sbar_1 the aggregate's at scale 1
+        sbar_1 = aggregate_expected_periodogram(obj.model.with_values(np.insert(rest, 0, 1.0)))
+        keep = obj.mask
+        s2 = np.mean(periodogram(obj.data)[keep] / sbar_1[keep])
+        assert abs(scale ** 2 / s2 - 1.0) < 1e-12
+
+
+def test_tied_scales_take_any_finite_log_ratio_without_warnings(rng):
+    import warnings
+    obj = _drifter_objective(rng, "modulated", n=256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (-700.0, 700.0):
+            value, grad = obj.value_and_grad([1.5, 0.4, q, 0.8, 1.3])
+            assert np.isfinite(value) and np.isfinite(grad).all()
+            value, grad, scale = obj.profile([0.4, q, 0.8, 1.3], True)
+            assert np.isfinite(value) and np.isfinite(grad).all() and scale > 0
+        # past exp's underflow one amplitude is 0: a zero Matern background
+        # is in the model class, a zero OU amplitude is not
+        assert np.isfinite(obj([1.5, 0.4, -1e4, 0.8, 1.3]))
+        assert obj([1.5, 0.4, 1e4, 0.8, 1.3]) == np.inf
 
 
 def test_gradient_only_where_every_family_has_one(rng):

@@ -285,6 +285,25 @@ def test_json_round_trip():
     assert obj["family"] == "car1" and obj["rotation"] == 0.3
 
 
+def test_json_without_bounds_takes_the_constructor_bounds():
+    for model in (ar_model([0.3], 1.0), ar_model([0.3, 0.1], 1.0), ma_model([0.2], 1.0),
+                  car1_model(0.5, 1.0), car1_model(0.5, 1.0, gamma=0.2),
+                  ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
+        payload = json.loads(model_to_json(model))
+        del payload["bounds"]
+        back = model_from_json(payload)
+        assert np.array_equal(back.params.lower, model.params.lower)
+        assert np.array_equal(back.params.upper, model.params.upper)
+    # a listed bound wins, and a listed null side stays unbounded
+    spec = {"family": "car1", "params": {"r": 0.5, "sigma": 1.0},
+            "bounds": {"r": [None, 0.9]}}
+    back = model_from_json(spec)
+    assert back.params.lower.tolist() == [-np.inf, 0.0]
+    assert back.params.upper.tolist() == [0.9, np.inf]
+    with pytest.raises(ValueError):
+        model_from_json({"family": "arma", "params": {"sigma": 1.0}})
+
+
 def test_car1_free_rotation_matches_fixed(rng):
     w = rng.uniform(-np.pi, np.pi, size=50)
     for _ in range(10):

@@ -196,7 +196,7 @@ def test_gradient_path_polishes_the_simplex_result():
               n_starts=2)
     assert np.max(np.abs(res.theta_hat.values - obj.tstar)) < 1e-9
     assert res.n_grad_evals == obj.grad_calls > 0
-    assert res.n_evals > res.n_grad_evals
+    assert res.n_evals == res.n_grad_evals
     assert res.converged and res.at_bound == []
     assert res.asdict()["n_grad_evals"] == res.n_grad_evals
 
@@ -214,7 +214,7 @@ def test_gradient_path_stops_at_a_binding_bound():
     obj = _Quadratic(np.eye(2), np.array([2.0, 0.5]))
     res = fit(obj, np.array([0.5, 0.2]), lower=[0.0, 0.0], upper=[1.0, 1.0],
               n_starts=1)
-    assert 0 < res.n_grad_evals <= 10
+    assert 0 < res.n_evals == res.n_grad_evals <= 12
     assert res.at_bound == ["theta0"]
     assert res.converged
     assert np.all(res.theta_hat.values < 1.0)
@@ -384,10 +384,52 @@ def test_whittle_ar1_with_phi_unbounded_reaches_the_bounded_fit(seed):
 
     data = simulate_ar(ar_model([0.7], 1.0), 256, seed)
     spec = {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}
-    free = Objective("whittle", data, model_from_json(spec))
+    free = Objective("whittle", data, model_from_json(
+        {**spec, "bounds": {"phi1": [None, None]}}))
     boxed = Objective("whittle", data, model_from_json(
         {**spec, "bounds": {"phi1": [-0.99, 0.99], "sigma": [0, None]}}))
     got, want = (fit(o, o.init_params) for o in (free, boxed))
     assert got.converged and got.profiled == ["sigma"]
     assert abs(got.theta_hat.values[0] - want.theta_hat.values[0]) < 1e-6
     assert got.objective_value <= want.objective_value + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_car1_config_without_bounds_reaches_the_bounded_fit(seed):
+    # r and gamma take the bounds of car1_model, so L-BFGS-B's first trial
+    # cannot leave the model class with r >= 1
+    from modwhittle import Objective
+    from modwhittle.models import model_from_json
+
+    z = simulate_complex_ar1(0.95, 1.0, np.full(255, 0.6), 256, seed)
+    spec = {"family": "car1", "params": {"r": 0.5, "sigma": 1.0, "gamma": 0.0}}
+    free = Objective("whittle", z, model_from_json(spec))
+    boxed = Objective("whittle", z, model_from_json(
+        {**spec, "bounds": {"r": [0.0, 0.999], "sigma": [0.0, None],
+                            "gamma": [-np.pi, np.pi]}}))
+    got, want = (fit(o, o.init_params) for o in (free, boxed))
+    assert got.converged and got.profiled == ["sigma"]
+    assert got.n_evals == got.n_grad_evals > 0
+    np.testing.assert_allclose(got.theta_hat.values, want.theta_hat.values,
+                               rtol=1e-6, atol=1e-6)
+    assert got.objective_value <= want.objective_value + 1e-12
+
+
+def test_fit_records_every_start():
+    obj = _Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.4, 1.7]))
+    res = fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
+              n_starts=2, seed=5)
+    assert len(res.start_results) == 2 and res.starts == 2
+    assert sum(r["n_evals"] for r in res.start_results) == res.n_evals
+    assert all(r["converged"] for r in res.start_results)
+    best = res.start_results[res.best_start]
+    assert best["objective"] == res.objective_value
+    assert best["objective"] == min(r["objective"] for r in res.start_results)
+    out = res.asdict()
+    assert out["start_results"] == res.start_results and out["best_start"] == res.best_start
+    # a start that scores +inf is recorded and loses to the perturbed one,
+    # 1.2 + 0.5 N(0, 1) = 0.33 with seed 8
+    res = fit(_Wall(), np.array([1.2]), lower=[-np.inf], upper=[np.inf], seed=8)
+    assert res.starts == 1 and res.best_start == 1
+    assert res.start_results[0] == {"objective": None, "n_evals": 1, "converged": False}
+    assert abs(res.theta_hat.values[0] - 0.9505) < 1e-9
