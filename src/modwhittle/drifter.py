@@ -281,8 +281,7 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     freq_range : fitted band in cycles/day, one-sided; the side is chosen by
                hemisphere (falling back to the observed peak side near the
                equator) unless given explicitly.
-    fit_options : keyword arguments of :func:`optimize.fit` (these fits take
-               its gradient path).
+    fit_options : keyword arguments of :func:`optimize.fit`.
 
     The fit runs on the aggregate's tied layout (:class:`AggregateModel`):
     one scale, profiled out in closed form, and q = log(B^2 / A^2), which

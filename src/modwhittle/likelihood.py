@@ -20,8 +20,8 @@ evaluates every kind.  It may take a parametric modulation kernel (e.g.
 follow the latent ones; the exact kind of a car1 latent under that kernel is
 the O(N) Markov likelihood :func:`exact_car1_nll`.  That likelihood, and the
 Whittle and modulated-Whittle kinds where every latent has a score, have an
-analytic gradient; the dense exact kind, AR(p >= 2) and MA latents, and
-:class:`Car1WhittleObjective` are fitted by Nelder-Mead alone.
+analytic gradient; :func:`~modwhittle.optimize.fit` searches every other one
+(the dense exact kind, AR(p >= 2) and MA latents) on central differences.
 
 Over one latent model every kind is proportional to its scale^2 (sigma, A
 or B, :data:`~modwhittle.models.SCALE_PARAMS`) in Sbar, the sdf or the
@@ -681,8 +681,8 @@ class Car1WhittleObjective:
     theta = (r, sigma) when the rotation is fixed, or (r, sigma, gamma) when
     it is free: ``Objective("whittle", data, car1_model(...))`` with only
     ``names``, ``lower`` and ``upper`` exposed.  It has no ``has_gradient``,
-    so :func:`~modwhittle.optimize.fit` minimizes it by Nelder-Mead alone;
-    the benchmark tracer's tests use it as that path's fixture.
+    so :func:`~modwhittle.optimize.fit` searches it on central differences;
+    it is the benchmark tracer tests' fixture for an objective without a score.
     """
 
     def __init__(self, data: Series, rotation: float | None = 0.0, mask=None):

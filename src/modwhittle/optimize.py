@@ -1,26 +1,22 @@
 """Bounded minimization for the pseudo-likelihood objectives.
 
-Objectives without a gradient are minimized with a Nelder-Mead simplex in an
-unconstrained space (logit for two-sided bounds, log for one-sided), so
-every evaluated point respects its open bounds by construction.  Objectives
-that offer one (``has_gradient`` and ``value_and_grad``: a modulated-Whittle
-:class:`Objective` over AR(1), car1, ou and matern components, a Whittle one
-over an AR(1) or car1 latent, and the exact one of a car1 latent under a
-linear-ramp kernel, the Markov likelihood) take one phase per start: with
-two or more searched coordinates, L-BFGS-B from the start itself in bounded
-polish coordinates (see :func:`_polish_coordinates`): log theta for a
-parameter with a finite lower bound >= 0, theta itself otherwise, boxed by
-L-BFGS-B's own bounds moved POLISH_EDGE inside the fit bounds.  In the logit
+Every fit searches each start in bounded polish coordinates
+(:func:`_polish_coordinates`: log theta where the lower bound is finite and
+>= 0, theta elsewhere, in a box POLISH_EDGE inside the fit bounds): by
+L-BFGS-B (:func:`_polish`) with two or more searched coordinates, by the
+bracketed derivative search :func:`_search_1d` with one.  (In a logit
 space a coordinate pinned at a bound has a gradient that decays like
 e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
-stops at the edge.  A polish has converged when its projected gradient (in
-the polish coordinates) is at most POLISH_PGTOL * max(1, |f|), whatever
-L-BFGS-B reports; a stop that fails this test, other than at the iteration
-limit, is restarted once from where it ended.  With one searched coordinate
-a bracketed derivative search (:func:`_search_1d`) runs in the same polish
-coordinate and box instead, and has converged by the same test.
-Multi-start keeps the better of the given initialization and a seeded
-perturbation of it.
+stops at the edge.)  The gradient is
+the objective's score where it has one (``has_gradient`` and
+``value_and_grad``: the Whittle, modulated-Whittle and Markov exact kinds of
+:class:`Objective` when every latent has a score), else central differences
+in the polish coordinates (:func:`_polish_value_and_grad`).  A search has
+converged at a projected gradient of at most POLISH_PGTOL * max(1, |f|),
+whatever L-BFGS-B reports; an unconverged L-BFGS-B stop is rerun once, or
+with ever shorter first steps while its runs meet +inf (a step out of the
+model class, which L-BFGS-B cannot step back from).  Multi-start keeps the
+better of the given initialization and a seeded perturbation of it.
 
 An :class:`Objective` (it has a ``scale_index``) is fitted concentrated: its
 scale (sigma, A or B of one latent model, or the tied scale of an aggregate
@@ -33,7 +29,6 @@ parameters only and the scale is filled in at the end.  A plain callable,
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -57,9 +52,6 @@ __all__ = [
 ]
 
 
-# Nelder-Mead convergence tolerances (objective and parameter spread)
-NM_TOL_F = 1e-10
-NM_TOL_X = 1e-7
 # L-BFGS-B stops at this projected gradient or relative reduction
 GRAD_GTOL = 1e-10
 GRAD_FTOL = np.finfo(float).eps
@@ -68,10 +60,11 @@ GRAD_FTOL = np.finfo(float).eps
 POLISH_EDGE = 1e-10
 # a polish has converged at this projected gradient * max(1, |f|)
 POLISH_PGTOL = 1e-6
-# the first Nelder-Mead simplex moves a coordinate at 0 by this much (scipy:
-# 0.00025); a logit coordinate at the middle of its bounds, where a model's
-# default start often sits, then spans a basin rather than a point
-SIMPLEX_ZERO_STEP = 0.05
+# an unconverged L-BFGS-B run that met +inf reruns with a first step this
+# many times shorter (a power of 2, so the scaling is exact)
+RESCALE = 8.0
+# central differences step y_i by FD_STEP * max(1, |y_i|), about eps^(1/3)
+FD_STEP = float(np.cbrt(np.finfo(float).eps))
 # an estimate within AT_BOUND_EPS * max(1, |b|) of a finite bound b is flagged
 AT_BOUND_EPS = 1e-6
 # the 1-D search's first step is FIRST_STEP * max(1, |y|), and a later
@@ -148,28 +141,15 @@ def _bound_kinds(lower, upper):
 
     Each kind is None when no coordinate has it, else (index, lower, upper):
     the index of its coordinates (a slice when that is all of them) and
-    their bounds.  Cached per bounds: a fit maps every evaluation through the
-    same ones.
+    their bounds.
     """
-    return _bound_kinds_of(np.asarray(lower, dtype=float).tobytes(),
-                           np.asarray(upper, dtype=float).tobytes())
-
-
-@functools.lru_cache(maxsize=64)
-def _bound_kinds_of(lower: bytes, upper: bytes):
-    lo, hi = np.frombuffer(lower), np.frombuffer(upper)
+    lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
     kinds = []
     for mask in (has_lo & has_hi, has_lo > has_hi, has_hi > has_lo):
         i = np.flatnonzero(mask)
-        if not i.size:
-            kinds.append(None)
-            continue
         index = slice(None) if i.size == lo.size else i
-        parts = (i, lo[index], hi[index])
-        for a in parts:  # every caller with these bounds shares them
-            a.setflags(write=False)
-        kinds.append((index, *parts[1:]))
+        kinds.append((index, lo[index], hi[index]) if i.size else None)
     return tuple(kinds)
 
 
@@ -214,20 +194,44 @@ def _polish_start(theta, log_mask, box_lo, box_hi) -> np.ndarray:
         return np.clip(np.where(log_mask, np.log(theta), theta), box_lo, box_hi)
 
 
-def _polish_value_and_grad(y, objective, log_mask):
+def _polish_value_and_grad(y, objective, log_mask, box_lo, box_hi):
     """The objective and its gradient in the polish coordinates y.
 
-    A line-search step can reach a theta so large (or small) that theta
-    itself or the objective's intermediate values overflow (or divide by an
-    underflowed 0); that scores +inf without a warning, like any other
-    non-finite value.
+    The one place that knows whether the objective has a score: with a true
+    ``has_gradient`` the gradient is its ``value_and_grad``'s, else central
+    differences in y (:func:`_central_differences`).  A line-search step can
+    reach a theta so large (or small) that theta itself or the objective's
+    intermediate values overflow (or divide by an underflowed 0); that
+    scores +inf without a warning, like any other non-finite value or probe.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta = np.where(log_mask, np.exp(y), y)
-        val, grad = objective.value_and_grad(theta)
-    if not np.isfinite(val):
+        if objective.has_gradient:
+            val, grad = objective.value_and_grad(theta)
+            grad = grad * np.where(log_mask, theta, 1.0)  # dtheta/dy
+        else:
+            val = objective(theta)
+            grad = (_central_differences(y, objective, log_mask, box_lo, box_hi)
+                    if np.isfinite(val) else None)
+    if not np.isfinite(val) or grad is None:
         return np.inf, np.zeros_like(y)
-    return float(val), grad * np.where(log_mask, theta, 1.0)  # dtheta/dy
+    return float(val), grad
+
+
+def _central_differences(y, objective, log_mask, box_lo, box_hi):
+    """The objective's gradient in y by central differences, each probe
+    y_i +- FD_STEP * max(1, |y_i|) clipped into the box (box_lo, box_hi), or
+    None when a probe is not finite."""
+    step = FD_STEP * np.maximum(1.0, np.abs(y))
+    up, down = np.minimum(y + step, box_hi), np.maximum(y - step, box_lo)
+    grad = np.empty_like(y)
+    for i, moved in enumerate(np.eye(y.size, dtype=bool)):
+        f_up, f_down = (objective(_polish_theta(np.where(moved, edge, y), log_mask))
+                        for edge in (up, down))
+        if not np.all(np.isfinite([f_up, f_down])):
+            return None
+        grad[i] = (f_up - f_down) / (up[i] - down[i])
+    return grad
 
 
 def at_bound(pv: ParameterVector) -> list:
@@ -291,25 +295,43 @@ def _bounds_of(objective, init, lower, upper):
 
 
 def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
-    """L-BFGS-B from y0 in the polish coordinates, restarted once from its
-    stop when that is not converged, unless it stopped at the iteration or
-    evaluation limit or at +inf.  Converged means a projected gradient of at
-    most POLISH_PGTOL * max(1, |f|).  Returns the last run's OptimizeResult
-    with ``converged``, and nfev and nit summed over both runs."""
-    n_evals = n_iters = 0
-    for _ in range(2):
-        res = minimize(_polish_value_and_grad, y0, args=(objective, log_mask),
-                       jac=True, method="L-BFGS-B", bounds=list(zip(box_lo, box_hi)),
+    """L-BFGS-B from y0 in the polish coordinates y, rerun from its stop
+    while that is not converged (a projected gradient of at most
+    POLISH_PGTOL * max(1, |f|)) and not at a limit or at +inf: once, or,
+    while its runs meet a trial that scores +inf, in u = y / s with s
+    RESCALE times smaller each time (its first step, of length 1 in u, that
+    much shorter) down to BRACKET_XTOL.  The first run has s = 1.  Returns
+    the last run's OptimizeResult in y with ``converged``, and nit summed
+    over the runs."""
+    n_iters = 0
+    s, restarted = 1.0, False
+    while True:
+        met_inf = False
+
+        def value_and_grad(u):
+            nonlocal met_inf
+            f, g = _polish_value_and_grad(u * s, objective, log_mask, box_lo, box_hi)
+            met_inf = met_inf or f == np.inf
+            return f, g * s
+
+        res = minimize(value_and_grad, y0 / s, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(box_lo / s, box_hi / s)),
                        options={"gtol": GRAD_GTOL, "ftol": GRAD_FTOL,
                                 "maxiter": max_iter, "maxfun": 4 * max_iter})
-        n_evals += int(res.nfev)
         n_iters += int(res.nit)
-        pg = np.clip(res.x - res.jac, box_lo, box_hi) - res.x
+        y, g = res.x * s, res.jac / s
+        pg = np.clip(y - g, box_lo, box_hi) - y
         converged = bool(np.max(np.abs(pg)) <= POLISH_PGTOL * max(1.0, abs(res.fun)))
         if converged or res.status == 1 or not np.isfinite(res.fun):  # status 1: a limit
             break
-        y0 = res.x  # L-BFGS-B never ends above its start
-    res.update(nfev=n_evals, nit=n_iters, converged=converged)
+        if met_inf and s / RESCALE >= BRACKET_XTOL:
+            s /= RESCALE
+        elif met_inf or restarted:
+            break
+        else:
+            restarted = True
+        y0 = y  # L-BFGS-B never ends above its start
+    res.update(x=y, jac=g, nit=n_iters, converged=converged)
     return res
 
 
@@ -322,9 +344,10 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
     times the step before, until the objective rises or the derivative
     changes sign; a walk that reaches the box edge still going downhill
     stops there.  A trial that scores +inf is halved back toward the last
-    finite point, and no later step goes more than halfway to it.  Shrink: the bracket's trial is the minimizer of the
-    Hermite cubic through its ends, else the secant root of the derivative,
-    else the midpoint (:func:`_shrink_trial`); the midpoint also when the
+    finite point, and no later step goes more than halfway to it.  Shrink:
+    the bracket's trial is the minimizer of the Hermite cubic through its
+    ends, else the secant root of the derivative, else the midpoint
+    (:func:`_shrink_trial`); the midpoint also when the
     bracket shrank by less than half over the last two trials.  Stops at
     |g| <= GRAD_GTOL, a bracket narrower than BRACKET_XTOL * max(1, |y|),
     two trials in a row within FLAT_ULPS ulp of the best value, or after
@@ -343,7 +366,8 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
     def evaluate(y):
         nonlocal nfev
         nfev += 1
-        f, g = _polish_value_and_grad(np.array([y]), objective, log_mask)
+        f, g = _polish_value_and_grad(np.array([y]), objective, log_mask,
+                                      box_lo, box_hi)
         return y, f, float(g[0])
 
     a = evaluate(float(y0[0]))  # the best point, (y, f, g)
@@ -426,34 +450,37 @@ def _shrink_trial(a, b) -> float:
     return 0.5 * (ya + yb)
 
 
-def _initial_simplex(x0) -> np.ndarray:
-    """scipy's Nelder-Mead start simplex, x0 and one vertex per coordinate
-    moved by 5%, except that a coordinate at 0 moves by SIMPLEX_ZERO_STEP."""
-    sim = np.tile(x0, (x0.size + 1, 1))
-    sim[1:][np.diag_indices(x0.size)] = np.where(x0 != 0, (1 + 0.05) * x0,
-                                                 SIMPLEX_ZERO_STEP)
-    return sim
+class _Searched:
+    """The objective as the search calls it, counting its calls
+    (``n_evals``) and the calls of its score among them (``n_grad_evals``).
 
+    With a scale index k (``scale_index`` and ``profile``, see
+    :meth:`~modwhittle.likelihood.Objective.profile`) it is concentrated: a
+    callable over theta without that scale, which remembers the scale
+    estimate of every theta it evaluates, so the fit fills in the scale of
+    its optimum without evaluating it again."""
 
-class _Concentrated:
-    """An objective with one scale parameter (``scale_index`` and
-    ``profile``, see :meth:`~modwhittle.likelihood.Objective.profile`) as a
-    callable over theta without that scale.  It remembers the scale estimate
-    of every theta it evaluates, so the fit fills in the scale of its
-    optimum without evaluating it again."""
-
-    def __init__(self, objective):
-        self._objective = objective
-        self.has_gradient = objective.has_gradient
+    def __init__(self, objective, k):
+        self._objective, self._k = objective, k
+        self.has_gradient = bool(getattr(objective, "has_gradient", False))
+        self.n_evals = self.n_grad_evals = 0
         self._scales = {}
 
     def __call__(self, theta) -> float:
-        return self._profile(theta, False)[0]
+        self.n_evals += 1
+        return self.value(theta, False)[0]
 
     def value_and_grad(self, theta):
-        return self._profile(theta, True)
+        self.n_evals += 1
+        self.n_grad_evals += 1
+        return self.value(theta, True)
 
-    def _profile(self, theta, grad):
+    def value(self, theta, grad):
+        """(value, gradient or None) without counting the call."""
+        if self._k is None:
+            if grad:
+                return self._objective.value_and_grad(theta)
+            return self._objective(theta), None
         value, gradient, scale = self._objective.profile(theta, grad)
         if scale is not None:  # None: rejected, maybe only for its gradient
             self._scales[np.asarray(theta, dtype=float).tobytes()] = scale
@@ -462,7 +489,7 @@ class _Concentrated:
     def scale(self, theta) -> float:
         key = np.asarray(theta, dtype=float).tobytes()
         if key not in self._scales:
-            self._profile(theta, False)
+            self.value(theta, False)
         return self._scales[key]
 
 
@@ -487,36 +514,29 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     named in ``profiled``.  Every other objective (a plain callable, a
     bounded scale) is searched jointly.
 
-    Nelder-Mead converges on transformed-scale tolerances (objective spread
-    NM_TOL_F, parameter spread NM_TOL_X), which keep optimizer error below
-    1e-6, well under the statistical error at any tested sample size.  A
-    gradient objective is searched from each start by L-BFGS-B alone, in the
-    bounded coordinates of :func:`_polish_coordinates` from the start
-    clipped into the box, to GRAD_GTOL / GRAD_FTOL.  The polish has
-    converged when its projected gradient is at most POLISH_PGTOL *
-    max(1, |f|), whatever L-BFGS-B's own verdict; a stop that fails this
-    test, except at the iteration or evaluation limit, is restarted once
-    from where it ended.  When the search has one coordinate (counted after
-    the scale is concentrated) it is :func:`_search_1d` instead, with the
-    same convergence test.  max_iter (default 2000 per searched parameter)
-    caps the iterations of each run and the evaluations of the 1-D search.
-    Estimates within AT_BOUND_EPS of a finite bound are listed in
-    ``at_bound``; ``n_rejected`` counts the evaluations that scored +inf,
-    for objectives that count them (``n_rejected``, as
-    :class:`~modwhittle.likelihood.Objective` does).  ``start_results``
-    gives each start's final objective, evaluations and convergence, and
-    ``best_start`` the index of the one that won.
+    Each start runs :func:`_polish` or, with one searched coordinate
+    (counted after the scale is concentrated), :func:`_search_1d`, on the
+    objective's score or on central differences.  max_iter (default 2000
+    per searched parameter) caps the iterations of each L-BFGS-B run and the
+    evaluations of the 1-D search.  ``n_evals`` counts every call of the
+    objective in the search, difference probes included, and
+    ``n_grad_evals`` the calls of its ``value_and_grad``.  Estimates within
+    AT_BOUND_EPS of a finite bound are listed in ``at_bound``;
+    ``n_rejected`` counts the evaluations that scored +inf, for objectives
+    that count them (as :class:`~modwhittle.likelihood.Objective` does).
+    ``start_results`` gives each start's final objective, evaluations and
+    convergence, and ``best_start`` the index of the one that won.
     """
     t0 = time.perf_counter()
     names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
-    counted, rejected = objective, getattr(objective, "n_rejected", 0)
+    rejected = getattr(objective, "n_rejected", 0)
     k = getattr(objective, "scale_index", None)
     lo, hi = fit_lo, fit_hi
     if k is not None and lo[k] <= 0.0 and hi[k] == np.inf:
-        objective = _Concentrated(objective)
         values, lo, hi = (np.delete(a, k) for a in (values, lo, hi))
     else:
         k = None
+    searched = _Searched(objective, k)
     d = values.size
     if max_iter is None:
         max_iter = 2000 * d
@@ -526,71 +546,50 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     if n_starts >= 2 and d:
         x0 = transform(values, lo, hi)
         starts.append(inverse_transform(x0 + rng.normal(scale=0.5, size=d), lo, hi))
-
-    def wrapped(x):
-        val = objective(inverse_transform(x, lo, hi))
-        return float(val) if np.isfinite(val) else np.inf
-
-    gradient = bool(getattr(objective, "has_gradient", False)) and d > 0
-    if gradient:
-        log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
-        search = _search_1d if d == 1 else _polish
+    log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
+    search = _search_1d if d == 1 else _polish
 
     best = None
     records = []
-    total_evals = 0
     total_iters = 0
-    grad_evals = 0
     for start in starts:
         record = {"objective": None, "n_evals": 0, "converged": False}
         records.append(record)
         try:
-            x0 = transform(start, lo, hi)
+            transform(start, lo, hi)  # strictly inside the bounds
         except ValueError:
             continue
-        if gradient:
-            res = search(objective, _polish_start(start, log_mask, box_lo, box_hi),
+        calls = searched.n_evals
+        if d:
+            res = search(searched, _polish_start(start, log_mask, box_lo, box_hi),
                          log_mask, box_lo, box_hi, max_iter)
-            grad_evals += res.nfev
             theta = _polish_theta(res.x, log_mask)
-            success = res.converged
-        else:
-            f0 = wrapped(x0)
-            if not np.isfinite(f0):
-                continue
-            if d:
-                res = minimize(wrapped, x0, method="Nelder-Mead",
-                               options={"xatol": NM_TOL_X, "fatol": NM_TOL_F,
-                                        "maxiter": max_iter, "maxfev": 4 * max_iter,
-                                        "disp": False,
-                                        "initial_simplex": _initial_simplex(x0)})
-            else:  # only the concentrated scale is free: its closed form is the fit
-                res = OptimizeResult(x=x0, fun=f0, nfev=0, nit=0, success=True,
-                                     message="closed form")
-            theta = inverse_transform(res.x, lo, hi)
-            success = bool(res.success)
-        total_evals += int(res.nfev)
+        else:  # only the concentrated scale is free: its closed form is the fit
+            res = OptimizeResult(fun=searched.value(start, False)[0], nit=0,
+                                 converged=True,
+                                 message="closed form")
+            theta = start
         total_iters += int(res.nit)
-        record["n_evals"] = int(res.nfev)
+        record["n_evals"] = searched.n_evals - calls
         if not np.isfinite(res.fun):
             continue
         fun = float(res.fun)
-        record.update(objective=fun, converged=success)
+        record.update(objective=fun, converged=res.converged)
         if best is None or fun < best[0]:
-            best = (fun, theta, success, str(res.message), len(records) - 1)
+            best = (fun, theta, res.converged, str(res.message), len(records) - 1)
     if best is None:
         raise FitFailure(
             f"no finite objective from {len(starts)} start(s); last init {values}")
     fun, theta, success, message, best_start = best
     if k is not None:
-        theta = np.insert(theta, k, objective.scale(theta))
+        theta = np.insert(theta, k, searched.scale(theta))
     pv = ParameterVector(names, theta, lower=fit_lo, upper=fit_hi)
     return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,
                      starts=sum(r["objective"] is not None for r in records),
-                     n_evals=total_evals, message=message,
-                     n_grad_evals=grad_evals, at_bound=at_bound(pv),
-                     n_rejected=getattr(counted, "n_rejected", 0) - rejected,
+                     n_evals=searched.n_evals, message=message,
+                     n_grad_evals=searched.n_grad_evals, at_bound=at_bound(pv),
+                     n_rejected=getattr(objective, "n_rejected", 0) - rejected,
                      profiled=[] if k is None else [names[k]],
                      start_results=records, best_start=best_start)
 

@@ -38,3 +38,66 @@ def random_modulator(rng, n, kinds=("constant", "periodic", "bernoulli", "freque
             return periodic_missing_mask(1, 1, n)
         return mod
     return frequency_modulator(rng.uniform(-0.8, 0.8, size=n - 1))
+
+
+def simplex_fit(objective, init, lower=None, upper=None, *, n_starts=2,
+                max_iter=None, seed=0):
+    """A reference fit by scipy's Nelder-Mead alone, with
+    :func:`modwhittle.optimize.fit`'s signature and result, for tests that
+    check a fit ends no higher than a simplex on the same objective.
+
+    It starts where ``fit`` does (the init and, with n_starts >= 2, its
+    seeded perturbation in ``optimize.transform`` space) and runs in that space,
+    from a first simplex that moves each coordinate by 5% (by 0.05 where it
+    is 0), to an objective spread of 1e-10 and a parameter spread of 1e-7.
+    An objective with a ``scale_index`` whose bounds are (<= 0, inf) is
+    searched with that scale concentrated out by ``Objective.profile``.
+    """
+    from scipy.optimize import minimize
+
+    from modwhittle.core import ParameterVector
+    from modwhittle.optimize import FitResult, _bounds_of, inverse_transform, transform
+
+    names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
+    k = getattr(objective, "scale_index", None)
+    lo, hi, f = fit_lo, fit_hi, objective
+    if k is not None and lo[k] <= 0.0 and hi[k] == np.inf:
+        values, lo, hi = (np.delete(a, k) for a in (values, lo, hi))
+        def f(theta):
+            return objective.profile(theta, False)[0]
+    else:
+        k = None
+    d = values.size
+    max_iter = max_iter or 2000 * d
+    starts = [values]
+    if n_starts >= 2 and d:
+        x0 = transform(values, lo, hi)
+        noise = np.random.default_rng(seed).normal(scale=0.5, size=d)
+        starts.append(inverse_transform(x0 + noise, lo, hi))
+
+    def wrapped(x):
+        val = f(inverse_transform(x, lo, hi))
+        return float(val) if np.isfinite(val) else np.inf
+
+    best = None
+    for start in starts:
+        try:
+            x0 = transform(start, lo, hi)
+        except ValueError:  # a start on a bound
+            continue
+        if not np.isfinite(wrapped(x0)):
+            continue
+        simplex = np.tile(x0, (d + 1, 1))
+        simplex[1:][np.diag_indices(d)] = np.where(x0 != 0, 1.05 * x0, 0.05)
+        res = minimize(wrapped, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": max_iter,
+                                "maxfev": 4 * max_iter, "initial_simplex": simplex})
+        if best is None or res.fun < best.fun:
+            best = res
+    theta = inverse_transform(best.x, lo, hi)
+    if k is not None:
+        theta = np.insert(theta, k, objective.profile(theta, False)[2])
+    return FitResult(theta_hat=ParameterVector(names, theta, lower=fit_lo, upper=fit_hi),
+                     objective_value=float(best.fun), iterations=int(best.nit),
+                     converged=bool(best.success), wall_time=0.0, starts=len(starts),
+                     n_evals=int(best.nfev), message=str(best.message))

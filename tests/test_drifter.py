@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import simplex_fit
 from modwhittle import Series
 from modwhittle.drifter import (
     Trajectory,
@@ -211,17 +212,17 @@ def _synthetic_segment(rng, n=1024):
 
 
 def test_two_phase_fit_never_worse_than_simplex_alone(rng, monkeypatch):
-    import modwhittle.models as models
+    # the reference is the test-local Nelder-Mead fit of the same objective
+    import modwhittle.drifter as drifter
     segments = [_synthetic_segment(rng) for _ in range(6)]
     for mode in ("modulated", "stationary"):
         two_phase = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
                      for d, wf in segments]
         assert all(f.fit_result.n_grad_evals > 0 for f in two_phase)
         with monkeypatch.context() as m:
-            m.setattr(models, "GRADIENT_FAMILIES", ())
+            m.setattr(drifter, "fit", simplex_fit)
             simplex = [fit_drifter(d, wf, mode=mode, freq_range=(0.0, 2.0))
                        for d, wf in segments]
-        assert all(f.fit_result.n_grad_evals == 0 for f in simplex)
         for f2, f1 in zip(two_phase, simplex):
             assert f2.nll <= f1.nll + 1e-9 * max(1.0, abs(f1.nll)), (mode, f2.nll, f1.nll)
 

@@ -265,11 +265,11 @@ def test_polish_gradient_matches_central_differences(rng):
         theta = np.array([rng.uniform(0.6, 2.9), rng.uniform(-0.9, 1.9),
                           rng.lognormal(), 5.0 - rng.lognormal()])
         y = np.where(log_mask, np.log(np.abs(theta)), theta)
-        _, grad = _polish_value_and_grad(y, obj, log_mask)
+        _, grad = _polish_value_and_grad(y, obj, log_mask, box_lo, box_hi)
         e = 1e-6
         fd = np.array([
-            (_polish_value_and_grad(y + e * u, obj, log_mask)[0]
-             - _polish_value_and_grad(y - e * u, obj, log_mask)[0]) / (2 * e)
+            (_polish_value_and_grad(y + e * u, obj, log_mask, box_lo, box_hi)[0]
+             - _polish_value_and_grad(y - e * u, obj, log_mask, box_lo, box_hi)[0]) / (2 * e)
             for u in np.eye(4)])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -433,3 +433,82 @@ def test_fit_records_every_start():
     assert res.starts == 1 and res.best_start == 1
     assert res.start_results[0] == {"objective": None, "n_evals": 1, "converged": False}
     assert abs(res.theta_hat.values[0] - 0.9505) < 1e-9
+
+
+def test_plain_callable_reaches_the_optimum_beside_a_bound():
+    # the coordinate pinned at its bound must not stop the other one
+    res = fit(lambda th: (th[0] - 2) ** 2 + (th[1] - 0.5) ** 2, [0.5, 0.2],
+              lower=[0, 0], upper=[1, 1])
+    assert res.converged and res.at_bound == ["theta0"]
+    assert abs(res.objective_value - 1.0) < 1e-9
+    np.testing.assert_allclose(res.theta_hat.values, [1.0, 0.5], atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_car1_with_r_and_gamma_unbounded_reaches_the_bounded_fit(seed):
+    # L-BFGS-B's first unit step leaves the model class (r >= 1 scores
+    # +inf); the reruns with shorter first steps must reach the optimum
+    from modwhittle import Objective
+    from modwhittle.models import model_from_json
+
+    z = simulate_complex_ar1(0.95, 1.0, np.full(255, 0.6), 256, seed)
+    spec = {"family": "car1", "params": {"r": 0.5, "sigma": 1.0, "gamma": 0.0}}
+    free = Objective("whittle", z, model_from_json(
+        {**spec, "bounds": {"r": [None, None], "gamma": [None, None]}}))
+    boxed = Objective("whittle", z, model_from_json(spec))
+    got, want = (fit(o, o.init_params) for o in (free, boxed))
+    f = want.objective_value
+    assert got.converged and got.n_rejected > 0
+    assert got.objective_value <= f + 1e-9 * max(1.0, abs(f))
+
+
+def test_n_evals_counts_every_call_of_an_objective_without_a_score():
+    calls = []
+
+    def objective(theta):
+        calls.append(theta)
+        return float((theta[0] - 0.3) ** 2 + (theta[1] + 0.2) ** 4 + theta[0] * theta[1])
+
+    res = fit(objective, np.array([0.5, 0.5]), lower=[0.0, -1.0], upper=[1.0, 1.0])
+    assert res.n_evals == len(calls) > 0
+    assert res.n_grad_evals == 0
+    assert sum(r["n_evals"] for r in res.start_results) == res.n_evals
+
+
+def _without_a_score(case, seed):
+    """An Objective of a model whose family has no analytic score."""
+    from modwhittle import Objective, ar_model, bernoulli_mask, ma_model
+    from modwhittle.models import autocov_sequence
+    from modwhittle.simulate import simulate_from_acv
+
+    n = 256
+    if case.startswith("ar2"):
+        x = simulate_ar(ar_model([1.2, -0.5], 1.0), n, seed)
+        if case == "ar2-whittle":
+            return Objective("whittle", x, ar_model([0.1, 0.1], 1.0))
+        mod = bernoulli_mask(0.7, seed=seed, n=n)
+        return Objective("modulated-whittle", Series(mod.g * x.values),
+                         ar_model([0.1, 0.1], 1.0), modulator=mod)
+    if case == "ar1-exact":
+        x = simulate_ar(ar_model([0.7], 1.0), n, seed)
+        return Objective("exact", x, ar_model([0.1], 1.0))
+    q = int(case[2])
+    truth = ma_model([0.6, 0.3][:q], 1.0)
+    x = simulate_from_acv(autocov_sequence(truth, n), n, seed)
+    return Objective("whittle", x, ma_model([0.1] * q, 1.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ["ar2-whittle", "ar2-masked-modulated", "ma2-whittle",
+                                  "ma1-whittle", "ar1-exact"])
+def test_objective_without_a_score_ends_no_higher_than_the_simplex(case, seed):
+    from conftest import simplex_fit
+
+    obj = _without_a_score(case, seed)
+    assert not obj.has_gradient
+    got = fit(obj, obj.init_params)
+    want = simplex_fit(obj, obj.init_params)
+    f = want.objective_value
+    assert got.converged and got.profiled == ["sigma"]
+    assert got.n_evals > 0 and got.n_grad_evals == 0
+    assert got.objective_value <= f + 1e-9 * max(1.0, abs(f))
