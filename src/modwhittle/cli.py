@@ -19,6 +19,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import Series
@@ -55,6 +56,14 @@ class UsageError(Exception):
     pass
 
 
+def _from_config(build, *args, **kwargs):
+    """build(*args, **kwargs), whose ValueError means the config is wrong."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -84,6 +93,7 @@ def _manifest(verb: str, config_text: str, seed, outputs) -> str:
         "versions": {
             "modwhittle": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "outputs": sorted(outputs),
@@ -123,10 +133,10 @@ def _simulate_from_config(cfg: dict, seed) -> tuple[np.ndarray, Series]:
                                       np.random.default_rng((seed, 2)))
         return beta, series
     if kind == "model":
-        model = model_from_json(cfg["model"])
+        model = _from_config(model_from_json, cfg["model"])
         series = simulate_ar(model, n, np.random.default_rng((seed, 2)))
         if cfg.get("modulator"):
-            mod = modulator_from_json(cfg["modulator"])
+            mod = _from_config(modulator_from_json, cfg["modulator"])
             series = Series(mod.g * series.values, delta=series.delta)
         return None, series
     if kind == "drifter":
@@ -190,15 +200,16 @@ def _cmd_fit(cfg: dict, out: str, seed, threads: int) -> dict:
                              include_background=cfg.get("include_background", True),
                              fit_options=opts)
         return {f"{out}.json": json.dumps(_drifter_report(result), indent=2)}
-    model = model_from_json(cfg["model"])
-    modulator = modulator_from_json(cfg["modulator"]) if cfg.get("modulator") else None
-    objective = Objective(kind, data, model, modulator=modulator)
+    model = _from_config(model_from_json, cfg["model"])
+    modulator = (_from_config(modulator_from_json, cfg["modulator"])
+                 if cfg.get("modulator") else None)
+    objective = _from_config(Objective, kind, data, model, modulator=modulator)
     result = fit(objective, objective.init_params, **opts)
     return {f"{out}.json": json.dumps(result.asdict(), indent=2)}
 
 
 def _cmd_mc(cfg: dict, out: str, seed, threads: int) -> dict:
-    study = McStudy.from_json_dict(cfg)
+    study = _from_config(McStudy.from_json_dict, cfg)
     if seed is not None:
         study.seed = int(seed)
     report = run_study(study, threads=threads)
@@ -306,7 +317,7 @@ def _cmd_drifter_batch(cfg: dict, out: str, seed, threads: int) -> dict:
 
 
 def _cmd_diagnose(cfg: dict, out: str, seed, threads: int) -> dict:
-    mod = modulator_from_json(cfg["modulator"])
+    mod = _from_config(modulator_from_json, cfg["modulator"])
     report = {}
     if "lags" in cfg:
         diag = significant_correlation_diagnostic(

@@ -114,14 +114,16 @@ def inertial_frequency(latitude_deg) -> np.ndarray | float:
 def velocities_from_positions(traj: Trajectory) -> np.ndarray:
     """Forward-difference velocities u + iv in cm/s, length N-1.
 
-    Longitude differences are scaled by cos(latitude) at the left endpoint
-    (local spherical metric, 111.32 km per degree of arc).
+    Longitude differences are wrapped into [-180, 180) degrees (across the
+    antimeridian) and scaled by cos(latitude) at the left endpoint (local
+    spherical metric, 111.32 km per degree of arc).
     """
     if traj.n < 2:
         raise ValueError("need at least two samples to difference")
     dt_s = traj.delta * SOLAR_DAY_S
     dlat = np.diff(traj.latitudes)
     dlon = np.diff(traj.longitudes)
+    dlon -= 360.0 * np.floor((dlon + 180.0) / 360.0)  # in-range steps stay exact
     u = dlon * np.cos(np.deg2rad(traj.latitudes[:-1])) * CM_PER_DEGREE / dt_s
     v = dlat * CM_PER_DEGREE / dt_s
     return u + 1j * v

@@ -1,36 +1,35 @@
 """Objective functions: exact Gaussian, stationary Whittle, modulated Whittle.
 
-All three are negative log pseudo-likelihoods scaled by 1/N and are minimized
-over the latent parameters.  The frequency-domain objectives share the form
+All three are negative log (pseudo-)likelihoods, minimized over the latent
+parameters.  Sbar, the sdf and the exact covariance are each proportional to
+s2, the square of the latent scale (sigma, A or B,
+:data:`~modwhittle.models.SCALE_PARAMS`), so every kind has one form
 
-    (1/N) sum_{w in mask} [ log s(w; theta) + Shat(w) / s(w; theta) ],
+    l = (L + M log s2 + Q / s2) / n,
 
-with s the stationary sdf f_X (Whittle) or the exact expected periodogram
-Sbar (modulated Whittle).  The 1/N factor keeps the full grid size even under
-a frequency mask, so masked and unmasked values stay on one scale.
-
-Everything here is pure given immutable inputs; the objective classes only
-precompute quantities that do not depend on theta (periodogram, c_g, grid
-frequencies), which is what makes each evaluation O(N log N).  The c_g of
-every component comes from :func:`~modwhittle.modulation.component_cg`, and
-every expected autocovariance, of a plain or an aggregate model, is the one
-component sum cbar = sum c_g c_X of :func:`_cbar`.  One :class:`Objective`
-evaluates every kind.  It may take a parametric modulation kernel (e.g.
-:class:`~modwhittle.modulation.LinearRampKernel`) whose free parameters
-follow the latent ones; the exact kind of a car1 latent under that kernel is
-the O(N) Markov likelihood :func:`exact_car1_nll`.  That likelihood, and the
-Whittle and modulated-Whittle kinds where every latent has a score, have an
-analytic gradient; :func:`~modwhittle.optimize.fit` searches every other one
-(the dense exact kind, AR(p >= 2) and MA latents) on central differences.
-
-Over one latent model every kind is proportional to its scale^2 (sigma, A
-or B, :data:`~modwhittle.models.SCALE_PARAMS`) in Sbar, the sdf or the
-covariance, so the scale minimising the objective at the other parameters is
-closed form, and :meth:`Objective.profile` evaluates this concentrated
+with L, Q and M taken at scale 1: L = sum_mask log S_1, Q = sum_mask Shat /
+S_1, M the mask size and n = N for the frequency-domain kinds, S_1 the sdf
+f_X (Whittle) or the exact expected periodogram Sbar (modulated Whittle);
+L = log|C_1|, Q = y* C_1^{-1} y and M = n = N' for the dense exact kind; and
+the Markov L and Q of :func:`_exact_car1` with M = n = N.  n is the full grid
+size even under a frequency mask, so masked and unmasked values stay on one
+scale.  The scale minimising l is s2 = Q / M, which gives the concentrated
 likelihood (Brockwell & Davis 1991, Time Series: Theory and Methods, 10.8)
-within the chain of one evaluation.  An aggregate ties its component scales
-into one scale and log ratios of their squares (:class:`AggregateModel`), so
-its Sbar is proportional to that scale^2 too, and it has the same profile.
+that :meth:`Objective.profile` evaluates.  An aggregate ties its component
+scales into one scale and log ratios of their squares
+(:class:`AggregateModel`), so its Sbar is proportional to that s2 too.
+
+One :class:`Objective` evaluates every kind.  Construction precomputes what
+does not depend on theta (periodogram, c_g, grid frequencies), so each
+evaluation is O(N log N); every expected autocovariance is the one component
+sum cbar = sum c_g c_X of :func:`_cbar`.  An objective may take a parametric
+modulation kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`)
+whose free parameters follow the latent ones; the exact kind of a car1
+latent under that kernel is the O(N) Markov likelihood :func:`exact_car1_nll`.
+That likelihood, and the Whittle and modulated-Whittle kinds where every
+latent has a score, have an analytic gradient; :func:`~modwhittle.optimize.fit`
+searches every other one (the dense exact kind, AR(p >= 2) and MA latents)
+on central differences.
 """
 
 from __future__ import annotations
@@ -164,15 +163,6 @@ def _exact_dense(data: Series, mod: Modulator | None, model: LatentModel):
     return logdet, quad, keep.size
 
 
-def _concentrated_scale2(s2: float) -> float:
-    """s2, the optimal squared scale, checked to be finite and positive: an
-    all-zero sample (or periodogram on the mask) has none."""
-    if not 0.0 < s2 < math.inf:
-        raise ValueError("no finite positive scale minimises the objective "
-                         "(the data are zero where it looks)")
-    return s2
-
-
 def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> float:
     """Markov-factorized exact likelihood for z_t = r e^{i beta_t} z_{t-1} + e_t.
 
@@ -180,48 +170,42 @@ def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> f
     :func:`exact_gaussian_nll` of the equivalent modulated representation and
     evaluated in O(N).
     """
-    return _exact_car1(z, beta, r, sigma, score=False)[0]
+    if not sigma > 0:
+        raise ValueError("requires sigma > 0")
+    big_l, quad, _ = _exact_car1(z, beta, r, score=False)
+    n, s2 = len(z), sigma * sigma
+    return (big_l + n * math.log(s2) + quad / s2) / n
 
 
-def _exact_car1(z, beta, r, sigma, score: bool):
-    """:func:`exact_car1_nll`, with score=True also its derivatives.
+def _exact_car1(z, beta, r, score: bool):
+    """(L, Q, derivatives) of :func:`exact_car1_nll` at unit scale.
 
-    With u_t = e^{i beta_t} z_{t-1}, e_t = z_t - r u_t, p_t = conj(e_t) u_t,
-    Q = sum |e_t|^2, s2 = sigma^2 and
-    N l = log(s2 / (1 - r^2)) + |z_0|^2 (1 - r^2) / s2 + (N-1) log s2 + Q / s2,
+    With u_t = e^{i beta_t} z_{t-1}, e_t = z_t - r u_t and p_t = conj(e_t) u_t,
+    N l = L + N log sigma^2 + Q / sigma^2, where
 
-        N dl/dr      = 2r / (1 - r^2) - 2r |z_0|^2 / s2 - 2 sum Re p_t / s2,
-        N dl/dsigma  = (2 / sigma) [N - (|z_0|^2 (1 - r^2) + Q) / s2],
-        N dl/dbeta_t = 2r Im p_t / s2.
+        L = -log(1 - r^2),   Q = |z_0|^2 (1 - r^2) + sum |e_t|^2,
+        dL/dr = 2r / (1 - r^2),   dQ/dr = -2r |z_0|^2 - 2 sum Re p_t,
+        dQ/dbeta_t = 2r Im p_t.
 
-    sigma None concentrates it out: s2 = (|z_0|^2 (1 - r^2) + Q) / N, where
-    dl/dsigma = 0.  Returns (l, sigma, derivatives), the derivatives
-    (dl/dr, dl/dsigma, dl/dbeta) with score=True and None otherwise.
+    The derivatives (dL/dr, dQ/dr, dQ/dbeta) come with score=True, None
+    otherwise.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    if beta.size != n - 1:
+    if beta.size != z.size - 1:
         raise ValueError("need one rotation per transition")
-    if not (0.0 <= r < 1.0) or (sigma is not None and sigma <= 0):
-        raise ValueError("requires 0 <= r < 1 and sigma > 0")
+    if not 0.0 <= r < 1.0:
+        raise ValueError("requires 0 <= r < 1")
     u = np.exp(1j * beta) * z[:-1]
     resid = z[1:] - r * u
     z0sq = abs(z[0]) ** 2
-    quad = float(np.sum(np.abs(resid) ** 2))
-    if sigma is None:
-        s2 = _concentrated_scale2((z0sq * (1.0 - r * r) + quad) / n)
-        sigma = math.sqrt(s2)
-    else:
-        s2 = sigma * sigma
-    nll = (np.log(s2 / (1.0 - r * r)) + z0sq * (1.0 - r * r) / s2
-           + (n - 1) * np.log(s2) + quad / s2) / n
+    big_l = -math.log(1.0 - r * r)
+    quad = z0sq * (1.0 - r * r) + float(np.sum(np.abs(resid) ** 2))
     if not score:
-        return float(nll), sigma, None
+        return big_l, quad, None
     p = np.conj(resid) * u
-    d_r = (2.0 * r / (1.0 - r * r) - 2.0 * r * z0sq / s2
-           - 2.0 * float(np.sum(p.real)) / s2) / n
-    d_sigma = 2.0 / sigma * (n - (z0sq * (1.0 - r * r) + quad) / s2) / n
-    return float(nll), sigma, (d_r, d_sigma, 2.0 * r * p.imag / (s2 * n))
+    return big_l, quad, (2.0 * r / (1.0 - r * r),
+                         -2.0 * r * z0sq - 2.0 * float(np.sum(p.real)),
+                         2.0 * r * p.imag)
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +362,10 @@ class Objective:
     :func:`~modwhittle.models.has_sdf_grad` (whittle) and
     :func:`~modwhittle.models.has_acv_grad` (modulated-whittle).
 
-    Every kind is a concentrated likelihood in one scale: the latent
-    model's (:data:`~modwhittle.models.SCALE_PARAMS`), or an aggregate's
-    tied one (:class:`AggregateModel`).  ``scale_index`` is its position in
-    theta, and :meth:`profile` evaluates the objective at the scale's
-    closed-form optimum.
-    ``n_rejected`` counts the evaluations that scored +inf.
+    ``scale_index`` is the position in theta of the one scale (the latent
+    model's, or an aggregate's tied one), and :meth:`profile` evaluates the
+    objective at its closed-form optimum.  ``n_rejected`` counts the
+    evaluations that scored +inf.
     """
 
     kind: str
@@ -482,7 +464,7 @@ class Objective:
         gamma + span ramp_t.
 
         whittle: with f the sdf on the grid and w = dl/df (see
-        :meth:`_whittle_sum`), dl/dtheta_j = sum_k w_k df_k/dtheta_j (see
+        :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j (see
         :func:`sdf_grad`).
 
         modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w), the
@@ -504,17 +486,14 @@ class Objective:
         return self._evaluate(theta, True, False)[:2]
 
     def profile(self, rest, grad: bool = False):
-        """The nll concentrated in the scale: its minimum over the scale.
+        """The nll concentrated in the scale: its minimum over the scale, at
+        scale^2 = Q / M (see the module docstring).
 
-        rest is theta without its ``scale_index`` entry.  Sbar, the sdf and
-        the exact covariance all scale as scale^2, so the chain runs once at
-        scale 1 and the optimal s2 = scale^2 is closed form: (1/M)
-        sum_mask Shat / S_1 for the spectral kinds (M the mask size),
-        y* C_1^{-1} y / N' for the dense exact one and (|z_0|^2 (1 - r^2) +
-        Q) / N for the Markov one.  By the envelope theorem the gradient in
-        rest is the joint one at that scale.  Returns (value, gradient in
-        rest or None, scale), with +inf, a zero gradient and None where the
-        objective rejects rest, or where the data are zero on the mask.
+        rest is theta without its ``scale_index`` entry.  By the envelope
+        theorem the gradient in rest is the joint one at that scale.  Returns
+        (value, gradient in rest or None, scale), with +inf, a zero gradient
+        and None where the objective rejects rest, or where the data are zero
+        on the mask.
         """
         if grad and not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
@@ -527,44 +506,81 @@ class Objective:
         return value, gradient, scale
 
     def _evaluate(self, theta, grad: bool, profile: bool):
-        """(value, gradient or None, concentrated scale or None) at theta,
-        the one evaluation routine; with profile theta holds scale 1.
+        """(value, gradient or None, concentrated scale or None) at theta:
+        the one evaluation routine, and the one place that knows the scale.
 
-        Non-finite theta, theta outside the model class (a ValueError of the
-        chain, e.g. a non-stationary AR: the optimizer steps back), and a
+        The chain runs at scale 1 (with profile theta holds it already).  At
+        s2 = scale^2, or with profile at the minimiser s2 = Q / M,
+
+            l = (L + M log s2 + Q / s2) / n,   dl/dscale = 2 (M - Q / s2) / (scale n).
+
+        Non-finite theta, a scale <= 0, theta outside the model class (a
+        ValueError of the chain, e.g. a non-stationary AR: the optimizer
+        steps back), data that are zero where the objective looks, and a
         non-finite value or gradient score +inf, with a zero gradient, and
         are counted in ``n_rejected``.
         """
         theta = np.asarray(theta, dtype=float)
-        if np.isfinite(theta).all():
+        k = self.scale_index
+        if np.isfinite(theta).all() and theta[k] > 0.0:
+            unit = theta
+            if not profile:
+                unit = theta.copy()
+                unit[k] = 1.0
             try:
-                value, gradient, scale = self._chain(theta, grad, profile)
+                big_l, quad, m, n, pull = self._chain(unit, grad)
+                if profile:  # where Q / s2 = M
+                    s2 = quad / m
+                    value = (big_l + m * (1.0 + math.log(s2))) / n
+                    scale = math.sqrt(s2)
+                else:  # Python floats: a huge scale gives inf, not a warning
+                    scale = float(theta[k])
+                    s2 = scale * scale
+                    value = (big_l + m * math.log(s2) + quad / s2) / n
+                gradient = None
+                if grad:
+                    gradient = pull(s2)
+                    gradient[k] = 2.0 * (m - quad / s2) / (scale * n)
             except ValueError:
                 pass
             else:
                 if math.isfinite(value) and (not grad or np.isfinite(gradient).all()):
-                    return value, gradient, scale
+                    return value, gradient, (scale if profile else None)
         self.n_rejected += 1
         return np.inf, (np.zeros(theta.size) if grad else None), None
 
-    def _chain(self, theta, grad, profile):
+    def _chain(self, theta, grad):
+        """(L, Q, M, n, pull) of the module docstring at theta, whose scale
+        is 1.  With grad, pull(s2) maps the score at scale 1 to the gradient
+        at scale^2 = s2 but for its scale entry, which the caller sets; the
+        spectral kinds' is sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2
+        S_1)) / (S_1 n) on the mask.  The dense exact kind has no score.
+        """
         if self._z is not None:  # the exact kind under a ramp kernel
-            return self._exact_markov(theta, grad, profile)
+            return self._exact_markov(theta, grad)
         models, phi = self._split(theta)
         if self.kind == "exact":
             logdet, quad, kept = _exact_dense(self.data, self.modulator, models[0])
-            s2 = _concentrated_scale2(quad / kept) if profile else 1.0
-            value = (logdet + quad / s2) / kept + math.log(s2)
-            return value, None, (math.sqrt(s2) if profile else None)
+            return logdet, quad, kept, kept, None
         if self.kind == "whittle":
             svals, pullback = self._whittle(models[0], grad)
         else:
             svals, pullback = self._modulated(models, phi, grad)
-        value, w, scale = self._whittle_sum(svals, grad, profile)
-        gradient = pullback(w) if grad else None
-        if grad and isinstance(self.model, AggregateModel):
-            gradient = self.model.tied_gradient(theta, gradient)
-        return value, gradient, scale
+        n = svals.size
+        s = svals[self._mask]
+        if not s.min() > 0:
+            raise ValueError("spectral values must be positive on the mask")
+        ratio = self._shat[self._mask] / s
+
+        def pull(s2):
+            w = np.zeros(n)
+            w[self._mask] = (1.0 - ratio / s2) / s / n
+            gradient = pullback(w)
+            if isinstance(self.model, AggregateModel):
+                gradient = self.model.tied_gradient(theta, gradient)
+            return gradient
+
+        return float(np.sum(np.log(s))), float(np.sum(ratio)), s.size, n, pull
 
     def _split(self, theta):
         """(latent models, kernel parameters phi) of theta; raises
@@ -580,20 +596,20 @@ class Objective:
             raise ValueError("parameter vector length mismatch")
         return models, theta[pos:]
 
-    def _exact_markov(self, theta, grad, profile):
-        # theta = (r, sigma, gamma, span) and no LatentModel: _exact_car1
-        # rejects r and sigma outside the model, the kernel the span
+    def _exact_markov(self, theta, grad):
+        # theta = (r, 1, gamma, span) and no LatentModel: _exact_car1 rejects
+        # r outside the model, the kernel the span
         beta = self._kernel.rotations(theta[2:])
-        if not (grad or profile):  # the name the benchmark tracer times
-            return exact_car1_nll(self._z, beta, theta[0], theta[1]), None, None
-        value, sigma, score = _exact_car1(self._z, beta, theta[0],
-                                          None if profile else theta[1], score=grad)
-        scale = sigma if profile else None
-        if not grad:
-            return value, None, scale
-        d_r, d_sigma, d_beta = score
-        return value, np.array([d_r, d_sigma, d_beta.sum(),
-                                d_beta @ self._kernel.ramp]), scale
+        big_l, quad, score = _exact_car1(self._z, beta, theta[0], score=grad)
+        n = self._z.size
+
+        def pull(s2):
+            dl_r, dq_r, dq_beta = score
+            d_beta = dq_beta / (s2 * n)
+            return np.array([(dl_r + dq_r / s2) / n, 0.0, d_beta.sum(),
+                             d_beta @ self._kernel.ramp])
+
+        return big_l, quad, n, n, pull
 
     def _whittle(self, model, grad):
         """The sdf on the grid and, with grad, the map from w = dl/df to the
@@ -602,36 +618,6 @@ class Objective:
         if not grad:
             return f, None
         return f, lambda w: (sdf_grad(model, self._freqs) * w).sum(axis=1)
-
-    def _whittle_sum(self, svals, grad: bool, profile: bool):
-        """(value, w, scale) of the Whittle sum at the spectrum svals.
-
-        w = dl/ds = (1/N)(1/s - Shat/s^2) on the mask and 0 elsewhere (None
-        without grad).  With profile the spectrum is s2 svals at the s2 that
-        minimises the sum, s2 = (1/M) sum_mask Shat/svals over the M masked
-        frequencies, where the sum is (1/N)[sum_mask log svals +
-        M (1 + log s2)] and w is the one at svals with Shat/s2; scale =
-        sqrt(s2), None without profile.
-        """
-        n = svals.size
-        if not profile:
-            value = spectral_nll(self._shat, svals, self._mask)
-            if not grad:
-                return value, None, None
-        s = svals[self._mask]
-        if profile and not s.min() > 0:
-            raise ValueError("spectral values must be positive on the mask")
-        ratio = self._shat[self._mask] / s
-        if profile:
-            s2 = _concentrated_scale2(float(np.mean(ratio)))
-            value = (float(np.sum(np.log(s))) + s.size * (1.0 + math.log(s2))) / n
-        w = None
-        if grad:
-            if profile:
-                ratio /= s2
-            w = np.zeros(n)
-            w[self._mask] = (1.0 - ratio) / s / n
-        return value, w, (math.sqrt(s2) if profile else None)
 
     def _modulated(self, models, phi, grad):
         """Sbar in FFT order and, with grad, the map from w = dl/dSbar to the

@@ -429,7 +429,7 @@ def modulator_from_json(text: str | dict) -> Modulator:
     if gen == "frequency":
         return frequency_modulator(np.asarray(params["beta"], dtype=float))
     if gen == "linear-frequency":
-        return frequency_modulator(linear_beta(params["gamma"], params["span"], n))
+        return linear_frequency_modulator(params["gamma"], params["span"], n)
     if gen == "custom":
         g = np.asarray(obj["g_re"], dtype=float) + 1j * np.asarray(obj["g_im"], dtype=float)
         if not np.any(g.imag):

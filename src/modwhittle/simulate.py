@@ -240,6 +240,13 @@ class McStudy:
     seed: int = 0
     fit_options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        known = sorted(est for kind, est in ESTIMATORS if kind == self.kind)
+        unknown = sorted(set(self.estimators) - set(known))
+        if unknown or not known:
+            raise ValueError(f"unknown estimator(s) {unknown} for study kind "
+                             f"{self.kind!r}, whose estimators are {known}")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -303,18 +310,13 @@ def _simulate_case(study: McStudy, n: int, rep: int):
         return data, {"modulator": mask}
     if study.kind == "car1-bounded-walk":
         pr = study.process
-        walk = bounded_random_walk_beta(pr["gamma"], pr["span"], pr["amp"], n,
-                                        np.random.default_rng(child_mod))
-        beta = walk[1:]
-        data = simulate_complex_ar1(p["r"], p["sigma"], beta, n,
-                                    np.random.default_rng(child_noise))
-        return data, {"beta": beta}
-    if study.kind == "car1-linear-beta":
+        beta = bounded_random_walk_beta(pr["gamma"], pr["span"], pr["amp"], n,
+                                        np.random.default_rng(child_mod))[1:]
+    else:  # car1-linear-beta: McStudy admits no other kind
         beta = linear_beta(p["gamma"], p["span"], n)
-        data = simulate_complex_ar1(p["r"], p["sigma"], beta, n,
-                                    np.random.default_rng(child_noise))
-        return data, {"beta": beta}
-    raise ValueError(f"unknown study kind {study.kind!r}")
+    data = simulate_complex_ar1(p["r"], p["sigma"], beta, n,
+                                np.random.default_rng(child_noise))
+    return data, {"beta": beta}
 
 
 # Table 2's (gamma, span) start scans span over this many points in (0, pi)
@@ -414,12 +416,7 @@ ESTIMATORS = {
 
 def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict) -> FitResult:
     """Fit one estimator to one replicate."""
-    make = ESTIMATORS.get((study.kind, estimator))
-    if make is None:
-        if study.kind not in {kind for kind, _ in ESTIMATORS}:
-            raise ValueError(f"unknown study kind {study.kind!r}")
-        raise ValueError(f"unknown estimator {estimator!r} for {study.kind}")
-    objective, init = make(data, aux)
+    objective, init = ESTIMATORS[(study.kind, estimator)](data, aux)
     return fit(objective, init, **study.fit_options)
 
 

@@ -33,7 +33,7 @@ from modwhittle.simulate import (
     worker_pool,
 )
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
-from conftest import random_model, random_modulator
+from helpers import random_model, random_modulator
 
 THREADS = min(2, os.cpu_count() or 1)
 

@@ -32,6 +32,33 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 1
 
 
+def test_config_errors_exit_1_and_write_nothing(tmp_path):
+    data_cfg = write_cfg(tmp_path, {
+        "kind": "model", "n": 64,
+        "model": {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}, "seed": 1,
+    }, "sim.json")
+    data = str(tmp_path / "data")
+    assert main(["simulate", "--config", data_cfg, "-o", data]) == 0
+    model = {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}
+    fits = [
+        {"objective": "whitle", "model": model},
+        {"objective": "whittle", "model": model,
+         "modulator": {"generator": "periodic-missing", "params": {"k": 2, "l": 1}, "N": 64}},
+        {"objective": "whittle", "model": {**model, "family": "arr"}},
+    ]
+    configs = [("fit", {**cfg, "data": {"csv": data + ".csv"}}) for cfg in fits]
+    configs.append(("mc", {
+        "kind": "ar1-bernoulli-mask", "true_params": {"a": 0.8, "sigma": 1.0},
+        "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
+        "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
+    }))
+    for i, (verb, cfg) in enumerate(configs):
+        out = tmp_path / f"out{i}"
+        assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),
+                     "-o", str(out)]) == 1, cfg
+        assert not list(tmp_path.glob(f"out{i}*"))
+
+
 def test_simulate_bundled_car1(tmp_path):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", cfg_path("car1.json"), "-o", out]) == 0
@@ -40,6 +67,7 @@ def test_simulate_bundled_car1(tmp_path):
     assert len(rows) == 1 + 512
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["verb"] == "simulate"
+    assert set(manifest["versions"]) == {"modwhittle", "numpy", "scipy", "python"}
     assert len(manifest["config_sha256"]) == 64
 
 

@@ -24,7 +24,9 @@ from modwhittle import (
     periodic_missing_mask,
 )
 from modwhittle.core import ParameterVector
-from modwhittle.modulation import LinearRampKernel, linear_beta
+from modwhittle.likelihood import exact_gaussian_nll, resolve_mask, spectral_nll
+from modwhittle.models import sdf_sampled
+from modwhittle.modulation import LinearRampKernel, cg_sequence, linear_beta
 from modwhittle.optimize import FitFailure
 from modwhittle.simulate import (
     ESTIMATORS,
@@ -32,6 +34,7 @@ from modwhittle.simulate import (
     simulate_ar,
     simulate_complex_ar1,
 )
+from modwhittle.spectra import expected_periodogram, periodogram
 
 
 class _Joint:
@@ -48,9 +51,9 @@ class _Joint:
         return self.objective.value_and_grad(theta)
 
 
-def _whittle_ar1(rng):
+def _whittle_ar1(rng, mask=None):
     x = simulate_ar(ar_model([0.7], 1.3), 256, rng)
-    obj = Objective("whittle", x, ar_model([0.5], 1.0))
+    obj = Objective("whittle", x, ar_model([0.5], 1.0), mask=mask)
     return obj, obj.init_params
 
 
@@ -88,6 +91,8 @@ def _dense_exact(rng):
 
 CASES = {
     "whittle-ar1": _whittle_ar1,
+    "whittle-ar1-band": lambda rng: _whittle_ar1(
+        rng, mask=np.abs(fourier_grid(256).frequencies) < 1.5),
     "whittle-car1-fixed": lambda rng: _whittle_car1(rng, free=False),
     "whittle-car1-free": lambda rng: _whittle_car1(rng, free=True),
     "modulated-modulator": _modulated_car1,
@@ -133,6 +138,41 @@ def test_profile_is_the_joint_objective_where_it_is_flat_in_the_scale(case):
         assert abs(joint_grad[k]) * scale <= 1e-10 * max(1.0, abs(value))
         np.testing.assert_allclose(grad, np.delete(joint_grad, k),
                                    rtol=1e-8, atol=1e-12)
+
+
+def _reference(obj, theta):
+    """The objective at theta from the spectrum or covariance at theta's own
+    scale: spectral_nll on scale^2 S_1, or the dense exact likelihood."""
+    n, k = len(obj.data), obj.scale_index
+    if isinstance(obj.modulator, LinearRampKernel):  # theta = (r, sigma, gamma, span)
+        model = car1_model(theta[0], theta[1])
+        mod = frequency_modulator(linear_beta(theta[2], theta[3], n))
+    else:
+        model, mod = obj.model.with_values(theta), obj.modulator
+    if obj.kind == "exact":
+        return exact_gaussian_nll(obj.data, mod, model)
+    unit = model.params.values.copy()
+    unit[k] = 1.0
+    unit = model.with_values(unit)
+    s1 = (np.asarray(sdf_sampled(unit, fourier_grid(n).frequencies))
+          if obj.kind == "whittle" else expected_periodogram(cg_sequence(mod), unit))
+    return spectral_nll(periodogram(obj.data), theta[k] ** 2 * s1, resolve_mask(n, obj.mask))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_kind_takes_its_scale_in_one_closed_form(case):
+    obj, init = CASES[case](np.random.default_rng(13))
+    k = obj.scale_index
+    for scale in (0.3, 4.0):
+        theta = init.values.copy()
+        theta[k] = scale
+        f = _reference(obj, theta)
+        assert abs(obj(theta) - f) <= 1e-12 * max(1.0, abs(f))
+    for scale in (0.0, -1.0):
+        theta[k] = scale
+        before = obj.n_rejected
+        assert obj(theta) == np.inf
+        assert obj.n_rejected == before + 1
 
 
 def _zero_objectives():

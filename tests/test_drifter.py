@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import simplex_fit
+from helpers import simplex_fit
 from modwhittle import Series
 from modwhittle.drifter import (
     Trajectory,
@@ -61,6 +61,17 @@ def test_velocities_from_positions():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0]), latitudes=np.zeros(2),
                    longitudes=np.zeros(2))
+
+
+def test_velocities_across_the_antimeridian():
+    t = np.arange(3) / 12.0
+    lons = np.array([179.99, -179.99, -179.97])
+    across = Trajectory(times=t, latitudes=np.full(3, 10.0), longitudes=lons)
+    shifted = Trajectory(times=t, latitudes=np.full(3, 10.0),
+                         longitudes=(lons + 90.0 + 180.0) % 360.0 - 180.0)
+    v = velocities_from_positions(across)
+    np.testing.assert_allclose(v, velocities_from_positions(shifted), rtol=1e-9)
+    assert 25.0 < v.real.min() and v.real.max() < 35.0  # 0.02 deg per 2 h, east
 
 
 def test_drifter_modulator_cases():

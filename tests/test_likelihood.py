@@ -33,7 +33,7 @@ from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequenc
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
-from conftest import random_modulator
+from helpers import random_modulator
 
 
 def whittle_value(data, model, mask=None):

@@ -24,7 +24,7 @@ from modwhittle.modulation import (
     modulator_from_json,
     modulator_to_json,
 )
-from conftest import random_modulator
+from helpers import random_modulator
 
 
 def test_cg_constant():
@@ -237,7 +237,10 @@ def test_modulator_json_round_trip():
         Modulator(np.arange(1.0, 5.0)),
     ]
     for mod in mods:
-        back = modulator_from_json(modulator_to_json(mod))
+        text = modulator_to_json(mod)
+        back = modulator_from_json(text)
         assert np.allclose(back.g, mod.g, atol=1e-12), mod.generator
+        assert back.generator == mod.generator
+        assert modulator_to_json(back) == text, mod.generator
     obj = json.loads(modulator_to_json(mods[1]))
     assert obj["generator"] == "periodic-missing" and obj["N"] == 16

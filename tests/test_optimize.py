@@ -502,7 +502,7 @@ def _without_a_score(case, seed):
 @pytest.mark.parametrize("case", ["ar2-whittle", "ar2-masked-modulated", "ma2-whittle",
                                   "ma1-whittle", "ar1-exact"])
 def test_objective_without_a_score_ends_no_higher_than_the_simplex(case, seed):
-    from conftest import simplex_fit
+    from helpers import simplex_fit
 
     obj = _without_a_score(case, seed)
     assert not obj.has_gradient

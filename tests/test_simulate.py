@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import modwhittle
-from conftest import simplex_fit
+from helpers import simplex_fit
 from modwhittle import ar_model, ma_model, simulate
 from modwhittle.models import autocov_sequence, matern_acv, ou_to_ar
 from modwhittle.modulation import frequency_modulator

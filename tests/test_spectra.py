@@ -20,7 +20,7 @@ from modwhittle import (
 from modwhittle.models import sdf_sampled
 from modwhittle.simulate import simulate_ar
 from modwhittle.spectra import expected_periodogram_values
-from conftest import random_model, random_modulator
+from helpers import random_model, random_modulator
 
 
 def test_periodogram_examples(rng):
