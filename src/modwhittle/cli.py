@@ -3,7 +3,8 @@
 Verbs: simulate, fit, mc, drifter-fit, drifter-batch, diagnose.  Every
 command reads a JSON config, is deterministic given (config, seed), writes
 outputs atomically (temp file + rename), and drops a machine-readable
-manifest (config hash, seed, package versions) next to the outputs.
+manifest (config hash, seed, package versions, BLAS thread settings) next
+to the outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
@@ -85,6 +86,9 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _manifest(verb: str, config_text: str, seed, outputs) -> str:
     return json.dumps({
         "verb": verb,
@@ -96,6 +100,8 @@ def _manifest(verb: str, config_text: str, seed, outputs) -> str:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        # the BLAS/OpenMP pool sizes, which set the speed of every timing field
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         "outputs": sorted(outputs),
     }, indent=2)
 

@@ -23,6 +23,12 @@ For the continuous families the analytic spectral shapes
 with their argument in radians per day, which makes them the exact Fourier
 transforms of the autocovariances ``A^2/(2 lam) exp(-lam|t|) e^{i 2 pi w_f t}``
 and the Bessel-form Matern autocovariance used below.
+
+The Matern Bessel factor K_nu, its neighbour K_{nu-1} (for d/dh) and its
+order derivative dK_nu/dnu (for d/dalpha) are trapezoid sums of
+K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt over one exponential table per
+block of lags (:func:`_matern_bessel`), so every Matern derivative is closed
+form.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma, gammaln
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln, kv
 
 from .core import ParameterVector
 
@@ -70,11 +76,15 @@ GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
 # scale^2, with every other parameter fixed
 SCALE_PARAMS = {"ar": "sigma", "ma": "sigma", "car1": "sigma", "ou": "A",
                 "matern": "B"}
-# relative step of the central difference that gives the Matern d/dalpha:
-# its O(step^2) error and K_nu's rounding over 2 step both stay below about
-# 1e-10 of c, where a 1e-6 step let rounding reach 1e-4 of the score when Sbar
-# spans many decades
-MATERN_ALPHA_STEP = 1e-5
+# the trapezoid rule behind every Matern table (see _matern_bessel): the node
+# spacing in t, the drop (a log) past which a lag block's nodes stop, and the
+# x = h delta tau where the lags split into blocks, so that the many large-x
+# lags need only 15-40 nodes
+MATERN_NODE_STEP = 0.1
+MATERN_TAIL = 40.0
+MATERN_BLOCK_EDGES = (1.0, 6.0)
+# most elements of each trigonometric table of sdf_sampled's Matern lag sum
+SDF_LAG_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -346,21 +356,121 @@ def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
 
 
 def _matern_scale(b: float, h: float, alpha: float) -> float:
-    return b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha) * h ** (2.0 * alpha - 1.0))
+    # two divisions, so a large alpha and h underflow to 0 rather than
+    # overflowing the denominator
+    return b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha)) / h ** (2.0 * alpha - 1.0)
+
+
+def _matern_node_count(nu: float, x: float) -> int:
+    """Trapezoid nodes t_j = j MATERN_NODE_STEP, j < count, of a lag block
+    whose smallest x is x.
+
+    Every weight of :func:`_matern_bessel` is at most t e^{m t} with
+    m = max(nu, |nu - 1|), so its integrands are bounded by e^{phi(t)},
+    phi(t) = m t - x cosh t, which peaks at t_p = asinh(m/x).  The nodes stop
+    at the first one past the t where phi has fallen MATERN_TAIL below
+    phi(t_p): the root of the convex f(t) = x cosh t - m t - c on t > t_p,
+    c = MATERN_TAIL + hypot(x, m) - m t_p.  Newton starts left of the root at
+    cosh t = 1 + (MATERN_TAIL + hypot - x)/x (written with asinh, so a huge x
+    keeps it past t_p), steps once past the root, and then descends onto it
+    from above.  A larger x falls faster, so the block's other lags fall
+    further by the last node.
+    """
+    m = max(nu, abs(nu - 1.0))
+    t_p = math.asinh(m / x)
+    hyp = math.hypot(x, m)
+    c = MATERN_TAIL + hyp - m * t_p
+    t = 2.0 * math.asinh(math.sqrt((MATERN_TAIL + m * m / (hyp + x)) / (2.0 * x)))
+    step = math.inf
+    while abs(step) >= 1e-3:  # NaN parameters stop at once
+        step = (x * math.cosh(t) - m * t - c) / (x * math.sinh(t) - m)
+        t -= step
+    return math.ceil(t / MATERN_NODE_STEP) + 1 if math.isfinite(t) else 1
+
+
+def _matern_bessel(nu: float, x: np.ndarray, grad: bool) -> np.ndarray:
+    """Rows x^nu K_nu(x) and, with grad, x^nu K_{nu-1}(x) and
+    x^nu dK_nu/dnu(x), at the ascending x > 0.
+
+    All three are trapezoid sums of K_nu(x) = int_0^inf e^{-x cosh t}
+    cosh(nu t) dt (DLMF 10.32.9), which converge exponentially in the node
+    spacing (Trefethen & Weideman 2014, SIAM Review 56:385), read from one
+    table per lag block,
+
+        E_ij = exp(nu (log x_i + t_j) - x_i cosh t_j),
+
+    with the weights cosh(nu t), cosh((nu - 1) t) and t sinh(nu t), each times
+    e^{-nu t}.  Folding x^nu e^{nu t} into the exponent keeps E finite where
+    x^nu and cosh(nu t) alone overflow (alpha up to 80 at h = 0.05).  The lags
+    split into blocks at MATERN_BLOCK_EDGES, each with the nodes of
+    :func:`_matern_node_count` at its smallest x, and each lag's sum over
+    nodes is one dot product over the node axis, in an order set by the node
+    count alone (einsum, not a BLAS product, whose order depends on the block
+    width).  So a lag's value depends only on its block's first lag and the
+    rows asked for do not change it: a truncated table equals the head of the
+    untruncated one bit for bit, and the value rows equal the grad rows.
+    """
+    cuts = [0, *np.searchsorted(x, MATERN_BLOCK_EDGES), x.size]
+    blocks = [(lo, hi, _matern_node_count(nu, float(x[lo])))
+              for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    out = np.empty((x.size, 3 if grad else 1))
+    if blocks:
+        t = MATERN_NODE_STEP * np.arange(max(n for _, _, n in blocks))
+        rate = -2.0 * nu * t
+        decay = np.exp(rate)
+        weights = np.empty((out.shape[1], t.size))
+        np.add(1.0, decay, out=weights[0])
+        if grad:  # e^{-t} + e^{(1-2nu)t} and t (1 - e^{-2nu t})
+            e_t = np.exp(-t)
+            np.add(e_t, decay / e_t, out=weights[1])
+            np.multiply(-t, np.expm1(rate), out=weights[2])
+        weights *= 0.5 * MATERN_NODE_STEP
+        weights[:, 0] *= 0.5  # the trapezoid's end node; the integrands are even in t
+        minus_cosh, nu_t = -np.cosh(t), nu * t
+        nu_log_x = nu * np.log(x)
+        for lo, hi, n in blocks:
+            table = np.multiply.outer(x[lo:hi], minus_cosh[:n])
+            table += nu_log_x[lo:hi, None]
+            table += nu_t[:n]
+            np.exp(table, out=table)
+            # one dot product over the contiguous node axis per lag and row
+            out[lo:hi] = np.einsum("ij,kj->ik", table, weights[:, :n])
+    return out.T
 
 
 def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
-                  nlags: int) -> np.ndarray:
-    """The Matern autocovariance at lags 0..keep-1, zero-padded to nlags."""
+                  nlags: int, grad: bool = False):
+    """The Matern autocovariance at lags 0..keep-1, zero-padded to nlags, and,
+    with grad, its (B, h, alpha) derivatives on those lags (else None).
+
+    With nu = alpha - 1/2, x = h delta tau and the scale S of
+    :func:`_matern_scale`, c(0) = S Gamma(nu) and c = S 2^{1-nu} x^nu K_nu(x)
+    from :func:`_matern_bessel`.  Every derivative is closed form: B from
+    c ~ B^2; h from d/dx[x^nu K_nu(x)] = -x^nu K_{nu-1}(x); alpha from
+    d log S/d alpha = -psi(alpha) - 2 log h, which gives
+    c(0) (psi(nu) - psi(alpha) - 2 log h) at lag 0 and
+    c (-psi(alpha) - 2 log h - log 2 + log x) + S 2^{1-nu} x^nu dK_nu/dnu
+    past it.
+    """
     nu = alpha - 0.5
-    t = np.arange(keep) * delta
     scale = _matern_scale(b, h, alpha)
+    x = h * (np.arange(1, keep) * delta)
+    bessel = _matern_bessel(nu, x, grad)
+    front = scale * 2.0 ** (1.0 - nu)
     c = np.zeros(nlags)
     c[0] = scale * gamma_fn(nu)
-    if keep > 1:
-        x = h * t[1:]
-        c[1:keep] = scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
-    return c
+    c[1:keep] = front * bessel[0]
+    if not grad:
+        return c, None
+    head = c[:keep]
+    jac = np.empty((3, keep))
+    jac[0] = head * (2.0 / b) if b > 0 else 0.0
+    jac[1] = head * ((1.0 - 2.0 * alpha) / h)
+    jac[1, 1:] -= (front / h) * x * bessel[1]
+    d_log_scale = -float(digamma(alpha)) - 2.0 * math.log(h)
+    jac[2, 0] = head[0] * (float(digamma(nu)) + d_log_scale)
+    jac[2, 1:] = (np.log(x) + (d_log_scale - math.log(2.0))) * head[1:] + front * bessel[2]
+    return c, jac
 
 
 def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np.ndarray:
@@ -369,12 +479,13 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
     c(t) = B^2 * 2^{3/2-alpha} / (2 sqrt(pi) Gamma(alpha) h^{2alpha-1})
                * (h|t|)^{alpha-1/2} K_{alpha-1/2}(h|t|),  t = tau*delta,
     with the tau=0 limit B^2 Gamma(alpha-1/2) / (2 sqrt(pi) Gamma(alpha)
-    h^{2alpha-1}).  Matches B^2/(2h) exp(-h|t|) at alpha=1.  Truncated at
-    working precision: lags from :func:`_matern_lag_cap` on, all at most
-    ACV_EPS c(0), are left at zero instead of paying for K_nu there.
+    h^{2alpha-1}).  Matches B^2/(2h) exp(-h|t|) at alpha=1.  K_nu comes from
+    the trapezoid table of :func:`_matern_bessel`.  Truncated at working
+    precision: lags from :func:`_matern_lag_cap` on, all at most ACV_EPS c(0),
+    are left at zero instead of paying for K_nu there.
     """
     keep = _matern_lag_cap(h, alpha, delta, nlags)
-    return _matern_table(b, h, alpha, delta, keep, nlags)
+    return _matern_table(b, h, alpha, delta, keep, nlags)[0]
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
@@ -407,33 +518,10 @@ def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
 
 def _matern_acv_grad(b: float, h: float, alpha: float, delta: float,
                      nlags: int) -> tuple[np.ndarray, np.ndarray]:
-    """matern_acv and its (B, h, alpha) derivatives on the kept lags.
-
-    B and h are closed form: c is proportional to B^2 h^{1-2alpha} x^nu
-    K_nu(x) with x = h delta tau, and d/dx[x^nu K_nu(x)] = -x^nu K_{|nu-1|}(x).
-    alpha is a central difference of the table alone, step
-    MATERN_ALPHA_STEP max(1, alpha), on the lags kept at alpha (a forward
-    difference where the backward point would leave alpha > 1/2).
-    """
+    """matern_acv and its closed-form (B, h, alpha) derivatives on the kept
+    lags, from the same trapezoid table (see :func:`_matern_table`)."""
     keep = _matern_lag_cap(h, alpha, delta, nlags)
-    c = _matern_table(b, h, alpha, delta, keep, nlags)
-    head = c[:keep]
-    jac = np.empty((3, keep))
-    jac[0] = 2.0 * head / b if b > 0 else 0.0
-    nu = alpha - 0.5
-    jac[1] = head * (1.0 - 2.0 * alpha) / h
-    if keep > 1:
-        x = h * (np.arange(1, keep) * delta)
-        jac[1, 1:] -= (_matern_scale(b, h, alpha) * 2.0 ** (1.0 - nu)
-                       * x ** (nu + 1.0) * kv(abs(nu - 1.0), x) / h)
-    step = MATERN_ALPHA_STEP * max(1.0, alpha)
-    up = _matern_table(b, h, alpha + step, delta, keep, keep)
-    if alpha - step > 0.5:
-        down = _matern_table(b, h, alpha - step, delta, keep, keep)
-        jac[2] = (up - down) / (2.0 * step)
-    else:
-        jac[2] = (up - head) / step
-    return c, jac
+    return _matern_table(b, h, alpha, delta, keep, nlags, grad=True)
 
 
 def has_acv_grad(model: LatentModel) -> bool:
@@ -597,8 +685,20 @@ def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
                                        model.delta, 1 << 18))
         c = matern_acv(model.value("B"), model.value("h"), model.value("alpha"),
                        model.delta, nlags)
-        taus = np.arange(1, nlags)
-        out = c[0] + 2.0 * np.cos(np.multiply.outer(w, taus)) @ c[1:]
+        # the lag sum in blocks of `width` lags, by cos(w (lo + j)) =
+        # cos(w lo) cos(w j) - sin(w lo) sin(w j): the tables of j < width are
+        # built once, about sqrt(nlags) wide and at most SDF_LAG_BLOCK
+        # elements, so neither the trigonometry nor the memory grows with
+        # len(omega) x nlags
+        width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // max(w.size, 1)))
+        phase = np.multiply.outer(w, np.arange(width))
+        cos_j, sin_j = np.cos(phase), np.sin(phase)
+        out = np.full(w.shape, c[0])
+        for lo in range(1, nlags, width):
+            c_blk = 2.0 * c[lo:lo + width]
+            k = c_blk.size
+            out += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
+                    - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
     else:  # pragma: no cover
         raise ValueError(f"unknown family {f!r}")
     return out if np.ndim(omega) else float(out)

@@ -438,7 +438,8 @@ def _shrink_trial(a, b) -> float:
     the minimizer of the Hermite cubic through both ends, else the root of
     the derivative's secant, else the midpoint, whichever first lies
     strictly inside."""
-    (ya, fa, ga), (yb, fb, gb) = a, b
+    # numpy floats, so equal derivatives give a nan secant, not a ZeroDivisionError
+    (ya, fa, ga), (yb, fb, gb) = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):  # an end at +inf, or no real minimizer
         d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
         d2 = np.sign(yb - ya) * np.sqrt(d1 * d1 - ga * gb)

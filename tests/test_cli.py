@@ -59,7 +59,9 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         assert not list(tmp_path.glob(f"out{i}*"))
 
 
-def test_simulate_bundled_car1(tmp_path):
+def test_simulate_bundled_car1(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", cfg_path("car1.json"), "-o", out]) == 0
     rows = read_csv(out + ".csv")
@@ -68,6 +70,10 @@ def test_simulate_bundled_car1(tmp_path):
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["verb"] == "simulate"
     assert set(manifest["versions"]) == {"modwhittle", "numpy", "scipy", "python"}
+    assert set(manifest["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+    assert manifest["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+    assert manifest["threads"]["MKL_NUM_THREADS"] is None
     assert len(manifest["config_sha256"]) == 64
 
 

@@ -18,7 +18,9 @@ from modwhittle import (
 )
 from modwhittle.models import (
     _geometric_lag_cap,
+    _matern_bessel,
     _matern_lag_cap,
+    _matern_table,
     autocov_grad,
     autocov_sequence,
     geometric_acv,
@@ -177,22 +179,13 @@ def test_matern_vs_quadrature():
         assert abs(ref - val) < 1e-6 * abs(val) + 1e-12
 
 
-def _matern_acv_full(b, h, alpha, delta, nlags):
-    # the untruncated Bessel form at every lag
-    from math import pi, sqrt
-    from scipy.special import gamma, kv
-    nu = alpha - 0.5
-    scale = b * b / (2.0 * sqrt(pi) * gamma(alpha) * h ** (2.0 * alpha - 1.0))
-    x = h * (np.arange(1, nlags) * delta)
-    return np.concatenate(([scale * gamma(nu)],
-                           scale * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)))
-
-
 @pytest.mark.parametrize("alpha", np.linspace(0.51, 4.0, 12))
 def test_matern_truncation_drops_only_negligible_lags(alpha):
     delta, n = 1.0 / 12.0, 4096
     for h in np.concatenate((np.geomspace(0.05, 30.0, 25), [0.134])):
-        full = _matern_acv_full(1.3, h, alpha, delta, n)
+        # the kernel's own table at every lag (the mpmath oracle below pins
+        # its accuracy)
+        full, _ = _matern_table(1.3, h, alpha, delta, n, n)
         c = matern_acv(1.3, h, alpha, delta, n)
         keep = _matern_lag_cap(h, alpha, delta, n)
         assert np.array_equal(c[:keep], full[:keep])
@@ -201,6 +194,48 @@ def test_matern_truncation_drops_only_negligible_lags(alpha):
     # the cap bites at drifter-like scales, and grows with the smoothness
     assert _matern_lag_cap(0.7, alpha, delta, n) < n
     assert _matern_lag_cap(0.7, alpha, delta, n) <= _matern_lag_cap(0.7, alpha + 0.5, delta, n)
+
+
+def test_matern_bessel_matches_mpmath():
+    # 30-digit oracle for the three rows of the trapezoid table; dK/dnu is
+    # measured against K + |dK|, the scale of the alpha score's terms, since it
+    # passes through 0 as nu -> 0
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    x = np.geomspace(0.004, 46.0, 23)
+    for nu in (0.01, 0.2, 0.5, 0.6, 1.0, 1.7, 2.5, 3.5):
+        rows = _matern_bessel(nu, x, grad=True)
+        # value-only rows are the grad rows' first, bit for bit
+        assert np.array_equal(_matern_bessel(nu, x, grad=False)[0], rows[0])
+        for i, xi in enumerate(x):
+            xm = mp.mpf(float(xi))
+            scale = xm ** nu
+            k_nu = mp.besselk(nu, xm)
+            k_below = mp.besselk(nu - 1, xm)
+            dk = mp.diff(lambda v: mp.besselk(v, xm), nu)
+            assert abs(rows[0, i] / scale - k_nu) <= 1e-14 * k_nu, (nu, xi)
+            assert abs(rows[1, i] / scale - k_below) <= 1e-14 * k_below, (nu, xi)
+            assert abs(rows[2, i] / scale - dk) <= 1e-14 * (k_nu + abs(dk)), (nu, xi)
+
+
+@pytest.mark.parametrize("b,h,alpha", [(1.3, 0.05, 0.52), (0.9, 0.39, 2.0),
+                                       (1.1, 2.7, 3.0), (2.0, 5.1, 4.0)])
+def test_matern_score_matches_five_point_difference(b, h, alpha):
+    delta, n = 1.0 / 12.0, 2048
+    c, jac = _matern_table(b, h, alpha, delta, n, n, grad=True)
+    assert np.array_equal(c, _matern_table(b, h, alpha, delta, n, n)[0])
+    theta = np.array([b, h, alpha])
+    # steps relative to B, h and nu = alpha - 1/2, where Gamma(nu) has its pole
+    for j, size in enumerate((b, h, alpha - 0.5)):
+        e = 3e-4 * size
+
+        def at(k):
+            shifted = theta.copy()
+            shifted[j] += k * e
+            return _matern_table(*shifted, delta, n, n)[0]
+
+        fd = (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * e)
+        assert np.max(np.abs(jac[j] - fd)) <= 1e-9 * np.max(np.abs(jac[j])), j
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, -0.3, 0.8, -0.8, 0.99, 1.0 - 1e-12])
@@ -261,6 +296,22 @@ def test_sdf_sampled_matches_acv_sum():
     c = matern_acv(1.0, 0.6, 1.3, 1.0 / 12.0, 40000)[1:]
     ref = c0 + 2 * np.array([np.sum(c * np.cos(wi * taus)) for wi in w])
     assert np.max(np.abs(f - ref)) < 1e-9 * ref.max()
+
+
+def test_sdf_sampled_matern_memory_is_bounded():
+    # h = 0.01 keeps about 55000 lags; one len(omega) x L cosine matrix would
+    # take 1.8 GB at N = 4096
+    import tracemalloc
+    w = 2.0 * np.pi * np.arange(4096) / 4096
+    m = matern_model(1.0, 0.01, 4.0, delta=1.0 / 12.0)
+    tracemalloc.start()
+    try:
+        f = sdf_sampled(m, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20, peak
+    assert np.all(np.isfinite(f))
 
 
 def test_stationarity_validation():

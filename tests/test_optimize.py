@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from modwhittle import Series
+from modwhittle import Modulator, Objective, Series, ar_model
 from modwhittle.core import ParameterVector
 from modwhittle.optimize import (
     FitFailure,
     _polish_coordinates,
     _polish_value_and_grad,
+    _shrink_trial,
     fit,
     inverse_transform,
     mom_ar1,
@@ -373,6 +374,18 @@ def test_one_parameter_search_is_deterministic():
     assert np.array_equal(fits[0].theta_hat.values, fits[1].theta_hat.values)
     assert fits[0].objective_value == fits[1].objective_value
     assert fits[0].n_evals == fits[1].n_evals
+
+
+def test_bracket_trial_with_equal_end_derivatives():
+    # the secant of equal derivatives has no root; the cubic still does
+    trial = _shrink_trial((0.0, 1.0, -1.0), (1.0, 1.0, -1.0))
+    assert abs(trial - (3.0 - np.sqrt(3.0)) / 6.0) < 1e-15
+    # a modulated AR(1) fit at N = 3 whose bracket met equal derivatives
+    # (found by tests/test_properties.py)
+    data = Series(np.array([-3.0, 2.624139567885234, 0.948987829777313]))
+    obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
+                    modulator=Modulator(np.ones(3)), check_significance=False)
+    assert np.isfinite(fit(obj, obj.init_params).objective_value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 6])

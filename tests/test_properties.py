@@ -111,3 +111,24 @@ def test_fit_never_raises_and_ends_finite(objective):
     result = fit(objective, objective.init_params)
     assert np.isfinite(result.objective_value)
     assert np.all(np.isfinite(result.theta_hat.values))
+
+
+@FAST
+@given(st.floats(0.51, 80.0), st.floats(0.05, 30.0))
+def test_matern_table_is_finite_wherever_the_bessel_form_is(alpha, h):
+    # the scipy kv form is the reference: S 2^{1-nu} x^nu K_nu(x), which
+    # overflows in x^nu and K_nu at large alpha; the table must stay finite
+    # (and raise no RuntimeWarning) at every lag where that form is finite
+    from scipy.special import kv
+
+    from modwhittle.models import _matern_acv_grad, _matern_scale
+
+    delta, n = 1.0 / 12.0, 4096
+    c, jac = _matern_acv_grad(1.3, h, alpha, delta, n)
+    nu = alpha - 0.5
+    x = h * (np.arange(1, n) * delta)
+    with np.errstate(all="ignore"):
+        ref = _matern_scale(1.3, h, alpha) * 2.0 ** (1.0 - nu) * x ** nu * kv(nu, x)
+    finite = np.concatenate(([True], np.isfinite(ref)))
+    assert np.all(np.isfinite(c[finite]))
+    assert np.all(np.isfinite(jac[:, finite[:jac.shape[1]]]))
