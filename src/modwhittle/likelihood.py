@@ -20,9 +20,13 @@ scales into one scale and log ratios of their squares
 (:class:`AggregateModel`), so its Sbar is proportional to that s2 too.
 
 One :class:`Objective` evaluates every kind.  Construction precomputes what
-does not depend on theta (periodogram, c_g, grid frequencies), so each
-evaluation is O(N log N); every expected autocovariance is the one component
-sum cbar = sum c_g c_X of :func:`_cbar`.  An objective may take a parametric
+does not depend on theta (periodogram, c_g, grid frequencies, each latent's
+raw-float entry :func:`~modwhittle.models.acv_entry`), so each evaluation is
+O(N log N), reads theta as floats and builds no model object; every expected
+autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
+taken over the longest lag support the latent acv tables keep (each stops
+where it decays below working precision), which the length-N transform to
+Sbar zero-pads.  An objective may take a parametric
 modulation kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`)
 whose free parameters follow the latent ones; the exact kind of a car1
 latent under that kernel is the O(N) Markov likelihood :func:`exact_car1_nll`.
@@ -42,19 +46,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 import scipy.linalg
-from scipy.special import softmax
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
     LatentModel,
-    autocov_grad,
+    acv_entry,
     autocov_sequence,
     car1_model,
     has_acv_grad,
     has_sdf_grad,
     scale_index,
-    sdf_grad,
-    sdf_sampled,
+    sdf_entry,
 )
 from .modulation import (
     LinearRampKernel,
@@ -129,12 +131,14 @@ def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel) 
     """
     if len(data) > EXACT_CAP:
         raise ValueError(f"exact likelihood capped at N <= {EXACT_CAP}")
-    logdet, quad, kept = _exact_dense(data, mod, model)
+    logdet, quad, kept = _exact_dense(data, mod, lambda lags: autocov_sequence(model, lags))
     return (logdet + quad) / kept
 
 
-def _exact_dense(data: Series, mod: Modulator | None, model: LatentModel):
-    """(log|C_Y|, y* C_Y^{-1} y, N') of :func:`exact_gaussian_nll`, uncapped."""
+def _exact_dense(data: Series, mod: Modulator | None, acv):
+    """(log|C_Y|, y* C_Y^{-1} y, N') of :func:`exact_gaussian_nll`, uncapped;
+    acv(L) gives the latent acv at lags 0..L-1, or at the head of them past
+    which it is zero."""
     y = np.asarray(data.values)
     n = y.size
     g = np.ones(n) if mod is None else np.asarray(mod.g)
@@ -146,7 +150,9 @@ def _exact_dense(data: Series, mod: Modulator | None, model: LatentModel):
     t = keep
     yk = y[keep]
     gk = g[keep]
-    cx = np.asarray(autocov_sequence(model, int(t[-1]) + 1))
+    head = acv(int(t[-1]) + 1)
+    cx = np.zeros(int(t[-1]) + 1, dtype=head.dtype)
+    cx[:head.size] = head
     lag = np.subtract.outer(t, t)
     cmat = cx[np.abs(lag)]
     if np.iscomplexobj(cx):
@@ -229,8 +235,8 @@ class AggregateModel:
     first component's scale slot and ``{family}{k}.q`` component k's.  Sbar
     is linear in the a_k^2, hence proportional to scale^2: the aggregate has
     one scale (``scale_index``), like a single latent model, and the q_k
-    shape it alongside the other parameters.  ``with_values`` maps tied
-    values back to the component scales.
+    shape it alongside the other parameters.  ``untie`` and ``with_values``
+    map tied values back to the component scales.
     """
 
     components: tuple
@@ -251,6 +257,10 @@ class AggregateModel:
             slots.append(pos + scale_index(m))
             pos += len(m.params)
         return np.array(slots)
+
+    @functools.cached_property
+    def _size(self) -> int:
+        return sum(len(m.params) for m, _ in self.components)
 
     @property
     def scale_index(self) -> int:
@@ -277,21 +287,24 @@ class AggregateModel:
             names[k] = f"{self.components[i][0].family}{i}.q" if i else "scale"
         return ParameterVector(names, values, lower, upper)
 
-    def _untie(self, values):
+    def untie(self, values):
         """(component values, p): the tied values with each scale slot set to
-        a_k = scale sqrt(p_k), and p = softmax(0, q_2, ..., q_K), which
+        a_k = scale sqrt(p_k), and p = softmax(0, q_2, ..., q_K) =
+        exp(x - max x) / sum exp(x - max x), x = (0, q_2, ..., q_K), which
         neither overflows nor divides by zero at any finite q."""
         values = np.array(values, dtype=float)
         slots = self._scale_slots
-        if values.size != sum(len(m.params) for m, _ in self.components):
+        if values.size != self._size:
             raise ValueError("parameter vector length mismatch")
-        p = softmax(np.concatenate(([0.0], values[slots[1:]])))
+        x = np.concatenate(([0.0], values[slots[1:]]))
+        p = np.exp(x - x.max())
+        p /= p.sum()
         values[slots] = values[slots[0]] * np.sqrt(p)
         return values, p
 
     def with_values(self, values) -> "AggregateModel":
         """The aggregate at tied values (the layout of ``params``)."""
-        values, _ = self._untie(values)
+        values, _ = self.untie(values)
         comps = []
         pos = 0
         for m, mod in self.components:
@@ -300,16 +313,15 @@ class AggregateModel:
             pos += d
         return AggregateModel(components=tuple(comps), n=self.n)
 
-    def tied_gradient(self, values, grad) -> np.ndarray:
+    def tied_gradient(self, untied, p, grad) -> np.ndarray:
         """The gradient in the tied values, from grad, the one in the
-        component values of ``with_values(values)``.
+        component values untied, where (untied, p) = ``untie(values)``.
 
         With G_k = a_k dl/da_k / 2 = dl/d log a_k^2 and log a_k^2 =
         2 log scale + log p_k, where d log p_k / dq_j = [k = j] - p_j:
 
             dl/dscale = sum_k sqrt(p_k) dl/da_k,   dl/dq_j = G_j - p_j sum_k G_k.
         """
-        untied, p = self._untie(values)
         slots = self._scale_slots
         out = np.array(grad, dtype=float)
         g = out[slots]
@@ -320,10 +332,11 @@ class AggregateModel:
 
 
 def _cbar(cgs, acvs) -> np.ndarray:
-    """cbar = sum over components of c_g * c_X, at lags 0..N-1."""
-    total = cgs[0] * acvs[0]
-    for cg, acv in zip(cgs[1:], acvs[1:]):
-        total = total + cg * acv
+    """cbar = sum over components of c_g * c_X, over the longest acv support
+    (every acv is zero past its own)."""
+    total = np.zeros(max(acv.size for acv in acvs), dtype=np.result_type(*cgs, *acvs))
+    for cg, acv in zip(cgs, acvs):
+        total[:acv.size] += cg[:acv.size] * acv
     return total
 
 
@@ -366,6 +379,12 @@ class Objective:
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
     objective at its closed-form optimum.  ``n_rejected`` counts the
     evaluations that scored +inf.
+
+    Construction binds each latent's raw-float entry
+    (:func:`~modwhittle.models.acv_entry`, or
+    :func:`~modwhittle.models.sdf_entry` for the whittle kind) to its slice
+    of theta, so an evaluation reads theta as floats and builds no model
+    object.
     """
 
     kind: str
@@ -375,11 +394,14 @@ class Objective:
     mask: np.ndarray | None = None
     check_significance: bool = True
     _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
-    _shat: np.ndarray = field(init=False, repr=False, default=None)
+    _shat: np.ndarray = field(init=False, repr=False, default=None)  # on the mask
     _freqs: np.ndarray = field(init=False, repr=False, default=None)
     _z: np.ndarray = field(init=False, repr=False, default=None)
     _kernel: LinearRampKernel | None = field(init=False, repr=False, default=None)
-    _latent_models: list = field(init=False, repr=False, default=None)
+    # (raw-float entry, slice of the component values) per latent
+    _entries: list = field(init=False, repr=False, default=None)
+    _n_latent: int = field(init=False, repr=False, default=0)  # latent values
+    _n_theta: int = field(init=False, repr=False, default=0)
     cgs: list = field(init=False, repr=False, default=None)
     has_gradient: bool = field(init=False, default=False)
     scale_index: int = field(init=False, default=None)
@@ -402,11 +424,18 @@ class Objective:
             raise ValueError("modulator and data lengths differ")
         components = (self.model.components if aggregate
                       else [(self.model, self.modulator)])
-        self._latent_models = [m for m, _ in components]
         self.scale_index = (self.model.scale_index if aggregate
                             else scale_index(self.model))
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
+        entry = sdf_entry if self.kind == "whittle" else acv_entry
+        self._entries = []
+        for m, _ in components:
+            d = len(m.params)
+            self._entries.append((entry(m), slice(self._n_latent, self._n_latent + d)))
+            self._n_latent += d
+        self._n_theta = self._n_latent + (0 if self._kernel is None
+                                           else len(self._kernel.params))
         if self.kind == "exact" and self.mask is not None:
             raise ValueError("the exact kind takes no frequency mask")
         self._mask = resolve_mask(n, self.mask)
@@ -422,17 +451,17 @@ class Objective:
                 self._z = np.asarray(self.data.values, dtype=complex)
                 self.has_gradient = True
             return
-        self._shat = periodogram(self.data)
-        if self._mask.all():  # the whole grid: index it by a view, not a copy
-            self._mask = slice(None)
+        shat = periodogram(self.data)
+        if self.kind == "modulated-whittle":  # FFT order, as Sbar comes out
+            shat, self._mask = _from_grid_order(shat), _from_grid_order(self._mask)
+        # the whole grid indexed by a view, else by the mask's positions
+        self._mask = slice(None) if self._mask.all() else np.flatnonzero(self._mask)
+        self._shat = shat[self._mask]
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
             self.has_gradient = has_sdf_grad(self.model)
             return
-        self._shat = _from_grid_order(self._shat)
-        if not isinstance(self._mask, slice):
-            self._mask = _from_grid_order(self._mask)
-        self.has_gradient = all(has_acv_grad(m) for m in self._latent_models)
+        self.has_gradient = all(has_acv_grad(m) for m, _ in components)
         if self._kernel is None:
             self.cgs = [component_cg(mod, n) for _, mod in components]
         if self.check_significance and isinstance(self.modulator, Modulator):
@@ -555,46 +584,36 @@ class Objective:
         at scale^2 = s2 but for its scale entry, which the caller sets; the
         spectral kinds' is sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2
         S_1)) / (S_1 n) on the mask.  The dense exact kind has no score.
+        Raises ValueError outside the model class.
         """
+        if theta.size != self._n_theta:
+            raise ValueError("parameter vector length mismatch")
         if self._z is not None:  # the exact kind under a ramp kernel
             return self._exact_markov(theta, grad)
-        models, phi = self._split(theta)
+        values, p = theta, None
+        if isinstance(self.model, AggregateModel):
+            values, p = self.model.untie(theta)
         if self.kind == "exact":
-            logdet, quad, kept = _exact_dense(self.data, self.modulator, models[0])
+            (entry, part), = self._entries
+            logdet, quad, kept = _exact_dense(
+                self.data, self.modulator, lambda lags: entry(values[part], lags, False)[0])
             return logdet, quad, kept, kept, None
         if self.kind == "whittle":
-            svals, pullback = self._whittle(models[0], grad)
+            s, pullback = self._whittle(values, grad)
         else:
-            svals, pullback = self._modulated(models, phi, grad)
-        n = svals.size
-        s = svals[self._mask]
-        if not s.min() > 0:
-            raise ValueError("spectral values must be positive on the mask")
-        ratio = self._shat[self._mask] / s
+            s, pullback = self._modulated(values, theta[self._n_latent:], grad)
+        n = len(self.data)
+        ratio = self._shat / s
 
         def pull(s2):
             w = np.zeros(n)
             w[self._mask] = (1.0 - ratio / s2) / s / n
             gradient = pullback(w)
-            if isinstance(self.model, AggregateModel):
-                gradient = self.model.tied_gradient(theta, gradient)
+            if p is not None:
+                gradient = self.model.tied_gradient(values, p, gradient)
             return gradient
 
         return float(np.sum(np.log(s))), float(np.sum(ratio)), s.size, n, pull
-
-    def _split(self, theta):
-        """(latent models, kernel parameters phi) of theta; raises
-        ValueError outside the model class."""
-        if isinstance(self.model, AggregateModel):
-            return [m for m, _ in self.model.with_values(theta).components], theta[:0]
-        models, pos = [], 0
-        for m in self._latent_models:
-            d = len(m.params)
-            models.append(m.with_values(theta[pos:pos + d]))
-            pos += d
-        if self._kernel is None and pos != theta.size:
-            raise ValueError("parameter vector length mismatch")
-        return models, theta[pos:]
 
     def _exact_markov(self, theta, grad):
         # theta = (r, 1, gamma, span) and no LatentModel: _exact_car1 rejects
@@ -611,29 +630,30 @@ class Objective:
 
         return big_l, quad, n, n, pull
 
-    def _whittle(self, model, grad):
-        """The sdf on the grid and, with grad, the map from w = dl/df to the
+    def _whittle(self, values, grad):
+        """The sdf on the mask and, with grad, the map from w = dl/df to the
         gradient."""
-        f = np.asarray(sdf_sampled(model, self._freqs))
-        if not grad:
-            return f, None
-        return f, lambda w: (sdf_grad(model, self._freqs) * w).sum(axis=1)
+        (entry, part), = self._entries
+        f, jac = entry(values[part], self._freqs, grad)
+        s = f[self._mask]
+        if not s.min() > 0:
+            raise ValueError("spectral values must be positive on the mask")
+        return s, (lambda w: (jac * w).sum(axis=1)) if grad else None
 
-    def _modulated(self, models, phi, grad):
-        """Sbar in FFT order and, with grad, the map from w = dl/dSbar to the
-        gradient."""
+    def _modulated(self, values, phi, grad):
+        """Sbar on the mask (FFT order) and, with grad, the map from w =
+        dl/dSbar to the gradient."""
         n = len(self.data)
         if self._kernel is None:
             cgs, dcg = self.cgs, None
         else:
             cg, dcg = self._kernel.cg_grad(phi) if grad else (self._kernel.cg(phi), None)
             cgs = [cg]
-        tables = [autocov_grad(m, n) if grad else (autocov_sequence(m, n), None)
-                  for m in models]
-        acvs = [acv for acv, _ in tables]
-        sbar = expected_periodogram_fft_order(_cbar(cgs, acvs))
+        tables = [entry(values[part], n, grad) for entry, part in self._entries]
+        cbar = _cbar(cgs, [acv for acv, _ in tables])
+        s = expected_periodogram_fft_order(cbar, n)[self._mask]
         if not grad:
-            return sbar, None
+            return s, None
 
         def pullback(w):
             # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
@@ -658,7 +678,7 @@ class Objective:
                 grad.append(adjoint(dcg[:, :jac.shape[1]], acv))
             return np.concatenate(grad)
 
-        return sbar, pullback
+        return s, pullback
 
 
 class Car1WhittleObjective:

@@ -29,10 +29,15 @@ order derivative dK_nu/dnu (for d/dalpha) are trapezoid sums of
 K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt over one exponential table per
 block of lags (:func:`_matern_bessel`), so every Matern derivative is closed
 form.
+
+Each family has one autocovariance and one sdf implementation, on raw float
+parameter values (:func:`acv_entry`, :func:`sdf_entry`); the functions on a
+:class:`LatentModel` wrap them, and objectives call them directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -121,44 +126,70 @@ def scale_index(model: LatentModel) -> int:
     return list(model.params.names).index(SCALE_PARAMS[model.family])
 
 
-def _ar_coeffs(model: LatentModel):
-    v = model.params.values
-    return v[:-1], float(v[-1])
+# Each family's parameters as raw floats: every check returns the values it
+# reads, or raises ValueError outside the stationary region.
+
+def _check_ar(values):
+    """(phi, sigma) of AR(p) values."""
+    values = np.asarray(values, dtype=float)
+    phi, sigma = values[:-1], float(values[-1])
+    if sigma < 0:
+        raise ValueError("innovation scale sigma must be non-negative")
+    if phi.size == 1:
+        if not abs(phi[0]) < 1.0 - 1e-12:
+            raise ValueError("AR parameters are not stationary")
+    elif phi.size:
+        # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside |z|=1
+        roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
+        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-12:
+            raise ValueError("AR parameters are not stationary")
+    return phi, sigma
+
+
+def _check_ma(values):
+    """(theta, sigma) of MA(q) values."""
+    values = np.asarray(values, dtype=float)
+    sigma = float(values[-1])
+    if sigma < 0:
+        raise ValueError("innovation scale sigma must be non-negative")
+    return values[:-1], sigma
+
+
+def _check_car1(values):
+    """(r, sigma, gamma or None) of car1 values."""
+    r, sigma = float(values[0]), float(values[1])
+    if not (0.0 <= r < 1.0):
+        raise ValueError("car1 requires 0 <= r < 1")
+    if sigma <= 0:
+        raise ValueError("car1 requires sigma > 0")
+    return r, sigma, (float(values[2]) if len(values) == 3 else None)
+
+
+def _check_ou(values):
+    """(A, lam) of ou values."""
+    amp, lam = float(values[0]), float(values[1])
+    if amp <= 0 or lam <= 0:
+        raise ValueError("ou requires A > 0 and lam > 0")
+    return amp, lam
+
+
+def _check_matern(values):
+    """(B, h, alpha) of matern values."""
+    b, h, alpha = float(values[0]), float(values[1]), float(values[2])
+    if b < 0 or h <= 0:
+        raise ValueError("matern requires B >= 0 and h > 0")
+    if alpha <= 0.5:
+        raise ValueError("matern requires alpha > 1/2 (integrability)")
+    return b, h, alpha
+
+
+_CHECKS = {"ar": _check_ar, "ma": _check_ma, "car1": _check_car1,
+           "ou": _check_ou, "matern": _check_matern}
 
 
 def validate_stationary(model: LatentModel):
     """Raise ValueError when the parameters leave the stationary region."""
-    f = model.family
-    if f == "ar":
-        phi, sigma = _ar_coeffs(model)
-        if sigma < 0:
-            raise ValueError("innovation scale sigma must be non-negative")
-        if phi.size == 1:
-            if not abs(phi[0]) < 1.0 - 1e-12:
-                raise ValueError("AR parameters are not stationary")
-        elif phi.size:
-            # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside |z|=1
-            roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
-            if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-12:
-                raise ValueError("AR parameters are not stationary")
-    elif f == "ma":
-        _, sigma = _ar_coeffs(model)
-        if sigma < 0:
-            raise ValueError("innovation scale sigma must be non-negative")
-    elif f == "car1":
-        r, sigma = model.value("r"), model.value("sigma")
-        if not (0.0 <= r < 1.0):
-            raise ValueError("car1 requires 0 <= r < 1")
-        if sigma <= 0:
-            raise ValueError("car1 requires sigma > 0")
-    elif f == "ou":
-        if model.value("A") <= 0 or model.value("lam") <= 0:
-            raise ValueError("ou requires A > 0 and lam > 0")
-    elif f == "matern":
-        if model.value("B") < 0 or model.value("h") <= 0:
-            raise ValueError("matern requires B >= 0 and h > 0")
-        if model.value("alpha") <= 0.5:
-            raise ValueError("matern requires alpha > 1/2 (integrability)")
+    _CHECKS[model.family](model.params.values)
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +234,6 @@ def car1_model(r: float, sigma: float, rotation: float = 0.0,
     return LatentModel("car1", pv)
 
 
-def _car1_rotation(model: LatentModel) -> float:
-    """The rotation of a car1 model: its free gamma, else the fixed one."""
-    return model.value("gamma") if len(model.params) == 3 else model.rotation
-
-
 def ou_model(amp: float, lam: float, delta: float = 1.0 / 12.0,
              rotation_cpd: float = 0.0) -> LatentModel:
     pv = ParameterVector(["A", "lam"], [amp, lam], lower=[0.0, 0.0])
@@ -250,12 +276,11 @@ def ar_to_ou(r: float, sigma: float, delta: float) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 def _ar_autocov(phi: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
-    """AR(p) autocovariance c(0..nlags-1) via Yule-Walker then recursion."""
+    """AR(p) autocovariance c(0..nlags-1) via Yule-Walker then recursion;
+    white noise (p = 0) keeps lag 0 only."""
     p = phi.size
     if p == 0:
-        c = np.zeros(nlags)
-        c[0] = sigma * sigma
-        return c
+        return np.full(min(nlags, 1), sigma * sigma)
     # linear system for c(0..p): c(k) - sum_j phi_j c(|k-j|) = sigma^2 * (k==0)
     a = np.zeros((p + 1, p + 1))
     for k in range(p + 1):
@@ -274,10 +299,10 @@ def _ar_autocov(phi: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
 
 
 def _ma_autocov(theta: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
+    """MA(q) autocovariance at lags 0..min(nlags, q + 1)-1, past which it is 0."""
     psi = np.concatenate(([1.0], theta))
-    c = np.zeros(nlags)
-    q = theta.size
-    for tau in range(min(nlags, q + 1)):
+    c = np.zeros(min(nlags, theta.size + 1))
+    for tau in range(c.size):
         c[tau] = sigma * sigma * np.dot(psi[: psi.size - tau], psi[tau:])
     return c
 
@@ -293,6 +318,15 @@ def _geometric_lag_cap(r: float, nlags: int) -> int:
     return int(min(nlags, cap))
 
 
+def _geometric_head(r: float, sigma: float, keep: int, rotation: float) -> np.ndarray:
+    """sigma^2/(1-r^2) r^tau e^{i rotation tau} at lags 0..keep-1."""
+    tau = np.arange(keep, dtype=float)
+    head = sigma * sigma / (1.0 - r * r) * np.power(r, tau)
+    if rotation:
+        head = head * np.exp(1j * rotation * tau)
+    return head
+
+
 def geometric_acv(r: float, sigma: float, nlags: int,
                   rotation: float = 0.0) -> np.ndarray:
     """sigma^2/(1-r^2) r^tau e^{i rotation tau} at lags 0..nlags-1.
@@ -303,14 +337,45 @@ def geometric_acv(r: float, sigma: float, nlags: int,
     |r|^tau <= eps = ACV_EPS, are left at zero, so the dropped tail sums to
     at most eps c(0) / (1 - |r|).  r = 0 keeps lag 0 only.
     """
-    keep = _geometric_lag_cap(r, nlags)
-    tau = np.arange(keep, dtype=float)
-    head = sigma * sigma / (1.0 - r * r) * np.power(r, tau)
-    if rotation:
-        head = head * np.exp(1j * rotation * tau)
+    return _padded(_geometric_head(r, sigma, _geometric_lag_cap(r, nlags), rotation),
+                   nlags)
+
+
+def _padded(head: np.ndarray, nlags: int) -> np.ndarray:
+    """head followed by zeros up to nlags lags."""
+    if head.size == nlags:
+        return head
     out = np.zeros(nlags, dtype=head.dtype)
-    out[:keep] = head
+    out[:head.size] = head
     return out
+
+
+def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
+               free_rotation: bool):
+    """The geometric acv at its kept lags and, with grad, its derivative rows
+    in (r, sigma), and in the rotation when it is free.
+
+    With c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}: dc/dr = c (2r / (1 -
+    r^2) + tau / r), dc/dsigma = 2 c / sigma and dc/dgamma = i tau c.  At
+    r = 0 the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}, so
+    with grad it keeps lag 1 (a zero) too.
+    """
+    keep = _geometric_lag_cap(r, nlags)
+    if grad and r == 0.0:
+        keep = min(nlags, 2)
+    head = _geometric_head(r, sigma, keep, rotation)
+    if not grad:
+        return head, None
+    tau = np.arange(keep)
+    if r == 0.0:
+        d_r = np.zeros_like(head)
+        d_r[1:] = sigma * sigma * (np.exp(1j * rotation) if rotation else 1.0)
+    else:
+        d_r = head * (2.0 * r / (1.0 - r * r) + tau / r)
+    rows = [d_r, 2.0 * head / sigma]
+    if free_rotation:
+        rows.append(1j * tau * head)
+    return head, np.stack(rows)
 
 
 def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
@@ -484,44 +549,178 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
     precision: lags from :func:`_matern_lag_cap` on, all at most ACV_EPS c(0),
     are left at zero instead of paying for K_nu there.
     """
+    return _padded(_acv_matern((b, h, alpha), nlags, False, delta, 0.0)[0], nlags)
+
+
+# ----------------------------------------------------------------------
+# raw-float entries
+# ----------------------------------------------------------------------
+#
+# One autocovariance and one spectral density per family, on raw float
+# parameter values (the layout of the family's ParameterVector), with the
+# model's delta and fixed rotation as keywords:
+#
+#     acv(values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
+#     sdf(values, omega, grad, delta, rotation) -> (f_X at omega, jac)
+#
+# L <= nlags is the table's kept support (the lags past it are zero), and jac
+# holds one derivative row per parameter (None without grad) over lags
+# 0..L-1, or at each omega.  Each raises the ValueError of
+# validate_stationary outside the model class, and a family without an
+# analytic derivative raises one for grad.  autocov_sequence, autocov_grad,
+# sdf_sampled, sdf_grad and Objective evaluations all run these, so every
+# family has one implementation.
+
+def _acv_ar(values, nlags, grad, delta, rotation):
+    phi, sigma = _check_ar(values)
+    if phi.size == 1:
+        return _geometric(float(phi[0]), sigma, nlags, 0.0, grad, False)
+    if grad:
+        raise ValueError("no autocovariance gradient for AR(p) with p != 1")
+    return _ar_autocov(phi, sigma, nlags), None
+
+
+def _acv_ma(values, nlags, grad, delta, rotation):
+    theta, sigma = _check_ma(values)
+    if grad:
+        raise ValueError("no autocovariance gradient for MA(q)")
+    return _ma_autocov(theta, sigma, nlags), None
+
+
+def _acv_car1(values, nlags, grad, delta, rotation):
+    r, sigma, gamma = _check_car1(values)
+    return _geometric(r, sigma, nlags, rotation if gamma is None else gamma, grad,
+                      gamma is not None)
+
+
+def _acv_ou(values, nlags, grad, delta, rotation):
+    # c = A^2 q(lam) e^{-lam delta tau} e^{i rho tau},
+    # q = 1 / (2 lam delta (1 + e^{-lam delta})), and r = e^{-lam delta}
+    amp, lam = _check_ou(values)
+    r, sig = ou_to_ar(amp, lam, delta)
+    head, _ = _geometric(r, sig, nlags, 2.0 * np.pi * delta * rotation, False, False)
+    if not grad:
+        return head, None
+    tau = np.arange(head.size)
+    d_lam = head * (-1.0 / lam + delta * r / (1.0 + r) - delta * tau)
+    return head, np.stack((2.0 * head / amp, d_lam))
+
+
+def _acv_matern(values, nlags, grad, delta, rotation):
+    b, h, alpha = _check_matern(values)
     keep = _matern_lag_cap(h, alpha, delta, nlags)
-    return _matern_table(b, h, alpha, delta, keep, nlags)[0]
+    return _matern_table(b, h, alpha, delta, keep, keep, grad)
+
+
+def _car1_sdf(r: float, sigma: float, shifted: np.ndarray, grad: bool, free: bool):
+    """f = sigma^2 / D, D = 1 + r^2 - 2 r cos(shifted), and with grad its rows
+
+        df/dr = f (2 cos(shifted) - 2 r) / D,   df/dsigma = 2 f / sigma,
+        df/dgamma = 2 r f sin(shifted) / D      (free).
+    """
+    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
+    f = sigma * sigma / denom
+    if not grad:
+        return f, None
+    f_over_d = f / denom
+    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * f / sigma]
+    if free:
+        rows.append(2.0 * r * f_over_d * np.sin(shifted))
+    return f, np.stack(rows)
+
+
+def _sdf_ar(values, w, grad, delta, rotation):
+    # the value through the AR polynomial, the AR(1) rows from the car1 form
+    phi, sigma = _check_ar(values)
+    z = np.exp(-1j * np.multiply.outer(w, np.arange(1, phi.size + 1)))
+    denom = np.abs(1.0 - z @ phi) ** 2 if phi.size else np.ones_like(w)
+    f = sigma * sigma / denom
+    if not grad:
+        return f, None
+    if phi.size != 1:
+        raise ValueError("no sdf gradient for AR(p) with p != 1")
+    return f, _car1_sdf(float(phi[0]), sigma, w, True, False)[1]
+
+
+def _sdf_ma(values, w, grad, delta, rotation):
+    theta, sigma = _check_ma(values)
+    if grad:
+        raise ValueError("no sdf gradient for MA(q)")
+    z = np.exp(-1j * np.multiply.outer(w, np.arange(1, theta.size + 1)))
+    return sigma * sigma * np.abs(1.0 + (z @ theta if theta.size else 0.0)) ** 2, None
+
+
+def _sdf_car1(values, w, grad, delta, rotation):
+    r, sigma, gamma = _check_car1(values)
+    return _car1_sdf(r, sigma, w - (rotation if gamma is None else gamma), grad,
+                     gamma is not None)
+
+
+def _sdf_ou(values, w, grad, delta, rotation):
+    amp, lam = _check_ou(values)
+    if grad:
+        raise ValueError("no sdf gradient for ou")
+    r, sig = ou_to_ar(amp, lam, delta)
+    return _car1_sdf(r, sig, w - 2.0 * np.pi * delta * rotation, False, False)
+
+
+def _sdf_matern(values, w, grad, delta, rotation):
+    """The Hermitian lag sum of the Matern acv, truncated where the acv has
+    decayed below working precision and floored at the sum's rounding level
+    eps (|c(0)| + 2 sum |c(tau)|), which the true value of a smooth Matern
+    falls below at high frequency."""
+    b, h, alpha = _check_matern(values)
+    if grad:
+        raise ValueError("no sdf gradient for matern")
+    nlags = max(8, _matern_lag_cap(h, alpha, delta, 1 << 18))
+    c = matern_acv(b, h, alpha, delta, nlags)
+    # the lag sum in blocks of `width` lags, by cos(w (lo + j)) =
+    # cos(w lo) cos(w j) - sin(w lo) sin(w j): the tables of j < width are
+    # built once, about sqrt(nlags) wide and at most SDF_LAG_BLOCK
+    # elements, so neither the trigonometry nor the memory grows with
+    # len(omega) x nlags
+    width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // max(w.size, 1)))
+    phase = np.multiply.outer(w, np.arange(width))
+    cos_j, sin_j = np.cos(phase), np.sin(phase)
+    out = np.full(w.shape, c[0])
+    for lo in range(1, nlags, width):
+        c_blk = 2.0 * c[lo:lo + width]
+        k = c_blk.size
+        out += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
+                - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
+    floor = np.finfo(float).eps * (abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))
+    return np.maximum(out, floor), None
+
+
+_ACV = {"ar": _acv_ar, "ma": _acv_ma, "car1": _acv_car1, "ou": _acv_ou,
+        "matern": _acv_matern}
+_SDF = {"ar": _sdf_ar, "ma": _sdf_ma, "car1": _sdf_car1, "ou": _sdf_ou,
+        "matern": _sdf_matern}
+
+
+def acv_entry(model: LatentModel):
+    """The raw-float autocovariance of model's family with its delta and
+    rotation bound: (values, nlags, grad) -> (acv at its kept lags, jac or
+    None); see the raw-float entries above."""
+    return functools.partial(_ACV[model.family], delta=model.delta,
+                             rotation=model.rotation)
+
+
+def sdf_entry(model: LatentModel):
+    """The raw-float discrete-time sdf of model's family with its delta and
+    rotation bound: (values, omega, grad) -> (f_X at omega, jac or None)."""
+    return functools.partial(_SDF[model.family], delta=model.delta,
+                             rotation=model.rotation)
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
-    """c_X(0..nlags-1) as one array (the hot path for expected periodograms).
+    """c_X(0..nlags-1) as one array.
 
     Geometric (AR(1), car1, ou) and Matern tables are zero past the lag where
     they have decayed below working precision; see :func:`geometric_acv` and
     :func:`matern_acv`.
     """
-    f = model.family
-    if f in ("ar", "ma"):
-        coefs, sigma = _ar_coeffs(model)
-        if f == "ar":
-            if coefs.size == 1:
-                return geometric_acv(float(coefs[0]), sigma, nlags)
-            return _ar_autocov(coefs, sigma, nlags)
-        return _ma_autocov(coefs, sigma, nlags)
-    if f == "car1":
-        return geometric_acv(model.value("r"), model.value("sigma"),
-                             nlags, _car1_rotation(model))
-    if f == "ou":
-        r, sig = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
-        return geometric_acv(r, sig, nlags,
-                             2.0 * np.pi * model.delta * model.rotation)
-    if f == "matern":
-        return matern_acv(model.value("B"), model.value("h"),
-                          model.value("alpha"), model.delta, nlags)
-    raise ValueError(f"unknown family {f!r}")  # pragma: no cover
-
-
-def _matern_acv_grad(b: float, h: float, alpha: float, delta: float,
-                     nlags: int) -> tuple[np.ndarray, np.ndarray]:
-    """matern_acv and its closed-form (B, h, alpha) derivatives on the kept
-    lags, from the same trapezoid table (see :func:`_matern_table`)."""
-    keep = _matern_lag_cap(h, alpha, delta, nlags)
-    return _matern_table(b, h, alpha, delta, keep, nlags, grad=True)
+    return _padded(acv_entry(model)(model.params.values, nlags, False)[0], nlags)
 
 
 def has_acv_grad(model: LatentModel) -> bool:
@@ -537,44 +736,12 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
     Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
     row per parameter over the lags 0..L-1 where acv is not truncated to
     zero, so callers sum derivatives over that support only.  The models of
-    :func:`has_acv_grad` only: AR(1), car1 (with a fixed or a free rotation)
-    and ou in closed form from the geometric table, matern from
-    :func:`_matern_acv_grad`.
+    :func:`has_acv_grad` only (else ValueError): AR(1), car1 (with a fixed or
+    a free rotation) and ou in closed form from the geometric table, matern
+    from :func:`_matern_table`.
     """
-    f = model.family
-    if not has_acv_grad(model):
-        raise ValueError(f"no autocovariance gradient for family {f!r} "
-                         f"with {len(model.params)} parameters")
-    if f == "matern":
-        return _matern_acv_grad(model.value("B"), model.value("h"),
-                                model.value("alpha"), model.delta, nlags)
-    c = autocov_sequence(model, nlags)
-    if f == "ou":
-        r, _ = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
-    else:
-        r, sigma = (float(v) for v in model.params.values[:2])
-    head = c[:_geometric_lag_cap(r, nlags)]
-    tau = np.arange(head.size)
-    if f != "ou":
-        # c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}, r in (-1, 1) for AR(1)
-        if r == 0.0:
-            # the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}
-            head = c[:min(nlags, 2)]
-            tau = np.arange(head.size)
-            rot = _car1_rotation(model) if f == "car1" else 0.0
-            d_r = np.zeros_like(head)
-            d_r[1:] = sigma * sigma * (np.exp(1j * rot) if rot else 1.0)
-        else:
-            d_r = head * (2.0 * r / (1.0 - r * r) + tau / r)
-        rows = [d_r, 2.0 * head / sigma]
-        if len(model.params) == 3:  # car1 with a free gamma
-            rows.append(1j * tau * head)
-        return c, np.stack(rows)
-    # c = A^2 q(lam) e^{-lam delta tau} e^{i rho tau},
-    # q = 1 / (2 lam delta (1 + e^{-lam delta})), and r = e^{-lam delta}
-    amp, lam, delta = model.value("A"), model.value("lam"), model.delta
-    d_lam = head * (-1.0 / lam + delta * r / (1.0 + r) - delta * tau)
-    return c, np.stack((2.0 * head / amp, d_lam))
+    acv, jac = acv_entry(model)(model.params.values, nlags, True)
+    return _padded(acv, nlags), jac
 
 
 def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
@@ -612,26 +779,14 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     """
     w = np.asarray(omega, dtype=float)
     f = model.family
-    if f == "ar":
-        phi, sigma = _ar_coeffs(model)
-        z = np.exp(-1j * np.multiply.outer(w, np.arange(1, phi.size + 1)))
-        denom = np.abs(1.0 - z @ phi) ** 2 if phi.size else np.ones_like(w)
-        out = sigma * sigma / denom
-    elif f == "ma":
-        theta, sigma = _ar_coeffs(model)
-        z = np.exp(-1j * np.multiply.outer(w, np.arange(1, theta.size + 1)))
-        out = sigma * sigma * np.abs(1.0 + (z @ theta if theta.size else 0.0)) ** 2
-    elif f == "car1":
-        r, sigma = model.value("r"), model.value("sigma")
-        out = sigma * sigma / (1.0 + r * r - 2.0 * r * np.cos(w - _car1_rotation(model)))
-    elif f == "ou":
+    if f == "ou":
         amp, lam = model.value("A"), model.value("lam")
         out = amp * amp / ((w - model.rotation) ** 2 + lam * lam)
     elif f == "matern":
         b, h, alpha = model.value("B"), model.value("h"), model.value("alpha")
         out = b * b / (w * w + h * h) ** alpha
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {f!r}")
+    else:
+        out = sdf_entry(model)(model.params.values, w, False)[0]
     return out if np.ndim(omega) else float(out)
 
 
@@ -645,62 +800,25 @@ def sdf_grad(model: LatentModel, omega) -> np.ndarray:
     """Derivatives of sdf_sampled at the frequencies omega in the free parameters.
 
     Returns jac with jac[j] = df/dtheta_j at every omega, for the models of
-    :func:`has_sdf_grad`: with f = sigma^2 / D and
+    :func:`has_sdf_grad` (else ValueError): with f = sigma^2 / D and
     D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 for an AR(1), r = phi_1),
 
         df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
         df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
     """
-    if not has_sdf_grad(model):
-        raise ValueError(f"no sdf gradient for family {model.family!r} "
-                         f"with {len(model.params)} parameters")
     w = np.asarray(omega, dtype=float)
-    r, sigma = (float(v) for v in model.params.values[:2])
-    shifted = w - _car1_rotation(model) if model.family == "car1" else w
-    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
-    f = sigma * sigma / denom
-    f_over_d = f / denom
-    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * f / sigma]
-    if len(model.params) == 3:
-        rows.append(2.0 * r * f_over_d * np.sin(shifted))
-    return np.stack(rows)
+    return sdf_entry(model)(model.params.values, w, True)[1]
 
 
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
     """Discrete-time sdf f_X(w) = sum_tau c(tau) e^{-i w tau}, w rad/sample.
 
     Exact closed forms for ar/ma/car1/ou; for matern a Hermitian lag sum
-    truncated where the autocovariance has decayed below working precision.
+    truncated where the autocovariance has decayed below working precision,
+    and floored at its rounding level, so it stays positive.
     """
     w = np.asarray(omega, dtype=float)
-    f = model.family
-    if f in ("ar", "ma", "car1"):
-        out = sdf(model, w)
-    elif f == "ou":
-        r, sig = ou_to_ar(model.value("A"), model.value("lam"), model.delta)
-        rot = 2.0 * np.pi * model.delta * model.rotation
-        out = sig * sig / (1.0 + r * r - 2.0 * r * np.cos(w - rot))
-    elif f == "matern":
-        nlags = max(8, _matern_lag_cap(model.value("h"), model.value("alpha"),
-                                       model.delta, 1 << 18))
-        c = matern_acv(model.value("B"), model.value("h"), model.value("alpha"),
-                       model.delta, nlags)
-        # the lag sum in blocks of `width` lags, by cos(w (lo + j)) =
-        # cos(w lo) cos(w j) - sin(w lo) sin(w j): the tables of j < width are
-        # built once, about sqrt(nlags) wide and at most SDF_LAG_BLOCK
-        # elements, so neither the trigonometry nor the memory grows with
-        # len(omega) x nlags
-        width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // max(w.size, 1)))
-        phase = np.multiply.outer(w, np.arange(width))
-        cos_j, sin_j = np.cos(phase), np.sin(phase)
-        out = np.full(w.shape, c[0])
-        for lo in range(1, nlags, width):
-            c_blk = 2.0 * c[lo:lo + width]
-            k = c_blk.size
-            out += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
-                    - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {f!r}")
+    out = sdf_entry(model)(model.params.values, w, False)[0]
     return out if np.ndim(omega) else float(out)
 
 
@@ -728,19 +846,25 @@ def _num(x: float):
 
 
 def model_from_json(text: str | dict) -> LatentModel:
-    """The model of a :func:`model_to_json` payload.  A parameter that
-    ``bounds`` does not list takes the bounds its family's constructor gives
-    it (an AR(1) phi1 (-1, 1), a car1 r (0, 1), every scale (0, inf), ...);
-    a listed null side is unbounded."""
+    """The model of a :func:`model_to_json` payload.  The parameters may come
+    in any order and are stored in the family constructor's order, the layout
+    the raw-float entries read; a name the constructor does not give raises.
+    A parameter that ``bounds`` does not list takes the bounds its family's
+    constructor gives it (an AR(1) phi1 (-1, 1), a car1 r (0, 1), every
+    scale (0, inf), ...); a listed null side is unbounded."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     family = obj["family"]
     params = obj["params"]
-    names = list(params.keys())
+    default = _constructor_params(family, list(params))
+    names = list(default.names)
+    if sorted(names) != sorted(params):
+        raise ValueError(f"a {family} model with {len(names)} parameters takes "
+                         f"{names}, not {list(params)}")
     values = np.array([params[n] for n in names], dtype=float)
-    default = _constructor_bounds(family, names)
+    bounds = obj.get("bounds", {})
     lower, upper = [], []
-    for n in names:
-        lo, hi = obj.get("bounds", {}).get(n, default.get(n, (-np.inf, np.inf)))
+    for n, lo_0, hi_0 in zip(names, default.lower, default.upper):
+        lo, hi = bounds.get(n, (lo_0, hi_0))
         lower.append(-np.inf if lo is None else lo)
         upper.append(np.inf if hi is None else hi)
     pv = ParameterVector(names, values, lower=lower, upper=upper)
@@ -748,9 +872,9 @@ def model_from_json(text: str | dict) -> LatentModel:
                        rotation=float(obj.get("rotation", 0.0)))
 
 
-def _constructor_bounds(family: str, names) -> dict:
-    """name -> (lower, upper) of the family's constructor for a model with
-    these parameter names."""
+def _constructor_params(family: str, names) -> ParameterVector:
+    """The parameters of the family's constructor for a model with these
+    parameter names."""
     order = len(names) - 1  # AR and MA: every name but sigma is a coefficient
     model = {"ar": lambda: ar_model(np.zeros(order), 1.0),
              "ma": lambda: ma_model(np.zeros(order), 1.0),
@@ -759,5 +883,4 @@ def _constructor_bounds(family: str, names) -> dict:
              "matern": lambda: matern_model(1.0, 1.0, 1.0)}.get(family)
     if model is None:
         raise ValueError(f"unknown model family {family!r}")
-    pv = model().params
-    return {n: (lo, hi) for n, lo, hi in zip(pv.names, pv.lower, pv.upper)}
+    return model().params

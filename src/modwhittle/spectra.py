@@ -68,33 +68,40 @@ def expected_periodogram_values(cbar: np.ndarray) -> np.ndarray:
     return _to_grid_order(expected_periodogram_fft_order(cbar))
 
 
-def expected_periodogram_fft_order(cbar: np.ndarray) -> np.ndarray:
+def expected_periodogram_fft_order(cbar: np.ndarray, n: int | None = None) -> np.ndarray:
     """Sbar at w_k = 2 pi k / N for k = 0..N-1, numpy FFT order.
 
     Sbar(w_k) = 2 Re{fft(cbar)[k]} - cbar(0) with one length-N FFT (see the
     module docstring); a real cbar uses rfft and mirrors Re F[N-k] = Re F[k].
-    The transforms are scipy's, bit-identical to numpy's here and cheaper
-    per call.
+    N is n when given (cbar then holds lags 0..L-1, L <= N, of a sequence
+    that is zero past them, and the transform zero-pads it), else cbar's
+    length.  The transforms are scipy's, bit-identical to numpy's here and
+    cheaper per call.
     Raises when a value drops below -1e-8 (an invalid cbar, e.g. a non-PSD
-    covariance snuck in); round-off negatives above that are clamped to a
-    tiny positive number so downstream logs stay finite.
+    covariance snuck in) or is NaN; round-off negatives above that are
+    clamped to a tiny positive number so downstream logs stay finite.  One
+    min over the values decides: the check and the clamp run only when it is
+    below that tiny number.
     """
     cbar = np.asarray(cbar)
-    n = cbar.size
-    if n < 1:
-        raise ValueError("expected autocovariance sequence is empty")
+    n = cbar.size if n is None else n
+    if cbar.size < 1 or n < cbar.size:
+        raise ValueError("expected autocovariance sequence is empty or longer than N")
     c0 = cbar[0]
     if np.iscomplexobj(cbar):
         if abs(c0.imag) > 1e-10 * max(1.0, abs(c0.real)):
             raise ValueError("cbar(0) must be real")
         c0 = c0.real
-        re = scipy.fft.fft(cbar).real
+        re = scipy.fft.fft(cbar, n).real
     else:
-        half = scipy.fft.rfft(cbar).real
+        half = scipy.fft.rfft(cbar, n).real
         re = np.concatenate((half, half[n - half.size:0:-1]))
     vals = 2.0 * re - c0
-    if np.min(vals) < -_NEG_CLAMP * max(1.0, float(np.max(np.abs(vals)))):
-        raise ValueError("expected periodogram is significantly negative; "
+    low = vals.min()
+    if low >= _TINY:
+        return vals
+    if np.isnan(low) or low < -_NEG_CLAMP * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError("expected periodogram is significantly negative or NaN; "
                          "the expected autocovariance input is invalid")
     return np.maximum(vals, _TINY)
 

@@ -509,6 +509,80 @@ def test_tied_scales_take_any_finite_log_ratio_without_warnings(rng):
         assert obj([1.5, 0.4, 1e4, 0.8, 1.3]) == np.inf
 
 
+def test_out_of_class_values_score_inf_without_warnings(rng):
+    import warnings
+
+    from modwhittle.models import model_from_json
+    n = 128
+    mod = periodic_missing_mask(3, 1, n)
+    z = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)), kind="complex")
+    # a drifter-like aggregate whose box lets lam, h and alpha leave the class
+    ou = model_from_json({"family": "ou", "params": {"A": 1.0, "lam": 0.5},
+                          "bounds": {"lam": [None, None]}, "delta": 1 / 12})
+    mat = model_from_json({"family": "matern", "params": {"B": 0.5, "h": 0.6, "alpha": 1.3},
+                           "bounds": {"h": [None, None], "alpha": [None, None]},
+                           "delta": 1 / 12})
+    agg = AggregateModel(((ou, None), (mat, None)), n)
+    assert np.all(np.isinf(agg.params.lower[[1, 3, 4]]))
+    cases = [(Objective("modulated-whittle", z, agg),
+              [[1.5, 0.4, 0.3, 0.8, 0.5], [1.5, 0.4, 0.3, 0.8, 0.2],
+               [1.5, 0.4, 0.3, 0.0, 1.3], [1.5, 0.4, 0.3, -0.1, 1.3],
+               [1.5, 0.0, 0.3, 0.8, 1.3], [1.5, -0.2, 0.3, 0.8, 1.3]]),
+             (Objective("modulated-whittle", z, car1_model(0.5, 1.0), modulator=mod,
+                        check_significance=False), [[1.0, 1.0], [1.3, 1.0]]),
+             (Objective("whittle", z, car1_model(0.5, 1.0, gamma=0.2)),
+              [[1.0, 1.0, 0.2], [1.3, 1.0, 0.2]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for obj, thetas in cases:
+            k = obj.scale_index
+            for theta in thetas:
+                before = obj.n_rejected
+                assert obj(theta) == np.inf
+                value, grad = obj.value_and_grad(theta)
+                assert value == np.inf and np.array_equal(grad, np.zeros(len(theta)))
+                value, grad, scale = obj.profile(np.delete(theta, k), True)
+                assert value == np.inf and scale is None
+                assert obj.n_rejected == before + 3
+
+
+def test_evaluations_build_no_model_objects(rng, monkeypatch):
+    # an objective binds its latents' raw-float entries when it is built, so
+    # evaluating it constructs no LatentModel, ParameterVector or AggregateModel
+    from collections import Counter
+
+    import modwhittle.core as core
+    import modwhittle.models as models
+    n = 128
+    mod = periodic_missing_mask(3, 1, n)
+    z = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)), kind="complex")
+    objectives = [
+        Objective("modulated-whittle", z, car1_model(0.5, 1.0), modulator=mod,
+                  check_significance=False),
+        Objective("whittle", z, car1_model(0.5, 1.0, gamma=0.2)),
+        Objective("exact", Series(z.values[:64], kind="complex"), car1_model(0.5, 1.0)),
+        _drifter_objective(rng, "modulated", n=256),
+        _drifter_objective(rng, "stationary", n=256),
+    ]
+    thetas = [obj.init_params.values for obj in objectives]
+    counts = Counter()
+    for cls in (models.LatentModel, core.ParameterVector, AggregateModel):
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for obj, theta in zip(objectives, thetas):
+        rest = np.delete(theta, obj.scale_index)
+        assert np.isfinite(obj(theta))
+        assert np.isfinite(obj.profile(rest)[0])
+        if obj.has_gradient:
+            assert np.isfinite(obj.value_and_grad(theta)[0])
+            assert np.isfinite(obj.profile(rest, True)[0])
+    assert counts == Counter()
+    car1_model(0.5, 1.0)  # the counters see a construction
+    assert counts == Counter({"LatentModel": 1, "ParameterVector": 1})
+
+
 def test_gradient_only_where_every_family_has_one(rng):
     n = 64
     data = Series(rng.normal(size=n))
@@ -559,19 +633,28 @@ def test_non_finite_gradient_scores_inf_without_warnings(rng, monkeypatch):
     mod = periodic_missing_mask(3, 1, n)
     data = Series(mod.g * (rng.normal(size=n) + 1j * rng.normal(size=n)),
                   kind="complex")
-    obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0), modulator=mod,
-                    check_significance=False)
-    value, _ = obj.value_and_grad([0.5, 1.0])
+    def objective():
+        return Objective("modulated-whittle", data, car1_model(0.5, 1.0), modulator=mod,
+                         check_significance=False)
+
+    value, _ = objective().value_and_grad([0.5, 1.0])
     assert np.isfinite(value)
-    autocov_grad = likelihood.autocov_grad
+    acv_entry = likelihood.acv_entry
 
-    def nan_jacobian(model, n):
-        acv, jac = autocov_grad(model, n)
-        jac = jac.copy()
-        jac[0, 1] = np.nan
-        return acv, jac
+    def nan_jacobian(model):
+        entry = acv_entry(model)
 
-    monkeypatch.setattr(likelihood, "autocov_grad", nan_jacobian)
+        def patched(values, nlags, grad):
+            acv, jac = entry(values, nlags, grad)
+            if grad:
+                jac = jac.copy()
+                jac[0, 1] = np.nan
+            return acv, jac
+        return patched
+
+    # the objective binds its latent's entry when it is built
+    monkeypatch.setattr(likelihood, "acv_entry", nan_jacobian)
+    obj = objective()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, grad = obj.value_and_grad([0.5, 1.0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from modwhittle import (
     ar_to_ou,
     autocov,
     car1_model,
+    fourier_grid,
     ma_model,
     matern_model,
     ou_model,
@@ -17,16 +19,21 @@ from modwhittle import (
     sdf_sampled,
 )
 from modwhittle.models import (
+    SDF_LAG_BLOCK,
     _geometric_lag_cap,
     _matern_bessel,
     _matern_lag_cap,
     _matern_table,
+    acv_entry,
     autocov_grad,
     autocov_sequence,
     geometric_acv,
+    has_acv_grad,
+    has_sdf_grad,
     matern_acv,
     model_from_json,
     model_to_json,
+    sdf_entry,
 )
 
 
@@ -296,6 +303,104 @@ def test_sdf_sampled_matches_acv_sum():
     c = matern_acv(1.0, 0.6, 1.3, 1.0 / 12.0, 40000)[1:]
     ref = c0 + 2 * np.array([np.sum(c * np.cos(wi * taus)) for wi in w])
     assert np.max(np.abs(f - ref)) < 1e-9 * ref.max()
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3])
+def test_sdf_sampled_smooth_matern_stays_positive(h):
+    # alpha = 4: the true sdf at high frequency falls below the rounding of
+    # the lag sum, which is floored at eps (|c(0)| + 2 sum |c|)
+    from modwhittle import Objective, Series
+
+    n, delta = 512, 1.0 / 12.0
+    model = matern_model(1.0, h, 4.0, delta=delta)
+    w = fourier_grid(n).frequencies
+    f = sdf_sampled(model, w)
+    assert np.all(f > 0)
+    # the parent's lag sum, unfloored: every value above the floor is it,
+    # bit for bit
+    nlags = max(8, _matern_lag_cap(h, 4.0, delta, 1 << 18))
+    c = matern_acv(1.0, h, 4.0, delta, nlags)
+    width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // w.size))
+    phase = np.multiply.outer(w, np.arange(width))
+    cos_j, sin_j = np.cos(phase), np.sin(phase)
+    raw = np.full(w.shape, c[0])
+    for lo in range(1, nlags, width):
+        c_blk = 2.0 * c[lo:lo + width]
+        k = c_blk.size
+        raw += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
+                - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
+    floor = np.finfo(float).eps * (c[0] + 2.0 * np.sum(c[1:]))
+    assert np.count_nonzero(raw <= 0) > 0  # the case the floor is for
+    above = raw > floor
+    assert np.array_equal(f[above], raw[above])
+    assert np.all(f[~above] == floor)
+    x = Series(np.random.default_rng(3).normal(size=n))
+    obj = Objective("whittle", x, model)
+    assert np.isfinite(obj(model.params.values)) and obj.n_rejected == 0
+
+
+@pytest.mark.parametrize("model", [
+    ar_model([0.6], 1.3), ar_model([0.5, -0.2], 1.1), ma_model([0.4, 0.2], 0.9),
+    car1_model(0.7, 1.2, rotation=0.4), car1_model(0.7, 1.2, gamma=-1.1),
+    car1_model(0.0, 1.3, rotation=0.4), ou_model(1.5, 0.4),
+    ou_model(1.5, 0.4, delta=0.25, rotation_cpd=-1.0), matern_model(1.3, 0.6, 1.5)])
+def test_raw_float_entry_matches_the_model_functions(model):
+    # the entry at values v, bit for bit the model functions of
+    # model.with_values(v); the acv stops at its kept support
+    n, w = 300, np.linspace(-np.pi, np.pi, 33)
+    v = model.params.values * 0.97
+    other = model.with_values(v)
+
+    def padded(acv):
+        assert acv.size <= n
+        return np.concatenate((acv, np.zeros(n - acv.size, dtype=acv.dtype)))
+
+    acv, jac = acv_entry(model)(v, n, False)
+    assert jac is None
+    assert np.array_equal(padded(acv), autocov_sequence(other, n))
+    f, jac = sdf_entry(model)(v, w, False)
+    assert jac is None and np.array_equal(f, sdf_sampled(other, w))
+    if has_acv_grad(model):
+        acv, jac = acv_entry(model)(v, n, True)
+        ref_acv, ref_jac = autocov_grad(other, n)
+        assert np.array_equal(padded(acv), ref_acv) and np.array_equal(jac, ref_jac)
+        assert jac.shape == (len(v), acv.size)
+    else:
+        with pytest.raises(ValueError):
+            acv_entry(model)(v, n, True)
+    if has_sdf_grad(model):
+        assert np.array_equal(sdf_entry(model)(v, w, True)[1], sdf_grad(other, w))
+    else:
+        with pytest.raises(ValueError):
+            sdf_entry(model)(v, w, True)
+
+
+def test_raw_float_entries_raise_outside_the_model_class():
+    for model, bad in ((ar_model([0.5], 1.0), [1.0, 1.0]),
+                       (ar_model([0.5, 0.1], 1.0), [0.5, 0.6, 1.0]),
+                       (ma_model([0.5], 1.0), [0.5, -1.0]),
+                       (car1_model(0.5, 1.0), [1.0, 1.0]),
+                       (car1_model(0.5, 1.0, gamma=0.1), [0.5, 0.0, 0.1]),
+                       (ou_model(1.0, 0.5), [1.0, 0.0]),
+                       (ou_model(1.0, 0.5), [0.0, 0.5]),
+                       (matern_model(1.0, 0.5, 1.2), [1.0, 0.5, 0.5]),
+                       (matern_model(1.0, 0.5, 1.2), [1.0, -0.1, 1.2])):
+        for grad in (False, True):
+            with pytest.raises(ValueError):
+                acv_entry(model)(bad, 16, grad)
+        with pytest.raises(ValueError):
+            sdf_entry(model)(bad, np.zeros(3), False)
+        with pytest.raises(ValueError):
+            model.with_values(bad)
+
+
+def test_json_params_take_the_constructor_order():
+    back = model_from_json({"family": "car1", "params": {"sigma": 1.2, "r": 0.5}})
+    assert back.params.names == ["r", "sigma"]
+    assert back.params.values.tolist() == [0.5, 1.2]
+    assert np.array_equal(autocov_sequence(back, 8), autocov_sequence(car1_model(0.5, 1.2), 8))
+    with pytest.raises(ValueError):
+        model_from_json({"family": "ou", "params": {"A": 1.0, "lambda": 0.5}})
 
 
 def test_sdf_sampled_matern_memory_is_bounded():

@@ -121,10 +121,10 @@ def test_matern_table_is_finite_wherever_the_bessel_form_is(alpha, h):
     # (and raise no RuntimeWarning) at every lag where that form is finite
     from scipy.special import kv
 
-    from modwhittle.models import _matern_acv_grad, _matern_scale
+    from modwhittle.models import _matern_scale, autocov_grad, matern_model
 
     delta, n = 1.0 / 12.0, 4096
-    c, jac = _matern_acv_grad(1.3, h, alpha, delta, n)
+    c, jac = autocov_grad(matern_model(1.3, h, alpha, delta=delta), n)
     nu = alpha - 0.5
     x = h * (np.arange(1, n) * delta)
     with np.errstate(all="ignore"):
