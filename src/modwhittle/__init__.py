@@ -12,7 +12,6 @@ from .core import Series, FourierGrid, ParameterVector, fourier_grid, dft, idft
 from .models import (
     LatentModel,
     ar_model,
-    ma_model,
     car1_model,
     ou_model,
     matern_model,

@@ -140,7 +140,7 @@ def _simulate_from_config(cfg: dict, seed) -> tuple[np.ndarray, Series]:
         return beta, series
     if kind == "model":
         model = _from_config(model_from_json, cfg["model"])
-        series = simulate_ar(model, n, np.random.default_rng((seed, 2)))
+        series = _from_config(simulate_ar, model, n, np.random.default_rng((seed, 2)))
         if cfg.get("modulator"):
             mod = _from_config(modulator_from_json, cfg["modulator"])
             series = Series(mod.g * series.values, delta=series.delta)

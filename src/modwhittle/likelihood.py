@@ -30,10 +30,11 @@ Sbar zero-pads.  An objective may take a parametric
 modulation kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`)
 whose free parameters follow the latent ones; the exact kind of a car1
 latent under that kernel is the O(N) Markov likelihood :func:`exact_car1_nll`.
-That likelihood, and the Whittle and modulated-Whittle kinds where every
-latent has a score, have an analytic gradient; :func:`~modwhittle.optimize.fit`
-searches every other one (the dense exact kind, AR(p >= 2) and MA latents)
-on central differences.
+That likelihood, every modulated-Whittle objective (every latent acv has a
+closed-form derivative) and the Whittle kind of an ar or car1 latent have an
+analytic gradient; :func:`~modwhittle.optimize.fit` searches the others (the
+dense exact kind and the Whittle kind of an ou or matern latent) on central
+differences.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .models import (
     acv_entry,
     autocov_sequence,
     car1_model,
-    has_acv_grad,
     has_sdf_grad,
     scale_index,
     sdf_entry,
@@ -197,6 +197,7 @@ def _exact_car1(z, beta, r, score: bool):
     otherwise.
     """
     z = np.asarray(z, dtype=complex)
+    beta = np.asarray(beta, dtype=float)
     if beta.size != z.size - 1:
         raise ValueError("need one rotation per transition")
     if not 0.0 <= r < 1.0:
@@ -371,9 +372,9 @@ class Objective:
     ValueError.  The modulated-whittle kind keeps the
     periodogram and the mask in numpy FFT order (k = 0..N-1), the order its
     expected periodogram comes out of the transform in.  For
-    ``has_gradient`` see :meth:`value_and_grad`,
-    :func:`~modwhittle.models.has_sdf_grad` (whittle) and
-    :func:`~modwhittle.models.has_acv_grad` (modulated-whittle).
+    ``has_gradient`` see :meth:`value_and_grad`: always true for
+    modulated-whittle, :func:`~modwhittle.models.has_sdf_grad` for whittle,
+    and true for exact only under a kernel (the Markov likelihood).
 
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
@@ -461,10 +462,12 @@ class Objective:
             self._freqs = fourier_grid(n).frequencies
             self.has_gradient = has_sdf_grad(self.model)
             return
-        self.has_gradient = all(has_acv_grad(m) for m, _ in components)
+        self.has_gradient = True
         if self._kernel is None:
             self.cgs = [component_cg(mod, n) for _, mod in components]
-        if self.check_significance and isinstance(self.modulator, Modulator):
+        # the lag-0/1 diagnostic needs two samples
+        if (self.check_significance and isinstance(self.modulator, Modulator)
+                and n >= 2):
             diag = significant_correlation_diagnostic(
                 self.modulator, lags=[0, 1], n_grid=[max(2, n // 2), n])
             if diag["flagged"]:
@@ -544,7 +547,7 @@ class Objective:
             l = (L + M log s2 + Q / s2) / n,   dl/dscale = 2 (M - Q / s2) / (scale n).
 
         Non-finite theta, a scale <= 0, theta outside the model class (a
-        ValueError of the chain, e.g. a non-stationary AR: the optimizer
+        ValueError of the chain, e.g. an AR(1) with |phi| >= 1: the optimizer
         steps back), data that are zero where the objective looks, and a
         non-finite value or gradient score +inf, with a zero gradient, and
         are counted in ``n_rejected``.
@@ -715,14 +718,17 @@ def compare_likelihoods(data: Series, mod: Modulator,
     """Fit both models and report their objective values and difference.
 
     The difference is nll_stationary - nll_modulated, so positive values
-    favor the nonstationary (modulated) model.
+    favor the nonstationary (modulated) model.  mod modulates a single latent
+    nonstationary model; an aggregate's components carry their own
+    modulators, and mod goes unused.
     """
     from .optimize import fit
 
     stat_obj = Objective("whittle", data, stationary_model, mask=mask_stationary)
     mod_obj = Objective("modulated-whittle", data, nonstationary_model,
-                        modulator=mod, mask=mask_modulated,
-                        check_significance=False)
+                        modulator=(None if isinstance(nonstationary_model, AggregateModel)
+                                   else mod),
+                        mask=mask_modulated, check_significance=False)
     opts = options or {}
     fit_w = fit(stat_obj, stat_obj.init_params, **opts)
     fit_m = fit(mod_obj, mod_obj.init_params, **opts)

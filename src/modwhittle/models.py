@@ -2,9 +2,8 @@
 
 Families
 --------
-ar      : real AR(p), params (phi_1..phi_p, sigma), unit sampling
-ma      : real MA(q), X_t = sigma*(e_t + theta_1 e_{t-1} + ... ), params
-          (theta_1..theta_q, sigma)
+ar      : real AR(1), X_t = phi_1 X_{t-1} + sigma e_t, params (phi_1, sigma),
+          or white noise (AR(0)), params (sigma); unit sampling
 car1    : complex AR(1), Z_t = r e^{i gamma} Z_{t-1} + e_t with proper
           complex innovations of variance sigma^2; params (r, sigma), and
           gamma (radians/sample) when the rotation is free rather than fixed
@@ -32,7 +31,10 @@ form.
 
 Each family has one autocovariance and one sdf implementation, on raw float
 parameter values (:func:`acv_entry`, :func:`sdf_entry`); the functions on a
-:class:`LatentModel` wrap them, and objectives call them directly.
+:class:`LatentModel` wrap them, and objectives call them directly.  Every
+acv is closed form with a closed-form parameter derivative: the geometric
+table of an AR(1), car1 or ou (white noise is its r = 0 case), and the
+Matern table.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .core import ParameterVector
 __all__ = [
     "LatentModel",
     "ar_model",
-    "ma_model",
     "car1_model",
     "ou_model",
     "matern_model",
@@ -68,19 +69,15 @@ __all__ = [
     "model_from_json",
 ]
 
-_FAMILIES = ("ar", "ma", "car1", "ou", "matern")
+_FAMILIES = ("ar", "car1", "ou", "matern")
 
 # working precision of the latent acv tables: geometric_acv and matern_acv
 # leave at zero every lag whose value is at most ACV_EPS * c(0)
 ACV_EPS = 1e-16
 
-# families whose autocovariance has an analytic parameter gradient; for "ar"
-# only order 1, whose table is geometric
-GRADIENT_FAMILIES = ("ar", "car1", "ou", "matern")
 # the scale parameter of each family: its acv and sdf are proportional to
 # scale^2, with every other parameter fixed
-SCALE_PARAMS = {"ar": "sigma", "ma": "sigma", "car1": "sigma", "ou": "A",
-                "matern": "B"}
+SCALE_PARAMS = {"ar": "sigma", "car1": "sigma", "ou": "A", "matern": "B"}
 # the trapezoid rule behind every Matern table (see _matern_bessel): the node
 # spacing in t, the drop (a log) past which a lag block's nodes stop, and the
 # x = h delta tau where the lags split into blocks, so that the many large-x
@@ -130,29 +127,18 @@ def scale_index(model: LatentModel) -> int:
 # reads, or raises ValueError outside the stationary region.
 
 def _check_ar(values):
-    """(phi, sigma) of AR(p) values."""
-    values = np.asarray(values, dtype=float)
-    phi, sigma = values[:-1], float(values[-1])
-    if sigma < 0:
-        raise ValueError("innovation scale sigma must be non-negative")
-    if phi.size == 1:
-        if not abs(phi[0]) < 1.0 - 1e-12:
-            raise ValueError("AR parameters are not stationary")
-    elif phi.size:
-        # roots of 1 - phi_1 z - ... - phi_p z^p must lie outside |z|=1
-        roots = np.roots(np.concatenate(([1.0], -phi))[::-1])
-        if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-12:
-            raise ValueError("AR parameters are not stationary")
-    return phi, sigma
-
-
-def _check_ma(values):
-    """(theta, sigma) of MA(q) values."""
-    values = np.asarray(values, dtype=float)
+    """(phi or None, sigma) of AR(1) values, or of white noise (sigma)."""
+    if not 1 <= len(values) <= 2:
+        raise ValueError("an AR model has order 0 or 1")
     sigma = float(values[-1])
     if sigma < 0:
         raise ValueError("innovation scale sigma must be non-negative")
-    return values[:-1], sigma
+    if len(values) == 1:
+        return None, sigma
+    phi = float(values[0])
+    if not abs(phi) < 1.0 - 1e-12:
+        raise ValueError("AR parameters are not stationary")
+    return phi, sigma
 
 
 def _check_car1(values):
@@ -183,8 +169,8 @@ def _check_matern(values):
     return b, h, alpha
 
 
-_CHECKS = {"ar": _check_ar, "ma": _check_ma, "car1": _check_car1,
-           "ou": _check_ou, "matern": _check_matern}
+_CHECKS = {"ar": _check_ar, "car1": _check_car1, "ou": _check_ou,
+           "matern": _check_matern}
 
 
 def validate_stationary(model: LatentModel):
@@ -197,25 +183,15 @@ def validate_stationary(model: LatentModel):
 # ----------------------------------------------------------------------
 
 def ar_model(phi, sigma: float) -> LatentModel:
-    """Real AR(p).  An AR(1) coefficient is bounded to (-1, 1), its
-    stationary region; for p >= 2 that region is not a box, and the
-    coefficients stay unbounded (the objectives reject the rest)."""
+    """Real AR(1) with coefficient phi = [phi_1], bounded to (-1, 1), its
+    stationary region; an empty phi gives white noise.  Any other order
+    raises ValueError."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     names = [f"phi{j + 1}" for j in range(phi.size)] + ["sigma"]
-    edge = 1.0 if phi.size == 1 else np.inf
-    lower = np.concatenate((np.full(phi.size, -edge), [0.0]))
-    upper = np.concatenate((np.full(phi.size, edge), [np.inf]))
-    pv = ParameterVector(names, np.concatenate((phi, [sigma])), lower=lower,
-                         upper=upper)
+    pv = ParameterVector(names, np.concatenate((phi, [sigma])),
+                         lower=[-1.0] * phi.size + [0.0],
+                         upper=[1.0] * phi.size + [np.inf])
     return LatentModel("ar", pv)
-
-
-def ma_model(theta, sigma: float) -> LatentModel:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    names = [f"theta{j + 1}" for j in range(theta.size)] + ["sigma"]
-    lower = np.concatenate((np.full(theta.size, -np.inf), [0.0]))
-    pv = ParameterVector(names, np.concatenate((theta, [sigma])), lower=lower)
-    return LatentModel("ma", pv)
 
 
 def car1_model(r: float, sigma: float, rotation: float = 0.0,
@@ -275,38 +251,6 @@ def ar_to_ou(r: float, sigma: float, delta: float) -> tuple[float, float]:
 # autocovariance
 # ----------------------------------------------------------------------
 
-def _ar_autocov(phi: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
-    """AR(p) autocovariance c(0..nlags-1) via Yule-Walker then recursion;
-    white noise (p = 0) keeps lag 0 only."""
-    p = phi.size
-    if p == 0:
-        return np.full(min(nlags, 1), sigma * sigma)
-    # linear system for c(0..p): c(k) - sum_j phi_j c(|k-j|) = sigma^2 * (k==0)
-    a = np.zeros((p + 1, p + 1))
-    for k in range(p + 1):
-        a[k, k] += 1.0
-        for j in range(1, p + 1):
-            a[k, abs(k - j)] -= phi[j - 1]
-    rhs = np.zeros(p + 1)
-    rhs[0] = sigma * sigma
-    c_head = np.linalg.solve(a, rhs)
-    n = max(nlags, p + 1)
-    c = np.zeros(n)
-    c[: p + 1] = c_head
-    for k in range(p + 1, n):
-        c[k] = phi @ c[k - 1: k - 1 - p: -1]
-    return c[:nlags]
-
-
-def _ma_autocov(theta: np.ndarray, sigma: float, nlags: int) -> np.ndarray:
-    """MA(q) autocovariance at lags 0..min(nlags, q + 1)-1, past which it is 0."""
-    psi = np.concatenate(([1.0], theta))
-    c = np.zeros(min(nlags, theta.size + 1))
-    for tau in range(c.size):
-        c[tau] = sigma * sigma * np.dot(psi[: psi.size - tau], psi[tau:])
-    return c
-
-
 def _geometric_lag_cap(r: float, nlags: int) -> int:
     """Lags kept by :func:`geometric_acv`: |r|^tau <= ACV_EPS for tau >= cap."""
     ar = abs(r)
@@ -357,24 +301,22 @@ def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
 
     With c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}: dc/dr = c (2r / (1 -
     r^2) + tau / r), dc/dsigma = 2 c / sigma and dc/dgamma = i tau c.  At
-    r = 0 the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}, so
-    with grad it keeps lag 1 (a zero) too.
+    |r| < ACV_EPS (r = 0 included) the table stops at lag 0, but dc(1)/dr =
+    c(0) e^{i gamma}, so with grad it keeps lag 1 (a zero) too.
     """
     keep = _geometric_lag_cap(r, nlags)
-    if grad and r == 0.0:
-        keep = min(nlags, 2)
     head = _geometric_head(r, sigma, keep, rotation)
     if not grad:
         return head, None
-    tau = np.arange(keep)
-    if r == 0.0:
-        d_r = np.zeros_like(head)
-        d_r[1:] = sigma * sigma * (np.exp(1j * rotation) if rotation else 1.0)
+    if keep > 1:
+        d_r = head * (2.0 * r / (1.0 - r * r) + np.arange(keep) / r)
     else:
-        d_r = head * (2.0 * r / (1.0 - r * r) + tau / r)
+        head = _padded(head, min(nlags, 2))
+        d_r = head * (2.0 * r / (1.0 - r * r))
+        d_r[1:] = head[0] * (np.exp(1j * rotation) if rotation else 1.0)
     rows = [d_r, 2.0 * head / sigma]
     if free_rotation:
-        rows.append(1j * tau * head)
+        rows.append(1j * np.arange(head.size) * head)
     return head, np.stack(rows)
 
 
@@ -566,25 +508,19 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
 # holds one derivative row per parameter (None without grad) over lags
 # 0..L-1, or at each omega.  Each raises the ValueError of
-# validate_stationary outside the model class, and a family without an
-# analytic derivative raises one for grad.  autocov_sequence, autocov_grad,
-# sdf_sampled, sdf_grad and Objective evaluations all run these, so every
-# family has one implementation.
+# validate_stationary outside the model class.  Every acv has its derivative
+# rows; the sdf has them for ar and car1 only (has_sdf_grad), and raises one
+# for grad otherwise.  autocov_sequence, autocov_grad, sdf_sampled, sdf_grad
+# and Objective evaluations all run these, so every family has one
+# implementation.
 
 def _acv_ar(values, nlags, grad, delta, rotation):
+    # the geometric table; white noise is its r = 0 case without the r row
     phi, sigma = _check_ar(values)
-    if phi.size == 1:
-        return _geometric(float(phi[0]), sigma, nlags, 0.0, grad, False)
-    if grad:
-        raise ValueError("no autocovariance gradient for AR(p) with p != 1")
-    return _ar_autocov(phi, sigma, nlags), None
-
-
-def _acv_ma(values, nlags, grad, delta, rotation):
-    theta, sigma = _check_ma(values)
-    if grad:
-        raise ValueError("no autocovariance gradient for MA(q)")
-    return _ma_autocov(theta, sigma, nlags), None
+    if phi is not None:
+        return _geometric(phi, sigma, nlags, 0.0, grad, False)
+    head, jac = _geometric(0.0, sigma, min(nlags, 1), 0.0, grad, False)
+    return head, (None if jac is None else jac[1:])
 
 
 def _acv_car1(values, nlags, grad, delta, rotation):
@@ -630,24 +566,11 @@ def _car1_sdf(r: float, sigma: float, shifted: np.ndarray, grad: bool, free: boo
 
 
 def _sdf_ar(values, w, grad, delta, rotation):
-    # the value through the AR polynomial, the AR(1) rows from the car1 form
+    # the car1 form without rotation; white noise is its r = 0 case without
+    # the r row
     phi, sigma = _check_ar(values)
-    z = np.exp(-1j * np.multiply.outer(w, np.arange(1, phi.size + 1)))
-    denom = np.abs(1.0 - z @ phi) ** 2 if phi.size else np.ones_like(w)
-    f = sigma * sigma / denom
-    if not grad:
-        return f, None
-    if phi.size != 1:
-        raise ValueError("no sdf gradient for AR(p) with p != 1")
-    return f, _car1_sdf(float(phi[0]), sigma, w, True, False)[1]
-
-
-def _sdf_ma(values, w, grad, delta, rotation):
-    theta, sigma = _check_ma(values)
-    if grad:
-        raise ValueError("no sdf gradient for MA(q)")
-    z = np.exp(-1j * np.multiply.outer(w, np.arange(1, theta.size + 1)))
-    return sigma * sigma * np.abs(1.0 + (z @ theta if theta.size else 0.0)) ** 2, None
+    f, jac = _car1_sdf(0.0 if phi is None else phi, sigma, w, grad, False)
+    return f, (jac[1:] if grad and phi is None else jac)
 
 
 def _sdf_car1(values, w, grad, delta, rotation):
@@ -692,10 +615,8 @@ def _sdf_matern(values, w, grad, delta, rotation):
     return np.maximum(out, floor), None
 
 
-_ACV = {"ar": _acv_ar, "ma": _acv_ma, "car1": _acv_car1, "ou": _acv_ou,
-        "matern": _acv_matern}
-_SDF = {"ar": _sdf_ar, "ma": _sdf_ma, "car1": _sdf_car1, "ou": _sdf_ou,
-        "matern": _sdf_matern}
+_ACV = {"ar": _acv_ar, "car1": _acv_car1, "ou": _acv_ou, "matern": _acv_matern}
+_SDF = {"ar": _sdf_ar, "car1": _sdf_car1, "ou": _sdf_ou, "matern": _sdf_matern}
 
 
 def acv_entry(model: LatentModel):
@@ -716,18 +637,11 @@ def sdf_entry(model: LatentModel):
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
     """c_X(0..nlags-1) as one array.
 
-    Geometric (AR(1), car1, ou) and Matern tables are zero past the lag where
+    Geometric (ar, car1, ou) and Matern tables are zero past the lag where
     they have decayed below working precision; see :func:`geometric_acv` and
     :func:`matern_acv`.
     """
     return _padded(acv_entry(model)(model.params.values, nlags, False)[0], nlags)
-
-
-def has_acv_grad(model: LatentModel) -> bool:
-    """Whether :func:`autocov_grad` serves model: a GRADIENT_FAMILIES family,
-    AR of order 1 only."""
-    return model.family in GRADIENT_FAMILIES and (model.family != "ar"
-                                                  or len(model.params) == 2)
 
 
 def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray]:
@@ -735,10 +649,9 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
 
     Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
     row per parameter over the lags 0..L-1 where acv is not truncated to
-    zero, so callers sum derivatives over that support only.  The models of
-    :func:`has_acv_grad` only (else ValueError): AR(1), car1 (with a fixed or
-    a free rotation) and ou in closed form from the geometric table, matern
-    from :func:`_matern_table`.
+    zero, so callers sum derivatives over that support only.  Every family
+    is closed form: ar, car1 (with a fixed or a free rotation) and ou from
+    the geometric table, matern from :func:`_matern_table`.
     """
     acv, jac = acv_entry(model)(model.params.values, nlags, True)
     return _padded(acv, nlags), jac
@@ -770,7 +683,7 @@ def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
 def sdf(model: LatentModel, omega) -> np.ndarray | float:
     """Model spectral density.
 
-    For the discrete families (ar, ma, car1) omega is in radians per sample
+    For the discrete families (ar, car1) omega is in radians per sample
     and the value is f_X(w) = sum_tau c(tau) e^{-i w tau}.  For ou and matern
     omega is the continuous-model frequency argument (the inertial peak sits
     at the rotation frequency; see module docstring for the unit bookkeeping)
@@ -791,9 +704,9 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
 
 
 def has_sdf_grad(model: LatentModel) -> bool:
-    """Whether :func:`sdf_grad` serves model: AR(1), or car1 with a fixed or
-    a free rotation."""
-    return model.family == "car1" or (model.family == "ar" and len(model.params) == 2)
+    """Whether :func:`sdf_grad` serves model: ar, or car1 with a fixed or a
+    free rotation."""
+    return model.family in ("ar", "car1")
 
 
 def sdf_grad(model: LatentModel, omega) -> np.ndarray:
@@ -801,7 +714,8 @@ def sdf_grad(model: LatentModel, omega) -> np.ndarray:
 
     Returns jac with jac[j] = df/dtheta_j at every omega, for the models of
     :func:`has_sdf_grad` (else ValueError): with f = sigma^2 / D and
-    D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 for an AR(1), r = phi_1),
+    D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 and r = phi_1 for an AR(1),
+    and white noise, r = 0, has the sigma row alone),
 
         df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
         df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
@@ -813,7 +727,7 @@ def sdf_grad(model: LatentModel, omega) -> np.ndarray:
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
     """Discrete-time sdf f_X(w) = sum_tau c(tau) e^{-i w tau}, w rad/sample.
 
-    Exact closed forms for ar/ma/car1/ou; for matern a Hermitian lag sum
+    Exact closed forms for ar/car1/ou; for matern a Hermitian lag sum
     truncated where the autocovariance has decayed below working precision,
     and floored at its rounding level, so it stays positive.
     """
@@ -851,7 +765,9 @@ def model_from_json(text: str | dict) -> LatentModel:
     the raw-float entries read; a name the constructor does not give raises.
     A parameter that ``bounds`` does not list takes the bounds its family's
     constructor gives it (an AR(1) phi1 (-1, 1), a car1 r (0, 1), every
-    scale (0, inf), ...); a listed null side is unbounded."""
+    scale (0, inf), ...); a listed null side is unbounded.  A family the
+    constructors do not build (an AR order of 2 or more, say) raises
+    ValueError."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     family = obj["family"]
     params = obj["params"]
@@ -875,9 +791,8 @@ def model_from_json(text: str | dict) -> LatentModel:
 def _constructor_params(family: str, names) -> ParameterVector:
     """The parameters of the family's constructor for a model with these
     parameter names."""
-    order = len(names) - 1  # AR and MA: every name but sigma is a coefficient
+    order = len(names) - 1  # AR: every name but sigma is a coefficient
     model = {"ar": lambda: ar_model(np.zeros(order), 1.0),
-             "ma": lambda: ma_model(np.zeros(order), 1.0),
              "car1": lambda: car1_model(0.5, 1.0, gamma=0.0 if "gamma" in names else None),
              "ou": lambda: ou_model(1.0, 1.0),
              "matern": lambda: matern_model(1.0, 1.0, 1.0)}.get(family)

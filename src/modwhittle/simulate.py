@@ -16,6 +16,7 @@ Simulation notes
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -75,36 +76,24 @@ def complex_normal(rng: np.random.Generator, size, variance: float = 1.0) -> np.
 
 
 def simulate_ar(model: LatentModel, n: int, seed) -> Series:
-    """Exact draw of a real AR(p) or MA(q) sample with stationary start."""
-    from scipy.signal import lfilter, lfiltic  # a slow import, needed only here
+    """Exact draw of a real AR(1) or white-noise sample with stationary start:
+    x_0 = sqrt(c(0)) e_0, then x_t = phi_1 x_{t-1} + sigma e_t."""
+    from scipy.signal import lfilter  # a slow import, needed only here
 
-    if model.family not in ("ar", "ma"):
-        raise ValueError("simulate_ar handles the real ar/ma families")
+    if model.family != "ar":
+        raise ValueError("simulate_ar handles the real ar family")
     rng = _rng_of(seed)
-    coefs = model.params.values[:-1]
-    sigma = float(model.params.values[-1])
-    if model.family == "ma":
-        q = coefs.size
-        eps = rng.standard_normal(n + q)
-        psi = sigma * np.concatenate(([1.0], coefs))
-        x = np.convolve(eps, psi, mode="full")[q: q + n]
-        return Series(x, delta=model.delta, kind="real")
-    p = coefs.size
+    sigma = model.value("sigma")
     if sigma == 0.0:
         return Series(np.zeros(n), delta=model.delta, kind="real")
-    if p == 0:
+    if len(model.params) == 1:
         return Series(sigma * rng.standard_normal(n), delta=model.delta, kind="real")
-    # first p values from the exact stationary covariance, then the recursion
-    head_cov = np.asarray(autocov_sequence(model, p))
-    cov = head_cov[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
-    head = np.linalg.cholesky(cov) @ rng.standard_normal(p)
-    if n <= p:
+    phi = model.value("phi1")
+    head = math.sqrt(autocov_sequence(model, 1)[0]) * rng.standard_normal(1)
+    if n <= 1:
         return Series(head[:n], delta=model.delta, kind="real")
-    eps = sigma * rng.standard_normal(n - p)
-    b = [1.0]
-    a = np.concatenate(([1.0], -coefs))
-    zi = lfiltic(b, a, y=head[::-1])
-    tail, _ = lfilter(b, a, eps, zi=zi)
+    eps = sigma * rng.standard_normal(n - 1)
+    tail, _ = lfilter([1.0], [1.0, -phi], eps, zi=[phi * head[0]])
     return Series(np.concatenate((head, tail)), delta=model.delta, kind="real")
 
 

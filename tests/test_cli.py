@@ -47,6 +47,9 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         {"objective": "whittle", "model": {**model, "family": "arr"}},
     ]
     configs = [("fit", {**cfg, "data": {"csv": data + ".csv"}}) for cfg in fits]
+    # simulate's "model" kind draws the real ar family alone
+    configs.append(("simulate", {"kind": "model", "n": 64, "seed": 1,
+                                 "model": {"family": "car1", "params": {"r": 0.5, "sigma": 1.0}}}))
     configs.append(("mc", {
         "kind": "ar1-bernoulli-mask", "true_params": {"a": 0.8, "sigma": 1.0},
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
@@ -57,6 +60,27 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),
                      "-o", str(out)]) == 1, cfg
         assert not list(tmp_path.glob(f"out{i}*"))
+
+
+def test_retired_families_exit_1_before_anything_runs(tmp_path):
+    # MA(q) and AR orders of 2 or more are not built: the config is wrong
+    data_cfg = write_cfg(tmp_path, {
+        "kind": "model", "n": 64,
+        "model": {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}, "seed": 1,
+    }, "sim.json")
+    data = str(tmp_path / "data")
+    assert main(["simulate", "--config", data_cfg, "-o", data]) == 0
+    retired = [{"family": "ma", "params": {"theta1": 0.4, "sigma": 1.0}},
+               {"family": "ar", "params": {"phi1": 0.5, "phi2": -0.2, "sigma": 1.0}}]
+    for i, model in enumerate(retired):
+        configs = [("simulate", {"kind": "model", "n": 64, "model": model, "seed": 1}),
+                   ("fit", {"objective": "whittle", "model": model,
+                            "data": {"csv": data + ".csv"}})]
+        for verb, cfg in configs:
+            out = tmp_path / f"out{i}{verb}"
+            assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}{verb}.json"),
+                         "-o", str(out)]) == 1, cfg
+            assert not list(tmp_path.glob(f"out{i}{verb}*"))
 
 
 def test_simulate_bundled_car1(tmp_path, monkeypatch):

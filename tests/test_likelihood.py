@@ -28,12 +28,11 @@ from modwhittle.likelihood import (
     resolve_mask,
     spectral_nll,
 )
-from modwhittle.models import ma_model
 from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequency_modulator
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
-from helpers import random_modulator
+from helpers import assert_gradient_matches, random_modulator
 
 
 def whittle_value(data, model, mask=None):
@@ -85,6 +84,25 @@ def test_exact_markov_matches_dense(rng):
             dense = exact_gaussian_nll(z, mod, car1_model(r, sigma))
             markov = exact_car1_nll(z.values, beta, r, sigma)
             assert abs(dense - markov) < 1e-9
+
+
+def test_exact_markov_takes_rotations_as_a_list(rng):
+    z = simulate_complex_ar1(0.5, 1.0, [0.1, 0.2, 0.3], 4, rng).values
+    want = exact_car1_nll(z, np.array([0.1, 0.2, 0.3]), 0.5, 1.0)
+    assert np.isfinite(want)
+    assert exact_car1_nll(z, [0.1, 0.2, 0.3], 0.5, 1.0) == want
+    with pytest.raises(ValueError):
+        exact_car1_nll(z, [0.1, 0.2], 0.5, 1.0)
+
+
+def test_modulated_whittle_at_one_sample_skips_the_lag_1_diagnostic():
+    # the lag-0/1 significant-correlation diagnostic needs N >= 2
+    x = Series([0.7])
+    obj = Objective("modulated-whittle", x, ar_model([0.5], 1.0),
+                    modulator=constant_modulator(1))
+    quiet = Objective("modulated-whittle", x, ar_model([0.5], 1.0),
+                      modulator=constant_modulator(1), check_significance=False)
+    assert obj([0.5, 1.0]) == quiet([0.5, 1.0]) and np.isfinite(obj([0.5, 1.0]))
 
 
 def test_whittle_white_noise_minimizer(rng):
@@ -168,20 +186,6 @@ def test_objective_scores_non_stationary_theta_as_inf(rng):
     obj = Objective("whittle", x, ar_model([0.5], 1.0))
     assert obj([1.2, 1.0]) == np.inf
     assert np.isfinite(obj([0.5, 1.0]))
-
-
-def test_ar2_modulated_fit_from_poor_init_does_not_raise():
-    from modwhittle import bernoulli_mask
-    from modwhittle.optimize import fit
-    truth = ar_model([1.2, -0.5], 1.0)
-    for seed in range(10):
-        x = simulate_ar(truth, 256, seed)
-        mod = bernoulli_mask(0.7, seed=seed, n=256)
-        data = Series(mod.g * x.values)
-        obj = Objective("modulated-whittle", data, ar_model([0.1, 0.1], 1.0),
-                        modulator=mod, check_significance=False)
-        res = fit(obj, obj.init_params)
-        assert np.isfinite(res.objective_value)
 
 
 def test_exact_objective_callable(rng):
@@ -341,6 +345,22 @@ def test_compare_likelihoods_modulated_vs_constant(rng):
     assert np.max(np.abs(diffs_const)) < 1e-3
 
 
+def test_compare_likelihoods_takes_an_aggregate(rng):
+    # the aggregate's components carry their modulators; mod is not passed on
+    n = 256
+    beta = bounded_random_walk_beta(np.pi / 2, 1.0, 0.05, n, rng)[1:]
+    z = simulate_complex_ar1(0.8, 1.0, beta, n, rng)
+    mod = frequency_modulator(beta)
+    agg = AggregateModel(((car1_model(0.5, 1.0), mod), (car1_model(0.5, 1.0), None)), n)
+    out = compare_likelihoods(z, mod, car1_model(0.5, 1.0, rotation=float(np.mean(beta))),
+                              agg, options={"n_starts": 1})
+    assert np.isfinite(out["difference"])
+    fitted = out["fit_modulated"]
+    assert fitted.profiled == ["scale"]
+    direct = Objective("modulated-whittle", z, agg, check_significance=False)
+    assert direct(fitted.theta_hat.values) == out["nll_modulated"]
+
+
 def test_linear_beta_objectives_agree_with_generic(rng):
     n = 128
     beta = linear_beta(0.8, 1.0, n)
@@ -373,26 +393,6 @@ def test_car1_whittle_objective_matches_model(rng):
 # ----------------------------------------------------------------------
 # analytic gradient of the modulated Whittle objective
 # ----------------------------------------------------------------------
-
-def _central_difference(f, theta, j):
-    """Richardson-extrapolated central difference of f along theta_j."""
-    def cd(e):
-        up = np.array(theta, dtype=float)
-        dn = np.array(theta, dtype=float)
-        up[j] += e
-        dn[j] -= e
-        return (f(up) - f(dn)) / (2.0 * e)
-
-    e = 1e-4 * max(1.0, abs(theta[j]))
-    return (4.0 * cd(e / 2.0) - cd(e)) / 3.0
-
-
-def assert_gradient_matches(obj, theta, rtol=1e-6):
-    value, grad = obj.value_and_grad(theta)
-    assert value == obj(theta)
-    fd = np.array([_central_difference(obj, theta, j) for j in range(len(theta))])
-    assert np.all(np.abs(grad - fd) <= rtol * np.abs(fd)), (grad, fd)
-
 
 def _random_gradient_model(rng, family):
     if family == "ar":
@@ -584,19 +584,29 @@ def test_evaluations_build_no_model_objects(rng, monkeypatch):
 
 
 def test_gradient_only_where_every_family_has_one(rng):
+    # every latent acv has a score, so every modulated-Whittle objective
+    # does; central differences serve the Whittle kind of ou and matern, the
+    # dense exact kind and Car1WhittleObjective alone
     n = 64
     data = Series(rng.normal(size=n))
     mod = periodic_missing_mask(3, 1, n)
-    assert not Objective("modulated-whittle", data, ar_model([0.5, -0.2], 1.0),
-                         modulator=mod).has_gradient
-    assert not Objective("whittle", data, ar_model([0.5, -0.2], 1.0)).has_gradient
-    assert not Objective("whittle", data, ma_model([0.5], 1.0)).has_gradient
-    mixed = AggregateModel(((car1_model(0.5, 1.0), mod),
-                            (ar_model([0.3, 0.2], 1.0), None)), n)
-    obj = Objective("modulated-whittle", data, mixed)
-    assert not obj.has_gradient
+    models = (ar_model([], 1.0), ar_model([0.5], 1.0), car1_model(0.5, 1.0),
+              car1_model(0.5, 1.0, gamma=0.3), ou_model(1.0, 0.5),
+              matern_model(1.0, 0.5, 1.2))
+    for model in models:
+        assert Objective("modulated-whittle", data, model, modulator=mod).has_gradient
+        whittle = Objective("whittle", data, model)
+        assert whittle.has_gradient == (model.family in ("ar", "car1"))
+        assert not Objective("exact", data, model, modulator=mod).has_gradient
+    mixed = AggregateModel(((car1_model(0.5, 1.0), mod), (ar_model([], 1.0), None),
+                            (matern_model(1.0, 0.5, 1.2), mod)), n)
+    assert Objective("modulated-whittle", data, mixed).has_gradient
+    assert not hasattr(Car1WhittleObjective(data), "has_gradient")
+    obj = Objective("whittle", data, ou_model(1.0, 0.5))
     with pytest.raises(ValueError):
-        obj.value_and_grad(mixed.params.values)
+        obj.value_and_grad([1.0, 0.5])
+    with pytest.raises(ValueError):
+        obj.profile([0.5], grad=True)
 
 
 def test_gradient_outside_model_class_scores_inf(rng):
@@ -778,8 +788,6 @@ def test_objective_rejects_shapes_no_kind_evaluates(rng):
             Objective(kind, data, agg)
     with pytest.raises(ValueError):  # the aggregate's own modulators would be ignored
         Objective("modulated-whittle", data, agg, modulator=mod)
-    with pytest.raises(ValueError):
-        compare_likelihoods(data, mod, car1_model(0.5, 1.0), agg)
     with pytest.raises(ValueError):
         Objective("whittle", data, car1_model(0.5, 1.0), modulator=mod)
     for latent in (ar_model([0.5], 1.0), car1_model(0.5, 1.0, rotation=0.3),

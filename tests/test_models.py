@@ -10,7 +10,6 @@ from modwhittle import (
     autocov,
     car1_model,
     fourier_grid,
-    ma_model,
     matern_model,
     ou_model,
     ou_to_ar,
@@ -28,7 +27,6 @@ from modwhittle.models import (
     autocov_grad,
     autocov_sequence,
     geometric_acv,
-    has_acv_grad,
     has_sdf_grad,
     matern_acv,
     model_from_json,
@@ -43,27 +41,28 @@ def test_car1_white_noise_limit():
     assert autocov(m, 1) == 0.0
 
 
-def test_ma2_hand_expansion():
-    m = ma_model([0.0, 0.5], 1.0)
-    assert abs(autocov(m, 0) - 1.25) < 1e-14
-    assert abs(autocov(m, 1)) < 1e-14
-    assert abs(autocov(m, 2) - 0.5) < 1e-14
-    assert autocov(m, 3) == 0.0
+def test_white_noise_has_the_sigma_row_alone():
+    m = ar_model([], 1.5)
+    acv, jac = autocov_grad(m, 8)
+    assert acv.tolist() == [2.25] + [0.0] * 7 and jac.tolist() == [[3.0]]
+    w = np.linspace(-np.pi, np.pi, 5)
+    assert np.array_equal(sdf_sampled(m, w), np.full(5, 2.25))
+    assert np.array_equal(sdf_grad(m, w), np.full((1, 5), 3.0))
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-20, -1e-300])
+def test_geometric_score_keeps_lag_1_at_tiny_r(r):
+    # |r| < ACV_EPS truncates the table at lag 0, but dc(1)/dr = c(0) stays
+    acv, jac = autocov_grad(ar_model([r], 1.5), 8)
+    assert acv.tolist() == [2.25] + [0.0] * 7
+    assert jac.shape == (2, 2) and jac[0, 1] == 2.25 and jac[1, 1] == 0.0
+    acv, jac = autocov_grad(car1_model(abs(r), 1.5, gamma=0.7), 8)
+    assert jac.shape == (3, 2) and jac[0, 1] == 2.25 * np.exp(0.7j)
 
 
 def test_car1_direct_formula():
     m = car1_model(0.8, 1.0)
     assert abs(autocov(m, 2) - (1 / 0.36) * 0.64) < 1e-12
-
-
-def test_ar2_autocov_vs_simulation_free_recursion():
-    # Yule-Walker head + recursion must satisfy c(k) = phi1 c(k-1) + phi2 c(k-2)
-    m = ar_model([0.5, -0.3], 1.2)
-    c = autocov_sequence(m, 30)
-    for k in range(3, 30):
-        assert abs(c[k] - (0.5 * c[k - 1] - 0.3 * c[k - 2])) < 1e-12
-    # lag-0 relation c(0) = phi1 c(1) + phi2 c(2) + sigma^2
-    assert abs(c[0] - (0.5 * c[1] - 0.3 * c[2] + 1.44)) < 1e-12
 
 
 def test_sdf_examples():
@@ -89,11 +88,9 @@ def test_ou_ar_transform_examples():
 
 def test_positive_definiteness(rng):
     for _ in range(40):
-        kind = rng.choice(["ar", "ma", "car1", "ou", "matern"])
+        kind = rng.choice(["ar", "car1", "ou", "matern"])
         if kind == "ar":
             m = ar_model([rng.uniform(-0.9, 0.9)], rng.uniform(0.2, 2.0))
-        elif kind == "ma":
-            m = ma_model(rng.uniform(-1, 1, size=2), rng.uniform(0.2, 2.0))
         elif kind == "car1":
             m = car1_model(rng.uniform(0, 0.97), rng.uniform(0.2, 2.0),
                            rotation=rng.uniform(-np.pi, np.pi))
@@ -113,7 +110,7 @@ def test_positive_definiteness(rng):
 
 def test_sdf_autocov_consistency(rng):
     # sum_{|tau|<=T} c(tau) e^{-iw tau} converges to sdf for discrete families
-    models = [ar_model([0.6], 1.3), ma_model([0.4, -0.2], 0.9),
+    models = [ar_model([0.6], 1.3), ar_model([], 0.9),
               car1_model(0.7, 1.1, rotation=0.5)]
     for m in models:
         t_max = 1
@@ -129,20 +126,16 @@ def test_sdf_autocov_consistency(rng):
 
 
 def test_yule_walker_identifiability(rng):
-    # recover AR(p) coefficients from the autocovariances they generate
+    # recover AR(0)/AR(1) coefficients from the autocovariances they
+    # generate: phi_1 = c(1) / c(0), and white noise has c(1) = 0
     for _ in range(25):
-        p = int(rng.integers(1, 4))
-        while True:
-            phi = rng.uniform(-1, 1, size=p) * 0.9 / p
-            try:
-                m = ar_model(phi, rng.uniform(0.5, 1.5))
-                break
-            except ValueError:
-                continue
-        c = autocov_sequence(m, p + 1)
-        toep = np.array([[c[abs(i - j)] for j in range(p)] for i in range(p)])
-        phi_rec = np.linalg.solve(toep, c[1: p + 1])
-        assert np.max(np.abs(phi_rec - phi)) < 1e-8
+        p = int(rng.integers(0, 2))
+        phi = rng.uniform(-0.9, 0.9, size=p)
+        m = ar_model(phi, rng.uniform(0.5, 1.5))
+        c = autocov_sequence(m, 2)
+        phi_rec = c[1:p + 1] / c[0]
+        assert np.max(np.abs(phi_rec - phi), initial=0.0) < 1e-8
+        assert p or c[1] == 0.0
         sigma2_rec = c[0] - phi_rec @ c[1: p + 1]
         assert abs(sigma2_rec - m.params.values[-1] ** 2) < 1e-8
 
@@ -340,7 +333,7 @@ def test_sdf_sampled_smooth_matern_stays_positive(h):
 
 
 @pytest.mark.parametrize("model", [
-    ar_model([0.6], 1.3), ar_model([0.5, -0.2], 1.1), ma_model([0.4, 0.2], 0.9),
+    ar_model([0.6], 1.3), ar_model([], 1.1), ar_model([-0.4], 0.9),
     car1_model(0.7, 1.2, rotation=0.4), car1_model(0.7, 1.2, gamma=-1.1),
     car1_model(0.0, 1.3, rotation=0.4), ou_model(1.5, 0.4),
     ou_model(1.5, 0.4, delta=0.25, rotation_cpd=-1.0), matern_model(1.3, 0.6, 1.5)])
@@ -360,14 +353,10 @@ def test_raw_float_entry_matches_the_model_functions(model):
     assert np.array_equal(padded(acv), autocov_sequence(other, n))
     f, jac = sdf_entry(model)(v, w, False)
     assert jac is None and np.array_equal(f, sdf_sampled(other, w))
-    if has_acv_grad(model):
-        acv, jac = acv_entry(model)(v, n, True)
-        ref_acv, ref_jac = autocov_grad(other, n)
-        assert np.array_equal(padded(acv), ref_acv) and np.array_equal(jac, ref_jac)
-        assert jac.shape == (len(v), acv.size)
-    else:
-        with pytest.raises(ValueError):
-            acv_entry(model)(v, n, True)
+    acv, jac = acv_entry(model)(v, n, True)  # every family has its acv rows
+    ref_acv, ref_jac = autocov_grad(other, n)
+    assert np.array_equal(padded(acv), ref_acv) and np.array_equal(jac, ref_jac)
+    assert jac.shape == (len(v), acv.size)
     if has_sdf_grad(model):
         assert np.array_equal(sdf_entry(model)(v, w, True)[1], sdf_grad(other, w))
     else:
@@ -377,8 +366,8 @@ def test_raw_float_entry_matches_the_model_functions(model):
 
 def test_raw_float_entries_raise_outside_the_model_class():
     for model, bad in ((ar_model([0.5], 1.0), [1.0, 1.0]),
-                       (ar_model([0.5, 0.1], 1.0), [0.5, 0.6, 1.0]),
-                       (ma_model([0.5], 1.0), [0.5, -1.0]),
+                       (ar_model([0.5], 1.0), [0.5, -1.0]),
+                       (ar_model([], 1.0), [-1.0]),
                        (car1_model(0.5, 1.0), [1.0, 1.0]),
                        (car1_model(0.5, 1.0, gamma=0.1), [0.5, 0.0, 0.1]),
                        (ou_model(1.0, 0.5), [1.0, 0.0]),
@@ -430,6 +419,8 @@ def test_stationarity_validation():
         ar_model([0.5], -0.1)
     with pytest.raises(ValueError):
         ou_model(1.0, 0.0)
+    with pytest.raises(ValueError):  # AR orders of 2 or more are not built
+        ar_model([0.5, -0.2], 1.0)
 
 
 def test_json_round_trip():
@@ -442,7 +433,7 @@ def test_json_round_trip():
 
 
 def test_json_without_bounds_takes_the_constructor_bounds():
-    for model in (ar_model([0.3], 1.0), ar_model([0.3, 0.1], 1.0), ma_model([0.2], 1.0),
+    for model in (ar_model([0.3], 1.0), ar_model([], 1.0),
                   car1_model(0.5, 1.0), car1_model(0.5, 1.0, gamma=0.2),
                   ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
         payload = json.loads(model_to_json(model))
@@ -458,6 +449,11 @@ def test_json_without_bounds_takes_the_constructor_bounds():
     assert back.params.upper.tolist() == [0.9, np.inf]
     with pytest.raises(ValueError):
         model_from_json({"family": "arma", "params": {"sigma": 1.0}})
+    # the retired families: MA(q) and AR orders of 2 or more
+    with pytest.raises(ValueError):
+        model_from_json({"family": "ma", "params": {"theta1": 0.5, "sigma": 1.0}})
+    with pytest.raises(ValueError):
+        model_from_json({"family": "ar", "params": {"phi1": 0.5, "phi2": -0.2, "sigma": 1.0}})
 
 
 def test_car1_free_rotation_matches_fixed(rng):
@@ -481,7 +477,7 @@ def test_car1_free_rotation_matches_fixed(rng):
 
 @pytest.mark.parametrize("model", [
     ar_model([-0.7], 1.3), ar_model([0.4], 0.8), car1_model(0.6, 1.1, rotation=0.9),
-    car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5)])
+    car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5), ar_model([], 1.3)])
 def test_sdf_grad_matches_central_differences(model):
     w = np.linspace(-np.pi, np.pi, 41)
     jac = sdf_grad(model, w)
@@ -499,6 +495,6 @@ def test_sdf_grad_matches_central_differences(model):
 
 
 def test_sdf_grad_only_for_ar1_and_car1():
-    for model in (ar_model([0.5, -0.2], 1.0), ma_model([0.5], 1.0), ou_model(1.0, 0.5)):
+    for model in (ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
         with pytest.raises(ValueError):
             sdf_grad(model, np.zeros(3))

@@ -489,39 +489,44 @@ def test_n_evals_counts_every_call_of_an_objective_without_a_score():
 
 
 def _without_a_score(case, seed):
-    """An Objective of a model whose family has no analytic score."""
-    from modwhittle import Objective, ar_model, bernoulli_mask, ma_model
+    """(objective, init, profiled) of an objective without an analytic score:
+    the Whittle kind of an ou or matern latent, the dense exact kind, and
+    Car1WhittleObjective."""
+    from modwhittle import Objective, ar_model, car1_model, matern_model, ou_model
+    from modwhittle.likelihood import Car1WhittleObjective
     from modwhittle.models import autocov_sequence
     from modwhittle.simulate import simulate_from_acv
 
     n = 256
-    if case.startswith("ar2"):
-        x = simulate_ar(ar_model([1.2, -0.5], 1.0), n, seed)
-        if case == "ar2-whittle":
-            return Objective("whittle", x, ar_model([0.1, 0.1], 1.0))
-        mod = bernoulli_mask(0.7, seed=seed, n=n)
-        return Objective("modulated-whittle", Series(mod.g * x.values),
-                         ar_model([0.1, 0.1], 1.0), modulator=mod)
     if case == "ar1-exact":
         x = simulate_ar(ar_model([0.7], 1.0), n, seed)
-        return Objective("exact", x, ar_model([0.1], 1.0))
-    q = int(case[2])
-    truth = ma_model([0.6, 0.3][:q], 1.0)
-    x = simulate_from_acv(autocov_sequence(truth, n), n, seed)
-    return Objective("whittle", x, ma_model([0.1] * q, 1.0))
+        obj = Objective("exact", x, ar_model([0.1], 1.0))
+        return obj, obj.init_params, ["sigma"]
+    if case in ("ou-whittle", "matern-whittle"):
+        truth, start = ((ou_model(1.2, 0.5, rotation_cpd=1.0), ou_model(1.0, 1.0, rotation_cpd=1.0))
+                        if case == "ou-whittle" else
+                        (matern_model(1.2, 0.7, 1.4), matern_model(1.0, 1.0, 1.0)))
+        x = simulate_from_acv(autocov_sequence(truth, n), n, seed, kind="complex")
+        obj = Objective("whittle", x, start)
+        return obj, obj.init_params, [start.params.names[0]]
+    z = simulate_complex_ar1(0.8, 1.0, np.full(n - 1, 0.6), n, seed)
+    if case == "car1-free-exact":  # d = 2: r and gamma
+        obj = Objective("exact", z, car1_model(0.5, 1.0, gamma=0.0))
+        return obj, obj.init_params, ["sigma"]
+    return Car1WhittleObjective(z, rotation=None), np.array([0.5, 1.0, 0.0]), []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("case", ["ar2-whittle", "ar2-masked-modulated", "ma2-whittle",
-                                  "ma1-whittle", "ar1-exact"])
+@pytest.mark.parametrize("case", ["ou-whittle", "matern-whittle", "car1-free-exact",
+                                  "car1-whittle", "ar1-exact"])
 def test_objective_without_a_score_ends_no_higher_than_the_simplex(case, seed):
     from helpers import simplex_fit
 
-    obj = _without_a_score(case, seed)
-    assert not obj.has_gradient
-    got = fit(obj, obj.init_params)
-    want = simplex_fit(obj, obj.init_params)
+    obj, init, profiled = _without_a_score(case, seed)
+    assert not getattr(obj, "has_gradient", False)
+    got = fit(obj, init)
+    want = simplex_fit(obj, init)
     f = want.objective_value
-    assert got.converged and got.profiled == ["sigma"]
+    assert got.converged and got.profiled == profiled
     assert got.n_evals > 0 and got.n_grad_evals == 0
     assert got.objective_value <= f + 1e-9 * max(1.0, abs(f))
