@@ -15,8 +15,10 @@ latent), else central differences in the polish coordinates
 converged at a projected gradient of at most POLISH_PGTOL * max(1, |f|),
 whatever L-BFGS-B reports; an unconverged L-BFGS-B stop is rerun once, or
 with ever shorter first steps while its runs meet +inf (a step out of the
-model class, which L-BFGS-B cannot step back from).  Multi-start keeps the
-better of the given initialization and a seeded perturbation of it.
+model class, which L-BFGS-B cannot step back from).  The given
+initialization, clipped into the box, is always searched; a seeded
+perturbation of it is searched only when that start failed (it scored +inf
+or did not converge), and the lower final value wins.
 
 An :class:`Objective` (it has a ``scale_index``) is fitted concentrated: its
 scale (sigma, A or B of one latent model, or the tied scale of an aggregate
@@ -78,7 +80,8 @@ FLAT_ULPS = 4
 
 
 class FitFailure(RuntimeError):
-    """Raised when no start produces a finite, converged objective."""
+    """Raised when the init lies outside the bounds even when clipped into
+    the search box, or when no start produces a finite objective."""
 
 
 def transform(values, lower, upper) -> np.ndarray:
@@ -258,8 +261,8 @@ class FitResult:
     at_bound: list = field(default_factory=list)
     n_rejected: int = 0
     profiled: list = field(default_factory=list)
-    # per start, in order (the given init first): its final objective (None
-    # when it scored +inf or lay outside the bounds), evaluations, converged
+    # per searched start, in order (the given init first): its init, final
+    # objective (None when it scored +inf), evaluations, converged
     start_results: list = field(default_factory=list)
     best_start: int = 0
 
@@ -503,8 +506,12 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
                 ``value_and_grad(theta) -> (value, gradient)``
     init      : ParameterVector, or plain values when the objective carries
                 names/lower/upper attributes
-    n_starts  : 1 tries the given init alone, 2 (or more) also a seeded
-                log-space perturbation of it; the best final value wins.
+    n_starts  : the most starts searched.  Start 0 is the given init,
+                clipped into the polish box (so an init on a finite bound is
+                searched from just inside it); each later start is a seeded
+                perturbation of it in :func:`transform` space, searched only
+                when no start before it converged.  The lowest final value
+                wins.
 
     An objective with one scale parameter (``scale_index`` not None and
     ``profile``: an :class:`~modwhittle.likelihood.Objective`, over one
@@ -525,7 +532,8 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     AT_BOUND_EPS of a finite bound are listed in ``at_bound``;
     ``n_rejected`` counts the evaluations that scored +inf, for objectives
     that count them (as :class:`~modwhittle.likelihood.Objective` does).
-    ``start_results`` gives each start's final objective, evaluations and
+    ``start_results`` gives each searched start's init (name -> value, the
+    concentrated scale left out), final objective, evaluations and
     convergence, and ``best_start`` the index of the one that won.
     """
     t0 = time.perf_counter()
@@ -542,24 +550,27 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     if max_iter is None:
         max_iter = 2000 * d
     rng = np.random.default_rng(seed)
-
-    starts = [values]
-    if n_starts >= 2 and d:
-        x0 = transform(values, lo, hi)
-        starts.append(inverse_transform(x0 + rng.normal(scale=0.5, size=d), lo, hi))
     log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
     search = _search_1d if d == 1 else _polish
+    searched_names = names if k is None else names[:k] + names[k + 1:]
+    # the init clipped into the box, so an init on a finite bound is searched
+    init = np.clip(values, *(_polish_theta(b, log_mask) for b in (box_lo, box_hi)))
+    try:
+        x0 = transform(init, lo, hi)
+    except ValueError as exc:  # NaN, or <= 0 under a lower bound of 0
+        raise FitFailure(f"init {values} lies outside the bounds: {exc}") from exc
 
     best = None
     records = []
     total_iters = 0
-    for start in starts:
-        record = {"objective": None, "n_evals": 0, "converged": False}
+    for i in range(max(1, n_starts) if d else 1):
+        if any(r["converged"] for r in records):
+            break  # a retry only follows starts that failed
+        start = init if i == 0 else inverse_transform(
+            x0 + rng.normal(scale=0.5, size=d), lo, hi)
+        record = {"init": dict(zip(searched_names, map(float, start))),
+                  "objective": None, "n_evals": 0, "converged": False}
         records.append(record)
-        try:
-            transform(start, lo, hi)  # strictly inside the bounds
-        except ValueError:
-            continue
         calls = searched.n_evals
         if d:
             res = search(searched, _polish_start(start, log_mask, box_lo, box_hi),
@@ -580,7 +591,7 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
             best = (fun, theta, res.converged, str(res.message), len(records) - 1)
     if best is None:
         raise FitFailure(
-            f"no finite objective from {len(starts)} start(s); last init {values}")
+            f"no finite objective from {len(records)} start(s); last init {values}")
     fun, theta, success, message, best_start = best
     if k is not None:
         theta = np.insert(theta, k, searched.scale(theta))

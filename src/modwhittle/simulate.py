@@ -255,7 +255,10 @@ class McReport:
     that raised, the fits that ended without the optimizer reporting
     convergence, and the fits whose final message is L-BFGS-B's abnormal
     line-search stop ("ABNORMAL...", which may still count as converged;
-    see :func:`~modwhittle.optimize.fit`).
+    see :func:`~modwhittle.optimize.fit`).  cost gives, per 'estimator@N',
+    the mean objective evaluations (``evals_per_fit``) and searched starts
+    (``starts_per_fit``) of the fits that did not raise: counts that, unlike
+    ``cpu``, do not depend on the host.
     """
 
     rows: list
@@ -263,6 +266,7 @@ class McReport:
     replicates: int
     nonconverged: dict
     abnormal: dict
+    cost: dict = field(default_factory=dict)
 
     def as_csv_rows(self) -> list:
         head = ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
@@ -424,7 +428,9 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
                             "values": [float(v) for v in res.theta_hat.values],
                             "cpu": res.wall_time,
                             "converged": res.converged,
-                            "abnormal": res.message.startswith("ABNORMAL")}
+                            "abnormal": res.message.startswith("ABNORMAL"),
+                            "n_evals": res.n_evals,
+                            "n_starts": len(res.start_results)}
             except (FitFailure, ValueError, np.linalg.LinAlgError) as exc:
                 rec[est] = {"error": f"{type(exc).__name__}: {exc}",
                             "cpu": time.perf_counter() - t0}
@@ -486,6 +492,7 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
     failures = {}
     nonconverged = {}
     abnormal = {}
+    cost = {}
     for n in study.n_grid:
         for est in study.estimators:
             fits = [rec[est] for _, rec in records[n]]
@@ -500,6 +507,10 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
                     f"replicates at N={n}; first error: {bad[0]['error']}")
             if not good:
                 raise RuntimeError(f"estimator {est!r} produced no fits at N={n}")
+            # plain sums: over a few fits numpy's call overhead would dominate
+            cost[f"{est}@{n}"] = {
+                "evals_per_fit": sum(f["n_evals"] for f in good) / len(good),
+                "starts_per_fit": sum(f["n_starts"] for f in good) / len(good)}
             names = good[0]["names"]
             cpu = float(np.mean([g["cpu"] for g in good]))
             values = np.array([g["values"] for g in good])
@@ -514,4 +525,4 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
                 rows.append({"estimator": est, "N": n, "param": name,
                              "bias": bias, "var": var, "mse": mse, "cpu": cpu})
     return McReport(rows=rows, failures=failures, replicates=study.replicates,
-                    nonconverged=nonconverged, abnormal=abnormal)
+                    nonconverged=nonconverged, abnormal=abnormal, cost=cost)

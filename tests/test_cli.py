@@ -5,6 +5,8 @@ import os
 import numpy as np
 
 from modwhittle.cli import main
+from modwhittle.models import matern_acv
+from modwhittle.simulate import simulate_from_acv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "modwhittle", "configs")
 
@@ -55,6 +57,11 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
         "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
     }))
+    # a band has side +1, -1 or 0
+    configs.append(("drifter-fit", {
+        "side": 2, "freq_range": [0.0, 2.0], "include_background": False,
+        "data": {"synthetic": {"kind": "drifter", "n": 64, "delta": 1 / 12,
+                               "A": 1.0, "lam": 0.4, "latitudes": [12.0] * 64}}}))
     for i, (verb, cfg) in enumerate(configs):
         out = tmp_path / f"out{i}"
         assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),
@@ -154,6 +161,12 @@ def test_mc_deterministic_modulo_timing(tmp_path):
         assert out + ".failures.json" in manifest["outputs"]
         assert out + ".nonconverged.json" in manifest["outputs"]
         assert out + ".abnormal.json" in manifest["outputs"]
+        assert out + ".cost.json" in manifest["outputs"]
+    cost = [json.loads(open(out + ".cost.json").read()) for out in (out1, out2)]
+    assert cost[0] == cost[1]
+    assert list(cost[0]) == ["modulated@128"]
+    assert cost[0]["modulated@128"]["starts_per_fit"] == 1.0
+    assert cost[0]["modulated@128"]["evals_per_fit"] > 0
     assert nonconverged[0] == nonconverged[1]
     assert list(nonconverged[0]) == ["modulated@128"]
     assert 0 <= nonconverged[0]["modulated@128"] <= 6
@@ -187,6 +200,25 @@ def test_fit_whittle_json(tmp_path, rng):
     assert report["profiled"] == ["sigma"] and report["n_rejected"] >= 0
 
 
+def test_fit_config_with_an_init_on_its_bound(tmp_path):
+    # alpha starts at its upper bound 4.0: the fit starts just inside it
+    z = simulate_from_acv(matern_acv(1.0, 0.5, 1.5, 1.0, 256), 256, 3).values
+    data = tmp_path / "matern.csv"
+    data.write_text("re\n" + "".join(f"{float(v)!r}\n" for v in z))
+    cfg = write_cfg(tmp_path, {
+        "objective": "whittle",
+        "model": {"family": "matern", "params": {"B": 1.0, "h": 0.5, "alpha": 4.0},
+                  "bounds": {"alpha": [0.51, 4.0]}},
+        "data": {"csv": str(data)},
+    })
+    out = str(tmp_path / "fit")
+    assert main(["fit", "--config", cfg, "-o", out]) == 0
+    report = json.loads(open(out + ".json").read())
+    assert report["converged"] and report["profiled"] == ["B"]
+    init = report["start_results"][0]["init"]
+    assert set(init) == {"h", "alpha"} and 4.0 - 1e-8 < init["alpha"] < 4.0
+
+
 def test_fit_drifter_fixture_five_params(tmp_path):
     out = str(tmp_path / "dfit")
     assert main(["fit", "--config", cfg_path("drifter_seg.json"), "-o", out]) == 0
@@ -197,7 +229,8 @@ def test_fit_drifter_fixture_five_params(tmp_path):
     assert set(report["at_bound"]) <= set(report["theta_hat"])
     assert report["profiled"] == ["scale"] and report["n_rejected"] >= 0
     starts = report["start_results"]
-    assert len(starts) == 2 and sum(s["n_evals"] for s in starts) == report["n_evals"]
+    assert len(starts) == 1 and sum(s["n_evals"] for s in starts) == report["n_evals"]
+    assert set(starts[0]["init"]) == {"ou0.lam", "matern1.q", "matern1.h", "matern1.alpha"}
     assert starts[report["best_start"]]["objective"] == report["objective"]
 
 
@@ -217,19 +250,23 @@ def test_drifter_fit_reports_alpha_at_bound(tmp_path):
     assert report["profiled"] == ["scale"] and report["n_rejected"] >= 0
 
 
+# a northern drifter, whose inertial peak lies at negative frequencies
+_SPECTRUM_CFG = {
+    "mode": "both",
+    "freq_range": [0.0, 2.0],
+    "delta": 1 / 12,
+    "data": {"synthetic": {
+        "kind": "drifter", "n": 512, "delta": 1 / 12,
+        "A": 1.0, "lam": 0.4, "B": 0.0, "h": 0.5, "alpha": 1.0,
+        "latitudes": {"start": 10.0, "stop": 15.0}}},
+    "include_background": False,
+    "fit_options": {"n_starts": 1},
+    "seed": 4,
+}
+
+
 def test_drifter_fit_spectrum_csv(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "mode": "both",
-        "freq_range": [0.0, 2.0],
-        "delta": 1 / 12,
-        "data": {"synthetic": {
-            "kind": "drifter", "n": 512, "delta": 1 / 12,
-            "A": 1.0, "lam": 0.4, "B": 0.0, "h": 0.5, "alpha": 1.0,
-            "latitudes": {"start": 10.0, "stop": 15.0}}},
-        "include_background": False,
-        "fit_options": {"n_starts": 1},
-        "seed": 4,
-    })
+    cfg = write_cfg(tmp_path, _SPECTRUM_CFG)
     out = str(tmp_path / "drift")
     assert main(["drifter-fit", "--config", cfg, "-o", out]) == 0
     report = json.loads(open(out + ".json").read())
@@ -238,6 +275,18 @@ def test_drifter_fit_spectrum_csv(tmp_path):
     assert rows[0] == ["omega_cpd", "periodogram", "stationary_fit",
                        "modulated_fit", "in_band"]
     assert len(rows) == 1 + 512
+
+
+def test_drifter_fit_takes_a_band_side(tmp_path):
+    # by default the hemisphere rule fits the negative side alone
+    sides = {}
+    for side in (None, 0):
+        out = str(tmp_path / f"drift{side}")
+        cfg = write_cfg(tmp_path, {**_SPECTRUM_CFG, "side": side}, f"cfg{side}.json")
+        assert main(["drifter-fit", "--config", cfg, "-o", out]) == 0
+        rows = read_csv(out + ".spectrum.csv")[1:]
+        sides[side] = {np.sign(float(r[0])) for r in rows if r[4] == "1"}
+    assert sides == {None: {-1.0, 0.0}, 0: {-1.0, 0.0, 1.0}}
 
 
 def test_drifter_batch_synthetic(tmp_path):

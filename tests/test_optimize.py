@@ -370,7 +370,7 @@ def test_one_parameter_search_halves_back_from_inf():
 def test_one_parameter_search_is_deterministic():
     fits = [fit(_Wall(), np.array([0.2]), lower=[-np.inf], upper=[np.inf], n_starts=2)
             for _ in range(2)]
-    assert fits[0].starts == 2
+    assert fits[0].starts == 1  # the first start converged: no retry
     assert np.array_equal(fits[0].theta_hat.values, fits[1].theta_hat.values)
     assert fits[0].objective_value == fits[1].objective_value
     assert fits[0].n_evals == fits[1].n_evals
@@ -432,20 +432,52 @@ def test_fit_records_every_start():
     obj = _Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.4, 1.7]))
     res = fit(obj, np.array([0.0, 1.0]), lower=[-10, 0], upper=[10, np.inf],
               n_starts=2, seed=5)
-    assert len(res.start_results) == 2 and res.starts == 2
+    # the first start converged, so the retry was not searched
+    assert len(res.start_results) == 1 and res.starts == 1
     assert sum(r["n_evals"] for r in res.start_results) == res.n_evals
     assert all(r["converged"] for r in res.start_results)
     best = res.start_results[res.best_start]
     assert best["objective"] == res.objective_value
     assert best["objective"] == min(r["objective"] for r in res.start_results)
+    assert best["init"] == {"theta0": 0.0, "theta1": 1.0}
     out = res.asdict()
     assert out["start_results"] == res.start_results and out["best_start"] == res.best_start
     # a start that scores +inf is recorded and loses to the perturbed one,
     # 1.2 + 0.5 N(0, 1) = 0.33 with seed 8
     res = fit(_Wall(), np.array([1.2]), lower=[-np.inf], upper=[np.inf], seed=8)
     assert res.starts == 1 and res.best_start == 1
-    assert res.start_results[0] == {"objective": None, "n_evals": 1, "converged": False}
+    assert res.start_results[0] == {"init": {"theta0": 1.2}, "objective": None,
+                                    "n_evals": 1, "converged": False}
+    assert abs(res.start_results[1]["init"]["theta0"] - 0.33) < 0.005
     assert abs(res.theta_hat.values[0] - 0.9505) < 1e-9
+
+
+def test_retry_follows_an_unconverged_start():
+    res = fit(_Smooth(), np.array([1.0, 0.5, 1.0, 0.0]), n_starts=2, max_iter=1)
+    first, retry = res.start_results
+    assert not first["converged"] and first["objective"] is not None
+    assert first["init"] == {f"theta{i}": v for i, v in enumerate([1.0, 0.5, 1.0, 0.0])}
+    assert retry["init"] != first["init"]
+    assert first["n_evals"] + retry["n_evals"] == res.n_evals
+    assert res.objective_value == min(first["objective"], retry["objective"])
+
+
+@pytest.mark.parametrize("n_starts", [1, 2])
+def test_init_on_a_finite_bound_is_searched_from_inside_the_box(n_starts):
+    res = fit(lambda th: (th[0] - 2) ** 2 + (th[1] - 0.5) ** 2, [1.0, 0.2],
+              lower=[0, 0], upper=[1, 1], n_starts=n_starts)
+    assert res.converged and res.at_bound == ["theta0"]
+    assert len(res.start_results) == 1
+    assert 1.0 - 1e-9 < res.start_results[0]["init"]["theta0"] < 1.0
+    np.testing.assert_allclose(res.theta_hat.values, [1.0, 0.5], atol=1e-6)
+    # a retry's perturbation is drawn from the clipped init
+    res = fit(lambda th: (th[0] - 2) ** 2 + (th[1] - 0.5) ** 2, [1.0, 0.2],
+              lower=[0, 0], upper=[1, 1], n_starts=n_starts, max_iter=1)
+    assert len(res.start_results) == n_starts
+    assert all(0.0 < v < 1.0 for r in res.start_results for v in r["init"].values())
+    # an init that clipping cannot bring inside is no start
+    with pytest.raises(FitFailure, match="outside the bounds"):
+        fit(lambda th: 0.0, [np.nan, 0.2], lower=[0, 0], upper=[1, 1], n_starts=n_starts)
 
 
 def test_plain_callable_reaches_the_optimum_beside_a_bound():

@@ -194,6 +194,22 @@ def test_run_study_reproducible_and_identity():
         assert abs(row["mse"] - (row["var"] + row["bias"] ** 2)) < 1e-12 * max(row["mse"], 1e-30)
 
 
+def test_cost_counts_do_not_depend_on_threads():
+    # two starts allowed, but every fit converges from its first
+    study = McStudy(kind="car1-bounded-walk",
+                    true_params={"r": 0.8, "sigma": 1.0},
+                    process={"gamma": np.pi / 2, "span": 1.0, "amp": 0.05},
+                    estimators=["modulated", "stationary"],
+                    n_grid=[64], replicates=4, seed=5,
+                    fit_options={"n_starts": 2})
+    rep1 = run_study(study)
+    assert rep1.nonconverged == {"modulated@64": 0, "stationary@64": 0}
+    assert rep1.cost == run_study(study, threads=2).cost
+    for key in ("modulated@64", "stationary@64"):
+        assert rep1.cost[key]["starts_per_fit"] == 1.0
+        assert rep1.cost[key]["evals_per_fit"] > 0
+
+
 def test_run_study_single_replicate():
     study = McStudy(kind="ar1-bernoulli-mask",
                     true_params={"a": 0.8, "sigma": 1.0},
