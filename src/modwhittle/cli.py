@@ -203,7 +203,6 @@ def _cmd_fit(cfg: dict, out: str, seed, threads: int) -> dict:
         wf = aux if aux is not None else _omega_f_from_config(cfg, len(data))
         result = fit_drifter(data, wf, mode=cfg.get("mode", "modulated"),
                              freq_range=tuple(cfg.get("freq_range", (0.0, 0.8))),
-                             side=_band_side(cfg),
                              include_background=cfg.get("include_background", True),
                              fit_options=opts)
         return {f"{out}.json": json.dumps(_drifter_report(result), indent=2)}
@@ -233,10 +232,9 @@ def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:
     opts = dict(cfg.get("fit_options", {}))
     include_b = cfg.get("include_background", True)
     mode = cfg.get("mode", "both")
-    side = _band_side(cfg)
     fits = {}
     for m in (("stationary", "modulated") if mode == "both" else (mode,)):
-        fits[m] = fit_drifter(data, wf, mode=m, freq_range=freq_range, side=side,
+        fits[m] = fit_drifter(data, wf, mode=m, freq_range=freq_range,
                               include_background=include_b, fit_options=opts)
     report = {m: _drifter_report(f) for m, f in fits.items()}
     if len(fits) == 2:
@@ -251,15 +249,6 @@ def _cmd_drifter_fit(cfg: dict, out: str, seed, threads: int) -> dict:
                      int(any_fit.mask[i])])
     return {f"{out}.json": json.dumps(report, indent=2),
             f"{out}.spectrum.csv": _csv_text(rows)}
-
-
-def _band_side(cfg: dict):
-    """The fitted band's side: +1, -1, 0 for both, or None (absent) for the
-    hemisphere rule of :func:`~modwhittle.drifter.fit_drifter`."""
-    side = cfg.get("side")
-    if side not in (None, 1, -1, 0) or isinstance(side, bool):
-        raise UsageError(f"side must be 1, -1 or 0, not {side!r}")
-    return side
 
 
 def _drifter_report(f) -> dict:
@@ -324,7 +313,6 @@ def _cmd_drifter_batch(cfg: dict, out: str, seed, threads: int) -> dict:
                                                delta, rng)
             cases.append((data, wf))
     rows = batch_compare(cases, freq_range=tuple(cfg.get("freq_range", (0.0, 0.8))),
-                         side=_band_side(cfg),
                          include_background=cfg.get("include_background", True),
                          fit_options=dict(cfg.get("fit_options", {})))
     header = ["case", "inv_lambda_stationary", "inv_lambda_modulated",

@@ -280,11 +280,9 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
     omega_f  : per-sample inertial frequency in cycles/day (known)
     mode     : "stationary" (rotation fixed at the mean inertial frequency) or
                "modulated" (rotation follows omega_f through the modulator)
-    freq_range : fitted band in cycles/day
-    side     : the band's side, +1 (non-negative frequencies), -1
-               (non-positive) or 0 (both); None chooses one side by
-               hemisphere, falling back to the observed peak side near the
-               equator.
+    freq_range : fitted band in cycles/day, one-sided; the side is chosen by
+               hemisphere (falling back to the observed peak side near the
+               equator) unless given explicitly.
     fit_options : keyword arguments of :func:`optimize.fit`.
 
     The fit runs on the aggregate's tied layout (:class:`AggregateModel`):
@@ -319,9 +317,8 @@ def fit_drifter(data: Series, omega_f, mode: str = "modulated",
 
 
 def batch_compare(cases, freq_range=(0.0, 0.8), include_background: bool = True,
-                  fit_options: dict | None = None, side: int | None = None) -> list:
-    """Fit every (velocities, omega_f) case in both modes, over the band
-    freq_range on the given side (as in :func:`fit_drifter`).
+                  fit_options: dict | None = None) -> list:
+    """Fit every (velocities, omega_f) case in both modes.
 
     Returns one dict per case with the damping timescales 1/lambda of both
     fits and the objective difference nll_stationary - nll_modulated
@@ -334,10 +331,10 @@ def batch_compare(cases, freq_range=(0.0, 0.8), include_background: bool = True,
         row = {"case": i}
         try:
             fs = fit_drifter(data, wf, mode="stationary", freq_range=freq_range,
-                             side=side, include_background=include_background,
+                             include_background=include_background,
                              fit_options=fit_options)
             fm = fit_drifter(data, wf, mode="modulated", freq_range=freq_range,
-                             side=side, include_background=include_background,
+                             include_background=include_background,
                              fit_options=fit_options)
             row.update({
                 "inv_lambda_stationary": fs.damping_time,

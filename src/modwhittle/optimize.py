@@ -80,8 +80,8 @@ FLAT_ULPS = 4
 
 
 class FitFailure(RuntimeError):
-    """Raised when the init lies outside the bounds even when clipped into
-    the search box, or when no start produces a finite objective."""
+    """Raised when the init lies outside the closed bounds (or at a lower
+    bound of 0), or when no start produces a finite objective."""
 
 
 def transform(values, lower, upper) -> np.ndarray:
@@ -254,7 +254,7 @@ class FitResult:
     iterations: int
     converged: bool
     wall_time: float
-    starts: int
+    starts: int  # the searched starts that ended with a finite objective
     n_evals: int = 0
     message: str = ""
     n_grad_evals: int = 0
@@ -508,7 +508,8 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
                 names/lower/upper attributes
     n_starts  : the most starts searched.  Start 0 is the given init,
                 clipped into the polish box (so an init on a finite bound is
-                searched from just inside it); each later start is a seeded
+                searched from just inside it; one beyond a bound raises
+                FitFailure); each later start is a seeded
                 perturbation of it in :func:`transform` space, searched only
                 when no start before it converged.  The lowest final value
                 wins.
@@ -553,12 +554,17 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
     search = _search_1d if d == 1 else _polish
     searched_names = names if k is None else names[:k] + names[k + 1:]
-    # the init clipped into the box, so an init on a finite bound is searched
+    outside = ~((lo <= values) & (values <= hi))  # NaN fails both
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise FitFailure(f"init {searched_names[j]} = {values[j]} lies outside "
+                         f"the bounds [{lo[j]}, {hi[j]}]")
+    # an init on a finite bound is clipped into the box and searched from there
     init = np.clip(values, *(_polish_theta(b, log_mask) for b in (box_lo, box_hi)))
     try:
         x0 = transform(init, lo, hi)
-    except ValueError as exc:  # NaN, or <= 0 under a lower bound of 0
-        raise FitFailure(f"init {values} lies outside the bounds: {exc}") from exc
+    except ValueError as exc:  # 0 under a lower bound of 0: the log box stays open
+        raise FitFailure(f"init {values} lies on a bound it cannot leave: {exc}") from exc
 
     best = None
     records = []

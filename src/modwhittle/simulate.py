@@ -256,9 +256,10 @@ class McReport:
     convergence, and the fits whose final message is L-BFGS-B's abnormal
     line-search stop ("ABNORMAL...", which may still count as converged;
     see :func:`~modwhittle.optimize.fit`).  cost gives, per 'estimator@N',
-    the mean objective evaluations (``evals_per_fit``) and searched starts
-    (``starts_per_fit``) of the fits that did not raise: counts that, unlike
-    ``cpu``, do not depend on the host.
+    the mean objective evaluations (``evals_per_fit``) and
+    :attr:`~modwhittle.optimize.FitResult.starts` (``starts_per_fit``) of the
+    fits that did not raise: counts that, unlike ``cpu``, do not depend on
+    the host.
     """
 
     rows: list
@@ -430,7 +431,7 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
                             "converged": res.converged,
                             "abnormal": res.message.startswith("ABNORMAL"),
                             "n_evals": res.n_evals,
-                            "n_starts": len(res.start_results)}
+                            "n_starts": res.starts}
             except (FitFailure, ValueError, np.linalg.LinAlgError) as exc:
                 rec[est] = {"error": f"{type(exc).__name__}: {exc}",
                             "cpu": time.perf_counter() - t0}

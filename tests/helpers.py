@@ -61,8 +61,10 @@ def simplex_fit(objective, init, lower=None, upper=None, *, n_starts=2,
     :func:`modwhittle.optimize.fit`'s signature and result, for tests that
     check a fit ends no higher than a simplex on the same objective.
 
-    It starts where ``fit`` does (the init and, with n_starts >= 2, its
-    seeded perturbation in ``optimize.transform`` space) and runs in that space,
+    It searches both of the starts ``fit`` may search (the init and, with
+    n_starts >= 2, its seeded perturbation in ``optimize.transform`` space,
+    which ``fit`` searches only as a retry after a failed first start), so
+    it is the stricter reference, and runs in that space,
     from a first simplex that moves each coordinate by 5% (by 0.05 where it
     is 0), to an objective spread of 1e-10 and a parameter spread of 1e-7.
     An objective with a ``scale_index`` whose bounds are (<= 0, inf) is

@@ -57,11 +57,6 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
         "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
     }))
-    # a band has side +1, -1 or 0
-    configs.append(("drifter-fit", {
-        "side": 2, "freq_range": [0.0, 2.0], "include_background": False,
-        "data": {"synthetic": {"kind": "drifter", "n": 64, "delta": 1 / 12,
-                               "A": 1.0, "lam": 0.4, "latitudes": [12.0] * 64}}}))
     for i, (verb, cfg) in enumerate(configs):
         out = tmp_path / f"out{i}"
         assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),
@@ -217,6 +212,15 @@ def test_fit_config_with_an_init_on_its_bound(tmp_path):
     assert report["converged"] and report["profiled"] == ["B"]
     init = report["start_results"][0]["init"]
     assert set(init) == {"h", "alpha"} and 4.0 - 1e-8 < init["alpha"] < 4.0
+    # an init beyond its bound is not clipped: the fit fails
+    cfg = write_cfg(tmp_path, {
+        "objective": "whittle",
+        "model": {"family": "matern", "params": {"B": 1.0, "h": 0.5, "alpha": 40.0},
+                  "bounds": {"alpha": [0.51, 4.0]}},
+        "data": {"csv": str(data)},
+    }, "beyond_cfg.json")
+    assert main(["fit", "--config", cfg, "-o", str(tmp_path / "beyond")]) == 2
+    assert not os.path.exists(str(tmp_path / "beyond") + ".json")
 
 
 def test_fit_drifter_fixture_five_params(tmp_path):
@@ -250,23 +254,19 @@ def test_drifter_fit_reports_alpha_at_bound(tmp_path):
     assert report["profiled"] == ["scale"] and report["n_rejected"] >= 0
 
 
-# a northern drifter, whose inertial peak lies at negative frequencies
-_SPECTRUM_CFG = {
-    "mode": "both",
-    "freq_range": [0.0, 2.0],
-    "delta": 1 / 12,
-    "data": {"synthetic": {
-        "kind": "drifter", "n": 512, "delta": 1 / 12,
-        "A": 1.0, "lam": 0.4, "B": 0.0, "h": 0.5, "alpha": 1.0,
-        "latitudes": {"start": 10.0, "stop": 15.0}}},
-    "include_background": False,
-    "fit_options": {"n_starts": 1},
-    "seed": 4,
-}
-
-
 def test_drifter_fit_spectrum_csv(tmp_path):
-    cfg = write_cfg(tmp_path, _SPECTRUM_CFG)
+    cfg = write_cfg(tmp_path, {
+        "mode": "both",
+        "freq_range": [0.0, 2.0],
+        "delta": 1 / 12,
+        "data": {"synthetic": {
+            "kind": "drifter", "n": 512, "delta": 1 / 12,
+            "A": 1.0, "lam": 0.4, "B": 0.0, "h": 0.5, "alpha": 1.0,
+            "latitudes": {"start": 10.0, "stop": 15.0}}},
+        "include_background": False,
+        "fit_options": {"n_starts": 1},
+        "seed": 4,
+    })
     out = str(tmp_path / "drift")
     assert main(["drifter-fit", "--config", cfg, "-o", out]) == 0
     report = json.loads(open(out + ".json").read())
@@ -275,18 +275,6 @@ def test_drifter_fit_spectrum_csv(tmp_path):
     assert rows[0] == ["omega_cpd", "periodogram", "stationary_fit",
                        "modulated_fit", "in_band"]
     assert len(rows) == 1 + 512
-
-
-def test_drifter_fit_takes_a_band_side(tmp_path):
-    # by default the hemisphere rule fits the negative side alone
-    sides = {}
-    for side in (None, 0):
-        out = str(tmp_path / f"drift{side}")
-        cfg = write_cfg(tmp_path, {**_SPECTRUM_CFG, "side": side}, f"cfg{side}.json")
-        assert main(["drifter-fit", "--config", cfg, "-o", out]) == 0
-        rows = read_csv(out + ".spectrum.csv")[1:]
-        sides[side] = {np.sign(float(r[0])) for r in rows if r[4] == "1"}
-    assert sides == {None: {-1.0, 0.0}, 0: {-1.0, 0.0, 1.0}}
 
 
 def test_drifter_batch_synthetic(tmp_path):

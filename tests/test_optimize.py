@@ -475,9 +475,15 @@ def test_init_on_a_finite_bound_is_searched_from_inside_the_box(n_starts):
               lower=[0, 0], upper=[1, 1], n_starts=n_starts, max_iter=1)
     assert len(res.start_results) == n_starts
     assert all(0.0 < v < 1.0 for r in res.start_results for v in r["init"].values())
-    # an init that clipping cannot bring inside is no start
+    # an init beyond a bound is no start: it is not clipped
+    for bad in ([np.nan, 0.2], [1.5, 0.2], [0.5, -0.5]):
+        with pytest.raises(FitFailure, match="outside the bounds"):
+            fit(lambda th: 0.0, bad, lower=[0, 0], upper=[1, 1], n_starts=n_starts)
     with pytest.raises(FitFailure, match="outside the bounds"):
-        fit(lambda th: 0.0, [np.nan, 0.2], lower=[0, 0], upper=[1, 1], n_starts=n_starts)
+        fit(lambda th: 0.0, [0.1, 0.2], lower=[0.51, 0], upper=[4, 1], n_starts=n_starts)
+    # 0 under a lower bound of 0 has no log coordinate to start from
+    with pytest.raises(FitFailure, match="cannot leave"):
+        fit(lambda th: 0.0, [0.0, 0.2], lower=[0, 0], upper=[1, 1], n_starts=n_starts)
 
 
 def test_plain_callable_reaches_the_optimum_beside_a_bound():
