@@ -3,8 +3,8 @@
 Verbs: simulate, fit, mc, drifter-fit, drifter-batch, diagnose.  Every
 command reads a JSON config, is deterministic given (config, seed), writes
 outputs atomically (temp file + rename), and drops a machine-readable
-manifest (config hash, seed, package versions, BLAS thread settings) next
-to the outputs.
+manifest (config hash, seed, package versions, BLAS thread settings, peak
+memory) next to the outputs.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import sys
 
 import numpy as np
@@ -102,6 +103,12 @@ def _manifest(verb: str, config_text: str, seed, outputs) -> str:
         },
         # the BLAS/OpenMP pool sizes, which set the speed of every timing field
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        # host-dependent, like every timing field: the peak resident memory
+        # of this process and of its largest finished worker (0 without one)
+        "peak_rss_mb": {
+            who: resource.getrusage(which).ru_maxrss / 1024.0  # KiB on Linux
+            for who, which in (("self", resource.RUSAGE_SELF),
+                               ("workers", resource.RUSAGE_CHILDREN))},
         "outputs": sorted(outputs),
     }, indent=2)
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
@@ -139,6 +138,8 @@ def _exact_dense(data: Series, mod: Modulator | None, acv):
     """(log|C_Y|, y* C_Y^{-1} y, N') of :func:`exact_gaussian_nll`, uncapped;
     acv(L) gives the latent acv at lags 0..L-1, or at the head of them past
     which it is zero."""
+    import scipy.linalg  # about 0.3 s to import, and only the dense kind needs it
+
     y = np.asarray(data.values)
     n = y.size
     g = np.ones(n) if mod is None else np.asarray(mod.g)
@@ -542,7 +543,7 @@ class Objective:
         the one evaluation routine, and the one place that knows the scale.
 
         The chain runs at scale 1 (with profile theta holds it already).  At
-        s2 = scale^2, or with profile at the minimiser s2 = Q / M,
+        s2 = scale^2, with profile at the minimiser scale = sqrt(Q / M),
 
             l = (L + M log s2 + Q / s2) / n,   dl/dscale = 2 (M - Q / s2) / (scale n).
 
@@ -561,14 +562,12 @@ class Objective:
                 unit[k] = 1.0
             try:
                 big_l, quad, m, n, pull = self._chain(unit, grad)
-                if profile:  # where Q / s2 = M
-                    s2 = quad / m
-                    value = (big_l + m * (1.0 + math.log(s2))) / n
-                    scale = math.sqrt(s2)
-                else:  # Python floats: a huge scale gives inf, not a warning
-                    scale = float(theta[k])
-                    s2 = scale * scale
-                    value = (big_l + m * math.log(s2) + quad / s2) / n
+                # Python floats: a huge scale gives inf, not a warning.  The
+                # profiled value takes the direct form at its scale, so it
+                # equals a direct evaluation there to the last bit
+                scale = math.sqrt(quad / m) if profile else float(theta[k])
+                s2 = scale * scale
+                value = (big_l + m * math.log(s2) + quad / s2) / n
                 gradient = None
                 if grad:
                     gradient = pull(s2)

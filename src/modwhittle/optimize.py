@@ -18,7 +18,9 @@ with ever shorter first steps while its runs meet +inf (a step out of the
 model class, which L-BFGS-B cannot step back from).  The given
 initialization, clipped into the box, is always searched; a seeded
 perturbation of it is searched only when that start failed (it scored +inf
-or did not converge), and the lower final value wins.
+or did not converge), and the lower final value wins.  scipy.optimize is
+imported by the first L-BFGS-B run (:func:`minimize`), so a process whose
+fits each search one coordinate never loads it.
 
 An :class:`Objective` (it has a ``scale_index``) is fitted concentrated: its
 scale (sigma, A or B of one latent model, or the tied scale of an aggregate
@@ -33,9 +35,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .core import ParameterVector, Series
 from .modulation import (
@@ -77,6 +79,25 @@ STEP_GROWTH = 4.0
 # once two trials in a row end within FLAT_ULPS ulp of the best value
 BRACKET_XTOL = 1e-10
 FLAT_ULPS = 4
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call: the import takes
+    about 0.5 s, and a fit with one searched parameter never needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
+class _Stop(NamedTuple):
+    """Where a search of one start stopped: the point x in the polish
+    coordinates, its value fun (+inf when the start scored +inf), the
+    iterations nit, ``converged`` by the projected-gradient test of
+    :func:`_polish`, and the stopping rule as message."""
+    x: np.ndarray
+    fun: float
+    nit: int
+    converged: bool
+    message: str
 
 
 class FitFailure(RuntimeError):
@@ -304,8 +325,8 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
     while its runs meet a trial that scores +inf, in u = y / s with s
     RESCALE times smaller each time (its first step, of length 1 in u, that
     much shorter) down to BRACKET_XTOL.  The first run has s = 1.  Returns
-    the last run's OptimizeResult in y with ``converged``, and nit summed
-    over the runs."""
+    the last run's stop in y as a :class:`_Stop`, with nit summed over the
+    runs."""
     n_iters = 0
     s, restarted = 1.0, False
     while True:
@@ -334,8 +355,7 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
         else:
             restarted = True
         y0 = y  # L-BFGS-B never ends above its start
-    res.update(x=y, jac=g, nit=n_iters, converged=converged)
-    return res
+    return _Stop(y, res.fun, n_iters, converged, str(res.message))
 
 
 def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
@@ -360,9 +380,8 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
     within FLAT_ULPS ulp of each other the smaller |g| is the better point:
     there the values are rounding noise and the gradient is not.
 
-    Returns an OptimizeResult at the best point (x, fun, jac, nfev, nit,
-    message) with ``converged``, the projected-gradient test of
-    :func:`_polish`; fun is +inf when y0 scores +inf.
+    Returns a :class:`_Stop` at the best point, with nit one less than the
+    evaluations; fun is +inf when y0 scores +inf.
     """
     nfev = 0
 
@@ -430,10 +449,8 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
             b = t
     y, f, g = a
     pg = np.clip(y - g, box_lo[0], box_hi[0]) - y
-    return OptimizeResult(
-        x=np.array([y]), fun=f, jac=np.array([g]), nfev=nfev, nit=nfev - 1,
-        message=message,
-        converged=bool(abs(pg) <= POLISH_PGTOL * max(1.0, abs(f))))
+    return _Stop(np.array([y]), f, nfev - 1,
+                 bool(abs(pg) <= POLISH_PGTOL * max(1.0, abs(f))), message)
 
 
 def _shrink_trial(a, b) -> float:
@@ -497,6 +514,16 @@ class _Searched:
         return self._scales[key]
 
 
+def _retry_starts(init, lower, upper, seed):
+    """The seeded perturbations of init in :func:`transform` space, one per
+    ``next``.  The transform and the random stream are built at the first
+    ``next``, so a fit whose first start converges builds neither."""
+    x0 = transform(init, lower, upper)
+    rng = np.random.default_rng(seed)
+    while True:
+        yield inverse_transform(x0 + rng.normal(scale=0.5, size=x0.size), lower, upper)
+
+
 def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         max_iter: int | None = None, seed: int = 0) -> FitResult:
     """Minimize a bounded objective (see the module docstring for the method).
@@ -509,10 +536,10 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     n_starts  : the most starts searched.  Start 0 is the given init,
                 clipped into the polish box (so an init on a finite bound is
                 searched from just inside it; one beyond a bound raises
-                FitFailure); each later start is a seeded
-                perturbation of it in :func:`transform` space, searched only
-                when no start before it converged.  The lowest final value
-                wins.
+                FitFailure, as does 0 under a lower bound of 0); each later
+                start is a seeded perturbation of it in :func:`transform`
+                space, drawn and searched only when no start before it
+                converged.  The lowest final value wins.
 
     An objective with one scale parameter (``scale_index`` not None and
     ``profile``: an :class:`~modwhittle.likelihood.Objective`, over one
@@ -550,7 +577,6 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     d = values.size
     if max_iter is None:
         max_iter = 2000 * d
-    rng = np.random.default_rng(seed)
     log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
     search = _search_1d if d == 1 else _polish
     searched_names = names if k is None else names[:k] + names[k + 1:]
@@ -559,12 +585,15 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         j = int(np.argmax(outside))
         raise FitFailure(f"init {searched_names[j]} = {values[j]} lies outside "
                          f"the bounds [{lo[j]}, {hi[j]}]")
-    # an init on a finite bound is clipped into the box and searched from there
+    # an init on a finite bound is clipped into the box and searched from
+    # there, but the log box stays open at a lower bound of 0
     init = np.clip(values, *(_polish_theta(b, log_mask) for b in (box_lo, box_hi)))
-    try:
-        x0 = transform(init, lo, hi)
-    except ValueError as exc:  # 0 under a lower bound of 0: the log box stays open
-        raise FitFailure(f"init {values} lies on a bound it cannot leave: {exc}") from exc
+    stuck = log_mask & (init <= 0.0)
+    if stuck.any():
+        j = int(np.argmax(stuck))
+        raise FitFailure(f"init {searched_names[j]} = {values[j]} lies on a bound "
+                         f"it cannot leave ({lo[j]})")
+    retries = _retry_starts(init, lo, hi, seed)
 
     best = None
     records = []
@@ -572,8 +601,7 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     for i in range(max(1, n_starts) if d else 1):
         if any(r["converged"] for r in records):
             break  # a retry only follows starts that failed
-        start = init if i == 0 else inverse_transform(
-            x0 + rng.normal(scale=0.5, size=d), lo, hi)
+        start = init if i == 0 else next(retries)
         record = {"init": dict(zip(searched_names, map(float, start))),
                   "objective": None, "n_evals": 0, "converged": False}
         records.append(record)
@@ -583,9 +611,7 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
                          log_mask, box_lo, box_hi, max_iter)
             theta = _polish_theta(res.x, log_mask)
         else:  # only the concentrated scale is free: its closed form is the fit
-            res = OptimizeResult(fun=searched.value(start, False)[0], nit=0,
-                                 converged=True,
-                                 message="closed form")
+            res = _Stop(start, searched.value(start, False)[0], 0, True, "closed form")
             theta = start
         total_iters += int(res.nit)
         record["n_evals"] = searched.n_evals - calls

@@ -29,6 +29,7 @@ from modwhittle.likelihood import (
     spectral_nll,
 )
 from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequency_modulator
+from modwhittle.optimize import fit
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
@@ -359,6 +360,25 @@ def test_compare_likelihoods_takes_an_aggregate(rng):
     assert fitted.profiled == ["scale"]
     direct = Objective("modulated-whittle", z, agg, check_significance=False)
     assert direct(fitted.theta_hat.values) == out["nll_modulated"]
+
+
+@pytest.mark.parametrize("kind", ["whittle", "modulated-whittle"])
+def test_fit_reports_the_objective_at_its_estimate(kind):
+    # the profiled value is the direct form at the profiled scale, so the
+    # value a fit reports is its objective at theta_hat to the last bit
+    n = 256
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        beta = bounded_random_walk_beta(np.pi / 2, 1.0, 0.05, n, rng)[1:]
+        z = simulate_complex_ar1(0.8, 1.0, beta, n, rng)
+        if kind == "whittle":
+            obj = Objective(kind, z, car1_model(0.5, 1.0, rotation=float(np.mean(beta))))
+        else:
+            obj = Objective(kind, z, car1_model(0.5, 1.0),
+                            modulator=frequency_modulator(beta), check_significance=False)
+        res = fit(obj, obj.init_params, n_starts=1)
+        assert res.profiled == ["sigma"]
+        assert res.objective_value == obj(res.theta_hat.values), seed
 
 
 def test_linear_beta_objectives_agree_with_generic(rng):

@@ -112,6 +112,21 @@ def test_complex_ar1_matches_literal_recursion(rng):
     assert np.max(np.abs(z - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 257, 4097])
+@pytest.mark.parametrize("r", [0.0, -0.83, 0.5, 0.973, 0.995, 1 - 1e-6])
+def test_ar1_scan_is_the_recursion(r, n):
+    # the complex AR(1) simulator's doubling scan against y_t = r y_{t-1} + x_t
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        ref = x.tolist()
+        for t in range(1, n):
+            ref[t] = r * ref[t - 1] + ref[t]
+        ref = np.array(ref)
+        got = simulate._ar1_scan(x, r)
+        assert got.dtype == x.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_demodulated_series_is_stationary_ar1(rng):
     n = 100_000
     beta = rng.uniform(-1.5, 1.5, size=n - 1)
@@ -293,13 +308,39 @@ def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
     assert abs(two_phase.objective_value - simplex.objective_value) <= 1e-9
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is a slow import, made only by the simulators that filter
+# a Table 1 replicate with both estimators, then a four-parameter drifter fit,
+# each followed by the scipy subpackages it loaded
+FOOTPRINT = """
+import sys
+import numpy as np
+from modwhittle.drifter import fit_drifter, simulate_drifter_velocities
+from modwhittle.simulate import McStudy, run_study
+
+def loaded():
+    return [m for m in ("scipy.signal", "scipy.optimize", "scipy.linalg") if m in sys.modules]
+
+run_study(McStudy(kind="car1-bounded-walk", true_params={"r": 0.8, "sigma": 1.0},
+                  process={"gamma": np.pi / 2, "span": 1.0, "amp": 0.05},
+                  estimators=["modulated", "stationary"], n_grid=[128], replicates=1,
+                  fit_options={"n_starts": 1}))
+print(loaded())
+wf = np.full(256, 1.5)
+data = simulate_drifter_velocities(1.0, 0.4, 1.2, 0.7, 1.1, wf, 1 / 12, 3)
+fit_drifter(data, wf, freq_range=(0.0, 2.0), fit_options={"n_starts": 1})
+print(loaded())
+"""
+
+
+def test_table1_study_and_drifter_fit_import_only_the_scipy_they_use():
+    # scipy.signal, scipy.optimize and scipy.linalg take about 0.9 s and 50 MB
+    # to import: a Table 1 study needs none of them, a drifter fit only
+    # scipy.optimize's L-BFGS-B (which imports scipy.linalg itself)
     src = os.path.dirname(os.path.dirname(modwhittle.__file__))
-    code = "import sys, modwhittle; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    study, drifter = out.stdout.splitlines()
+    assert study == "[]"
+    assert "scipy.optimize" in drifter and "scipy.signal" not in drifter
 
 
 def _walk_by_recursion(gamma, span, amp, n, seed):
