@@ -334,17 +334,17 @@ def _cmd_diagnose(cfg: dict, out: str, seed, threads: int) -> dict:
     mod = _from_config(modulator_from_json, cfg["modulator"])
     report = {}
     if "lags" in cfg:
-        diag = significant_correlation_diagnostic(
-            mod, cfg["lags"], cfg.get("n_grid", [mod.n // 2, mod.n]),
-            tol=cfg.get("tol", 1e-3))
+        diag = _from_config(significant_correlation_diagnostic,
+                            mod, cfg["lags"], cfg.get("n_grid", [mod.n // 2, mod.n]),
+                            tol=cfg.get("tol", 1e-3))
         report["significant_correlation"] = {
             "min_abs_cg": {str(k): v for k, v in diag["min_abs_cg"].items()},
             "flagged": diag["flagged"],
             "tol": diag["tol"],
         }
     if "mu" in cfg:
-        ok, witness = stationarity_check(mod, mu=cfg["mu"],
-                                         tol=cfg.get("stationarity_tol", 1e-8))
+        ok, witness = _from_config(stationarity_check, mod, mu=cfg["mu"],
+                                   tol=cfg.get("stationarity_tol", 1e-8))
         report["stationary"] = {"is_stationary": ok, "witness": witness}
     return {f"{out}.json": json.dumps(report, indent=2)}
 

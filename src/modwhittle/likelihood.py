@@ -30,11 +30,11 @@ Sbar zero-pads.  An objective may take a parametric
 modulation kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`)
 whose free parameters follow the latent ones; the exact kind of a car1
 latent under that kernel is the O(N) Markov likelihood :func:`exact_car1_nll`.
-That likelihood, every modulated-Whittle objective (every latent acv has a
-closed-form derivative) and the Whittle kind of an ar or car1 latent have an
-analytic gradient; :func:`~modwhittle.optimize.fit` searches the others (the
-dense exact kind and the Whittle kind of an ou or matern latent) on central
-differences.
+That likelihood and every spectral objective have an analytic gradient (the
+Whittle kind takes ar and car1 alone; an ou or matern latent takes the
+modulated-Whittle kind, with ``constant_modulator(n)`` for an unmodulated
+series); :func:`~modwhittle.optimize.fit` searches the dense exact kind on
+central differences.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .models import (
     acv_entry,
     autocov_sequence,
     car1_model,
-    has_sdf_grad,
     scale_index,
     sdf_entry,
 )
@@ -367,15 +366,14 @@ class Objective:
     follow.  exact takes a plain latent with a Modulator or none (the dense
     oracle, N <= EXACT_CAP), or a car1 latent without rotation under a
     LinearRampKernel (:func:`exact_car1_nll`, beta_t = gamma + span ramp_t);
-    whittle a plain latent and no modulator; modulated-whittle a plain latent
-    with a modulator or a kernel, or an :class:`AggregateModel`.  Only the
-    spectral kinds take a frequency ``mask``.  Any other shape raises
-    ValueError.  The modulated-whittle kind keeps the
-    periodogram and the mask in numpy FFT order (k = 0..N-1), the order its
-    expected periodogram comes out of the transform in.  For
-    ``has_gradient`` see :meth:`value_and_grad`: always true for
-    modulated-whittle, :func:`~modwhittle.models.has_sdf_grad` for whittle,
-    and true for exact only under a kernel (the Markov likelihood).
+    whittle a plain ar or car1 latent and no modulator; modulated-whittle a
+    plain latent with a modulator or a kernel, or an :class:`AggregateModel`.
+    Only the spectral kinds take a frequency ``mask``.  Any other shape
+    raises ValueError.  The modulated-whittle kind keeps the periodogram and
+    the mask in numpy FFT order (k = 0..N-1), the order its expected
+    periodogram comes out of the transform in.  For ``has_gradient`` see
+    :meth:`value_and_grad`: always true for the spectral kinds, and true for
+    exact only under a kernel (the Markov likelihood).
 
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
@@ -459,11 +457,10 @@ class Objective:
         # the whole grid indexed by a view, else by the mask's positions
         self._mask = slice(None) if self._mask.all() else np.flatnonzero(self._mask)
         self._shat = shat[self._mask]
+        self.has_gradient = True
         if self.kind == "whittle":
             self._freqs = fourier_grid(n).frequencies
-            self.has_gradient = has_sdf_grad(self.model)
             return
-        self.has_gradient = True
         if self._kernel is None:
             self.cgs = [component_cg(mod, n) for _, mod in components]
         # the lag-0/1 diagnostic needs two samples

@@ -29,12 +29,15 @@ K_nu(x) = int_0^inf e^{-x cosh t} cosh(nu t) dt over one exponential table per
 block of lags (:func:`_matern_bessel`), so every Matern derivative is closed
 form.
 
-Each family has one autocovariance and one sdf implementation, on raw float
-parameter values (:func:`acv_entry`, :func:`sdf_entry`); the functions on a
-:class:`LatentModel` wrap them, and objectives call them directly.  Every
-acv is closed form with a closed-form parameter derivative: the geometric
-table of an AR(1), car1 or ou (white noise is its r = 0 case), and the
-Matern table.
+Each family has one autocovariance implementation on raw float parameter
+values (:func:`acv_entry`), and the discrete families ar and car1 one sdf
+implementation (:func:`sdf_entry`); the functions on a :class:`LatentModel`
+wrap them, and objectives call them directly.  Every acv is closed form with
+a closed-form parameter derivative: the geometric table of an AR(1), car1 or
+ou (white noise is its r = 0 case), and the Matern table.  So is the sdf of
+ar and car1.  ou and matern have no discrete-time sdf: the modulated
+Whittle likelihood with g = 1 (``constant_modulator(n)``), the debiased
+Whittle likelihood, fits them from their acv.
 """
 
 from __future__ import annotations
@@ -85,8 +88,6 @@ SCALE_PARAMS = {"ar": "sigma", "car1": "sigma", "ou": "A", "matern": "B"}
 MATERN_NODE_STEP = 0.1
 MATERN_TAIL = 40.0
 MATERN_BLOCK_EDGES = (1.0, 6.0)
-# most elements of each trigonometric table of sdf_sampled's Matern lag sum
-SDF_LAG_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -498,9 +499,9 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # raw-float entries
 # ----------------------------------------------------------------------
 #
-# One autocovariance and one spectral density per family, on raw float
-# parameter values (the layout of the family's ParameterVector), with the
-# model's delta and fixed rotation as keywords:
+# One autocovariance per family and one spectral density per discrete family
+# (ar, car1), on raw float parameter values (the layout of the family's
+# ParameterVector), with the model's delta and fixed rotation as keywords:
 #
 #     acv(values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
 #     sdf(values, omega, grad, delta, rotation) -> (f_X at omega, jac)
@@ -508,9 +509,8 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
 # holds one derivative row per parameter (None without grad) over lags
 # 0..L-1, or at each omega.  Each raises the ValueError of
-# validate_stationary outside the model class.  Every acv has its derivative
-# rows; the sdf has them for ar and car1 only (has_sdf_grad), and raises one
-# for grad otherwise.  autocov_sequence, autocov_grad, sdf_sampled, sdf_grad
+# validate_stationary outside the model class.  Every acv and every sdf has
+# its derivative rows.  autocov_sequence, autocov_grad, sdf_sampled, sdf_grad
 # and Objective evaluations all run these, so every family has one
 # implementation.
 
@@ -579,44 +579,8 @@ def _sdf_car1(values, w, grad, delta, rotation):
                      gamma is not None)
 
 
-def _sdf_ou(values, w, grad, delta, rotation):
-    amp, lam = _check_ou(values)
-    if grad:
-        raise ValueError("no sdf gradient for ou")
-    r, sig = ou_to_ar(amp, lam, delta)
-    return _car1_sdf(r, sig, w - 2.0 * np.pi * delta * rotation, False, False)
-
-
-def _sdf_matern(values, w, grad, delta, rotation):
-    """The Hermitian lag sum of the Matern acv, truncated where the acv has
-    decayed below working precision and floored at the sum's rounding level
-    eps (|c(0)| + 2 sum |c(tau)|), which the true value of a smooth Matern
-    falls below at high frequency."""
-    b, h, alpha = _check_matern(values)
-    if grad:
-        raise ValueError("no sdf gradient for matern")
-    nlags = max(8, _matern_lag_cap(h, alpha, delta, 1 << 18))
-    c = matern_acv(b, h, alpha, delta, nlags)
-    # the lag sum in blocks of `width` lags, by cos(w (lo + j)) =
-    # cos(w lo) cos(w j) - sin(w lo) sin(w j): the tables of j < width are
-    # built once, about sqrt(nlags) wide and at most SDF_LAG_BLOCK
-    # elements, so neither the trigonometry nor the memory grows with
-    # len(omega) x nlags
-    width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // max(w.size, 1)))
-    phase = np.multiply.outer(w, np.arange(width))
-    cos_j, sin_j = np.cos(phase), np.sin(phase)
-    out = np.full(w.shape, c[0])
-    for lo in range(1, nlags, width):
-        c_blk = 2.0 * c[lo:lo + width]
-        k = c_blk.size
-        out += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
-                - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
-    floor = np.finfo(float).eps * (abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))
-    return np.maximum(out, floor), None
-
-
 _ACV = {"ar": _acv_ar, "car1": _acv_car1, "ou": _acv_ou, "matern": _acv_matern}
-_SDF = {"ar": _sdf_ar, "car1": _sdf_car1, "ou": _sdf_ou, "matern": _sdf_matern}
+_SDF = {"ar": _sdf_ar, "car1": _sdf_car1}
 
 
 def acv_entry(model: LatentModel):
@@ -629,7 +593,11 @@ def acv_entry(model: LatentModel):
 
 def sdf_entry(model: LatentModel):
     """The raw-float discrete-time sdf of model's family with its delta and
-    rotation bound: (values, omega, grad) -> (f_X at omega, jac or None)."""
+    rotation bound: (values, omega, grad) -> (f_X at omega, jac or None).
+    ar and car1 only: ou and matern raise ValueError."""
+    if model.family not in _SDF:
+        raise ValueError(f"no discrete-time sdf for {model.family}: use the modulated-whittle "
+                         "kind, with constant_modulator(n) for an unmodulated series")
     return functools.partial(_SDF[model.family], delta=model.delta,
                              rotation=model.rotation)
 
@@ -703,17 +671,11 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
     return out if np.ndim(omega) else float(out)
 
 
-def has_sdf_grad(model: LatentModel) -> bool:
-    """Whether :func:`sdf_grad` serves model: ar, or car1 with a fixed or a
-    free rotation."""
-    return model.family in ("ar", "car1")
-
-
 def sdf_grad(model: LatentModel, omega) -> np.ndarray:
     """Derivatives of sdf_sampled at the frequencies omega in the free parameters.
 
-    Returns jac with jac[j] = df/dtheta_j at every omega, for the models of
-    :func:`has_sdf_grad` (else ValueError): with f = sigma^2 / D and
+    Returns jac with jac[j] = df/dtheta_j at every omega, for ar and car1
+    (else ValueError, as :func:`sdf_entry`): with f = sigma^2 / D and
     D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 and r = phi_1 for an AR(1),
     and white noise, r = 0, has the sigma row alone),
 
@@ -727,9 +689,8 @@ def sdf_grad(model: LatentModel, omega) -> np.ndarray:
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
     """Discrete-time sdf f_X(w) = sum_tau c(tau) e^{-i w tau}, w rad/sample.
 
-    Exact closed forms for ar/car1/ou; for matern a Hermitian lag sum
-    truncated where the autocovariance has decayed below working precision,
-    and floored at its rounding level, so it stays positive.
+    The closed form of ar and car1; ou and matern raise ValueError, as
+    :func:`sdf_entry`.
     """
     w = np.asarray(omega, dtype=float)
     out = sdf_entry(model)(model.params.values, w, False)[0]

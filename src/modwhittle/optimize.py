@@ -8,10 +8,10 @@ bracketed derivative search :func:`_search_1d` with one.  (In a logit
 space a coordinate pinned at a bound has a gradient that decays like
 e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
 stops at the edge.)  The gradient is the objective's score where it has
-one (``has_gradient`` and ``value_and_grad``: every modulated-Whittle and
-Markov exact :class:`Objective`, and the Whittle kind of an ar or car1
-latent), else central differences in the polish coordinates
-(:func:`_polish_value_and_grad`).  A search has
+one (``has_gradient`` and ``value_and_grad``: every spectral and Markov
+exact :class:`Objective`), else central differences in the polish
+coordinates (:func:`_polish_value_and_grad`: the dense exact kind,
+``Car1WhittleObjective`` and plain callables).  A search has
 converged at a projected gradient of at most POLISH_PGTOL * max(1, |f|),
 whatever L-BFGS-B reports; an unconverged L-BFGS-B stop is rerun once, or
 with ever shorter first steps while its runs meet +inf (a step out of the

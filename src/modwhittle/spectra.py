@@ -153,7 +153,8 @@ def dunsmuir_spectrum(model: LatentModel, mod: Modulator) -> np.ndarray:
     On the f_X scale used in this package,
     Stilde(w) = (1/N^2) sum_{lam in grid} f_X(w - lam) |G(lam)|^2,
     with G the plain DFT of g.  Kept O(N^2) for comparison experiments only
-    (it ignores leakage bias, unlike the exact expected periodogram).
+    (it ignores leakage bias, unlike the exact expected periodogram).  An ou
+    or matern model raises ValueError (:func:`~modwhittle.models.sdf_sampled`).
     """
     n = mod.n
     window = np.abs(np.fft.fft(np.asarray(mod.g, dtype=complex))) ** 2

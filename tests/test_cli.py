@@ -47,6 +47,10 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         {"objective": "whittle", "model": model,
          "modulator": {"generator": "periodic-missing", "params": {"k": 2, "l": 1}, "N": 64}},
         {"objective": "whittle", "model": {**model, "family": "arr"}},
+        # the whittle kind takes ar and car1 alone
+        {"objective": "whittle",
+         "model": {"family": "matern", "params": {"B": 1.0, "h": 0.5, "alpha": 1.5}}},
+        {"objective": "whittle", "model": {"family": "ou", "params": {"A": 1.0, "lam": 0.5}}},
     ]
     configs = [("fit", {**cfg, "data": {"csv": data + ".csv"}}) for cfg in fits]
     # simulate's "model" kind draws the real ar family alone
@@ -57,6 +61,14 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
         "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
     }))
+    # diagnose: a negative lag, a lag at the smallest grid length, the
+    # default grid [0, 1] of a length-1 modulator, and mu = 0
+    mask = {"generator": "periodic-missing", "params": {"k": 3, "l": 1, "N": 64}}
+    configs += [("diagnose", cfg) for cfg in (
+        {"modulator": mask, "lags": [-1, 1]},
+        {"modulator": mask, "lags": [0, 32], "n_grid": [32, 64]},
+        {"modulator": {"generator": "constant", "params": {"N": 1}}, "lags": [0]},
+        {"modulator": {"generator": "constant", "params": {"N": 64}}, "mu": 0})]
     for i, (verb, cfg) in enumerate(configs):
         out = tmp_path / f"out{i}"
         assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),
@@ -205,9 +217,10 @@ def test_fit_config_with_an_init_on_its_bound(tmp_path):
     data = tmp_path / "matern.csv"
     data.write_text("re\n" + "".join(f"{float(v)!r}\n" for v in z))
     cfg = write_cfg(tmp_path, {
-        "objective": "whittle",
+        "objective": "modulated-whittle",
         "model": {"family": "matern", "params": {"B": 1.0, "h": 0.5, "alpha": 4.0},
                   "bounds": {"alpha": [0.51, 4.0]}},
+        "modulator": {"generator": "constant", "params": {"N": 256}},
         "data": {"csv": str(data)},
     })
     out = str(tmp_path / "fit")
@@ -218,9 +231,10 @@ def test_fit_config_with_an_init_on_its_bound(tmp_path):
     assert set(init) == {"h", "alpha"} and 4.0 - 1e-8 < init["alpha"] < 4.0
     # an init beyond its bound is not clipped: the fit fails
     cfg = write_cfg(tmp_path, {
-        "objective": "whittle",
+        "objective": "modulated-whittle",
         "model": {"family": "matern", "params": {"B": 1.0, "h": 0.5, "alpha": 40.0},
                   "bounds": {"alpha": [0.51, 4.0]}},
+        "modulator": {"generator": "constant", "params": {"N": 256}},
         "data": {"csv": str(data)},
     }, "beyond_cfg.json")
     assert main(["fit", "--config", cfg, "-o", str(tmp_path / "beyond")]) == 2

@@ -604,9 +604,9 @@ def test_evaluations_build_no_model_objects(rng, monkeypatch):
 
 
 def test_gradient_only_where_every_family_has_one(rng):
-    # every latent acv has a score, so every modulated-Whittle objective
-    # does; central differences serve the Whittle kind of ou and matern, the
-    # dense exact kind and Car1WhittleObjective alone
+    # every latent acv and every sdf has a score, so every spectral
+    # objective does (the Whittle kind takes ar and car1 alone); central
+    # differences serve the dense exact kind and Car1WhittleObjective alone
     n = 64
     data = Series(rng.normal(size=n))
     mod = periodic_missing_mask(3, 1, n)
@@ -615,14 +615,17 @@ def test_gradient_only_where_every_family_has_one(rng):
               matern_model(1.0, 0.5, 1.2))
     for model in models:
         assert Objective("modulated-whittle", data, model, modulator=mod).has_gradient
-        whittle = Objective("whittle", data, model)
-        assert whittle.has_gradient == (model.family in ("ar", "car1"))
+        if model.family in ("ar", "car1"):
+            assert Objective("whittle", data, model).has_gradient
+        else:
+            with pytest.raises(ValueError, match="modulated-whittle"):
+                Objective("whittle", data, model)
         assert not Objective("exact", data, model, modulator=mod).has_gradient
     mixed = AggregateModel(((car1_model(0.5, 1.0), mod), (ar_model([], 1.0), None),
                             (matern_model(1.0, 0.5, 1.2), mod)), n)
     assert Objective("modulated-whittle", data, mixed).has_gradient
     assert not hasattr(Car1WhittleObjective(data), "has_gradient")
-    obj = Objective("whittle", data, ou_model(1.0, 0.5))
+    obj = Objective("exact", data, ou_model(1.0, 0.5), modulator=mod)
     with pytest.raises(ValueError):
         obj.value_and_grad([1.0, 0.5])
     with pytest.raises(ValueError):

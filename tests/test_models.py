@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from modwhittle import (
     ar_to_ou,
     autocov,
     car1_model,
-    fourier_grid,
     matern_model,
     ou_model,
     ou_to_ar,
@@ -18,7 +16,6 @@ from modwhittle import (
     sdf_sampled,
 )
 from modwhittle.models import (
-    SDF_LAG_BLOCK,
     _geometric_lag_cap,
     _matern_bessel,
     _matern_lag_cap,
@@ -27,7 +24,6 @@ from modwhittle.models import (
     autocov_grad,
     autocov_sequence,
     geometric_acv,
-    has_sdf_grad,
     matern_acv,
     model_from_json,
     model_to_json,
@@ -287,51 +283,6 @@ def test_ou_discrete_acv_matches_transform():
     assert np.max(np.abs(np.asarray(autocov(m, taus)) - ref)) < 1e-12
 
 
-def test_sdf_sampled_matches_acv_sum():
-    m = matern_model(1.0, 0.6, 1.3, delta=1.0 / 12.0)
-    w = np.array([0.0, 0.3, 2.0])
-    f = sdf_sampled(m, w)
-    taus = np.arange(1, 40000)
-    c0 = autocov(m, 0)
-    c = matern_acv(1.0, 0.6, 1.3, 1.0 / 12.0, 40000)[1:]
-    ref = c0 + 2 * np.array([np.sum(c * np.cos(wi * taus)) for wi in w])
-    assert np.max(np.abs(f - ref)) < 1e-9 * ref.max()
-
-
-@pytest.mark.parametrize("h", [0.05, 0.3])
-def test_sdf_sampled_smooth_matern_stays_positive(h):
-    # alpha = 4: the true sdf at high frequency falls below the rounding of
-    # the lag sum, which is floored at eps (|c(0)| + 2 sum |c|)
-    from modwhittle import Objective, Series
-
-    n, delta = 512, 1.0 / 12.0
-    model = matern_model(1.0, h, 4.0, delta=delta)
-    w = fourier_grid(n).frequencies
-    f = sdf_sampled(model, w)
-    assert np.all(f > 0)
-    # the parent's lag sum, unfloored: every value above the floor is it,
-    # bit for bit
-    nlags = max(8, _matern_lag_cap(h, 4.0, delta, 1 << 18))
-    c = matern_acv(1.0, h, 4.0, delta, nlags)
-    width = max(1, min(math.isqrt(nlags) + 1, SDF_LAG_BLOCK // w.size))
-    phase = np.multiply.outer(w, np.arange(width))
-    cos_j, sin_j = np.cos(phase), np.sin(phase)
-    raw = np.full(w.shape, c[0])
-    for lo in range(1, nlags, width):
-        c_blk = 2.0 * c[lo:lo + width]
-        k = c_blk.size
-        raw += (np.cos(lo * w) * (cos_j[..., :k] @ c_blk)
-                - np.sin(lo * w) * (sin_j[..., :k] @ c_blk))
-    floor = np.finfo(float).eps * (c[0] + 2.0 * np.sum(c[1:]))
-    assert np.count_nonzero(raw <= 0) > 0  # the case the floor is for
-    above = raw > floor
-    assert np.array_equal(f[above], raw[above])
-    assert np.all(f[~above] == floor)
-    x = Series(np.random.default_rng(3).normal(size=n))
-    obj = Objective("whittle", x, model)
-    assert np.isfinite(obj(model.params.values)) and obj.n_rejected == 0
-
-
 @pytest.mark.parametrize("model", [
     ar_model([0.6], 1.3), ar_model([], 1.1), ar_model([-0.4], 0.9),
     car1_model(0.7, 1.2, rotation=0.4), car1_model(0.7, 1.2, gamma=-1.1),
@@ -351,17 +302,19 @@ def test_raw_float_entry_matches_the_model_functions(model):
     acv, jac = acv_entry(model)(v, n, False)
     assert jac is None
     assert np.array_equal(padded(acv), autocov_sequence(other, n))
-    f, jac = sdf_entry(model)(v, w, False)
-    assert jac is None and np.array_equal(f, sdf_sampled(other, w))
     acv, jac = acv_entry(model)(v, n, True)  # every family has its acv rows
     ref_acv, ref_jac = autocov_grad(other, n)
     assert np.array_equal(padded(acv), ref_acv) and np.array_equal(jac, ref_jac)
     assert jac.shape == (len(v), acv.size)
-    if has_sdf_grad(model):
-        assert np.array_equal(sdf_entry(model)(v, w, True)[1], sdf_grad(other, w))
-    else:
-        with pytest.raises(ValueError):
-            sdf_entry(model)(v, w, True)
+    if model.family in ("ou", "matern"):  # no discrete-time sdf
+        with pytest.raises(ValueError, match="modulated-whittle"):
+            sdf_entry(model)
+        with pytest.raises(ValueError, match="modulated-whittle"):
+            sdf_sampled(other, w)
+        return
+    f, jac = sdf_entry(model)(v, w, False)
+    assert jac is None and np.array_equal(f, sdf_sampled(other, w))
+    assert np.array_equal(sdf_entry(model)(v, w, True)[1], sdf_grad(other, w))
 
 
 def test_raw_float_entries_raise_outside_the_model_class():
@@ -390,22 +343,6 @@ def test_json_params_take_the_constructor_order():
     assert np.array_equal(autocov_sequence(back, 8), autocov_sequence(car1_model(0.5, 1.2), 8))
     with pytest.raises(ValueError):
         model_from_json({"family": "ou", "params": {"A": 1.0, "lambda": 0.5}})
-
-
-def test_sdf_sampled_matern_memory_is_bounded():
-    # h = 0.01 keeps about 55000 lags; one len(omega) x L cosine matrix would
-    # take 1.8 GB at N = 4096
-    import tracemalloc
-    w = 2.0 * np.pi * np.arange(4096) / 4096
-    m = matern_model(1.0, 0.01, 4.0, delta=1.0 / 12.0)
-    tracemalloc.start()
-    try:
-        f = sdf_sampled(m, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2 ** 20, peak
-    assert np.all(np.isfinite(f))
 
 
 def test_stationarity_validation():

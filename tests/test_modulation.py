@@ -205,6 +205,31 @@ def test_diagnostic_constant_and_alternating():
         significant_correlation_diagnostic(alt, [70], [64, 128])
 
 
+def test_diagnostic_rejects_a_negative_lag():
+    # |c_g(-1)| = |c_g(1)|: a negative lag must not index c_g from its end
+    mod = periodic_missing_mask(3, 1, 64)
+    assert significant_correlation_diagnostic(mod, [1], [32, 64])["min_abs_cg"][1] == 0.5
+    with pytest.raises(ValueError):
+        significant_correlation_diagnostic(mod, [-1, 1], [32, 64])
+
+
+def test_diagnostic_matches_cg_sequence(rng):
+    # each O(m) sum agrees with the FFT c_g of the leading m samples
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        g = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+        if rng.random() < 0.5:
+            g = g + 1j * rng.normal(size=n)
+        mod = Modulator(g)
+        n_grid = sorted({int(m) for m in rng.integers(1, n + 1, size=3)})
+        lags = sorted({int(t) for t in rng.integers(0, n_grid[0], size=3)})
+        got = significant_correlation_diagnostic(mod, lags, n_grid)["min_abs_cg"]
+        tol = 1e-12 * max(1.0, mod.gmax ** 2)
+        for tau in lags:
+            ref = min(abs(cg_sequence(Modulator(g[:m]))[tau]) for m in n_grid)
+            assert abs(got[tau] - ref) <= tol
+
+
 def test_stationarity_check_cases():
     g = np.exp(1j * 0.7 * np.arange(30))
     ok, wit = stationarity_check(Modulator(g), mu=1)

@@ -528,25 +528,15 @@ def test_n_evals_counts_every_call_of_an_objective_without_a_score():
 
 def _without_a_score(case, seed):
     """(objective, init, profiled) of an objective without an analytic score:
-    the Whittle kind of an ou or matern latent, the dense exact kind, and
-    Car1WhittleObjective."""
-    from modwhittle import Objective, ar_model, car1_model, matern_model, ou_model
+    the dense exact kind and Car1WhittleObjective."""
+    from modwhittle import Objective, ar_model, car1_model
     from modwhittle.likelihood import Car1WhittleObjective
-    from modwhittle.models import autocov_sequence
-    from modwhittle.simulate import simulate_from_acv
 
     n = 256
     if case == "ar1-exact":
         x = simulate_ar(ar_model([0.7], 1.0), n, seed)
         obj = Objective("exact", x, ar_model([0.1], 1.0))
         return obj, obj.init_params, ["sigma"]
-    if case in ("ou-whittle", "matern-whittle"):
-        truth, start = ((ou_model(1.2, 0.5, rotation_cpd=1.0), ou_model(1.0, 1.0, rotation_cpd=1.0))
-                        if case == "ou-whittle" else
-                        (matern_model(1.2, 0.7, 1.4), matern_model(1.0, 1.0, 1.0)))
-        x = simulate_from_acv(autocov_sequence(truth, n), n, seed, kind="complex")
-        obj = Objective("whittle", x, start)
-        return obj, obj.init_params, [start.params.names[0]]
     z = simulate_complex_ar1(0.8, 1.0, np.full(n - 1, 0.6), n, seed)
     if case == "car1-free-exact":  # d = 2: r and gamma
         obj = Objective("exact", z, car1_model(0.5, 1.0, gamma=0.0))
@@ -555,8 +545,7 @@ def _without_a_score(case, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("case", ["ou-whittle", "matern-whittle", "car1-free-exact",
-                                  "car1-whittle", "ar1-exact"])
+@pytest.mark.parametrize("case", ["car1-free-exact", "car1-whittle", "ar1-exact"])
 def test_objective_without_a_score_ends_no_higher_than_the_simplex(case, seed):
     from helpers import simplex_fit
 
@@ -567,4 +556,30 @@ def test_objective_without_a_score_ends_no_higher_than_the_simplex(case, seed):
     f = want.objective_value
     assert got.converged and got.profiled == profiled
     assert got.n_evals > 0 and got.n_grad_evals == 0
+    assert got.objective_value <= f + 1e-9 * max(1.0, abs(f))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["ou", "matern"])
+def test_ou_and_matern_fit_on_the_score_of_the_modulated_kind(family, seed):
+    # the Whittle kind takes no ou or matern latent; the modulated kind with
+    # g = 1 (the debiased Whittle likelihood) fits them on their acv score
+    from helpers import simplex_fit
+
+    from modwhittle import constant_modulator, matern_model, ou_model
+    from modwhittle.models import autocov_sequence
+    from modwhittle.simulate import simulate_from_acv
+
+    n = 256
+    truth, start = ((ou_model(1.2, 0.5, rotation_cpd=1.0), ou_model(1.0, 1.0, rotation_cpd=1.0))
+                    if family == "ou" else
+                    (matern_model(1.2, 0.7, 1.4), matern_model(1.0, 1.0, 1.0)))
+    x = simulate_from_acv(autocov_sequence(truth, n), n, seed, kind="complex")
+    obj = Objective("modulated-whittle", x, start, modulator=constant_modulator(n))
+    assert obj.has_gradient
+    got = fit(obj, obj.init_params)
+    want = simplex_fit(obj, obj.init_params)
+    f = want.objective_value
+    assert got.converged and got.profiled == [start.params.names[0]]
+    assert got.n_evals > 0 and got.n_grad_evals == got.n_evals
     assert got.objective_value <= f + 1e-9 * max(1.0, abs(f))
