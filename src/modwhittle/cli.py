@@ -21,7 +21,6 @@ import resource
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import Series
@@ -91,6 +90,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _manifest(verb: str, config_text: str, seed, outputs) -> str:
+    import scipy  # only for its version: a pool worker imports this module too
+
     return json.dumps({
         "verb": verb,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),

@@ -45,7 +45,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .core import ParameterVector, Series, _from_grid_order, fourier_grid
 from .models import (
@@ -68,6 +67,7 @@ from .spectra import (
     expected_periodogram_fft_order,
     expected_periodogram_values,
     periodogram,
+    periodogram_fft_order,
 )
 
 __all__ = [
@@ -451,9 +451,10 @@ class Objective:
                 self._z = np.asarray(self.data.values, dtype=complex)
                 self.has_gradient = True
             return
-        shat = periodogram(self.data)
         if self.kind == "modulated-whittle":  # FFT order, as Sbar comes out
-            shat, self._mask = _from_grid_order(shat), _from_grid_order(self._mask)
+            shat, self._mask = periodogram_fft_order(self.data), _from_grid_order(self._mask)
+        else:
+            shat = periodogram(self.data)
         # the whole grid indexed by a view, else by the mask's positions
         self._mask = slice(None) if self._mask.all() else np.flatnonzero(self._mask)
         self._shat = shat[self._mask]
@@ -658,7 +659,7 @@ class Objective:
             # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
             # N/2 come from rfft, and the rest are mirrored only when some
             # acv support reaches past them
-            big_w = scipy.fft.rfft(w)
+            big_w = np.fft.rfft(w)
             if max(jac.shape[1] for _, jac in tables) > big_w.size:
                 big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
             w_sum = float(np.sum(w))

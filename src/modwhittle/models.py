@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
-from scipy.special import gamma as gamma_fn
 
 from .core import ParameterVector
 
@@ -321,6 +319,14 @@ def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
     return head, np.stack(rows)
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on the first Matern table or lag cap: no other
+    family needs it, and its import costs about 0.12 s and 25 MB."""
+    import scipy.special
+    return scipy.special
+
+
 def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
     """Lags kept by :func:`matern_acv`: c(tau) <= ACV_EPS c(0) for tau >= cap.
 
@@ -339,7 +345,7 @@ def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
     nu = alpha - 0.5
     m = max(nu - 0.5, 0.0)
     log_c = ((0.5 - nu) * math.log(2.0) + 0.5 * math.log(math.pi)
-             - float(gammaln(nu)) - math.log(ACV_EPS))
+             - float(_special().gammaln(nu)) - math.log(ACV_EPS))
 
     def log_excess(x):  # log(envelope / ACV_EPS)
         return log_c + (nu - 0.5) * math.log(x) - x \
@@ -366,7 +372,8 @@ def _matern_lag_cap(h: float, alpha: float, delta: float, nlags: int) -> int:
 def _matern_scale(b: float, h: float, alpha: float) -> float:
     # two divisions, so a large alpha and h underflow to 0 rather than
     # overflowing the denominator
-    return b * b / (2.0 * math.sqrt(math.pi) * gamma_fn(alpha)) / h ** (2.0 * alpha - 1.0)
+    gamma = _special().gamma(alpha)
+    return b * b / (2.0 * math.sqrt(math.pi) * gamma) / h ** (2.0 * alpha - 1.0)
 
 
 def _matern_node_count(nu: float, x: float) -> int:
@@ -466,7 +473,7 @@ def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
     bessel = _matern_bessel(nu, x, grad)
     front = scale * 2.0 ** (1.0 - nu)
     c = np.zeros(nlags)
-    c[0] = scale * gamma_fn(nu)
+    c[0] = scale * _special().gamma(nu)
     c[1:keep] = front * bessel[0]
     if not grad:
         return c, None
@@ -475,6 +482,7 @@ def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
     jac[0] = head * (2.0 / b) if b > 0 else 0.0
     jac[1] = head * ((1.0 - 2.0 * alpha) / h)
     jac[1, 1:] -= (front / h) * x * bessel[1]
+    digamma = _special().digamma
     d_log_scale = -float(digamma(alpha)) - 2.0 * math.log(h)
     jac[2, 0] = head[0] * (float(digamma(nu)) + d_log_scale)
     jac[2, 1:] = (np.log(x) + (d_log_scale - math.log(2.0))) * head[1:] + front * bessel[2]

@@ -370,7 +370,10 @@ def stationarity_check(mod: Modulator, mu: int | None = None,
     white-noise case where only constant modulus is required.
 
     Returns (flag, (a, gamma)) with the witness when the check passes.
+    Raises ValueError for mu < 1, whatever g is.
     """
+    if mu is not None and mu < 1:
+        raise ValueError("mu must be a positive integer")
     g = np.asarray(mod.g, dtype=complex)
     mags = np.abs(g)
     a = float(mags[0])
@@ -380,8 +383,6 @@ def stationarity_check(mod: Modulator, mu: int | None = None,
         return True, (0.0, 0.0)
     if mu is None:
         return True, (a, 0.0)
-    if mu < 1:
-        raise ValueError("mu must be a positive integer")
     phi = np.angle(g)
     n = g.size
     if n <= mu:

@@ -10,7 +10,8 @@ evaluated on the Fourier grid w_k = 2 pi k / N by one length-N FFT.  On
 that grid the lag sum is fft(cbar)[k] itself: bin 2k of the zero-padded
 length-2N transform is sum_tau cbar(tau) e^{-2 pi i (2k) tau / 2N}, which is
 bin k of the unpadded one, so padding only computes the odd bins nobody
-reads.  A dense-covariance quadratic form oracle is kept for ground truth on
+reads.  Every transform is numpy.fft's, so the module needs numpy alone.
+A dense-covariance quadratic form oracle is kept for ground truth on
 small N, together with the Fejer kernel and the classical smoothed-spectrum
 approximation used only in comparison experiments.  Spectra pass between
 these functions as plain numpy arrays on the Fourier grid; the periodogram and
@@ -20,7 +21,6 @@ the expected periodograms come back read-only.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .core import Series, fourier_grid, _to_grid_order
 from .models import LatentModel, autocov_sequence, sdf_sampled
@@ -28,6 +28,7 @@ from .modulation import Modulator
 
 __all__ = [
     "periodogram",
+    "periodogram_fft_order",
     "expected_acv",
     "expected_periodogram",
     "expected_periodogram_values",
@@ -50,8 +51,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def periodogram(series: Series) -> np.ndarray:
     """Shat(w) = (1/N) |sum_t x_t e^{-iwt}|^2 on the Fourier grid, read-only."""
+    return _readonly(_to_grid_order(periodogram_fft_order(series)))
+
+
+def periodogram_fft_order(series: Series) -> np.ndarray:
+    """:func:`periodogram` at w_k = 2 pi k / N for k = 0..N-1, numpy FFT
+    order, as a new writable array."""
     x = np.asarray(series.values)
-    return _readonly(np.abs(_to_grid_order(np.fft.fft(x))) ** 2 / x.size)
+    return np.abs(np.fft.fft(x)) ** 2 / x.size
 
 
 def expected_acv(cg: np.ndarray, model: LatentModel) -> np.ndarray:
@@ -75,8 +82,7 @@ def expected_periodogram_fft_order(cbar: np.ndarray, n: int | None = None) -> np
     module docstring); a real cbar uses rfft and mirrors Re F[N-k] = Re F[k].
     N is n when given (cbar then holds lags 0..L-1, L <= N, of a sequence
     that is zero past them, and the transform zero-pads it), else cbar's
-    length.  The transforms are scipy's, bit-identical to numpy's here and
-    cheaper per call.
+    length.
     Raises when a value drops below -1e-8 (an invalid cbar, e.g. a non-PSD
     covariance snuck in) or is NaN; round-off negatives above that are
     clamped to a tiny positive number so downstream logs stay finite.  One
@@ -92,9 +98,9 @@ def expected_periodogram_fft_order(cbar: np.ndarray, n: int | None = None) -> np
         if abs(c0.imag) > 1e-10 * max(1.0, abs(c0.real)):
             raise ValueError("cbar(0) must be real")
         c0 = c0.real
-        re = scipy.fft.fft(cbar, n).real
+        re = np.fft.fft(cbar, n).real
     else:
-        half = scipy.fft.rfft(cbar, n).real
+        half = np.fft.rfft(cbar, n).real
         re = np.concatenate((half, half[n - half.size:0:-1]))
     vals = 2.0 * re - c0
     low = vals.min()

@@ -513,6 +513,51 @@ def test_drifter_profile_is_the_joint_objective_at_the_profiled_scale(rng):
         assert abs(scale ** 2 / s2 - 1.0) < 1e-12
 
 
+def _fixed_objective(case):
+    """(objective built afresh on fixed data, theta_1, theta_2); each theta_1
+    keeps lags past N/2, so the pullback mirrors its transform."""
+    rng = np.random.default_rng(11)
+    n = 256
+    if case == "drifter":
+        return (_drifter_objective(rng, "modulated", n=n),
+                [1.0, 0.4, 1.5, 0.8, 1.3], [0.7, 1.2, -2.0, 0.3, 2.5])
+    if case == "ar1-mask":  # real cbar: rfft
+        mod = periodic_missing_mask(3, 1, n)
+        data = Series(rng.normal(size=n) * mod.g)
+        model, theta_1, theta_2 = ar_model([0.5], 1.0), [0.97, 1.0], [-0.3, 2.0]
+    else:  # complex cbar: fft
+        beta = rng.uniform(-0.5, 0.5, n - 1)
+        mod = frequency_modulator(beta)
+        data = simulate_complex_ar1(0.7, 1.0, beta, n, rng)
+        model, theta_1, theta_2 = car1_model(0.6, 1.2), [0.95, 1.0], [0.3, 0.5]
+    return Objective("modulated-whittle", data, model, modulator=mod), theta_1, theta_2
+
+
+@pytest.mark.parametrize("case", ["ar1-mask", "car1-frequency", "drifter"])
+def test_evaluations_keep_nothing_between_thetas(case):
+    # theta_1's value, score and profile survive evaluations at theta_2 and
+    # equal a fresh objective's: no evaluation writes into an earlier result
+    obj, theta_1, theta_2 = _fixed_objective(case)
+    k = obj.scale_index
+    rest_1 = np.delete(theta_1, k)
+    value, grad = obj.value_and_grad(theta_1)
+    profiled = obj.profile(rest_1, grad=True)
+    kept = grad.copy(), profiled[1].copy()
+    for theta in (theta_2, theta_1):
+        obj.value_and_grad(theta)
+        obj.profile(np.delete(theta, k), grad=True)
+    obj(theta_2)
+    for got, copy in zip((grad, profiled[1]), kept):
+        assert np.array_equal(got, copy)
+    fresh = _fixed_objective(case)[0]
+    fresh_value, fresh_grad = fresh.value_and_grad(theta_1)
+    assert fresh_value == value and np.array_equal(fresh_grad, grad)
+    fresh_profiled = fresh.profile(rest_1, grad=True)
+    assert fresh_profiled[0] == profiled[0] and fresh_profiled[2] == profiled[2]
+    assert np.array_equal(fresh_profiled[1], profiled[1])
+    assert fresh(theta_1) == value
+
+
 def test_tied_scales_take_any_finite_log_ratio_without_warnings(rng):
     import warnings
     obj = _drifter_objective(rng, "modulated", n=256)

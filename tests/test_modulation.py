@@ -251,6 +251,16 @@ def test_stationarity_check_cases():
     assert not ok
 
 
+def test_stationarity_check_rejects_mu_below_one_on_any_modulus():
+    # mu is checked before |g|: a mask whose modulus varies must not let an
+    # invalid mu through as "not stationary"
+    for mod in (periodic_missing_mask(3, 1, 64), constant_modulator(64),
+                Modulator(np.zeros(8))):
+        for mu in (0, -1):
+            with pytest.raises(ValueError, match="mu"):
+                stationarity_check(mod, mu=mu)
+
+
 def test_modulator_json_round_trip():
     mods = [
         constant_modulator(16, 1.5),

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -308,16 +309,19 @@ def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
     assert abs(two_phase.objective_value - simplex.objective_value) <= 1e-9
 
 
-# a Table 1 replicate with both estimators, then a four-parameter drifter fit,
-# each followed by the scipy subpackages it loaded
+# the scipy modules loaded by `import modwhittle`, then after a Table 1
+# replicate with both estimators, then after a four-parameter drifter fit
 FOOTPRINT = """
 import sys
+import modwhittle
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(loaded())
 import numpy as np
 from modwhittle.drifter import fit_drifter, simulate_drifter_velocities
 from modwhittle.simulate import McStudy, run_study
-
-def loaded():
-    return [m for m in ("scipy.signal", "scipy.optimize", "scipy.linalg") if m in sys.modules]
 
 run_study(McStudy(kind="car1-bounded-walk", true_params={"r": 0.8, "sigma": 1.0},
                   process={"gamma": np.pi / 2, "span": 1.0, "amp": 0.05},
@@ -332,15 +336,19 @@ print(loaded())
 
 
 def test_table1_study_and_drifter_fit_import_only_the_scipy_they_use():
-    # scipy.signal, scipy.optimize and scipy.linalg take about 0.9 s and 50 MB
-    # to import: a Table 1 study needs none of them, a drifter fit only
+    # numpy is the one import-time dependency: scipy.fft and scipy.special
+    # cost about 0.12 s and 25 MB, and scipy.signal, scipy.optimize and
+    # scipy.linalg about 0.9 s and 50 MB more.  A Table 1 study needs none of
+    # them, a drifter fit scipy.special for its Matern table and
     # scipy.optimize's L-BFGS-B (which imports scipy.linalg itself)
     src = os.path.dirname(os.path.dirname(modwhittle.__file__))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    study, drifter = out.stdout.splitlines()
-    assert study == "[]"
-    assert "scipy.optimize" in drifter and "scipy.signal" not in drifter
+    imported, study, drifter = (ast.literal_eval(line) for line in out.stdout.splitlines())
+    assert imported == []
+    assert study == []
+    assert "scipy.special" in drifter and "scipy.optimize" in drifter
+    assert "scipy.signal" not in drifter
 
 
 def _walk_by_recursion(gamma, span, amp, n, seed):

@@ -17,9 +17,14 @@ from modwhittle import (
     periodic_missing_mask,
     periodogram,
 )
+from modwhittle.core import _from_grid_order
 from modwhittle.models import sdf_sampled
 from modwhittle.simulate import simulate_ar
-from modwhittle.spectra import expected_periodogram_values
+from modwhittle.spectra import (
+    expected_periodogram_fft_order,
+    expected_periodogram_values,
+    periodogram_fft_order,
+)
 from helpers import random_model, random_modulator
 
 
@@ -113,6 +118,35 @@ def test_length_n_fft_matches_padded_transform(rng, n, kind):
         ref = _padded_expected_periodogram(cbar)
         vals = expected_periodogram_values(cbar)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 96, 128, 4096, 16384])
+def test_transform_is_scipys_bit_for_bit(rng, n):
+    # numpy.fft runs the same pocketfft as scipy.fft: Sbar through numpy
+    # equals the scipy formula it replaced to the last bit
+    import scipy.fft as scipy_fft
+    for size in sorted({1, n // 3 + 1, n}):
+        for kind in ("real", "complex"):
+            cbar = rng.normal(size=size)
+            if kind == "complex":
+                cbar = cbar + 1j * rng.normal(size=size)
+            cbar[0] = 1.0 + 2.0 * np.sum(np.abs(cbar[1:]))  # Sbar > 0
+            if kind == "complex":
+                ref = 2.0 * scipy_fft.fft(cbar, n).real - cbar[0].real
+            else:
+                half = scipy_fft.rfft(cbar, n).real
+                ref = 2.0 * np.concatenate((half, half[n - half.size:0:-1])) - cbar[0]
+            assert np.array_equal(expected_periodogram_fft_order(cbar, n), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 96, 16384])
+def test_fft_order_periodogram_is_the_grid_ones_reordered(rng, n):
+    for kind in ("real", "complex"):
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if kind == "complex" else 0.0)
+        series = Series(x, kind=kind)
+        got = periodogram_fft_order(series)
+        assert np.array_equal(got, _from_grid_order(periodogram(series)))
+        assert np.array_equal(got, np.abs(np.fft.fft(x)) ** 2 / n)
 
 
 def test_expected_periodogram_negative_input_rejected():
