@@ -54,6 +54,7 @@ from .models import (
     car1_model,
     scale_index,
     sdf_entry,
+    with_scale_row,
 )
 from .modulation import (
     LinearRampKernel,
@@ -334,7 +335,9 @@ class AggregateModel:
 
 def _cbar(cgs, acvs) -> np.ndarray:
     """cbar = sum over components of c_g * c_X, over the longest acv support
-    (every acv is zero past its own)."""
+    (every acv is zero past its own); of one component, the product alone."""
+    if len(acvs) == 1:
+        return cgs[0][:acvs[0].size] * acvs[0]
     total = np.zeros(max(acv.size for acv in acvs), dtype=np.result_type(*cgs, *acvs))
     for cg, acv in zip(cgs, acvs):
         total[:acv.size] += cg[:acv.size] * acv
@@ -382,9 +385,9 @@ class Objective:
 
     Construction binds each latent's raw-float entry
     (:func:`~modwhittle.models.acv_entry`, or
-    :func:`~modwhittle.models.sdf_entry` for the whittle kind) to its slice
-    of theta, so an evaluation reads theta as floats and builds no model
-    object.
+    :func:`~modwhittle.models.sdf_entry` on the Fourier grid for the
+    whittle kind) to its slice of theta, so an evaluation reads theta as
+    floats and builds no model object.
     """
 
     kind: str
@@ -395,7 +398,6 @@ class Objective:
     check_significance: bool = True
     _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
     _shat: np.ndarray = field(init=False, repr=False, default=None)  # on the mask
-    _freqs: np.ndarray = field(init=False, repr=False, default=None)
     _z: np.ndarray = field(init=False, repr=False, default=None)
     _kernel: LinearRampKernel | None = field(init=False, repr=False, default=None)
     # (raw-float entry, slice of the component values) per latent
@@ -428,11 +430,12 @@ class Objective:
                             else scale_index(self.model))
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
-        entry = sdf_entry if self.kind == "whittle" else acv_entry
         self._entries = []
         for m, _ in components:
             d = len(m.params)
-            self._entries.append((entry(m), slice(self._n_latent, self._n_latent + d)))
+            entry = (sdf_entry(m, fourier_grid(n).frequencies) if self.kind == "whittle"
+                     else acv_entry(m))
+            self._entries.append((entry, slice(self._n_latent, self._n_latent + d)))
             self._n_latent += d
         self._n_theta = self._n_latent + (0 if self._kernel is None
                                            else len(self._kernel.params))
@@ -460,7 +463,6 @@ class Objective:
         self._shat = shat[self._mask]
         self.has_gradient = True
         if self.kind == "whittle":
-            self._freqs = fourier_grid(n).frequencies
             return
         if self._kernel is None:
             self.cgs = [component_cg(mod, n) for _, mod in components]
@@ -520,73 +522,71 @@ class Objective:
         """The nll concentrated in the scale: its minimum over the scale, at
         scale^2 = Q / M (see the module docstring).
 
-        rest is theta without its ``scale_index`` entry.  By the envelope
-        theorem the gradient in rest is the joint one at that scale.  Returns
-        (value, gradient in rest or None, scale), with +inf, a zero gradient
-        and None where the objective rejects rest, or where the data are zero
-        on the mask.
+        rest is theta without its ``scale_index`` entry, any sequence of
+        floats.  By the envelope theorem the gradient in rest is the joint
+        one at that scale.  Returns (value, gradient in rest or None, scale),
+        with +inf, a zero gradient and None where the objective rejects rest,
+        or where the data are zero on the mask.
         """
         if grad and not self.has_gradient:
             raise ValueError("objective has no analytic gradient")
-        k = self.scale_index
-        rest = np.asarray(rest, dtype=float)
-        theta = np.concatenate((rest[:k], [1.0], rest[k:]))
-        value, gradient, scale = self._evaluate(theta, grad, True)
-        if grad:
-            gradient = np.concatenate((gradient[:k], gradient[k + 1:]))
-        return value, gradient, scale
+        return self._evaluate(rest, grad, True)
 
     def _evaluate(self, theta, grad: bool, profile: bool):
-        """(value, gradient or None, concentrated scale or None) at theta:
-        the one evaluation routine, and the one place that knows the scale.
+        """(value, gradient or None, concentrated scale or None) at theta, or
+        with profile at rest = theta without its scale: the one evaluation
+        routine, and the one place that knows the scale.
 
-        The chain runs at scale 1 (with profile theta holds it already).  At
+        The chain runs at scale 1, and its score leaves the scale out.  At
         s2 = scale^2, with profile at the minimiser scale = sqrt(Q / M),
 
-            l = (L + M log s2 + Q / s2) / n,   dl/dscale = 2 (M - Q / s2) / (scale n).
+            l = (L + M log s2 + Q / s2) / n,   dl/dscale = 2 (M - Q / s2) / (scale n),
 
-        Non-finite theta, a scale <= 0, theta outside the model class (a
-        ValueError of the chain, e.g. an AR(1) with |phi| >= 1: the optimizer
-        steps back), data that are zero where the objective looks, and a
-        non-finite value or gradient score +inf, with a zero gradient, and
-        are counted in ``n_rejected``.
+        the latter only in the joint gradient.  Non-finite theta, a scale <=
+        0, theta outside the model class (a ValueError of the chain, e.g. an
+        AR(1) with |phi| >= 1: the optimizer steps back), data that are zero
+        where the objective looks, and a non-finite value or gradient score
+        +inf, with a zero gradient, and are counted in ``n_rejected``.
         """
-        theta = np.asarray(theta, dtype=float)
+        theta = np.asarray(theta, dtype=float).tolist()
         k = self.scale_index
-        if np.isfinite(theta).all() and theta[k] > 0.0:
-            unit = theta
-            if not profile:
-                unit = theta.copy()
-                unit[k] = 1.0
+        if all(map(math.isfinite, theta)) and (profile or theta[k] > 0.0):
+            rest = theta if profile else theta[:k] + theta[k + 1:]
+            unit = rest[:k] + [1.0] + rest[k:]
             try:
                 big_l, quad, m, n, pull = self._chain(unit, grad)
                 # Python floats: a huge scale gives inf, not a warning.  The
                 # profiled value takes the direct form at its scale, so it
                 # equals a direct evaluation there to the last bit
-                scale = math.sqrt(quad / m) if profile else float(theta[k])
+                scale = math.sqrt(quad / m) if profile else theta[k]
                 s2 = scale * scale
                 value = (big_l + m * math.log(s2) + quad / s2) / n
                 gradient = None
                 if grad:
                     gradient = pull(s2)
-                    gradient[k] = 2.0 * (m - quad / s2) / (scale * n)
+                    if not profile:
+                        gradient = np.insert(gradient, k, 2.0 * (m - quad / s2) / (scale * n))
             except ValueError:
                 pass
             else:
                 if math.isfinite(value) and (not grad or np.isfinite(gradient).all()):
                     return value, gradient, (scale if profile else None)
         self.n_rejected += 1
-        return np.inf, (np.zeros(theta.size) if grad else None), None
+        return np.inf, (np.zeros(len(theta)) if grad else None), None
 
     def _chain(self, theta, grad):
-        """(L, Q, M, n, pull) of the module docstring at theta, whose scale
-        is 1.  With grad, pull(s2) maps the score at scale 1 to the gradient
-        at scale^2 = s2 but for its scale entry, which the caller sets; the
-        spectral kinds' is sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2
-        S_1)) / (S_1 n) on the mask.  The dense exact kind has no score.
-        Raises ValueError outside the model class.
+        """(L, Q, M, n, pull) of the module docstring at theta, a list of
+        floats whose scale is 1.  With grad, pull(s2) maps the score at
+        scale 1 to the gradient at scale^2 = s2 in every parameter but the
+        scale, whose entry the caller forms in closed form (a latent's entry
+        never forms its scale's row; an aggregate puts its amplitude rows
+        back, for the q, and drops the scale's entry after
+        ``tied_gradient``); the spectral kinds' is
+        sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2 S_1)) / (S_1 n) on the
+        mask.  The dense exact kind has no score.  Raises ValueError outside
+        the model class.
         """
-        if theta.size != self._n_theta:
+        if len(theta) != self._n_theta:
             raise ValueError("parameter vector length mismatch")
         if self._z is not None:  # the exact kind under a ramp kernel
             return self._exact_markov(theta, grad)
@@ -606,14 +606,18 @@ class Objective:
         ratio = self._shat / s
 
         def pull(s2):
-            w = np.zeros(n)
-            w[self._mask] = (1.0 - ratio / s2) / s / n
+            w = (1.0 - ratio / s2) / s / n
+            if not isinstance(self._mask, slice):  # w is 0 off the mask
+                w, on_mask = np.zeros(n), w
+                w[self._mask] = on_mask
             gradient = pullback(w)
             if p is not None:
                 gradient = self.model.tied_gradient(values, p, gradient)
+                k = self.scale_index
+                gradient = np.concatenate((gradient[:k], gradient[k + 1:]))
             return gradient
 
-        return float(np.sum(np.log(s))), float(np.sum(ratio)), s.size, n, pull
+        return float(np.log(s).sum()), float(ratio.sum()), s.size, n, pull
 
     def _exact_markov(self, theta, grad):
         # theta = (r, 1, gamma, span) and no LatentModel: _exact_car1 rejects
@@ -625,7 +629,7 @@ class Objective:
         def pull(s2):
             dl_r, dq_r, dq_beta = score
             d_beta = dq_beta / (s2 * n)
-            return np.array([(dl_r + dq_r / s2) / n, 0.0, d_beta.sum(),
+            return np.array([(dl_r + dq_r / s2) / n, d_beta.sum(),
                              d_beta @ self._kernel.ramp])
 
         return big_l, quad, n, n, pull
@@ -634,7 +638,7 @@ class Objective:
         """The sdf on the mask and, with grad, the map from w = dl/df to the
         gradient."""
         (entry, part), = self._entries
-        f, jac = entry(values[part], self._freqs, grad)
+        f, jac = entry(values[part], grad)
         s = f[self._mask]
         if not s.min() > 0:
             raise ValueError("spectral values must be positive on the mask")
@@ -642,7 +646,8 @@ class Objective:
 
     def _modulated(self, values, phi, grad):
         """Sbar on the mask (FFT order) and, with grad, the map from w =
-        dl/dSbar to the gradient."""
+        dl/dSbar to the gradient (in an aggregate's amplitudes too, which
+        give its q)."""
         n = len(self.data)
         if self._kernel is None:
             cgs, dcg = self.cgs, None
@@ -654,6 +659,11 @@ class Objective:
         s = expected_periodogram_fft_order(cbar, n)[self._mask]
         if not grad:
             return s, None
+        if isinstance(self.model, AggregateModel):
+            tables = [(acv, with_scale_row(m.family, jac, k - part.start, acv, values[k]))
+                      for (acv, jac), (m, _), (_, part), k in
+                      zip(tables, self.model.components, self._entries,
+                          self.model._scale_slots.tolist())]
 
         def pullback(w):
             # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
@@ -662,15 +672,15 @@ class Objective:
             big_w = np.fft.rfft(w)
             if max(jac.shape[1] for _, jac in tables) > big_w.size:
                 big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
-            w_sum = float(np.sum(w))
+            w_sum = float(w.sum())
 
             def adjoint(jac, other):
                 # jac: derivative rows of one factor of cbar, other: the other
                 # factor; an elementwise sum, not jac @ ...: a threaded BLAS
                 # call costs more than the product on these short rows
                 keep = jac.shape[1]
-                terms = np.real(jac * (other[:keep] * big_w[:keep]))
-                return 2.0 * terms.sum(axis=1) - np.real(other[0] * jac[:, 0]) * w_sum
+                terms = (jac * (other[:keep] * big_w[:keep])).real
+                return 2.0 * terms.sum(axis=1) - (other[0] * jac[:, 0]).real * w_sum
 
             grad = [adjoint(jac, cg) for cg, (_, jac) in zip(cgs, tables)]
             if dcg is not None:

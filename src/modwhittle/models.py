@@ -296,10 +296,11 @@ def _padded(head: np.ndarray, nlags: int) -> np.ndarray:
 def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
                free_rotation: bool):
     """The geometric acv at its kept lags and, with grad, its derivative rows
-    in (r, sigma), and in the rotation when it is free.
+    in r, and in the rotation when it is free (the scale's is
+    :func:`with_scale_row`'s).
 
     With c = sigma^2 / (1 - r^2) r^tau e^{i gamma tau}: dc/dr = c (2r / (1 -
-    r^2) + tau / r), dc/dsigma = 2 c / sigma and dc/dgamma = i tau c.  At
+    r^2) + tau / r) and dc/dgamma = i tau c.  At
     |r| < ACV_EPS (r = 0 included) the table stops at lag 0, but dc(1)/dr =
     c(0) e^{i gamma}, so with grad it keeps lag 1 (a zero) too.
     """
@@ -313,7 +314,7 @@ def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
         head = _padded(head, min(nlags, 2))
         d_r = head * (2.0 * r / (1.0 - r * r))
         d_r[1:] = head[0] * (np.exp(1j * rotation) if rotation else 1.0)
-    rows = [d_r, 2.0 * head / sigma]
+    rows = [d_r]
     if free_rotation:
         rows.append(1j * np.arange(head.size) * head)
     return head, np.stack(rows)
@@ -456,12 +457,13 @@ def _matern_bessel(nu: float, x: np.ndarray, grad: bool) -> np.ndarray:
 def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
                   nlags: int, grad: bool = False):
     """The Matern autocovariance at lags 0..keep-1, zero-padded to nlags, and,
-    with grad, its (B, h, alpha) derivatives on those lags (else None).
+    with grad, its (h, alpha) derivatives on those lags (else None); the B
+    row is :func:`with_scale_row`'s.
 
     With nu = alpha - 1/2, x = h delta tau and the scale S of
     :func:`_matern_scale`, c(0) = S Gamma(nu) and c = S 2^{1-nu} x^nu K_nu(x)
-    from :func:`_matern_bessel`.  Every derivative is closed form: B from
-    c ~ B^2; h from d/dx[x^nu K_nu(x)] = -x^nu K_{nu-1}(x); alpha from
+    from :func:`_matern_bessel`.  Every derivative is closed form: h from
+    d/dx[x^nu K_nu(x)] = -x^nu K_{nu-1}(x); alpha from
     d log S/d alpha = -psi(alpha) - 2 log h, which gives
     c(0) (psi(nu) - psi(alpha) - 2 log h) at lag 0 and
     c (-psi(alpha) - 2 log h - log 2 + log x) + S 2^{1-nu} x^nu dK_nu/dnu
@@ -478,14 +480,13 @@ def _matern_table(b: float, h: float, alpha: float, delta: float, keep: int,
     if not grad:
         return c, None
     head = c[:keep]
-    jac = np.empty((3, keep))
-    jac[0] = head * (2.0 / b) if b > 0 else 0.0
-    jac[1] = head * ((1.0 - 2.0 * alpha) / h)
-    jac[1, 1:] -= (front / h) * x * bessel[1]
+    jac = np.empty((2, keep))
+    jac[0] = head * ((1.0 - 2.0 * alpha) / h)
+    jac[0, 1:] -= (front / h) * x * bessel[1]
     digamma = _special().digamma
     d_log_scale = -float(digamma(alpha)) - 2.0 * math.log(h)
-    jac[2, 0] = head[0] * (float(digamma(nu)) + d_log_scale)
-    jac[2, 1:] = (np.log(x) + (d_log_scale - math.log(2.0))) * head[1:] + front * bessel[2]
+    jac[1, 0] = head[0] * (float(digamma(nu)) + d_log_scale)
+    jac[1, 1:] = (np.log(x) + (d_log_scale - math.log(2.0))) * head[1:] + front * bessel[2]
     return c, jac
 
 
@@ -512,15 +513,18 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # ParameterVector), with the model's delta and fixed rotation as keywords:
 #
 #     acv(values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
-#     sdf(values, omega, grad, delta, rotation) -> (f_X at omega, jac)
+#     sdf(shifted, values, grad) -> (f_X at omega, jac)
 #
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
-# holds one derivative row per parameter (None without grad) over lags
-# 0..L-1, or at each omega.  Each raises the ValueError of
-# validate_stationary outside the model class.  Every acv and every sdf has
-# its derivative rows.  autocov_sequence, autocov_grad, sdf_sampled, sdf_grad
-# and Objective evaluations all run these, so every family has one
-# implementation.
+# holds one derivative row per parameter but the scale (SCALE_PARAMS), in
+# the order of the values (None without grad), over lags 0..L-1, or at each
+# omega.  Every table and sdf is proportional to scale^2, so the scale's row
+# is 2 c / scale: an objective evaluates at unit scale and never reads it,
+# and :func:`with_scale_row` puts it back for the others.  An sdf takes
+# omega - rotation for a fixed car1 rotation (see :func:`sdf_entry`).  Each
+# raises the ValueError of validate_stationary outside the model class.
+# autocov_sequence, autocov_grad, sdf_sampled, sdf_grad and Objective
+# evaluations all run these, so every family has one implementation.
 
 def _acv_ar(values, nlags, grad, delta, rotation):
     # the geometric table; white noise is its r = 0 case without the r row
@@ -547,7 +551,7 @@ def _acv_ou(values, nlags, grad, delta, rotation):
         return head, None
     tau = np.arange(head.size)
     d_lam = head * (-1.0 / lam + delta * r / (1.0 + r) - delta * tau)
-    return head, np.stack((2.0 * head / amp, d_lam))
+    return head, d_lam[None]
 
 
 def _acv_matern(values, nlags, grad, delta, rotation):
@@ -559,21 +563,22 @@ def _acv_matern(values, nlags, grad, delta, rotation):
 def _car1_sdf(r: float, sigma: float, shifted: np.ndarray, grad: bool, free: bool):
     """f = sigma^2 / D, D = 1 + r^2 - 2 r cos(shifted), and with grad its rows
 
-        df/dr = f (2 cos(shifted) - 2 r) / D,   df/dsigma = 2 f / sigma,
+        df/dr = f (2 cos(shifted) - 2 r) / D,
         df/dgamma = 2 r f sin(shifted) / D      (free).
     """
-    denom = 1.0 + r * r - 2.0 * r * np.cos(shifted)
+    cos = np.cos(shifted)
+    denom = 1.0 + r * r - 2.0 * r * cos
     f = sigma * sigma / denom
     if not grad:
         return f, None
     f_over_d = f / denom
-    rows = [f_over_d * (2.0 * np.cos(shifted) - 2.0 * r), 2.0 * f / sigma]
+    rows = [f_over_d * (2.0 * cos - 2.0 * r)]
     if free:
         rows.append(2.0 * r * f_over_d * np.sin(shifted))
     return f, np.stack(rows)
 
 
-def _sdf_ar(values, w, grad, delta, rotation):
+def _sdf_ar(w, values, grad):
     # the car1 form without rotation; white noise is its r = 0 case without
     # the r row
     phi, sigma = _check_ar(values)
@@ -581,14 +586,32 @@ def _sdf_ar(values, w, grad, delta, rotation):
     return f, (jac[1:] if grad and phi is None else jac)
 
 
-def _sdf_car1(values, w, grad, delta, rotation):
+def _sdf_car1(shifted, values, grad):
+    # shifted is omega - rotation for a fixed rotation (see sdf_entry), omega
+    # for a free one
     r, sigma, gamma = _check_car1(values)
-    return _car1_sdf(r, sigma, w - (rotation if gamma is None else gamma), grad,
-                     gamma is not None)
+    if gamma is not None:
+        shifted = shifted - gamma
+    return _car1_sdf(r, sigma, shifted, grad, gamma is not None)
 
 
 _ACV = {"ar": _acv_ar, "car1": _acv_car1, "ou": _acv_ou, "matern": _acv_matern}
 _SDF = {"ar": _sdf_ar, "car1": _sdf_car1}
+
+
+def with_scale_row(family: str, jac: np.ndarray, k: int, c: np.ndarray,
+                   scale: float) -> np.ndarray:
+    """jac of a raw-float entry of family, whose table or sdf is c, with
+    the row of its scale (at k, of value scale) put back: 2 c / scale,
+    Matern's formed as c (2 / B) and zero at B = 0."""
+    if family == "matern":
+        row = c * (2.0 / scale) if scale > 0 else np.zeros_like(c)
+    else:
+        row = 2.0 * c / scale
+    # in C order, as the entries' rows: the score's row sums round by layout
+    out = np.empty((len(jac) + 1, *row.shape), dtype=np.result_type(jac, row))
+    out[:k], out[k], out[k + 1:] = jac[:k], row, jac[k:]
+    return out
 
 
 def acv_entry(model: LatentModel):
@@ -599,15 +622,19 @@ def acv_entry(model: LatentModel):
                              rotation=model.rotation)
 
 
-def sdf_entry(model: LatentModel):
-    """The raw-float discrete-time sdf of model's family with its delta and
-    rotation bound: (values, omega, grad) -> (f_X at omega, jac or None).
-    ar and car1 only: ou and matern raise ValueError."""
+def sdf_entry(model: LatentModel, omega):
+    """The raw-float discrete-time sdf of model's family at the frequencies
+    omega (radians per sample): (values, grad) -> (f_X at omega, jac or
+    None); see the raw-float entries above.  A fixed car1 rotation shifts
+    omega here, once, not at every call.  ar and car1 only: ou and matern
+    raise ValueError."""
     if model.family not in _SDF:
         raise ValueError(f"no discrete-time sdf for {model.family}: use the modulated-whittle "
                          "kind, with constant_modulator(n) for an unmodulated series")
-    return functools.partial(_SDF[model.family], delta=model.delta,
-                             rotation=model.rotation)
+    shifted = np.asarray(omega, dtype=float)
+    if model.family == "car1" and len(model.params) == 2 and model.rotation:
+        shifted = shifted - model.rotation
+    return functools.partial(_SDF[model.family], shifted)
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
@@ -629,8 +656,10 @@ def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray
     is closed form: ar, car1 (with a fixed or a free rotation) and ou from
     the geometric table, matern from :func:`_matern_table`.
     """
-    acv, jac = acv_entry(model)(model.params.values, nlags, True)
-    return _padded(acv, nlags), jac
+    values = model.params.values
+    acv, jac = acv_entry(model)(values, nlags, True)
+    k = scale_index(model)
+    return _padded(acv, nlags), with_scale_row(model.family, jac, k, acv, values[k])
 
 
 def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
@@ -675,7 +704,7 @@ def sdf(model: LatentModel, omega) -> np.ndarray | float:
         b, h, alpha = model.value("B"), model.value("h"), model.value("alpha")
         out = b * b / (w * w + h * h) ** alpha
     else:
-        out = sdf_entry(model)(model.params.values, w, False)[0]
+        out = sdf_entry(model, w)(model.params.values, False)[0]
     return out if np.ndim(omega) else float(out)
 
 
@@ -690,8 +719,10 @@ def sdf_grad(model: LatentModel, omega) -> np.ndarray:
         df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
         df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
     """
-    w = np.asarray(omega, dtype=float)
-    return sdf_entry(model)(model.params.values, w, True)[1]
+    values = model.params.values
+    f, jac = sdf_entry(model, omega)(values, True)
+    k = scale_index(model)
+    return with_scale_row(model.family, jac, k, f, values[k])
 
 
 def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
@@ -700,8 +731,7 @@ def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
     The closed form of ar and car1; ou and matern raise ValueError, as
     :func:`sdf_entry`.
     """
-    w = np.asarray(omega, dtype=float)
-    out = sdf_entry(model)(model.params.values, w, False)[0]
+    out = sdf_entry(model, omega)(model.params.values, False)[0]
     return out if np.ndim(omega) else float(out)
 
 

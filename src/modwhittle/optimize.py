@@ -11,7 +11,11 @@ stops at the edge.)  The gradient is the objective's score where it has
 one (``has_gradient`` and ``value_and_grad``: every spectral and Markov
 exact :class:`Objective`), else central differences in the polish
 coordinates (:func:`_polish_value_and_grad`: the dense exact kind,
-``Car1WhittleObjective`` and plain callables).  A search has
+``Car1WhittleObjective`` and plain callables).  A fit keeps its bounds,
+starts and result as Python floats, and the 1-D search runs on them, with
+numpy's exp and log of one float for the coordinate map (their bits are an
+array's): a one-parameter fit, as every Table 1 and 3 estimator is, makes
+no numpy call on a one-element array.  A search has
 converged at a projected gradient of at most POLISH_PGTOL * max(1, |f|),
 whatever L-BFGS-B reports; an unconverged L-BFGS-B stop is rerun once, or
 with ever shorter first steps while its runs meet +inf (a step out of the
@@ -33,6 +37,7 @@ parameters only and the scale is filled in at the end.  A plain callable,
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -89,11 +94,11 @@ def minimize(*args, **kwargs):
 
 
 class _Stop(NamedTuple):
-    """Where a search of one start stopped: the point x in the polish
-    coordinates, its value fun (+inf when the start scored +inf), the
-    iterations nit, ``converged`` by the projected-gradient test of
-    :func:`_polish`, and the stopping rule as message."""
-    x: np.ndarray
+    """Where a search of one start stopped: the searched parameters theta
+    there (a list of floats), its value fun (+inf when the start scored
+    +inf), the iterations nit, ``converged`` by the projected-gradient test
+    of :func:`_polish`, and the stopping rule as message."""
+    theta: list
     fun: float
     nit: int
     converged: bool
@@ -178,67 +183,62 @@ def _bound_kinds(lower, upper):
 
 
 def _polish_coordinates(lower, upper):
-    """The bounded coordinates y of the L-BFGS-B phase.
+    """The bounded coordinates y of the search.
 
-    Returns ``(log_mask, box_lo, box_hi)``: y = log theta where log_mask is
-    true (a finite lower bound >= 0), y = theta elsewhere, and the L-BFGS-B
-    bounds on y.  Each finite edge sits POLISH_EDGE inside the fit bound
+    Returns ``(log_mask, box_lo, box_hi)``, lists of one entry per
+    coordinate: y = log theta where log_mask is true (a finite lower bound
+    >= 0), y = theta elsewhere, and the bounds of the box on y.  Each
+    finite edge sits POLISH_EDGE inside the fit bound
     (relative for plain coordinates, absolute in log ones), so every
     evaluated theta stays strictly inside the open bounds; an infinite side,
     and a lower bound of 0 in log coordinates, stays open (+-inf).
     """
-    lo = np.asarray(lower, dtype=float)
-    hi = np.asarray(upper, dtype=float)
-    log_mask = np.isfinite(lo) & (lo >= 0)
-    box_lo = np.full(lo.size, -np.inf)
-    box_hi = np.full(lo.size, np.inf)
-    for i in range(lo.size):
-        if log_mask[i]:
-            if lo[i] > 0:
-                box_lo[i] = np.log(lo[i]) + POLISH_EDGE
-            if np.isfinite(hi[i]):
-                box_hi[i] = np.log(hi[i]) - POLISH_EDGE
-            continue
-        if np.isfinite(lo[i]):
-            box_lo[i] = lo[i] + POLISH_EDGE * max(1.0, abs(lo[i]))
-        if np.isfinite(hi[i]):
-            box_hi[i] = hi[i] - POLISH_EDGE * max(1.0, abs(hi[i]))
+    log_mask, box_lo, box_hi = [], [], []
+    for lo, hi in zip(np.asarray(lower, dtype=float).tolist(),
+                      np.asarray(upper, dtype=float).tolist()):
+        log = math.isfinite(lo) and lo >= 0.0
+        if log:
+            edges = (float(np.log(lo)) + POLISH_EDGE if lo > 0.0 else -math.inf,
+                     float(np.log(hi)) - POLISH_EDGE if math.isfinite(hi) else math.inf)
+        else:
+            edges = (lo + POLISH_EDGE * max(1.0, abs(lo)) if math.isfinite(lo) else -math.inf,
+                     hi - POLISH_EDGE * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf)
+        log_mask.append(log)
+        box_lo.append(edges[0])
+        box_hi.append(edges[1])
     return log_mask, box_lo, box_hi
 
 
-def _polish_theta(y, log_mask) -> np.ndarray:
-    """theta from the polish coordinates y (see :func:`_polish_coordinates`)."""
-    with np.errstate(over="ignore"):  # an overflow to inf scores +inf
-        return np.where(log_mask, np.exp(y), y)
-
-
-def _polish_start(theta, log_mask, box_lo, box_hi) -> np.ndarray:
-    """The polish coordinates of theta, clipped into the box."""
-    with np.errstate(invalid="ignore", divide="ignore"):  # log of the plain coordinates
-        return np.clip(np.where(log_mask, np.log(theta), theta), box_lo, box_hi)
+def _polish_theta(y, log_mask) -> list:
+    """theta from the polish coordinates y (see :func:`_polish_coordinates`),
+    as floats: numpy's exp of one float, whose bits are an array's."""
+    return [float(np.exp(v)) if log else v for v, log in zip(y, log_mask)]
 
 
 def _polish_value_and_grad(y, objective, log_mask, box_lo, box_hi):
-    """The objective and its gradient in the polish coordinates y.
+    """The objective and its gradient (a list) in the polish coordinates y,
+    a list of floats, for both searches.
 
     The one place that knows whether the objective has a score: with a true
-    ``has_gradient`` the gradient is its ``value_and_grad``'s, else central
-    differences in y (:func:`_central_differences`).  A line-search step can
-    reach a theta so large (or small) that theta itself or the objective's
-    intermediate values overflow (or divide by an underflowed 0); that
-    scores +inf without a warning, like any other non-finite value or probe.
+    ``has_gradient`` the gradient is its ``value_and_grad``'s times
+    dtheta/dy, else central differences in y (:func:`_central_differences`).
+    A non-finite value or probe scores +inf, with a zero gradient.  A step
+    can reach a theta so large (or small) that theta itself or the
+    objective's intermediate values overflow (or divide by an underflowed
+    0); :func:`fit` runs every search under ``np.errstate``, so that is
+    silent.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        theta = np.where(log_mask, np.exp(y), y)
-        if objective.has_gradient:
-            val, grad = objective.value_and_grad(theta)
-            grad = grad * np.where(log_mask, theta, 1.0)  # dtheta/dy
-        else:
-            val = objective(theta)
-            grad = (_central_differences(y, objective, log_mask, box_lo, box_hi)
-                    if np.isfinite(val) else None)
-    if not np.isfinite(val) or grad is None:
-        return np.inf, np.zeros_like(y)
+    theta = _polish_theta(y, log_mask)
+    if objective.has_gradient:
+        val, grad = objective.value_and_grad(theta)
+        grad = [float(g) * t if log else float(g)  # dtheta/dy
+                for g, t, log in zip(grad, theta, log_mask)]
+    else:
+        val = objective(theta)
+        grad = (_central_differences(y, objective, log_mask, box_lo, box_hi)
+                if math.isfinite(val) else None)
+    if not math.isfinite(val) or grad is None:
+        return math.inf, [0.0] * len(y)
     return float(val), grad
 
 
@@ -246,23 +246,24 @@ def _central_differences(y, objective, log_mask, box_lo, box_hi):
     """The objective's gradient in y by central differences, each probe
     y_i +- FD_STEP * max(1, |y_i|) clipped into the box (box_lo, box_hi), or
     None when a probe is not finite."""
-    step = FD_STEP * np.maximum(1.0, np.abs(y))
-    up, down = np.minimum(y + step, box_hi), np.maximum(y - step, box_lo)
-    grad = np.empty_like(y)
-    for i, moved in enumerate(np.eye(y.size, dtype=bool)):
-        f_up, f_down = (objective(_polish_theta(np.where(moved, edge, y), log_mask))
+    grad = []
+    for i, (yi, lo, hi) in enumerate(zip(y, box_lo, box_hi)):
+        step = FD_STEP * max(1.0, abs(yi))
+        up, down = min(yi + step, hi), max(yi - step, lo)
+        f_up, f_down = (float(objective(_polish_theta([*y[:i], edge, *y[i + 1:]], log_mask)))
                         for edge in (up, down))
-        if not np.all(np.isfinite([f_up, f_down])):
+        if not (math.isfinite(f_up) and math.isfinite(f_down)):
             return None
-        grad[i] = (f_up - f_down) / (up[i] - down[i])
+        grad.append((f_up - f_down) / (up - down))
     return grad
 
 
 def at_bound(pv: ParameterVector) -> list:
     """Names of the values within AT_BOUND_EPS * max(1, |b|) of a finite bound b."""
     out = []
-    for name, v, lo, hi in zip(pv.names, pv.values, pv.lower, pv.upper):
-        if any(np.isfinite(b) and abs(v - b) <= AT_BOUND_EPS * max(1.0, abs(b))
+    for name, v, lo, hi in zip(pv.names, pv.values.tolist(), pv.lower.tolist(),
+                               pv.upper.tolist()):
+        if any(math.isfinite(b) and abs(v - b) <= AT_BOUND_EPS * max(1.0, abs(b))
                for b in (lo, hi)):
             out.append(name)
     return out
@@ -325,8 +326,10 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
     while its runs meet a trial that scores +inf, in u = y / s with s
     RESCALE times smaller each time (its first step, of length 1 in u, that
     much shorter) down to BRACKET_XTOL.  The first run has s = 1.  Returns
-    the last run's stop in y as a :class:`_Stop`, with nit summed over the
+    the last run's stop as a :class:`_Stop`, with nit summed over the
     runs."""
+    lo, hi = np.array(box_lo), np.array(box_hi)
+    y0 = np.array(y0)
     n_iters = 0
     s, restarted = 1.0, False
     while True:
@@ -334,17 +337,18 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
 
         def value_and_grad(u):
             nonlocal met_inf
-            f, g = _polish_value_and_grad(u * s, objective, log_mask, box_lo, box_hi)
-            met_inf = met_inf or f == np.inf
-            return f, g * s
+            f, g = _polish_value_and_grad((u * s).tolist(), objective, log_mask,
+                                          box_lo, box_hi)
+            met_inf = met_inf or f == math.inf
+            return f, np.array(g) * s
 
         res = minimize(value_and_grad, y0 / s, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(box_lo / s, box_hi / s)),
+                       bounds=list(zip(lo / s, hi / s)),
                        options={"gtol": GRAD_GTOL, "ftol": GRAD_FTOL,
                                 "maxiter": max_iter, "maxfun": 4 * max_iter})
         n_iters += int(res.nit)
         y, g = res.x * s, res.jac / s
-        pg = np.clip(y - g, box_lo, box_hi) - y
+        pg = np.clip(y - g, lo, hi) - y
         converged = bool(np.max(np.abs(pg)) <= POLISH_PGTOL * max(1.0, abs(res.fun)))
         if converged or res.status == 1 or not np.isfinite(res.fun):  # status 1: a limit
             break
@@ -355,12 +359,19 @@ def _polish(objective, y0, log_mask, box_lo, box_hi, max_iter):
         else:
             restarted = True
         y0 = y  # L-BFGS-B never ends above its start
-    return _Stop(y, res.fun, n_iters, converged, str(res.message))
+    return _Stop(_polish_theta(y.tolist(), log_mask), res.fun, n_iters, converged,
+                 str(res.message))
 
 
 def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
     """Minimize a one-parameter objective from y0 in its polish coordinate,
     boxed by (box_lo, box_hi), by a bracketed derivative search.
+
+    y0, log_mask, box_lo and box_hi are one-element lists, and the search
+    runs on Python floats.  Each trial's value and derivative in y are
+    :func:`_polish_value_and_grad`'s, as for L-BFGS-B: the score times
+    dtheta/dy, else a central difference in y; a trial that is not finite
+    scores +inf.
 
     Bracket: step downhill from y0, first by FIRST_STEP * max(1, |y0|),
     then by the secant step to the derivative's root, capped at STEP_GROWTH
@@ -383,22 +394,22 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
     Returns a :class:`_Stop` at the best point, with nit one less than the
     evaluations; fun is +inf when y0 scores +inf.
     """
+    (lo,), (hi,) = box_lo, box_hi
     nfev = 0
 
     def evaluate(y):
         nonlocal nfev
         nfev += 1
-        f, g = _polish_value_and_grad(np.array([y]), objective, log_mask,
-                                      box_lo, box_hi)
-        return y, f, float(g[0])
+        f, (g,) = _polish_value_and_grad([y], objective, log_mask, box_lo, box_hi)
+        return y, f, g
 
-    a = evaluate(float(y0[0]))  # the best point, (y, f, g)
+    a = evaluate(y0[0])  # the best point, (y, f, g)
     b = None  # the bracket's other end, once there is a bracket
     wall = None  # the nearest trial ahead that scored +inf
     step = FIRST_STEP * max(1.0, abs(a[0]))
     widths, flat = [], 0
     message = "start scores +inf"
-    while np.isfinite(a[1]):
+    while a[1] < math.inf:
         y, f, g = a
         if abs(g) <= GRAD_GTOL:
             message = "gradient at most GRAD_GTOL"
@@ -410,7 +421,7 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
             message = f"objective flat to {FLAT_ULPS} ulp"
             break
         if b is None:
-            edge = box_hi[0] if g < 0 else box_lo[0]
+            edge = hi if g < 0 else lo
             if y == edge:
                 message = "minimum on the box edge"
                 break
@@ -425,11 +436,11 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
             trial = (0.5 * (y + b[0]) if len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]
                      else _shrink_trial(a, b))
         t = evaluate(trial)
-        tie = abs(t[1] - f) <= FLAT_ULPS * np.spacing(abs(f))
+        tie = abs(t[1] - f) <= FLAT_ULPS * math.ulp(abs(f))
         flat = flat + 1 if tie else 0
         if b is None:
             taken = abs(t[0] - y)
-            if not np.isfinite(t[1]):
+            if t[1] == math.inf:
                 wall, step = t[0], 0.5 * taken
                 if step <= BRACKET_XTOL * max(1.0, abs(y)):
                     message = "+inf beside the best point"
@@ -448,26 +459,29 @@ def _search_1d(objective, y0, log_mask, box_lo, box_hi, max_iter):
         else:
             b = t
     y, f, g = a
-    pg = np.clip(y - g, box_lo[0], box_hi[0]) - y
-    return _Stop(np.array([y]), f, nfev - 1,
-                 bool(abs(pg) <= POLISH_PGTOL * max(1.0, abs(f))), message)
+    pg = min(max(y - g, lo), hi) - y
+    return _Stop(_polish_theta([y], log_mask), f, nfev - 1,
+                 abs(pg) <= POLISH_PGTOL * max(1.0, abs(f)), message)
 
 
 def _shrink_trial(a, b) -> float:
-    """The next trial inside the bracket of ends a and b, each (y, f, g):
-    the minimizer of the Hermite cubic through both ends, else the root of
-    the derivative's secant, else the midpoint, whichever first lies
-    strictly inside."""
-    # numpy floats, so equal derivatives give a nan secant, not a ZeroDivisionError
-    (ya, fa, ga), (yb, fb, gb) = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    with np.errstate(all="ignore"):  # an end at +inf, or no real minimizer
-        d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
-        d2 = np.sign(yb - ya) * np.sqrt(d1 * d1 - ga * gb)
-        cubic = yb - (yb - ya) * (gb + d2 - d1) / (gb - ga + 2.0 * d2)
-        secant = ya - ga * (yb - ya) / (gb - ga)
+    """The next trial inside the bracket of ends a and b, each (y, f, g) of
+    floats, y distinct: the minimizer of the Hermite cubic through both
+    ends, else the root of the derivative's secant, else the midpoint,
+    whichever first lies strictly inside.  The arithmetic is IEEE's, as
+    numpy's: an end at +inf, no real minimizer (a negative discriminant) or
+    a zero denominator (equal end derivatives) gives a nan or inf candidate,
+    which is not inside."""
+    (ya, fa, ga), (yb, fb, gb) = a, b
+    d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
+    disc = d1 * d1 - ga * gb
+    d2 = (1.0 if yb > ya else -1.0) * math.sqrt(disc) if disc >= 0.0 else math.nan
+    den = gb - ga + 2.0 * d2
+    cubic = yb - (yb - ya) * (gb + d2 - d1) / den if den != 0.0 else math.nan
+    secant = ya - ga * (yb - ya) / (gb - ga) if gb != ga else math.nan
     for y in (cubic, secant):
         if min(ya, yb) < y < max(ya, yb):
-            return float(y)
+            return y
     return 0.5 * (ya + yb)
 
 
@@ -479,7 +493,8 @@ class _Searched:
     :meth:`~modwhittle.likelihood.Objective.profile`) it is concentrated: a
     callable over theta without that scale, which remembers the scale
     estimate of every theta it evaluates, so the fit fills in the scale of
-    its optimum without evaluating it again."""
+    its optimum without evaluating it again.  Without one, the objective
+    gets theta as an array, whatever sequence the search passes."""
 
     def __init__(self, objective, k):
         self._objective, self._k = objective, k
@@ -499,16 +514,17 @@ class _Searched:
     def value(self, theta, grad):
         """(value, gradient or None) without counting the call."""
         if self._k is None:
+            theta = np.asarray(theta, dtype=float)
             if grad:
                 return self._objective.value_and_grad(theta)
             return self._objective(theta), None
         value, gradient, scale = self._objective.profile(theta, grad)
         if scale is not None:  # None: rejected, maybe only for its gradient
-            self._scales[np.asarray(theta, dtype=float).tobytes()] = scale
+            self._scales[tuple(theta)] = scale
         return value, gradient
 
     def scale(self, theta) -> float:
-        key = np.asarray(theta, dtype=float).tobytes()
+        key = tuple(theta)
         if key not in self._scales:
             self.value(theta, False)
         return self._scales[key]
@@ -516,12 +532,14 @@ class _Searched:
 
 def _retry_starts(init, lower, upper, seed):
     """The seeded perturbations of init in :func:`transform` space, one per
-    ``next``.  The transform and the random stream are built at the first
-    ``next``, so a fit whose first start converges builds neither."""
+    ``next``, as lists.  The transform and the random stream are built at
+    the first ``next``, so a fit whose first start converges builds
+    neither."""
     x0 = transform(init, lower, upper)
     rng = np.random.default_rng(seed)
     while True:
-        yield inverse_transform(x0 + rng.normal(scale=0.5, size=x0.size), lower, upper)
+        yield inverse_transform(x0 + rng.normal(scale=0.5, size=x0.size),
+                                lower, upper).tolist()
 
 
 def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
@@ -552,48 +570,49 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
 
     Each start runs :func:`_polish` or, with one searched coordinate
     (counted after the scale is concentrated), :func:`_search_1d`, on the
-    objective's score or on central differences.  max_iter (default 2000
-    per searched parameter) caps the iterations of each L-BFGS-B run and the
-    evaluations of the 1-D search.  ``n_evals`` counts every call of the
-    objective in the search, difference probes included, and
-    ``n_grad_evals`` the calls of its ``value_and_grad``.  Estimates within
-    AT_BOUND_EPS of a finite bound are listed in ``at_bound``;
-    ``n_rejected`` counts the evaluations that scored +inf, for objectives
-    that count them (as :class:`~modwhittle.likelihood.Objective` does).
-    ``start_results`` gives each searched start's init (name -> value, the
-    concentrated scale left out), final objective, evaluations and
-    convergence, and ``best_start`` the index of the one that won.
+    objective's score or on central differences.  The bounds, the starts
+    and the result are kept as Python floats, so a fit of one searched
+    coordinate runs on floats from its init to its result.  max_iter
+    (default 2000 per searched parameter) caps the iterations of each
+    L-BFGS-B run and the evaluations of the 1-D search.  ``n_evals``
+    counts every call of the objective in the search, difference probes
+    included, and ``n_grad_evals`` the calls of its ``value_and_grad``.
+    Estimates within AT_BOUND_EPS of a finite bound are listed in
+    ``at_bound``; ``n_rejected`` counts the evaluations that scored +inf,
+    for objectives that count them (as
+    :class:`~modwhittle.likelihood.Objective` does).  ``start_results``
+    gives each searched start's init (name -> value, the concentrated scale
+    left out), final objective, evaluations and convergence, and
+    ``best_start`` the index of the one that won.
     """
     t0 = time.perf_counter()
     names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
     rejected = getattr(objective, "n_rejected", 0)
     k = getattr(objective, "scale_index", None)
-    lo, hi = fit_lo, fit_hi
-    if k is not None and lo[k] <= 0.0 and hi[k] == np.inf:
-        values, lo, hi = (np.delete(a, k) for a in (values, lo, hi))
-    else:
+    if k is not None and not (fit_lo[k] <= 0.0 and fit_hi[k] == np.inf):
         k = None
+    values, lo, hi = values.tolist(), fit_lo.tolist(), fit_hi.tolist()
+    searched_names = list(names)
+    if k is not None:
+        for a in (values, lo, hi, searched_names):
+            del a[k]
     searched = _Searched(objective, k)
-    d = values.size
+    d = len(values)
     if max_iter is None:
         max_iter = 2000 * d
     log_mask, box_lo, box_hi = _polish_coordinates(lo, hi)
-    search = _search_1d if d == 1 else _polish
-    searched_names = names if k is None else names[:k] + names[k + 1:]
-    outside = ~((lo <= values) & (values <= hi))  # NaN fails both
-    if outside.any():
-        j = int(np.argmax(outside))
-        raise FitFailure(f"init {searched_names[j]} = {values[j]} lies outside "
-                         f"the bounds [{lo[j]}, {hi[j]}]")
+    for name, v, l, h in zip(searched_names, values, lo, hi):
+        if not l <= v <= h:  # NaN fails both
+            raise FitFailure(f"init {name} = {v} lies outside the bounds [{l}, {h}]")
     # an init on a finite bound is clipped into the box and searched from
     # there, but the log box stays open at a lower bound of 0
-    init = np.clip(values, *(_polish_theta(b, log_mask) for b in (box_lo, box_hi)))
-    stuck = log_mask & (init <= 0.0)
-    if stuck.any():
-        j = int(np.argmax(stuck))
-        raise FitFailure(f"init {searched_names[j]} = {values[j]} lies on a bound "
-                         f"it cannot leave ({lo[j]})")
+    init = [min(max(v, tl), th) for v, tl, th in
+            zip(values, _polish_theta(box_lo, log_mask), _polish_theta(box_hi, log_mask))]
+    for name, v, t, log, l in zip(searched_names, values, init, log_mask, lo):
+        if log and t <= 0.0:
+            raise FitFailure(f"init {name} = {v} lies on a bound it cannot leave ({l})")
     retries = _retry_starts(init, lo, hi, seed)
+    search = _search_1d if d == 1 else _polish
 
     best = None
     records = []
@@ -602,17 +621,20 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         if any(r["converged"] for r in records):
             break  # a retry only follows starts that failed
         start = init if i == 0 else next(retries)
-        record = {"init": dict(zip(searched_names, map(float, start))),
+        record = {"init": dict(zip(searched_names, start)),
                   "objective": None, "n_evals": 0, "converged": False}
         records.append(record)
         calls = searched.n_evals
         if d:
-            res = search(searched, _polish_start(start, log_mask, box_lo, box_hi),
-                         log_mask, box_lo, box_hi, max_iter)
-            theta = _polish_theta(res.x, log_mask)
+            # a step can reach a theta, or values inside the objective, that
+            # overflow (or divide by an underflowed 0): those score +inf,
+            # without a warning
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                y0 = [min(max(float(np.log(t)) if log else t, bl), bh)
+                      for t, log, bl, bh in zip(start, log_mask, box_lo, box_hi)]
+                res = search(searched, y0, log_mask, box_lo, box_hi, max_iter)
         else:  # only the concentrated scale is free: its closed form is the fit
             res = _Stop(start, searched.value(start, False)[0], 0, True, "closed form")
-            theta = start
         total_iters += int(res.nit)
         record["n_evals"] = searched.n_evals - calls
         if not np.isfinite(res.fun):
@@ -620,13 +642,13 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         fun = float(res.fun)
         record.update(objective=fun, converged=res.converged)
         if best is None or fun < best[0]:
-            best = (fun, theta, res.converged, str(res.message), len(records) - 1)
+            best = (fun, res.theta, res.converged, str(res.message), len(records) - 1)
     if best is None:
         raise FitFailure(
             f"no finite objective from {len(records)} start(s); last init {values}")
     fun, theta, success, message, best_start = best
     if k is not None:
-        theta = np.insert(theta, k, searched.scale(theta))
+        theta = [*theta[:k], searched.scale(theta), *theta[k:]]
     pv = ParameterVector(names, theta, lower=fit_lo, upper=fit_hi)
     return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,

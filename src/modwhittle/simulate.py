@@ -32,6 +32,7 @@ from .likelihood import Objective
 from .models import LatentModel, ar_model, autocov_sequence, car1_model
 from .modulation import (
     LinearRampKernel,
+    Modulator,
     cosine_bernoulli_mask,
     frequency_modulator,
     linear_beta,
@@ -120,24 +121,27 @@ def simulate_complex_ar1(r: float, sigma: float, beta, n: int, seed) -> Series:
     """Draw z_t = r e^{i beta_t} z_{t-1} + eps_t with stationary start.
 
     beta supplies the rotations for transitions t = 1..n-1 (length n-1, or
-    length n in which case beta[0] is ignored); eps_t is proper complex with
+    length n in which case beta[0] is ignored), or their length-n
+    :func:`~modwhittle.modulation.frequency_modulator`, which a caller that
+    fits under it builds once for both; eps_t is proper complex with
     variance sigma^2 and z_0 ~ N_C(0, sigma^2/(1-r^2)).
     """
     if not (0.0 <= r < 1.0):
         raise ValueError("requires 0 <= r < 1")
     if sigma <= 0:
         raise ValueError("requires sigma > 0")
-    beta = np.asarray(beta, dtype=float)
-    if beta.size == n:
-        beta = beta[1:]
-    if beta.size != n - 1:
-        raise ValueError("need one rotation per transition (length n-1)")
+    mod = beta
+    if not isinstance(mod, Modulator):
+        beta = np.asarray(beta, dtype=float)
+        mod = frequency_modulator(beta[1:] if beta.size == n else beta)
+    if mod.n != n:
+        raise ValueError("need one rotation per transition (length n-1), "
+                         "or a modulator of length n")
     rng = _rng_of(seed)
     z0 = complex_normal(rng, (), sigma * sigma / (1.0 - r * r))
     eps = complex_normal(rng, n - 1, sigma * sigma)
     latent = _ar1_scan(np.concatenate(([z0], eps)), r)
-    g = frequency_modulator(beta).g
-    return Series(g * latent, delta=1.0, kind="complex")
+    return Series(mod.g * latent, delta=1.0, kind="complex")
 
 
 def simulate_from_acv(acv, n: int, seed, kind: str = "real") -> Series:
@@ -305,7 +309,9 @@ def _rep_seed(master: int, n: int, rep: int) -> np.random.SeedSequence:
 
 
 def _simulate_case(study: McStudy, n: int, rep: int):
-    """Returns (data, aux) for one replicate; aux carries the known modulator."""
+    """Returns (data, aux) for one replicate; aux carries the known modulator
+    (a car1 study's frequency modulator, built once for the draw and the
+    fit, beside its rotations beta)."""
     ss = _rep_seed(study.seed, n, rep)
     child_mod, child_noise = ss.spawn(2)
     p = study.true_params
@@ -324,9 +330,10 @@ def _simulate_case(study: McStudy, n: int, rep: int):
                                         np.random.default_rng(child_mod))[1:]
     else:  # car1-linear-beta: McStudy admits no other kind
         beta = linear_beta(p["gamma"], p["span"], n)
-    data = simulate_complex_ar1(p["r"], p["sigma"], beta, n,
+    mod = frequency_modulator(beta)
+    data = simulate_complex_ar1(p["r"], p["sigma"], mod, n,
                                 np.random.default_rng(child_noise))
-    return data, {"beta": beta}
+    return data, {"beta": beta, "modulator": mod}
 
 
 # Table 2's (gamma, span) start scans span over this many points in (0, pi)
@@ -351,8 +358,7 @@ def _mask_stationary(data: Series, aux: dict):
 
 def _walk_modulated(data: Series, aux: dict):
     obj = Objective("modulated-whittle", data, car1_model(0.5, 1.0),
-                    modulator=frequency_modulator(aux["beta"]),
-                    check_significance=False)
+                    modulator=aux["modulator"], check_significance=False)
     return obj, obj.init_params.replace(mom_car1(data, obj.cgs[0]))
 
 

@@ -27,7 +27,9 @@ from modwhittle.models import (
     matern_acv,
     model_from_json,
     model_to_json,
+    scale_index,
     sdf_entry,
+    with_scale_row,
 )
 
 
@@ -220,6 +222,7 @@ def test_matern_score_matches_five_point_difference(b, h, alpha):
     delta, n = 1.0 / 12.0, 2048
     c, jac = _matern_table(b, h, alpha, delta, n, n, grad=True)
     assert np.array_equal(c, _matern_table(b, h, alpha, delta, n, n)[0])
+    jac = with_scale_row("matern", jac, 0, c, b)
     theta = np.array([b, h, alpha])
     # steps relative to B, h and nu = alpha - 1/2, where Gamma(nu) has its pole
     for j, size in enumerate((b, h, alpha - 0.5)):
@@ -302,19 +305,23 @@ def test_raw_float_entry_matches_the_model_functions(model):
     acv, jac = acv_entry(model)(v, n, False)
     assert jac is None
     assert np.array_equal(padded(acv), autocov_sequence(other, n))
-    acv, jac = acv_entry(model)(v, n, True)  # every family has its acv rows
+    # every family has its acv rows; the entry's leave out the scale's
+    acv, jac = acv_entry(model)(v, n, True)
     ref_acv, ref_jac = autocov_grad(other, n)
-    assert np.array_equal(padded(acv), ref_acv) and np.array_equal(jac, ref_jac)
-    assert jac.shape == (len(v), acv.size)
+    k = scale_index(model)
+    assert np.array_equal(padded(acv), ref_acv)
+    assert np.array_equal(jac, np.delete(ref_jac, k, axis=0))
+    assert ref_jac.shape == (len(v), acv.size)
     if model.family in ("ou", "matern"):  # no discrete-time sdf
         with pytest.raises(ValueError, match="modulated-whittle"):
-            sdf_entry(model)
+            sdf_entry(model, w)
         with pytest.raises(ValueError, match="modulated-whittle"):
             sdf_sampled(other, w)
         return
-    f, jac = sdf_entry(model)(v, w, False)
+    f, jac = sdf_entry(model, w)(v, False)
     assert jac is None and np.array_equal(f, sdf_sampled(other, w))
-    assert np.array_equal(sdf_entry(model)(v, w, True)[1], sdf_grad(other, w))
+    jac = sdf_entry(model, w)(v, True)[1]
+    assert np.array_equal(jac, np.delete(sdf_grad(other, w), k, axis=0))
 
 
 def test_raw_float_entries_raise_outside_the_model_class():
@@ -331,7 +338,7 @@ def test_raw_float_entries_raise_outside_the_model_class():
             with pytest.raises(ValueError):
                 acv_entry(model)(bad, 16, grad)
         with pytest.raises(ValueError):
-            sdf_entry(model)(bad, np.zeros(3), False)
+            sdf_entry(model, np.zeros(3))(bad, False)
         with pytest.raises(ValueError):
             model.with_values(bad)
 

@@ -227,7 +227,7 @@ def test_polish_coordinates_box():
     lower = [0.0, 0.5, -1.0, -np.inf, 0.0, -np.inf]
     upper = [1.0, 3.0, 2.0, 5.0, np.inf, np.inf]
     log_mask, box_lo, box_hi = _polish_coordinates(lower, upper)
-    assert log_mask.tolist() == [True, True, False, False, True, False]
+    assert list(log_mask) == [True, True, False, False, True, False]
     assert box_lo[0] == -np.inf and box_hi[0] == -1e-10
     assert np.isclose(box_lo[1], np.log(0.5) + 1e-10, rtol=0, atol=1e-15)
     assert np.isclose(box_hi[1], np.log(3.0) - 1e-10, rtol=0, atol=1e-15)
@@ -260,18 +260,18 @@ def test_polish_gradient_matches_central_differences(rng):
     lower = np.array([0.5, -1.0, 0.0, -np.inf])
     upper = np.array([3.0, 2.0, np.inf, 5.0])
     log_mask, box_lo, box_hi = _polish_coordinates(lower, upper)
-    assert log_mask.tolist() == [True, False, True, False]
+    assert list(log_mask) == [True, False, True, False]
     obj = _Smooth()
     for _ in range(10):
         theta = np.array([rng.uniform(0.6, 2.9), rng.uniform(-0.9, 1.9),
                           rng.lognormal(), 5.0 - rng.lognormal()])
         y = np.where(log_mask, np.log(np.abs(theta)), theta)
-        _, grad = _polish_value_and_grad(y, obj, log_mask, box_lo, box_hi)
+        _, grad = _polish_value_and_grad(y.tolist(), obj, log_mask, box_lo, box_hi)
         e = 1e-6
         fd = np.array([
-            (_polish_value_and_grad(y + e * u, obj, log_mask, box_lo, box_hi)[0]
-             - _polish_value_and_grad(y - e * u, obj, log_mask, box_lo, box_hi)[0]) / (2 * e)
-            for u in np.eye(4)])
+            (_polish_value_and_grad((y + e * u).tolist(), obj, log_mask, box_lo, box_hi)[0]
+             - _polish_value_and_grad((y - e * u).tolist(), obj, log_mask, box_lo, box_hi)[0])
+            / (2 * e) for u in np.eye(4)])
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -386,6 +386,47 @@ def test_bracket_trial_with_equal_end_derivatives():
     obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
                     modulator=Modulator(np.ones(3)), check_significance=False)
     assert np.isfinite(fit(obj, obj.init_params).objective_value)
+
+
+def _numpy_shrink_trial(a, b):
+    """The bracket trial in numpy floats, the reference for the Python float
+    arithmetic of _shrink_trial: nan and inf where a float would raise."""
+    (ya, fa, ga), (yb, fb, gb) = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(all="ignore"):
+        d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
+        d2 = np.sign(yb - ya) * np.sqrt(d1 * d1 - ga * gb)
+        cubic = yb - (yb - ya) * (gb + d2 - d1) / (gb - ga + 2.0 * d2)
+        secant = ya - ga * (yb - ya) / (gb - ga)
+    for y in (cubic, secant):
+        if min(ya, yb) < y < max(ya, yb):
+            return float(y)
+    return float(0.5 * (ya + yb))
+
+
+def test_bracket_trial_is_the_numpy_formula_bit_for_bit():
+    rng = np.random.default_rng(23)
+    kinds = ("plain", "end at +inf", "equal derivatives", "tiny bracket")
+    seen = dict.fromkeys(kinds + ("negative discriminant",), 0)
+    for i in range(10_000):
+        kind = kinds[i % len(kinds)]
+        ya = float(rng.normal(scale=10.0 ** rng.integers(-3, 3)))
+        width = float(rng.exponential(10.0 ** rng.integers(-3, 2)))
+        if kind == "tiny bracket":
+            width = 2e-10 * max(1.0, abs(ya)) * float(rng.uniform(1.0, 4.0))
+        yb = ya + (width if rng.random() < 0.5 else -width)
+        fa, fb, ga, gb = (float(v) for v in rng.normal(scale=2.0, size=4))
+        if kind == "end at +inf":
+            fb = np.inf
+        elif kind == "equal derivatives":
+            gb = ga
+        a, b = (ya, fa, ga), (yb, fb, gb)
+        d1 = ga + gb - 3.0 * (fa - fb) / (ya - yb)
+        seen[kind] += 1
+        seen["negative discriminant"] += d1 * d1 - ga * gb < 0.0
+        want = _numpy_shrink_trial(a, b)
+        got = _shrink_trial(a, b)
+        assert type(got) is float and got.hex() == want.hex(), (kind, a, b)
+    assert min(seen.values()) >= 100
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 6])
@@ -542,6 +583,44 @@ def _without_a_score(case, seed):
         obj = Objective("exact", z, car1_model(0.5, 1.0, gamma=0.0))
         return obj, obj.init_params, ["sigma"]
     return Car1WhittleObjective(z, rotation=None), np.array([0.5, 1.0, 0.0]), []
+
+
+def _log_barrier(theta):
+    t = float(theta[0])
+    return t - 0.3 * np.log(t) + 0.05 * np.sin(3.0 * t)
+
+
+# theta-hat (as float.hex), evaluations and convergence of one-parameter
+# fits without a score in a log coordinate (a lower bound of 0), as the
+# array-based 1-D search gave them: the central difference is already a
+# derivative in log theta, so the search must take it as it is
+NO_SCORE_LOG_PINS = {
+    ("plain", 2.0, np.inf): (["0x1.169322cf2b64bp-2"], 33),
+    ("plain", 0.9, 1.0): (["0x1.169322cebeb4dp-2"], 27),
+    ("plain", 0.001, np.inf): (["0x1.169322cebcdc1p-2"], 27),
+    ("car1-exact", 0): (["0x1.8de7bc7681711p-1", "0x1.026c111457e81p+0"], 30),
+    ("car1-exact", 1): (["0x1.795abe11cf456p-1", "0x1.d54572c03f789p-1"], 24),
+    ("car1-exact", 2): (["0x1.8d55cf39c81d4p-1", "0x1.01ab55d5949b5p+0"], 30),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_SCORE_LOG_PINS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_one_parameter_fit_without_a_score_in_a_log_coordinate(case):
+    from modwhittle import car1_model
+
+    if case[0] == "plain":
+        _, init, upper = case
+        res = fit(_log_barrier, np.array([init]), lower=[0.0], upper=[upper])
+    else:  # the dense exact kind, r in [0, 1) with the scale profiled
+        z = simulate_complex_ar1(0.8, 1.0, np.full(255, 0.6), 256, case[1])
+        obj = Objective("exact", z, car1_model(0.5, 1.0, rotation=0.6))
+        assert not obj.has_gradient
+        res = fit(obj, obj.init_params)
+        assert res.profiled == ["sigma"]
+    got = ([float(v).hex() for v in res.theta_hat.values], res.n_evals)
+    assert got == NO_SCORE_LOG_PINS[case]
+    assert res.converged and res.message == "gradient at most GRAD_GTOL"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
