@@ -8,17 +8,13 @@ application and the Monte Carlo study harness.
 
 __version__ = "0.1.0"
 
-from .core import Series, FourierGrid, ParameterVector, fourier_grid, dft, idft
+from .core import Series, FourierGrid, ParameterVector, fourier_grid
 from .models import (
     LatentModel,
     ar_model,
     car1_model,
     ou_model,
     matern_model,
-    autocov,
-    sdf,
-    sdf_grad,
-    sdf_sampled,
     ou_to_ar,
     ar_to_ou,
 )
@@ -42,7 +38,6 @@ from .likelihood import (
     AggregateModel,
     Objective,
     aggregate_expected_periodogram,
-    compare_likelihoods,
     exact_gaussian_nll,
 )
 from .optimize import FitResult, fit, inverse_transform, transform
@@ -69,7 +64,6 @@ from .spectra import (
     expected_periodogram,
     brute_force_expected_periodogram,
     fejer_kernel,
-    dunsmuir_spectrum,
     exponential_qq,
 )
 

@@ -1,13 +1,9 @@
-"""Foundational types: sampled series, Fourier grids, parameter vectors, DFT.
+"""Foundational types: sampled series, Fourier grids, parameter vectors.
 
-Conventions used throughout the package:
-
-* The Fourier grid of a length-N sample is
-  ``(2*pi/N) * (-ceil(N/2)+1, ..., -1, 0, 1, ..., floor(N/2))``
-  in radians per sample (monotone increasing, always contains 0).
-* The discrete Fourier transform is normalized as
-  ``J(w) = N**-0.5 * sum_t x_t exp(-i w t)`` so that the periodogram is
-  simply ``|J(w)|**2`` with no extra factor.
+The Fourier grid of a length-N sample is
+``(2*pi/N) * (-ceil(N/2)+1, ..., -1, 0, 1, ..., floor(N/2))``
+in radians per sample (monotone increasing, always contains 0); spectra on
+it are numpy FFT outputs reordered by :func:`_to_grid_order`.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ __all__ = [
     "FourierGrid",
     "ParameterVector",
     "fourier_grid",
-    "dft",
-    "idft",
 ]
 
 
@@ -106,20 +100,6 @@ def _to_grid_order(fft_out: np.ndarray) -> np.ndarray:
 def _from_grid_order(grid_vals: np.ndarray) -> np.ndarray:
     n = grid_vals.shape[-1]
     return np.roll(grid_vals, -(int(np.ceil(n / 2)) - 1), axis=-1)
-
-
-def dft(series: Series) -> np.ndarray:
-    """J(w) = N**-0.5 sum_t x_t e^{-iwt} on the Fourier grid (grid order)."""
-    x = np.asarray(series.values)
-    n = x.size
-    return _to_grid_order(np.fft.fft(x)) / np.sqrt(n)
-
-
-def idft(j: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft`; returns the complex sample sequence."""
-    j = np.asarray(j, dtype=complex)
-    n = j.size
-    return np.fft.ifft(_from_grid_order(j)) * np.sqrt(n)
 
 
 @dataclass

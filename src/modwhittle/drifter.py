@@ -46,8 +46,6 @@ __all__ = [
     "band_mask",
     "fit_drifter",
     "batch_compare",
-    "segment_trajectory",
-    "rank_segments",
     "simulate_drifter_velocities",
     "trajectory_from_csv",
 ]
@@ -145,12 +143,7 @@ def drifter_modulator(omega_f, delta: float) -> Modulator:
         warnings.warn("inertial phase increments exceed the pi/2 band around "
                       "their mean; modulated fit may be unreliable",
                       RuntimeWarning)
-    mod = frequency_modulator(beta)
-    return Modulator(mod.g, generator="frequency",
-                     params={"beta": beta, "N": wf.size,
-                             "omega_f_min": float(wf.min()),
-                             "omega_f_mean": float(wf.mean()),
-                             "omega_f_max": float(wf.max())})
+    return frequency_modulator(beta)
 
 
 def band_mask(n: int, delta: float, lo_cpd: float, hi_cpd: float,
@@ -347,48 +340,6 @@ def batch_compare(cases, freq_range=(0.0, 0.8), include_background: bool = True,
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
-
-
-def segment_trajectory(traj: Trajectory, n_periods: float = 60.0,
-                       overlap: float = 0.5) -> list:
-    """Split a trajectory into windows of n_periods inertial cycles.
-
-    Cycle counting integrates |omega_f| over time, so windows shrink where
-    the inertial frequency is high; successive windows overlap by the given
-    fraction of cycles.
-    """
-    if not (0.0 <= overlap < 1.0):
-        raise ValueError("overlap fraction must be in [0, 1)")
-    wf = inertial_frequency(traj.latitudes)
-    cycles = np.concatenate(([0.0], np.cumsum(np.abs(wf[:-1]) * traj.delta)))
-    segments = []
-    start = 0
-    while True:
-        target = cycles[start] + n_periods
-        stop = int(np.searchsorted(cycles, target))
-        if stop >= traj.n:
-            break
-        segments.append(Trajectory(
-            times=traj.times[start:stop + 1],
-            latitudes=traj.latitudes[start:stop + 1],
-            longitudes=traj.longitudes[start:stop + 1],
-            velocities=None if traj.velocities is None
-            else traj.velocities[start:stop + 1],
-        ))
-        next_target = cycles[start] + n_periods * (1.0 - overlap)
-        nxt = int(np.searchsorted(cycles, next_target))
-        start = max(nxt, start + 1)
-    return segments
-
-
-def rank_segments(segments) -> list:
-    """Sort segments by std(omega_f)/|mean(omega_f)|, most variable first."""
-    def score(seg: Trajectory) -> float:
-        wf = inertial_frequency(seg.latitudes)
-        mean = np.mean(wf)
-        return float(np.std(wf) / max(abs(mean), 1e-12))
-
-    return sorted(segments, key=score, reverse=True)
 
 
 def simulate_drifter_velocities(amp: float, lam: float, b: float, h: float,

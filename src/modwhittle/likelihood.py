@@ -78,7 +78,6 @@ __all__ = [
     "exact_gaussian_nll",
     "exact_car1_nll",
     "aggregate_expected_periodogram",
-    "compare_likelihoods",
     "spectral_nll",
     "resolve_mask",
     "Car1WhittleObjective",
@@ -106,7 +105,11 @@ def resolve_mask(n: int, mask=None) -> np.ndarray:
 
 
 def spectral_nll(shat: np.ndarray, svals: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """(1/N) sum over the mask of log s + shat/s; N is the full grid size."""
+    """(1/N) sum over the mask of log s + shat/s; N is the full grid size.
+
+    No fit calls it: the benchmark tracer names it, and ROADMAP item 1
+    retires it.
+    """
     n = shat.size
     if mask is not None:
         shat = shat[mask]
@@ -175,7 +178,8 @@ def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> f
 
     beta holds the rotations for steps t = 1..N-1.  Equal to the dense
     :func:`exact_gaussian_nll` of the equivalent modulated representation and
-    evaluated in O(N).
+    evaluated in O(N).  No fit calls it (an Objective runs :func:`_exact_car1`):
+    the benchmark tracer names it, and ROADMAP item 1 retires it.
     """
     if not sigma > 0:
         raise ValueError("requires sigma > 0")
@@ -497,8 +501,8 @@ class Objective:
         gamma + span ramp_t.
 
         whittle: with f the sdf on the grid and w = dl/df (see
-        :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j (see
-        :func:`sdf_grad`).
+        :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j, with df/dtheta
+        the closed-form rows of :func:`~modwhittle.models.sdf_entry`.
 
         modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w), the
         adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a component with
@@ -698,7 +702,8 @@ class Car1WhittleObjective:
     it is free: ``Objective("whittle", data, car1_model(...))`` with only
     ``names``, ``lower`` and ``upper`` exposed.  It has no ``has_gradient``,
     so :func:`~modwhittle.optimize.fit` searches it on central differences;
-    it is the benchmark tracer tests' fixture for an objective without a score.
+    it is the benchmark tracer tests' fixture for an objective without a
+    score, and ROADMAP item 1 retires it.
     """
 
     def __init__(self, data: Series, rotation: float | None = 0.0, mask=None):
@@ -711,38 +716,3 @@ class Car1WhittleObjective:
 
     def __call__(self, theta) -> float:
         return self._objective(theta)
-
-
-# ----------------------------------------------------------------------
-# model comparison
-# ----------------------------------------------------------------------
-
-def compare_likelihoods(data: Series, mod: Modulator,
-                        stationary_model: LatentModel,
-                        nonstationary_model: LatentModel | AggregateModel,
-                        mask_stationary=None, mask_modulated=None,
-                        options: dict | None = None) -> dict:
-    """Fit both models and report their objective values and difference.
-
-    The difference is nll_stationary - nll_modulated, so positive values
-    favor the nonstationary (modulated) model.  mod modulates a single latent
-    nonstationary model; an aggregate's components carry their own
-    modulators, and mod goes unused.
-    """
-    from .optimize import fit
-
-    stat_obj = Objective("whittle", data, stationary_model, mask=mask_stationary)
-    mod_obj = Objective("modulated-whittle", data, nonstationary_model,
-                        modulator=(None if isinstance(nonstationary_model, AggregateModel)
-                                   else mod),
-                        mask=mask_modulated, check_significance=False)
-    opts = options or {}
-    fit_w = fit(stat_obj, stat_obj.init_params, **opts)
-    fit_m = fit(mod_obj, mod_obj.init_params, **opts)
-    return {
-        "nll_stationary": fit_w.objective_value,
-        "nll_modulated": fit_m.objective_value,
-        "difference": fit_w.objective_value - fit_m.objective_value,
-        "fit_stationary": fit_w,
-        "fit_modulated": fit_m,
-    }

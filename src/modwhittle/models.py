@@ -31,13 +31,14 @@ form.
 
 Each family has one autocovariance implementation on raw float parameter
 values (:func:`acv_entry`), and the discrete families ar and car1 one sdf
-implementation (:func:`sdf_entry`); the functions on a :class:`LatentModel`
-wrap them, and objectives call them directly.  Every acv is closed form with
-a closed-form parameter derivative: the geometric table of an AR(1), car1 or
-ou (white noise is its r = 0 case), and the Matern table.  So is the sdf of
-ar and car1.  ou and matern have no discrete-time sdf: the modulated
-Whittle likelihood with g = 1 (``constant_modulator(n)``), the debiased
-Whittle likelihood, fits them from their acv.
+implementation (:func:`sdf_entry`); objectives call them directly, and
+:func:`autocov_sequence` reads a :class:`LatentModel` through them.  Every
+acv is closed form with a closed-form parameter derivative: the geometric
+table of an AR(1), car1 or ou (white noise is its r = 0 case), and the
+Matern table.  So is the sdf of ar and car1.  ou and matern have no
+discrete-time sdf: the modulated Whittle likelihood with g = 1
+(``constant_modulator(n)``), the debiased Whittle likelihood, fits them from
+their acv.
 """
 
 from __future__ import annotations
@@ -57,22 +58,15 @@ __all__ = [
     "car1_model",
     "ou_model",
     "matern_model",
-    "autocov",
-    "autocov_grad",
-    "geometric_acv",
-    "sdf",
-    "sdf_grad",
-    "sdf_sampled",
     "scale_index",
     "ou_to_ar",
     "ar_to_ou",
-    "model_to_json",
     "model_from_json",
 ]
 
 _FAMILIES = ("ar", "car1", "ou", "matern")
 
-# working precision of the latent acv tables: geometric_acv and matern_acv
+# working precision of the latent acv tables: the geometric and Matern tables
 # leave at zero every lag whose value is at most ACV_EPS * c(0)
 ACV_EPS = 1e-16
 
@@ -251,7 +245,14 @@ def ar_to_ou(r: float, sigma: float, delta: float) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 def _geometric_lag_cap(r: float, nlags: int) -> int:
-    """Lags kept by :func:`geometric_acv`: |r|^tau <= ACV_EPS for tau >= cap."""
+    """Lags kept by the geometric table of an AR(1), car1 or ou: |r|^tau <=
+    ACV_EPS for tau >= cap.
+
+    The table sigma^2/(1-r^2) r^tau e^{i rotation tau} stops at working
+    precision: lags from tau = floor(log eps / log|r|) + 1 on, where
+    |r|^tau <= eps = ACV_EPS, are left at zero, so the dropped tail sums to
+    at most eps c(0) / (1 - |r|).  r = 0 keeps lag 0 only.
+    """
     ar = abs(r)
     if ar == 0.0:
         return min(nlags, 1)
@@ -268,20 +269,6 @@ def _geometric_head(r: float, sigma: float, keep: int, rotation: float) -> np.nd
     if rotation:
         head = head * np.exp(1j * rotation * tau)
     return head
-
-
-def geometric_acv(r: float, sigma: float, nlags: int,
-                  rotation: float = 0.0) -> np.ndarray:
-    """sigma^2/(1-r^2) r^tau e^{i rotation tau} at lags 0..nlags-1.
-
-    The autocovariance of an AR(1) with coefficient r (|r| < 1, real or the
-    modulus of a complex AR(1)) and innovation variance sigma^2.  Truncated at
-    working precision: lags from tau = floor(log eps / log|r|) + 1 on, where
-    |r|^tau <= eps = ACV_EPS, are left at zero, so the dropped tail sums to
-    at most eps c(0) / (1 - |r|).  r = 0 keeps lag 0 only.
-    """
-    return _padded(_geometric_head(r, sigma, _geometric_lag_cap(r, nlags), rotation),
-                   nlags)
 
 
 def _padded(head: np.ndarray, nlags: int) -> np.ndarray:
@@ -512,8 +499,8 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # (ar, car1), on raw float parameter values (the layout of the family's
 # ParameterVector), with the model's delta and fixed rotation as keywords:
 #
-#     acv(values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
-#     sdf(shifted, values, grad) -> (f_X at omega, jac)
+#     acv entry (values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
+#     sdf entry (shifted, values, grad) -> (f_X at omega, jac)
 #
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
 # holds one derivative row per parameter but the scale (SCALE_PARAMS), in
@@ -523,8 +510,8 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # and :func:`with_scale_row` puts it back for the others.  An sdf takes
 # omega - rotation for a fixed car1 rotation (see :func:`sdf_entry`).  Each
 # raises the ValueError of validate_stationary outside the model class.
-# autocov_sequence, autocov_grad, sdf_sampled, sdf_grad and Objective
-# evaluations all run these, so every family has one implementation.
+# autocov_sequence and Objective evaluations both run these, so every family
+# has one implementation.
 
 def _acv_ar(values, nlags, grad, delta, rotation):
     # the geometric table; white noise is its r = 0 case without the r row
@@ -638,129 +625,23 @@ def sdf_entry(model: LatentModel, omega):
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:
-    """c_X(0..nlags-1) as one array.
+    """c_X(0..nlags-1) as one array: the acv entry's table, zero-padded.
 
     Geometric (ar, car1, ou) and Matern tables are zero past the lag where
-    they have decayed below working precision; see :func:`geometric_acv` and
-    :func:`matern_acv`.
+    they have decayed below working precision; see :func:`_geometric_lag_cap`
+    and :func:`matern_acv`.
     """
     return _padded(acv_entry(model)(model.params.values, nlags, False)[0], nlags)
 
 
-def autocov_grad(model: LatentModel, nlags: int) -> tuple[np.ndarray, np.ndarray]:
-    """c_X(0..nlags-1) with its derivatives in the free parameters.
-
-    Returns (acv, jac): acv equals :func:`autocov_sequence`, and jac has one
-    row per parameter over the lags 0..L-1 where acv is not truncated to
-    zero, so callers sum derivatives over that support only.  Every family
-    is closed form: ar, car1 (with a fixed or a free rotation) and ou from
-    the geometric table, matern from :func:`_matern_table`.
-    """
-    values = model.params.values
-    acv, jac = acv_entry(model)(values, nlags, True)
-    k = scale_index(model)
-    return _padded(acv, nlags), with_scale_row(model.family, jac, k, acv, values[k])
-
-
-def autocov(model: LatentModel, tau) -> np.ndarray | float | complex:
-    """c_X(tau; theta) at non-negative integer lags (scalar or array).
-
-    The Hermitian extension c(-tau) = conj(c(tau)) is implied; callers that
-    need negative lags conjugate.
-    """
-    tau_arr = np.atleast_1d(np.asarray(tau))
-    if not np.issubdtype(tau_arr.dtype, np.integer):
-        if np.any(tau_arr != np.round(tau_arr)):
-            raise ValueError("lags must be non-negative integers")
-        tau_arr = tau_arr.astype(int)
-    if np.any(tau_arr < 0):
-        raise ValueError("lags must be non-negative integers")
-    out = autocov_sequence(model, int(tau_arr.max()) + 1)[tau_arr]
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return out[0]
-    return out
-
-
 # ----------------------------------------------------------------------
-# spectral densities
+# JSON config
 # ----------------------------------------------------------------------
-
-def sdf(model: LatentModel, omega) -> np.ndarray | float:
-    """Model spectral density.
-
-    For the discrete families (ar, car1) omega is in radians per sample
-    and the value is f_X(w) = sum_tau c(tau) e^{-i w tau}.  For ou and matern
-    omega is the continuous-model frequency argument (the inertial peak sits
-    at the rotation frequency; see module docstring for the unit bookkeeping)
-    and the analytic shapes A^2/((w-w_f)^2+lam^2), B^2/(w^2+h^2)^alpha are
-    returned.
-    """
-    w = np.asarray(omega, dtype=float)
-    f = model.family
-    if f == "ou":
-        amp, lam = model.value("A"), model.value("lam")
-        out = amp * amp / ((w - model.rotation) ** 2 + lam * lam)
-    elif f == "matern":
-        b, h, alpha = model.value("B"), model.value("h"), model.value("alpha")
-        out = b * b / (w * w + h * h) ** alpha
-    else:
-        out = sdf_entry(model, w)(model.params.values, False)[0]
-    return out if np.ndim(omega) else float(out)
-
-
-def sdf_grad(model: LatentModel, omega) -> np.ndarray:
-    """Derivatives of sdf_sampled at the frequencies omega in the free parameters.
-
-    Returns jac with jac[j] = df/dtheta_j at every omega, for ar and car1
-    (else ValueError, as :func:`sdf_entry`): with f = sigma^2 / D and
-    D = 1 + r^2 - 2 r cos(w - gamma) (gamma = 0 and r = phi_1 for an AR(1),
-    and white noise, r = 0, has the sigma row alone),
-
-        df/dr = f (2 cos(w - gamma) - 2 r) / D,   df/dsigma = 2 f / sigma,
-        df/dgamma = 2 r f sin(w - gamma) / D      (car1 with a free gamma).
-    """
-    values = model.params.values
-    f, jac = sdf_entry(model, omega)(values, True)
-    k = scale_index(model)
-    return with_scale_row(model.family, jac, k, f, values[k])
-
-
-def sdf_sampled(model: LatentModel, omega) -> np.ndarray | float:
-    """Discrete-time sdf f_X(w) = sum_tau c(tau) e^{-i w tau}, w rad/sample.
-
-    The closed form of ar and car1; ou and matern raise ValueError, as
-    :func:`sdf_entry`.
-    """
-    out = sdf_entry(model, omega)(model.params.values, False)[0]
-    return out if np.ndim(omega) else float(out)
-
-
-# ----------------------------------------------------------------------
-# JSON round trip
-# ----------------------------------------------------------------------
-
-def model_to_json(model: LatentModel) -> str:
-    payload = {
-        "family": model.family,
-        "params": model.params.asdict(),
-        "bounds": {
-            n: [_num(lo), _num(hi)]
-            for n, lo, hi in zip(model.params.names, model.params.lower,
-                                 model.params.upper)
-        },
-        "delta": model.delta,
-        "rotation": model.rotation,
-    }
-    return json.dumps(payload)
-
-
-def _num(x: float):
-    return None if not np.isfinite(x) else float(x)
-
 
 def model_from_json(text: str | dict) -> LatentModel:
-    """The model of a :func:`model_to_json` payload.  The parameters may come
-    in any order and are stored in the family constructor's order, the layout
+    """The model of a JSON config ``{"family", "params", "bounds", "delta",
+    "rotation"}``, of which the last three are optional.  The parameters may
+    come in any order and are stored in the family constructor's order, the layout
     the raw-float entries read; a name the constructor does not give raises.
     A parameter that ``bounds`` does not list takes the bounds its family's
     constructor gives it (an AR(1) phi1 (-1, 1), a car1 r (0, 1), every

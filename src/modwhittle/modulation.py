@@ -18,7 +18,7 @@ free modulation parameters, with its derivatives in them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "component_cg",
     "cg_direct",
     "constant_modulator",
-    "custom_modulator",
     "periodic_missing_mask",
     "bernoulli_mask",
     "cosine_probabilities",
@@ -43,19 +42,15 @@ __all__ = [
     "LinearRampKernel",
     "significant_correlation_diagnostic",
     "stationarity_check",
-    "modulator_to_json",
     "modulator_from_json",
 ]
 
 
 @dataclass(frozen=True)
 class Modulator:
-    """A known modulating sequence with its generator tag and bound on |g|."""
+    """A known modulating sequence g, bounded and read-only."""
 
     g: np.ndarray
-    generator: str = "custom"
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         g = np.asarray(self.g)
@@ -125,12 +120,7 @@ def component_cg(mod: Modulator | None, n: int) -> np.ndarray:
 def constant_modulator(n: int, value: float = 1.0) -> Modulator:
     if n < 1:
         raise ValueError("length must be positive")
-    return Modulator(np.full(n, value, dtype=float), generator="constant",
-                     params={"value": value, "N": n})
-
-
-def custom_modulator(g) -> Modulator:
-    return Modulator(np.asarray(g), generator="custom", params={"N": np.asarray(g).size})
+    return Modulator(np.full(n, value, dtype=float))
 
 
 def periodic_missing_mask(k: int, l: int, n: int) -> Modulator:
@@ -144,8 +134,7 @@ def periodic_missing_mask(k: int, l: int, n: int) -> Modulator:
     period = np.concatenate((np.ones(k), np.zeros(l)))
     reps = int(np.ceil(n / period.size))
     mask = np.tile(period, reps)[:n]
-    return Modulator(mask, generator="periodic-missing",
-                     params={"k": k, "l": l, "N": n})
+    return Modulator(mask)
 
 
 def bernoulli_mask(p, seed: int, n: int | None = None) -> Modulator:
@@ -156,8 +145,7 @@ def bernoulli_mask(p, seed: int, n: int | None = None) -> Modulator:
     fixed function of (seed, t) regardless of how many values are consumed.
     """
     p_arr = np.asarray(p, dtype=float)
-    scalar_p = p_arr.ndim == 0
-    if scalar_p:
+    if p_arr.ndim == 0:
         if n is None:
             raise ValueError("scalar probability needs an explicit length")
         p_arr = np.full(n, float(p_arr))
@@ -165,9 +153,7 @@ def bernoulli_mask(p, seed: int, n: int | None = None) -> Modulator:
         raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(p_arr.size)
-    mask = (u < p_arr).astype(float)
-    params = {"p": float(p) if scalar_p else p_arr, "N": p_arr.size}
-    return Modulator(mask, generator="bernoulli", params=params, seed=seed)
+    return Modulator((u < p_arr).astype(float))
 
 
 def cosine_probabilities(mean_p: float, amp_p: float, omega_p: float, n: int) -> np.ndarray:
@@ -183,11 +169,7 @@ def cosine_probabilities(mean_p: float, amp_p: float, omega_p: float, n: int) ->
 def cosine_bernoulli_mask(mean_p: float, amp_p: float, omega_p: float,
                           n: int, seed: int) -> Modulator:
     """Bernoulli mask with periodically oscillating observation probability."""
-    p = cosine_probabilities(mean_p, amp_p, omega_p, n)
-    mod = bernoulli_mask(p, seed=seed)
-    return Modulator(mod.g, generator="cosine-bernoulli",
-                     params={"mean_p": mean_p, "amp_p": amp_p,
-                             "omega_p": omega_p, "N": n}, seed=seed)
+    return bernoulli_mask(cosine_probabilities(mean_p, amp_p, omega_p, n), seed=seed)
 
 
 def frequency_modulator(beta) -> Modulator:
@@ -213,9 +195,7 @@ def frequency_modulator(beta) -> Modulator:
         chunk = np.mod(chunk, 2.0 * np.pi)
         phase[start:start + block] = chunk
         carry = chunk[-1]
-    g = np.exp(1j * np.concatenate(([0.0], phase)))
-    return Modulator(g, generator="frequency",
-                     params={"beta": beta, "N": g.size})
+    return Modulator(np.exp(1j * np.concatenate(([0.0], phase))))
 
 
 def linear_beta(gamma: float, span: float, n: int) -> np.ndarray:
@@ -248,9 +228,7 @@ def _checked_span(span: float) -> float:
 
 def linear_frequency_modulator(gamma: float, span: float, n: int) -> Modulator:
     """Frequency modulator with the linear-ramp increments of :func:`linear_beta`."""
-    mod = frequency_modulator(linear_beta(gamma, span, n))
-    return Modulator(mod.g, generator="linear-frequency",
-                     params={"gamma": gamma, "span": span, "N": n})
+    return frequency_modulator(linear_beta(gamma, span, n))
 
 
 def _linear_ramp_terms(span: float, n: int, tau: np.ndarray):
@@ -398,21 +376,14 @@ def stationarity_check(mod: Modulator, mu: int | None = None,
 
 
 # ----------------------------------------------------------------------
-# serialization
+# JSON config
 # ----------------------------------------------------------------------
 
-def modulator_to_json(mod: Modulator) -> str:
-    params = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-              for k, v in mod.params.items()}
-    payload = {"generator": mod.generator, "params": params,
-               "seed": mod.seed, "N": mod.n}
-    if mod.generator == "custom":
-        payload["g_re"] = np.real(mod.g).tolist()
-        payload["g_im"] = np.imag(mod.g).tolist()
-    return json.dumps(payload)
-
-
 def modulator_from_json(text: str | dict) -> Modulator:
+    """The modulator of a JSON config ``{"generator", "params", "seed", "N"}``
+    (N may sit in params instead), built by the generator's constructor.  A
+    generator other than constant, periodic-missing, bernoulli,
+    cosine-bernoulli, frequency or linear-frequency raises ValueError."""
     obj = json.loads(text) if isinstance(text, str) else dict(text)
     gen = obj["generator"]
     params = obj.get("params", {})
@@ -430,9 +401,4 @@ def modulator_from_json(text: str | dict) -> Modulator:
         return frequency_modulator(np.asarray(params["beta"], dtype=float))
     if gen == "linear-frequency":
         return linear_frequency_modulator(params["gamma"], params["span"], n)
-    if gen == "custom":
-        g = np.asarray(obj["g_re"], dtype=float) + 1j * np.asarray(obj["g_im"], dtype=float)
-        if not np.any(g.imag):
-            g = g.real
-        return Modulator(g, generator=gen, params=params, seed=obj.get("seed"))
     raise ValueError(f"unknown modulator generator {gen!r}")

@@ -12,10 +12,9 @@ length-2N transform is sum_tau cbar(tau) e^{-2 pi i (2k) tau / 2N}, which is
 bin k of the unpadded one, so padding only computes the odd bins nobody
 reads.  Every transform is numpy.fft's, so the module needs numpy alone.
 A dense-covariance quadratic form oracle is kept for ground truth on
-small N, together with the Fejer kernel and the classical smoothed-spectrum
-approximation used only in comparison experiments.  Spectra pass between
-these functions as plain numpy arrays on the Fourier grid; the periodogram and
-the expected periodograms come back read-only.
+small N, together with the Fejer kernel and the exponential QQ diagnostic.
+Spectra pass between these functions as plain numpy arrays on the Fourier
+grid; the periodogram and the expected periodograms come back read-only.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Series, fourier_grid, _to_grid_order
-from .models import LatentModel, autocov_sequence, sdf_sampled
+from .models import LatentModel, autocov_sequence
 from .modulation import Modulator
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "expected_periodogram_fft_order",
     "brute_force_expected_periodogram",
     "fejer_kernel",
-    "dunsmuir_spectrum",
     "exponential_qq",
 ]
 
@@ -150,27 +148,6 @@ def fejer_kernel(n: int, lam) -> np.ndarray | float:
         vals = np.sin(n * lam_arr / 2.0) ** 2 / (2.0 * np.pi * n * np.sin(lam_arr / 2.0) ** 2)
     vals = np.where(at_zero, n / (2.0 * np.pi), vals)
     return vals if np.ndim(lam) else float(vals[0])
-
-
-def dunsmuir_spectrum(model: LatentModel, mod: Modulator) -> np.ndarray:
-    """Classical approximation: convolve the model sdf with the modulator's
-    spectral window on the Fourier grid.
-
-    On the f_X scale used in this package,
-    Stilde(w) = (1/N^2) sum_{lam in grid} f_X(w - lam) |G(lam)|^2,
-    with G the plain DFT of g.  Kept O(N^2) for comparison experiments only
-    (it ignores leakage bias, unlike the exact expected periodogram).  An ou
-    or matern model raises ValueError (:func:`~modwhittle.models.sdf_sampled`).
-    """
-    n = mod.n
-    window = np.abs(np.fft.fft(np.asarray(mod.g, dtype=complex))) ** 2
-    # f_X is 2*pi-periodic and both w and lam live on the grid, so every
-    # difference reduces to one of the N frequencies 2*pi*m/N
-    f_std = sdf_sampled(model, 2.0 * np.pi * np.arange(n) / n)
-    out_std = np.empty(n)
-    for k in range(n):
-        out_std[k] = f_std[(k - np.arange(n)) % n] @ window
-    return _to_grid_order(out_std) / (n * n)
 
 
 def exponential_qq(pgram: np.ndarray, sbar: np.ndarray) -> np.ndarray:

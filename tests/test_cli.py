@@ -62,15 +62,17 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
     }))
     # diagnose: a negative lag, a lag at the smallest grid length, the
-    # default grid [0, 1] of a length-1 modulator, and mu = 0 under a constant
-    # modulus and under a mask
+    # default grid [0, 1] of a length-1 modulator, mu = 0 under a constant
+    # modulus and under a mask, and a "custom" modulator, which no config builds
     mask = {"generator": "periodic-missing", "params": {"k": 3, "l": 1, "N": 64}}
+    custom = {"generator": "custom", "g_re": [1.0, 0.0, 1.0, 1.0], "g_im": [0.0] * 4, "N": 4}
     configs += [("diagnose", cfg) for cfg in (
         {"modulator": mask, "lags": [-1, 1]},
         {"modulator": mask, "lags": [0, 32], "n_grid": [32, 64]},
         {"modulator": {"generator": "constant", "params": {"N": 1}}, "lags": [0]},
         {"modulator": {"generator": "constant", "params": {"N": 64}}, "mu": 0},
-        {"modulator": mask, "mu": 0})]
+        {"modulator": mask, "mu": 0},
+        {"modulator": custom, "lags": [0, 1]})]
     for i, (verb, cfg) in enumerate(configs):
         out = tmp_path / f"out{i}"
         assert main([verb, "--config", write_cfg(tmp_path, cfg, f"cfg{i}.json"),

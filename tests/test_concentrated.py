@@ -25,7 +25,7 @@ from modwhittle import (
 )
 from modwhittle.core import ParameterVector
 from modwhittle.likelihood import exact_gaussian_nll, resolve_mask, spectral_nll
-from modwhittle.models import sdf_sampled
+from modwhittle.models import sdf_entry
 from modwhittle.modulation import LinearRampKernel, cg_sequence, linear_beta
 from modwhittle.optimize import FitFailure
 from modwhittle.simulate import (
@@ -154,7 +154,7 @@ def _reference(obj, theta):
     unit = model.params.values.copy()
     unit[k] = 1.0
     unit = model.with_values(unit)
-    s1 = (np.asarray(sdf_sampled(unit, fourier_grid(n).frequencies))
+    s1 = (sdf_entry(unit, fourier_grid(n).frequencies)(unit.params.values, False)[0]
           if obj.kind == "whittle" else expected_periodogram(cg_sequence(mod), unit))
     return spectral_nll(periodogram(obj.data), theta[k] ** 2 * s1, resolve_mask(n, obj.mask))
 

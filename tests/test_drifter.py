@@ -10,8 +10,6 @@ from modwhittle.drifter import (
     drifter_modulator,
     fit_drifter,
     inertial_frequency,
-    rank_segments,
-    segment_trajectory,
     simulate_drifter_velocities,
     trajectory_from_csv,
     velocities_from_positions,
@@ -180,23 +178,6 @@ def test_batch_compare_constant_wf(rng):
         assert "error" not in row
         assert abs(row["difference"]) < 1e-9
     assert batch_compare([]) == []
-
-
-def test_segment_and_rank():
-    n = 4000
-    t = np.arange(n) / 12.0
-    lats = np.linspace(5, 20, n)
-    traj = Trajectory(times=t, latitudes=lats, longitudes=np.zeros(n))
-    segs = segment_trajectory(traj, n_periods=60, overlap=0.5)
-    assert len(segs) >= 2
-    for seg in segs:
-        wf = np.abs(np.asarray(inertial_frequency(seg.latitudes[:-1])))
-        cycles = np.sum(wf) * traj.delta
-        assert abs(cycles - 60) < 3.0
-    ranked = rank_segments(segs)
-    scores = [np.std(inertial_frequency(s.latitudes))
-              / abs(np.mean(inertial_frequency(s.latitudes))) for s in ranked]
-    assert all(scores[i] >= scores[i + 1] - 1e-15 for i in range(len(scores) - 1))
 
 
 def test_trajectory_csv(tmp_path):

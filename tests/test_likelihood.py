@@ -5,7 +5,6 @@ from modwhittle import (
     Modulator,
     Series,
     ar_model,
-    autocov,
     car1_model,
     cg_sequence,
     constant_modulator,
@@ -22,12 +21,12 @@ from modwhittle.likelihood import (
     Car1WhittleObjective,
     Objective,
     aggregate_expected_periodogram,
-    compare_likelihoods,
     exact_car1_nll,
     exact_gaussian_nll,
     resolve_mask,
     spectral_nll,
 )
+from modwhittle.models import autocov_sequence
 from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequency_modulator
 from modwhittle.optimize import fit
 from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
@@ -59,7 +58,7 @@ def test_exact_dense_oracle(rng):
     mod = periodic_missing_mask(3, 2, 64)
     data = Series(mod.g * x.values)
     keep = np.flatnonzero(mod.g != 0)
-    cx = np.array([float(np.real(autocov(model, t))) for t in range(64)])
+    cx = autocov_sequence(model, 64)
     cmat = cx[np.abs(np.subtract.outer(keep, keep))]
     _, logdet = np.linalg.slogdet(cmat)
     quad = data.values[keep] @ np.linalg.solve(cmat, data.values[keep])
@@ -311,55 +310,44 @@ def test_aggregate_param_split():
 
 
 def test_compare_likelihoods_white_noise(rng):
+    # the Whittle and the modulated-Whittle (g = 1) fits of white noise agree
     x = Series(rng.normal(size=128))
-    out = compare_likelihoods(x, constant_modulator(128),
-                              ar_model([], 1.0), ar_model([], 1.0),
-                              options={"n_starts": 1})
-    assert abs(out["difference"]) < 1e-6
+    stationary = Objective("whittle", x, ar_model([], 1.0))
+    modulated = Objective("modulated-whittle", x, ar_model([], 1.0),
+                          modulator=constant_modulator(128), check_significance=False)
+    difference = (fit(stationary, stationary.init_params, n_starts=1).objective_value
+                  - fit(modulated, modulated.init_params, n_starts=1).objective_value)
+    assert abs(difference) < 1e-6
 
 
 def test_compare_likelihoods_modulated_vs_constant(rng):
     import warnings
     n = 256
+
+    def difference(z, beta, rotation):
+        # stationary car1 Whittle nll minus the modulated one: > 0 favours
+        # the modulated model
+        stationary = Objective("whittle", z, car1_model(0.5, 1.0, rotation=rotation))
+        modulated = Objective("modulated-whittle", z, car1_model(0.5, 1.0),
+                              modulator=frequency_modulator(beta), check_significance=False)
+        return (fit(stationary, stationary.init_params, n_starts=1).objective_value
+                - fit(modulated, modulated.init_params, n_starts=1).objective_value)
+
     diffs_mod, diffs_const = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(100):
             beta = bounded_random_walk_beta(np.pi / 2, 1.2, 0.15, n, rng)[1:]
             z = simulate_complex_ar1(0.8, 1.0, beta, n, rng)
-            out = compare_likelihoods(
-                z, frequency_modulator(beta),
-                car1_model(0.5, 1.0, rotation=float(np.mean(beta))),
-                car1_model(0.5, 1.0), options={"n_starts": 1})
-            diffs_mod.append(out["difference"])
+            diffs_mod.append(difference(z, beta, float(np.mean(beta))))
         for _ in range(20):
             beta_c = np.full(n - 1, 0.7)
             zc = simulate_complex_ar1(0.8, 1.0, beta_c, n, rng)
-            out = compare_likelihoods(
-                zc, frequency_modulator(beta_c),
-                car1_model(0.5, 1.0, rotation=0.7),
-                car1_model(0.5, 1.0), options={"n_starts": 1})
-            diffs_const.append(out["difference"])
+            diffs_const.append(difference(zc, beta_c, 0.7))
     # strongly modulated data favor the nonstationary model almost always
     assert np.mean(np.array(diffs_mod) > 0) >= 0.90
     # with a constant rotation the two models are equivalent
     assert np.max(np.abs(diffs_const)) < 1e-3
-
-
-def test_compare_likelihoods_takes_an_aggregate(rng):
-    # the aggregate's components carry their modulators; mod is not passed on
-    n = 256
-    beta = bounded_random_walk_beta(np.pi / 2, 1.0, 0.05, n, rng)[1:]
-    z = simulate_complex_ar1(0.8, 1.0, beta, n, rng)
-    mod = frequency_modulator(beta)
-    agg = AggregateModel(((car1_model(0.5, 1.0), mod), (car1_model(0.5, 1.0), None)), n)
-    out = compare_likelihoods(z, mod, car1_model(0.5, 1.0, rotation=float(np.mean(beta))),
-                              agg, options={"n_starts": 1})
-    assert np.isfinite(out["difference"])
-    fitted = out["fit_modulated"]
-    assert fitted.profiled == ["scale"]
-    direct = Objective("modulated-whittle", z, agg, check_significance=False)
-    assert direct(fitted.theta_hat.values) == out["nll_modulated"]
 
 
 @pytest.mark.parametrize("kind", ["whittle", "modulated-whittle"])
@@ -379,6 +367,13 @@ def test_fit_reports_the_objective_at_its_estimate(kind):
         res = fit(obj, obj.init_params, n_starts=1)
         assert res.profiled == ["sigma"]
         assert res.objective_value == obj(res.theta_hat.values), seed
+    if kind == "modulated-whittle":  # an aggregate profiles its tied scale
+        agg = AggregateModel(((car1_model(0.5, 1.0), frequency_modulator(beta)),
+                              (car1_model(0.5, 1.0), None)), n)
+        obj = Objective(kind, z, agg, check_significance=False)
+        res = fit(obj, obj.init_params, n_starts=1)
+        assert res.profiled == ["scale"]
+        assert res.objective_value == obj(res.theta_hat.values)
 
 
 def test_linear_beta_objectives_agree_with_generic(rng):

@@ -6,14 +6,10 @@ import pytest
 from modwhittle import (
     ar_model,
     ar_to_ou,
-    autocov,
     car1_model,
     matern_model,
     ou_model,
     ou_to_ar,
-    sdf,
-    sdf_grad,
-    sdf_sampled,
 )
 from modwhittle.models import (
     _geometric_lag_cap,
@@ -21,12 +17,9 @@ from modwhittle.models import (
     _matern_lag_cap,
     _matern_table,
     acv_entry,
-    autocov_grad,
     autocov_sequence,
-    geometric_acv,
     matern_acv,
     model_from_json,
-    model_to_json,
     scale_index,
     sdf_entry,
     with_scale_row,
@@ -35,40 +28,44 @@ from modwhittle.models import (
 
 def test_car1_white_noise_limit():
     m = car1_model(0.0, 1.0)
-    assert autocov(m, 0) == 1.0
-    assert autocov(m, 1) == 0.0
+    assert autocov_sequence(m, 2).tolist() == [1.0, 0.0]
 
 
 def test_white_noise_has_the_sigma_row_alone():
     m = ar_model([], 1.5)
-    acv, jac = autocov_grad(m, 8)
-    assert acv.tolist() == [2.25] + [0.0] * 7 and jac.tolist() == [[3.0]]
+    acv, jac = acv_entry(m)(m.params.values, 8, True)
+    assert acv.tolist() == [2.25] and jac.shape == (0, 1)
+    assert with_scale_row("ar", jac, 0, acv, 1.5).tolist() == [[3.0]]
+    assert autocov_sequence(m, 8).tolist() == [2.25] + [0.0] * 7
     w = np.linspace(-np.pi, np.pi, 5)
-    assert np.array_equal(sdf_sampled(m, w), np.full(5, 2.25))
-    assert np.array_equal(sdf_grad(m, w), np.full((1, 5), 3.0))
+    f, jac = sdf_entry(m, w)(m.params.values, True)
+    assert np.array_equal(f, np.full(5, 2.25))
+    assert np.array_equal(with_scale_row("ar", jac, 0, f, 1.5), np.full((1, 5), 3.0))
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-20, -1e-300])
 def test_geometric_score_keeps_lag_1_at_tiny_r(r):
     # |r| < ACV_EPS truncates the table at lag 0, but dc(1)/dr = c(0) stays
-    acv, jac = autocov_grad(ar_model([r], 1.5), 8)
-    assert acv.tolist() == [2.25] + [0.0] * 7
+    m = ar_model([r], 1.5)
+    assert autocov_sequence(m, 8).tolist() == [2.25] + [0.0] * 7
+    acv, jac = acv_entry(m)(m.params.values, 8, True)
+    jac = with_scale_row("ar", jac, 1, acv, 1.5)
+    assert acv.tolist() == [2.25, 0.0]
     assert jac.shape == (2, 2) and jac[0, 1] == 2.25 and jac[1, 1] == 0.0
-    acv, jac = autocov_grad(car1_model(abs(r), 1.5, gamma=0.7), 8)
+    m = car1_model(abs(r), 1.5, gamma=0.7)
+    acv, jac = acv_entry(m)(m.params.values, 8, True)
+    jac = with_scale_row("car1", jac, 1, acv, 1.5)
     assert jac.shape == (3, 2) and jac[0, 1] == 2.25 * np.exp(0.7j)
 
 
 def test_car1_direct_formula():
     m = car1_model(0.8, 1.0)
-    assert abs(autocov(m, 2) - (1 / 0.36) * 0.64) < 1e-12
+    assert abs(autocov_sequence(m, 3)[2] - (1 / 0.36) * 0.64) < 1e-12
 
 
 def test_sdf_examples():
-    assert abs(sdf(ar_model([0.5], 1.0), 0.0) - 4.0) < 1e-12
-    ou = ou_model(2.0, 0.5, rotation_cpd=-1.3)
-    assert abs(sdf(ou, -1.3) - (2.0 ** 2) / 0.25) < 1e-12
-    mat = matern_model(2.0, 0.5, 1.2)
-    assert abs(sdf(mat, 0.0) - 4.0 / 0.5 ** 2.4) < 1e-12
+    m = ar_model([0.5], 1.0)
+    assert abs(sdf_entry(m, 0.0)(m.params.values, False)[0] - 4.0) < 1e-12
     with pytest.raises(ValueError):
         matern_model(1.0, 1.0, 0.5)
 
@@ -111,16 +108,13 @@ def test_sdf_autocov_consistency(rng):
     models = [ar_model([0.6], 1.3), ar_model([], 0.9),
               car1_model(0.7, 1.1, rotation=0.5)]
     for m in models:
-        t_max = 1
-        while np.abs(autocov(m, t_max)) > 1e-12 and t_max < 4000:
-            t_max *= 2
-        taus = np.arange(1, t_max + 1)
-        c0 = autocov(m, 0)
-        c = np.asarray(autocov(m, taus))
-        for w in rng.uniform(-np.pi, np.pi, size=8):
-            total = c0 + np.sum(c * np.exp(-1j * w * taus)
-                                + np.conj(c) * np.exp(1j * w * taus))
-            assert abs(total - sdf(m, w)) < 1e-6
+        c = autocov_sequence(m, 4001)
+        taus = np.arange(1, c.size)
+        ws = rng.uniform(-np.pi, np.pi, size=8)
+        for w, f in zip(ws, sdf_entry(m, ws)(m.params.values, False)[0]):
+            total = c[0] + np.sum(c[1:] * np.exp(-1j * w * taus)
+                                  + np.conj(c[1:]) * np.exp(1j * w * taus))
+            assert abs(total - f) < 1e-6
 
 
 def test_yule_walker_identifiability(rng):
@@ -239,41 +233,52 @@ def test_matern_score_matches_five_point_difference(b, h, alpha):
 
 @pytest.mark.parametrize("r", [0.0, 0.3, -0.3, 0.8, -0.8, 0.99, 1.0 - 1e-12])
 def test_geometric_truncation_drops_only_negligible_lags(r):
+    # the AR(1) table (|r| < 1 - 1e-12) and the car1 one (0 <= r < 1)
     n = 4096
     full = 1.7 ** 2 / (1.0 - r * r) * np.power(r, np.arange(n, dtype=float))
-    c = geometric_acv(r, 1.7, n)
     keep = _geometric_lag_cap(r, n)
-    assert np.array_equal(c[:keep], full[:keep])
-    assert np.all(c[keep:] == 0.0)
+    models = [ar_model([r], 1.7)] if abs(r) < 1.0 - 1e-12 else []
+    models += [car1_model(r, 1.7)] if r >= 0.0 else []
+    for model in models:
+        c = autocov_sequence(model, n)
+        assert np.array_equal(c[:keep], full[:keep])
+        assert np.all(c[keep:] == 0.0)
     assert np.all(np.abs(full[keep:]) <= 1e-16 * full[0])
     if r == 0.0 or r == 1.0 - 1e-12:  # white noise; no decay within n
         assert keep == (1 if r == 0.0 else n)
-    rot = geometric_acv(r, 1.7, n, rotation=0.4)
-    assert np.allclose(rot, c * np.exp(0.4j * np.arange(n)), rtol=0, atol=1e-15 * c[0])
+    if r >= 0.0:
+        rot = autocov_sequence(car1_model(r, 1.7, rotation=0.4), n)
+        assert np.allclose(rot, c * np.exp(0.4j * np.arange(n)), rtol=0, atol=1e-15 * c[0])
 
 
 def test_geometric_acv_backs_car1_and_ou():
+    # one geometric table: ar and car1 at the same r, and ou at r = e^{-lam delta}
     assert np.array_equal(autocov_sequence(car1_model(0.8, 1.2), 300),
-                          geometric_acv(0.8, 1.2, 300))
+                          autocov_sequence(ar_model([0.8], 1.2), 300))
     m = ou_model(1.5, 0.4, delta=1.0 / 12.0, rotation_cpd=-1.0)
     r, sig = ou_to_ar(1.5, 0.4, 1.0 / 12.0)
     assert np.array_equal(autocov_sequence(m, 300),
-                          geometric_acv(r, sig, 300, -2.0 * np.pi / 12.0))
-    assert np.count_nonzero(geometric_acv(0.8, 1.0, 16384)) == 166
+                          autocov_sequence(car1_model(r, sig, rotation=-2.0 * np.pi / 12.0), 300))
+    assert np.count_nonzero(autocov_sequence(car1_model(0.8, 1.0), 16384)) == 166
+    tau = np.arange(300, dtype=float)
+    full = 1.2 ** 2 / (1.0 - 0.36) * np.power(-0.6, tau)
     assert np.array_equal(autocov_sequence(ar_model([-0.6], 1.2), 300),
-                          geometric_acv(-0.6, 1.2, 300))
+                          np.where(tau < _geometric_lag_cap(-0.6, 300), full, 0.0))
 
 
 def test_geometric_grad_at_zero_coefficient():
     # at r = 0 the table stops at lag 0, but dc(1)/dr = sigma^2 e^{i gamma}
     e = 1e-8
     for model in (ar_model([0.0], 1.3), car1_model(0.0, 1.3, rotation=0.4)):
-        c, jac = autocov_grad(model, 8)
-        assert np.array_equal(c, autocov_sequence(model, 8))
+        values = model.params.values
+        c, jac = acv_entry(model)(values, 8, True)
+        jac = with_scale_row(model.family, jac, 1, c, values[1])
+        full = autocov_sequence(model, 8)
+        assert np.array_equal(c, full[:c.size]) and not np.any(full[c.size:])
         for j in range(2):
             step = np.zeros(2)
             step[j] = e
-            fd = (autocov_sequence(model.with_values(model.params.values + step), 8) - c) / e
+            fd = (autocov_sequence(model.with_values(values + step), 8) - full) / e
             assert np.allclose(jac[j], fd[:jac.shape[1]], rtol=0, atol=1e-6)
             assert np.allclose(fd[jac.shape[1]:], 0.0, rtol=0, atol=1e-6)
 
@@ -283,7 +288,7 @@ def test_ou_discrete_acv_matches_transform():
     r, sig = ou_to_ar(1.5, 0.4, 1.0 / 12.0)
     taus = np.arange(5)
     ref = sig ** 2 / (1 - r * r) * r ** taus * np.exp(1j * 2 * np.pi / 12.0 * (-1.0) * taus)
-    assert np.max(np.abs(np.asarray(autocov(m, taus)) - ref)) < 1e-12
+    assert np.max(np.abs(autocov_sequence(m, 5) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("model", [
@@ -292,8 +297,9 @@ def test_ou_discrete_acv_matches_transform():
     car1_model(0.0, 1.3, rotation=0.4), ou_model(1.5, 0.4),
     ou_model(1.5, 0.4, delta=0.25, rotation_cpd=-1.0), matern_model(1.3, 0.6, 1.5)])
 def test_raw_float_entry_matches_the_model_functions(model):
-    # the entry at values v, bit for bit the model functions of
-    # model.with_values(v); the acv stops at its kept support
+    # the entry bound to model, at values v, is bit for bit the one bound to
+    # model.with_values(v) at its own values, and autocov_sequence of it;
+    # the acv stops at its kept support
     n, w = 300, np.linspace(-np.pi, np.pi, 33)
     v = model.params.values * 0.97
     other = model.with_values(v)
@@ -305,23 +311,29 @@ def test_raw_float_entry_matches_the_model_functions(model):
     acv, jac = acv_entry(model)(v, n, False)
     assert jac is None
     assert np.array_equal(padded(acv), autocov_sequence(other, n))
-    # every family has its acv rows; the entry's leave out the scale's
+    # every family has its acv rows; the entry's leave out the scale's, and
+    # with_scale_row puts back 2 c / scale
     acv, jac = acv_entry(model)(v, n, True)
-    ref_acv, ref_jac = autocov_grad(other, n)
+    ref_acv, ref_jac = acv_entry(other)(other.params.values, n, True)
+    assert np.array_equal(acv, ref_acv) and np.array_equal(jac, ref_jac)
+    assert np.array_equal(padded(acv), autocov_sequence(other, n))
+    assert jac.shape == (len(v) - 1, acv.size)
     k = scale_index(model)
-    assert np.array_equal(padded(acv), ref_acv)
-    assert np.array_equal(jac, np.delete(ref_jac, k, axis=0))
-    assert ref_jac.shape == (len(v), acv.size)
+    full = with_scale_row(model.family, jac, k, acv, v[k])
+    assert np.allclose(full[k], 2.0 * acv / v[k], rtol=1e-15, atol=0)
+    assert np.array_equal(np.delete(full, k, axis=0), jac)
     if model.family in ("ou", "matern"):  # no discrete-time sdf
         with pytest.raises(ValueError, match="modulated-whittle"):
             sdf_entry(model, w)
         with pytest.raises(ValueError, match="modulated-whittle"):
-            sdf_sampled(other, w)
+            sdf_entry(other, w)
         return
     f, jac = sdf_entry(model, w)(v, False)
-    assert jac is None and np.array_equal(f, sdf_sampled(other, w))
-    jac = sdf_entry(model, w)(v, True)[1]
-    assert np.array_equal(jac, np.delete(sdf_grad(other, w), k, axis=0))
+    assert jac is None
+    assert np.array_equal(f, sdf_entry(other, w)(other.params.values, False)[0])
+    f_grad, jac = sdf_entry(model, w)(v, True)
+    assert np.array_equal(f_grad, f) and jac.shape == (len(v) - 1, w.size)
+    assert np.array_equal(jac, sdf_entry(other, w)(other.params.values, True)[1])
 
 
 def test_raw_float_entries_raise_outside_the_model_class():
@@ -348,6 +360,14 @@ def test_json_params_take_the_constructor_order():
     assert back.params.names == ["r", "sigma"]
     assert back.params.values.tolist() == [0.5, 1.2]
     assert np.array_equal(autocov_sequence(back, 8), autocov_sequence(car1_model(0.5, 1.2), 8))
+    # JSON text as well as a dict, with the sampling interval and rotation
+    back = model_from_json(json.dumps({"family": "matern", "delta": 1.0 / 12.0,
+                                       "params": {"alpha": 1.4, "B": 1.2, "h": 0.5}}))
+    assert back.family == "matern" and back.delta == 1.0 / 12.0
+    assert back.params.values.tolist() == [1.2, 0.5, 1.4]
+    back = model_from_json({"family": "car1", "params": {"r": 0.5, "sigma": 1.0},
+                            "rotation": 0.3})
+    assert back.rotation == 0.3 and back.delta == 1.0
     with pytest.raises(ValueError):
         model_from_json({"family": "ou", "params": {"A": 1.0, "lambda": 0.5}})
 
@@ -367,22 +387,11 @@ def test_stationarity_validation():
         ar_model([0.5, -0.2], 1.0)
 
 
-def test_json_round_trip():
-    m = matern_model(1.2, 0.5, 1.4, delta=1.0 / 12.0)
-    m2 = model_from_json(model_to_json(m))
-    assert m2.family == "matern" and m2.delta == m.delta
-    assert np.allclose(m2.params.values, m.params.values)
-    obj = json.loads(model_to_json(car1_model(0.5, 1.0, rotation=0.3)))
-    assert obj["family"] == "car1" and obj["rotation"] == 0.3
-
-
 def test_json_without_bounds_takes_the_constructor_bounds():
     for model in (ar_model([0.3], 1.0), ar_model([], 1.0),
                   car1_model(0.5, 1.0), car1_model(0.5, 1.0, gamma=0.2),
                   ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
-        payload = json.loads(model_to_json(model))
-        del payload["bounds"]
-        back = model_from_json(payload)
+        back = model_from_json({"family": model.family, "params": model.params.asdict()})
         assert np.array_equal(back.params.lower, model.params.lower)
         assert np.array_equal(back.params.upper, model.params.upper)
     # a listed bound wins, and a listed null side stays unbounded
@@ -408,12 +417,14 @@ def test_car1_free_rotation_matches_fixed(rng):
         free = car1_model(r, sigma, gamma=gamma)
         assert free.params.names == ["r", "sigma", "gamma"]
         assert np.array_equal(autocov_sequence(free, 40), autocov_sequence(fixed, 40))
-        assert np.array_equal(sdf(free, w), sdf(fixed, w))
-        acv, jac = autocov_grad(free, 40)
-        _, jac_fixed = autocov_grad(fixed, 40)
-        assert np.array_equal(jac[:2], jac_fixed)
-        assert np.allclose(jac[2], 1j * np.arange(jac.shape[1]) * acv[:jac.shape[1]])
-    back = model_from_json(model_to_json(free))
+        assert np.array_equal(sdf_entry(free, w)(free.params.values, False)[0],
+                              sdf_entry(fixed, w)(fixed.params.values, False)[0])
+        # the entries' rows: (r, gamma) free, (r) fixed
+        acv, jac = acv_entry(free)(free.params.values, 40, True)
+        _, jac_fixed = acv_entry(fixed)(fixed.params.values, 40, True)
+        assert np.array_equal(jac[:1], jac_fixed)
+        assert np.allclose(jac[1], 1j * np.arange(acv.size) * acv)
+    back = model_from_json({"family": "car1", "params": free.params.asdict()})
     assert back.params.names == free.params.names
     assert np.array_equal(back.params.upper, free.params.upper)
     assert np.array_equal(autocov_sequence(back, 8), autocov_sequence(free, 8))
@@ -424,15 +435,17 @@ def test_car1_free_rotation_matches_fixed(rng):
     car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5), ar_model([], 1.3)])
 def test_sdf_grad_matches_central_differences(model):
     w = np.linspace(-np.pi, np.pi, 41)
-    jac = sdf_grad(model, w)
+    entry, values, k = sdf_entry(model, w), model.params.values, scale_index(model)
+    f, jac = entry(values, True)
+    jac = with_scale_row(model.family, jac, k, f, values[k])
     assert jac.shape == (len(model.params), w.size)
     for j in range(len(model.params)):
         def diff(e):
-            up = model.params.values.copy()
-            dn = model.params.values.copy()
+            up = values.copy()
+            dn = values.copy()
             up[j] += e
             dn[j] -= e
-            return (sdf(model.with_values(up), w) - sdf(model.with_values(dn), w)) / (2 * e)
+            return (entry(up, False)[0] - entry(dn, False)[0]) / (2 * e)
 
         fd = (4.0 * diff(5e-5) - diff(1e-4)) / 3.0
         assert np.max(np.abs(jac[j] - fd)) <= 1e-7 * np.max(np.abs(fd)) + 1e-12
@@ -441,4 +454,4 @@ def test_sdf_grad_matches_central_differences(model):
 def test_sdf_grad_only_for_ar1_and_car1():
     for model in (ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
         with pytest.raises(ValueError):
-            sdf_grad(model, np.zeros(3))
+            sdf_entry(model, np.zeros(3))

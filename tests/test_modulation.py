@@ -22,7 +22,6 @@ from modwhittle.modulation import (
     cg_direct,
     cosine_probabilities,
     modulator_from_json,
-    modulator_to_json,
 )
 from helpers import random_modulator
 
@@ -261,21 +260,30 @@ def test_stationarity_check_rejects_mu_below_one_on_any_modulus():
                 stationarity_check(mod, mu=mu)
 
 
-def test_modulator_json_round_trip():
-    mods = [
-        constant_modulator(16, 1.5),
-        periodic_missing_mask(3, 2, 16),
-        bernoulli_mask(0.6, seed=4, n=16),
-        cosine_bernoulli_mask(0.5, 0.25, 0.3, 16, seed=9),
-        frequency_modulator(np.linspace(-1, 1, 15)),
-        linear_frequency_modulator(0.4, 1.0, 16),
-        Modulator(np.arange(1.0, 5.0)),
+def test_modulator_from_json_builds_each_generator():
+    # each config gives its constructor's g bit for bit, from a dict or its text
+    beta = np.linspace(-1, 1, 15)
+    table = [
+        ({"generator": "constant", "params": {"value": 1.5, "N": 16}},
+         constant_modulator(16, 1.5)),
+        ({"generator": "periodic-missing", "params": {"k": 3, "l": 2}, "N": 16},
+         periodic_missing_mask(3, 2, 16)),
+        ({"generator": "bernoulli", "params": {"p": 0.6}, "seed": 4, "N": 16},
+         bernoulli_mask(0.6, seed=4, n=16)),
+        ({"generator": "cosine-bernoulli", "seed": 9,
+          "params": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.3, "N": 16}},
+         cosine_bernoulli_mask(0.5, 0.25, 0.3, 16, seed=9)),
+        ({"generator": "frequency", "params": {"beta": beta.tolist()}},
+         frequency_modulator(beta)),
+        ({"generator": "linear-frequency", "params": {"gamma": 0.4, "span": 1.0}, "N": 16},
+         linear_frequency_modulator(0.4, 1.0, 16)),
     ]
-    for mod in mods:
-        text = modulator_to_json(mod)
-        back = modulator_from_json(text)
-        assert np.allclose(back.g, mod.g, atol=1e-12), mod.generator
-        assert back.generator == mod.generator
-        assert modulator_to_json(back) == text, mod.generator
-    obj = json.loads(modulator_to_json(mods[1]))
-    assert obj["generator"] == "periodic-missing" and obj["N"] == 16
+    for cfg, mod in table:
+        for spec in (cfg, json.dumps(cfg)):
+            g = modulator_from_json(spec).g
+            assert g.dtype == mod.g.dtype and np.array_equal(g, mod.g), cfg["generator"]
+    # no other generator is built: the error names the one asked for
+    for cfg in ({"generator": "custom", "g_re": [1.0, 0.0, 1.0], "g_im": [0.0] * 3, "N": 3},
+                {"generator": "sawtooth", "N": 4}):
+        with pytest.raises(ValueError, match=repr(cfg["generator"])):
+            modulator_from_json(cfg)

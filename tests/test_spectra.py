@@ -7,7 +7,6 @@ from modwhittle import (
     car1_model,
     cg_sequence,
     constant_modulator,
-    dunsmuir_spectrum,
     expected_acv,
     expected_periodogram,
     exponential_qq,
@@ -18,7 +17,7 @@ from modwhittle import (
     periodogram,
 )
 from modwhittle.core import _from_grid_order
-from modwhittle.models import sdf_sampled
+from modwhittle.models import sdf_entry
 from modwhittle.simulate import simulate_ar
 from modwhittle.spectra import (
     expected_periodogram_fft_order,
@@ -169,19 +168,6 @@ def test_fejer_kernel_values():
     assert abs(np.trapezoid(fejer_kernel(16, fine), fine) - 1.0) < 1e-4
 
 
-def test_dunsmuir_white_noise_and_leakage_gap():
-    wn = ar_model([], 1.0)
-    assert np.allclose(dunsmuir_spectrum(wn, constant_modulator(16)), 1.0, atol=1e-12)
-    sb = expected_periodogram(cg_sequence(constant_modulator(16)), wn)
-    assert np.allclose(dunsmuir_spectrum(wn, constant_modulator(16)), sb, atol=1e-12)
-
-    ar = ar_model([0.9], 1.0)
-    mod = constant_modulator(64)
-    gap = np.abs(dunsmuir_spectrum(ar, mod)
-                 - expected_periodogram(cg_sequence(mod), ar))
-    assert np.max(gap) > 0.0
-
-
 def test_expected_periodogram_bounds(rng):
     # positivity and the gmax^2 * max f upper bound
     wfine = np.linspace(-np.pi, np.pi, 4001)
@@ -190,7 +176,7 @@ def test_expected_periodogram_bounds(rng):
         model = random_model(rng)
         mod = random_modulator(rng, n)
         sb = expected_periodogram(cg_sequence(mod), model)
-        fmax = float(np.max(sdf_sampled(model, wfine)))
+        fmax = float(np.max(sdf_entry(model, wfine)(model.params.values, False)[0]))
         assert np.min(sb) > 0.0
         assert np.max(sb) <= mod.gmax ** 2 * fmax + 1e-8
 
@@ -221,7 +207,7 @@ def test_convolution_form_quadrature():
     gdft = np.array([np.sum(mod.g * np.exp(-1j * lam_i * np.arange(n))) for lam_i in lam])
     window = np.abs(gdft) ** 2 / n
     for w in fourier_grid(n).frequencies[::5]:
-        f = sdf_sampled(model, w - lam)
+        f = sdf_entry(model, w - lam)(model.params.values, False)[0]
         ref = np.mean(f * window)
         k = np.argmin(np.abs(fourier_grid(n).frequencies - w))
         assert abs(sb[k] - ref) < 1e-4 * ref
