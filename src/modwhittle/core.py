@@ -8,6 +8,7 @@ it are numpy FFT outputs reordered by :func:`_to_grid_order`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,7 @@ class FourierGrid:
         return self.frequencies / (2.0 * np.pi * delta)
 
 
+@functools.lru_cache(maxsize=8)  # read-only: one grid per N serves every objective
 def fourier_grid(n: int) -> FourierGrid:
     """Fourier frequencies 2*pi*k/N for k = -ceil(N/2)+1, ..., floor(N/2)."""
     if n < 1:
@@ -93,13 +95,13 @@ def fourier_grid(n: int) -> FourierGrid:
 
 def _to_grid_order(fft_out: np.ndarray) -> np.ndarray:
     """Reorder a numpy-order FFT output (k = 0..N-1) onto the Fourier grid."""
-    n = fft_out.shape[-1]
-    return np.roll(fft_out, int(np.ceil(n / 2)) - 1, axis=-1)
+    cut = fft_out.shape[-1] // 2 + 1  # the first negative frequency
+    return np.concatenate((fft_out[..., cut:], fft_out[..., :cut]), axis=-1)
 
 
 def _from_grid_order(grid_vals: np.ndarray) -> np.ndarray:
-    n = grid_vals.shape[-1]
-    return np.roll(grid_vals, -(int(np.ceil(n / 2)) - 1), axis=-1)
+    cut = (grid_vals.shape[-1] - 1) // 2  # the position of frequency 0
+    return np.concatenate((grid_vals[..., cut:], grid_vals[..., :cut]), axis=-1)
 
 
 @dataclass
@@ -129,7 +131,7 @@ class ParameterVector:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.size != d or self.upper.size != d:
             raise ValueError("bounds must have one (lower, upper) pair per parameter")
-        if np.any(self.lower >= self.upper):
+        if (self.lower >= self.upper).any():
             raise ValueError("each lower bound must be below its upper bound")
 
     def __len__(self) -> int:

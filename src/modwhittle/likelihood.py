@@ -445,7 +445,7 @@ class Objective:
                                            else len(self._kernel.params))
         if self.kind == "exact" and self.mask is not None:
             raise ValueError("the exact kind takes no frequency mask")
-        self._mask = resolve_mask(n, self.mask)
+        self._mask = slice(None)  # every frequency: the grid indexed by a view
         if self.kind == "exact":
             if self._kernel is None and n > EXACT_CAP:
                 raise ValueError(f"exact objective capped at N <= {EXACT_CAP}")
@@ -458,12 +458,12 @@ class Objective:
                 self._z = np.asarray(self.data.values, dtype=complex)
                 self.has_gradient = True
             return
-        if self.kind == "modulated-whittle":  # FFT order, as Sbar comes out
-            shat, self._mask = periodogram_fft_order(self.data), _from_grid_order(self._mask)
-        else:
-            shat = periodogram(self.data)
-        # the whole grid indexed by a view, else by the mask's positions
-        self._mask = slice(None) if self._mask.all() else np.flatnonzero(self._mask)
+        modulated = self.kind == "modulated-whittle"  # FFT order, as Sbar comes out
+        if self.mask is not None:  # the mask's positions, unless it keeps them all
+            mask = resolve_mask(n, self.mask)
+            mask = _from_grid_order(mask) if modulated else mask
+            self._mask = slice(None) if mask.all() else np.flatnonzero(mask)
+        shat = periodogram_fft_order(self.data) if modulated else periodogram(self.data)
         self._shat = shat[self._mask]
         self.has_gradient = True
         if self.kind == "whittle":
@@ -552,7 +552,7 @@ class Objective:
         where the objective looks, and a non-finite value or gradient score
         +inf, with a zero gradient, and are counted in ``n_rejected``.
         """
-        theta = np.asarray(theta, dtype=float).tolist()
+        theta = [float(v) for v in theta]
         k = self.scale_index
         if all(map(math.isfinite, theta)) and (profile or theta[k] > 0.0):
             rest = theta if profile else theta[:k] + theta[k + 1:]
@@ -690,7 +690,7 @@ class Objective:
             if dcg is not None:
                 acv, jac = tables[0]
                 grad.append(adjoint(dcg[:, :jac.shape[1]], acv))
-            return np.concatenate(grad)
+            return grad[0] if len(grad) == 1 else np.concatenate(grad)
 
         return s, pullback
 

@@ -301,10 +301,9 @@ def _geometric(r: float, sigma: float, nlags: int, rotation: float, grad: bool,
         head = _padded(head, min(nlags, 2))
         d_r = head * (2.0 * r / (1.0 - r * r))
         d_r[1:] = head[0] * (np.exp(1j * rotation) if rotation else 1.0)
-    rows = [d_r]
-    if free_rotation:
-        rows.append(1j * np.arange(head.size) * head)
-    return head, np.stack(rows)
+    if not free_rotation:
+        return head, d_r[None]
+    return head, np.stack((d_r, 1j * np.arange(head.size) * head))
 
 
 @functools.cache
@@ -500,7 +499,7 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # ParameterVector), with the model's delta and fixed rotation as keywords:
 #
 #     acv entry (values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
-#     sdf entry (shifted, values, grad) -> (f_X at omega, jac)
+#     sdf entry (shifted, cos(shifted), values, grad) -> (f_X at omega, jac)
 #
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
 # holds one derivative row per parameter but the scale (SCALE_PARAMS), in
@@ -508,10 +507,10 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # omega.  Every table and sdf is proportional to scale^2, so the scale's row
 # is 2 c / scale: an objective evaluates at unit scale and never reads it,
 # and :func:`with_scale_row` puts it back for the others.  An sdf takes
-# omega - rotation for a fixed car1 rotation (see :func:`sdf_entry`).  Each
-# raises the ValueError of validate_stationary outside the model class.
-# autocov_sequence and Objective evaluations both run these, so every family
-# has one implementation.
+# omega - rotation for a fixed car1 rotation, and its cosine (see
+# :func:`sdf_entry`).  Each raises the ValueError of validate_stationary
+# outside the model class.  autocov_sequence and Objective evaluations both
+# run these, so every family has one implementation.
 
 def _acv_ar(values, nlags, grad, delta, rotation):
     # the geometric table; white noise is its r = 0 case without the r row
@@ -547,39 +546,39 @@ def _acv_matern(values, nlags, grad, delta, rotation):
     return _matern_table(b, h, alpha, delta, keep, keep, grad)
 
 
-def _car1_sdf(r: float, sigma: float, shifted: np.ndarray, grad: bool, free: bool):
+def _car1_sdf(r: float, sigma: float, cos: np.ndarray, grad: bool, sin=None):
     """f = sigma^2 / D, D = 1 + r^2 - 2 r cos(shifted), and with grad its rows
 
         df/dr = f (2 cos(shifted) - 2 r) / D,
-        df/dgamma = 2 r f sin(shifted) / D      (free).
+        df/dgamma = 2 r f sin(shifted) / D      (given sin = sin(shifted)).
     """
-    cos = np.cos(shifted)
     denom = 1.0 + r * r - 2.0 * r * cos
     f = sigma * sigma / denom
     if not grad:
         return f, None
     f_over_d = f / denom
-    rows = [f_over_d * (2.0 * cos - 2.0 * r)]
-    if free:
-        rows.append(2.0 * r * f_over_d * np.sin(shifted))
-    return f, np.stack(rows)
+    d_r = f_over_d * (2.0 * cos - 2.0 * r)
+    if sin is None:
+        return f, d_r[None]
+    return f, np.stack((d_r, 2.0 * r * f_over_d * sin))
 
 
-def _sdf_ar(w, values, grad):
+def _sdf_ar(shifted, cos, values, grad):
     # the car1 form without rotation; white noise is its r = 0 case without
     # the r row
     phi, sigma = _check_ar(values)
-    f, jac = _car1_sdf(0.0 if phi is None else phi, sigma, w, grad, False)
+    f, jac = _car1_sdf(0.0 if phi is None else phi, sigma, cos, grad)
     return f, (jac[1:] if grad and phi is None else jac)
 
 
-def _sdf_car1(shifted, values, grad):
+def _sdf_car1(shifted, cos, values, grad):
     # shifted is omega - rotation for a fixed rotation (see sdf_entry), omega
     # for a free one
     r, sigma, gamma = _check_car1(values)
-    if gamma is not None:
-        shifted = shifted - gamma
-    return _car1_sdf(r, sigma, shifted, grad, gamma is not None)
+    if gamma is None:
+        return _car1_sdf(r, sigma, cos, grad)
+    shifted = shifted - gamma
+    return _car1_sdf(r, sigma, np.cos(shifted), grad, np.sin(shifted) if grad else None)
 
 
 _ACV = {"ar": _acv_ar, "car1": _acv_car1, "ou": _acv_ou, "matern": _acv_matern}
@@ -613,15 +612,15 @@ def sdf_entry(model: LatentModel, omega):
     """The raw-float discrete-time sdf of model's family at the frequencies
     omega (radians per sample): (values, grad) -> (f_X at omega, jac or
     None); see the raw-float entries above.  A fixed car1 rotation shifts
-    omega here, once, not at every call.  ar and car1 only: ou and matern
-    raise ValueError."""
+    omega here, and the cosine of the shifted omega is taken here, once, not
+    at every call.  ar and car1 only: ou and matern raise ValueError."""
     if model.family not in _SDF:
         raise ValueError(f"no discrete-time sdf for {model.family}: use the modulated-whittle "
                          "kind, with constant_modulator(n) for an unmodulated series")
     shifted = np.asarray(omega, dtype=float)
     if model.family == "car1" and len(model.params) == 2 and model.rotation:
         shifted = shifted - model.rotation
-    return functools.partial(_SDF[model.family], shifted)
+    return functools.partial(_SDF[model.family], shifted, np.cos(shifted))
 
 
 def autocov_sequence(model: LatentModel, nlags: int) -> np.ndarray:

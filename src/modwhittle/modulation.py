@@ -94,7 +94,7 @@ def cg_sequence(mod: Modulator) -> np.ndarray:
     A real g takes the real-input transforms rfft/irfft, at half the cost.
     """
     n = mod.n
-    m = 1 << int(np.ceil(np.log2(2 * n))) if n > 1 else 2
+    m = 1 << (2 * n - 1).bit_length()  # the least power of 2 >= 2N
     if mod.is_complex:
         acorr = np.fft.ifft(np.abs(np.fft.fft(mod.g, m)) ** 2)[:n] / n
     else:

@@ -45,10 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ParameterVector, Series
-from .modulation import (
-    cg_sequence,  # noqa: F401  (the benchmark tracer wraps this name)
-    component_cg,
-)
+from .modulation import cg_sequence  # noqa: F401  (the benchmark tracer wraps this name)
 
 __all__ = [
     "FitResult",
@@ -194,8 +191,7 @@ def _polish_coordinates(lower, upper):
     and a lower bound of 0 in log coordinates, stays open (+-inf).
     """
     log_mask, box_lo, box_hi = [], [], []
-    for lo, hi in zip(np.asarray(lower, dtype=float).tolist(),
-                      np.asarray(upper, dtype=float).tolist()):
+    for lo, hi in zip(map(float, lower), map(float, upper)):
         log = math.isfinite(lo) and lo >= 0.0
         if log:
             edges = (float(np.log(lo)) + POLISH_EDGE if lo > 0.0 else -math.inf,
@@ -258,14 +254,14 @@ def _central_differences(y, objective, log_mask, box_lo, box_hi):
     return grad
 
 
-def at_bound(pv: ParameterVector) -> list:
-    """Names of the values within AT_BOUND_EPS * max(1, |b|) of a finite bound b."""
+def at_bound(names, values, lower, upper) -> list:
+    """Names of the values (floats) within AT_BOUND_EPS * max(1, |b|) of a finite bound b."""
     out = []
-    for name, v, lo, hi in zip(pv.names, pv.values.tolist(), pv.lower.tolist(),
-                               pv.upper.tolist()):
-        if any(math.isfinite(b) and abs(v - b) <= AT_BOUND_EPS * max(1.0, abs(b))
-               for b in (lo, hi)):
-            out.append(name)
+    for name, v, lo, hi in zip(names, values, lower, upper):
+        for b in (lo, hi):
+            if math.isfinite(b) and abs(v - b) <= AT_BOUND_EPS * max(1.0, abs(b)):
+                out.append(name)
+                break
     return out
 
 
@@ -588,14 +584,14 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
     t0 = time.perf_counter()
     names, values, fit_lo, fit_hi = _bounds_of(objective, init, lower, upper)
     rejected = getattr(objective, "n_rejected", 0)
+    values, all_lo, all_hi = values.tolist(), fit_lo.tolist(), fit_hi.tolist()
     k = getattr(objective, "scale_index", None)
-    if k is not None and not (fit_lo[k] <= 0.0 and fit_hi[k] == np.inf):
+    if k is not None and not (all_lo[k] <= 0.0 and all_hi[k] == math.inf):
         k = None
-    values, lo, hi = values.tolist(), fit_lo.tolist(), fit_hi.tolist()
-    searched_names = list(names)
+    searched_names, lo, hi = names, all_lo, all_hi
     if k is not None:
-        for a in (values, lo, hi, searched_names):
-            del a[k]
+        searched_names, values, lo, hi = ([*a[:k], *a[k + 1:]]
+                                          for a in (names, values, lo, hi))
     searched = _Searched(objective, k)
     d = len(values)
     if max_iter is None:
@@ -637,24 +633,25 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
             res = _Stop(start, searched.value(start, False)[0], 0, True, "closed form")
         total_iters += int(res.nit)
         record["n_evals"] = searched.n_evals - calls
-        if not np.isfinite(res.fun):
+        if not math.isfinite(res.fun):
             continue
         fun = float(res.fun)
         record.update(objective=fun, converged=res.converged)
         if best is None or fun < best[0]:
-            best = (fun, res.theta, res.converged, str(res.message), len(records) - 1)
+            best = (fun, res.theta, res.converged, res.message, len(records) - 1)
     if best is None:
         raise FitFailure(
             f"no finite objective from {len(records)} start(s); last init {values}")
     fun, theta, success, message, best_start = best
     if k is not None:
         theta = [*theta[:k], searched.scale(theta), *theta[k:]]
-    pv = ParameterVector(names, theta, lower=fit_lo, upper=fit_hi)
-    return FitResult(theta_hat=pv, objective_value=fun, iterations=total_iters,
+    return FitResult(theta_hat=ParameterVector(names, theta, lower=fit_lo, upper=fit_hi),
+                     objective_value=fun, iterations=total_iters,
                      converged=success, wall_time=time.perf_counter() - t0,
                      starts=sum(r["objective"] is not None for r in records),
                      n_evals=searched.n_evals, message=message,
-                     n_grad_evals=searched.n_grad_evals, at_bound=at_bound(pv),
+                     n_grad_evals=searched.n_grad_evals,
+                     at_bound=at_bound(names, theta, all_lo, all_hi),
                      n_rejected=getattr(objective, "n_rejected", 0) - rejected,
                      profiled=[] if k is None else [names[k]],
                      start_results=records, best_start=best_start)
@@ -666,20 +663,18 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
 
 def _mom_latent_acv(data: Series, cg):
     """chat_X(tau) = chat_Y(tau) / c_g(tau) at lags 0 and 1, the naive
-    latent-acv estimates."""
+    latent-acv estimates; c_g(0) = 1 and c_g(1) = 1 - 1/N without cg."""
     y = np.asarray(data.values)
     n = y.size
-    if cg is None:
-        cg = component_cg(None, n)
     out = []
     for tau in (0, 1):
         cy = np.sum(np.conj(y[: n - tau]) * y[tau:]) / n
-        denom = cg[tau]
-        out.append(cy / denom if np.abs(denom) > 1e-12 else np.nan)
+        denom = (1.0 - tau / n) if cg is None else cg[tau]
+        out.append(cy / denom if abs(denom) > 1e-12 else math.nan)
     return out
 
 
-def mom_ar1(data: Series, cg=None) -> np.ndarray:
+def mom_ar1(data: Series, cg=None) -> tuple[float, float]:
     """(a, sigma) start values for a real AR(1) latent, |a| <= 0.985.
 
     cg is the modulator's c_g at lags 0..N-1 (e.g. an :class:`Objective`'s
@@ -687,22 +682,20 @@ def mom_ar1(data: Series, cg=None) -> np.ndarray:
     """
     c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))
-    if not np.isfinite(c0) or c0 <= 0:
-        return np.array([0.0, 1.0])
-    a = float(np.real(c1)) / c0 if np.isfinite(np.real(c1)) else 0.0
-    a = float(np.clip(a, -0.985, 0.985))
-    sigma2 = max(c0 * (1.0 - a * a), 1e-12)
-    return np.array([a, np.sqrt(sigma2)])
+    if not math.isfinite(c0) or c0 <= 0:
+        return 0.0, 1.0
+    c1 = float(np.real(c1))
+    a = min(max(c1 / c0 if math.isfinite(c1) else 0.0, -0.985), 0.985)
+    return a, math.sqrt(max(c0 * (1.0 - a * a), 1e-12))
 
 
-def mom_car1(data: Series, cg=None) -> np.ndarray:
+def mom_car1(data: Series, cg=None) -> tuple[float, float]:
     """(r, sigma) start values for a complex AR(1) latent, r in [1e-3, 0.995];
     cg as in :func:`mom_ar1`."""
     c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))
-    if not np.isfinite(c0) or c0 <= 0:
-        return np.array([0.5, 1.0])
-    r = np.abs(c1) / c0 if np.isfinite(np.abs(c1)) else 0.5
-    r = float(np.clip(r, 1e-3, 0.995))
-    sigma2 = max(c0 * (1.0 - r * r), 1e-12)
-    return np.array([r, np.sqrt(sigma2)])
+    if not math.isfinite(c0) or c0 <= 0:
+        return 0.5, 1.0
+    mod = float(np.abs(c1))  # numpy's modulus: Python's abs differs in the last bit
+    r = min(max(mod / c0 if math.isfinite(mod) else 0.5, 1e-3), 0.995)
+    return r, math.sqrt(max(c0 * (1.0 - r * r), 1e-12))

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -255,16 +256,24 @@ class McStudy:
         if unknown or not known:
             raise ValueError(f"unknown estimator(s) {unknown} for study kind "
                              f"{self.kind!r}, whose estimators are {known}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+        for name, items in (("estimators", self.estimators), ("n_grid", self.n_grid)):
+            if not items or len(set(items)) < len(items):
+                raise ValueError(f"{name} must be non-empty and free of repeats, not {items!r}")
+        for name, v, least in [*(("each N", n, 2) for n in self.n_grid),
+                               ("replicates", self.replicates, 1)]:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {v!r}")
 
     @staticmethod
     def from_json_dict(obj: dict) -> "McStudy":
-        fields = {k: obj[k] for k in ("kind", "true_params", "process",
-                                      "estimators", "n_grid", "replicates")}
+        """The study of a JSON config; a key that is not a field raises ValueError."""
+        names = [f.name for f in fields(McStudy)]
+        if set(obj) - set(names):
+            raise ValueError(f"unknown study key(s) {sorted(set(obj) - set(names))}")
+        given = {k: obj[k] for k in ("kind", "true_params", "process",
+                                     "estimators", "n_grid", "replicates")}
         return McStudy(seed=int(obj.get("seed", 0)),
-                       fit_options=dict(obj.get("fit_options", {})), **fields)
+                       fit_options=dict(obj.get("fit_options", {})), **given)
 
 
 @dataclass
@@ -291,11 +300,7 @@ class McReport:
 
     def as_csv_rows(self) -> list:
         head = ["estimator", "N", "param", "bias", "var", "mse", "cpu"]
-        out = [head]
-        for r in self.rows:
-            out.append([r["estimator"], r["N"], r["param"], r["bias"],
-                        r["var"], r["mse"], r["cpu"]])
-        return out
+        return [head] + [[r[k] for k in head] for r in self.rows]
 
     def row(self, estimator: str, n: int, param: str) -> dict:
         for r in self.rows:
@@ -436,9 +441,8 @@ def _fit_estimator(study: McStudy, estimator: str, data: Series, aux: dict) -> F
     return fit(objective, init, **study.fit_options)
 
 
-def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
+def _run_chunk(study: McStudy, n: int, reps: list) -> list:
     """Worker: run a chunk of replicates, return raw per-fit records."""
-    study = McStudy.from_json_dict(study_dict)
     out = []
     for rep in reps:
         data, aux = _simulate_case(study, n, rep)
@@ -447,8 +451,8 @@ def _run_chunk(study_dict: dict, n: int, reps: list) -> list:
             t0 = time.perf_counter()
             try:
                 res = _fit_estimator(study, est, data, aux)
-                rec[est] = {"names": list(res.theta_hat.names),
-                            "values": [float(v) for v in res.theta_hat.values],
+                rec[est] = {"names": res.theta_hat.names,
+                            "values": res.theta_hat.values.tolist(),
                             "cpu": res.wall_time,
                             "converged": res.converged,
                             "abnormal": res.message.startswith("ABNORMAL"),
@@ -488,28 +492,27 @@ def worker_pool(workers: int):
 def run_study(study: McStudy, threads: int = 1) -> McReport:
     """Run all replicates of a study and aggregate bias/variance/MSE/CPU.
 
-    Deterministic for a fixed master seed regardless of `threads`; individual
-    fit failures are excluded and counted, and more than 1% of failures for
-    any estimator fails the study.  Fits that end without convergence are
-    kept and counted in ``McReport.nonconverged``.
+    Deterministic for a fixed master seed regardless of `threads` (spawned
+    workers get the study pickled); individual fit failures are excluded and
+    counted, and more than 1% of failures for any estimator fails the study.
+    Fits that end without convergence are kept and counted in
+    ``McReport.nonconverged``.  Each estimator@N is reduced along the rows of
+    one C-contiguous (parameters x replicates) array, bit for bit numpy's
+    ``mean``/``var`` of each column (a transposed view sums in another order).
     """
-    if study.replicates < 1:
-        raise ValueError("need at least one replicate")
-    study_dict = study.to_json_dict()
     reps = list(range(study.replicates))
     records = {}
     if threads > 1:
         chunks = [c for c in (reps[i::threads] for i in range(threads)) if c]
         with worker_pool(len(chunks)) as pool:
             for n in study.n_grid:
-                parts = pool.map(_run_chunk, [study_dict] * len(chunks),
+                parts = pool.map(_run_chunk, [study] * len(chunks),
                                  [n] * len(chunks), chunks)
-                records[n] = [item for part in parts for item in part]
+                records[n] = sorted((item for part in parts for item in part),
+                                    key=lambda item: item[0])
     else:
         for n in study.n_grid:
-            records[n] = _run_chunk(study_dict, n, reps)
-    for merged in records.values():
-        merged.sort(key=lambda item: item[0])
+            records[n] = _run_chunk(study, n, reps)
 
     rows = []
     failures = {}
@@ -518,12 +521,13 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
     cost = {}
     for n in study.n_grid:
         for est in study.estimators:
+            key = f"{est}@{n}"
             fits = [rec[est] for _, rec in records[n]]
             good = [f for f in fits if "error" not in f]
             bad = [f for f in fits if "error" in f]
-            failures[f"{est}@{n}"] = len(bad)
-            nonconverged[f"{est}@{n}"] = sum(not f["converged"] for f in good)
-            abnormal[f"{est}@{n}"] = sum(f["abnormal"] for f in good)
+            failures[key] = len(bad)
+            nonconverged[key] = sum(not f["converged"] for f in good)
+            abnormal[key] = sum(f["abnormal"] for f in good)
             if len(bad) / study.replicates >= 0.01 and len(bad) > 0:
                 raise RuntimeError(
                     f"estimator {est!r} failed on {len(bad)}/{study.replicates} "
@@ -531,21 +535,22 @@ def run_study(study: McStudy, threads: int = 1) -> McReport:
             if not good:
                 raise RuntimeError(f"estimator {est!r} produced no fits at N={n}")
             # plain sums: over a few fits numpy's call overhead would dominate
-            cost[f"{est}@{n}"] = {
+            cost[key] = {
                 "evals_per_fit": sum(f["n_evals"] for f in good) / len(good),
                 "starts_per_fit": sum(f["n_starts"] for f in good) / len(good)}
-            names = good[0]["names"]
-            cpu = float(np.mean([g["cpu"] for g in good]))
-            values = np.array([g["values"] for g in good])
-            for j, name in enumerate(names):
-                if name not in study.true_params:
-                    continue
-                est_vals = values[:, j]
-                truth = float(study.true_params[name])
-                bias = float(np.mean(est_vals) - truth)
-                var = float(np.var(est_vals))
-                mse = float(np.mean((est_vals - truth) ** 2))
-                rows.append({"estimator": est, "N": n, "param": name,
-                             "bias": bias, "var": var, "mse": mse, "cpu": cpu})
+            kept = [(j, name) for j, name in enumerate(good[0]["names"])
+                    if name in study.true_params]
+            # the parameters' rows, then the CPU times; np.mean and np.var's
+            # own steps, a sum along the row over R, for all rows at once
+            table = np.array([[g["values"][j] for g in good] for j, _ in kept]
+                             + [[g["cpu"] for g in good]])
+            truth = np.array([float(study.true_params[name]) for _, name in kept])
+            mean = np.add.reduce(table, axis=1) / len(good)
+            dev = np.concatenate((table[:-1] - mean[:-1, None], table[:-1] - truth[:, None]))
+            var_mse = (np.add.reduce(dev ** 2, axis=1) / len(good)).tolist()
+            for (_, name), b, v, e in zip(kept, (mean[:-1] - truth).tolist(),
+                                          var_mse, var_mse[len(kept):]):
+                rows.append({"estimator": est, "N": n, "param": name, "bias": b,
+                             "var": v, "mse": e, "cpu": float(mean[-1])})
     return McReport(rows=rows, failures=failures, replicates=study.replicates,
                     nonconverged=nonconverged, abnormal=abnormal, cost=cost)

@@ -56,11 +56,23 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
     # simulate's "model" kind draws the real ar family alone
     configs.append(("simulate", {"kind": "model", "n": 64, "seed": 1,
                                  "model": {"family": "car1", "params": {"r": 0.5, "sigma": 1.0}}}))
-    configs.append(("mc", {
+    study = {
         "kind": "ar1-bernoulli-mask", "true_params": {"a": 0.8, "sigma": 1.0},
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
-        "estimators": ["modulated", "modulatd"], "n_grid": [64, 128], "replicates": 2,
-    }))
+        "estimators": ["modulated"], "n_grid": [64, 128], "replicates": 2,
+    }
+    # mc: an unknown estimator, N < 2, a float N, a repeated N or estimator,
+    # no estimators or N, no replicates, and a misspelt key
+    configs += [("mc", {**study, **change}) for change in (
+        {"estimators": ["modulated", "modulatd"]},
+        {"n_grid": [1]},
+        {"n_grid": [64.0]},
+        {"n_grid": [64, 64]},
+        {"estimators": ["modulated", "modulated"]},
+        {"estimators": []},
+        {"n_grid": []},
+        {"replicates": 0},
+        {"fit_option": {"n_starts": 1}})]
     # diagnose: a negative lag, a lag at the smallest grid length, the
     # default grid [0, 1] of a length-1 modulator, mu = 0 under a constant
     # modulus and under a mask, and a "custom" modulator, which no config builds

@@ -1,5 +1,8 @@
 import ast
+import dataclasses
+import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -257,8 +260,99 @@ def test_study_json_round_trip():
                     true_params={"r": 0.9, "sigma": 10.0, "gamma": 0.8, "span": 2.0},
                     process={}, estimators=["modulated", "exact"],
                     n_grid=[512], replicates=10, seed=3)
-    back = McStudy.from_json_dict(study.to_json_dict())
-    assert back == study
+    assert McStudy.from_json_dict(json.loads(json.dumps(dataclasses.asdict(study)))) == study
+    # spawned workers get the study pickled
+    assert pickle.loads(pickle.dumps(study)) == study
+
+
+TABLE1_STUDY = dict(kind="car1-bounded-walk", true_params={"r": 0.8, "sigma": 1.0},
+                    process={"gamma": np.pi / 2, "span": 1.0, "amp": 0.05},
+                    estimators=["modulated", "stationary"], n_grid=[64],
+                    replicates=3, seed=5, fit_options={"n_starts": 1})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_grid": [1]}, "integer >= 2"),
+    ({"n_grid": [64.0]}, "integer >= 2"),
+    ({"n_grid": [True]}, "integer >= 2"),
+    ({"n_grid": [64, 128, 64]}, "free of repeats"),
+    ({"n_grid": []}, "non-empty"),
+    ({"estimators": ["modulated", "modulated"]}, "free of repeats"),
+    ({"estimators": []}, "non-empty"),
+    ({"replicates": 0}, "replicates"),
+    ({"replicates": 2.0}, "replicates"),
+])
+def test_mc_study_rejects_a_study_it_cannot_run(change, message):
+    with pytest.raises(ValueError, match=message):
+        McStudy(**{**TABLE1_STUDY, **change})
+
+
+def test_study_config_rejects_an_unknown_key():
+    cfg = {**TABLE1_STUDY, "fit_option": {"n_starts": 1}}
+    with pytest.raises(ValueError, match="fit_option"):
+        McStudy.from_json_dict(cfg)
+    assert McStudy.from_json_dict(TABLE1_STUDY) == McStudy(**TABLE1_STUDY)
+
+
+@pytest.mark.parametrize("replicates", [1, 7, 37])
+def test_run_study_rows_are_the_per_column_numpy_statistics(replicates, monkeypatch):
+    # run_study reduces each estimator@N along the rows of one array; each
+    # statistic must equal the per-column numpy formula bit for bit
+    chunks = []
+
+    def recorded(*args):
+        chunks.append(run_chunk(*args))
+        return chunks[-1]
+
+    run_chunk = simulate._run_chunk
+    monkeypatch.setattr(simulate, "_run_chunk", recorded)
+    study = McStudy(**{**TABLE1_STUDY, "n_grid": [128], "replicates": replicates})
+    report = run_study(study)
+    (records,) = chunks
+    for est in study.estimators:
+        fits = [rec[est] for _, rec in records]
+        values = np.array([f["values"] for f in fits])
+        for j, name in enumerate(fits[0]["names"]):
+            col, truth = values[:, j], study.true_params[name]
+            want = {"bias": float(np.mean(col) - truth), "var": float(np.var(col)),
+                    "mse": float(np.mean((col - truth) ** 2)),
+                    "cpu": float(np.mean([f["cpu"] for f in fits]))}
+            row = report.row(est, 128, name)
+            assert {k: row[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
+
+
+# the numpy.fft calls (function, length) and Objective builds of one
+# replicate's simulation and estimator builds at N = 512, without the fits
+REPLICATE_COST_PINS = {
+    "table1_ci": ([("fft", 512), ("fft", 1024), ("ifft", 1024), ("fft", 512)], 2),
+    "table3_ci": ([("fft", 512), ("rfft", 1024), ("irfft", 1024)], 1),
+}
+
+
+@pytest.mark.parametrize("config", sorted(REPLICATE_COST_PINS))
+def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
+    from modwhittle import likelihood
+
+    calls, builds = [], []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(a, n=None, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)[-1] if n is None else n))
+            return _fn(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    post_init = likelihood.Objective.__post_init__
+
+    def counted_build(self):
+        builds.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(likelihood.Objective, "__post_init__", counted_build)
+    path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
+    with open(path) as fh:
+        study = McStudy.from_json_dict(json.load(fh))
+    data, aux = _simulate_case(study, 512, 0)
+    for est in study.estimators:
+        ESTIMATORS[study.kind, est](data, aux)
+    assert (calls, len(builds)) == REPLICATE_COST_PINS[config]
 
 
 MC_CASES = {
@@ -391,8 +485,6 @@ ESTIMATE_PINS = {
 
 @pytest.mark.parametrize("config", ["table1_ci", "table3_ci"])
 def test_first_replicates_of_the_ci_studies_keep_their_estimates(config):
-    import json
-
     path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
     with open(path) as fh:
         study = McStudy.from_json_dict(json.load(fh))
