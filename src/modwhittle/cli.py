@@ -125,6 +125,8 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 def _beta_from_spec(spec, n: int, seed) -> np.ndarray:
     if isinstance(spec, list):
+        if len(spec) not in (n - 1, n):
+            raise UsageError(f"a beta list takes n - 1 or n rotations, not {len(spec)}")
         return np.asarray(spec, dtype=float)
     kind = spec["kind"]
     if kind == "bounded-walk":
@@ -151,7 +153,10 @@ def _simulate_from_config(cfg: dict, seed) -> tuple[np.ndarray, Series]:
         series = _from_config(simulate_ar, model, n, np.random.default_rng((seed, 2)))
         if cfg.get("modulator"):
             mod = _from_config(modulator_from_json, cfg["modulator"])
-            series = Series(mod.g * series.values, delta=series.delta)
+            if mod.n != n:
+                raise UsageError(f"the modulator has N = {mod.n}, the series n = {n}")
+            series = Series(mod.g * series.values, delta=series.delta,
+                            kind="complex" if mod.is_complex else "real")
         return None, series
     if kind == "drifter":
         wf = _omega_f_from_config(cfg, n)
@@ -167,7 +172,7 @@ def _omega_f_from_config(cfg: dict, n: int) -> np.ndarray:
     if "omega_f" in cfg:
         wf = np.asarray(cfg["omega_f"], dtype=float)
         if wf.size == 1:
-            wf = np.full(n, float(wf))
+            wf = np.full(n, wf.item())  # a 0-d or a 1-element array
         return wf
     lat = cfg["latitudes"]
     if isinstance(lat, dict):
@@ -196,11 +201,9 @@ def _series_from_config(cfg: dict, seed) -> tuple:
 
 def _cmd_simulate(cfg: dict, out: str, seed, threads: int) -> dict:
     _, series = _simulate_from_config(cfg, seed)
-    vals = np.asarray(series.values)
-    rows = [["t", "re", "im"]]
-    for t, v in enumerate(vals):
-        rows.append([t, repr(float(np.real(v))), repr(float(np.imag(v)))])
-    return {f"{out}.csv": _csv_text(rows)}
+    rows = [[t, repr(float(np.real(v))), repr(float(np.imag(v)))]
+            for t, v in enumerate(np.asarray(series.values))]
+    return {f"{out}.csv": _csv_text([["t", "re", "im"], *rows])}
 
 
 def _cmd_fit(cfg: dict, out: str, seed, threads: int) -> dict:

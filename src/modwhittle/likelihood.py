@@ -10,31 +10,30 @@ s2, the square of the latent scale (sigma, A or B,
 with L, Q and M taken at scale 1: L = sum_mask log S_1, Q = sum_mask Shat /
 S_1, M the mask size and n = N for the frequency-domain kinds, S_1 the sdf
 f_X (Whittle) or the exact expected periodogram Sbar (modulated Whittle);
-L = log|C_1|, Q = y* C_1^{-1} y and M = n = N' for the dense exact kind; and
-the Markov L and Q of :func:`_exact_car1` with M = n = N.  n is the full grid
-size even under a frequency mask, so masked and unmasked values stay on one
-scale.  The scale minimising l is s2 = Q / M, which gives the concentrated
-likelihood (Brockwell & Davis 1991, Time Series: Theory and Methods, 10.8)
-that :meth:`Objective.profile` evaluates.  An aggregate ties its component
-scales into one scale and log ratios of their squares
-(:class:`AggregateModel`), so its Sbar is proportional to that s2 too.
+L = log|C_1|, Q = y* C_1^{-1} y and M = n = N', the samples where g != 0,
+for the exact kind.  n is the full grid size even under a frequency mask, so
+masked and unmasked values stay on one scale.  The scale minimising l is s2
+= Q / M, which gives the concentrated likelihood (Brockwell & Davis 1991,
+Time Series: Theory and Methods, 10.8) that :meth:`Objective.profile`
+evaluates.  An aggregate ties its component scales into one scale and log
+ratios of their squares (:class:`AggregateModel`), so its Sbar is
+proportional to that s2 too.
 
-One :class:`Objective` evaluates every kind.  Construction precomputes what
-does not depend on theta (periodogram, c_g, grid frequencies, each latent's
-raw-float entry :func:`~modwhittle.models.acv_entry`), so each evaluation is
-O(N log N), reads theta as floats and builds no model object; every expected
+One :class:`Objective` evaluates every kind, each with an analytic score.
+Construction precomputes what does not depend on theta (periodogram, c_g,
+grid frequencies, the kept samples, each latent's raw-float entry
+:func:`~modwhittle.models.acv_entry`), so each evaluation is O(N log N),
+reads theta as floats and builds no model object.  Every expected
 autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
-taken over the longest lag support the latent acv tables keep (each stops
-where it decays below working precision), which the length-N transform to
-Sbar zero-pads.  An objective may take a parametric
-modulation kernel (e.g. :class:`~modwhittle.modulation.LinearRampKernel`)
-whose free parameters follow the latent ones; the exact kind of a car1
-latent under that kernel is the O(N) Markov likelihood :func:`exact_car1_nll`.
-That likelihood and every spectral objective have an analytic gradient (the
-Whittle kind takes ar and car1 alone; an ou or matern latent takes the
-modulated-Whittle kind, with ``constant_modulator(n)`` for an unmodulated
-series); :func:`~modwhittle.optimize.fit` searches the dense exact kind on
-central differences.
+over the longest lag support the latent acv tables keep (each stops where it
+decays below working precision), which the length-N transform to Sbar
+zero-pads.  A parametric modulation kernel (e.g.
+:class:`~modwhittle.modulation.LinearRampKernel`) adds its free parameters
+after the latent ones.  The Whittle kind takes ar and car1 alone (an ou or
+matern latent takes the modulated-Whittle kind, with ``constant_modulator(n)``
+for an unmodulated series).  The exact kind is the O(N) Markov recursion
+:func:`_markov` of an ar, car1 or ou latent, whose dense oracle, for any
+latent, is :func:`exact_gaussian_nll`.
 """
 
 from __future__ import annotations
@@ -129,35 +128,22 @@ def exact_gaussian_nll(data: Series, mod: Modulator | None, model: LatentModel) 
     C_Y(t1,t2) = g_{t1} conj(g_{t2}) c_X(t1-t2), Cholesky-based; the complex
     case uses the proper-Gaussian density (equivalently the 2N-dimensional
     real Gaussian implied by propriety, up to an affine constant).  Capped at
-    N <= EXACT_CAP.
+    N <= EXACT_CAP: the dense oracle of the Markov exact :class:`Objective`.
     """
     if len(data) > EXACT_CAP:
         raise ValueError(f"exact likelihood capped at N <= {EXACT_CAP}")
-    logdet, quad, kept = _exact_dense(data, mod, lambda lags: autocov_sequence(model, lags))
-    return (logdet + quad) / kept
-
-
-def _exact_dense(data: Series, mod: Modulator | None, acv):
-    """(log|C_Y|, y* C_Y^{-1} y, N') of :func:`exact_gaussian_nll`, uncapped;
-    acv(L) gives the latent acv at lags 0..L-1, or at the head of them past
-    which it is zero."""
-    import scipy.linalg  # about 0.3 s to import, and only the dense kind needs it
+    import scipy.linalg  # about 0.3 s to import, and only the oracle needs it
 
     y = np.asarray(data.values)
-    n = y.size
-    g = np.ones(n) if mod is None else np.asarray(mod.g)
-    if g.size != n:
+    g = np.ones(y.size) if mod is None else np.asarray(mod.g)
+    if g.size != y.size:
         raise ValueError("modulator and data lengths differ")
     keep = np.flatnonzero(np.abs(g) > 0)
     if keep.size == 0:
         raise ValueError("all samples have zero modulation; nothing observed")
-    t = keep
-    yk = y[keep]
-    gk = g[keep]
-    head = acv(int(t[-1]) + 1)
-    cx = np.zeros(int(t[-1]) + 1, dtype=head.dtype)
-    cx[:head.size] = head
-    lag = np.subtract.outer(t, t)
+    yk, gk = y[keep], g[keep]
+    cx = autocov_sequence(model, int(keep[-1]) + 1)
+    lag = np.subtract.outer(keep, keep)
     cmat = cx[np.abs(lag)]
     if np.iscomplexobj(cx):
         cmat = np.where(lag >= 0, cmat, np.conj(cmat))
@@ -169,55 +155,41 @@ def _exact_dense(data: Series, mod: Modulator | None, acv):
                          "(parameters outside the model class)") from exc
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     alpha = scipy.linalg.cho_solve((chol, low), yk, check_finite=False)
-    quad = float(np.real(np.vdot(yk, alpha)))
-    return logdet, quad, keep.size
+    return (logdet + float(np.real(np.vdot(yk, alpha)))) / keep.size
 
 
 def exact_car1_nll(z: np.ndarray, beta: np.ndarray, r: float, sigma: float) -> float:
-    """Markov-factorized exact likelihood for z_t = r e^{i beta_t} z_{t-1} + e_t.
-
-    beta holds the rotations for steps t = 1..N-1.  Equal to the dense
-    :func:`exact_gaussian_nll` of the equivalent modulated representation and
-    evaluated in O(N).  No fit calls it (an Objective runs :func:`_exact_car1`):
-    the benchmark tracer names it, and ROADMAP item 1 retires it.
-    """
-    if not sigma > 0:
-        raise ValueError("requires sigma > 0")
-    big_l, quad, _ = _exact_car1(z, beta, r, score=False)
-    n, s2 = len(z), sigma * sigma
-    return (big_l + n * math.log(s2) + quad / s2) / n
-
-
-def _exact_car1(z, beta, r, score: bool):
-    """(L, Q, derivatives) of :func:`exact_car1_nll` at unit scale.
-
-    With u_t = e^{i beta_t} z_{t-1}, e_t = z_t - r u_t and p_t = conj(e_t) u_t,
-    N l = L + N log sigma^2 + Q / sigma^2, where
-
-        L = -log(1 - r^2),   Q = |z_0|^2 (1 - r^2) + sum |e_t|^2,
-        dL/dr = 2r / (1 - r^2),   dQ/dr = -2r |z_0|^2 - 2 sum Re p_t,
-        dQ/dbeta_t = 2r Im p_t.
-
-    The derivatives (dL/dr, dQ/dr, dQ/dbeta) come with score=True, None
-    otherwise.
+    """Markov-factorized exact likelihood for z_t = r e^{i beta_t} z_{t-1} + e_t,
+    with beta the rotations of steps t = 1..N-1: the :func:`_markov` chain.
+    No fit calls it: the benchmark tracer names it, and ROADMAP item 1
+    retires it.
     """
     z = np.asarray(z, dtype=complex)
     beta = np.asarray(beta, dtype=float)
     if beta.size != z.size - 1:
         raise ValueError("need one rotation per transition")
-    if not 0.0 <= r < 1.0:
-        raise ValueError("requires 0 <= r < 1")
-    u = np.exp(1j * beta) * z[:-1]
-    resid = z[1:] - r * u
-    z0sq = abs(z[0]) ** 2
-    big_l = -math.log(1.0 - r * r)
-    quad = z0sq * (1.0 - r * r) + float(np.sum(np.abs(resid) ** 2))
-    if not score:
-        return big_l, quad, None
-    p = np.conj(resid) * u
-    return big_l, quad, (2.0 * r / (1.0 - r * r),
-                         -2.0 * r * z0sq - 2.0 * float(np.sum(p.real)),
-                         2.0 * r * p.imag)
+    if not (0.0 <= r < 1.0 and sigma > 0):
+        raise ValueError("requires 0 <= r < 1 and sigma > 0")
+    big_l, quad, _ = _markov(z, np.exp(1j * beta) * z[:-1], r, None, 1.0 - r * r, False)
+    n, s2 = z.size, sigma * sigma
+    return (big_l + n * math.log(s2) + quad / s2) / n
+
+
+def _markov(x, prev, a, v, p0, score: bool):
+    """(L, Q, (q, h) or None) of the Gaussian Markov chain x_0 of precision
+    p0, x_j = a_j prev_j + e_j, prev_j = x_{j-1} (turned by e^{i beta_j}
+    under a ramp kernel, whose v is None: v_j = 1) and e_j independent (and
+    proper complex where x or a is) of variance v_j: C_X's Cholesky factor.
+    So L = sum log v_j - log p0 = log|C_X|, Q = |x_0|^2 p0 + sum h_j = x*
+    C_X^{-1} x with h_j = |e_j|^2 / v_j, and with q_j = conj(e_j) prev_j /
+    v_j, dQ = |x_0|^2 dp0 - sum h_j dv_j / v_j - 2 Re sum q_j da_j at fixed prev.
+    """
+    e = x[1:] - a * prev
+    h, q, big_l = np.abs(e) ** 2, (np.conj(e) * prev if score else None), -math.log(p0)
+    if v is not None:
+        h, q, big_l = h / v, (q / v if score else None), float(np.log(v).sum()) + big_l
+    quad = abs(x[0]) ** 2 * p0 + float(h.sum())
+    return big_l, quad, ((q, h) if score else None)
 
 
 # ----------------------------------------------------------------------
@@ -364,34 +336,27 @@ class Objective:
     """A configured objective: kind exact | whittle | modulated-whittle.
 
     Instances are callables theta -> scalar nll.  Construction precomputes
-    what does not depend on theta (periodogram, grid frequencies, c_g), so
-    evaluations stay O(N log N), and normalises the model into one list of
-    latent models, whose parameters lead theta, with either fixed c_g tables
-    (``cgs``, one per latent, lags 0..N-1) or a parametric kernel
-    (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
+    what does not depend on theta (periodogram, grid frequencies, c_g, the
+    kept samples), so evaluations stay O(N log N), and normalises the model
+    into one list of latent models, whose parameters lead theta, with either
+    fixed c_g tables (``cgs``, one per latent, lags 0..N-1) or a parametric
+    kernel (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
     :class:`~modwhittle.modulation.LinearRampKernel`), whose parameters phi
-    follow.  exact takes a plain latent with a Modulator or none (the dense
-    oracle, N <= EXACT_CAP), or a car1 latent without rotation under a
-    LinearRampKernel (:func:`exact_car1_nll`, beta_t = gamma + span ramp_t);
+    follow.  exact takes an ar, car1 or ou latent with a Modulator or none,
+    or a car1 latent without rotation under a LinearRampKernel (beta_t =
+    gamma + span ramp_t), at any N: the Markov recursion of :meth:`_exact`;
     whittle a plain ar or car1 latent and no modulator; modulated-whittle a
     plain latent with a modulator or a kernel, or an :class:`AggregateModel`.
     Only the spectral kinds take a frequency ``mask``.  Any other shape
     raises ValueError.  The modulated-whittle kind keeps the periodogram and
     the mask in numpy FFT order (k = 0..N-1), the order its expected
-    periodogram comes out of the transform in.  For ``has_gradient`` see
-    :meth:`value_and_grad`: always true for the spectral kinds, and true for
-    exact only under a kernel (the Markov likelihood).
+    periodogram comes out of the transform in.  Every kind has a score
+    (:meth:`value_and_grad`).
 
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
     objective at its closed-form optimum.  ``n_rejected`` counts the
     evaluations that scored +inf.
-
-    Construction binds each latent's raw-float entry
-    (:func:`~modwhittle.models.acv_entry`, or
-    :func:`~modwhittle.models.sdf_entry` on the Fourier grid for the
-    whittle kind) to its slice of theta, so an evaluation reads theta as
-    floats and builds no model object.
     """
 
     kind: str
@@ -402,14 +367,15 @@ class Objective:
     check_significance: bool = True
     _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
     _shat: np.ndarray = field(init=False, repr=False, default=None)  # on the mask
-    _z: np.ndarray = field(init=False, repr=False, default=None)
+    # the exact kind's kept samples y_t / g_t, the distinct gaps between them,
+    # each step's gap among those, and sum log|g_t|^2; under a kernel z and no gaps
+    _kept: tuple = field(init=False, repr=False, default=None)
     _kernel: LinearRampKernel | None = field(init=False, repr=False, default=None)
     # (raw-float entry, slice of the component values) per latent
     _entries: list = field(init=False, repr=False, default=None)
     _n_latent: int = field(init=False, repr=False, default=0)  # latent values
     _n_theta: int = field(init=False, repr=False, default=0)
     cgs: list = field(init=False, repr=False, default=None)
-    has_gradient: bool = field(init=False, default=False)
     scale_index: int = field(init=False, default=None)
     n_rejected: int = field(init=False, default=0)
 
@@ -443,20 +409,28 @@ class Objective:
             self._n_latent += d
         self._n_theta = self._n_latent + (0 if self._kernel is None
                                            else len(self._kernel.params))
-        if self.kind == "exact" and self.mask is not None:
-            raise ValueError("the exact kind takes no frequency mask")
         self._mask = slice(None)  # every frequency: the grid indexed by a view
         if self.kind == "exact":
-            if self._kernel is None and n > EXACT_CAP:
-                raise ValueError(f"exact objective capped at N <= {EXACT_CAP}")
-            if self._kernel is not None:
-                m = self.model
+            m = self.model
+            if self.mask is not None:
+                raise ValueError("the exact kind takes no frequency mask")
+            if m.family not in ("ar", "car1", "ou"):
+                raise ValueError(f"the exact kind takes an ar, car1 or ou latent, not "
+                                 f"{m.family}: exact_gaussian_nll evaluates it densely")
+            if self._kernel is not None:  # the ramp's chain reads z alone
                 if not (isinstance(self._kernel, LinearRampKernel) and m.family == "car1"
                         and len(m.params) == 2 and m.rotation == 0.0):
                     raise ValueError("the exact kind takes a kernel only as a "
                                      "LinearRampKernel on a car1 latent without rotation")
-                self._z = np.asarray(self.data.values, dtype=complex)
-                self.has_gradient = True
+                self._kept = (np.asarray(self.data.values, dtype=complex), None, None, 0.0)
+                return
+            g = np.ones(n) if self.modulator is None else self.modulator.g
+            keep = np.flatnonzero(g)
+            if keep.size == 0:
+                raise ValueError("all samples have zero modulation; nothing observed")
+            gaps, index = np.unique(np.diff(keep), return_inverse=True)
+            self._kept = (np.asarray(self.data.values)[keep] / g[keep], gaps, index,
+                          2.0 * float(np.log(np.abs(g[keep])).sum()))
             return
         modulated = self.kind == "modulated-whittle"  # FFT order, as Sbar comes out
         if self.mask is not None:  # the mask's positions, unless it keeps them all
@@ -465,7 +439,6 @@ class Objective:
             self._mask = slice(None) if mask.all() else np.flatnonzero(mask)
         shat = periodogram_fft_order(self.data) if modulated else periodogram(self.data)
         self._shat = shat[self._mask]
-        self.has_gradient = True
         if self.kind == "whittle":
             return
         if self._kernel is None:
@@ -497,8 +470,7 @@ class Objective:
     def value_and_grad(self, theta) -> tuple[float, np.ndarray]:
         """The nll and its gradient in theta.
 
-        exact (Markov): the score of :func:`_exact_car1`, through beta_t =
-        gamma + span ramp_t.
+        exact: the score of the Markov recursion (see :meth:`_exact`).
 
         whittle: with f the sdf on the grid and w = dl/df (see
         :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j, with df/dtheta
@@ -518,8 +490,6 @@ class Objective:
 
         The value equals ``self(theta)``.
         """
-        if not self.has_gradient:
-            raise ValueError("objective has no analytic gradient")
         return self._evaluate(theta, True, False)[:2]
 
     def profile(self, rest, grad: bool = False):
@@ -532,8 +502,6 @@ class Objective:
         with +inf, a zero gradient and None where the objective rejects rest,
         or where the data are zero on the mask.
         """
-        if grad and not self.has_gradient:
-            raise ValueError("objective has no analytic gradient")
         return self._evaluate(rest, grad, True)
 
     def _evaluate(self, theta, grad: bool, profile: bool):
@@ -580,28 +548,21 @@ class Objective:
 
     def _chain(self, theta, grad):
         """(L, Q, M, n, pull) of the module docstring at theta, a list of
-        floats whose scale is 1.  With grad, pull(s2) maps the score at
-        scale 1 to the gradient at scale^2 = s2 in every parameter but the
-        scale, whose entry the caller forms in closed form (a latent's entry
-        never forms its scale's row; an aggregate puts its amplitude rows
-        back, for the q, and drops the scale's entry after
-        ``tied_gradient``); the spectral kinds' is
-        sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2 S_1)) / (S_1 n) on the
-        mask.  The dense exact kind has no score.  Raises ValueError outside
-        the model class.
+        floats whose scale is 1.  With grad, pull(s2) maps the score at scale
+        1 to the gradient at scale^2 = s2 in every parameter but the scale,
+        whose entry the caller forms in closed form (a latent's entry never
+        forms its scale's row; an aggregate puts its amplitude rows back, for
+        the q, and drops the scale's entry after ``tied_gradient``); the
+        spectral kinds' is sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2
+        S_1)) / (S_1 n) on the mask.  Raises ValueError outside the model class.
         """
         if len(theta) != self._n_theta:
             raise ValueError("parameter vector length mismatch")
-        if self._z is not None:  # the exact kind under a ramp kernel
-            return self._exact_markov(theta, grad)
+        if self.kind == "exact":
+            return self._exact(theta, grad)
         values, p = theta, None
         if isinstance(self.model, AggregateModel):
             values, p = self.model.untie(theta)
-        if self.kind == "exact":
-            (entry, part), = self._entries
-            logdet, quad, kept = _exact_dense(
-                self.data, self.modulator, lambda lags: entry(values[part], lags, False)[0])
-            return logdet, quad, kept, kept, None
         if self.kind == "whittle":
             s, pullback = self._whittle(values, grad)
         else:
@@ -623,20 +584,54 @@ class Objective:
 
         return float(np.log(s).sum()), float(ratio.sum()), s.size, n, pull
 
-    def _exact_markov(self, theta, grad):
-        # theta = (r, 1, gamma, span) and no LatentModel: _exact_car1 rejects
-        # r outside the model, the kernel the span
-        beta = self._kernel.rotations(theta[2:])
-        big_l, quad, score = _exact_car1(self._z, beta, theta[0], score=grad)
-        n = self._z.size
+    def _exact(self, theta, grad):
+        """(L, Q, N', N', pull) of the exact kind: the :func:`_markov` chain of
+        the kept x_j = y_j / g_j, with sum log|g_j|^2 in L.  The acv gives c0
+        = c(0) and rho = c(1) / c0 (0 where the table stops at lag 0): over a
+        gap of k, a = rho^k, v = c0 (1 - m^k) with m = |rho|^2, and p0 = 1 /
+        c0.  So dl/dc0 = (N' - Q / s2) / (c0 N'), with da/drho = k rho^{k-1},
+        dv/dm = -c0 k m^{k-1}, drho = (dc(1) - rho dc(0)) / c0 and dm = 2
+        Re(conj(rho) drho).  Under the ramp kernel a = r, prev_j = e^{i beta_j}
+        z_{j-1}, v = 1 (None) and p0 = 1 - r^2, so dQ/dr = -2r |z_0|^2 - 2 sum Re q_j
+        and dQ/dbeta_j = 2r Im q_j.
+        """
+        x, gaps, index, log_g2 = self._kept
+        n = x.size
+        if self._kernel is not None:
+            r = theta[0]
+            if not 0.0 <= r < 1.0:
+                raise ValueError("requires 0 <= r < 1")
+            prev = np.exp(1j * self._kernel.rotations(theta[2:])) * x[:-1]
+            big_l, quad, pieces = _markov(x, prev, r, None, 1.0 - r * r, grad)
+
+            def pull(s2):
+                q, _ = pieces
+                d_beta = 2.0 * r * q.imag / (s2 * n)
+                dq_r = -2.0 * r * abs(x[0]) ** 2 - 2.0 * float(np.sum(q.real))
+                return np.array([(2.0 * r / (1.0 - r * r) + dq_r / s2) / n, d_beta.sum(),
+                                 d_beta @ self._kernel.ramp])
+
+            return big_l, quad, n, n, pull
+        (entry, part), = self._entries
+        head, jac = entry(theta[part], 2, grad)
+        c0 = float(head[0].real)
+        rho = head[1] / c0 if head.size > 1 else 0.0
+        mag2 = abs(rho) ** 2
+        w = 1.0 - mag2 ** gaps
+        big_l, quad, pieces = _markov(x, x[:-1], (rho ** gaps)[index], (c0 * w)[index],
+                                      1.0 / c0, grad)
 
         def pull(s2):
-            dl_r, dq_r, dq_beta = score
-            d_beta = dq_beta / (s2 * n)
-            return np.array([(dl_r + dq_r / s2) / n, d_beta.sum(),
-                             d_beta @ self._kernel.ramp])
+            q, h = pieces
+            t = (gaps * mag2 ** (gaps - 1) / w)[index]  # -(dv/dm) / v
+            d_m = (float(h @ t) / s2 - float(t.sum())) / n
+            d_rho = -2.0 * (q @ (gaps * rho ** (gaps - 1))[index]) / (s2 * n)
+            dc0 = jac[:, 0].real
+            drho = ((jac[:, 1] if jac.shape[1] > 1 else 0.0) - rho * dc0) / c0
+            return ((n - quad / s2) / (c0 * n) * dc0 + 2.0 * d_m * (np.conj(rho) * drho).real
+                    + (d_rho * drho).real)
 
-        return big_l, quad, n, n, pull
+        return big_l + log_g2, quad, n, n, pull
 
     def _whittle(self, values, grad):
         """The sdf on the mask and, with grad, the map from w = dl/df to the
@@ -700,7 +695,7 @@ class Car1WhittleObjective:
 
     theta = (r, sigma) when the rotation is fixed, or (r, sigma, gamma) when
     it is free: ``Objective("whittle", data, car1_model(...))`` with only
-    ``names``, ``lower`` and ``upper`` exposed.  It has no ``has_gradient``,
+    ``names``, ``lower`` and ``upper`` exposed.  It has no ``value_and_grad``,
     so :func:`~modwhittle.optimize.fit` searches it on central differences;
     it is the benchmark tracer tests' fixture for an objective without a
     score, and ROADMAP item 1 retires it.

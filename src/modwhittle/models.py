@@ -227,6 +227,8 @@ def ou_to_ar(amp: float, lam: float, delta: float) -> tuple[float, float]:
     if lam <= 0 or delta <= 0 or amp <= 0:
         raise ValueError("ou_to_ar requires A > 0, lam > 0, delta > 0")
     r = math.exp(-lam * delta)
+    if r == 1.0:  # lam delta below 2^-54: sigma = 0, and c(0) would be 0 / 0
+        raise ValueError("ou_to_ar requires lam delta above working precision")
     sigma2 = amp * amp * (1.0 - r) / (2.0 * lam * delta)
     return r, math.sqrt(sigma2)
 

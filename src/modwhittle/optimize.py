@@ -8,10 +8,10 @@ bracketed derivative search :func:`_search_1d` with one.  (In a logit
 space a coordinate pinned at a bound has a gradient that decays like
 e^{-|x|}, so a quasi-Newton method creeps towards infinity; in the box it
 stops at the edge.)  The gradient is the objective's score where it has
-one (``has_gradient`` and ``value_and_grad``: every spectral and Markov
-exact :class:`Objective`), else central differences in the polish
-coordinates (:func:`_polish_value_and_grad`: the dense exact kind,
-``Car1WhittleObjective`` and plain callables).  A fit keeps its bounds,
+one (``value_and_grad``: every :class:`Objective`),
+else central differences in the polish coordinates
+(:func:`_polish_value_and_grad`: ``Car1WhittleObjective``, the benchmark
+tracer's proxies and plain callables).  A fit keeps its bounds,
 starts and result as Python floats, and the 1-D search runs on them, with
 numpy's exp and log of one float for the coordinate map (their bits are an
 array's): a one-parameter fit, as every Table 1 and 3 estimator is, makes
@@ -216,7 +216,7 @@ def _polish_value_and_grad(y, objective, log_mask, box_lo, box_hi):
     a list of floats, for both searches.
 
     The one place that knows whether the objective has a score: with a true
-    ``has_gradient`` the gradient is its ``value_and_grad``'s times
+    ``has_gradient`` (:class:`_Searched`'s) the gradient is the score times
     dtheta/dy, else central differences in y (:func:`_central_differences`).
     A non-finite value or probe scores +inf, with a zero gradient.  A step
     can reach a theta so large (or small) that theta itself or the
@@ -494,7 +494,7 @@ class _Searched:
 
     def __init__(self, objective, k):
         self._objective, self._k = objective, k
-        self.has_gradient = bool(getattr(objective, "has_gradient", False))
+        self.has_gradient = hasattr(objective, "value_and_grad")
         self.n_evals = self.n_grad_evals = 0
         self._scales = {}
 
@@ -542,9 +542,8 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
         max_iter: int | None = None, seed: int = 0) -> FitResult:
     """Minimize a bounded objective (see the module docstring for the method).
 
-    objective : callable theta -> scalar (finite at init); with a true
-                ``has_gradient`` attribute it must also provide
-                ``value_and_grad(theta) -> (value, gradient)``
+    objective : callable theta -> scalar (finite at init), searched on its
+                ``value_and_grad(theta) -> (value, gradient)`` if it has one
     init      : ParameterVector, or plain values when the objective carries
                 names/lower/upper attributes
     n_starts  : the most starts searched.  Start 0 is the given init,

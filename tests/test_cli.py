@@ -53,9 +53,20 @@ def test_config_errors_exit_1_and_write_nothing(tmp_path):
         {"objective": "whittle", "model": {"family": "ou", "params": {"A": 1.0, "lam": 0.5}}},
     ]
     configs = [("fit", {**cfg, "data": {"csv": data + ".csv"}}) for cfg in fits]
-    # simulate's "model" kind draws the real ar family alone
+    # the exact kind takes ar, car1 and ou, and names the dense oracle for a
+    # Matern latent
+    configs.append(("fit", {"objective": "exact", "data": {"csv": data + ".csv"},
+                            "model": {"family": "matern",
+                                      "params": {"B": 1.0, "h": 0.5, "alpha": 1.5}}}))
+    # simulate's "model" kind draws the real ar family alone, under a
+    # modulator of its own length; a car1 beta list has n - 1 or n rotations
     configs.append(("simulate", {"kind": "model", "n": 64, "seed": 1,
                                  "model": {"family": "car1", "params": {"r": 0.5, "sigma": 1.0}}}))
+    configs.append(("simulate", {"kind": "model", "n": 64, "seed": 1, "model": model,
+                                 "modulator": {"generator": "periodic-missing",
+                                               "params": {"k": 2, "l": 1}, "N": 32}}))
+    configs.append(("simulate", {"kind": "car1", "n": 8, "r": 0.5, "sigma": 1.0,
+                                 "beta": [0.1, 0.2, 0.3]}))
     study = {
         "kind": "ar1-bernoulli-mask", "true_params": {"a": 0.8, "sigma": 1.0},
         "process": {"mean_p": 0.5, "amp_p": 0.25, "omega_p": 0.6},
@@ -155,6 +166,64 @@ def test_simulate_real_model_with_mask(tmp_path):
     rows = read_csv(out + ".csv")
     re_vals = np.array([float(r[1]) for r in rows[1:]])
     assert np.sum(re_vals == 0.0) >= 64 // 3 - 2  # masked points are zeros
+
+
+def test_simulate_model_under_a_complex_modulator_round_trips(tmp_path):
+    # a complex modulator makes a complex series, which fit reads back
+    cfg = write_cfg(tmp_path, {
+        "kind": "model", "n": 256,
+        "model": {"family": "ar", "params": {"phi1": 0.6, "sigma": 1.0}},
+        "modulator": {"generator": "linear-frequency",
+                      "params": {"gamma": 0.8, "span": 1.0}, "N": 256},
+        "seed": 5,
+    })
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "-o", out]) == 0
+    rows = read_csv(out + ".csv")
+    assert len(rows) == 1 + 256 and any(float(r[2]) != 0.0 for r in rows[1:])
+    fit_cfg = write_cfg(tmp_path, {
+        "objective": "exact",
+        "model": {"family": "ar", "params": {"phi1": 0.3, "sigma": 1.0}},
+        "modulator": {"generator": "linear-frequency",
+                      "params": {"gamma": 0.8, "span": 1.0}, "N": 256},
+        "data": {"csv": out + ".csv"},
+    }, "fit.json")
+    assert main(["fit", "--config", fit_cfg, "-o", str(tmp_path / "fit")]) == 0
+    report = json.loads(open(str(tmp_path / "fit") + ".json").read())
+    assert report["converged"] and abs(report["theta_hat"]["phi1"] - 0.6) < 0.15
+
+
+def test_fit_exact_kind_of_a_masked_ar1_at_n_4096(tmp_path):
+    # the exact kind runs at any N, on its score
+    mask = {"generator": "periodic-missing", "params": {"k": 3, "l": 1}, "N": 4096}
+    sim = write_cfg(tmp_path, {
+        "kind": "model", "n": 4096, "seed": 2, "modulator": mask,
+        "model": {"family": "ar", "params": {"phi1": 0.8, "sigma": 1.0}}}, "sim.json")
+    data = str(tmp_path / "data")
+    assert main(["simulate", "--config", sim, "-o", data]) == 0
+    cfg = write_cfg(tmp_path, {
+        "objective": "exact", "modulator": mask, "data": {"csv": data + ".csv"},
+        "model": {"family": "ar", "params": {"phi1": 0.5, "sigma": 1.0}}}, "fit.json")
+    out = str(tmp_path / "fit")
+    assert main(["fit", "--config", cfg, "-o", out]) == 0
+    report = json.loads(open(out + ".json").read())
+    assert report["converged"] and report["n_grad_evals"] == report["n_evals"] > 0
+    assert abs(report["theta_hat"]["phi1"] - 0.8) < 0.05
+
+
+def test_one_element_omega_f_list_is_the_scalar(tmp_path):
+    data = {"synthetic": {"kind": "drifter", "n": 512, "delta": 1 / 12, "A": 1.0,
+                          "lam": 0.4, "B": 0.0, "omega_f": -1.5}}
+    reports = []
+    for i, wf in enumerate((-1.5, [-1.5])):
+        cfg = write_cfg(tmp_path, {
+            "objective": "drifter", "mode": "modulated", "freq_range": [0.0, 2.0],
+            "include_background": False, "fit_options": {"n_starts": 1}, "seed": 3,
+            "data": {"synthetic": {**data["synthetic"], "omega_f": wf}}}, f"cfg{i}.json")
+        out = str(tmp_path / f"fit{i}")
+        assert main(["fit", "--config", cfg, "-o", out]) == 0
+        reports.append(json.loads(open(out + ".json").read()))
+    assert reports[0]["theta_hat"] == reports[1]["theta_hat"]
 
 
 def test_mc_deterministic_modulo_timing(tmp_path):

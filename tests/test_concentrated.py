@@ -42,7 +42,6 @@ class _Joint:
 
     def __init__(self, objective):
         self.objective = objective
-        self.has_gradient = objective.has_gradient
 
     def __call__(self, theta):
         return self.objective(theta)
@@ -81,7 +80,7 @@ def _ramp(kind):
     return make
 
 
-def _dense_exact(rng):
+def _modulated_exact(rng):
     mod = periodic_missing_mask(3, 1, 96)
     x = simulate_ar(ar_model([0.6], 0.8), 96, rng)
     obj = Objective("exact", Series(mod.g * x.values), ar_model([0.5], 1.0),
@@ -97,7 +96,7 @@ CASES = {
     "whittle-car1-free": lambda rng: _whittle_car1(rng, free=True),
     "modulated-modulator": _modulated_car1,
     "modulated-ramp-kernel": _ramp("modulated"),
-    "exact-dense": _dense_exact,
+    "exact-modulator": _modulated_exact,
     "exact-markov": _ramp("exact"),
 }
 
@@ -124,7 +123,7 @@ def test_profile_is_the_joint_objective_where_it_is_flat_in_the_scale(case):
     obj, init = CASES[case](np.random.default_rng(12))
     k = obj.scale_index
     rest = np.delete(init.values, k)
-    value, grad, scale = obj.profile(rest, obj.has_gradient)
+    value, grad, scale = obj.profile(rest, True)
     theta = np.insert(rest, k, scale)
     assert abs(obj(theta) - value) <= 1e-12 * max(1.0, abs(value))
     # dl/dscale = 0 at the concentrated scale, by central differences ...
@@ -132,12 +131,11 @@ def test_profile_is_the_joint_objective_where_it_is_flat_in_the_scale(case):
     lo, hi = (obj(np.insert(rest, k, scale * (1.0 + e))) for e in (-h, h))
     assert abs(hi - lo) / (2.0 * h * scale) <= 1e-8
     assert min(lo, hi) >= value
-    if obj.has_gradient:
-        # ... and in the joint score, whose other entries are the profile's
-        joint_value, joint_grad = obj.value_and_grad(theta)
-        assert abs(joint_grad[k]) * scale <= 1e-10 * max(1.0, abs(value))
-        np.testing.assert_allclose(grad, np.delete(joint_grad, k),
-                                   rtol=1e-8, atol=1e-12)
+    # ... and in the joint score, whose other entries are the profile's
+    joint_value, joint_grad = obj.value_and_grad(theta)
+    assert abs(joint_grad[k]) * scale <= 1e-10 * max(1.0, abs(value))
+    np.testing.assert_allclose(grad, np.delete(joint_grad, k),
+                               rtol=1e-8, atol=1e-12)
 
 
 def _reference(obj, theta):
@@ -199,11 +197,10 @@ def test_zero_data_on_the_mask_scores_inf_without_warnings():
         for obj in _zero_objectives():
             rest = np.delete(obj.init_params.values, obj.scale_index)
             assert obj.profile(rest) == (np.inf, None, None)
-            if obj.has_gradient:
-                value, grad, scale = obj.profile(rest, True)
-                assert value == np.inf and scale is None
-                assert np.array_equal(grad, np.zeros(rest.size))
-            assert obj.n_rejected == 1 + obj.has_gradient
+            value, grad, scale = obj.profile(rest, True)
+            assert value == np.inf and scale is None
+            assert np.array_equal(grad, np.zeros(rest.size))
+            assert obj.n_rejected == 2
             with pytest.raises(FitFailure):
                 fit(obj, obj.init_params)
 

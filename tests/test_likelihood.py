@@ -5,6 +5,7 @@ from modwhittle import (
     Modulator,
     Series,
     ar_model,
+    bernoulli_mask,
     car1_model,
     cg_sequence,
     constant_modulator,
@@ -93,6 +94,65 @@ def test_exact_markov_takes_rotations_as_a_list(rng):
     assert exact_car1_nll(z, [0.1, 0.2, 0.3], 0.5, 1.0) == want
     with pytest.raises(ValueError):
         exact_car1_nll(z, [0.1, 0.2], 0.5, 1.0)
+
+
+MARKOV_LATENTS = {
+    "ar1": lambda rng: ar_model([rng.uniform(-0.95, 0.95)], rng.uniform(0.5, 2.0)),
+    "white-noise": lambda rng: ar_model([], rng.uniform(0.5, 2.0)),
+    "car1-fixed": lambda rng: car1_model(rng.uniform(0.0, 0.95), rng.uniform(0.5, 2.0),
+                                         rotation=rng.uniform(-3.0, 3.0)),
+    "car1-free": lambda rng: car1_model(rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0),
+                                        gamma=rng.uniform(-3.0, 3.0)),
+    "ou": lambda rng: ou_model(rng.uniform(0.5, 2.0), rng.uniform(0.1, 3.0),
+                               rotation_cpd=rng.uniform(-2.0, 2.0)),
+}
+
+
+def _markov_modulator(rng, kind, n):
+    """A periodic or Bernoulli mask times amplitudes of either sign, or a
+    frequency modulator, with g = 0 at the first sample, the last or both."""
+    if kind == "frequency":
+        g = frequency_modulator(rng.uniform(-0.8, 0.8, size=n - 1)).g.copy()
+    else:
+        mask = (periodic_missing_mask(int(rng.integers(1, 4)), int(rng.integers(1, 3)), n)
+                if kind == "periodic" else bernoulli_mask(0.6, seed=int(rng.integers(1 << 31)),
+                                                          n=n))
+        g = mask.g * rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+    g[[[0], [n - 1], [0, n - 1]][int(rng.integers(3))]] = 0.0
+    if not g.any():
+        g[n // 2] = 1.0
+    return Modulator(g)
+
+
+@pytest.mark.parametrize("mod_kind", ["periodic", "bernoulli", "frequency"])
+@pytest.mark.parametrize("family", list(MARKOV_LATENTS))
+def test_exact_markov_matches_the_dense_oracle_and_central_differences(rng, family, mod_kind):
+    # the exact kind's O(N) recursion over the kept samples, against the
+    # dense Cholesky and against central differences of itself
+    for n in (*rng.integers(2, 65, size=4).tolist(), 2048):
+        mod = _markov_modulator(rng, mod_kind, n)
+        model = MARKOV_LATENTS[family](rng)
+        complex_ = model.family != "ar" or mod.is_complex
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_ else 0.0)
+        data = Series(mod.g * x, kind="complex" if complex_ else "real")
+        obj = Objective("exact", data, model, modulator=mod)
+        theta = model.params.values
+        want = exact_gaussian_nll(data, mod, model)
+        assert abs(obj(theta) - want) <= 1e-10 * abs(want)
+        assert_gradient_matches(obj, theta)
+
+
+def test_exact_kind_fits_a_masked_ar1_at_n_16384():
+    # the exact kind has no size cap: N = 16384 under a cosine-Bernoulli mask
+    from modwhittle.simulate import cosine_bernoulli_mask
+
+    n = 16384
+    mod = cosine_bernoulli_mask(0.5, 0.25, 2 * np.pi / 10, n, 3)
+    data = Series(mod.g * simulate_ar(ar_model([0.8], 1.0), n, 3).values)
+    obj = Objective("exact", data, ar_model([0.5], 1.0), modulator=mod)
+    res = fit(obj, obj.init_params)
+    assert res.converged and res.n_grad_evals == res.n_evals
+    assert np.allclose(res.theta_hat.values, [0.8, 1.0], atol=0.03)
 
 
 def test_modulated_whittle_at_one_sample_skips_the_lag_1_diagnostic():
@@ -205,8 +265,12 @@ def test_objective_validation(rng):
         Objective("modulated-whittle", x, ar_model([0.5], 1.0))
     with pytest.raises(ValueError):
         Objective("nope", x, ar_model([0.5], 1.0))
-    with pytest.raises(ValueError):
-        Objective("exact", Series(rng.normal(size=2049)), ar_model([0.5], 1.0))
+    # the exact kind runs a Markov latent at any N and names the dense
+    # oracle for any other
+    assert np.isfinite(Objective("exact", Series(rng.normal(size=2049)),
+                                 ar_model([0.5], 1.0))([0.5, 1.0]))
+    with pytest.raises(ValueError, match="exact_gaussian_nll"):
+        Objective("exact", x, matern_model(1.0, 0.5, 1.2))
     with pytest.raises(ValueError):
         Objective("modulated-whittle", x, ar_model([0.5], 1.0),
                   modulator=constant_modulator(8))
@@ -436,7 +500,6 @@ def test_gradient_matches_central_differences(rng, family):
         model = _random_gradient_model(rng, family)
         obj = Objective("modulated-whittle", data, model, modulator=mod,
                         check_significance=False)
-        assert obj.has_gradient
         assert_gradient_matches(obj, model.params.values)
 
 
@@ -635,9 +698,8 @@ def test_evaluations_build_no_model_objects(rng, monkeypatch):
         rest = np.delete(theta, obj.scale_index)
         assert np.isfinite(obj(theta))
         assert np.isfinite(obj.profile(rest)[0])
-        if obj.has_gradient:
-            assert np.isfinite(obj.value_and_grad(theta)[0])
-            assert np.isfinite(obj.profile(rest, True)[0])
+        assert np.isfinite(obj.value_and_grad(theta)[0])
+        assert np.isfinite(obj.profile(rest, True)[0])
     assert counts == Counter()
     car1_model(0.5, 1.0)  # the counters see a construction
     assert counts == Counter({"LatentModel": 1, "ParameterVector": 1})
@@ -645,31 +707,37 @@ def test_evaluations_build_no_model_objects(rng, monkeypatch):
 
 def test_gradient_only_where_every_family_has_one(rng):
     # every latent acv and every sdf has a score, so every spectral
-    # objective does (the Whittle kind takes ar and car1 alone); central
-    # differences serve the dense exact kind and Car1WhittleObjective alone
+    # objective does (the Whittle kind takes ar and car1 alone), and so does
+    # the Markov exact kind (ar, car1 and ou); central differences serve
+    # Car1WhittleObjective alone
     n = 64
     data = Series(rng.normal(size=n))
     mod = periodic_missing_mask(3, 1, n)
     models = (ar_model([], 1.0), ar_model([0.5], 1.0), car1_model(0.5, 1.0),
               car1_model(0.5, 1.0, gamma=0.3), ou_model(1.0, 0.5),
               matern_model(1.0, 0.5, 1.2))
+    def scored(obj):
+        return np.isfinite(obj.value_and_grad(obj.init_params.values)[1]).all()
+
     for model in models:
-        assert Objective("modulated-whittle", data, model, modulator=mod).has_gradient
+        assert scored(Objective("modulated-whittle", data, model, modulator=mod))
         if model.family in ("ar", "car1"):
-            assert Objective("whittle", data, model).has_gradient
+            assert scored(Objective("whittle", data, model))
         else:
             with pytest.raises(ValueError, match="modulated-whittle"):
                 Objective("whittle", data, model)
-        assert not Objective("exact", data, model, modulator=mod).has_gradient
+        if model.family == "matern":
+            with pytest.raises(ValueError, match="exact_gaussian_nll"):
+                Objective("exact", data, model, modulator=mod)
+        else:
+            assert scored(Objective("exact", data, model, modulator=mod))
     mixed = AggregateModel(((car1_model(0.5, 1.0), mod), (ar_model([], 1.0), None),
                             (matern_model(1.0, 0.5, 1.2), mod)), n)
-    assert Objective("modulated-whittle", data, mixed).has_gradient
-    assert not hasattr(Car1WhittleObjective(data), "has_gradient")
+    assert scored(Objective("modulated-whittle", data, mixed))
+    assert not hasattr(Car1WhittleObjective(data), "value_and_grad")
     obj = Objective("exact", data, ou_model(1.0, 0.5), modulator=mod)
-    with pytest.raises(ValueError):
-        obj.value_and_grad([1.0, 0.5])
-    with pytest.raises(ValueError):
-        obj.profile([0.5], grad=True)
+    assert np.isfinite(obj.value_and_grad([1.0, 0.5])[0])
+    assert np.isfinite(obj.profile([0.5], grad=True)[0])
 
 
 def test_gradient_outside_model_class_scores_inf(rng):
@@ -776,7 +844,6 @@ def test_whittle_gradient_matches_central_differences(rng, family, masked):
             model = (car1_model(r, sigma, rotation=rot) if family == "car1-fixed"
                      else car1_model(r, sigma, gamma=rot))
         obj = Objective("whittle", data, model, mask=mask)
-        assert obj.has_gradient
         assert_gradient_matches(obj, model.params.values)
 
 
@@ -790,7 +857,6 @@ def test_free_rotation_modulated_gradient_matches_central_differences(rng):
                            gamma=rng.uniform(-3.0, 3.0))
         obj = Objective("modulated-whittle", data, model, modulator=mod,
                         check_significance=False)
-        assert obj.has_gradient
         assert_gradient_matches(obj, model.params.values)
 
 
@@ -803,7 +869,6 @@ def test_ramp_kernel_gradient_matches_central_differences(rng, masked):
         mask = np.abs(fourier_grid(n).frequencies) < 2.0 if masked else None
         obj = Objective("modulated-whittle", z, car1_model(0.5, 1.0),
                         modulator=LinearRampKernel(n), mask=mask)
-        assert obj.has_gradient
         theta = [rng.uniform(0.05, 0.95), rng.uniform(0.5, 3.0),
                  rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)]
         assert_gradient_matches(obj, theta)
@@ -832,7 +897,6 @@ def test_exact_markov_gradient_matches_central_differences(rng):
         z = simulate_complex_ar1(rng.uniform(0.1, 0.95), rng.uniform(0.5, 5.0),
                                  beta, n, rng)
         obj = Objective("exact", z, car1_model(0.5, 1.0), modulator=LinearRampKernel(n))
-        assert obj.has_gradient
         theta = [rng.uniform(0.05, 0.95), rng.uniform(0.5, 5.0),
                  rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)]
         assert_gradient_matches(obj, theta)

@@ -23,6 +23,7 @@ from modwhittle import (
     cg_sequence,
     expected_periodogram,
     fit,
+    ou_model,
     periodic_missing_mask,
     significant_correlation_diagnostic,
 )
@@ -88,9 +89,11 @@ def _observations(draw, n: int) -> np.ndarray:
 @st.composite
 def tiny_fits(draw):
     """An objective of each kind at N in {1, 2, 3}, or under a one-sample mask:
-    the dense exact likelihood, the Markov one under a ramp kernel (N >= 2),
-    Whittle, and modulated Whittle, with its significant-correlation
-    diagnostic at N <= 3 (a one-sample mask fails it by design)."""
+    the exact likelihood of an ar (AR(1) or white noise), car1 (fixed or free
+    rotation) or rotating ou latent, under amplitudes of either sign and
+    maybe phases too, and under a ramp kernel (N >= 2); Whittle; and
+    modulated Whittle, with its significant-correlation diagnostic at N <= 3
+    (a one-sample mask fails it by design)."""
     kind = draw(st.sampled_from(["exact", "ramp-exact", "whittle", "modulated-whittle"]))
     one_sample = kind in ("exact", "modulated-whittle") and draw(st.booleans())
     n = draw(st.integers(4, 16) if one_sample else
@@ -107,9 +110,18 @@ def tiny_fits(draw):
     if one_sample:
         g = np.zeros(n)
         g[draw(st.integers(0, n - 1))] = 1.0
-    mod = Modulator(g)
     if kind == "exact":
-        return Objective("exact", Series(g * x), model, modulator=mod)
+        latent = draw(st.sampled_from([ar_model([0.5], 1.0), ar_model([], 1.0),
+                                       car1_model(0.5, 1.0, rotation=0.4),
+                                       car1_model(0.5, 1.0, gamma=0.3),
+                                       ou_model(1.0, 0.5, rotation_cpd=1.0)]))
+        g = g * _observations(draw, n)
+        if draw(st.booleans()):
+            g = g * np.exp(1j * np.array(draw(st.lists(st.floats(-np.pi, np.pi),
+                                                       min_size=n, max_size=n))))
+        data = Series(g * x, kind="complex" if np.iscomplexobj(g) else "real")
+        return Objective("exact", data, latent, modulator=Modulator(g))
+    mod = Modulator(g)
     return Objective("modulated-whittle", Series(g * x), model, modulator=mod,
                      check_significance=not one_sample)
 

@@ -404,7 +404,9 @@ def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
 
 
 # the scipy modules loaded by `import modwhittle`, then after a Table 1
-# replicate with both estimators, then after a four-parameter drifter fit
+# replicate with both estimators, then after an exact-kind fit of AR(1) data
+# drawn with numpy alone under a cosine-Bernoulli mask, then after a
+# four-parameter drifter fit
 FOOTPRINT = """
 import sys
 import modwhittle
@@ -422,6 +424,15 @@ run_study(McStudy(kind="car1-bounded-walk", true_params={"r": 0.8, "sigma": 1.0}
                   estimators=["modulated", "stationary"], n_grid=[128], replicates=1,
                   fit_options={"n_starts": 1}))
 print(loaded())
+from modwhittle import Objective, Series, ar_model, fit
+from modwhittle.models import autocov_sequence
+from modwhittle.simulate import cosine_bernoulli_mask, simulate_from_acv
+
+x = simulate_from_acv(autocov_sequence(ar_model([0.8], 1.0), 4096), 4096, 5)
+mask = cosine_bernoulli_mask(0.5, 0.25, 2 * np.pi / 10, 4096, 5)
+obj = Objective("exact", Series(mask.g * x.values), ar_model([0.5], 1.0), modulator=mask)
+assert fit(obj, obj.init_params).converged
+print(loaded())
 wf = np.full(256, 1.5)
 data = simulate_drifter_velocities(1.0, 0.4, 1.2, 0.7, 1.1, wf, 1 / 12, 3)
 fit_drifter(data, wf, freq_range=(0.0, 2.0), fit_options={"n_starts": 1})
@@ -432,15 +443,18 @@ print(loaded())
 def test_table1_study_and_drifter_fit_import_only_the_scipy_they_use():
     # numpy is the one import-time dependency: scipy.fft and scipy.special
     # cost about 0.12 s and 25 MB, and scipy.signal, scipy.optimize and
-    # scipy.linalg about 0.9 s and 50 MB more.  A Table 1 study needs none of
-    # them, a drifter fit scipy.special for its Matern table and
-    # scipy.optimize's L-BFGS-B (which imports scipy.linalg itself)
+    # scipy.linalg about 0.9 s and 50 MB more.  A Table 1 study and an exact
+    # fit need none of them (scipy.linalg serves the dense oracle alone), a
+    # drifter fit scipy.special for its Matern table and scipy.optimize's
+    # L-BFGS-B (which imports scipy.linalg itself)
     src = os.path.dirname(os.path.dirname(modwhittle.__file__))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    imported, study, drifter = (ast.literal_eval(line) for line in out.stdout.splitlines())
+    imported, study, exact, drifter = (ast.literal_eval(line)
+                                       for line in out.stdout.splitlines())
     assert imported == []
     assert study == []
+    assert exact == []
     assert "scipy.special" in drifter and "scipy.optimize" in drifter
     assert "scipy.signal" not in drifter
 
