@@ -379,7 +379,13 @@ def main(argv=None) -> int:
         cfg, cfg_text = _load_config(args.config)
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("MODWHITTLE_THREADS", os.cpu_count() or 1))
+            text = os.environ.get("MODWHITTLE_THREADS")
+            try:
+                threads = (os.cpu_count() or 1) if text is None else int(text)
+            except ValueError:
+                raise UsageError(f"MODWHITTLE_THREADS={text!r} is not an integer") from None
+        if threads < 1:
+            raise UsageError(f"the thread count must be at least 1, not {threads}")
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         outputs = _VERBS[args.verb](cfg, args.output, seed, threads)
     except UsageError as exc:

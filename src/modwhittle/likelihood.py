@@ -7,9 +7,10 @@ s2, the square of the latent scale (sigma, A or B,
 
     l = (L + M log s2 + Q / s2) / n,
 
-with L, Q and M taken at scale 1: L = sum_mask log S_1, Q = sum_mask Shat /
-S_1, M the mask size and n = N for the frequency-domain kinds, S_1 the sdf
-f_X (Whittle) or the exact expected periodogram Sbar (modulated Whittle);
+with L, Q and M taken at scale 1: L = sum_mask c_k log S_1, Q = sum_mask
+c_k Shat / S_1, M the mask size and n = N for the frequency-domain kinds,
+S_1 the sdf f_X (Whittle) or the exact expected periodogram Sbar (modulated
+Whittle), and c_k = 1 but on the half grid (see :class:`Objective`);
 L = log|C_1|, Q = y* C_1^{-1} y and M = n = N', the samples where g != 0,
 for the exact kind.  n is the full grid size even under a frequency mask, so
 masked and unmasked values stay on one scale.  The scale minimising l is s2
@@ -65,9 +66,11 @@ from .modulation import (
 )
 from .spectra import (
     expected_periodogram_fft_order,
+    expected_periodogram_half,
     expected_periodogram_values,
     periodogram,
     periodogram_fft_order,
+    periodogram_half,
 )
 
 __all__ = [
@@ -350,8 +353,14 @@ class Objective:
     Only the spectral kinds take a frequency ``mask``.  Any other shape
     raises ValueError.  The modulated-whittle kind keeps the periodogram and
     the mask in numpy FFT order (k = 0..N-1), the order its expected
-    periodogram comes out of the transform in.  Every kind has a score
-    (:meth:`value_and_grad`).
+    periodogram comes out of the transform in.  A real series whose every
+    c_g (a real Modulator or none, no kernel) and latent acv (ar, matern, or
+    car1 or ou without rotation) is real has an even periodogram and S_1, S_k
+    = S_{N-k}: both spectral kinds keep it on the half grid k = 0..N//2 (the
+    grid's w >= 0 for the Whittle kind), where the sums weight each bin by
+    c_k = 2, but 1 at k = 0 and (N even) at k = N/2, and M stays the full
+    grid's mask size.  Its mask must keep -w wherever it keeps w, or the
+    build raises ValueError.  Every kind has a score (:meth:`value_and_grad`).
 
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
@@ -367,6 +376,11 @@ class Objective:
     check_significance: bool = True
     _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
     _shat: np.ndarray = field(init=False, repr=False, default=None)  # on the mask
+    # on the half grid, the positions on the mask of k = 0 and N/2, the bins
+    # that stand for themselves alone (every other one stands for k and N -
+    # k too); None on the full grid
+    _once: np.ndarray | None = field(init=False, repr=False, default=None)
+    _size: int = field(init=False, repr=False, default=0)  # M: the full grid's mask size
     # the exact kind's kept samples y_t / g_t, the distinct gaps between them,
     # each step's gap among those, and sum log|g_t|^2; under a kernel z and no gaps
     _kept: tuple = field(init=False, repr=False, default=None)
@@ -400,11 +414,22 @@ class Objective:
                             else scale_index(self.model))
         if self.modulator is not None and not isinstance(self.modulator, Modulator):
             self._kernel = self.modulator
+        # a real series whose every c_g and latent acv is real has an even
+        # periodogram and Sbar: the spectral kinds keep k = 0..N//2 alone.
+        # A car1 or ou acv is real when its fixed rotation is 0 and it has no
+        # free one (gamma)
+        half = (np.isrealobj(self.data.values) and self._kernel is None
+                and all(mod is None or not mod.is_complex for _, mod in components)
+                and all(m.family in ("ar", "matern")
+                        or (m.rotation == 0.0 and "gamma" not in m.params.names)
+                        for m, _ in components))
+        omega = fourier_grid(n).frequencies
+        if half:  # the grid's k >= 0
+            omega = omega[(n - 1) // 2:]
         self._entries = []
         for m, _ in components:
             d = len(m.params)
-            entry = (sdf_entry(m, fourier_grid(n).frequencies) if self.kind == "whittle"
-                     else acv_entry(m))
+            entry = sdf_entry(m, omega) if self.kind == "whittle" else acv_entry(m)
             self._entries.append((entry, slice(self._n_latent, self._n_latent + d)))
             self._n_latent += d
         self._n_theta = self._n_latent + (0 if self._kernel is None
@@ -432,13 +457,27 @@ class Objective:
             self._kept = (np.asarray(self.data.values)[keep] / g[keep], gaps, index,
                           2.0 * float(np.log(np.abs(g[keep])).sum()))
             return
-        modulated = self.kind == "modulated-whittle"  # FFT order, as Sbar comes out
+        # FFT order, as Sbar comes out, and on the half grid
+        fft_order = half or self.kind == "modulated-whittle"
         if self.mask is not None:  # the mask's positions, unless it keeps them all
             mask = resolve_mask(n, self.mask)
-            mask = _from_grid_order(mask) if modulated else mask
+            mask = _from_grid_order(mask) if fft_order else mask
+            if half:
+                if not np.array_equal(mask[1:], mask[:0:-1]):
+                    raise ValueError("a frequency mask on a real series must keep "
+                                     "frequency -w where it keeps w")
+                mask = mask[:n // 2 + 1]
             self._mask = slice(None) if mask.all() else np.flatnonzero(mask)
-        shat = periodogram_fft_order(self.data) if modulated else periodogram(self.data)
+        if half:
+            shat = periodogram_half(self.data)
+        else:
+            shat = periodogram_fft_order(self.data) if fft_order else periodogram(self.data)
         self._shat = shat[self._mask]
+        self._size = self._shat.size
+        if half:
+            k = np.arange(shat.size)[self._mask]
+            self._once = np.flatnonzero((k == 0) | (2 * k == n))
+            self._size = 2 * k.size - self._once.size
         if self.kind == "whittle":
             return
         if self._kernel is None:
@@ -476,9 +515,9 @@ class Objective:
         :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j, with df/dtheta
         the closed-form rows of :func:`~modwhittle.models.sdf_entry`.
 
-        modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w), the
-        adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a component with
-        kernel c_g,
+        modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w) over the
+        full grid, the adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a
+        component with kernel c_g,
 
             dl/dtheta_j = 2 Re sum_tau c_g(tau) dc_X(tau)/dtheta_j W(tau)
                           - Re[c_g(0) dc_X(0)/dtheta_j] sum_k w_k,
@@ -486,7 +525,9 @@ class Objective:
         summed over the lags where c_X is not truncated: one extra FFT per
         evaluation whatever the number of parameters.  The parameters phi of
         a parametric kernel take the same form with the roles swapped,
-        dc_g/dphi_j times c_X, and need no further FFT.
+        dc_g/dphi_j times c_X, and need no further FFT.  On the half grid w is
+        even, so W(tau) = Re sum_k c_k w_k e^{-2 pi i k tau / N} over k =
+        0..N//2 and sum_k w_k = sum_k c_k w_k.
 
         The value equals ``self(theta)``.
         """
@@ -536,8 +577,9 @@ class Objective:
                 gradient = None
                 if grad:
                     gradient = pull(s2)
-                    if not profile:
-                        gradient = np.insert(gradient, k, 2.0 * (m - quad / s2) / (scale * n))
+                    if not profile:  # concatenate costs a quarter of np.insert here
+                        gradient = np.concatenate(
+                            (gradient[:k], [2.0 * (m - quad / s2) / (scale * n)], gradient[k:]))
             except ValueError:
                 pass
             else:
@@ -568,12 +610,20 @@ class Objective:
         else:
             s, pullback = self._modulated(values, theta[self._n_latent:], grad)
         n = len(self.data)
-        ratio = self._shat / s
+        log_s, ratio = np.log(s), self._shat / s
+        big_l, quad = float(log_s.sum()), float(ratio.sum())
+        if self._once is not None:  # sum_k c_k a_k = 2 sum_k a_k - sum_once a_k
+            big_l = 2.0 * big_l - float(log_s[self._once].sum())
+            quad = 2.0 * quad - float(ratio[self._once].sum())
 
         def pull(s2):
+            # w = dl/dS_1 on the mask, times the bins each kept one stands for
             w = (1.0 - ratio / s2) / s / n
+            if self._once is not None:
+                w *= 2.0
+                w[self._once] *= 0.5
             if not isinstance(self._mask, slice):  # w is 0 off the mask
-                w, on_mask = np.zeros(n), w
+                w, on_mask = np.zeros(n if self._once is None else n // 2 + 1), w
                 w[self._mask] = on_mask
             gradient = pullback(w)
             if p is not None:
@@ -582,7 +632,7 @@ class Objective:
                 gradient = np.concatenate((gradient[:k], gradient[k + 1:]))
             return gradient
 
-        return float(np.log(s).sum()), float(ratio.sum()), s.size, n, pull
+        return big_l, quad, self._size, n, pull
 
     def _exact(self, theta, grad):
         """(L, Q, N', N', pull) of the exact kind: the :func:`_markov` chain of
@@ -655,7 +705,8 @@ class Objective:
             cgs = [cg]
         tables = [entry(values[part], n, grad) for entry, part in self._entries]
         cbar = _cbar(cgs, [acv for acv, _ in tables])
-        s = expected_periodogram_fft_order(cbar, n)[self._mask]
+        sbar = expected_periodogram_fft_order if self._once is None else expected_periodogram_half
+        s = sbar(cbar, n)[self._mask]
         if not grad:
             return s, None
         if isinstance(self.model, AggregateModel):
@@ -665,10 +716,13 @@ class Objective:
                           self.model._scale_slots.tolist())]
 
         def pullback(w):
-            # w is real, so fft(w)[N - k] = conj(fft(w)[k]): the lags up to
-            # N/2 come from rfft, and the rest are mirrored only when some
-            # acv support reaches past them
-            big_w = np.fft.rfft(w)
+            # W = fft(w) over the full grid.  w is real, so fft(w)[N - k] =
+            # conj(fft(w)[k]): the lags up to N/2 come from rfft, and the
+            # rest are mirrored only when some acv support reaches past them.
+            # On the half grid w holds c_k w_k at k = 0..N//2, which rfft
+            # zero-pads to N: the real part of that transform is W, and it
+            # is all the adjoint reads there, where cbar and jac are real
+            big_w = np.fft.rfft(w, n)
             if max(jac.shape[1] for _, jac in tables) > big_w.size:
                 big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
             w_sum = float(w.sum())

@@ -10,7 +10,10 @@ evaluated on the Fourier grid w_k = 2 pi k / N by one length-N FFT.  On
 that grid the lag sum is fft(cbar)[k] itself: bin 2k of the zero-padded
 length-2N transform is sum_tau cbar(tau) e^{-2 pi i (2k) tau / 2N}, which is
 bin k of the unpadded one, so padding only computes the odd bins nobody
-reads.  Every transform is numpy.fft's, so the module needs numpy alone.
+reads.  A real series has an even periodogram, Shat(w_{N-k}) = Shat(w_k),
+and a real cbar an even Sbar, so the half grid k = 0..N//2 holds either
+whole: :func:`periodogram_half` and :func:`expected_periodogram_half` take
+it by rfft.  Every transform is numpy.fft's, so the module needs numpy alone.
 A dense-covariance quadratic form oracle is kept for ground truth on
 small N, together with the Fejer kernel and the exponential QQ diagnostic.
 Spectra pass between these functions as plain numpy arrays on the Fourier
@@ -28,10 +31,12 @@ from .modulation import Modulator
 __all__ = [
     "periodogram",
     "periodogram_fft_order",
+    "periodogram_half",
     "expected_acv",
     "expected_periodogram",
     "expected_periodogram_values",
     "expected_periodogram_fft_order",
+    "expected_periodogram_half",
     "brute_force_expected_periodogram",
     "fejer_kernel",
     "exponential_qq",
@@ -59,6 +64,14 @@ def periodogram_fft_order(series: Series) -> np.ndarray:
     return np.abs(np.fft.fft(x)) ** 2 / x.size
 
 
+def periodogram_half(series: Series) -> np.ndarray:
+    """:func:`periodogram` of a real series on the half grid, w_k = 2 pi k /
+    N for k = 0..N//2, by rfft, as a new writable array: the rest is its
+    mirror, Shat(w_{N-k}) = Shat(w_k)."""
+    x = np.asarray(series.values)
+    return np.abs(np.fft.rfft(x)) ** 2 / x.size
+
+
 def expected_acv(cg: np.ndarray, model: LatentModel) -> np.ndarray:
     """cbar(tau) = c_g(tau) * c_X(tau) at lags 0..N-1."""
     cg = np.asarray(cg)
@@ -77,7 +90,8 @@ def expected_periodogram_fft_order(cbar: np.ndarray, n: int | None = None) -> np
     """Sbar at w_k = 2 pi k / N for k = 0..N-1, numpy FFT order.
 
     Sbar(w_k) = 2 Re{fft(cbar)[k]} - cbar(0) with one length-N FFT (see the
-    module docstring); a real cbar uses rfft and mirrors Re F[N-k] = Re F[k].
+    module docstring); a real cbar takes :func:`expected_periodogram_half`
+    and mirrors it, Sbar(w_{N-k}) = Sbar(w_k).
     N is n when given (cbar then holds lags 0..L-1, L <= N, of a sequence
     that is zero past them, and the transform zero-pads it), else cbar's
     length.
@@ -89,18 +103,34 @@ def expected_periodogram_fft_order(cbar: np.ndarray, n: int | None = None) -> np
     """
     cbar = np.asarray(cbar)
     n = cbar.size if n is None else n
+    if not np.iscomplexobj(cbar):
+        half = expected_periodogram_half(cbar, n)
+        return np.concatenate((half, half[n - half.size:0:-1]))
+    _check_support(cbar, n)
+    c0 = cbar[0]
+    if abs(c0.imag) > 1e-10 * max(1.0, abs(c0.real)):
+        raise ValueError("cbar(0) must be real")
+    return _checked(2.0 * np.fft.fft(cbar, n).real - c0.real)
+
+
+def expected_periodogram_half(cbar: np.ndarray, n: int) -> np.ndarray:
+    """Sbar of a real cbar on the half grid, w_k for k = 0..N//2:
+    2 rfft(cbar, N).real - cbar(0), checked and clamped as
+    :func:`expected_periodogram_fft_order` says.  A real cbar has an even
+    Sbar, Sbar(w_{N-k}) = Sbar(w_k), so these bins hold all of it."""
+    cbar = np.asarray(cbar)
+    _check_support(cbar, n)
+    return _checked(2.0 * np.fft.rfft(cbar, n).real - cbar[0])
+
+
+def _check_support(cbar: np.ndarray, n: int):
     if cbar.size < 1 or n < cbar.size:
         raise ValueError("expected autocovariance sequence is empty or longer than N")
-    c0 = cbar[0]
-    if np.iscomplexobj(cbar):
-        if abs(c0.imag) > 1e-10 * max(1.0, abs(c0.real)):
-            raise ValueError("cbar(0) must be real")
-        c0 = c0.real
-        re = np.fft.fft(cbar, n).real
-    else:
-        half = np.fft.rfft(cbar, n).real
-        re = np.concatenate((half, half[n - half.size:0:-1]))
-    vals = 2.0 * re - c0
+
+
+def _checked(vals: np.ndarray) -> np.ndarray:
+    """vals, or ValueError where one is below -1e-8 relative or NaN, with
+    the round-off negatives clamped to a tiny positive number."""
     low = vals.min()
     if low >= _TINY:
         return vals

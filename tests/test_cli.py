@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from modwhittle.cli import main
 from modwhittle.models import matern_acv
@@ -32,6 +33,20 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("flag, env", [(None, "two"), (None, "1.5"), (None, "0"),
+                                       ("0", None), ("-1", None), ("two", None)])
+def test_a_bad_thread_count_is_a_usage_error(tmp_path, monkeypatch, flag, env):
+    # K of --threads or MODWHITTLE_THREADS is an integer >= 1; anything else
+    # exits 1 and writes nothing, before any study runs
+    if env is None:
+        monkeypatch.delenv("MODWHITTLE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MODWHITTLE_THREADS", env)
+    argv = ["mc", "--config", cfg_path("table3_ci.json"), "-o", str(tmp_path / "out")]
+    assert main(argv + ([] if flag is None else ["--threads", flag])) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_errors_exit_1_and_write_nothing(tmp_path):

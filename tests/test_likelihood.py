@@ -290,7 +290,9 @@ def test_mask_handling(rng):
     m = resolve_mask(n, np.arange(10, 20))
     assert m.sum() == 10
     full = whittle_value(x, model)
-    part = whittle_value(x, model, mask=m)
+    with pytest.raises(ValueError, match="real series"):  # it keeps w < 0 alone
+        whittle_value(x, model, mask=m)
+    part = whittle_value(x, model, mask=np.r_[10:20, 43:53])  # and the mirror, k -> -k
     # 1/N normalization is kept over the full grid: masked sum is smaller
     assert part < full
     with pytest.raises(ValueError):
@@ -822,6 +824,90 @@ def test_modulated_objective_evaluates_in_fft_order(rng, monkeypatch):
     monkeypatch.setattr(spectra, "_to_grid_order", no_reorder)
     assert abs(obj(model.params.values) - ref) <= 1e-13 * abs(ref)
     assert obj.value_and_grad(model.params.values)[0] == obj(model.params.values)
+
+
+# ----------------------------------------------------------------------
+# the half grid of a real series
+# ----------------------------------------------------------------------
+
+def _observed(n):
+    """A cosine-Bernoulli mask of length n that observes some sample."""
+    from modwhittle.simulate import cosine_bernoulli_mask
+    seed = 0
+    while not (mod := cosine_bernoulli_mask(0.5, 0.25, 2 * np.pi / 10, n, seed)).g.any():
+        seed += 1
+    return mod
+
+
+def _half_grid_pair(n, case, mask):
+    """The objective of a real series in case, and its oracle: the same
+    objective of the complex-typed twin, which stays on the full grid."""
+    rng = np.random.default_rng(n)
+    x = simulate_ar(ar_model([0.7], 1.0), n, rng).values
+    model = ar_model([0.6], 1.3)
+    if case == "whittle":
+        kind, mod = "whittle", None
+    elif case in ("unmodulated", "ar+matern"):  # c_g = 1 - tau/N, or a mask's
+        kind, mod = "modulated-whittle", None
+        model = AggregateModel(((model, None),) if case == "unmodulated" else
+                               ((model, periodic_missing_mask(2, 1, n)),
+                                (matern_model(0.8, 0.5, 1.5), None)), n)
+    else:
+        kind = "modulated-whittle"
+        mod = periodic_missing_mask(2, 1, n) if case == "periodic" else _observed(n)
+        x = mod.g * x
+    pair = [Objective(kind, data, model, modulator=mod, mask=mask, check_significance=False)
+            for data in (Series(x), Series(x.astype(complex), kind="complex"))]
+    return pair, model.params.values
+
+
+@pytest.mark.parametrize("band", [None, "low", "high"])
+@pytest.mark.parametrize("case", ["whittle", "unmodulated", "periodic",
+                                  "cosine-bernoulli", "ar+matern"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 128, 4095, 4096])
+def test_real_series_on_the_half_grid_equals_its_complex_twin(n, case, band):
+    # the real series keeps k = 0..N//2, its interior bins counted twice; a
+    # symmetric frequency mask (|w| <= 2, or |w| >= 1) keeps w and -w alike
+    freq = fourier_grid(n).frequencies
+    mask = {None: None, "low": np.abs(freq) <= 2.0, "high": np.abs(freq) >= 1.0}[band]
+    if mask is not None and not mask.any():
+        pytest.skip("the band holds no frequency of this grid")
+    (half, twin), theta = _half_grid_pair(n, case, mask)
+    assert half._once is not None and twin._once is None
+    for t in (theta, theta * 1.1):
+        value, grad = half.value_and_grad(t)
+        want, want_grad = twin.value_and_grad(t)
+        assert np.isfinite(want) and value == half(t)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        assert np.all(np.abs(grad - want_grad) <= 1e-9 * np.abs(want_grad).max()), grad
+
+
+def test_a_real_series_takes_only_a_symmetric_mask(rng):
+    n = 64
+    x = rng.normal(size=n)
+    one_sided = fourier_grid(n).frequencies >= 0.0
+    for kind, mod in (("whittle", None), ("modulated-whittle", periodic_missing_mask(2, 1, n))):
+        with pytest.raises(ValueError, match="real series"):
+            Objective(kind, Series(x), ar_model([0.5], 1.0), modulator=mod, mask=one_sided)
+        Objective(kind, Series(x.astype(complex), kind="complex"), ar_model([0.5], 1.0),
+                  modulator=mod, mask=one_sided)
+
+
+def test_a_real_series_under_a_complex_acv_stays_on_the_full_grid(rng):
+    # a rotating car1's cbar is complex, so its Sbar is not even
+    n = 96
+    mod = periodic_missing_mask(3, 1, n)
+    x = mod.g * rng.normal(size=n)
+    for kind, model, m in (("modulated-whittle", car1_model(0.6, 1.2, rotation=0.4), mod),
+                           ("whittle", car1_model(0.6, 1.2, gamma=0.4), None)):
+        real, twin = (Objective(kind, data, model, modulator=m)
+                      for data in (Series(x), Series(x.astype(complex), kind="complex")))
+        assert real._once is None
+        theta = model.params.values
+        value, grad = real.value_and_grad(theta)
+        want, want_grad = twin.value_and_grad(theta)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------------

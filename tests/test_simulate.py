@@ -325,20 +325,33 @@ def test_run_study_rows_are_the_per_column_numpy_statistics(replicates, monkeypa
 # replicate's simulation and estimator builds at N = 512, without the fits
 REPLICATE_COST_PINS = {
     "table1_ci": ([("fft", 512), ("fft", 1024), ("ifft", 1024), ("fft", 512)], 2),
-    "table3_ci": ([("fft", 512), ("rfft", 1024), ("irfft", 1024)], 1),
+    "table3_ci": ([("rfft", 512), ("rfft", 1024), ("irfft", 1024)], 1),
 }
+
+
+def _counted_transforms(monkeypatch) -> list:
+    """The list that each later numpy.fft call appends its (function, length) to."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(a, n=None, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)[-1] if n is None else n))
+            return _fn(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _first_replicate(config: str, n: int):
+    path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
+    with open(path) as fh:
+        study = McStudy.from_json_dict(json.load(fh))
+    return (study, *_simulate_case(study, n, 0))
 
 
 @pytest.mark.parametrize("config", sorted(REPLICATE_COST_PINS))
 def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
     from modwhittle import likelihood
 
-    calls, builds = [], []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(a, n=None, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a)[-1] if n is None else n))
-            return _fn(a, n, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls, builds = _counted_transforms(monkeypatch), []
     post_init = likelihood.Objective.__post_init__
 
     def counted_build(self):
@@ -346,13 +359,31 @@ def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(likelihood.Objective, "__post_init__", counted_build)
-    path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
-    with open(path) as fh:
-        study = McStudy.from_json_dict(json.load(fh))
-    data, aux = _simulate_case(study, 512, 0)
+    study, data, aux = _first_replicate(config, 512)
     for est in study.estimators:
         ESTIMATORS[study.kind, est](data, aux)
     assert (calls, len(builds)) == REPLICATE_COST_PINS[config]
+
+
+# the numpy.fft calls of one modulated-Whittle evaluation at N = 512, value
+# alone and with the score: Sbar's transform, and the score's of w.  Table
+# 3's real series keeps k = 0..N/2, whose w, zero-padded to N, takes rfft too
+EVALUATION_COST_PINS = {
+    "table1_ci": ([("fft", 512)], [("fft", 512), ("rfft", 512)]),
+    "table3_ci": ([("rfft", 512)], [("rfft", 512), ("rfft", 512)]),
+}
+
+
+@pytest.mark.parametrize("config", sorted(EVALUATION_COST_PINS))
+def test_an_evaluation_keeps_its_transforms(config, monkeypatch):
+    study, data, aux = _first_replicate(config, 512)
+    objective, init = ESTIMATORS[study.kind, "modulated"](data, aux)
+    calls = _counted_transforms(monkeypatch)
+    objective(init.values)
+    value_only = list(calls)
+    calls.clear()
+    objective.value_and_grad(init.values)
+    assert (value_only, calls) == EVALUATION_COST_PINS[config]
 
 
 MC_CASES = {
@@ -483,7 +514,8 @@ def test_bounded_random_walk_is_its_recursion_bit_for_bit(n, amp):
 # theta-hat (as float.hex), evaluations and stopping message of the first
 # three replicates of the bundled table1_ci and table3_ci studies at their
 # smallest N, as the fit path gave them before its 1-D search ran on Python
-# floats: a change to the fit path that moves any of them shows here
+# floats (table3_ci's as its real series' half grid gives them): a change to
+# the fit path that moves any of them shows here
 ESTIMATE_PINS = {
     ("table1_ci", 0, "modulated"): (["0x1.919ab2bdfc69fp-1", "0x1.e1bce6a813f79p-1"], 5),
     ("table1_ci", 0, "stationary"): (["0x1.7f6a4f9f43847p-1", "0x1.0134a8140eabdp+0"], 4),
@@ -491,9 +523,9 @@ ESTIMATE_PINS = {
     ("table1_ci", 1, "stationary"): (["0x1.8eb9ef9a239bep-1", "0x1.f64746d4f3de1p-1"], 6),
     ("table1_ci", 2, "modulated"): (["0x1.b941f1167e339p-1", "0x1.c4e9912266fe6p-1"], 5),
     ("table1_ci", 2, "stationary"): (["0x1.9d5d806948ef2p-1", "0x1.f628da183114ap-1"], 6),
-    ("table3_ci", 0, "modulated"): (["0x1.74e7fd2b181d1p-1", "0x1.0f5daa6075ad5p+0"], 5),
-    ("table3_ci", 1, "modulated"): (["0x1.54a2c68756f6cp-1", "0x1.0fd15deba4f18p+0"], 8),
-    ("table3_ci", 2, "modulated"): (["0x1.a074d646b3d3bp-1", "0x1.1e06aa1ab61a8p+0"], 7),
+    ("table3_ci", 0, "modulated"): (["0x1.74e7fd2b17f00p-1", "0x1.0f5daa6075caap+0"], 5),
+    ("table3_ci", 1, "modulated"): (["0x1.54a2c68756f7ap-1", "0x1.0fd15deba4f11p+0"], 8),
+    ("table3_ci", 2, "modulated"): (["0x1.a074d646b3d38p-1", "0x1.1e06aa1ab61aap+0"], 7),
 }
 
 
