@@ -92,6 +92,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def _manifest(verb: str, config_text: str, seed, outputs) -> str:
     import scipy  # only for its version: a pool worker imports this module too
 
+    usage = {who: resource.getrusage(which) for who, which in
+             (("self", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN))}
     return json.dumps({
         "verb": verb,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
@@ -105,11 +107,11 @@ def _manifest(verb: str, config_text: str, seed, outputs) -> str:
         # the BLAS/OpenMP pool sizes, which set the speed of every timing field
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         # host-dependent, like every timing field: the peak resident memory
-        # of this process and of its largest finished worker (0 without one)
-        "peak_rss_mb": {
-            who: resource.getrusage(which).ru_maxrss / 1024.0  # KiB on Linux
-            for who, which in (("self", resource.RUSAGE_SELF),
-                               ("workers", resource.RUSAGE_CHILDREN))},
+        # (ru_maxrss, KiB on Linux) of this process and of its largest
+        # finished worker (0 without one), and the minor page faults of this
+        # process and of its finished workers together
+        "peak_rss_mb": {who: u.ru_maxrss / 1024.0 for who, u in usage.items()},
+        "minor_faults": {who: u.ru_minflt for who, u in usage.items()},
         "outputs": sorted(outputs),
     }, indent=2)
 

@@ -21,14 +21,15 @@ ratios of their squares (:class:`AggregateModel`), so its Sbar is
 proportional to that s2 too.
 
 One :class:`Objective` evaluates every kind, each with an analytic score.
-Construction precomputes what does not depend on theta (periodogram, c_g,
-grid frequencies, the kept samples, each latent's raw-float entry
-:func:`~modwhittle.models.acv_entry`), so each evaluation is O(N log N),
-reads theta as floats and builds no model object.  Every expected
+Construction precomputes what does not depend on theta (periodogram, c_g at
+lags 0 and 1, grid frequencies, the kept samples, each latent's raw-float
+entry :func:`~modwhittle.models.acv_entry`), so each evaluation is O(N log
+N), reads theta as floats and builds no model object.  Every expected
 autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
 over the longest lag support the latent acv tables keep (each stops where it
 decays below working precision), which the length-N transform to Sbar
-zero-pads.  A parametric modulation kernel (e.g.
+zero-pads; c_g is read only there, so its tables grow to that support on
+demand.  A parametric modulation kernel (e.g.
 :class:`~modwhittle.modulation.LinearRampKernel`) adds its free parameters
 after the latent ones.  The Whittle kind takes ar and car1 alone (an ou or
 matern latent takes the modulated-Whittle kind, with ``constant_modulator(n)``
@@ -60,7 +61,7 @@ from .modulation import (
     LinearRampKernel,
     Modulator,
     cg_linear_closed_form,  # noqa: F401  (the benchmark tracer wraps this name)
-    cg_sequence,  # noqa: F401  (and this one)
+    cg_sequence,  # called through this name, which the benchmark tracer wraps
     component_cg,
     significant_correlation_diagnostic,
 )
@@ -342,8 +343,10 @@ class Objective:
     what does not depend on theta (periodogram, grid frequencies, c_g, the
     kept samples), so evaluations stay O(N log N), and normalises the model
     into one list of latent models, whose parameters lead theta, with either
-    fixed c_g tables (``cgs``, one per latent, lags 0..N-1) or a parametric
-    kernel (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
+    fixed c_g tables (``cgs``, one per latent: lags 0 and 1 at build, which
+    the method-of-moments starts read, and regrown to min(N, 2L) lags when
+    the latent's acv table reaches L lags past them, so they never shrink)
+    or a parametric kernel (``params``, ``cg(phi)``, ``cg_grad(phi)``, e.g.
     :class:`~modwhittle.modulation.LinearRampKernel`), whose parameters phi
     follow.  exact takes an ar, car1 or ou latent with a Modulator or none,
     or a car1 latent without rotation under a LinearRampKernel (beta_t =
@@ -481,7 +484,7 @@ class Objective:
         if self.kind == "whittle":
             return
         if self._kernel is None:
-            self.cgs = [component_cg(mod, n) for _, mod in components]
+            self.cgs = [component_cg(mod, n, min(n, 2)) for _, mod in components]
         # the lag-0/1 diagnostic needs two samples
         if (self.check_significance and isinstance(self.modulator, Modulator)
                 and n >= 2):
@@ -693,17 +696,28 @@ class Objective:
             raise ValueError("spectral values must be positive on the mask")
         return s, (lambda w: (jac * w).sum(axis=1)) if grad else None
 
+    def _cg_prefix(self, i, lags):
+        """c_g(0..lags-1) of latent i: :func:`cg_sequence` of its modulator,
+        or 1 - tau/N when it has none."""
+        mod = (self.model.components[i][1] if isinstance(self.model, AggregateModel)
+               else self.modulator)
+        return (component_cg(None, len(self.data), lags) if mod is None
+                else cg_sequence(mod, lags))
+
     def _modulated(self, values, phi, grad):
         """Sbar on the mask (FFT order) and, with grad, the map from w =
         dl/dSbar to the gradient (in an aggregate's amplitudes too, which
         give its q)."""
         n = len(self.data)
+        tables = [entry(values[part], n, grad) for entry, part in self._entries]
         if self._kernel is None:
             cgs, dcg = self.cgs, None
+            for i, (acv, _) in enumerate(tables):
+                if acv.size > cgs[i].size:
+                    cgs[i] = self._cg_prefix(i, min(n, 2 * acv.size))
         else:
             cg, dcg = self._kernel.cg_grad(phi) if grad else (self._kernel.cg(phi), None)
             cgs = [cg]
-        tables = [entry(values[part], n, grad) for entry, part in self._entries]
         cbar = _cbar(cgs, [acv for acv, _ in tables])
         sbar = expected_periodogram_fft_order if self._once is None else expected_periodogram_half
         s = sbar(cbar, n)[self._mask]

@@ -7,16 +7,20 @@ user sequence.  The sample autocovariance
     c_g(tau) = (1/N) sum_{t=0}^{N-1-tau} conj(g_t) g_{t+tau},
 
 is the kernel that multiplies the latent autocovariance in the expected
-periodogram.  It is computed here by zero-padded FFT autocorrelation in
-O(N log N) and returned as a plain read-only array; the direct O(N^2) sum is
-kept as a test oracle.  :func:`component_cg` gives the c_g of one model
-component, 1 - tau/N (that of g = 1) when the component has no modulator.  A parametric
-kernel (:class:`LinearRampKernel`) gives c_g in closed form as a function of
-free modulation parameters, with its derivatives in them.
+periodogram.  It is computed here at lags 0..L-1, L <= N, by zero-padded
+FFT autocorrelation in O((N + L) log(N + L)), or by direct sums at L <= 2,
+and returned as a plain read-only array; the direct O(N^2) sum is kept as a
+test oracle.  An objective reads c_g only where the latent acv is nonzero,
+so it asks for the prefix that reaches.  :func:`component_cg` gives the c_g
+of one model component, 1 - tau/N (that of g = 1) when the component has no
+modulator.  A parametric kernel (:class:`LinearRampKernel`) gives c_g in
+closed form as a function of free modulation parameters, with its
+derivatives in them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -88,27 +92,54 @@ def cg_direct(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def cg_sequence(mod: Modulator) -> np.ndarray:
-    """c_g(tau) for tau = 0..N-1 via zero-padded FFT autocorrelation, read-only.
+@functools.lru_cache(maxsize=1024)  # the loop costs about 7 us, a third of a short transform
+def _fft_length(target: int) -> int:
+    """The least 2^a 3^b 5^c >= target >= 1, a length whose transform
+    numpy.fft runs in radix-2, 3 and 5 passes alone."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least power of 2 times p35 that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    A real g takes the real-input transforms rfft/irfft, at half the cost.
+
+def cg_sequence(mod: Modulator, lags: int | None = None) -> np.ndarray:
+    """c_g(tau) for tau = 0..lags-1 (all N lags by default), read-only.
+
+    At most two lags take the direct sums, one O(N) ``np.vdot`` each; more
+    take a zero-padded FFT autocorrelation of length :func:`_fft_length`(N +
+    lags - 1), the shortest whose wrap-around misses them (2N at lags = N
+    and N = 2^k >= 16).  A real g takes the real-input transforms
+    rfft/irfft, at half the cost.
     """
     n = mod.n
-    m = 1 << (2 * n - 1).bit_length()  # the least power of 2 >= 2N
-    if mod.is_complex:
-        acorr = np.fft.ifft(np.abs(np.fft.fft(mod.g, m)) ** 2)[:n] / n
+    lags = n if lags is None else lags
+    if not 1 <= lags <= n:
+        raise ValueError("lags must lie in [1, N]")
+    g = mod.g
+    if lags <= 2:
+        acorr = np.array([np.vdot(g[:n - tau], g[tau:]) for tau in range(lags)]) / n
     else:
-        acorr = np.fft.irfft(np.abs(np.fft.rfft(mod.g, m)) ** 2, m)[:n] / n
+        m = _fft_length(n + lags - 1)
+        if mod.is_complex:
+            acorr = np.fft.ifft(np.abs(np.fft.fft(g, m)) ** 2)[:lags] / n
+        else:
+            acorr = np.fft.irfft(np.abs(np.fft.rfft(g, m)) ** 2, m)[:lags] / n
     acorr.setflags(write=False)
     return acorr
 
 
-def component_cg(mod: Modulator | None, n: int) -> np.ndarray:
-    """c_g of one component of length n, read-only: :func:`cg_sequence` of
-    its modulator, or 1 - tau/N, the c_g of g = 1, when it has none."""
+def component_cg(mod: Modulator | None, n: int, lags: int | None = None) -> np.ndarray:
+    """c_g(0..lags-1) of one component of length n (all n lags by default),
+    read-only: :func:`cg_sequence` of its modulator, or 1 - tau/N, the c_g
+    of g = 1, when it has none."""
     if mod is not None:
-        return cg_sequence(mod)
-    cg = 1.0 - np.arange(n) / n
+        return cg_sequence(mod, lags)
+    cg = 1.0 - np.arange(n if lags is None else lags) / n
     cg.setflags(write=False)
     return cg
 

@@ -676,8 +676,9 @@ def _mom_latent_acv(data: Series, cg):
 def mom_ar1(data: Series, cg=None) -> tuple[float, float]:
     """(a, sigma) start values for a real AR(1) latent, |a| <= 0.985.
 
-    cg is the modulator's c_g at lags 0..N-1 (e.g. an :class:`Objective`'s
-    ``cgs[0]``), or None for an unmodulated series, whose c_g is 1 - tau/N.
+    cg is the modulator's c_g at lags 0 and 1 at least (e.g. an
+    :class:`Objective`'s ``cgs[0]``), or None for an unmodulated series,
+    whose c_g is 1 - tau/N.
     """
     c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))

@@ -73,7 +73,8 @@ def periodogram_half(series: Series) -> np.ndarray:
 
 
 def expected_acv(cg: np.ndarray, model: LatentModel) -> np.ndarray:
-    """cbar(tau) = c_g(tau) * c_X(tau) at lags 0..N-1."""
+    """cbar(tau) = c_g(tau) * c_X(tau) at lags 0..N-1.  N is cg's length, so
+    cg must hold all N lags (``cg_sequence(mod)``): a prefix sets a wrong N."""
     cg = np.asarray(cg)
     return cg * autocov_sequence(model, cg.size)
 
@@ -142,7 +143,8 @@ def _checked(vals: np.ndarray) -> np.ndarray:
 
 def expected_periodogram(cg: np.ndarray, model: LatentModel) -> np.ndarray:
     """Exact expected periodogram for a latent model and precomputed c_g,
-    on the Fourier grid, read-only."""
+    on the Fourier grid, read-only.  cg holds all N lags, as
+    :func:`expected_acv` says."""
     return _readonly(expected_periodogram_values(expected_acv(cg, model)))
 
 

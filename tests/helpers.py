@@ -1,9 +1,14 @@
 """Helpers shared by the test modules: random models and modulators for
-property-style tests, a central-difference check of an objective's score,
-and a Nelder-Mead reference fit."""
+property-style tests, the first replicate of a bundled study, a
+central-difference check of an objective's score, and a Nelder-Mead
+reference fit."""
+
+import json
+import os
 
 import numpy as np
 
+import modwhittle
 from modwhittle import (
     ar_model,
     bernoulli_mask,
@@ -11,6 +16,7 @@ from modwhittle import (
     frequency_modulator,
     periodic_missing_mask,
 )
+from modwhittle.simulate import McStudy, _simulate_case
 
 
 def random_model(rng, families=("ar", "car1")):
@@ -33,6 +39,14 @@ def random_modulator(rng, n, kinds=("constant", "periodic", "bernoulli", "freque
             return periodic_missing_mask(1, 1, n)
         return mod
     return frequency_modulator(rng.uniform(-0.8, 0.8, size=n - 1))
+
+
+def first_replicate(config: str, n: int):
+    """(study, data, aux) of replicate 0 at N = n of the bundled study config."""
+    path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
+    with open(path) as fh:
+        study = McStudy.from_json_dict(json.load(fh))
+    return (study, *_simulate_case(study, n, 0))
 
 
 def central_difference(f, theta, j):

@@ -269,10 +269,12 @@ def test_mc_deterministic_modulo_timing(tmp_path):
         assert out + ".nonconverged.json" in manifest["outputs"]
         assert out + ".abnormal.json" in manifest["outputs"]
         assert out + ".cost.json" in manifest["outputs"]
-    # peak memory is host-dependent like cpu: the --threads 2 run reports its
-    # own and its workers'
-    rss = json.loads(open(out2 + ".manifest.json").read())["peak_rss_mb"]
-    assert set(rss) == {"self", "workers"} and min(rss.values()) > 0
+    # peak memory and minor page faults are host-dependent like cpu: the
+    # --threads 2 run reports its own and its workers'
+    manifest = json.loads(open(out2 + ".manifest.json").read())
+    for field in ("peak_rss_mb", "minor_faults"):
+        assert set(manifest[field]) == {"self", "workers"} and min(manifest[field].values()) > 0
+    assert all(isinstance(v, int) for v in manifest["minor_faults"].values())
     cost = [json.loads(open(out + ".cost.json").read()) for out in (out1, out2)]
     assert cost[0] == cost[1]
     assert list(cost[0]) == ["modulated@128"]

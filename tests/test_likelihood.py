@@ -28,12 +28,22 @@ from modwhittle.likelihood import (
     spectral_nll,
 )
 from modwhittle.models import autocov_sequence
-from modwhittle.modulation import LinearRampKernel, linear_beta, linear_frequency_modulator
+from modwhittle.modulation import (
+    LinearRampKernel,
+    component_cg,
+    linear_beta,
+    linear_frequency_modulator,
+)
 from modwhittle.optimize import fit
-from modwhittle.simulate import bounded_random_walk_beta, simulate_ar, simulate_complex_ar1
+from modwhittle.simulate import (
+    ESTIMATORS,
+    bounded_random_walk_beta,
+    simulate_ar,
+    simulate_complex_ar1,
+)
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
-from helpers import assert_gradient_matches, random_modulator
+from helpers import assert_gradient_matches, first_replicate, random_modulator
 
 
 def whittle_value(data, model, mask=None):
@@ -616,6 +626,46 @@ def test_evaluations_keep_nothing_between_thetas(case):
     assert fresh_profiled[0] == profiled[0] and fresh_profiled[2] == profiled[2]
     assert np.array_equal(fresh_profiled[1], profiled[1])
     assert fresh(theta_1) == value
+
+
+def _growth_case(case, n=1024):
+    """(objective, thetas) of a Table 1 or 3 replicate's modulated estimator,
+    or of a drifter aggregate, at N = n: the first theta's acv reaches a
+    few lags, the second's all N, the third's few again."""
+    if case == "drifter":  # (scale, lam, q, h, alpha)
+        return (_drifter_objective(np.random.default_rng(5), "modulated", n=n),
+                [[1.0, 3.0, 0.0, 3.0, 1.5], [1.0, 0.01, 0.0, 0.05, 1.3],
+                 [1.0, 0.4, 1.5, 0.8, 1.3]])
+    study, data, aux = first_replicate(case, n)
+    obj, _ = ESTIMATORS[study.kind, "modulated"](data, aux)
+    small = 0.3 if case == "table1_ci" else 0.5  # car1 r or AR(1) a
+    return obj, [[small, 1.0], [0.9999, 1.0], [0.2, 1.0]]
+
+
+@pytest.mark.parametrize("case", ["table1_ci", "table3_ci", "drifter"])
+def test_grown_cg_tables_give_the_full_tables_value_and_score(case):
+    # an objective grows each c_g table to twice its latent's acv reach on
+    # demand; a twin holding every table at all N lags gives the same value
+    # and score, and no table ever shrinks or passes N
+    grown, thetas = _growth_case(case)
+    full, _ = _growth_case(case)
+    n = len(full.data)
+    mods = ([mod for _, mod in full.model.components]
+            if isinstance(full.model, AggregateModel) else [full.modulator])
+    full.cgs[:] = [component_cg(mod, n) for mod in mods]
+    assert [cg.size for cg in grown.cgs] == [min(n, 2)] * len(mods)
+    sizes = [[cg.size for cg in grown.cgs]]
+    for theta in thetas:
+        value, grad = grown.value_and_grad(theta)
+        want, want_grad = full.value_and_grad(theta)
+        assert abs(value - want) <= 1e-12 * abs(want)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want_grad)))
+        sizes.append([cg.size for cg in grown.cgs])
+    assert max(sizes[1]) < n and sizes[2] == [n] * len(mods)
+    for before, after in zip(sizes, sizes[1:]):
+        assert all(b <= a <= n for b, a in zip(before, after))
+    assert [cg.size for cg in full.cgs] == [n] * len(mods)
 
 
 def test_tied_scales_take_any_finite_log_ratio_without_warnings(rng):

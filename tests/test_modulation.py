@@ -19,6 +19,7 @@ from modwhittle import (
 )
 from modwhittle.modulation import (
     LinearRampKernel,
+    _fft_length,
     cg_direct,
     cosine_probabilities,
     modulator_from_json,
@@ -49,6 +50,51 @@ def test_cg_fft_matches_direct(rng):
         b = cg_direct(mod.g)
         scale = max(np.max(np.abs(b)), 1e-30)
         assert np.max(np.abs(a - b)) < 1e-12 * scale
+
+
+def _prefix_modulators(n):
+    """A real cosine-Bernoulli mask and a complex frequency modulator of length n."""
+    rng = np.random.default_rng(n)
+    return (cosine_bernoulli_mask(0.5, 0.25, 2 * np.pi / 10, n, seed=n),
+            frequency_modulator(rng.uniform(-0.8, 0.8, size=n - 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 1000])
+def test_cg_prefix_matches_direct(n):
+    for mod in _prefix_modulators(n):
+        full = cg_direct(mod.g)
+        for lags in sorted({1, 2, n // 3, n} & set(range(1, n + 1))):
+            cg = cg_sequence(mod, lags)
+            assert cg.shape == (lags,) and not cg.flags.writeable
+            assert np.iscomplexobj(cg) == mod.is_complex
+            assert np.max(np.abs(cg - full[:lags])) <= 1e-13
+
+
+def test_cg_prefix_rejects_lags_outside_one_to_n():
+    mod = constant_modulator(8)
+    for lags in (0, 9):
+        with pytest.raises(ValueError, match="lags"):
+            cg_sequence(mod, lags)
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9)
+                    for c in range(6) if 2 ** a * 3 ** b * 5 ** c <= 8192)
+    for target in range(1, 5001):
+        assert _fft_length(target) == next(m for m in smooth if m >= target), target
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 4096])
+def test_cg_all_lags_keep_the_power_of_two_table_bit_for_bit(n):
+    # every lag of a power-of-two N takes one length-2N transform, as when
+    # the table always padded to the least power of 2 >= 2N
+    m = 2 * n
+    for mod in _prefix_modulators(n):
+        if mod.is_complex:
+            want = np.fft.ifft(np.abs(np.fft.fft(mod.g, m)) ** 2)[:n] / n
+        else:
+            want = np.fft.irfft(np.abs(np.fft.rfft(mod.g, m)) ** 2, m)[:n] / n
+        assert np.array_equal(cg_sequence(mod), want)
 
 
 def test_cg_cauchy_schwarz(rng):

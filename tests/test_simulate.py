@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 import modwhittle
-from helpers import simplex_fit
+from helpers import first_replicate, simplex_fit
 from modwhittle import ar_model, car1_model, simulate
 from modwhittle.models import autocov_sequence, matern_acv, ou_to_ar
 from modwhittle.modulation import frequency_modulator
@@ -322,10 +322,12 @@ def test_run_study_rows_are_the_per_column_numpy_statistics(replicates, monkeypa
 
 
 # the numpy.fft calls (function, length) and Objective builds of one
-# replicate's simulation and estimator builds at N = 512, without the fits
+# replicate's simulation and estimator builds at N = 512, without the fits:
+# each periodogram's transform alone, since a build takes c_g at lags 0 and
+# 1 by two direct sums
 REPLICATE_COST_PINS = {
-    "table1_ci": ([("fft", 512), ("fft", 1024), ("ifft", 1024), ("fft", 512)], 2),
-    "table3_ci": ([("rfft", 512), ("rfft", 1024), ("irfft", 1024)], 1),
+    "table1_ci": ([("fft", 512), ("fft", 512)], 2),
+    "table3_ci": ([("rfft", 512)], 1),
 }
 
 
@@ -340,13 +342,6 @@ def _counted_transforms(monkeypatch) -> list:
     return calls
 
 
-def _first_replicate(config: str, n: int):
-    path = os.path.join(os.path.dirname(modwhittle.__file__), "configs", config + ".json")
-    with open(path) as fh:
-        study = McStudy.from_json_dict(json.load(fh))
-    return (study, *_simulate_case(study, n, 0))
-
-
 @pytest.mark.parametrize("config", sorted(REPLICATE_COST_PINS))
 def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
     from modwhittle import likelihood
@@ -359,7 +354,7 @@ def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(likelihood.Objective, "__post_init__", counted_build)
-    study, data, aux = _first_replicate(config, 512)
+    study, data, aux = first_replicate(config, 512)
     for est in study.estimators:
         ESTIMATORS[study.kind, est](data, aux)
     assert (calls, len(builds)) == REPLICATE_COST_PINS[config]
@@ -367,16 +362,20 @@ def test_a_replicate_keeps_its_transform_and_build_counts(config, monkeypatch):
 
 # the numpy.fft calls of one modulated-Whittle evaluation at N = 512, value
 # alone and with the score: Sbar's transform, and the score's of w.  Table
-# 3's real series keeps k = 0..N/2, whose w, zero-padded to N, takes rfft too
+# 3's real series keeps k = 0..N/2, whose w, zero-padded to N, takes rfft too.
+# The first evaluation grows the c_g table to twice the start's acv reach
+# (179 lags on table1_ci, 120 on table3_ci): one autocorrelation of the
+# least 2^a 3^b 5^c >= N + 2L - 1 (869 -> 900, 751 -> 768)
 EVALUATION_COST_PINS = {
-    "table1_ci": ([("fft", 512)], [("fft", 512), ("rfft", 512)]),
-    "table3_ci": ([("rfft", 512)], [("rfft", 512), ("rfft", 512)]),
+    "table1_ci": ([("fft", 900), ("ifft", 900), ("fft", 512)], [("fft", 512), ("rfft", 512)]),
+    "table3_ci": ([("rfft", 768), ("irfft", 768), ("rfft", 512)],
+                  [("rfft", 512), ("rfft", 512)]),
 }
 
 
 @pytest.mark.parametrize("config", sorted(EVALUATION_COST_PINS))
 def test_an_evaluation_keeps_its_transforms(config, monkeypatch):
-    study, data, aux = _first_replicate(config, 512)
+    study, data, aux = first_replicate(config, 512)
     objective, init = ESTIMATORS[study.kind, "modulated"](data, aux)
     calls = _counted_transforms(monkeypatch)
     objective(init.values)
@@ -384,6 +383,18 @@ def test_an_evaluation_keeps_its_transforms(config, monkeypatch):
     calls.clear()
     objective.value_and_grad(init.values)
     assert (value_only, calls) == EVALUATION_COST_PINS[config]
+
+
+def test_a_table3_replicate_at_n_16384_makes_no_length_2n_transform(monkeypatch):
+    # c_g grows only as far as the AR(1) acv reaches, a few hundred lags: one
+    # regrowth, by transforms of length 16875 = 3^3 5^4, and no transform of
+    # the replicate (simulation, build and fit) is of length 2N
+    calls = _counted_transforms(monkeypatch)
+    study, data, aux = first_replicate("table3_ci", 16384)
+    res = _fit_estimator(study, "modulated", data, aux)
+    assert res.converged
+    assert ("irfft", 16875) in calls
+    assert max(length for _, length in calls) < 2 * 16384
 
 
 MC_CASES = {
@@ -517,7 +528,7 @@ def test_bounded_random_walk_is_its_recursion_bit_for_bit(n, amp):
 # floats (table3_ci's as its real series' half grid gives them): a change to
 # the fit path that moves any of them shows here
 ESTIMATE_PINS = {
-    ("table1_ci", 0, "modulated"): (["0x1.919ab2bdfc69fp-1", "0x1.e1bce6a813f79p-1"], 5),
+    ("table1_ci", 0, "modulated"): (["0x1.919ab2bdfc688p-1", "0x1.e1bce6a813f84p-1"], 5),
     ("table1_ci", 0, "stationary"): (["0x1.7f6a4f9f43847p-1", "0x1.0134a8140eabdp+0"], 4),
     ("table1_ci", 1, "modulated"): (["0x1.96d53e5e75baep-1", "0x1.e517b4d2f9227p-1"], 5),
     ("table1_ci", 1, "stationary"): (["0x1.8eb9ef9a239bep-1", "0x1.f64746d4f3de1p-1"], 6),
