@@ -23,8 +23,10 @@ proportional to that s2 too.
 One :class:`Objective` evaluates every kind, each with an analytic score.
 Construction precomputes what does not depend on theta (periodogram, c_g at
 lags 0 and 1, grid frequencies, the kept samples, each latent's raw-float
-entry :func:`~modwhittle.models.acv_entry`), so each evaluation is O(N log
-N), reads theta as floats and builds no model object.  Every expected
+entry :func:`~modwhittle.models.acv_entry`, or for the Whittle kind two
+periodogram moments and :func:`~modwhittle.models.pole_entry`), so each
+evaluation is O(N log N), O(1) for an unmasked Whittle one, reads theta as
+floats and builds no model object.  Every expected
 autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
 over the longest lag support the latent acv tables keep (each stops where it
 decays below working precision), which the length-N transform to Sbar
@@ -40,6 +42,7 @@ latent, is :func:`exact_gaussian_nll`.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -53,6 +56,7 @@ from .models import (
     acv_entry,
     autocov_sequence,
     car1_model,
+    pole_entry,
     scale_index,
     sdf_entry,
     with_scale_row,
@@ -90,7 +94,10 @@ EXACT_CAP = 2048
 
 
 def resolve_mask(n: int, mask=None) -> np.ndarray:
-    """Normalize a frequency mask to a boolean array over the length-n grid."""
+    """Normalize a frequency mask to a boolean array over the length-n grid:
+    None (every frequency), a boolean array of length n, or integer indices
+    0..n-1 into the grid.  Any other mask, or one that keeps nothing, raises
+    ValueError."""
     if mask is None:
         out = np.ones(n, dtype=bool)
     else:
@@ -100,6 +107,15 @@ def resolve_mask(n: int, mask=None) -> np.ndarray:
                 raise ValueError("boolean mask length must equal the grid size")
             out = mask.copy()
         else:
+            if mask.size == 0:
+                raise ValueError("frequency mask is empty")
+            if not np.issubdtype(mask.dtype, np.integer):
+                raise ValueError(f"frequency mask indices must be integers, not "
+                                 f"{mask.ravel().tolist()}")
+            bad = mask[(mask < 0) | (mask >= n)]
+            if bad.size:
+                raise ValueError(f"frequency mask indices {bad.ravel().tolist()} lie "
+                                 f"outside the grid's 0..{n - 1}")
             out = np.zeros(n, dtype=bool)
             out[mask] = True
     if not np.any(out):
@@ -365,6 +381,14 @@ class Objective:
     grid's mask size.  Its mask must keep -w wherever it keeps w, or the
     build raises ValueError.  Every kind has a score (:meth:`value_and_grad`).
 
+    The whittle kind keeps no periodogram: its sdf is s2 / |1 - z e^{iw}|^2
+    with one pole z (:func:`~modwhittle.models.pole_entry`), whose sums over
+    the whole grid are closed form, so it keeps two periodogram moments, A =
+    sum_mask c_k Shat_k and C = sum_mask c_k Shat_k e^{i w_k} (real on the
+    half grid), and an sdf entry on the bins the mask drops (see
+    :meth:`_whittle`); :meth:`whittle_start` is the minimiser of its
+    quadratic form.
+
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
     objective at its closed-form optimum.  ``n_rejected`` counts the
@@ -378,7 +402,8 @@ class Objective:
     mask: np.ndarray | None = None
     check_significance: bool = True
     _mask: np.ndarray | slice = field(init=False, repr=False)  # slice: every frequency
-    _shat: np.ndarray = field(init=False, repr=False, default=None)  # on the mask
+    # the modulated-whittle kind's periodogram on the mask
+    _shat: np.ndarray = field(init=False, repr=False, default=None)
     # on the half grid, the positions on the mask of k = 0 and N/2, the bins
     # that stand for themselves alone (every other one stands for k and N -
     # k too); None on the full grid
@@ -392,6 +417,9 @@ class Objective:
     _entries: list = field(init=False, repr=False, default=None)
     _n_latent: int = field(init=False, repr=False, default=0)  # latent values
     _n_theta: int = field(init=False, repr=False, default=0)
+    # the whittle kind's (sdf entry, c_k) on the bins the mask drops, or None
+    _dropped: tuple | None = field(init=False, repr=False, default=None)
+    _moments: tuple = field(init=False, repr=False, default=None)  # whittle: (A, C)
     cgs: list = field(init=False, repr=False, default=None)
     scale_index: int = field(init=False, default=None)
     n_rejected: int = field(init=False, default=0)
@@ -426,13 +454,10 @@ class Objective:
                 and all(m.family in ("ar", "matern")
                         or (m.rotation == 0.0 and "gamma" not in m.params.names)
                         for m, _ in components))
-        omega = fourier_grid(n).frequencies
-        if half:  # the grid's k >= 0
-            omega = omega[(n - 1) // 2:]
         self._entries = []
         for m, _ in components:
             d = len(m.params)
-            entry = sdf_entry(m, omega) if self.kind == "whittle" else acv_entry(m)
+            entry = pole_entry(m) if self.kind == "whittle" else acv_entry(m)
             self._entries.append((entry, slice(self._n_latent, self._n_latent + d)))
             self._n_latent += d
         self._n_theta = self._n_latent + (0 if self._kernel is None
@@ -475,14 +500,29 @@ class Objective:
             shat = periodogram_half(self.data)
         else:
             shat = periodogram_fft_order(self.data) if fft_order else periodogram(self.data)
-        self._shat = shat[self._mask]
-        self._size = self._shat.size
+        kept = shat[self._mask]
+        self._size = kept.size
         if half:
             k = np.arange(shat.size)[self._mask]
             self._once = np.flatnonzero((k == 0) | (2 * k == n))
             self._size = 2 * k.size - self._once.size
         if self.kind == "whittle":
+            # the grid's frequencies (k >= 0 on the half grid) and c_k, and
+            # the bins the mask keeps
+            omega = fourier_grid(n).frequencies[(n - 1) // 2 if half else 0:]
+            c = np.ones(shat.size)
+            if half:
+                c[1:(n + 1) // 2] = 2.0
+            on = np.zeros(shat.size, dtype=bool)
+            on[self._mask] = True
+            weighted = c[on] * kept
+            self._moments = (float(weighted.sum()),
+                             float(weighted @ np.cos(omega[on])) if half
+                             else complex(weighted @ np.exp(1j * omega[on])))
+            if not on.all():
+                self._dropped = (sdf_entry(self.model, omega[~on]), c[~on])
             return
+        self._shat = kept
         if self._kernel is None:
             self.cgs = [component_cg(mod, n, min(n, 2)) for _, mod in components]
         # the lag-0/1 diagnostic needs two samples
@@ -506,6 +546,31 @@ class Objective:
                                np.concatenate((lat.lower, ker.lower)),
                                np.concatenate((lat.upper, ker.upper)))
 
+    def whittle_start(self, lo: float, hi: float) -> list[float]:
+        """theta at the minimiser of the whittle kind's Q over its pole z = r
+        u (see :meth:`_whittle`), with r clipped to [lo, hi].
+
+        With u = e^{-i rho} of the latent's fixed rotation (1 for an ar), Q =
+        (1 + r^2) A - 2 r Re(u C) is least at r = Re(u C) / A; a free rotation
+        gamma takes u = e^{-i gamma} at gamma = arg C, where Re(u C) = |C|.
+        The scale is the profiled one at that pole, sqrt(Q / M).  At this
+        start an unmasked fit's only other pull, from log|1 - z^N|, is O(N
+        r^{N-1}).  White noise has no pole: its theta is that scale alone.
+        """
+        if self.kind != "whittle":
+            raise ValueError("only the whittle kind has a quadratic form in its pole")
+        big_a, big_c = self._moments
+        free = "gamma" in self.model.params.names
+        rotation = cmath.phase(big_c) if free else self.model.rotation
+        pull = ((cmath.exp(-1j * rotation) if rotation else 1.0) * big_c).real
+        theta, quad = [], big_a
+        if len(self.model.params) > 1:  # white noise has no pole
+            r = min(max(pull / big_a if big_a > 0.0 else 0.0, lo), hi)
+            quad = (1.0 + r * r) * big_a - 2.0 * r * pull
+            theta = [r, rotation] if free else [r]
+        theta.insert(self.scale_index, math.sqrt(max(quad / self._size, 1e-12)))
+        return theta
+
     def __call__(self, theta) -> float:
         return self._evaluate(theta, False, False)[0]
 
@@ -514,9 +579,8 @@ class Objective:
 
         exact: the score of the Markov recursion (see :meth:`_exact`).
 
-        whittle: with f the sdf on the grid and w = dl/df (see
-        :meth:`_chain`), dl/dtheta_j = sum_k w_k df_k/dtheta_j, with df/dtheta
-        the closed-form rows of :func:`~modwhittle.models.sdf_entry`.
+        whittle: the closed form in the pole z and its derivatives (see
+        :meth:`_whittle`).
 
         modulated-whittle: with S = Sbar, w = dl/dS and W = fft(w) over the
         full grid, the adjoint of S = 2 Re fft(cbar) - cbar(0) gives, for a
@@ -598,20 +662,20 @@ class Objective:
         whose entry the caller forms in closed form (a latent's entry never
         forms its scale's row; an aggregate puts its amplitude rows back, for
         the q, and drops the scale's entry after ``tied_gradient``); the
-        spectral kinds' is sum_k w_k dS_1/dtheta with w = (1 - Shat / (s2
-        S_1)) / (S_1 n) on the mask.  Raises ValueError outside the model class.
+        modulated-whittle kind's is sum_k w_k dS_1/dtheta with w = (1 - Shat /
+        (s2 S_1)) / (S_1 n) on the mask.  Raises ValueError outside the model
+        class.
         """
         if len(theta) != self._n_theta:
             raise ValueError("parameter vector length mismatch")
         if self.kind == "exact":
             return self._exact(theta, grad)
+        if self.kind == "whittle":
+            return self._whittle(theta, grad)
         values, p = theta, None
         if isinstance(self.model, AggregateModel):
             values, p = self.model.untie(theta)
-        if self.kind == "whittle":
-            s, pullback = self._whittle(values, grad)
-        else:
-            s, pullback = self._modulated(values, theta[self._n_latent:], grad)
+        s, pullback = self._modulated(values, theta[self._n_latent:], grad)
         n = len(self.data)
         log_s, ratio = np.log(s), self._shat / s
         big_l, quad = float(log_s.sum()), float(ratio.sum())
@@ -686,15 +750,52 @@ class Objective:
 
         return big_l + log_g2, quad, n, n, pull
 
-    def _whittle(self, values, grad):
-        """The sdf on the mask and, with grad, the map from w = dl/df to the
-        gradient."""
-        (entry, part), = self._entries
-        f, jac = entry(values[part], grad)
-        s = f[self._mask]
-        if not s.min() > 0:
-            raise ValueError("spectral values must be positive on the mask")
-        return s, (lambda w: (jac * w).sum(axis=1)) if grad else None
+    def _whittle(self, theta, grad):
+        """(L, Q, M, N, pull) of the whittle kind from the pole z at theta.
+
+        At unit scale 1 / f_k = |1 - z e^{i w_k}|^2 = 1 + |z|^2 - 2 Re(z
+        e^{i w_k}), and the e^{i w_k} are the N-th roots of unity, whose
+        product of 1 - z e^{i w_k} is 1 - z^N (a finite-N form of
+        Kolmogorov's formula; Brockwell & Davis 1991, 5.8).  So, with the
+        moments A and C,
+
+            Q = (1 + |z|^2) A - 2 Re(z C),
+            L = -log|1 - z^N|^2 - sum_dropped c_k log f_k,
+
+        the last sum over the bins the mask drops (none without a mask), from
+        the sdf entry bound to them.  With dz the derivatives of z,
+
+            dQ = 2 A Re(conj(z) dz) - 2 Re(C dz),
+            dL = 2 N Re(z^{N-1} dz / (1 - z^N)) - sum_dropped c_k df_k / f_k.
+
+        Q is a difference of moments: where the periodogram sits at the
+        pole's own frequency and |z| -> 1 it cancels, and a Q that is not
+        positive raises ValueError.
+        """
+        (pole, _), = self._entries
+        z, dz = pole(theta, grad)
+        big_a, big_c = self._moments
+        n = len(self.data)
+        gap = 1.0 - z ** n
+        quad = (1.0 + (z * z.conjugate()).real) * big_a - 2.0 * (z * big_c).real
+        if not quad > 0.0:
+            raise ValueError("the Whittle quadratic form is not positive")
+        big_l = -math.log((gap * gap.conjugate()).real)
+        if self._dropped is not None:
+            entry, weights = self._dropped
+            f, jac = entry(theta, grad)
+            big_l -= float(weights @ np.log(f))
+
+        def pull(s2):
+            lead = n * z ** (n - 1) / gap
+            gradient = np.array([2.0 * ((lead * d).real + (big_a * (z.conjugate() * d).real
+                                                            - (big_c * d).real) / s2)
+                                 for d in dz])
+            if self._dropped is not None:
+                gradient -= jac @ (weights / f)
+            return gradient / n
+
+        return big_l, quad, self._size, n, pull
 
     def _cg_prefix(self, i, lags):
         """c_g(0..lags-1) of latent i: :func:`cg_sequence` of its modulator,

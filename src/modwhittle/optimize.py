@@ -662,23 +662,22 @@ def fit(objective, init, lower=None, upper=None, *, n_starts: int = 2,
 
 def _mom_latent_acv(data: Series, cg):
     """chat_X(tau) = chat_Y(tau) / c_g(tau) at lags 0 and 1, the naive
-    latent-acv estimates; c_g(0) = 1 and c_g(1) = 1 - 1/N without cg."""
+    latent-acv estimates."""
     y = np.asarray(data.values)
     n = y.size
     out = []
     for tau in (0, 1):
         cy = np.sum(np.conj(y[: n - tau]) * y[tau:]) / n
-        denom = (1.0 - tau / n) if cg is None else cg[tau]
+        denom = cg[tau]
         out.append(cy / denom if abs(denom) > 1e-12 else math.nan)
     return out
 
 
-def mom_ar1(data: Series, cg=None) -> tuple[float, float]:
+def mom_ar1(data: Series, cg) -> tuple[float, float]:
     """(a, sigma) start values for a real AR(1) latent, |a| <= 0.985.
 
     cg is the modulator's c_g at lags 0 and 1 at least (e.g. an
-    :class:`Objective`'s ``cgs[0]``), or None for an unmodulated series,
-    whose c_g is 1 - tau/N.
+    :class:`Objective`'s ``cgs[0]``).
     """
     c0, c1 = _mom_latent_acv(data, cg)
     c0 = float(np.real(c0))
@@ -689,7 +688,7 @@ def mom_ar1(data: Series, cg=None) -> tuple[float, float]:
     return a, math.sqrt(max(c0 * (1.0 - a * a), 1e-12))
 
 
-def mom_car1(data: Series, cg=None) -> tuple[float, float]:
+def mom_car1(data: Series, cg) -> tuple[float, float]:
     """(r, sigma) start values for a complex AR(1) latent, r in [1e-3, 0.995];
     cg as in :func:`mom_ar1`."""
     c0, c1 = _mom_latent_acv(data, cg)

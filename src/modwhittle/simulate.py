@@ -345,20 +345,21 @@ def _simulate_case(study: McStudy, n: int, rep: int):
 SPAN_GRID = 128
 
 
-def _ar1_init(data: Series, cg) -> ParameterVector:
+def _ar1_init(values) -> ParameterVector:
     # both ar1-bernoulli-mask estimators report the study's (a, sigma), a in (-1, 1)
-    return ParameterVector(["a", "sigma"], mom_ar1(data, cg),
-                           lower=[-1.0, 0.0], upper=[1.0, np.inf])
+    return ParameterVector(["a", "sigma"], values, lower=[-1.0, 0.0], upper=[1.0, np.inf])
 
 
 def _mask_modulated(data: Series, aux: dict):
     obj = Objective("modulated-whittle", data, ar_model([0.5], 1.0),
                     modulator=aux["modulator"], check_significance=False)
-    return obj, _ar1_init(data, obj.cgs[0])
+    return obj, _ar1_init(mom_ar1(data, obj.cgs[0]))
 
 
 def _mask_stationary(data: Series, aux: dict):
-    return Objective("whittle", data, ar_model([0.5], 1.0)), _ar1_init(data, None)
+    # the pole is a, clipped as mom_ar1 clips it
+    obj = Objective("whittle", data, ar_model([0.5], 1.0))
+    return obj, _ar1_init(obj.whittle_start(-0.985, 0.985))
 
 
 def _walk_modulated(data: Series, aux: dict):
@@ -368,15 +369,17 @@ def _walk_modulated(data: Series, aux: dict):
 
 
 def _walk_stationary(data: Series, aux: dict):
+    # the pole is r e^{-i rho} at the walk's mean rotation rho, r clipped as
+    # mom_car1 clips it
     obj = Objective("whittle", data,
                     car1_model(0.5, 1.0, rotation=float(np.mean(aux["beta"]))))
-    return obj, obj.init_params.replace(mom_car1(data))
+    return obj, obj.init_params.replace(obj.whittle_start(1e-3, 0.995))
 
 
-def _car1_start(y: np.ndarray, lag1: complex, shrink: float) -> tuple[float, float]:
-    """(r, sigma) starts from the lag-0 moment and a lag-1 one, |lag1| / shrink."""
+def _car1_start(y: np.ndarray, lag1: complex) -> tuple[float, float]:
+    """(r, sigma) starts from the lag-0 moment and a lag-1 one."""
     c0 = float(np.mean(np.abs(y) ** 2))
-    r0 = float(np.clip(np.abs(lag1) / (shrink * c0), 0.05, 0.99))
+    r0 = float(np.clip(np.abs(lag1) / c0, 0.05, 0.99))
     return r0, float(np.sqrt(max(c0 * (1.0 - r0 * r0), 1e-10)))
 
 
@@ -402,7 +405,7 @@ def _ramp_start(data: Series) -> np.ndarray:
         sums[k] = term.sum()
         term *= step
     best = int(np.argmax(np.abs(sums)))
-    return np.array([*_car1_start(y, sums[best] / n, 1.0),
+    return np.array([*_car1_start(y, sums[best] / n),
                      np.angle(sums[best]), spans[best]])
 
 
@@ -416,11 +419,8 @@ def _ramp_kernel(kind: str, data: Series, aux: dict):
 
 
 def _ramp_stationary(data: Series, aux: dict):
-    y = np.asarray(data.values)
-    lag1 = np.sum(np.conj(y[:-1]) * y[1:]) / y.size
-    obj = Objective("whittle", data,
-                    car1_model(*_car1_start(y, lag1, 0.95), gamma=float(np.angle(lag1))))
-    return obj, obj.init_params
+    obj = Objective("whittle", data, car1_model(0.5, 1.0, gamma=0.0))
+    return obj, obj.init_params.replace(obj.whittle_start(1e-3, 0.995))
 
 
 # (study kind, estimator) -> factory (data, aux) -> (objective, init)

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: random models and modulators for
-property-style tests, the first replicate of a bundled study, a
-central-difference check of an objective's score, and a Nelder-Mead
-reference fit."""
+property-style tests, the first replicate of a bundled study, a count of
+numpy.fft calls, a central-difference check of an objective's score, and a
+Nelder-Mead reference fit."""
 
 import json
 import os
@@ -47,6 +47,17 @@ def first_replicate(config: str, n: int):
     with open(path) as fh:
         study = McStudy.from_json_dict(json.load(fh))
     return (study, *_simulate_case(study, n, 0))
+
+
+def counted_transforms(monkeypatch) -> list:
+    """The list that each later numpy.fft call appends its (function, length) to."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(a, n=None, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)[-1] if n is None else n))
+            return _fn(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def central_difference(f, theta, j):

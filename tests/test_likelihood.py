@@ -309,6 +309,20 @@ def test_mask_handling(rng):
         resolve_mask(n, np.zeros(n, dtype=bool))
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([], "frequency mask is empty"),
+    ([0.0, 1.0], r"integers, not \[0\.0, 1\.0\]"),
+    ([1, 5], r"indices \[5\] lie outside the grid's 0\.\.3"),
+    ([-1, 2], r"indices \[-1\] lie outside the grid's 0\.\.3"),
+])
+def test_resolve_mask_rejects_indices_off_the_grid(indices, message):
+    # none of these may index the grid: an IndexError, or a negative index
+    # that keeps the last bin
+    with pytest.raises(ValueError, match=message):
+        resolve_mask(4, indices)
+    assert resolve_mask(4, [3, 1]).tolist() == [False, True, False, True]
+
+
 def test_score_at_truth(rng):
     # mean numerical gradient of the modulated objective at truth ~ 0
     n = 1024

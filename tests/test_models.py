@@ -20,6 +20,7 @@ from modwhittle.models import (
     autocov_sequence,
     matern_acv,
     model_from_json,
+    pole_entry,
     scale_index,
     sdf_entry,
     with_scale_row,
@@ -351,6 +352,10 @@ def test_raw_float_entries_raise_outside_the_model_class():
                 acv_entry(model)(bad, 16, grad)
         with pytest.raises(ValueError):
             sdf_entry(model, np.zeros(3))(bad, False)
+        if model.family in ("ar", "car1"):
+            for grad in (False, True):
+                with pytest.raises(ValueError):
+                    pole_entry(model)(bad, grad)
         with pytest.raises(ValueError):
             model.with_values(bad)
 
@@ -455,3 +460,53 @@ def test_sdf_grad_only_for_ar1_and_car1():
     for model in (ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
         with pytest.raises(ValueError):
             sdf_entry(model, np.zeros(3))
+        with pytest.raises(ValueError, match="modulated-whittle"):
+            pole_entry(model)
+
+
+@pytest.mark.parametrize("model", [
+    ar_model([-0.7], 1.3), ar_model([0.4], 0.8), ar_model([], 1.3),
+    car1_model(0.6, 1.1), car1_model(0.6, 1.1, rotation=0.9), car1_model(0.8, 0.7, gamma=-2.0)])
+def test_pole_entry_gives_the_sdf_and_its_derivatives(model):
+    # f_X = sigma^2 / |1 - z e^{iw}|^2, and dz in the parameters but the scale
+    w = np.linspace(-np.pi, np.pi, 41)
+    values, k = model.params.values, scale_index(model)
+    entry = pole_entry(model)
+    z, dz = entry(values, True)
+    assert z == entry(values, False)[0] and entry(values, False)[1] is None
+    assert isinstance(z, float) == (model.family == "ar" or model.rotation == 0.0
+                                    and len(values) == 2)
+    f = values[k] ** 2 / np.abs(1.0 - z * np.exp(1j * w)) ** 2
+    assert np.allclose(f, sdf_entry(model, w)(values, False)[0], rtol=1e-14, atol=0.0)
+    rest = [j for j in range(len(values)) if j != k]
+    assert len(dz) == len(rest)
+    for d, j in zip(dz, rest):
+        up, dn = values.copy(), values.copy()
+        up[j] += 1e-6
+        dn[j] -= 1e-6
+        fd = (entry(up, False)[0] - entry(dn, False)[0]) / 2e-6
+        assert abs(d - fd) <= 1e-8
+
+
+@pytest.mark.parametrize("model", [
+    ar_model([0.99], 1.0), ar_model([-0.999999], 1.0), car1_model(1.0 - 1e-9, 1.0),
+    car1_model(0.9999, 1.0, rotation=0.3), car1_model(0.9999, 1.0, gamma=-2.5)])
+def test_sdf_keeps_its_relative_precision_at_the_pole(model):
+    # 1 + r^2 - 2 r cos(w - rho) cancels near the pole's frequency as |r| -> 1;
+    # the entry's sums of terms of one sign do not
+    import mpmath
+
+    mpmath.mp.dps = 40
+    values = model.params.values
+    r = mpmath.mpf(float(values[0]))
+    if model.family == "ar":  # the pole's frequency: 0, or pi for phi < 0
+        rho = 0.0 if values[0] > 0 else np.pi
+    else:
+        rho = float(values[2]) if len(values) == 3 else model.rotation
+    w = rho + np.array([-1e-3, -1e-7, 0.0, 1e-7, 1e-3])
+    got = sdf_entry(model, w)(values, False)[0]
+    # |1 - z e^{iw}|^2 of the exact z = r e^{-i rho} (the rotation's float)
+    rotation = 0.0 if model.family == "ar" else rho
+    want = [1 / abs(1 - r * mpmath.expj(mpmath.mpf(float(x)) - mpmath.mpf(rotation))) ** 2
+            for x in w]
+    assert all(abs(g - x) <= 1e-14 * x for g, x in zip(got, want)), (got, want)
