@@ -23,7 +23,7 @@ proportional to that s2 too.
 One :class:`Objective` evaluates every kind, each with an analytic score.
 Construction precomputes what does not depend on theta (periodogram, c_g at
 lags 0 and 1, grid frequencies, the kept samples, each latent's raw-float
-entry :func:`~modwhittle.models.acv_entry`, or for the Whittle kind two
+entry :func:`~modwhittle.models.acv_entry`, or for the Whittle kind its
 periodogram moments and :func:`~modwhittle.models.pole_entry`), so each
 evaluation is O(N log N), O(1) for an unmasked Whittle one, reads theta as
 floats and builds no model object.  Every expected
@@ -383,9 +383,10 @@ class Objective:
 
     The whittle kind keeps no periodogram: its sdf is s2 / |1 - z e^{iw}|^2
     with one pole z (:func:`~modwhittle.models.pole_entry`), whose sums over
-    the whole grid are closed form, so it keeps two periodogram moments, A =
-    sum_mask c_k Shat_k and C = sum_mask c_k Shat_k e^{i w_k} (real on the
-    half grid), and an sdf entry on the bins the mask drops (see
+    the whole grid are closed form, so it keeps periodogram moments, A =
+    sum_mask c_k Shat_k and, for a pole of fixed direction, the sin^2 moment
+    P (and an ar's cos^2 twin P'), or for a free rotation C = sum_mask c_k
+    Shat_k e^{i w_k}, and an sdf entry on the bins the mask drops (see
     :meth:`_whittle`); :meth:`whittle_start` is the minimiser of its
     quadratic form.
 
@@ -419,7 +420,9 @@ class Objective:
     _n_theta: int = field(init=False, repr=False, default=0)
     # the whittle kind's (sdf entry, c_k) on the bins the mask drops, or None
     _dropped: tuple | None = field(init=False, repr=False, default=None)
-    _moments: tuple = field(init=False, repr=False, default=None)  # whittle: (A, C)
+    # whittle: (A, P, P' or None) for a pole of fixed direction, (A, C) for a
+    # free rotation (see _whittle)
+    _moments: tuple = field(init=False, repr=False, default=None)
     cgs: list = field(init=False, repr=False, default=None)
     scale_index: int = field(init=False, default=None)
     n_rejected: int = field(init=False, default=0)
@@ -513,14 +516,27 @@ class Objective:
             c = np.ones(shat.size)
             if half:
                 c[1:(n + 1) // 2] = 2.0
-            on = np.zeros(shat.size, dtype=bool)
-            on[self._mask] = True
+            on = self._mask
             weighted = c[on] * kept
-            self._moments = (float(weighted.sum()),
-                             float(weighted @ np.cos(omega[on])) if half
-                             else complex(weighted @ np.exp(1j * omega[on])))
-            if not on.all():
-                self._dropped = (sdf_entry(self.model, omega[~on]), c[~on])
+            big_a = float(weighted.sum())
+            if "gamma" in self.model.params.names:  # a free rotation: the full grid
+                self._moments = (big_a, complex(weighted @ np.exp(1j * omega[on])))
+            else:
+                # sin^2 of half the pole's offset, and for an ar its cos^2
+                # twin: on the even-N half grid cos(w_k / 2) = sin((pi - w_k)
+                # / 2), the sine at k' = N/2 - k.  Doubling a dot is exact
+                rotation = self.model.rotation if self.model.family == "car1" else 0.0
+                sine2 = np.sin(0.5 * (omega - rotation) if rotation else 0.5 * omega)
+                sine2 *= sine2
+                twin = None
+                if self.model.family == "ar":
+                    cosine2 = sine2[::-1] if half and n % 2 == 0 else np.cos(0.5 * omega) ** 2
+                    twin = 2.0 * float(weighted @ cosine2[on])
+                self._moments = (big_a, 2.0 * float(weighted @ sine2[on]), twin)
+            if not isinstance(on, slice):
+                off = np.ones(shat.size, dtype=bool)
+                off[on] = False
+                self._dropped = (sdf_entry(self.model, omega[off]), c[off])
             return
         self._shat = kept
         if self._kernel is None:
@@ -551,25 +567,40 @@ class Objective:
         u (see :meth:`_whittle`), with r clipped to [lo, hi].
 
         With u = e^{-i rho} of the latent's fixed rotation (1 for an ar), Q =
-        (1 + r^2) A - 2 r Re(u C) is least at r = Re(u C) / A; a free rotation
-        gamma takes u = e^{-i gamma} at gamma = arg C, where Re(u C) = |C|.
+        (1 - r)^2 A + 2 r P is least at r = 1 - P / A.  A free rotation gamma
+        takes u = e^{-i gamma} at gamma = arg C, where Q = (1 + r^2) A - 2 r
+        Re(u C) is least at r = Re(u C) / A = |C| / A.
         The scale is the profiled one at that pole, sqrt(Q / M).  At this
         start an unmasked fit's only other pull, from log|1 - z^N|, is O(N
         r^{N-1}).  White noise has no pole: its theta is that scale alone.
         """
         if self.kind != "whittle":
             raise ValueError("only the whittle kind has a quadratic form in its pole")
-        big_a, big_c = self._moments
-        free = "gamma" in self.model.params.names
-        rotation = cmath.phase(big_c) if free else self.model.rotation
-        pull = ((cmath.exp(-1j * rotation) if rotation else 1.0) * big_c).real
+        big_a = self._moments[0]
         theta, quad = [], big_a
         if len(self.model.params) > 1:  # white noise has no pole
-            r = min(max(pull / big_a if big_a > 0.0 else 0.0, lo), hi)
-            quad = (1.0 + r * r) * big_a - 2.0 * r * pull
-            theta = [r, rotation] if free else [r]
+            if len(self._moments) == 2:  # a free rotation
+                big_c = self._moments[1]
+                rotation = cmath.phase(big_c)
+                pull = (cmath.exp(-1j * rotation) * big_c).real
+                r = min(max(pull / big_a if big_a > 0.0 else 0.0, lo), hi)
+                quad = (1.0 + r * r) * big_a - 2.0 * r * pull
+                theta = [r, rotation]
+            else:
+                r = min(max(1.0 - self._moments[1] / big_a if big_a > 0.0 else 0.0, lo), hi)
+                quad = self._pole_quad(r)[0]
+                theta = [r]
         theta.insert(self.scale_index, math.sqrt(max(quad / self._size, 1e-12)))
         return theta
+
+    def _pole_quad(self, r: float) -> tuple[float, float]:
+        """Q and dQ/dr of the whittle kind at a pole z = r u of fixed direction
+        u (see :meth:`_whittle`): (1 - r)^2 A + 2 r P, or (1 + r)^2 A - 2 r P'
+        for r < 0 (an ar's), sums of terms of one sign."""
+        big_a, big_p, twin = self._moments
+        if r >= 0.0:
+            return (1.0 - r) ** 2 * big_a + 2.0 * r * big_p, 2.0 * (big_p - (1.0 - r) * big_a)
+        return (1.0 + r) ** 2 * big_a - 2.0 * r * twin, 2.0 * ((1.0 + r) * big_a - twin)
 
     def __call__(self, theta) -> float:
         return self._evaluate(theta, False, False)[0]
@@ -756,28 +787,40 @@ class Objective:
         At unit scale 1 / f_k = |1 - z e^{i w_k}|^2 = 1 + |z|^2 - 2 Re(z
         e^{i w_k}), and the e^{i w_k} are the N-th roots of unity, whose
         product of 1 - z e^{i w_k} is 1 - z^N (a finite-N form of
-        Kolmogorov's formula; Brockwell & Davis 1991, 5.8).  So, with the
-        moments A and C,
+        Kolmogorov's formula; Brockwell & Davis 1991, 5.8).  So
 
-            Q = (1 + |z|^2) A - 2 Re(z C),
             L = -log|1 - z^N|^2 - sum_dropped c_k log f_k,
 
         the last sum over the bins the mask drops (none without a mask), from
-        the sdf entry bound to them.  With dz the derivatives of z,
+        the sdf entry bound to them, and Q = sum_mask c_k Shat_k / f_k.  A
+        pole of fixed direction, z = r u with u = e^{-i rho} (an ar's or a
+        car1's fixed rotation; r = phi of either sign for an ar), has 1 / f_k
+        = (1 - r)^2 + 4 r sin^2((w_k - rho) / 2) = (1 + r)^2 - 4 r cos^2((w_k
+        - rho) / 2), so with the moments A = sum_mask c_k Shat_k, P = sum_mask
+        c_k Shat_k 2 sin^2((w_k - rho) / 2) and its cos^2 twin P' (an ar's),
 
-            dQ = 2 A Re(conj(z) dz) - 2 Re(C dz),
-            dL = 2 N Re(z^{N-1} dz / (1 - z^N)) - sum_dropped c_k df_k / f_k.
+            Q = (1 - r)^2 A + 2 r P,   or (1 + r)^2 A - 2 r P' for r < 0,
 
-        Q is a difference of moments: where the periodogram sits at the
-        pole's own frequency and |z| -> 1 it cancels, and a Q that is not
-        positive raises ValueError.
+        a sum of terms of one sign, which keeps its relative precision where
+        the periodogram sits at the pole's own frequency as |r| -> 1
+        (:meth:`_pole_quad`).  A free rotation gamma takes the moment C =
+        sum_mask c_k Shat_k e^{i w_k}, with Q = (1 + |z|^2) A - 2 Re(z C), a
+        difference of moments that cancels there; a Q that is not positive
+        raises ValueError.  With dz the derivatives of z,
+
+            dL = 2 N Re(z^{N-1} dz / (1 - z^N)) - sum_dropped c_k df_k / f_k,
+
+        and dQ = 2 A Re(conj(z) dz) - 2 Re(C dz), or dQ/dr of the fixed pole.
         """
         (pole, _), = self._entries
         z, dz = pole(theta, grad)
-        big_a, big_c = self._moments
         n = len(self.data)
         gap = 1.0 - z ** n
-        quad = (1.0 + (z * z.conjugate()).real) * big_a - 2.0 * (z * big_c).real
+        if len(self._moments) == 2:  # a free rotation
+            big_a, big_c = self._moments
+            quad = (1.0 + (z * z.conjugate()).real) * big_a - 2.0 * (z * big_c).real
+        else:  # the pole's modulus (an ar's phi) leads theta; white noise has none
+            quad, slope = self._pole_quad(theta[0] if len(theta) > 1 else 0.0)
         if not quad > 0.0:
             raise ValueError("the Whittle quadratic form is not positive")
         big_l = -math.log((gap * gap.conjugate()).real)
@@ -788,9 +831,11 @@ class Objective:
 
         def pull(s2):
             lead = n * z ** (n - 1) / gap
-            gradient = np.array([2.0 * ((lead * d).real + (big_a * (z.conjugate() * d).real
-                                                            - (big_c * d).real) / s2)
-                                 for d in dz])
+            if len(self._moments) == 2:
+                dq = [2.0 * (big_a * (z.conjugate() * d).real - (big_c * d).real) for d in dz]
+            else:  # dz is (dz/dr,), or white noise's ()
+                dq = [slope] * len(dz)
+            gradient = np.array([2.0 * (lead * d).real + q / s2 for d, q in zip(dz, dq)])
             if self._dropped is not None:
                 gradient -= jac @ (weights / f)
             return gradient / n

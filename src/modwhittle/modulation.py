@@ -187,6 +187,7 @@ def bernoulli_mask(p, seed: int, n: int | None = None) -> Modulator:
     return Modulator((u < p_arr).astype(float))
 
 
+@functools.lru_cache(maxsize=8)  # read-only: every Table 3 replicate of one N shares it
 def cosine_probabilities(mean_p: float, amp_p: float, omega_p: float, n: int) -> np.ndarray:
     """p_t = P + A_p cos(omega_p t); requires 0 < P - A_p and P + A_p <= 1."""
     if not (0.0 < mean_p < 1.0):
@@ -194,7 +195,9 @@ def cosine_probabilities(mean_p: float, amp_p: float, omega_p: float, n: int) ->
     if amp_p < 0 or amp_p >= min(mean_p, 1.0 - mean_p) + 1e-15:
         raise ValueError("amplitude must satisfy 0 <= A_p < min(P, 1-P)")
     t = np.arange(n)
-    return mean_p + amp_p * np.cos(omega_p * t)
+    p = mean_p + amp_p * np.cos(omega_p * t)
+    p.setflags(write=False)
+    return p
 
 
 def cosine_bernoulli_mask(mean_p: float, amp_p: float, omega_p: float,

@@ -137,6 +137,15 @@ def test_cosine_probabilities_values():
     assert set(np.unique(mask.g)) <= {0.0, 1.0}
 
 
+def test_cosine_probabilities_are_computed_once_per_n_and_read_only():
+    # every Table 3 replicate of one N shares the one array, with the bits of
+    # the formula
+    args = (0.5, 0.25, 2 * np.pi / 10, 4096)
+    p = cosine_probabilities(*args)
+    assert cosine_probabilities(*args) is p and not p.flags.writeable
+    assert p.tobytes() == (0.5 + 0.25 * np.cos(2 * np.pi / 10 * np.arange(4096))).tobytes()
+
+
 def test_frequency_modulator_basic():
     assert np.allclose(frequency_modulator(np.zeros(7)).g, 1.0)
     g = frequency_modulator(np.full(3, np.pi / 2)).g

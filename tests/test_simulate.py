@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import pickle
+import platform
 import subprocess
 import sys
 
@@ -49,15 +50,19 @@ def test_simulate_ar1_lag1_autocorr(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 257])
 def test_simulate_ar1_is_the_literal_recursion(n):
-    # x_0 = sqrt(c(0)) e_0, x_t = phi x_{t-1} + sigma e_t, bit for bit: the
-    # Table 3 study and its benchmark pool draw their latent paths here
+    # x_0 = sqrt(c(0)) e_0, x_t = phi x_{t-1} + sigma e_t: the Table 3 study
+    # and its benchmark pool draw their latent paths here.  It is the scan of
+    # (x_0, sigma e_1, ...) bit for bit, and the recursion within the scan's
+    # rounding (the bound of test_ar1_scan_is_the_recursion)
     phi, sigma = -0.83, 1.7
     x = simulate_ar(ar_model([phi], sigma), n, np.random.default_rng(5)).values
     e = np.random.default_rng(5).standard_normal(n)
     ref = [np.sqrt(sigma * sigma / (1.0 - phi * phi)) * e[0]]
+    scanned = simulate._ar1_scan(np.concatenate((ref, sigma * e[1:])), phi)
+    assert x.tobytes() == scanned.tobytes()
     for t in range(1, n):
         ref.append(sigma * e[t] + phi * ref[-1])
-    assert x.tobytes() == np.array(ref).tobytes()
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_simulate_ar_takes_the_ar_family_alone():
@@ -435,7 +440,8 @@ def test_polish_restart_reaches_the_simplex_optimum(monkeypatch):
 
 
 # the scipy modules loaded by `import modwhittle`, then after a Table 1
-# replicate with both estimators, then after an exact-kind fit of AR(1) data
+# replicate with both estimators, then after a Table 3 one with both, then
+# after an exact-kind fit of AR(1) data
 # drawn with numpy alone under a cosine-Bernoulli mask, then after a
 # four-parameter drifter fit
 FOOTPRINT = """
@@ -453,6 +459,11 @@ from modwhittle.simulate import McStudy, run_study
 run_study(McStudy(kind="car1-bounded-walk", true_params={"r": 0.8, "sigma": 1.0},
                   process={"gamma": np.pi / 2, "span": 1.0, "amp": 0.05},
                   estimators=["modulated", "stationary"], n_grid=[128], replicates=1,
+                  fit_options={"n_starts": 1}))
+print(loaded())
+run_study(McStudy(kind="ar1-bernoulli-mask", true_params={"a": 0.8, "sigma": 1.0},
+                  process={"mean_p": 0.5, "amp_p": 0.25, "omega_p": 2 * np.pi / 10},
+                  estimators=["modulated", "stationary"], n_grid=[4096], replicates=1,
                   fit_options={"n_starts": 1}))
 print(loaded())
 from modwhittle import Objective, Series, ar_model, fit
@@ -474,20 +485,56 @@ print(loaded())
 def test_table1_study_and_drifter_fit_import_only_the_scipy_they_use():
     # numpy is the one import-time dependency: scipy.fft and scipy.special
     # cost about 0.12 s and 25 MB, and scipy.signal, scipy.optimize and
-    # scipy.linalg about 0.9 s and 50 MB more.  A Table 1 study and an exact
-    # fit need none of them (scipy.linalg serves the dense oracle alone), a
-    # drifter fit scipy.special for its Matern table and scipy.optimize's
-    # L-BFGS-B (which imports scipy.linalg itself)
+    # scipy.linalg about 0.9 s and 50 MB more.  A Table 1 or Table 3 study
+    # and an exact fit need none of them (scipy.linalg serves the dense
+    # oracle alone), a drifter fit scipy.special for its Matern table and
+    # scipy.optimize's L-BFGS-B (which imports scipy.linalg itself)
     src = os.path.dirname(os.path.dirname(modwhittle.__file__))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    imported, study, exact, drifter = (ast.literal_eval(line)
-                                       for line in out.stdout.splitlines())
+    imported, table1, table3, exact, drifter = (ast.literal_eval(line)
+                                                for line in out.stdout.splitlines())
     assert imported == []
-    assert study == []
+    assert table1 == []
+    assert table3 == []
     assert exact == []
     assert "scipy.special" in drifter and "scipy.optimize" in drifter
     assert "scipy.signal" not in drifter
+
+
+# minor page faults per N = 16384 Table 3 replicate, after one as a warm-up
+REPLICATE_FAULTS = """
+import resource
+from helpers import first_replicate
+from modwhittle.simulate import _fit_estimator, _simulate_case
+
+study, _, _ = first_replicate("table3_ci", 16384)
+
+def replicate(rep):
+    data, aux = _simulate_case(study, 16384, rep)
+    _fit_estimator(study, "modulated", data, aux)
+
+replicate(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for rep in (1, 2, 3):
+    replicate(rep)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the raised mmap threshold is glibc's")
+def test_a_long_table3_replicate_reuses_its_heap():
+    # the ~40 arrays of 128-256 KiB that a replicate allocates come from a
+    # heap that keeps its pages (the threshold raised as modwhittle.core is
+    # imported), not from fresh mmaps that fault in 900 pages a replicate:
+    # fewer than 32 faults is less than one 128 KiB mmap
+    src = os.path.dirname(os.path.dirname(modwhittle.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = subprocess.run([sys.executable, "-c", REPLICATE_FAULTS], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))})
+    assert float(out.stdout) < 32
 
 
 def _walk_by_recursion(gamma, span, amp, n, seed):
@@ -514,19 +561,20 @@ def test_bounded_random_walk_is_its_recursion_bit_for_bit(n, amp):
 # theta-hat (as float.hex), evaluations and stopping message of the first
 # three replicates of the bundled table1_ci and table3_ci studies at their
 # smallest N, as the fit path gave them before its 1-D search ran on Python
-# floats (table3_ci's as its real series' half grid gives them, table1_ci's
-# stationary ones as a search from the Whittle minimiser of Q gives them, in
-# one evaluation): a change to the fit path that moves any of them shows here
+# floats (table3_ci's as its real series' half grid and a latent drawn by
+# the doubling scan give them, table1_ci's stationary ones as a search from
+# the Whittle minimiser of Q = (1 - r)^2 A + 2 r P gives them, in one
+# evaluation): a change to the fit path that moves any of them shows here
 ESTIMATE_PINS = {
     ("table1_ci", 0, "modulated"): (["0x1.919ab2bdfc688p-1", "0x1.e1bce6a813f84p-1"], 5),
     ("table1_ci", 0, "stationary"): (["0x1.7f6a4f9f44312p-1", "0x1.0134a8140eabcp+0"], 1),
     ("table1_ci", 1, "modulated"): (["0x1.96d53e5e75baep-1", "0x1.e517b4d2f9227p-1"], 5),
     ("table1_ci", 1, "stationary"): (["0x1.8eb9ef9a239a6p-1", "0x1.f64746d4f3de2p-1"], 1),
     ("table1_ci", 2, "modulated"): (["0x1.b941f1167e339p-1", "0x1.c4e9912266fe6p-1"], 5),
-    ("table1_ci", 2, "stationary"): (["0x1.9d5d806947c7ap-1", "0x1.f628da1831142p-1"], 1),
-    ("table3_ci", 0, "modulated"): (["0x1.74e7fd2b17f00p-1", "0x1.0f5daa6075caap+0"], 5),
-    ("table3_ci", 1, "modulated"): (["0x1.54a2c68756f7ap-1", "0x1.0fd15deba4f11p+0"], 8),
-    ("table3_ci", 2, "modulated"): (["0x1.a074d646b3d38p-1", "0x1.1e06aa1ab61aap+0"], 7),
+    ("table1_ci", 2, "stationary"): (["0x1.9d5d806947c78p-1", "0x1.f628da183114ap-1"], 1),
+    ("table3_ci", 0, "modulated"): (["0x1.74e7fd2b184afp-1", "0x1.0f5daa60758f8p+0"], 5),
+    ("table3_ci", 1, "modulated"): (["0x1.54a2c68756f71p-1", "0x1.0fd15deba4f16p+0"], 8),
+    ("table3_ci", 2, "modulated"): (["0x1.a074d646b3d3bp-1", "0x1.1e06aa1ab61a8p+0"], 7),
 }
 
 
