@@ -30,8 +30,10 @@ floats and builds no model object.  Every expected
 autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
 over the longest lag support the latent acv tables keep (each stops where it
 decays below working precision), which the length-N transform to Sbar
-zero-pads; c_g is read only there, so its tables grow to that support on
-demand.  A parametric modulation kernel (e.g.
+zero-pads, or which, on the half grid, P/2 + 1 transforms of length Q = N /
+P take when the support is short (see :mod:`~modwhittle.spectra`); c_g is
+read only there, so its tables grow to that support on demand.  A
+parametric modulation kernel (e.g.
 :class:`~modwhittle.modulation.LinearRampKernel`) adds its free parameters
 after the latent ones.  The Whittle kind takes ar and car1 alone (an ou or
 matern latent takes the modulated-Whittle kind, with ``constant_modulator(n)``
@@ -73,6 +75,7 @@ from .spectra import (
     expected_periodogram_fft_order,
     expected_periodogram_half,
     expected_periodogram_values,
+    lag_sums_half,
     periodogram,
     periodogram_fft_order,
     periodogram_half,
@@ -620,12 +623,17 @@ class Objective:
             dl/dtheta_j = 2 Re sum_tau c_g(tau) dc_X(tau)/dtheta_j W(tau)
                           - Re[c_g(0) dc_X(0)/dtheta_j] sum_k w_k,
 
-        summed over the lags where c_X is not truncated: one extra FFT per
-        evaluation whatever the number of parameters.  The parameters phi of
-        a parametric kernel take the same form with the roles swapped,
+        summed over the lags where c_X is not truncated: one extra transform
+        per evaluation whatever the number of parameters.  The parameters phi
+        of a parametric kernel take the same form with the roles swapped,
         dc_g/dphi_j times c_X, and need no further FFT.  On the half grid w is
         even, so W(tau) = Re sum_k c_k w_k e^{-2 pi i k tau / N} over k =
-        0..N//2 and sum_k w_k = sum_k c_k w_k.
+        0..N//2 and sum_k w_k = sum_k c_k w_k; there
+        :func:`~modwhittle.spectra.lag_sums_half` forms W at the lags the
+        longest derivative row reaches, as the transpose of Sbar's
+        transform: one batched rfft of length Q where Sbar split into P/2 +
+        1 rows of length Q (see :mod:`~modwhittle.spectra`), else one rfft
+        of length N.
 
         The value equals ``self(theta)``.
         """
@@ -879,12 +887,16 @@ class Objective:
             # W = fft(w) over the full grid.  w is real, so fft(w)[N - k] =
             # conj(fft(w)[k]): the lags up to N/2 come from rfft, and the
             # rest are mirrored only when some acv support reaches past them.
-            # On the half grid w holds c_k w_k at k = 0..N//2, which rfft
-            # zero-pads to N: the real part of that transform is W, and it
-            # is all the adjoint reads there, where cbar and jac are real
-            big_w = np.fft.rfft(w, n)
-            if max(jac.shape[1] for _, jac in tables) > big_w.size:
-                big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
+            # On the half grid w holds c_k w_k at k = 0..N//2, and W is the
+            # real lag sums of lag_sums_half, all the adjoint reads there,
+            # where cbar and jac are real
+            lags = max(jac.shape[1] for _, jac in tables)
+            if self._once is None:
+                big_w = np.fft.rfft(w, n)
+                if lags > big_w.size:
+                    big_w = np.concatenate((big_w, np.conj(big_w[n - big_w.size:0:-1])))
+            else:
+                big_w = lag_sums_half(w, n, lags)
             w_sum = float(w.sum())
 
             def adjoint(jac, other):

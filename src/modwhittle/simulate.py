@@ -106,13 +106,14 @@ def _ar1_scan(x: np.ndarray, r: float) -> np.ndarray:
     pass adds p = r^k times the sums k steps back, then squares p, so
     log2(N) whole-array passes replace the N-step loop.  The scan stops
     early once |p| <= 2^-60, where what it leaves out is below rounding.
+    It scans x in place (both callers pass an array they have just built)
+    and returns it.
     """
-    y = np.array(x)
     k, p = 1, r
-    while k < y.size and abs(p) > 2.0 ** -60:
-        y[k:] += p * y[:-k]
+    while k < x.size and abs(p) > 2.0 ** -60:
+        x[k:] += p * x[:-k]
         k, p = 2 * k, p * p
-    return y
+    return x
 
 
 def simulate_complex_ar1(r: float, sigma: float, beta, n: int, seed) -> Series:

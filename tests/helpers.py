@@ -50,11 +50,15 @@ def first_replicate(config: str, n: int):
 
 
 def counted_transforms(monkeypatch) -> list:
-    """The list that each later numpy.fft call appends its (function, length) to."""
+    """The list that each later numpy.fft call appends its (function, length)
+    to, or for a batch of transforms along the last axis of a 2-D array its
+    (function, length, rows)."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(a, n=None, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a)[-1] if n is None else n))
+            shape = np.shape(a)
+            call = (_name, shape[-1] if n is None else n)
+            calls.append(call + shape[:1] if len(shape) == 2 else call)
             return _fn(a, n, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls

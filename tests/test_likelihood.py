@@ -43,7 +43,12 @@ from modwhittle.simulate import (
 )
 from modwhittle.spectra import brute_force_expected_periodogram, expected_periodogram
 
-from helpers import assert_gradient_matches, first_replicate, random_modulator
+from helpers import (
+    assert_gradient_matches,
+    counted_transforms,
+    first_replicate,
+    random_modulator,
+)
 
 
 def whittle_value(data, model, mask=None):
@@ -955,6 +960,25 @@ def test_a_real_series_takes_only_a_symmetric_mask(rng):
             Objective(kind, Series(x), ar_model([0.5], 1.0), modulator=mod, mask=one_sided)
         Objective(kind, Series(x.astype(complex), kind="complex"), ar_model([0.5], 1.0),
                   modulator=mod, mask=one_sided)
+
+
+def test_a_split_score_under_a_band_mask_matches_central_differences(monkeypatch):
+    # at N = 4096 the AR(1) acv reaches 166 lags at a = 0.8, 104 at a = -0.7
+    # and 54 at a = 0.5, so Sbar and the score's pullback take P/2 + 1 rows of
+    # Q = 512, 256 and 128; the band leaves w zero off the mask
+    n = 4096
+    mod = _observed(n)
+    data = Series(mod.g * simulate_ar(ar_model([0.8], 1.0), n, 5).values)
+    freq = np.abs(fourier_grid(n).frequencies)
+    obj = Objective("modulated-whittle", data, ar_model([0.8], 1.0), modulator=mod,
+                    mask=(freq >= 0.3) & (freq <= 2.0))
+    assert obj._once is not None and not isinstance(obj._mask, slice)
+    obj([0.8, 1.0])  # grows c_g as far as the acv reaches
+    calls = counted_transforms(monkeypatch)
+    for theta, q in (([0.8, 1.0], 512), ([-0.7, 0.9], 256), ([0.5, 1.3], 128)):
+        calls.clear()
+        assert_gradient_matches(obj, theta)
+        assert set(calls) == {("irfft", q, n // q // 2 + 1), ("rfft", q, n // q // 2 + 1)}
 
 
 def test_a_real_series_under_a_complex_acv_stays_on_the_full_grid(rng):

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import modwhittle
-from helpers import counted_transforms, first_replicate, simplex_fit
+from helpers import assert_gradient_matches, counted_transforms, first_replicate, simplex_fit
 from modwhittle import ar_model, car1_model, simulate
 from modwhittle.models import autocov_sequence, matern_acv, ou_to_ar
 from modwhittle.modulation import frequency_modulator
@@ -388,7 +388,24 @@ def test_a_table3_replicate_at_n_16384_makes_no_length_2n_transform(monkeypatch)
     res = _fit_estimator(study, "modulated", data, aux)
     assert res.converged
     assert ("irfft", 16875) in calls
-    assert max(length for _, length in calls) < 2 * 16384
+    assert max(call[1] for call in calls) < 2 * 16384
+
+
+def test_a_table3_evaluation_at_n_16384_splits_its_transforms(monkeypatch):
+    # the start's AR(1) acv reaches 177 lags, so Sbar is P/2 + 1 = 17 rows of
+    # Q = 512: the value makes one batched irfft of length Q, the score adds
+    # one batched rfft, their transpose, and neither makes a length-N
+    # transform.  The split's value and score hold against central differences
+    study, data, aux = first_replicate("table3_ci", 16384)
+    objective, init = ESTIMATORS[study.kind, "modulated"](data, aux)
+    objective(init.values)  # grows c_g as far as the acv reaches
+    calls = counted_transforms(monkeypatch)
+    objective(init.values)
+    value_only = list(calls)
+    calls.clear()
+    objective.value_and_grad(init.values)
+    assert (value_only, calls) == ([("irfft", 512, 17)], [("irfft", 512, 17), ("rfft", 512, 17)])
+    assert_gradient_matches(objective, init.values)
 
 
 MC_CASES = {

@@ -21,10 +21,12 @@ from modwhittle.models import sdf_entry
 from modwhittle.simulate import simulate_ar
 from modwhittle.spectra import (
     expected_periodogram_fft_order,
+    expected_periodogram_half,
     expected_periodogram_values,
+    lag_sums_half,
     periodogram_fft_order,
 )
-from helpers import random_model, random_modulator
+from helpers import counted_transforms, random_model, random_modulator
 
 
 def test_periodogram_examples(rng):
@@ -261,3 +263,34 @@ def test_exponential_qq_slope(rng):
     qq = exponential_qq(periodogram(z), sb)
     slope = np.sum(qq[:, 0] * qq[:, 1]) / np.sum(qq[:, 0] ** 2)
     assert 0.9 <= slope <= 1.1, slope
+
+
+@pytest.mark.parametrize("n", [4096, 12288, 16384, 20480])
+def test_split_half_grid_transforms_equal_the_length_n_rfft(n, monkeypatch):
+    # Sbar of a cbar of L lags, and the score's lag sums W at tau < L, from
+    # P/2 + 1 transforms of length Q (the least power of two >= 2L, P = N /
+    # Q >= 4; 20480 = 5 x 4096 splits into an odd P = 5 at Q = 4096), against
+    # the one length-N rfft; past the largest such Q it is that rfft, bit for
+    # bit
+    rng = np.random.default_rng(n)
+    top = max(1 << j for j in range(1, n.bit_length()) if n % (1 << j) == 0
+              and n >> j >= 4) // 2  # the longest L that splits: Q / 2
+    calls = counted_transforms(monkeypatch)
+    for lags in (1, 2, 3, 17, 166, 350, top // 2 + 1, top, top + 1):
+        cbar = rng.standard_normal(lags)
+        cbar[0] = 1.0 + 2.0 * np.abs(cbar[1:]).sum()  # a positive Sbar
+        w = rng.standard_normal(n // 2 + 1)
+        want = 2.0 * np.fft.rfft(cbar, n).real - cbar[0]
+        want_w = np.fft.rfft(w, n).real[:lags]
+        calls.clear()
+        got = expected_periodogram_half(cbar, n)
+        got_w = lag_sums_half(w, n, lags)[:lags]
+        q = 1 << (2 * lags - 1).bit_length()
+        if lags > top:
+            assert calls == [("rfft", n), ("rfft", n)]
+            assert np.array_equal(got, want) and np.array_equal(got_w, want_w)
+            continue
+        rows = n // q // 2 + 1
+        assert calls == [("irfft", q, rows), ("rfft", q, rows)], lags
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), lags
+        assert np.max(np.abs(got_w - want_w)) <= 1e-13 * np.max(np.abs(want_w)), lags
