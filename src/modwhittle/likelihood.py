@@ -9,23 +9,23 @@ s2, the square of the latent scale (sigma, A or B,
 
 with L, Q and M taken at scale 1: L = sum_mask c_k log S_1, Q = sum_mask
 c_k Shat / S_1, M the mask size and n = N for the frequency-domain kinds,
-S_1 the sdf f_X (Whittle) or the exact expected periodogram Sbar (modulated
-Whittle), and c_k = 1 but on the half grid (see :class:`Objective`);
-L = log|C_1|, Q = y* C_1^{-1} y and M = n = N', the samples where g != 0,
-for the exact kind.  n is the full grid size even under a frequency mask, so
-masked and unmasked values stay on one scale.  The scale minimising l is s2
-= Q / M, which gives the concentrated likelihood (Brockwell & Davis 1991,
-Time Series: Theory and Methods, 10.8) that :meth:`Objective.profile`
-evaluates.  An aggregate ties its component scales into one scale and log
-ratios of their squares (:class:`AggregateModel`), so its Sbar is
-proportional to that s2 too.
+S_1 the sdf f_X (Whittle, whose mask is the whole grid, so M = N) or the
+exact expected periodogram Sbar (modulated Whittle), and c_k = 1 but on the
+half grid (see :class:`Objective`); L = log|C_1|, Q = y* C_1^{-1} y and M =
+n = N', the samples where g != 0, for the exact kind.  n is the full grid
+size even under a frequency mask, so masked and unmasked values stay on one
+scale.  The scale minimising l is s2 = Q / M, which gives the concentrated
+likelihood (Brockwell & Davis 1991, Time Series: Theory and Methods, 10.8)
+that :meth:`Objective.profile` evaluates.  An aggregate ties its component
+scales into one scale and log ratios of their squares
+(:class:`AggregateModel`), so its Sbar is proportional to that s2 too.
 
 One :class:`Objective` evaluates every kind, each with an analytic score.
 Construction precomputes what does not depend on theta (periodogram, c_g at
 lags 0 and 1, grid frequencies, the kept samples, each latent's raw-float
 entry :func:`~modwhittle.models.acv_entry`, or for the Whittle kind its
 periodogram moments and :func:`~modwhittle.models.pole_entry`), so each
-evaluation is O(N log N), O(1) for an unmasked Whittle one, reads theta as
+evaluation is O(N log N), O(1) for a Whittle one, reads theta as
 floats and builds no model object.  Every expected
 autocovariance is the one component sum cbar = sum c_g c_X of :func:`_cbar`,
 over the longest lag support the latent acv tables keep (each stops where it
@@ -60,7 +60,6 @@ from .models import (
     car1_model,
     pole_entry,
     scale_index,
-    sdf_entry,
     with_scale_row,
 )
 from .modulation import (
@@ -372,26 +371,25 @@ class Objective:
     gamma + span ramp_t), at any N: the Markov recursion of :meth:`_exact`;
     whittle a plain ar or car1 latent and no modulator; modulated-whittle a
     plain latent with a modulator or a kernel, or an :class:`AggregateModel`.
-    Only the spectral kinds take a frequency ``mask``.  Any other shape
-    raises ValueError.  The modulated-whittle kind keeps the periodogram and
-    the mask in numpy FFT order (k = 0..N-1), the order its expected
-    periodogram comes out of the transform in.  A real series whose every
+    Only the modulated-whittle kind takes a frequency ``mask``.  Any other
+    shape raises ValueError.  The modulated-whittle kind keeps the
+    periodogram and the mask in numpy FFT order (k = 0..N-1), the order its
+    expected periodogram comes out of the transform in.  A real series whose every
     c_g (a real Modulator or none, no kernel) and latent acv (ar, matern, or
     car1 or ou without rotation) is real has an even periodogram and S_1, S_k
     = S_{N-k}: both spectral kinds keep it on the half grid k = 0..N//2 (the
     grid's w >= 0 for the Whittle kind), where the sums weight each bin by
     c_k = 2, but 1 at k = 0 and (N even) at k = N/2, and M stays the full
-    grid's mask size.  Its mask must keep -w wherever it keeps w, or the
+    grid's mask size.  A mask there must keep -w wherever it keeps w, or the
     build raises ValueError.  Every kind has a score (:meth:`value_and_grad`).
 
     The whittle kind keeps no periodogram: its sdf is s2 / |1 - z e^{iw}|^2
     with one pole z (:func:`~modwhittle.models.pole_entry`), whose sums over
     the whole grid are closed form, so it keeps periodogram moments, A =
-    sum_mask c_k Shat_k and, for a pole of fixed direction, the sin^2 moment
-    P (and an ar's cos^2 twin P'), or for a free rotation C = sum_mask c_k
-    Shat_k e^{i w_k}, and an sdf entry on the bins the mask drops (see
-    :meth:`_whittle`); :meth:`whittle_start` is the minimiser of its
-    quadratic form.
+    sum_k c_k Shat_k and, for a pole of fixed direction, the sin^2 moment P
+    (and an ar's cos^2 twin P'), or for a free rotation C = sum_k c_k Shat_k
+    e^{i w_k} (see :meth:`_whittle`); :meth:`whittle_start` is the minimiser
+    of its quadratic form.
 
     ``scale_index`` is the position in theta of the one scale (the latent
     model's, or an aggregate's tied one), and :meth:`profile` evaluates the
@@ -421,8 +419,6 @@ class Objective:
     _entries: list = field(init=False, repr=False, default=None)
     _n_latent: int = field(init=False, repr=False, default=0)  # latent values
     _n_theta: int = field(init=False, repr=False, default=0)
-    # the whittle kind's (sdf entry, c_k) on the bins the mask drops, or None
-    _dropped: tuple | None = field(init=False, repr=False, default=None)
     # whittle: (A, P, P' or None) for a pole of fixed direction, (A, C) for a
     # free rotation (see _whittle)
     _moments: tuple = field(init=False, repr=False, default=None)
@@ -434,6 +430,9 @@ class Objective:
         n = len(self.data)
         if self.kind not in ("exact", "whittle", "modulated-whittle"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
+        if self.mask is not None and self.kind != "modulated-whittle":
+            raise ValueError(f"the {self.kind} kind takes no frequency mask: only the "
+                             "modulated-whittle kind does")
         aggregate = isinstance(self.model, AggregateModel)
         if aggregate and (self.kind != "modulated-whittle" or self.modulator is not None):
             raise ValueError("an aggregate model takes the modulated-whittle kind "
@@ -471,8 +470,6 @@ class Objective:
         self._mask = slice(None)  # every frequency: the grid indexed by a view
         if self.kind == "exact":
             m = self.model
-            if self.mask is not None:
-                raise ValueError("the exact kind takes no frequency mask")
             if m.family not in ("ar", "car1", "ou"):
                 raise ValueError(f"the exact kind takes an ar, car1 or ou latent, not "
                                  f"{m.family}: exact_gaussian_nll evaluates it densely")
@@ -513,17 +510,15 @@ class Objective:
             self._once = np.flatnonzero((k == 0) | (2 * k == n))
             self._size = 2 * k.size - self._once.size
         if self.kind == "whittle":
-            # the grid's frequencies (k >= 0 on the half grid) and c_k, and
-            # the bins the mask keeps
+            # the grid's frequencies (k >= 0 on the half grid) and c_k
             omega = fourier_grid(n).frequencies[(n - 1) // 2 if half else 0:]
             c = np.ones(shat.size)
             if half:
                 c[1:(n + 1) // 2] = 2.0
-            on = self._mask
-            weighted = c[on] * kept
+            weighted = c * shat
             big_a = float(weighted.sum())
             if "gamma" in self.model.params.names:  # a free rotation: the full grid
-                self._moments = (big_a, complex(weighted @ np.exp(1j * omega[on])))
+                self._moments = (big_a, complex(weighted @ np.exp(1j * omega)))
             else:
                 # sin^2 of half the pole's offset, and for an ar its cos^2
                 # twin: on the even-N half grid cos(w_k / 2) = sin((pi - w_k)
@@ -534,12 +529,8 @@ class Objective:
                 twin = None
                 if self.model.family == "ar":
                     cosine2 = sine2[::-1] if half and n % 2 == 0 else np.cos(0.5 * omega) ** 2
-                    twin = 2.0 * float(weighted @ cosine2[on])
-                self._moments = (big_a, 2.0 * float(weighted @ sine2[on]), twin)
-            if not isinstance(on, slice):
-                off = np.ones(shat.size, dtype=bool)
-                off[on] = False
-                self._dropped = (sdf_entry(self.model, omega[off]), c[off])
+                    twin = 2.0 * float(weighted @ cosine2)
+                self._moments = (big_a, 2.0 * float(weighted @ sine2), twin)
             return
         self._shat = kept
         if self._kernel is None:
@@ -574,8 +565,8 @@ class Objective:
         takes u = e^{-i gamma} at gamma = arg C, where Q = (1 + r^2) A - 2 r
         Re(u C) is least at r = Re(u C) / A = |C| / A.
         The scale is the profiled one at that pole, sqrt(Q / M).  At this
-        start an unmasked fit's only other pull, from log|1 - z^N|, is O(N
-        r^{N-1}).  White noise has no pole: its theta is that scale alone.
+        start the fit's only other pull, from log|1 - z^N|, is O(N r^{N-1}).
+        White noise has no pole: its theta is that scale alone.
         """
         if self.kind != "whittle":
             raise ValueError("only the whittle kind has a quadratic form in its pole")
@@ -795,28 +786,27 @@ class Objective:
         At unit scale 1 / f_k = |1 - z e^{i w_k}|^2 = 1 + |z|^2 - 2 Re(z
         e^{i w_k}), and the e^{i w_k} are the N-th roots of unity, whose
         product of 1 - z e^{i w_k} is 1 - z^N (a finite-N form of
-        Kolmogorov's formula; Brockwell & Davis 1991, 5.8).  So
+        Kolmogorov's formula; Brockwell & Davis 1991, 5.8).  So over the
+        whole grid, M = N and
 
-            L = -log|1 - z^N|^2 - sum_dropped c_k log f_k,
+            L = -log|1 - z^N|^2,   Q = sum_k c_k Shat_k / f_k.
 
-        the last sum over the bins the mask drops (none without a mask), from
-        the sdf entry bound to them, and Q = sum_mask c_k Shat_k / f_k.  A
-        pole of fixed direction, z = r u with u = e^{-i rho} (an ar's or a
+        A pole of fixed direction, z = r u with u = e^{-i rho} (an ar's or a
         car1's fixed rotation; r = phi of either sign for an ar), has 1 / f_k
         = (1 - r)^2 + 4 r sin^2((w_k - rho) / 2) = (1 + r)^2 - 4 r cos^2((w_k
-        - rho) / 2), so with the moments A = sum_mask c_k Shat_k, P = sum_mask
-        c_k Shat_k 2 sin^2((w_k - rho) / 2) and its cos^2 twin P' (an ar's),
+        - rho) / 2), so with the moments A = sum_k c_k Shat_k, P = sum_k c_k
+        Shat_k 2 sin^2((w_k - rho) / 2) and its cos^2 twin P' (an ar's),
 
             Q = (1 - r)^2 A + 2 r P,   or (1 + r)^2 A - 2 r P' for r < 0,
 
         a sum of terms of one sign, which keeps its relative precision where
         the periodogram sits at the pole's own frequency as |r| -> 1
         (:meth:`_pole_quad`).  A free rotation gamma takes the moment C =
-        sum_mask c_k Shat_k e^{i w_k}, with Q = (1 + |z|^2) A - 2 Re(z C), a
+        sum_k c_k Shat_k e^{i w_k}, with Q = (1 + |z|^2) A - 2 Re(z C), a
         difference of moments that cancels there; a Q that is not positive
         raises ValueError.  With dz the derivatives of z,
 
-            dL = 2 N Re(z^{N-1} dz / (1 - z^N)) - sum_dropped c_k df_k / f_k,
+            dL = 2 N Re(z^{N-1} dz / (1 - z^N)),
 
         and dQ = 2 A Re(conj(z) dz) - 2 Re(C dz), or dQ/dr of the fixed pole.
         """
@@ -832,10 +822,6 @@ class Objective:
         if not quad > 0.0:
             raise ValueError("the Whittle quadratic form is not positive")
         big_l = -math.log((gap * gap.conjugate()).real)
-        if self._dropped is not None:
-            entry, weights = self._dropped
-            f, jac = entry(theta, grad)
-            big_l -= float(weights @ np.log(f))
 
         def pull(s2):
             lead = n * z ** (n - 1) / gap
@@ -843,10 +829,7 @@ class Objective:
                 dq = [2.0 * (big_a * (z.conjugate() * d).real - (big_c * d).real) for d in dz]
             else:  # dz is (dz/dr,), or white noise's ()
                 dq = [slope] * len(dz)
-            gradient = np.array([2.0 * (lead * d).real + q / s2 for d, q in zip(dz, dq)])
-            if self._dropped is not None:
-                gradient -= jac @ (weights / f)
-            return gradient / n
+            return np.array([2.0 * (lead * d).real + q / s2 for d, q in zip(dz, dq)]) / n
 
         return big_l, quad, self._size, n, pull
 
@@ -927,11 +910,11 @@ class Car1WhittleObjective:
     score, and ROADMAP item 1 retires it.
     """
 
-    def __init__(self, data: Series, rotation: float | None = 0.0, mask=None):
+    def __init__(self, data: Series, rotation: float | None = 0.0):
         # rotation None -> gamma is the third free parameter
         model = (car1_model(0.5, 1.0, gamma=0.0) if rotation is None
                  else car1_model(0.5, 1.0, rotation=rotation))
-        self._objective = Objective("whittle", data, model, mask=mask)
+        self._objective = Objective("whittle", data, model)
         self.names = tuple(model.params.names)
         self.lower, self.upper = model.params.lower, model.params.upper
 

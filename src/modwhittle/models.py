@@ -30,16 +30,14 @@ block of lags (:func:`_matern_bessel`), so every Matern derivative is closed
 form.
 
 Each family has one autocovariance implementation on raw float parameter
-values (:func:`acv_entry`), and the discrete families ar and car1 one sdf
-implementation (:func:`sdf_entry`) and one of their pole z (:func:`pole_entry`,
-f_X = sigma^2 / |1 - z e^{iw}|^2); objectives call them directly, and
+values (:func:`acv_entry`), and the discrete families ar and car1 one of
+their pole z (:func:`pole_entry`); objectives call them directly, and
 :func:`autocov_sequence` reads a :class:`LatentModel` through them.  Every
 acv is closed form with a closed-form parameter derivative: the geometric
 table of an AR(1), car1 or ou (white noise is its r = 0 case), and the
-Matern table.  So are the sdf and the pole of ar and car1.  ou and matern
-have no discrete-time sdf: the modulated Whittle likelihood with g = 1
-(``constant_modulator(n)``), the debiased Whittle likelihood, fits them from
-their acv.
+Matern table.  So is the pole of ar and car1.  ou and matern have no pole:
+the modulated Whittle likelihood with g = 1 (``constant_modulator(n)``), the
+debiased Whittle likelihood, fits them from their acv.
 """
 
 from __future__ import annotations
@@ -498,26 +496,22 @@ def matern_acv(b: float, h: float, alpha: float, delta: float, nlags: int) -> np
 # raw-float entries
 # ----------------------------------------------------------------------
 #
-# One autocovariance per family, and one spectral density and one pole per
-# discrete family (ar, car1), on raw float parameter values (the layout of the
-# family's ParameterVector), with the model's delta and fixed rotation as
-# keywords:
+# One autocovariance per family, and one pole per discrete family (ar, car1),
+# on raw float parameter values (the layout of the family's ParameterVector),
+# with the model's delta and fixed rotation as keywords:
 #
 #     acv entry (values, nlags, grad, delta, rotation) -> (c at lags 0..L-1, jac)
-#     sdf entry (shifted, half, values, grad) -> (f_X at omega, jac)
 #     pole entry (turn, values, grad) -> (z, dz)
 #
 # L <= nlags is the table's kept support (the lags past it are zero), and jac
 # holds one derivative row per parameter but the scale (SCALE_PARAMS), in
-# the order of the values (None without grad), over lags 0..L-1, or at each
-# omega.  Every table and sdf is proportional to scale^2, so the scale's row
-# is 2 c / scale: an objective evaluates at unit scale and never reads it,
-# and :func:`with_scale_row` puts it back for the others.  An sdf takes
-# omega - rotation for a fixed car1 rotation, and half, the sine and cosine
-# of its half (see :func:`sdf_entry`).  The pole z of an ar or car1, f_X =
-# sigma^2 / |1 - z e^{iw}|^2, is a Python float or complex, and dz a tuple of
-# its derivatives in the same parameters as jac (None without grad).  Each
-# raises the ValueError of validate_stationary outside the model class.
+# the order of the values (None without grad), over lags 0..L-1.  Every
+# table is proportional to scale^2, so the scale's row is 2 c / scale: an
+# objective evaluates at unit scale and never reads it, and
+# :func:`with_scale_row` puts it back for the others.  The pole z of an ar
+# or car1 is a Python float or complex, and dz a tuple of its derivatives in
+# the same parameters as jac (None without grad).  Each raises the
+# ValueError of validate_stationary outside the model class.
 # autocov_sequence and Objective evaluations both run these, so every family
 # has one implementation.
 
@@ -555,56 +549,6 @@ def _acv_matern(values, nlags, grad, delta, rotation):
     return _matern_table(b, h, alpha, delta, keep, keep, grad)
 
 
-def _half_angle(shifted: np.ndarray) -> tuple:
-    """(sin, cos) of shifted / 2."""
-    return np.sin(0.5 * shifted), np.cos(0.5 * shifted)
-
-
-def _car1_sdf(r: float, sigma: float, half: tuple, grad: bool, turned: bool = False):
-    """f = sigma^2 / D, D = |1 - r e^{i shifted}|^2 = 1 + r^2 - 2 r
-    cos(shifted), from half = (s, c), the sine and cosine of shifted / 2,
-    and with grad its rows
-
-        df/dr = f (2 cos(shifted) - 2 r) / D,
-        df/dgamma = 2 r f sin(shifted) / D      (turned: a free rotation).
-
-    D is taken as (1 - r)^2 + 4 r s^2, or (1 + r)^2 - 4 r c^2 for r < 0:
-    sums of terms of one sign, which keep D's relative precision where 1 +
-    r^2 - 2 r cos(shifted) cancels, near the pole's own frequency as |r| ->
-    1.
-    """
-    s, c = half
-    if r >= 0.0:
-        denom = (1.0 - r) ** 2 + (4.0 * r) * (s * s)
-    else:
-        denom = (1.0 + r) ** 2 - (4.0 * r) * (c * c)
-    f = sigma * sigma / denom
-    if not grad:
-        return f, None
-    f_over_d = f / denom
-    d_r = f_over_d * (2.0 * (c * c - s * s) - 2.0 * r)
-    if not turned:
-        return f, d_r[None]
-    return f, np.stack((d_r, 4.0 * r * f_over_d * (s * c)))
-
-
-def _sdf_ar(shifted, half, values, grad):
-    # the car1 form without rotation; white noise is its r = 0 case without
-    # the r row
-    phi, sigma = _check_ar(values)
-    f, jac = _car1_sdf(0.0 if phi is None else phi, sigma, half, grad)
-    return f, (jac[1:] if grad and phi is None else jac)
-
-
-def _sdf_car1(shifted, half, values, grad):
-    # shifted is omega - rotation for a fixed rotation (see sdf_entry), omega
-    # for a free one
-    r, sigma, gamma = _check_car1(values)
-    if gamma is None:
-        return _car1_sdf(r, sigma, half, grad)
-    return _car1_sdf(r, sigma, _half_angle(shifted - gamma), grad, True)
-
-
 def _pole_ar(turn, values, grad):
     # z = phi; white noise is z = 0 without the phi row
     phi, _ = _check_ar(values)
@@ -625,13 +569,12 @@ def _pole_car1(turn, values, grad):
 
 
 _ACV = {"ar": _acv_ar, "car1": _acv_car1, "ou": _acv_ou, "matern": _acv_matern}
-_SDF = {"ar": _sdf_ar, "car1": _sdf_car1}
 _POLE = {"ar": _pole_ar, "car1": _pole_car1}
 
 
 def with_scale_row(family: str, jac: np.ndarray, k: int, c: np.ndarray,
                    scale: float) -> np.ndarray:
-    """jac of a raw-float entry of family, whose table or sdf is c, with
+    """jac of a raw-float entry of family, whose table is c, with
     the row of its scale (at k, of value scale) put back: 2 c / scale,
     Matern's formed as c (2 / B) and zero at B = 0."""
     if family == "matern":
@@ -652,24 +595,10 @@ def acv_entry(model: LatentModel):
                              rotation=model.rotation)
 
 
-def sdf_entry(model: LatentModel, omega):
-    """The raw-float discrete-time sdf of model's family at the frequencies
-    omega (radians per sample): (values, grad) -> (f_X at omega, jac or
-    None); see the raw-float entries above.  A fixed car1 rotation shifts
-    omega here, and the sine and cosine of half the shifted omega are taken
-    here, once, not at every call.  ar and car1 only: ou and matern raise
-    ValueError."""
-    shifted = np.asarray(omega, dtype=float)
-    rotation = _fixed_rotation(model)
-    if rotation:
-        shifted = shifted - rotation
-    return functools.partial(_SDF[model.family], shifted, _half_angle(shifted))
-
-
 def pole_entry(model: LatentModel):
-    """The raw-float pole z of model's family, whose sdf is sigma^2 / |1 - z
-    e^{iw}|^2 (z = phi, or r e^{-i rotation}): (values, grad) -> (z, dz or
-    None); see the raw-float entries above.  e^{-i rotation} of a fixed car1
+    """The raw-float pole z of model's family (z = phi, or r e^{-i rotation},
+    the conjugate of a car1's step r e^{i rotation}): (values, grad) -> (z,
+    dz or None); see the raw-float entries above.  e^{-i rotation} of a fixed car1
     rotation is taken here, once.  ar and car1 only: ou and matern raise
     ValueError."""
     rotation = _fixed_rotation(model)
@@ -679,9 +608,9 @@ def pole_entry(model: LatentModel):
 
 def _fixed_rotation(model: LatentModel) -> float:
     """The fixed rotation of a car1 without a free one, else 0; ValueError for
-    a family without a discrete-time sdf."""
-    if model.family not in _SDF:
-        raise ValueError(f"no discrete-time sdf for {model.family}: use the modulated-whittle "
+    a family without a pole."""
+    if model.family not in _POLE:
+        raise ValueError(f"no pole for {model.family}: use the modulated-whittle "
                          "kind, with constant_modulator(n) for an unmodulated series")
     return model.rotation if model.family == "car1" and len(model.params) == 2 else 0.0
 

@@ -137,9 +137,12 @@ def component_cg(mod: Modulator | None, n: int, lags: int | None = None) -> np.n
     """c_g(0..lags-1) of one component of length n (all n lags by default),
     read-only: :func:`cg_sequence` of its modulator, or 1 - tau/N, the c_g
     of g = 1, when it has none."""
+    lags = n if lags is None else lags
+    if not 1 <= lags <= n:
+        raise ValueError("lags must lie in [1, N]")
     if mod is not None:
         return cg_sequence(mod, lags)
-    cg = 1.0 - np.arange(n if lags is None else lags) / n
+    cg = 1.0 - np.arange(lags) / n
     cg.setflags(write=False)
     return cg
 
@@ -171,15 +174,18 @@ def periodic_missing_mask(k: int, l: int, n: int) -> Modulator:
 def bernoulli_mask(p, seed: int, n: int | None = None) -> Modulator:
     """Independent Bernoulli(p_t) 0/1 mask, reproducible from the seed.
 
-    p may be a scalar probability or a length-n sequence.  The mask is drawn
-    from a counter-based generator (Philox keyed by the seed), so g_t is a
-    fixed function of (seed, t) regardless of how many values are consumed.
+    p may be a scalar probability or a sequence, of length n if n is given.
+    The mask is drawn from a counter-based generator (Philox keyed by the
+    seed), so g_t is a fixed function of (seed, t) regardless of how many
+    values are consumed.
     """
     p_arr = np.asarray(p, dtype=float)
     if p_arr.ndim == 0:
         if n is None:
             raise ValueError("scalar probability needs an explicit length")
         p_arr = np.full(n, float(p_arr))
+    elif n is not None and p_arr.size != n:
+        raise ValueError(f"{p_arr.size} probabilities for a mask of length {n}")
     if np.any((p_arr < 0.0) | (p_arr > 1.0)):
         raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -427,7 +433,8 @@ def modulator_from_json(text: str | dict) -> Modulator:
     if gen == "periodic-missing":
         return periodic_missing_mask(params["k"], params["l"], n)
     if gen == "bernoulli":
-        return bernoulli_mask(params.get("p", 0.5), seed=obj["seed"], n=n)
+        # without N a sequence p sets the length
+        return bernoulli_mask(params.get("p", 0.5), seed=obj["seed"], n=n or None)
     if gen == "cosine-bernoulli":
         return cosine_bernoulli_mask(params["mean_p"], params["amp_p"],
                                      params["omega_p"], n, seed=obj["seed"])

@@ -277,8 +277,8 @@ def exponential_qq(pgram: np.ndarray, sbar: np.ndarray) -> np.ndarray:
         raise ValueError("periodogram and expected periodogram grids differ")
     if pgram.size == 0:
         raise ValueError("empty grid")
-    if np.any(sbar <= 0):
-        raise ValueError("expected periodogram must be positive for the QQ ratio")
+    if not (np.isfinite(sbar) & (sbar > 0)).all():  # NaN <= 0 is False
+        raise ValueError("expected periodogram must be finite and positive for the QQ ratio")
     ratios = np.sort(pgram / sbar)
     n = ratios.size
     theo = np.cumsum(1.0 / (n - np.arange(n)))

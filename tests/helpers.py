@@ -1,7 +1,8 @@
 """Helpers shared by the test modules: random models and modulators for
-property-style tests, the first replicate of a bundled study, a count of
-numpy.fft calls, a central-difference check of an objective's score, and a
-Nelder-Mead reference fit."""
+property-style tests, the closed-form sdf of an ar or car1, the first
+replicate of a bundled study, a count of numpy.fft calls, a
+central-difference check of an objective's score, and a Nelder-Mead
+reference fit."""
 
 import json
 import os
@@ -39,6 +40,27 @@ def random_modulator(rng, n, kinds=("constant", "periodic", "bernoulli", "freque
             return periodic_missing_mask(1, 1, n)
         return mod
     return frequency_modulator(rng.uniform(-0.8, 0.8, size=n - 1))
+
+
+def sdf(model, omega, grad=False):
+    """f_X(omega) = sigma^2 / D, D = |1 - z e^{i omega}|^2, of an ar or car1
+    model, with z = r e^{-i rho}: r = phi and rho = 0 for an ar, rho a
+    car1's free rotation gamma or else its fixed one.  z is formed from the
+    model's own parameters, not through ``models.pole_entry``.  With grad it
+    returns (f, rows), the rows in the model's parameters and their order:
+    df/dsigma = 2 f / sigma, df/dr = 2 f (cos(omega - rho) - r) / D and
+    df/dgamma = 2 r f sin(omega - rho) / D."""
+    p = dict(zip(model.params.names, model.params.values))
+    r = p.get("phi1", p.get("r", 0.0))
+    rho = p.get("gamma", model.rotation if model.family == "car1" else 0.0)
+    turn = np.asarray(omega, dtype=float) - rho
+    denom = np.abs(1.0 - r * np.exp(1j * turn)) ** 2
+    f = p["sigma"] ** 2 / denom
+    if not grad:
+        return f
+    rows = {"sigma": 2.0 * f / p["sigma"], "gamma": 2.0 * r * f * np.sin(turn) / denom}
+    rows["phi1"] = rows["r"] = 2.0 * f * (np.cos(turn) - r) / denom
+    return f, np.array([rows[name] for name in model.params.names])
 
 
 def first_replicate(config: str, n: int):

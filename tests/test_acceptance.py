@@ -36,7 +36,7 @@ from modwhittle.spectra import (
     expected_periodogram,
     periodogram,
 )
-from helpers import random_model, random_modulator
+from helpers import random_model, random_modulator, sdf
 
 THREADS = min(2, os.cpu_count() or 1)
 
@@ -232,7 +232,6 @@ def test_criterion_7_property_suites():
     checks["parseval"] = worst < 1e-10
 
     # expected-periodogram positivity/upper bounds
-    from modwhittle.models import sdf_entry
     ok = True
     wfine = np.linspace(-np.pi, np.pi, 2001)
     for _ in range(25):
@@ -240,7 +239,7 @@ def test_criterion_7_property_suites():
         model = random_model(rng)
         mod = random_modulator(rng, n)
         sb = expected_periodogram(cg_sequence(mod), model)
-        fmax = float(np.max(sdf_entry(model, wfine)(model.params.values, False)[0]))
+        fmax = float(np.max(sdf(model, wfine)))
         ok &= np.min(sb) > 0.0 and np.max(sb) <= mod.gmax ** 2 * fmax + 1e-8
     checks["sbar-bounds"] = ok
 

@@ -18,6 +18,7 @@ from modwhittle import (
     ar_model,
     bernoulli_mask,
     car1_model,
+    constant_modulator,
     fit,
     fourier_grid,
     frequency_modulator,
@@ -25,7 +26,6 @@ from modwhittle import (
 )
 from modwhittle.core import ParameterVector
 from modwhittle.likelihood import exact_gaussian_nll, resolve_mask, spectral_nll
-from modwhittle.models import sdf_entry
 from modwhittle.modulation import LinearRampKernel, cg_sequence, linear_beta
 from modwhittle.optimize import FitFailure
 from modwhittle.simulate import (
@@ -35,6 +35,8 @@ from modwhittle.simulate import (
     simulate_complex_ar1,
 )
 from modwhittle.spectra import expected_periodogram, periodogram
+
+from helpers import sdf
 
 
 class _Joint:
@@ -50,9 +52,18 @@ class _Joint:
         return self.objective.value_and_grad(theta)
 
 
-def _whittle_ar1(rng, mask=None):
+def _whittle_ar1(rng):
     x = simulate_ar(ar_model([0.7], 1.3), 256, rng)
-    obj = Objective("whittle", x, ar_model([0.5], 1.0), mask=mask)
+    obj = Objective("whittle", x, ar_model([0.5], 1.0))
+    return obj, obj.init_params
+
+
+def _modulated_ar1_band(rng):
+    # the drifter's shape: a modulated-whittle objective on a frequency band
+    x = simulate_ar(ar_model([0.7], 1.3), 256, rng)
+    obj = Objective("modulated-whittle", x, ar_model([0.5], 1.0),
+                    modulator=constant_modulator(256),
+                    mask=np.abs(fourier_grid(256).frequencies) < 1.5)
     return obj, obj.init_params
 
 
@@ -90,11 +101,10 @@ def _modulated_exact(rng):
 
 CASES = {
     "whittle-ar1": _whittle_ar1,
-    "whittle-ar1-band": lambda rng: _whittle_ar1(
-        rng, mask=np.abs(fourier_grid(256).frequencies) < 1.5),
     "whittle-car1-fixed": lambda rng: _whittle_car1(rng, free=False),
     "whittle-car1-free": lambda rng: _whittle_car1(rng, free=True),
     "modulated-modulator": _modulated_car1,
+    "modulated-ar1-band": _modulated_ar1_band,
     "modulated-ramp-kernel": _ramp("modulated"),
     "exact-modulator": _modulated_exact,
     "exact-markov": _ramp("exact"),
@@ -152,8 +162,8 @@ def _reference(obj, theta):
     unit = model.params.values.copy()
     unit[k] = 1.0
     unit = model.with_values(unit)
-    s1 = (sdf_entry(unit, fourier_grid(n).frequencies)(unit.params.values, False)[0]
-          if obj.kind == "whittle" else expected_periodogram(cg_sequence(mod), unit))
+    s1 = (sdf(unit, fourier_grid(n).frequencies) if obj.kind == "whittle"
+          else expected_periodogram(cg_sequence(mod), unit))
     return spectral_nll(periodogram(obj.data), theta[k] ** 2 * s1, resolve_mask(n, obj.mask))
 
 
@@ -180,10 +190,10 @@ def _zero_objectives():
     band = np.abs(fourier_grid(n).frequencies) < 1.0
     mod = bernoulli_mask(0.7, seed=3, n=n)
     return [
-        Objective("whittle", zeros, ar_model([0.5], 1.0), mask=band),
+        Objective("whittle", zeros, ar_model([0.5], 1.0)),
         Objective("whittle", zeros_c, car1_model(0.5, 1.0, gamma=0.1)),
         Objective("modulated-whittle", zeros, ar_model([0.5], 1.0), modulator=mod,
-                  check_significance=False),
+                  mask=band, check_significance=False),
         Objective("modulated-whittle", zeros_c, car1_model(0.5, 1.0),
                   modulator=LinearRampKernel(n)),
         Objective("exact", zeros, ar_model([0.5], 1.0), modulator=Modulator(mod.g)),

@@ -22,9 +22,10 @@ from modwhittle.models import (
     model_from_json,
     pole_entry,
     scale_index,
-    sdf_entry,
     with_scale_row,
 )
+
+from helpers import sdf
 
 
 def test_car1_white_noise_limit():
@@ -38,10 +39,7 @@ def test_white_noise_has_the_sigma_row_alone():
     assert acv.tolist() == [2.25] and jac.shape == (0, 1)
     assert with_scale_row("ar", jac, 0, acv, 1.5).tolist() == [[3.0]]
     assert autocov_sequence(m, 8).tolist() == [2.25] + [0.0] * 7
-    w = np.linspace(-np.pi, np.pi, 5)
-    f, jac = sdf_entry(m, w)(m.params.values, True)
-    assert np.array_equal(f, np.full(5, 2.25))
-    assert np.array_equal(with_scale_row("ar", jac, 0, f, 1.5), np.full((1, 5), 3.0))
+    assert pole_entry(m)(m.params.values, True) == (0.0, ())
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-20, -1e-300])
@@ -66,7 +64,8 @@ def test_car1_direct_formula():
 
 def test_sdf_examples():
     m = ar_model([0.5], 1.0)
-    assert abs(sdf_entry(m, 0.0)(m.params.values, False)[0] - 4.0) < 1e-12
+    z, _ = pole_entry(m)(m.params.values, False)
+    assert abs(1.0 / abs(1.0 - z) ** 2 - 4.0) < 1e-12
     with pytest.raises(ValueError):
         matern_model(1.0, 1.0, 0.5)
 
@@ -112,7 +111,7 @@ def test_sdf_autocov_consistency(rng):
         c = autocov_sequence(m, 4001)
         taus = np.arange(1, c.size)
         ws = rng.uniform(-np.pi, np.pi, size=8)
-        for w, f in zip(ws, sdf_entry(m, ws)(m.params.values, False)[0]):
+        for w, f in zip(ws, sdf(m, ws)):
             total = c[0] + np.sum(c[1:] * np.exp(-1j * w * taus)
                                   + np.conj(c[1:]) * np.exp(1j * w * taus))
             assert abs(total - f) < 1e-6
@@ -301,7 +300,7 @@ def test_raw_float_entry_matches_the_model_functions(model):
     # the entry bound to model, at values v, is bit for bit the one bound to
     # model.with_values(v) at its own values, and autocov_sequence of it;
     # the acv stops at its kept support
-    n, w = 300, np.linspace(-np.pi, np.pi, 33)
+    n = 300
     v = model.params.values * 0.97
     other = model.with_values(v)
 
@@ -323,18 +322,13 @@ def test_raw_float_entry_matches_the_model_functions(model):
     full = with_scale_row(model.family, jac, k, acv, v[k])
     assert np.allclose(full[k], 2.0 * acv / v[k], rtol=1e-15, atol=0)
     assert np.array_equal(np.delete(full, k, axis=0), jac)
-    if model.family in ("ou", "matern"):  # no discrete-time sdf
-        with pytest.raises(ValueError, match="modulated-whittle"):
-            sdf_entry(model, w)
-        with pytest.raises(ValueError, match="modulated-whittle"):
-            sdf_entry(other, w)
+    if model.family in ("ou", "matern"):  # no pole
+        for m in (model, other):
+            with pytest.raises(ValueError, match="no pole.*modulated-whittle"):
+                pole_entry(m)
         return
-    f, jac = sdf_entry(model, w)(v, False)
-    assert jac is None
-    assert np.array_equal(f, sdf_entry(other, w)(other.params.values, False)[0])
-    f_grad, jac = sdf_entry(model, w)(v, True)
-    assert np.array_equal(f_grad, f) and jac.shape == (len(v) - 1, w.size)
-    assert np.array_equal(jac, sdf_entry(other, w)(other.params.values, True)[1])
+    for grad in (False, True):
+        assert pole_entry(model)(v, grad) == pole_entry(other)(other.params.values, grad)
 
 
 def test_raw_float_entries_raise_outside_the_model_class():
@@ -350,8 +344,6 @@ def test_raw_float_entries_raise_outside_the_model_class():
         for grad in (False, True):
             with pytest.raises(ValueError):
                 acv_entry(model)(bad, 16, grad)
-        with pytest.raises(ValueError):
-            sdf_entry(model, np.zeros(3))(bad, False)
         if model.family in ("ar", "car1"):
             for grad in (False, True):
                 with pytest.raises(ValueError):
@@ -415,15 +407,14 @@ def test_json_without_bounds_takes_the_constructor_bounds():
 
 
 def test_car1_free_rotation_matches_fixed(rng):
-    w = rng.uniform(-np.pi, np.pi, size=50)
     for _ in range(10):
         r, sigma, gamma = rng.uniform(0.0, 0.95), rng.uniform(0.5, 2.0), rng.uniform(-3, 3)
         fixed = car1_model(r, sigma, rotation=gamma)
         free = car1_model(r, sigma, gamma=gamma)
         assert free.params.names == ["r", "sigma", "gamma"]
         assert np.array_equal(autocov_sequence(free, 40), autocov_sequence(fixed, 40))
-        assert np.array_equal(sdf_entry(free, w)(free.params.values, False)[0],
-                              sdf_entry(fixed, w)(fixed.params.values, False)[0])
+        assert (pole_entry(free)(free.params.values, False)[0]
+                == pole_entry(fixed)(fixed.params.values, False)[0])
         # the entries' rows: (r, gamma) free, (r) fixed
         acv, jac = acv_entry(free)(free.params.values, 40, True)
         _, jac_fixed = acv_entry(fixed)(fixed.params.values, 40, True)
@@ -436,39 +427,12 @@ def test_car1_free_rotation_matches_fixed(rng):
 
 
 @pytest.mark.parametrize("model", [
-    ar_model([-0.7], 1.3), ar_model([0.4], 0.8), car1_model(0.6, 1.1, rotation=0.9),
-    car1_model(0.8, 0.7, gamma=-2.0), car1_model(0.02, 1.0, gamma=0.5), ar_model([], 1.3)])
-def test_sdf_grad_matches_central_differences(model):
-    w = np.linspace(-np.pi, np.pi, 41)
-    entry, values, k = sdf_entry(model, w), model.params.values, scale_index(model)
-    f, jac = entry(values, True)
-    jac = with_scale_row(model.family, jac, k, f, values[k])
-    assert jac.shape == (len(model.params), w.size)
-    for j in range(len(model.params)):
-        def diff(e):
-            up = values.copy()
-            dn = values.copy()
-            up[j] += e
-            dn[j] -= e
-            return (entry(up, False)[0] - entry(dn, False)[0]) / (2 * e)
-
-        fd = (4.0 * diff(5e-5) - diff(1e-4)) / 3.0
-        assert np.max(np.abs(jac[j] - fd)) <= 1e-7 * np.max(np.abs(fd)) + 1e-12
-
-
-def test_sdf_grad_only_for_ar1_and_car1():
-    for model in (ou_model(1.0, 0.5), matern_model(1.0, 0.5, 1.2)):
-        with pytest.raises(ValueError):
-            sdf_entry(model, np.zeros(3))
-        with pytest.raises(ValueError, match="modulated-whittle"):
-            pole_entry(model)
-
-
-@pytest.mark.parametrize("model", [
     ar_model([-0.7], 1.3), ar_model([0.4], 0.8), ar_model([], 1.3),
     car1_model(0.6, 1.1), car1_model(0.6, 1.1, rotation=0.9), car1_model(0.8, 0.7, gamma=-2.0)])
 def test_pole_entry_gives_the_sdf_and_its_derivatives(model):
-    # f_X = sigma^2 / |1 - z e^{iw}|^2, and dz in the parameters but the scale
+    # f_X = sigma^2 / |1 - z e^{iw}|^2, and dz in the parameters but the scale:
+    # with D = |1 - z e^{iw}|^2, df = -f dD / D, dD = 2 Re((conj(z) - e^{iw}) dz),
+    # against the closed form of the model's own parameters
     w = np.linspace(-np.pi, np.pi, 41)
     values, k = model.params.values, scale_index(model)
     entry = pole_entry(model)
@@ -476,37 +440,17 @@ def test_pole_entry_gives_the_sdf_and_its_derivatives(model):
     assert z == entry(values, False)[0] and entry(values, False)[1] is None
     assert isinstance(z, float) == (model.family == "ar" or model.rotation == 0.0
                                     and len(values) == 2)
-    f = values[k] ** 2 / np.abs(1.0 - z * np.exp(1j * w)) ** 2
-    assert np.allclose(f, sdf_entry(model, w)(values, False)[0], rtol=1e-14, atol=0.0)
+    want, rows = sdf(model, w, True)
+    denom = np.abs(1.0 - z * np.exp(1j * w)) ** 2
+    f = values[k] ** 2 / denom
+    assert np.allclose(f, want, rtol=1e-14, atol=0.0)
     rest = [j for j in range(len(values)) if j != k]
     assert len(dz) == len(rest)
     for d, j in zip(dz, rest):
+        df = -f * 2.0 * ((np.conj(z) - np.exp(1j * w)) * d).real / denom
+        assert np.allclose(df, rows[j], rtol=0.0, atol=1e-13 * np.abs(rows[j]).max())
         up, dn = values.copy(), values.copy()
         up[j] += 1e-6
         dn[j] -= 1e-6
         fd = (entry(up, False)[0] - entry(dn, False)[0]) / 2e-6
         assert abs(d - fd) <= 1e-8
-
-
-@pytest.mark.parametrize("model", [
-    ar_model([0.99], 1.0), ar_model([-0.999999], 1.0), car1_model(1.0 - 1e-9, 1.0),
-    car1_model(0.9999, 1.0, rotation=0.3), car1_model(0.9999, 1.0, gamma=-2.5)])
-def test_sdf_keeps_its_relative_precision_at_the_pole(model):
-    # 1 + r^2 - 2 r cos(w - rho) cancels near the pole's frequency as |r| -> 1;
-    # the entry's sums of terms of one sign do not
-    import mpmath
-
-    mpmath.mp.dps = 40
-    values = model.params.values
-    r = mpmath.mpf(float(values[0]))
-    if model.family == "ar":  # the pole's frequency: 0, or pi for phi < 0
-        rho = 0.0 if values[0] > 0 else np.pi
-    else:
-        rho = float(values[2]) if len(values) == 3 else model.rotation
-    w = rho + np.array([-1e-3, -1e-7, 0.0, 1e-7, 1e-3])
-    got = sdf_entry(model, w)(values, False)[0]
-    # |1 - z e^{iw}|^2 of the exact z = r e^{-i rho} (the rotation's float)
-    rotation = 0.0 if model.family == "ar" else rho
-    want = [1 / abs(1 - r * mpmath.expj(mpmath.mpf(float(x)) - mpmath.mpf(rotation))) ** 2
-            for x in w]
-    assert all(abs(g - x) <= 1e-14 * x for g, x in zip(got, want)), (got, want)

@@ -21,6 +21,7 @@ from modwhittle.modulation import (
     LinearRampKernel,
     _fft_length,
     cg_direct,
+    component_cg,
     cosine_probabilities,
     modulator_from_json,
 )
@@ -77,6 +78,18 @@ def test_cg_prefix_rejects_lags_outside_one_to_n():
             cg_sequence(mod, lags)
 
 
+def test_a_component_cg_with_or_without_a_modulator_rejects_the_same_lags():
+    # without a modulator c_g = 1 - tau/N, which a lag past N would extend
+    # below zero and lags = 0 would leave empty
+    for mod in (None, constant_modulator(4)):
+        for lags in (-1, 0, 5, 6):
+            with pytest.raises(ValueError, match=r"lags must lie in \[1, N\]"):
+                component_cg(mod, 4, lags)
+        for lags in (1, 4, None):
+            cg = component_cg(mod, 4, lags)
+            assert np.allclose(cg, [1.0, 0.75, 0.5, 0.25][:lags], rtol=0.0, atol=1e-15)
+
+
 def test_fft_length_is_the_least_5_smooth_length():
     smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9)
                     for c in range(6) if 2 ** a * 3 ** b * 5 ** c <= 8192)
@@ -127,6 +140,19 @@ def test_bernoulli_mask_limits_and_reproducibility():
     assert not np.array_equal(a, bernoulli_mask(0.4, seed=100, n=256).g)
     with pytest.raises(ValueError):
         bernoulli_mask(1.5, seed=0, n=4)
+
+
+def test_a_probability_sequence_must_match_the_mask_length():
+    p = np.linspace(0.2, 0.8, 9)
+    with pytest.raises(ValueError, match="9 probabilities for a mask of length 5"):
+        bernoulli_mask(p, seed=1, n=5)
+    assert np.array_equal(bernoulli_mask(p, seed=1, n=9).g, bernoulli_mask(p, seed=1).g)
+    # as a config builds it: its N must match, or be left out
+    spec = {"generator": "bernoulli", "params": {"p": p.tolist()}, "seed": 1}
+    with pytest.raises(ValueError, match="9 probabilities for a mask of length 5"):
+        modulator_from_json({**spec, "N": 5})
+    for config in ({**spec, "N": 9}, spec):
+        assert np.array_equal(modulator_from_json(config).g, bernoulli_mask(p, seed=1).g)
 
 
 def test_cosine_probabilities_values():

@@ -17,7 +17,6 @@ from modwhittle import (
     periodogram,
 )
 from modwhittle.core import _from_grid_order
-from modwhittle.models import sdf_entry
 from modwhittle.simulate import simulate_ar
 from modwhittle.spectra import (
     expected_periodogram_fft_order,
@@ -26,7 +25,7 @@ from modwhittle.spectra import (
     lag_sums_half,
     periodogram_fft_order,
 )
-from helpers import counted_transforms, random_model, random_modulator
+from helpers import counted_transforms, random_model, random_modulator, sdf
 
 
 def test_periodogram_examples(rng):
@@ -178,7 +177,7 @@ def test_expected_periodogram_bounds(rng):
         model = random_model(rng)
         mod = random_modulator(rng, n)
         sb = expected_periodogram(cg_sequence(mod), model)
-        fmax = float(np.max(sdf_entry(model, wfine)(model.params.values, False)[0]))
+        fmax = float(np.max(sdf(model, wfine)))
         assert np.min(sb) > 0.0
         assert np.max(sb) <= mod.gmax ** 2 * fmax + 1e-8
 
@@ -209,7 +208,7 @@ def test_convolution_form_quadrature():
     gdft = np.array([np.sum(mod.g * np.exp(-1j * lam_i * np.arange(n))) for lam_i in lam])
     window = np.abs(gdft) ** 2 / n
     for w in fourier_grid(n).frequencies[::5]:
-        f = sdf_entry(model, w - lam)(model.params.values, False)[0]
+        f = sdf(model, w - lam)
         ref = np.mean(f * window)
         k = np.argmin(np.abs(fourier_grid(n).frequencies - w))
         assert abs(sb[k] - ref) < 1e-4 * ref
@@ -249,6 +248,15 @@ def test_exponential_qq(rng):
         exponential_qq(periodogram(Series(np.ones(64))),
                        expected_periodogram(cg_sequence(constant_modulator(32)),
                                             ar_model([], 1.0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_exponential_qq_rejects_an_sbar_that_is_not_finite_and_positive(bad):
+    p = np.ones(8)
+    sbar = np.ones(8)
+    sbar[3] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        exponential_qq(p, sbar)
 
 
 def test_exponential_qq_slope(rng):

@@ -1,17 +1,16 @@
 """The Whittle kind by periodogram moments: its closed-form sums against the
-direct sum over the grid, where they cancel, what an evaluation costs, and
-the stationary fits' starts at the minimiser of its quadratic form."""
+direct sum over the grid, where they cancel, what an evaluation costs, that
+it takes no frequency mask, and the stationary fits' starts at the
+minimiser of its quadratic form."""
 
 import numpy as np
 import pytest
 
-from helpers import assert_gradient_matches, counted_transforms, first_replicate
+from helpers import assert_gradient_matches, counted_transforms, first_replicate, sdf
 from modwhittle import Objective, Series, ar_model, car1_model
-from modwhittle import models
 from modwhittle.core import fourier_grid
-from modwhittle.likelihood import resolve_mask
 from modwhittle.modulation import constant_modulator
-from modwhittle.models import scale_index, sdf_entry, with_scale_row
+from modwhittle.models import scale_index
 from modwhittle.optimize import fit
 from modwhittle.simulate import ESTIMATORS
 from modwhittle.spectra import periodogram
@@ -26,57 +25,41 @@ MODELS = {
 }
 
 
-def _masks(n):
-    """Every distinct mask of the grid of n to test, in grid order: none, two
-    symmetric bands, and the one +-w pair of k = 1 and N - 1."""
-    w = fourier_grid(n).frequencies
-    out = {"none": None}
-    for name, mask in (("low", np.abs(w) <= 2.0), ("high", np.abs(w) >= 1.0),
-                       ("pair", np.isclose(np.abs(w), 2.0 * np.pi / n))):
-        if mask.any() and not mask.all():
-            out[name] = mask
-    return out
-
-
 # phi = 0.99 at N = 16, where |z|^N = 0.85 is not negligible, and at N <= 3,
 # where all of a random periodogram can sit at the pole's frequency w = 0 and
 # Q as a difference of moments would cancel (see the next test but one)
-CASES = [(n, name, band) for n in (1, 2, 3, 16, 37, 64) for name in MODELS
-         for band in _masks(n) if name != "ar0.99" or n <= 16]
+CASES = [(n, name) for n in (1, 2, 3, 16, 37, 64) for name in MODELS
+         if name != "ar0.99" or n <= 16]
 
 
 def _direct(obj, theta):
-    """The Whittle value and score at theta by the direct sum over the mask
-    of c_k (log f_k + Shat_k / f_k), c_k = 1 on the whole grid, with f from
-    the sdf entry, and the sums of the absolute values of their two parts
-    (log f_k and Shat_k / f_k, and their derivatives): the scale of their
-    rounding."""
-    n, k, model = len(obj.data), obj.scale_index, obj.model
-    mask = resolve_mask(n, obj.mask)
-    f, jac = sdf_entry(model, fourier_grid(n).frequencies)(theta, True)
-    jac = with_scale_row(model.family, jac, k, f, theta[k])
-    shat = periodogram(obj.data)
-    f, jac, ratio = f[mask], jac[:, mask], shat[mask] / f[mask]
+    """The Whittle value and score at theta by the direct sum over the grid
+    of log f_k + Shat_k / f_k, with f the closed-form sdf, and the sums of
+    the absolute values of their two parts (log f_k and Shat_k / f_k, and
+    their derivatives): the scale of their rounding."""
+    n = len(obj.data)
+    f, jac = sdf(obj.model.with_values(theta), fourier_grid(n).frequencies, True)
+    ratio = periodogram(obj.data) / f
     value = (np.log(f) + ratio).sum() / n
     score = (jac * ((1.0 - ratio) / f)).sum(axis=1) / n
     return (value, score, (np.abs(np.log(f)) + ratio).sum() / n,
             (np.abs(jac) * ((1.0 + ratio) / f)).sum(axis=1) / n)
 
 
-def _case(n, name, band, seed=0):
+def _case(n, name, seed=0):
     model, complex_data = MODELS[name]
     rng = np.random.default_rng([n, seed])
     x = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_data else 0.0)
     data = Series(x, kind="complex" if complex_data else "real")
-    obj = Objective("whittle", data, model, mask=_masks(n)[band])
+    obj = Objective("whittle", data, model)
     theta = model.params.values.copy()
     theta[scale_index(model)] *= 1.3
     return obj, theta
 
 
-@pytest.mark.parametrize("n, name, band", CASES)
-def test_whittle_moments_give_the_direct_sum_and_its_score(n, name, band):
-    obj, theta = _case(n, name, band)
+@pytest.mark.parametrize("n, name", CASES)
+def test_whittle_moments_give_the_direct_sum_and_its_score(n, name):
+    obj, theta = _case(n, name)
     value, grad = obj.value_and_grad(theta)
     want, want_grad, scale, grad_scale = _direct(obj, theta)
     assert value == obj(theta)
@@ -92,9 +75,9 @@ def test_whittle_moments_give_the_direct_sum_and_its_score(n, name, band):
                   <= 1e-13 * np.delete(grad_scale, k))
 
 
-@pytest.mark.parametrize("n, name, band", [c for c in CASES if c[0] >= 16])
-def test_whittle_score_matches_central_differences(n, name, band):
-    obj, theta = _case(n, name, band, seed=1)
+@pytest.mark.parametrize("n, name", [c for c in CASES if c[0] >= 16])
+def test_whittle_score_matches_central_differences(n, name):
+    obj, theta = _case(n, name, seed=1)
     assert_gradient_matches(obj, theta)
 
 
@@ -140,35 +123,32 @@ def test_a_cancelling_quadratic_form_scores_finite_or_is_rejected(rotation):
             assert abs(quad - pure) <= 1e-12 * pure + 4.0 * np.delete(shat, w == w0).sum()
 
 
-def _counted_sdf_entries(monkeypatch) -> list:
-    """The list that each later call of an sdf entry (built after this)
-    appends its family to."""
-    calls = []
-    for family, fn in list(models._SDF.items()):
-        def counted(*args, _family=family, _fn=fn, **kwargs):
-            calls.append(_family)
-            return _fn(*args, **kwargs)
-        monkeypatch.setitem(models._SDF, family, counted)
-    return calls
-
-
-@pytest.mark.parametrize("config", ["table1_ci", "table2_ci"])
-def test_an_unmasked_whittle_evaluation_makes_no_transform_and_no_sdf_call(config, monkeypatch):
+@pytest.mark.parametrize("config", ["table1_ci", "table2_ci", "table3_ci"])
+def test_a_whittle_evaluation_makes_no_transform(config, monkeypatch):
     study, data, aux = first_replicate(config, 512)
-    sdf_calls = _counted_sdf_entries(monkeypatch)
     objective, init = ESTIMATORS[study.kind, "stationary"](data, aux)
     transforms = counted_transforms(monkeypatch)  # after the build's periodogram
     theta = init.values
     objective(theta)
     objective.value_and_grad(theta)
     objective.profile(np.delete(theta, objective.scale_index), True)
-    assert (transforms, sdf_calls) == ([], [])
-    # under a mask its dropped bins take the sdf entry, once per evaluation
-    masked = Objective("whittle", data, objective.model,
-                       mask=np.abs(fourier_grid(512).frequencies) < 2.0)
-    masked.value_and_grad(theta)
-    masked(theta)
-    assert sdf_calls == ["car1", "car1"]
+    assert transforms == []
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_only_the_modulated_whittle_kind_takes_a_frequency_mask(name):
+    obj, _ = _case(16, name)
+    w = fourier_grid(16).frequencies
+    for mask in (np.ones(16, dtype=bool), np.abs(w) <= 2.0, [0, 1, 15]):
+        for kind, modulator in (("whittle", None), ("exact", None),
+                                ("exact", constant_modulator(16))):
+            with pytest.raises(ValueError, match=f"the {kind} kind takes no frequency "
+                                                 "mask: only the modulated-whittle kind"):
+                Objective(kind, obj.data, obj.model, modulator=modulator, mask=mask)
+    if obj.model.family == "ar":  # a real series' mask, kept on the half grid
+        band = Objective("modulated-whittle", obj.data, obj.model,
+                         modulator=constant_modulator(16), mask=np.abs(w) <= 2.0)
+        assert band._size == np.count_nonzero(np.abs(w) <= 2.0) < 16
 
 
 @pytest.mark.parametrize("kind", sorted(kind for kind, est in ESTIMATORS if est == "stationary"))
@@ -188,9 +168,8 @@ def test_stationary_fits_start_at_the_minimiser_of_the_quadratic_form(kind):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-@pytest.mark.parametrize("band", ["none", "low", "pair"])
-def test_whittle_start_minimises_the_quadratic_form_at_its_profiled_scale(name, band):
-    obj, _ = _case(64, name, band)
+def test_whittle_start_minimises_the_quadratic_form_at_its_profiled_scale(name):
+    obj, _ = _case(64, name)
     theta = obj.whittle_start(-0.999 if obj.model.family == "ar" else 1e-3, 0.999)
     k = obj.scale_index
     rest = np.delete(theta, k)
