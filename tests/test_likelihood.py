@@ -917,6 +917,8 @@ def _half_grid_pair(n, case, mask):
     model = ar_model([0.6], 1.3)
     if case == "whittle":
         kind, mod = "whittle", None
+    elif case == "constant":  # the band's kind, as the whittle kind takes none
+        kind, mod = "modulated-whittle", constant_modulator(n)
     elif case in ("unmodulated", "ar+matern"):  # c_g = 1 - tau/N, or a mask's
         kind, mod = "modulated-whittle", None
         model = AggregateModel(((model, None),) if case == "unmodulated" else
@@ -933,7 +935,8 @@ def _half_grid_pair(n, case, mask):
 
 @pytest.mark.parametrize("case, band", [
     (case, band) for band in (None, "low", "high")
-    for case in ("whittle", "unmodulated", "periodic", "cosine-bernoulli", "ar+matern")
+    for case in ("whittle", "constant", "unmodulated", "periodic", "cosine-bernoulli",
+                 "ar+matern")
     if case != "whittle" or band is None])  # the whittle kind takes no mask
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 128, 4095, 4096])
 def test_real_series_on_the_half_grid_equals_its_complex_twin(n, case, band):
@@ -1018,6 +1021,27 @@ def test_whittle_gradient_matches_central_differences(rng, family):
             model = (car1_model(r, sigma, rotation=rot) if family == "car1-fixed"
                      else car1_model(r, sigma, gamma=rot))
         obj = Objective("whittle", data, model)
+        assert_gradient_matches(obj, model.params.values)
+
+
+@pytest.mark.parametrize("family", ["car1-fixed", "car1-free", "ar1"])
+def test_a_banded_modulated_gradient_matches_central_differences(rng, family):
+    # the band the whittle kind does not take: a constant modulator's
+    # modulated-whittle kind on a symmetric band, the drifter's shape
+    for _ in range(10):
+        n = int(rng.integers(16, 300))
+        mask = np.abs(fourier_grid(n).frequencies) < rng.uniform(0.5, 3.0)
+        if family == "ar1":
+            data = Series(rng.normal(size=n))
+            model = ar_model([rng.uniform(-0.9, 0.9)], rng.uniform(0.5, 2.0))
+        else:
+            data = Series(rng.normal(size=n) + 1j * rng.normal(size=n), kind="complex")
+            r, sigma, rot = rng.uniform(0.05, 0.95), rng.uniform(0.5, 2.0), rng.uniform(-3, 3)
+            model = (car1_model(r, sigma, rotation=rot) if family == "car1-fixed"
+                     else car1_model(r, sigma, gamma=rot))
+        obj = Objective("modulated-whittle", data, model, modulator=constant_modulator(n),
+                        mask=mask)
+        assert obj._size == np.count_nonzero(mask) < n
         assert_gradient_matches(obj, model.params.values)
 
 

@@ -1,7 +1,9 @@
 """The Whittle kind by periodogram moments: its closed-form sums against the
 direct sum over the grid, where they cancel, what an evaluation costs, that
 it takes no frequency mask, and the stationary fits' starts at the
-minimiser of its quadratic form."""
+minimiser of its quadratic form; and the masked modulated-whittle kind,
+which takes the bands the Whittle kind does not, against its direct sum
+over the mask."""
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ import pytest
 from helpers import assert_gradient_matches, counted_transforms, first_replicate, sdf
 from modwhittle import Objective, Series, ar_model, car1_model
 from modwhittle.core import fourier_grid
+from modwhittle.likelihood import resolve_mask
 from modwhittle.modulation import constant_modulator
-from modwhittle.models import scale_index
+from modwhittle.models import acv_entry, scale_index, with_scale_row
 from modwhittle.optimize import fit
 from modwhittle.simulate import ESTIMATORS
 from modwhittle.spectra import periodogram
@@ -81,6 +84,86 @@ def test_whittle_score_matches_central_differences(n, name):
     assert_gradient_matches(obj, theta)
 
 
+def _masks(n):
+    """Every distinct band of the grid of n to test, in grid order: two
+    symmetric bands, and the one +-w pair of k = 1 and N - 1."""
+    w = fourier_grid(n).frequencies
+    out = {}
+    for name, mask in (("low", np.abs(w) <= 2.0), ("high", np.abs(w) >= 1.0),
+                       ("pair", np.isclose(np.abs(w), 2.0 * np.pi / n))):
+        if mask.any() and not mask.all():
+            out[name] = mask
+    return out
+
+
+BANDED = [(n, name, band) for n, name in CASES for band in _masks(n)]
+
+
+def _banded(n, name, band, seed=0):
+    """_case's data and model under the modulated-whittle kind with a
+    constant modulator on a band, the drifter's shape."""
+    obj, theta = _case(n, name, seed)
+    return Objective("modulated-whittle", obj.data, obj.model,
+                     modulator=constant_modulator(n), mask=_masks(n)[band]), theta
+
+
+def _direct_banded(obj, theta):
+    """The masked modulated-whittle value and score at theta by the direct
+    sum over the mask of log Sbar_k + Shat_k / Sbar_k, over N, with Sbar_k =
+    e_k^H C e_k / N of the dense covariance C[t, s] = c_X(t - s) (g = 1) and
+    e_k[t] = e^{i w_k t}, and the scales of their rounding.  Sbar and its
+    derivatives are sums over the lags that cancel where Sbar is small (at
+    an ar's pole near 1, say), so each rounds on the scale of its sum of
+    |c_X| (|dc_X|), which a rounded Sbar carries into log Sbar and Shat /
+    Sbar, and into the score's weights (1 - Shat / Sbar) / Sbar."""
+    n, model, k = len(obj.data), obj.model, obj.scale_index
+    acv, jac = acv_entry(model)(theta, n, True)
+    rows = np.zeros((len(theta), n), dtype=complex)
+    rows[:, :acv.size] = with_scale_row(model.family, jac, k, acv, theta[k])
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    e = np.exp(1j * np.outer(np.arange(n), fourier_grid(n).frequencies))
+    mask = resolve_mask(n, obj.mask)
+
+    def sbar(c):
+        c = np.where(lag >= 0, c[np.abs(lag)], np.conj(c[np.abs(lag)]))
+        return np.real(np.sum(np.conj(e) * (c @ e), axis=0))[mask] / n, np.abs(c).sum() / n
+
+    s, s_abs = sbar(np.pad(acv, (0, n - acv.size)).astype(complex))
+    ds, ds_abs = map(np.array, zip(*(sbar(row) for row in rows)))
+    ratio = periodogram(obj.data)[mask] / s
+    value = (np.log(s) + ratio).sum() / n
+    score = (ds * ((1.0 - ratio) / s)).sum(axis=1) / n
+    scale = (np.abs(np.log(s)) + ratio + (1.0 + ratio) * s_abs / s).sum() / n
+    grad_scale = ((ds_abs[:, None] + np.abs(ds) * s_abs / s)
+                  * ((1.0 + 2.0 * ratio) / s)).sum(axis=1) / n
+    return value, score, scale, grad_scale
+
+
+@pytest.mark.parametrize("n, name, band", BANDED)
+def test_a_banded_modulated_whittle_gives_the_direct_sum_and_its_score(n, name, band):
+    # the band keeps M = N (the 1/N of the full grid) and drops the other
+    # bins' terms, on the half grid for the real acvs
+    obj, theta = _banded(n, name, band)
+    value, grad = obj.value_and_grad(theta)
+    want, want_grad, scale, grad_scale = _direct_banded(obj, theta)
+    assert value == obj(theta)
+    assert abs(value - want) <= 1e-13 * scale, (value, want)
+    assert np.all(np.abs(grad - want_grad) <= 1e-13 * grad_scale), (grad, want_grad)
+    k = obj.scale_index
+    rest = np.delete(theta, k)
+    best, rest_grad, at = obj.profile(rest, True)
+    want, want_grad, scale, grad_scale = _direct_banded(obj, np.insert(rest, k, at))
+    assert abs(best - want) <= 1e-13 * scale
+    assert np.all(np.abs(rest_grad - np.delete(want_grad, k))
+                  <= 1e-13 * np.delete(grad_scale, k))
+
+
+@pytest.mark.parametrize("n, name, band", [c for c in BANDED if c[0] >= 16])
+def test_a_banded_modulated_whittle_score_matches_central_differences(n, name, band):
+    obj, theta = _banded(n, name, band, seed=1)
+    assert_gradient_matches(obj, theta)
+
+
 @pytest.mark.parametrize("rotation", [None, 0.7])
 def test_a_cancelling_quadratic_form_scores_finite_or_is_rejected(rotation):
     # all the power in one bin, w0 = 2 pi 3 / N, and the pole's frequency on
@@ -121,6 +204,34 @@ def test_a_cancelling_quadratic_form_scores_finite_or_is_rejected(rotation):
             assert abs(quad - terms.sum()) <= 1e-12 * terms.sum()
             pure = shat.sum() * (1.0 - r) ** 2
             assert abs(quad - pure) <= 1e-12 * pure + 4.0 * np.delete(shat, w == w0).sum()
+
+
+@pytest.mark.parametrize("n", [37, 64])
+@pytest.mark.parametrize("model, rho", [
+    (ar_model([0.99], 1.0), 0.0), (ar_model([-0.999999], 1.0), np.pi),
+    (car1_model(1.0 - 1e-9, 1.0), 0.0), (car1_model(0.9999, 1.0, rotation=0.3), 0.3),
+    (car1_model(1.0 - 1e-7, 1.0, rotation=-2.5), -2.5)])
+def test_a_fixed_pole_quadratic_form_keeps_its_relative_precision_at_the_pole(model, rho, n):
+    # the periodogram sits at the pole's frequency rho, where 1 + r^2 - 2 r
+    # cos(w - rho) cancels as |r| -> 1; the fixed pole's Q, (1 - r)^2 A + 2 r
+    # P or an ar's (1 + r)^2 A - 2 r P' for r < 0, sums terms of one sign
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    x = np.exp(1j * rho * np.arange(n)) + 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    data = (Series(x.real) if model.family == "ar" or model.rotation == 0.0
+            else Series(x, kind="complex"))
+    obj = Objective("whittle", data, model)
+    unit = list(model.params.values)
+    unit[obj.scale_index] = 1.0
+    quad = obj._chain(unit, False)[1]
+    # sum_k Shat_k |1 - z e^{i w_k}|^2 of the exact z = r e^{-i rotation} (the floats')
+    rotation = mpmath.mpf(model.rotation if model.family == "car1" else 0.0)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(float(unit[0]))
+        want = sum(mpmath.mpf(float(s))
+                   * abs(1 - r * mpmath.expj(mpmath.mpf(float(w)) - rotation)) ** 2
+                   for s, w in zip(periodogram(data), fourier_grid(n).frequencies))
+    assert abs(quad - want) <= 1e-13 * want, (quad, want)
 
 
 @pytest.mark.parametrize("config", ["table1_ci", "table2_ci", "table3_ci"])
